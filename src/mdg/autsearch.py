@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs, permgroups
-
-
-class BudgetExceeded(RuntimeError):
-    pass
+from . import graphs, groups, permgroups
 
 
 def refine(graph: graphs.Graph, cells) -> list[list[int]]:
@@ -77,7 +73,7 @@ class _Matcher:
     def find(self, seq_s: list[int], seq_t: list[int]) -> np.ndarray | None:
         self.nodes += 1
         if self.nodes > self.budget:
-            raise BudgetExceeded(f"matcher exceeded {self.budget} nodes")
+            raise groups.BudgetExceeded(f"matcher exceeded {self.budget} nodes")
         g = self.graph
         cs = _refine_seq(g, seq_s)
         ct = _refine_seq(g, seq_t)
@@ -111,9 +107,6 @@ class AutResult:
     complete: bool
     nodes: int
 
-    def group(self, degree: int) -> permgroups.PermGroup:
-        return permgroups.PermGroup(self.gens, degree)
-
 
 def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 << 20) -> AutResult:
     """Full automorphism group as (generators, order) from a backtrack
@@ -132,7 +125,6 @@ def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 
     order = 1
     seq: list[int] = []
     cells = refine(graph, [list(range(graph.n))])
-    complete = True
     try:
         while True:
             split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
@@ -155,9 +147,9 @@ def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 
             order *= len(orb_v)
             seq.append(v)
             cells = refine(graph, _individualize(cells, v))
-    except BudgetExceeded:
+    except groups.BudgetExceeded:
         return AutResult(gens, None, False, matcher.nodes)
-    return AutResult(gens, order, complete, matcher.nodes)
+    return AutResult(gens, order, True, matcher.nodes)
 
 
 def _certificate(graph: graphs.Graph, labeling: list[int]) -> bytes:
@@ -187,14 +179,14 @@ def canonical_form(graph: graphs.Graph, node_budget: int = 1 << 20):
         raise ValueError("canonical_form is limited to 512 vertices")
     aut = automorphism_group(graph, node_budget=node_budget)
     if not aut.complete:
-        raise BudgetExceeded("automorphism search did not finish")
+        raise groups.BudgetExceeded("automorphism search did not finish")
     best: dict = {"cert": None, "labeling": None}
     nodes = [0]
 
     def search(seq, cells):
         nodes[0] += 1
         if nodes[0] > node_budget:
-            raise BudgetExceeded(f"canonical search exceeded {node_budget} nodes")
+            raise groups.BudgetExceeded(f"canonical search exceeded {node_budget} nodes")
         split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if split is None:
             labeling = [c[0] for c in cells]

@@ -336,6 +336,18 @@ def _check_n(n: int):
         raise click.BadParameter(f"n must be in [2, {f2.MAX_DIM}]")
 
 
+def _dihedral_orders(ctx, param, value):
+    if value is None:
+        return None
+    try:
+        ms = tuple(int(p) for p in value.split(","))
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
+    if min(ms) < 1:
+        raise click.BadParameter("every half-order must be >= 1")
+    return ms
+
+
 @click.group(context_settings={"auto_envvar_prefix": "MDG"})
 def main():
     """Construct the bit-packed 2-groups, their Cayley and coset graphs,
@@ -350,7 +362,7 @@ def verify():
 @verify.command("group")
 @click.option("-n", "n", type=int, default=2, show_default=True,
               help="Dimension of the tensor-group backend.")
-@click.option("--dihedral", default=None,
+@click.option("--dihedral", default=None, callback=_dihedral_orders,
               help="Comma-separated dihedral half-orders, e.g. 4,4; "
                    "verifies the dihedral-product backend instead.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
@@ -358,8 +370,7 @@ def verify_group(n, dihedral, as_json):
     """Check group order, defining relations, derived subgroup / center,
     abelianization and the mixed-dihedral predicate."""
     if dihedral is not None:
-        ms = tuple(int(p) for p in dihedral.split(","))
-        _emit(group_report(dihedral=ms), as_json)
+        _emit(group_report(dihedral=dihedral), as_json)
     else:
         _check_n(n)
         _emit(group_report(n=n), as_json)

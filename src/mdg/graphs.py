@@ -4,17 +4,15 @@ coset graph on [G:X] u [G:Y], clique graphs, line graphs and normal
 quotients.
 """
 
+import bisect
+import math
 from dataclasses import dataclass
 
 from . import groups
 
 
 class Graph:
-    """Simple undirected graph with sorted neighbor lists.
-
-    Adjacency bitsets (one int per vertex) are built lazily for the
-    clique / refinement machinery.
-    """
+    """Simple undirected graph with sorted neighbor lists."""
 
     def __init__(self, n: int, edges):
         self.n = n
@@ -27,20 +25,6 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         self.neighbors = [sorted(s) for s in nbrs]
-        self._bitsets = None
-        self.vertex_labels = None
-
-    @property
-    def bitsets(self) -> list[int]:
-        if self._bitsets is None:
-            bs = []
-            for nb in self.neighbors:
-                b = 0
-                for v in nb:
-                    b |= 1 << v
-                bs.append(b)
-            self._bitsets = bs
-        return self._bitsets
 
     def edge_count(self) -> int:
         return sum(len(nb) for nb in self.neighbors) // 2
@@ -53,17 +37,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors[u]
-        lo, hi = 0, len(nb)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if nb[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(nb) and nb[lo] == v
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        i = bisect.bisect_left(nb, v)
+        return i < len(nb) and nb[i] == v
 
     def is_regular(self) -> int | None:
         degs = {len(nb) for nb in self.neighbors}
@@ -95,9 +70,7 @@ def cayley_graph(G, S) -> Graph:
             h = G.mul(s, g)
             if g < h:
                 edges.append((g, h))
-    graph = Graph(G.order, edges)
-    graph.vertex_labels = list(G.elements())
-    return graph
+    return Graph(G.order, edges)
 
 
 def xy_connection_set(G) -> list[int]:
@@ -150,7 +123,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 def maximal_cliques(graph: Graph, budget: int = 10**7) -> list[list[int]]:
     """Pivot-free Bron-Kerbosch enumeration, canonically sorted."""
-    bs = graph.bitsets
+    bitsets = [sum(1 << v for v in nb) for nb in graph.neighbors]
     out = []
     calls = 0
 
@@ -165,7 +138,7 @@ def maximal_cliques(graph: Graph, budget: int = 10**7) -> list[list[int]]:
         while p:
             v = (p & -p).bit_length() - 1
             vb = 1 << v
-            expand(r + [v], p & bs[v], x & bs[v])
+            expand(r + [v], p & bitsets[v], x & bitsets[v])
             p &= ~vb
             x |= vb
 
@@ -179,20 +152,18 @@ def verify_clique_cover(graph: Graph, cliques: list[list[int]]) -> None:
     once; raises ValueError otherwise.  Used to validate the coset fast
     path against the graph itself.
     """
-    full = (1 << graph.n) - 1
-    bs = graph.bitsets
     edge_cover = {}
     for ci, c in enumerate(cliques):
-        common = full
-        members = 0
-        for v in c:
-            members |= 1 << v
         for v in c:
             for w in c:
                 if v < w and not graph.has_edge(v, w):
                     raise ValueError("clique contains a non-edge")
-            common &= bs[v]
-        if common & ~members:
+        # no vertex is its own neighbor, so every common neighbor of the
+        # members lies outside the clique and would extend it
+        common = set(graph.neighbors[c[0]]) if c else set(range(graph.n))
+        for v in c[1:]:
+            common.intersection_update(graph.neighbors[v])
+        if common:
             raise ValueError("clique is not maximal")
         for v in c:
             for w in c:
@@ -335,12 +306,8 @@ def edge_coloring(graph: Graph, G, X, Y) -> dict[tuple[int, int], str]:
 
 
 def triangles_monochromatic(graph: Graph, colors: dict[tuple[int, int], str]) -> bool:
-    bs = graph.bitsets
     for u, v in graph.edges():
-        common = bs[u] & bs[v]
-        while common:
-            w = (common & -common).bit_length() - 1
-            common &= common - 1
+        for w in set(graph.neighbors[u]).intersection(graph.neighbors[v]):
             c = {colors[(u, v)],
                  colors[(min(u, w), max(u, w))],
                  colors[(min(v, w), max(v, w))]}
@@ -350,7 +317,9 @@ def triangles_monochromatic(graph: Graph, colors: dict[tuple[int, int], str]) ->
 
 
 # graph6 format (header <= 62 vertices is one byte, larger graphs use the
-# '~' + 3-byte extension) and a plain "u v" edge-list format.
+# '~' + 3-byte extension) and a plain "u v" edge-list format.  Body bit
+# k = j(j-1)/2 + i is the pair i < j (the upper triangle column by column),
+# packed six bits to a byte, most significant bit first, each byte plus 63.
 
 def _graph6_size_bytes(n: int) -> bytes:
     if n <= 62:
@@ -361,26 +330,23 @@ def _graph6_size_bytes(n: int) -> bytes:
 
 
 def to_graph6(graph: Graph) -> str:
-    bits = []
-    for j in range(1, graph.n):
-        for i in range(j):
-            bits.append(1 if graph.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k:k + 6]:
-            v = (v << 1) | b
-        body.append(v + 63)
-    return (_graph6_size_bytes(graph.n) + bytes(body)).decode("ascii")
+    n = graph.n
+    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))  # "?" is 63
+    for i, j in graph.edges():
+        k = j * (j - 1) // 2 + i
+        body[k // 6] += 32 >> (k % 6)
+    return (_graph6_size_bytes(n) + body).decode("ascii")
 
 
 def from_graph6(s: str) -> Graph:
     data = [c - 63 for c in s.strip().encode("ascii")]
+    if not data:
+        raise ValueError("empty graph6 string")
     if any(not 0 <= c <= 63 for c in data):
         raise ValueError("invalid graph6 character")
     if data[0] == 63:
+        if len(data) < 4:
+            raise ValueError("truncated graph6 size header")
         if data[1] == 63:
             raise ValueError("graph too large for the supported graph6 sizes")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
@@ -391,17 +357,15 @@ def from_graph6(s: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(data) != (nbits + 5) // 6:
         raise ValueError("graph6 body has the wrong length")
-    bits = []
-    for c in data:
-        for k in range(5, -1, -1):
-            bits.append((c >> k) & 1)
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+    for b, c in enumerate(data):
+        while c:
+            r = c.bit_length() - 1
+            c ^= 1 << r
+            k = 6 * b + 5 - r
+            if k < nbits:  # padding bits are ignored
+                j = (1 + math.isqrt(8 * k + 1)) // 2
+                edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 

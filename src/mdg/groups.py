@@ -345,55 +345,6 @@ def is_mixed_dihedral(G, budget: int = DEFAULT_BUDGET) -> MixedDihedralReport:
     return MixedDihedralReport(True, G.order, len(derived), ab)
 
 
-class AbelianizationMap:
-    """The projection of G onto G/G' ~ C_2^n x C_2^n, in X/Y coordinates.
-
-    Built by a worklist sweep from the identity: multiplying by x_i or y_i
-    flips the corresponding coordinate bit, and the kernel is the derived
-    subgroup.  Only valid on mixed dihedral groups.
-    """
-
-    def __init__(self, G, budget: int = DEFAULT_BUDGET):
-        report = is_mixed_dihedral(G, budget)
-        if not report.is_mixed_dihedral:
-            raise ValueError(f"group is not mixed dihedral: {report.failure_reason}")
-        self.G = G
-        self.n = len(report.abelianization_structure) // 2
-        coords = {G.identity: (0, 0)}
-        frontier = [G.identity]
-        steps = [(g, 1 << i, 0) for i, g in enumerate(G.x_gens)]
-        steps += [(g, 0, 1 << i) for i, g in enumerate(G.y_gens)]
-        derived = set(derived_subgroup(G, budget))
-        while frontier:
-            new = []
-            for h in frontier:
-                cx, cy = coords[h]
-                for g, dx, dy in steps:
-                    p = G.mul(h, g)
-                    if p not in coords:
-                        coords[p] = (cx ^ dx, cy ^ dy)
-                        new.append(p)
-            frontier = new
-        # elements reachable only through the kernel still need coords:
-        # multiply every known element by kernel generators
-        for z in sorted(derived):
-            for h in list(coords):
-                p = G.mul(h, z)
-                if p not in coords:
-                    coords[p] = coords[h]
-        if len(coords) != G.order:
-            raise ValueError("group not generated by X, Y and the derived subgroup")
-        self.coords = coords
-
-    def __call__(self, g: int) -> tuple[int, int]:
-        return self.coords[g]
-
-
-def abelianization_coords(G, g: int, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """One-shot convenience wrapper around AbelianizationMap."""
-    return AbelianizationMap(G, budget)(g)
-
-
 def cosets(G, subgroup: list[int]) -> list[list[int]]:
     """Right cosets S h, sorted by minimal member; each coset sorted.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdg import autsearch, cli, graphs, permgroups as pg
+from mdg import autsearch, cli, graphs, groups, permgroups as pg
 
 
 def petersen():
@@ -86,6 +86,11 @@ def test_canonical_form_distinguishes():
     ck, _, _ = autsearch.canonical_form(graphs.complete_bipartite(4, 4))
     cc, _, _ = autsearch.canonical_form(graphs.Graph(8, [(i, (i + 1) % 8) for i in range(8)]))
     assert ck != cc
+
+
+def test_canonical_form_budget_exhaustion():
+    with pytest.raises(groups.BudgetExceeded):
+        autsearch.canonical_form(petersen(), node_budget=1)
 
 
 def test_canonical_form_size_limit():

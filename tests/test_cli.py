@@ -55,6 +55,14 @@ def test_verify_group_dihedral():
     assert run("verify", "group", "--dihedral", "3").exit_code == 1
 
 
+@pytest.mark.parametrize("orders", ["4,x", "", "0,4"])
+def test_verify_group_dihedral_malformed(orders):
+    r = run("verify", "group", "--dihedral", orders)
+    assert r.exit_code == 2
+    assert "Invalid value for '--dihedral'" in r.output
+    assert "Traceback" not in r.output
+
+
 def test_verify_group_invalid_n():
     assert run("verify", "group", "-n", "1").exit_code != 0
     assert run("verify", "group", "-n", "9").exit_code != 0

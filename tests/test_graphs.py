@@ -125,6 +125,15 @@ def test_edge_coloring():
     assert graphs.triangles_monochromatic(GAMMA2, colors)
 
 
+def test_triangles_monochromatic_detects_a_flipped_edge():
+    X = groups.closure(G2, G2.x_gens)
+    Y = groups.closure(G2, G2.y_gens)
+    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
+    e = next(iter(colors))
+    colors[e] = "Y" if colors[e] == "X" else "X"
+    assert not graphs.triangles_monochromatic(GAMMA2, colors)
+
+
 def _layer_sets(n):
     G = groups.TensorGroup(n)
     gamma = graphs.cayley_graph(G, graphs.xy_connection_set(G))
@@ -189,7 +198,63 @@ def test_graph6_long_header_roundtrip():
     assert graphs.from_graph6(s) == SIGMA2
 
 
+@pytest.mark.parametrize("text", ["", "~", "~??", "A", "A__", "B!"])
+def test_from_graph6_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        graphs.from_graph6(text)
+
+
 def test_edgelist_roundtrip():
     text = graphs.to_edgelist(GAMMA2)
     assert len(text.strip().splitlines()) == 768
     assert graphs.from_edgelist(text, n=256) == GAMMA2
+
+
+# Differential checks against networkx, when it is installed.
+
+def _nx_graph(graph):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges())
+    return nx, g
+
+
+random_graphs = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=120)
+    .map(lambda pairs: graphs.Graph(n, [(u, v) for u, v in pairs if u != v])))
+
+
+def _check_graph6_against_networkx(graph):
+    nx, g = _nx_graph(graph)
+    s = graphs.to_graph6(graph)
+    assert s.encode("ascii") == nx.to_graph6_bytes(g, header=False).rstrip(b"\n")
+    assert graphs.from_graph6(s) == graph
+
+
+@pytest.mark.parametrize("graph", [GAMMA2, SIGMA2, graphs.complete_bipartite(4, 4),
+                                   graphs.Graph(1, [])],
+                         ids=["gamma2", "sigma2", "k44", "k1"])
+def test_graph6_matches_networkx(graph):
+    _check_graph6_against_networkx(graph)
+
+
+@given(random_graphs)
+@settings(max_examples=100, deadline=None)
+def test_graph6_matches_networkx_random(graph):
+    _check_graph6_against_networkx(graph)
+
+
+def _check_cliques_against_networkx(graph):
+    nx, g = _nx_graph(graph)
+    assert graphs.maximal_cliques(graph) == sorted(sorted(c) for c in nx.find_cliques(g))
+
+
+def test_maximal_cliques_match_networkx_gamma2():
+    _check_cliques_against_networkx(GAMMA2)
+
+
+@given(random_graphs)
+@settings(max_examples=100, deadline=None)
+def test_maximal_cliques_match_networkx_random(graph):
+    _check_cliques_against_networkx(graph)

@@ -71,23 +71,6 @@ def test_abelianization_structure():
     assert groups.abelianization_structure(G2, derived) == [2, 2, 2, 2]
 
 
-def test_abelianization_coords():
-    assert groups.abelianization_coords(G2, 0) == (0, 0)
-    amap = groups.AbelianizationMap(G2)
-    for g in G2.elements():
-        x, y, _ = G2.decode(g)
-        assert amap(g) == (x, y)
-
-
-@given(elem2, elem2)
-@settings(max_examples=200)
-def test_abelianization_homomorphism(g1, g2):
-    amap = groups.AbelianizationMap(G2)
-    x1, y1 = amap(g1)
-    x2, y2 = amap(g2)
-    assert amap(G2.mul(g1, g2)) == (x1 ^ x2, y1 ^ y2)
-
-
 def test_is_mixed_dihedral_tensor_backend():
     rep = groups.is_mixed_dihedral(G2)
     assert rep.is_mixed_dihedral
