@@ -17,30 +17,41 @@ from . import graphs, groups, permgroups
 
 def refine(graph: graphs.Graph, cells) -> list[list[int]]:
     """Deterministic equitable refinement: split every cell by the tuple
-    of neighbor counts into all current cells, until stable."""
-    cells = [sorted(c) for c in cells]
+    of neighbor counts into all current cells, until stable.
+
+    The parts of a split cell are ordered by ascending count tuple, and
+    every cell lists its vertices in ascending order.  A pass is one
+    lexsort: a vertex's sorted row of neighbour cells, padded with a
+    sentinel above every cell index, sorts in descending order exactly
+    when its count tuple sorts in ascending order.  The padded row matrix
+    takes n * (maximum degree) entries.
+    """
+    n = graph.n
+    cell_of = np.full(n + 1, n, dtype=np.int32)  # slot n: the padding sentinel
+    members = [np.asarray(c, dtype=np.int64) for c in cells if len(c)]
+    flat = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
+    if len(flat) != n or not np.array_equal(np.sort(flat), np.arange(n)):
+        raise ValueError("cells must partition the vertices")
+    for ci, c in enumerate(members):
+        cell_of[c] = ci
+    k = len(members)
+    nbr = graph.neighbor_array(pad=n)
     while True:
-        cell_of = [0] * graph.n
-        for ci, c in enumerate(cells):
-            for v in c:
-                cell_of[v] = ci
-        k = len(cells)
-        new_cells = []
-        changed = False
-        for c in cells:
-            buckets: dict[tuple, list[int]] = {}
-            for v in c:
-                counts = [0] * k
-                for u in graph.neighbors[v]:
-                    counts[cell_of[u]] += 1
-                buckets.setdefault(tuple(counts), []).append(v)
-            if len(buckets) > 1:
-                changed = True
-            for sig in sorted(buckets):
-                new_cells.append(buckets[sig])
-        cells = new_cells
-        if not changed:
-            return cells
+        rows = np.sort(cell_of[nbr], axis=1)
+        cur = cell_of[:n]
+        # lexsort is stable, so each part keeps its vertices ascending
+        order = np.lexsort([-rows[:, j] for j in reversed(range(rows.shape[1]))] + [cur])
+        srt, sc = rows[order], cur[order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = (sc[1:] != sc[:-1]) | np.any(srt[1:] != srt[:-1], axis=1)
+        new_k = int(starts.sum())
+        if new_k == k:
+            break
+        cur[order] = np.cumsum(starts) - 1
+        k = new_k
+    order = np.argsort(cell_of[:n], kind="stable")
+    bounds = np.flatnonzero(np.diff(cell_of[order])) + 1
+    return [c.tolist() for c in np.split(order, bounds)] if n else []
 
 
 def _individualize(cells, v: int) -> list[list[int]]:
@@ -118,9 +129,8 @@ def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 
     On budget exhaustion returns complete=False with order None.
     """
     gens = [permgroups.as_perm(g) for g in known_gens]
-    for g in gens:
-        if not permgroups.is_automorphism(graph, g):
-            raise ValueError("known generator is not an automorphism")
+    if not permgroups.are_automorphisms(graph, gens):
+        raise ValueError("known generator is not an automorphism")
     matcher = _Matcher(graph, node_budget)
     order = 1
     seq: list[int] = []

@@ -94,6 +94,11 @@ def build_instance(n: int):
     return G, S, gamma, sigma, info
 
 
+def build_gamma(G) -> graphs.Graph:
+    """The Cayley graph on the connection set (X u Y) \\ {1}."""
+    return graphs.cayley_graph(G, graphs.xy_connection_set(G))
+
+
 def derived_basis(G) -> list[int]:
     """Generators of the derived subgroup: the commutators of the x/y
     generator pairs (pure one-bit matrices)."""
@@ -281,8 +286,7 @@ def aut_report(n: int, target: str, full_search: bool, budget: int) -> Verificat
     rep = VerificationReport()
     formula = permgroups.expected_symmetry_order(n)
     G = groups.TensorGroup(n)
-    S = graphs.xy_connection_set(G)
-    gamma = graphs.cayley_graph(G, S)
+    gamma = build_gamma(G)
     lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma)
     rep.claim("generated-order", formula,
               lambda: permgroups.order_with_regular_normal_subgroup(G, lifts))
@@ -394,8 +398,7 @@ def verify_graphs(n, as_json):
 @click.option("--target", type=click.Choice(["gamma", "sigma"]), default="gamma",
               show_default=True, help="Graph whose automorphism group to consider.")
 @click.option("--full-search", is_flag=True,
-              help="Run the exhaustive certification search (fast at n=2, "
-                   "long-running at n=3).")
+              help="Run the exhaustive certification search (seconds at n=3).")
 @click.option("--budget", type=int, default=1 << 20, show_default=True,
               help="Node budget for the search.")
 @click.option("--json", "as_json", is_flag=True)
@@ -420,9 +423,10 @@ def export(n, target, fmt, output):
     _check_n(n)
     if target == "kbip":
         graph = graphs.complete_bipartite(1 << n, 1 << n)
+    elif target == "gamma":
+        graph = build_gamma(groups.TensorGroup(n))
     else:
-        G, S, gamma, sigma, info = build_instance(n)
-        graph = gamma if target == "gamma" else sigma
+        graph, _ = graphs.sigma_graph(groups.TensorGroup(n))
     text = graphs.to_graph6(graph) + "\n" if fmt == "graph6" else graphs.to_edgelist(graph)
     with click.open_file(output, "w") as f:
         f.write(text)

@@ -5,8 +5,12 @@ quotients.
 """
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import groups
 
@@ -43,6 +47,18 @@ class Graph:
     def is_regular(self) -> int | None:
         degs = {len(nb) for nb in self.neighbors}
         return degs.pop() if len(degs) == 1 else None
+
+    def neighbor_array(self, pad: int = -1) -> np.ndarray:
+        """Neighbour lists as an int32 (n, max degree) array; row v holds
+        the sorted neighbours of v, then ``pad`` up to the width."""
+        degs = np.fromiter(map(len, self.neighbors), dtype=np.int64, count=self.n)
+        width = int(degs.max()) if self.n else 0
+        out = np.full((self.n, width), pad, dtype=np.int32)
+        flat = np.fromiter(itertools.chain.from_iterable(self.neighbors),
+                           dtype=np.int32, count=int(degs.sum()))
+        starts = np.cumsum(degs) - degs
+        out[np.repeat(np.arange(self.n), degs), np.arange(len(flat)) - np.repeat(starts, degs)] = flat
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.neighbors == other.neighbors
@@ -98,6 +114,13 @@ class SigmaInfo:
 
     def y_vertex(self, code: int) -> int:
         return self.n_x + self.y_index[code]
+
+    @functools.cached_property
+    def coset_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(X-coset members, Y-coset members, x_index, y_index) as int32
+        arrays, one coset per row; built on first use."""
+        return tuple(np.array(a, dtype=np.int32)
+                     for a in (self.x_cosets, self.y_cosets, self.x_index, self.y_index))
 
 
 def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInfo]:

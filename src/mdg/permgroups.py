@@ -20,7 +20,7 @@ def identity_perm(degree: int) -> np.ndarray:
 
 def as_perm(images) -> np.ndarray:
     p = np.asarray(images, dtype=np.int32)
-    if sorted(p.tolist()) != list(range(len(p))):
+    if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(len(p), dtype=np.int32)):
         raise ValueError("not a permutation")
     return p
 
@@ -244,16 +244,23 @@ def tuple_orbit_is_all(gens, seed: tuple, universe_size: int) -> bool:
 
 
 def is_automorphism(graph: graphs.Graph, p: np.ndarray) -> bool:
-    p = as_perm(p)
-    if len(p) != graph.n:
+    return are_automorphisms(graph, [p])
+
+
+def are_automorphisms(graph: graphs.Graph, perms) -> bool:
+    """Whether every permutation in ``perms`` is an automorphism of the
+    graph; a regular graph's neighbour array is built once for all."""
+    perms = [as_perm(p) for p in perms]
+    if any(len(p) != graph.n for p in perms):
         return False
     k = graph.is_regular()
     if k is not None and k > 0:
-        nbr = np.array(graph.neighbors, dtype=np.int32)
-        return bool(np.array_equal(np.sort(p[nbr], axis=1), nbr[p]))
-    for v in range(graph.n):
-        if sorted(int(p[u]) for u in graph.neighbors[v]) != graph.neighbors[int(p[v])]:
-            return False
+        nbr = graph.neighbor_array()
+        return all(np.array_equal(np.sort(p[nbr], axis=1), nbr[p]) for p in perms)
+    for p in perms:
+        for v in range(graph.n):
+            if sorted(int(p[u]) for u in graph.neighbors[v]) != graph.neighbors[int(p[v])]:
+                return False
     return True
 
 
@@ -271,37 +278,70 @@ def right_mult_action(G, gens=None) -> list[np.ndarray]:
     return [right_mult_perm(G, g) for g in (G.gens if gens is None else gens)]
 
 
+def _split_codes(G):
+    """The x, y and A fields of every tensor-group code, as uint64 arrays."""
+    n, mask = G.n, np.uint64(f2.vec_mask(G.n))
+    codes = np.arange(G.order, dtype=np.uint64)
+    return codes & mask, (codes >> np.uint64(n)) & mask, codes >> np.uint64(2 * n)
+
+
+def _encode_codes(G, x, y, a) -> np.ndarray:
+    n = G.n
+    return (x | (y << np.uint64(n)) | (a << np.uint64(2 * n))).astype(np.int32)
+
+
+def _vec_mat_codes(v, m: int, n: int):
+    """Row vectors times a fixed matrix: XOR of the rows of m selected by
+    the bits of each entry of the uint64 array v."""
+    out = np.zeros_like(v)
+    for i in range(n):
+        out ^= ((v >> np.uint64(i)) & np.uint64(1)) * np.uint64(f2.mat_row(m, i, n))
+    return out
+
+
+def _mat_mul_codes(a, m: int, n: int):
+    """Matrices times a fixed matrix: row i of A.M is row_i(A) . M."""
+    mask = np.uint64(f2.vec_mask(n))
+    out = np.zeros_like(a)
+    for i in range(n):
+        out |= _vec_mat_codes((a >> np.uint64(i * n)) & mask, m, n) << np.uint64(i * n)
+    return out
+
+
+def _transpose_codes(a, n: int):
+    out = np.zeros_like(a)
+    for i in range(n):
+        for j in range(n):
+            out |= ((a >> np.uint64(i * n + j)) & np.uint64(1)) << np.uint64(j * n + i)
+    return out
+
+
 def x_side_lift(G, m: int) -> np.ndarray:
     """Automorphism of the tensor group induced by an invertible matrix on
     the X side: x -> x.M, y fixed, A -> M^T A."""
     n = G.n
-    mt = f2.mat_transpose(m, n)
-    out = np.empty(G.order, dtype=np.int32)
-    for code in G.elements():
-        x, y, a = G.decode(code)
-        out[code] = G.encode(f2.vec_mat(x, m, n), y, f2.mat_mul(mt, a, n))
-    return out
+    x, y, a = _split_codes(G)
+    # M^T A = (A^T M)^T
+    mt_a = _transpose_codes(_mat_mul_codes(_transpose_codes(a, n), m, n), n)
+    return _encode_codes(G, _vec_mat_codes(x, m, n), y, mt_a)
 
 
 def y_side_lift(G, m: int) -> np.ndarray:
     """y -> y.M, x fixed, A -> A M."""
     n = G.n
-    out = np.empty(G.order, dtype=np.int32)
-    for code in G.elements():
-        x, y, a = G.decode(code)
-        out[code] = G.encode(x, f2.vec_mat(y, m, n), f2.mat_mul(a, m, n))
-    return out
+    x, y, a = _split_codes(G)
+    return _encode_codes(G, x, _vec_mat_codes(y, m, n), _mat_mul_codes(a, m, n))
 
 
 def swap_sides_perm(G) -> np.ndarray:
     """The involution composing inversion with the swap of the two vector
     sides: (x, y, A) -> (y, x, outer(y, x) + A^T)."""
     n = G.n
-    out = np.empty(G.order, dtype=np.int32)
-    for code in G.elements():
-        x, y, a = G.decode(code)
-        out[code] = G.encode(y, x, f2.outer(y, x, n) ^ f2.mat_transpose(a, n))
-    return out
+    x, y, a = _split_codes(G)
+    outer = np.zeros_like(a)
+    for i in range(n):
+        outer |= ((y >> np.uint64(i)) & np.uint64(1)) * (x << np.uint64(i * n))
+    return _encode_codes(G, y, x, outer ^ _transpose_codes(a, n))
 
 
 def connection_stabilizer_gens(G, verify_graph: graphs.Graph | None = None) -> list[np.ndarray]:
@@ -312,10 +352,8 @@ def connection_stabilizer_gens(G, verify_graph: graphs.Graph | None = None) -> l
     perms = [x_side_lift(G, m) for m in f2.gl_generators(G.n)]
     perms += [y_side_lift(G, m) for m in f2.gl_generators(G.n)]
     perms.append(swap_sides_perm(G))
-    if verify_graph is not None:
-        for p in perms:
-            if not is_automorphism(verify_graph, p):
-                raise ValueError("lift failed automorphism verification")
+    if verify_graph is not None and not are_automorphisms(verify_graph, perms):
+        raise ValueError("lift failed automorphism verification")
     return perms
 
 
@@ -468,12 +506,15 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
     as ``stab_gens`` generate any subgroup of the base stabilizer;
     negative flags are only conclusive when the caller certifies that
     ``stab_gens`` generate the full stabilizer (``stabilizer_certified``).
+
+    Transitivity on an empty set counts as false: a graph without edges
+    has ``edge``, ``arc``, ``two_arc`` and ``two_geodesic`` all false,
+    since the group has no orbit on its edges rather than one.
     """
     gens = [as_perm(g) for g in gens]
     stab_gens = [as_perm(g) for g in stab_gens]
-    for g in gens + stab_gens:
-        if not is_automorphism(graph, g):
-            raise ValueError("generator is not a graph automorphism")
+    if not are_automorphisms(graph, gens + stab_gens):
+        raise ValueError("generator is not a graph automorphism")
     for g in stab_gens:
         if int(g[base]) != base:
             raise ValueError("stabilizer generator moves the base vertex")
@@ -481,8 +522,8 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
     dist, _ = graphs.bfs_layers(graph, base)
     n1 = graph.neighbors[base]
     arc = vertex and _pair_orbit_count(stab_gens, {(u, u) for u in n1}) == 1
-    if arc:
-        edge = True
+    if arc or graph.edge_count() == 0:
+        edge = arc
     else:
         # fall back to a direct edge-orbit sweep under the full generator set
         e0 = min(graph.edges())
@@ -517,23 +558,28 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
 
 def induced_sigma_perm(info: graphs.SigmaInfo, p: np.ndarray) -> np.ndarray:
     """Push a permutation of group-element vertices down to the coset
-    vertices; raises ValueError if some coset image is not a coset."""
-    n_x = info.n_x
-    degree = n_x + len(info.y_cosets)
-    out = np.empty(degree, dtype=np.int32)
-    for vi, members in enumerate(info.x_cosets + info.y_cosets):
-        image = sorted(int(p[m]) for m in members)
-        first = image[0]
-        xi = info.x_index[first]
-        if info.x_cosets[xi] == image:
-            out[vi] = xi
-            continue
-        yi = info.y_index[first]
-        if info.y_cosets[yi] == image:
-            out[vi] = n_x + yi
-        else:
+    vertices; raises ValueError if some coset image is not a coset.
+
+    The image of a coset is an X-coset iff it has the X-coset size and all
+    its members share one X-coset index; likewise for Y."""
+    x_members, y_members, x_index, y_index = info.coset_arrays
+    p = as_perm(p)
+    if len(p) != len(x_index):
+        raise ValueError("permutation degree is not the group order")
+    sides = ((x_index, x_members.shape[1], 0), (y_index, y_members.shape[1], info.n_x))
+    out = []
+    for members in (x_members, y_members):
+        images = p[members]
+        target = np.full(len(members), -1, dtype=np.int32)
+        for index, size, offset in sides:
+            if members.shape[1] == size:
+                idx = index[images]
+                hit = (target < 0) & np.all(idx == idx[:, :1], axis=1)
+                target = np.where(hit, offset + idx[:, 0], target)
+        if np.any(target < 0):
             raise ValueError("coset image is not a coset")
-    return as_perm(out)
+        out.append(target)
+    return as_perm(np.concatenate(out))
 
 
 def bipartition(graph: graphs.Graph) -> tuple[list[int], list[int]]:

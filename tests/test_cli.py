@@ -94,6 +94,16 @@ def test_aut_n2_sigma_full_search():
     assert "18432" in r.output
 
 
+@pytest.mark.parametrize("target", ["sigma", "gamma"])
+def test_aut_n3_full_search_certifies(target):
+    r = run("aut", "-n", "3", "--target", target, "--full-search", "--json")
+    assert r.exit_code == 0, r.output
+    by_id = {c["id"]: c for c in json.loads(r.output)["claims"]}
+    full = by_id[f"full-automorphism-order-{target}"]
+    assert full["status"] == "pass"
+    assert full["computed"] == full["expected"] == 1849688064
+
+
 def test_aut_without_search_is_asserted():
     r = run("aut", "-n", "2", "--json")
     assert r.exit_code == 0

@@ -1,0 +1,215 @@
+"""Differential tests of the numpy kernels against scalar oracles that
+share no code with them: per-element F_2 formulas for the stabilizer
+lifts, per-coset set lookups for the induced coset action, and the
+dictionary-bucket refinement for ``autsearch.refine``."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mdg import autsearch, cli, f2, graphs, groups, permgroups as pg
+
+
+def reference_refine(graph, cells):
+    """Equitable refinement one vertex at a time: bucket each cell by its
+    vertices' count vectors into all current cells, until stable."""
+    cells = [sorted(c) for c in cells]
+    while True:
+        cell_of = [0] * graph.n
+        for ci, c in enumerate(cells):
+            for v in c:
+                cell_of[v] = ci
+        k = len(cells)
+        new_cells = []
+        changed = False
+        for c in cells:
+            buckets = {}
+            for v in c:
+                counts = [0] * k
+                for u in graph.neighbors[v]:
+                    counts[cell_of[u]] += 1
+                buckets.setdefault(tuple(counts), []).append(v)
+            if len(buckets) > 1:
+                changed = True
+            for sig in sorted(buckets):
+                new_cells.append(buckets[sig])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def reference_induced(info, p):
+    """Induced coset permutation by looking up each coset's image set."""
+    cosets = info.x_cosets + info.y_cosets
+    vertex_of = {frozenset(c): i for i, c in enumerate(cosets)}
+    return [vertex_of[frozenset(int(p[m]) for m in c)] for c in cosets]
+
+
+def scalar_x_lift(G, m, code):
+    n = G.n
+    x, y, a = G.decode(code)
+    return G.encode(f2.vec_mat(x, m, n), y, f2.mat_mul(f2.mat_transpose(m, n), a, n))
+
+
+def scalar_y_lift(G, m, code):
+    n = G.n
+    x, y, a = G.decode(code)
+    return G.encode(x, f2.vec_mat(y, m, n), f2.mat_mul(a, m, n))
+
+
+def scalar_swap(G, code):
+    n = G.n
+    x, y, a = G.decode(code)
+    return G.encode(y, x, f2.outer(y, x, n) ^ f2.mat_transpose(a, n))
+
+
+def sample_codes(G):
+    """Every code at n = 2; 4,096 seeded random codes beyond that."""
+    if G.n == 2:
+        return list(G.elements())
+    return random.Random(G.n).sample(range(G.order), 4096)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lifts_match_scalar_formulas(n):
+    G = groups.TensorGroup(n)
+    codes = sample_codes(G)
+    gens = f2.gl_generators(n)
+    # the transvections, plus one product of them that is not a transvection
+    product = gens[0]
+    for m in gens[1:]:
+        product = f2.mat_mul(product, m, n)
+    for m in gens + [product]:
+        x_lift, y_lift = pg.x_side_lift(G, m), pg.y_side_lift(G, m)
+        assert [int(x_lift[c]) for c in codes] == [scalar_x_lift(G, m, c) for c in codes]
+        assert [int(y_lift[c]) for c in codes] == [scalar_y_lift(G, m, c) for c in codes]
+    swap = pg.swap_sides_perm(G)
+    assert [int(swap[c]) for c in codes] == [scalar_swap(G, c) for c in codes]
+    for p in (x_lift, y_lift, swap):
+        assert p.dtype == np.int32 and len(p) == G.order
+        pg.as_perm(p)
+
+
+def sigma_test_perms(G):
+    """Right multiplications, matrix lifts on both sides and the swap."""
+    rng = random.Random(7)
+    perms = pg.right_mult_action(G)
+    perms += [pg.right_mult_perm(G, rng.randrange(G.order)) for _ in range(4)]
+    perms += [pg.x_side_lift(G, m) for m in f2.gl_generators(G.n)]
+    perms += [pg.y_side_lift(G, m) for m in f2.gl_generators(G.n)]
+    return perms + [pg.swap_sides_perm(G)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_induced_sigma_perm_matches_coset_lookup(n):
+    G = groups.TensorGroup(n)
+    sigma, info = graphs.sigma_graph(G)
+    perms = sigma_test_perms(G)
+    if n == 3:
+        perms = perms[:2] + perms[-2:]
+    for p in perms:
+        assert pg.induced_sigma_perm(info, p).tolist() == reference_induced(info, p)
+    swapped = pg.induced_sigma_perm(info, pg.swap_sides_perm(G))
+    assert all(int(v) >= info.n_x for v in swapped[:info.n_x])
+    assert all(int(v) < info.n_x for v in swapped[info.n_x:])
+
+
+def test_induced_sigma_perm_rejects_what_the_lookup_rejects():
+    G = groups.TensorGroup(2)
+    sigma, info = graphs.sigma_graph(G)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p = rng.permutation(G.order).astype(np.int32)
+        with pytest.raises(KeyError):
+            reference_induced(info, p)
+        with pytest.raises(ValueError, match="coset image is not a coset"):
+            pg.induced_sigma_perm(info, p)
+    with pytest.raises(ValueError):
+        pg.induced_sigma_perm(info, pg.identity_perm(G.order - 1))
+
+
+@st.composite
+def graphs_and_partitions(draw):
+    """Graphs with uneven degrees and isolated vertices, each with a
+    random ordered partition of its vertices."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [e for e in pairs if rnd.random() < density]
+    labels = [rnd.randrange(3) for _ in range(n)]
+    cells = [[v for v in range(n) if labels[v] == lab] for lab in rnd.sample(range(3), 3)]
+    return graphs.Graph(n, edges), [c for c in cells if c]
+
+
+@given(graphs_and_partitions())
+@settings(max_examples=300, deadline=None)
+def test_refine_matches_reference_on_random_graphs(case):
+    graph, cells = case
+    assert autsearch.refine(graph, cells) == reference_refine(graph, cells)
+    unit = [list(range(graph.n))]
+    assert autsearch.refine(graph, unit) == reference_refine(graph, unit)
+
+
+@pytest.mark.parametrize("target", ["sigma", "gamma"])
+def test_refine_matches_reference_along_individualisation(target):
+    G, S, gamma, sigma, info = cli.build_instance(2)
+    graph = sigma if target == "sigma" else gamma
+    cells = autsearch.refine(graph, [list(range(graph.n))])
+    assert cells == reference_refine(graph, [list(range(graph.n))])
+    steps = 0
+    while True:
+        split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if split is None:
+            break
+        # the search's own sequence, plus every sibling at the first level
+        for u in cells[split] if steps == 0 else cells[split][:1]:
+            start = autsearch._individualize(cells, u)
+            assert autsearch.refine(graph, start) == reference_refine(graph, start)
+        cells = autsearch.refine(graph, autsearch._individualize(cells, cells[split][0]))
+        steps += 1
+    assert steps > 0
+
+
+def test_refine_and_search_on_tiny_and_edgeless_graphs():
+    for n in (0, 1, 5):
+        g = graphs.Graph(n, [])
+        unit = [list(range(n))]
+        assert autsearch.refine(g, unit) == reference_refine(g, unit)
+        res = autsearch.automorphism_group(g)
+        assert res.complete and res.order == [1, 1, 120][(0, 1, 5).index(n)]
+    g = graphs.Graph(5, [])
+    assert autsearch.refine(g, [[3], [0, 1, 2, 4]]) == [[3], [0, 1, 2, 4]]
+    assert autsearch.automorphism_group(graphs.Graph(6, [(0, 1)])).order == 48
+
+
+def test_refine_rejects_a_non_partition():
+    g = graphs.Graph(3, [(0, 1)])
+    for cells in ([[0, 1]], [[0, 1], [1, 2]], [[0, 1, 2, 3]]):
+        with pytest.raises(ValueError):
+            autsearch.refine(g, cells)
+
+
+def test_are_automorphisms_agrees_with_single_checks():
+    G, S, gamma, sigma, info = cli.build_instance(2)
+    rng = np.random.default_rng(1)
+    good = pg.right_mult_action(G) + pg.connection_stabilizer_gens(G)
+    bad = [rng.permutation(G.order).astype(np.int32) for _ in range(3)]
+    assert pg.are_automorphisms(gamma, good)
+    assert all(pg.is_automorphism(gamma, p) for p in good)
+    assert not any(pg.is_automorphism(gamma, p) for p in bad)
+    assert not pg.are_automorphisms(gamma, good + bad[:1])
+    assert not pg.are_automorphisms(gamma, good + [pg.identity_perm(G.order + 1)])
+    assert pg.are_automorphisms(gamma, [])
+    path = graphs.Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert pg.are_automorphisms(path, [pg.as_perm([3, 2, 1, 0]), pg.identity_perm(4)])
+    assert not pg.are_automorphisms(path, [pg.as_perm([3, 2, 1, 0]), pg.as_perm([1, 0, 2, 3])])
+
+
+def test_neighbor_array_pads_irregular_rows():
+    g = graphs.Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert g.neighbor_array().tolist() == [[1, 2, 3], [0, -1, -1], [0, -1, -1], [0, -1, -1]]
+    assert graphs.Graph(3, []).neighbor_array(pad=3).shape == (3, 0)
+    assert graphs.Graph(0, []).neighbor_array().shape == (0, 0)

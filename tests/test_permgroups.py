@@ -151,6 +151,16 @@ def test_transitivity_k44():
     assert rep.distance == {1: True, 2: True, 3: False}
 
 
+def test_transitivity_edgeless_graph():
+    rep = pg.transitivity_report(graphs.Graph(4, []), [pg.as_perm([1, 2, 3, 0])],
+                                 [pg.identity_perm(4)])
+    assert rep.vertex
+    assert not (rep.edge or rep.arc or rep.two_arc or rep.two_geodesic)
+    assert rep.distance == {1: False, 2: False, 3: False}
+    single = pg.transitivity_report(graphs.Graph(1, []), [], [])
+    assert single.vertex and not single.edge
+
+
 def test_transitivity_rejects_non_automorphism():
     with pytest.raises(ValueError):
         pg.transitivity_report(GAMMA2, [pg.as_perm(list(range(1, 256)) + [0])], [])
