@@ -164,17 +164,12 @@ def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 
 
 def _certificate(graph: graphs.Graph, labeling: list[int]) -> bytes:
     """Adjacency bits of the relabelled graph; labeling[pos] = vertex."""
-    pos = [0] * graph.n
-    for i, v in enumerate(labeling):
-        pos[v] = i
-    bits = bytearray((graph.n * graph.n + 7) // 8)
-    for (u, w) in graph.edges():
-        a, b = pos[u], pos[w]
-        if a > b:
-            a, b = b, a
-        k = a * graph.n + b
-        bits[k >> 3] |= 1 << (k & 7)
-    return bytes(bits)
+    pos = np.empty(graph.n, dtype=np.int64)
+    pos[labeling] = np.arange(graph.n)
+    a, b = pos[graph.edge_array().T]
+    bits = np.zeros(graph.n * graph.n, dtype=bool)
+    bits[np.minimum(a, b) * graph.n + np.maximum(a, b)] = True
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def canonical_form(graph: graphs.Graph, node_budget: int = 1 << 20):
@@ -215,8 +210,7 @@ def canonical_form(graph: graphs.Graph, node_budget: int = 1 << 20):
 
     search([], refine(graph, [list(range(graph.n))]))
     labeling = best["labeling"]
-    pos = [0] * graph.n
-    for i, v in enumerate(labeling):
-        pos[v] = i
-    canon = graphs.Graph(graph.n, [(pos[u], pos[w]) for (u, w) in graph.edges()])
+    pos = np.empty(graph.n, dtype=np.int64)
+    pos[labeling] = np.arange(graph.n)
+    canon = graphs.Graph(graph.n, pos[graph.edge_array()])
     return canon, labeling, aut

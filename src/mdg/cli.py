@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import click
+import numpy as np
 
 from . import autsearch, f2, graphs, groups, permgroups
 
@@ -71,6 +72,8 @@ class VerificationReport:
 
 
 def _jsonable(v):
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -150,17 +153,15 @@ def clique_graph_matches_sigma(G, gamma, sigma, info, generic: bool) -> bool:
     to_sigma = []
     for c in cliques:
         first = c[0]
-        if info.x_cosets[info.x_index[first]] == c:
+        if info.x_cosets[info.x_index[first]].tolist() == c:
             to_sigma.append(info.x_vertex(first))
-        elif info.y_cosets[info.y_index[first]] == c:
+        elif info.y_cosets[info.y_index[first]].tolist() == c:
             to_sigma.append(info.y_vertex(first))
         else:
             return False
     if sorted(to_sigma) != list(range(sigma.n)):
         return False
-    mapped = {(min(to_sigma[u], to_sigma[v]), max(to_sigma[u], to_sigma[v]))
-              for (u, v) in cg.edges()}
-    return mapped == set(sigma.edges())
+    return graphs.Graph(sigma.n, np.asarray(to_sigma)[cg.edge_array()]) == sigma
 
 
 def load_reference_diagram() -> dict:
@@ -263,8 +264,8 @@ def graphs_report(n: int) -> VerificationReport:
     colors = graphs.edge_coloring(gamma, G, X, Y)
     half = G.order * ((1 << n) - 1) // 2
     rep.claim("edge-color-counts", (half, half),
-              lambda: (sum(1 for c in colors.values() if c == "X"),
-                       sum(1 for c in colors.values() if c == "Y")))
+              lambda: (int(np.count_nonzero(colors == "X")),
+                       int(np.count_nonzero(colors == "Y"))))
     rep.claim("triangles-monochromatic", True,
               lambda: graphs.triangles_monochromatic(gamma, colors))
     return rep

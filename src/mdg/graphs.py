@@ -4,9 +4,6 @@ coset graph on [G:X] u [G:Y], clique graphs, line graphs and normal
 quotients.
 """
 
-import bisect
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,58 +11,133 @@ import numpy as np
 
 from . import groups
 
+#: Edges handled per step of the triangle check, to bound its temporaries.
+TRIANGLE_CHUNK = 1 << 15
+
 
 class Graph:
-    """Simple undirected graph with sorted neighbor lists."""
+    """Simple undirected graph stored once, as a CSR adjacency: the
+    neighbours of v are ``indices[indptr[v]:indptr[v + 1]]`` in ascending
+    order.  Both arrays are read-only; every other view derives from them.
 
-    def __init__(self, n: int, edges):
-        self.n = n
-        nbrs = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("vertex out of range")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        self.neighbors = [sorted(s) for s in nbrs]
+    ``edges`` is an (m, 2) integer array or any iterable of pairs;
+    repeated edges are merged, loops and out-of-range vertices rejected.
+    """
+
+    def __init__(self, n: int, edges=()):
+        self.n = n = int(n)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be vertex pairs")
+        u, v = pairs[:, 0], pairs[:, 1]
+        if np.any(u == v):
+            raise ValueError("loops are not allowed")
+        if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError("vertex out of range")
+        # one key u * n + v per arc, deduplicated after the sort
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        keep = np.ones(len(keys), dtype=bool)
+        keep[1:] = keys[1:] != keys[:-1]
+        keys = keys[keep]
+        tails, heads = np.divmod(keys, max(n, 1))
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=self.indptr[1:])
+        self.indices = heads.astype(np.int32)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return len(self.indices) // 2
 
-    def edges(self):
-        for u in range(self.n):
-            for v in self.neighbors[u]:
-                if u < v:
-                    yield (u, v)
+    def edge_array(self) -> np.ndarray:
+        """The edges as an int64 (m, 2) array of pairs u < v, in
+        ascending order."""
+        tails = _tails(self)
+        fwd = tails < self.indices
+        return np.stack([tails[fwd], self.indices[fwd]], axis=1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors[u]
-        i = bisect.bisect_left(nb, v)
-        return i < len(nb) and nb[i] == v
+        nb = self.neighbors(u)
+        i = int(np.searchsorted(nb, v))
+        return i < len(nb) and int(nb[i]) == v
 
     def is_regular(self) -> int | None:
-        degs = {len(nb) for nb in self.neighbors}
-        return degs.pop() if len(degs) == 1 else None
+        degs = np.diff(self.indptr)
+        return int(degs[0]) if self.n and np.all(degs == degs[0]) else None
 
     def neighbor_array(self, pad: int = -1) -> np.ndarray:
         """Neighbour lists as an int32 (n, max degree) array; row v holds
-        the sorted neighbours of v, then ``pad`` up to the width."""
-        degs = np.fromiter(map(len, self.neighbors), dtype=np.int64, count=self.n)
-        width = int(degs.max()) if self.n else 0
-        out = np.full((self.n, width), pad, dtype=np.int32)
-        flat = np.fromiter(itertools.chain.from_iterable(self.neighbors),
-                           dtype=np.int32, count=int(degs.sum()))
-        starts = np.cumsum(degs) - degs
-        out[np.repeat(np.arange(self.n), degs), np.arange(len(flat)) - np.repeat(starts, degs)] = flat
+        the sorted neighbours of v, then ``pad`` up to the width.  For a
+        regular graph this is a read-only view of ``indices``."""
+        k = self.is_regular()
+        if k is not None:
+            return self.indices.reshape(self.n, k)
+        degs = np.diff(self.indptr)
+        out = np.full((self.n, int(degs.max()) if self.n else 0), pad, dtype=np.int32)
+        out[_tails(self), np.arange(len(self.indices)) - np.repeat(self.indptr[:-1], degs)] = self.indices
         return out
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.neighbors == other.neighbors
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __hash__(self):
         raise TypeError("graphs are unhashable")
 
+
+# -- array helpers on the CSR store ------------------------------------------
+
+def _tails(graph: Graph) -> np.ndarray:
+    """The tail vertex of every CSR slot (arc tail -> indices[slot])."""
+    return np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr))
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """Concatenation of the ranges starts[i], ..., starts[i] + counts[i] - 1."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _arc_keys(graph: Graph) -> np.ndarray:
+    """tail * n + head for every slot; ascending, as the rows are."""
+    return _tails(graph) * graph.n + graph.indices
+
+
+def _find(keys: np.ndarray, query) -> np.ndarray:
+    """Position of each query in the ascending ``keys``, or -1."""
+    query = np.asarray(query, dtype=np.int64)
+    if not len(keys):
+        return np.full(query.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[pos] == query, pos, -1)
+
+
+def _slot_edges(graph: Graph) -> np.ndarray:
+    """Row in edge_array() of the edge behind every CSR slot."""
+    tails, heads = _tails(graph), graph.indices
+    keys = np.minimum(tails, heads) * graph.n + np.maximum(tails, heads)
+    return np.searchsorted(keys[tails < heads], keys)
+
+
+def _pairs_within(ptr, values) -> tuple[np.ndarray, np.ndarray]:
+    """(values[p], values[q]) for every p < q in one segment ptr[i]:ptr[i+1]."""
+    sizes = np.diff(ptr)
+    pos = np.arange(ptr[-1])
+    later = np.repeat(ptr[1:], sizes) - pos - 1  # positions after p in its segment
+    first = np.repeat(pos, later)
+    return values[first], values[first + 1 + _ranges(np.zeros(len(pos), dtype=np.int64), later)]
+
+
+def _codes(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.int64)
+
+
+# -- builders ------------------------------------------------------------------
 
 def cayley_graph(G, S) -> Graph:
     """Cayley graph of G with connection set S: edges {g, sg}.
@@ -73,20 +145,15 @@ def cayley_graph(G, S) -> Graph:
     S must be inverse-closed and must not contain the identity; vertex i
     is the element with canonical code i.
     """
-    S = sorted(set(S))
-    if G.identity in S:
+    S = _codes(sorted(set(S)))
+    if np.any(S == G.identity):
         raise ValueError("identity must not lie in the connection set")
-    sset = set(S)
-    for s in S:
-        if G.inv(s) not in sset:
-            raise ValueError("connection set is not inverse-closed")
-    edges = []
-    for g in G.elements():
-        for s in S:
-            h = G.mul(s, g)
-            if g < h:
-                edges.append((g, h))
-    return Graph(G.order, edges)
+    if not np.isin(_codes(G.inv_vec(S)), S).all():
+        raise ValueError("connection set is not inverse-closed")
+    heads = _codes(G.mul_vec(S[:, None], np.arange(G.order)[None, :]))
+    tails = np.broadcast_to(np.arange(G.order), heads.shape)
+    fwd = tails < heads
+    return Graph(G.order, np.stack([tails[fwd], heads[fwd]], axis=1))
 
 
 def xy_connection_set(G) -> list[int]:
@@ -99,28 +166,22 @@ def xy_connection_set(G) -> list[int]:
 @dataclass
 class SigmaInfo:
     """Bookkeeping for the coset graph: vertex i < n_x is X-coset i,
-    vertex n_x + j is Y-coset j."""
-    x_cosets: list[list[int]]
-    y_cosets: list[list[int]]
-    x_index: list[int]
-    y_index: list[int]
+    vertex n_x + j is Y-coset j.  The cosets are the rows of int64 member
+    arrays; the index arrays map a group code to its coset's row."""
+    x_cosets: np.ndarray
+    y_cosets: np.ndarray
+    x_index: np.ndarray
+    y_index: np.ndarray
 
     @property
     def n_x(self) -> int:
         return len(self.x_cosets)
 
     def x_vertex(self, code: int) -> int:
-        return self.x_index[code]
+        return int(self.x_index[code])
 
     def y_vertex(self, code: int) -> int:
-        return self.n_x + self.y_index[code]
-
-    @functools.cached_property
-    def coset_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(X-coset members, Y-coset members, x_index, y_index) as int32
-        arrays, one coset per row; built on first use."""
-        return tuple(np.array(a, dtype=np.int32)
-                     for a in (self.x_cosets, self.y_cosets, self.x_index, self.y_index))
+        return self.n_x + int(self.y_index[code])
 
 
 def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInfo]:
@@ -133,9 +194,8 @@ def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInf
     x_cosets, x_index = groups.coset_index_array(G, X)
     y_cosets, y_index = groups.coset_index_array(G, Y)
     info = SigmaInfo(x_cosets, y_cosets, x_index, y_index)
-    edges = {(info.x_vertex(h), info.y_vertex(h)) for h in G.elements()}
-    graph = Graph(info.n_x + len(y_cosets), sorted(edges))
-    return graph, info
+    edges = np.stack([info.x_index, info.n_x + info.y_index], axis=1)
+    return Graph(info.n_x + len(info.y_cosets), edges), info
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
@@ -146,7 +206,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 def maximal_cliques(graph: Graph, budget: int = 10**7) -> list[list[int]]:
     """Pivot-free Bron-Kerbosch enumeration, canonically sorted."""
-    bitsets = [sum(1 << v for v in nb) for nb in graph.neighbors]
+    bitsets = [sum(1 << v for v in graph.neighbors(u).tolist()) for u in range(graph.n)]
     out = []
     calls = 0
 
@@ -173,28 +233,35 @@ def maximal_cliques(graph: Graph, budget: int = 10**7) -> list[list[int]]:
 def verify_clique_cover(graph: Graph, cliques: list[list[int]]) -> None:
     """Check that ``cliques`` are maximal cliques covering each edge exactly
     once; raises ValueError otherwise.  Used to validate the coset fast
-    path against the graph itself.
+    path against the graph itself.  Cliques of one size are checked
+    together, as the rows of one array.
     """
-    edge_cover = {}
-    for ci, c in enumerate(cliques):
-        for v in c:
-            for w in c:
-                if v < w and not graph.has_edge(v, w):
-                    raise ValueError("clique contains a non-edge")
-        # no vertex is its own neighbor, so every common neighbor of the
-        # members lies outside the clique and would extend it
-        common = set(graph.neighbors[c[0]]) if c else set(range(graph.n))
-        for v in c[1:]:
-            common.intersection_update(graph.neighbors[v])
-        if common:
+    n, degs = graph.n, np.diff(graph.indptr)
+    arc_keys = _arc_keys(graph)
+    covered = [np.zeros(0, dtype=np.int64)]
+    for size in sorted({len(c) for c in cliques}):
+        if size == 0:  # every vertex extends the empty clique
+            if n:
+                raise ValueError("clique is not maximal")
+            continue
+        members = _codes([c for c in cliques if len(c) == size])
+        i, j = np.triu_indices(size, 1)
+        a, b = members[:, i].ravel(), members[:, j].ravel()
+        if np.any(_find(arc_keys, a * n + b) < 0):
+            raise ValueError("clique contains a non-edge")
+        covered.append(np.minimum(a, b) * n + np.maximum(a, b))
+        # no vertex is its own neighbor, so a vertex adjacent to all
+        # ``size`` members lies outside the clique and would extend it
+        flat = members.ravel()
+        owner = np.repeat(np.arange(len(flat)) // size, degs[flat])
+        seen = np.sort(owner * n + graph.indices[_ranges(graph.indptr[flat], degs[flat])])
+        starts = np.flatnonzero(np.diff(seen, prepend=-1))
+        if np.any(np.diff(starts, append=len(seen)) == size):
             raise ValueError("clique is not maximal")
-        for v in c:
-            for w in c:
-                if v < w:
-                    if (v, w) in edge_cover:
-                        raise ValueError("edge lies in two of the cliques")
-                    edge_cover[(v, w)] = ci
-    if len(edge_cover) != graph.edge_count():
+    covered = np.sort(np.concatenate(covered))
+    if np.any(covered[1:] == covered[:-1]):
+        raise ValueError("edge lies in two of the cliques")
+    if len(covered) != graph.edge_count():
         raise ValueError("cliques do not cover every edge")
 
 
@@ -209,86 +276,70 @@ def clique_graph(graph: Graph, cliques: list[list[int]] | None = None,
     else:
         cliques = sorted(sorted(c) for c in cliques)
         verify_clique_cover(graph, cliques)
-    membership = [[] for _ in range(graph.n)]
-    for ci, c in enumerate(cliques):
-        for v in c:
-            membership[v].append(ci)
-    edges = set()
-    for v in range(graph.n):
-        mem = membership[v]
-        for i in range(len(mem)):
-            for j in range(i + 1, len(mem)):
-                edges.add((mem[i], mem[j]))
-    return Graph(len(cliques), sorted(edges)), cliques
+    sizes = np.array([len(c) for c in cliques], dtype=np.int64)
+    vertex = _codes([v for c in cliques for v in c])
+    order = np.argsort(vertex, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(vertex, minlength=graph.n))])
+    a, b = _pairs_within(ptr, np.repeat(np.arange(len(cliques)), sizes)[order])
+    return Graph(len(cliques), np.stack([a, b], axis=1)), cliques
 
 
 def coset_cliques(G, info: SigmaInfo) -> list[list[int]]:
     """The X- and Y-cosets as vertex sets of the Cayley graph."""
-    return [list(c) for c in info.x_cosets] + [list(c) for c in info.y_cosets]
+    return info.x_cosets.tolist() + info.y_cosets.tolist()
+
+
+def _line_graph(graph: Graph) -> Graph:
+    a, b = _pairs_within(graph.indptr, _slot_edges(graph))
+    return Graph(graph.edge_count(), np.stack([a, b], axis=1))
 
 
 def line_graph(graph: Graph) -> tuple[Graph, list[tuple[int, int]]]:
-    """Graph on the edges of ``graph`` (in sorted endpoint order),
-    adjacent iff they share an endpoint."""
-    edge_list = sorted(graph.edges())
-    index = {e: i for i, e in enumerate(edge_list)}
-    incident = [[] for _ in range(graph.n)]
-    for e, i in index.items():
-        incident[e[0]].append(i)
-        incident[e[1]].append(i)
-    edges = set()
-    for inc in incident:
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                x, y = inc[a], inc[b]
-                edges.add((min(x, y), max(x, y)))
-    return Graph(len(edge_list), sorted(edges)), edge_list
+    """Graph on the edges of ``graph`` (vertex i is row i of
+    ``edge_array()``), adjacent iff they share an endpoint; the edges are
+    returned as (u, v) tuples too.  The adjacent pairs are those of the
+    edges met at each vertex: the edge indices of one CSR row."""
+    return _line_graph(graph), list(map(tuple, graph.edge_array().tolist()))
 
 
 def phi_map(G, gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
     """The bijection z -> {Xz, Yz} from group elements to coset-graph
-    edges, returned as an array mapping Cayley vertex -> line-graph
+    edges, returned as a list mapping Cayley vertex -> line-graph
     vertex.  Verifies edge-by-edge that it realises an isomorphism from
     the Cayley graph to the line graph of the coset graph; raises
     ValueError on any failure (which would signal an implementation bug).
     """
-    lg, edge_list = line_graph(sigma)
-    edge_index = {e: i for i, e in enumerate(edge_list)}
-    phi = []
-    for z in G.elements():
-        e = (info.x_vertex(z), info.y_vertex(z))
-        if e not in edge_index:
-            raise ValueError("phi image is not an edge of the coset graph")
-        phi.append(edge_index[e])
-    if len(set(phi)) != len(phi) or len(phi) != lg.n:
+    lg = _line_graph(sigma)
+    edges = sigma.edge_array()
+    # Xz < Yz as vertices, so (Xz, Yz) is a row of edge_array() if an edge
+    phi = _find(edges[:, 0] * sigma.n + edges[:, 1],
+                info.x_index * sigma.n + info.n_x + info.y_index)
+    if np.any(phi < 0):
+        raise ValueError("phi image is not an edge of the coset graph")
+    if len(phi) != lg.n or np.any(np.bincount(phi, minlength=lg.n) != 1):
         raise ValueError("phi is not a bijection onto the edges")
-    count = 0
-    for g, h in gamma.edges():
-        if not lg.has_edge(phi[g], phi[h]):
-            raise ValueError("phi does not preserve an edge")
-        count += 1
-    if count != lg.edge_count():
+    g, h = phi[gamma.edge_array().T]
+    if np.any(_find(_arc_keys(lg), g * lg.n + h) < 0):
+        raise ValueError("phi does not preserve an edge")
+    if gamma.edge_count() != lg.edge_count():
         raise ValueError("edge counts of the Cayley and line graphs differ")
-    return phi
+    return phi.tolist()
 
 
 def normal_quotient(graph: Graph, partition: list[list[int]]) -> tuple[Graph, bool]:
     """Quotient by a vertex partition, plus whether valency is preserved
     (the cover condition).  Cells keep their given order."""
-    cell_of = [None] * graph.n
-    for ci, cell in enumerate(partition):
-        for v in cell:
-            if cell_of[v] is not None:
-                raise ValueError("partition cells overlap")
-            cell_of[v] = ci
-    if any(c is None for c in cell_of):
+    sizes = [len(cell) for cell in partition]
+    members = _codes([v for cell in partition for v in cell])
+    hits = np.bincount(members, minlength=graph.n)
+    if np.any(hits > 1):
+        raise ValueError("partition cells overlap")
+    if len(hits) != graph.n or np.any(hits == 0):
         raise ValueError("partition does not cover the vertex set")
-    edges = set()
-    for u, v in graph.edges():
-        a, b = cell_of[u], cell_of[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    quotient = Graph(len(partition), sorted(edges))
+    cell_of = np.empty(graph.n, dtype=np.int64)
+    cell_of[members] = np.repeat(np.arange(len(partition)), sizes)
+    a, b = cell_of[graph.edge_array().T]
+    quotient = Graph(len(partition), np.stack([a, b], axis=1)[a != b])
     k = graph.is_regular()
     preserved = k is not None and quotient.is_regular() == k
     return quotient, preserved
@@ -296,46 +347,56 @@ def normal_quotient(graph: Graph, partition: list[list[int]]) -> tuple[Graph, bo
 
 def bfs_layers(graph: Graph, v: int) -> tuple[list[int], list[int]]:
     """Exact BFS distances from v (-1 for unreachable) and layer sizes."""
-    dist = [-1] * graph.n
+    degs = np.diff(graph.indptr)
+    dist = np.full(graph.n, -1, dtype=np.int64)
     dist[v] = 0
-    frontier = [v]
+    frontier = np.array([v], dtype=np.int64)
     layers = [1]
-    while frontier:
-        new = []
-        for u in frontier:
-            for w in graph.neighbors[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    new.append(w)
-        if new:
-            layers.append(len(new))
-        frontier = new
-    return dist, layers
+    while True:
+        reached = graph.indices[_ranges(graph.indptr[frontier], degs[frontier])]
+        reached = np.sort(reached[dist[reached] < 0])
+        frontier = reached[np.diff(reached, prepend=-1) != 0]
+        if not len(frontier):
+            return dist.tolist(), layers
+        dist[frontier] = len(layers)
+        layers.append(len(frontier))
 
 
-def edge_coloring(graph: Graph, G, X, Y) -> dict[tuple[int, int], str]:
-    """Tag each Cayley edge {g, h} as an X-edge (h g^-1 in X) or Y-edge."""
-    xset, yset = set(X), set(Y)
-    colors = {}
-    for g, h in graph.edges():
-        d = G.mul(h, G.inv(g))
-        if d in xset:
-            colors[(g, h)] = "X"
-        elif d in yset:
-            colors[(g, h)] = "Y"
-        else:
-            raise ValueError("edge difference lies outside X u Y")
-    return colors
+def edge_coloring(graph: Graph, G, X, Y) -> np.ndarray:
+    """Tag each Cayley edge {g, h}, g < h, as an X-edge (h g^-1 in X) or a
+    Y-edge: one colour "X" or "Y" per row of ``graph.edge_array()``."""
+    g, h = graph.edge_array().T
+    diff = _codes(G.mul_vec(h, G.inv_vec(g)))
+    in_x = np.isin(diff, _codes(X))
+    if not np.all(in_x | np.isin(diff, _codes(Y))):
+        raise ValueError("edge difference lies outside X u Y")
+    return np.where(in_x, "X", "Y")
 
 
-def triangles_monochromatic(graph: Graph, colors: dict[tuple[int, int], str]) -> bool:
-    for u, v in graph.edges():
-        for w in set(graph.neighbors[u]).intersection(graph.neighbors[v]):
-            c = {colors[(u, v)],
-                 colors[(min(u, w), max(u, w))],
-                 colors[(min(v, w), max(v, w))]}
-            if len(c) != 1:
-                return False
+def triangles_monochromatic(graph: Graph, colors) -> bool:
+    """Whether every triangle has its three edges in one colour, with
+    ``colors`` aligned to ``graph.edge_array()``.
+
+    Triangle u < v < w is met once: from the slot u -> v, the later slots
+    u -> w of row u are paired with v, and the arc v -> w is looked up among
+    the sorted arc keys.  Edges are taken ``TRIANGLE_CHUNK`` at a time, so
+    the temporaries stay bounded."""
+    colors = np.asarray(colors)
+    if len(colors) != graph.edge_count():
+        raise ValueError("need one colour per edge")
+    tails, heads = _tails(graph), graph.indices.astype(np.int64)
+    keys = tails * graph.n + heads
+    slot_color = colors[_slot_edges(graph)]
+    fwd = np.flatnonzero(tails < heads)
+    for start in range(0, len(fwd), TRIANGLE_CHUNK):
+        uv = fwd[start:start + TRIANGLE_CHUNK]
+        later = graph.indptr[tails[uv] + 1] - uv - 1
+        uw = _ranges(uv + 1, later)
+        vw = _find(keys, np.repeat(heads[uv], later) * graph.n + heads[uw])
+        tri = vw >= 0
+        c = np.repeat(slot_color[uv], later)[tri]
+        if np.any(slot_color[uw[tri]] != c) or np.any(slot_color[vw[tri]] != c):
+            return False
     return True
 
 
@@ -354,11 +415,12 @@ def _graph6_size_bytes(n: int) -> bytes:
 
 def to_graph6(graph: Graph) -> str:
     n = graph.n
-    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))  # "?" is 63
-    for i, j in graph.edges():
-        k = j * (j - 1) // 2 + i
-        body[k // 6] += 32 >> (k % 6)
-    return (_graph6_size_bytes(n) + body).decode("ascii")
+    header = _graph6_size_bytes(n)
+    body = np.full((n * (n - 1) // 2 + 5) // 6, 63, dtype=np.uint8)  # "?" is 63
+    i, j = graph.edge_array().T
+    k = j * (j - 1) // 2 + i
+    np.add.at(body, k // 6, (32 >> (k % 6)).astype(np.uint8))
+    return (header + body.tobytes()).decode("ascii")
 
 
 def from_graph6(s: str) -> Graph:
@@ -393,7 +455,8 @@ def from_graph6(s: str) -> Graph:
 
 
 def to_edgelist(graph: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in graph.edges())
+    edges = graph.edge_array()
+    return "%d %d\n" * len(edges) % tuple(edges.ravel().tolist())
 
 
 def from_edgelist(text: str, n: int | None = None) -> Graph:

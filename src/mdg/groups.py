@@ -10,9 +10,9 @@ Two concrete backends are provided:
   of orders 2*m_i, with X the flips and Y the flipped rotations.
 
 Every backend exposes elements as canonical integer codes in
-``range(order)`` plus ``mul``/``inv`` callbacks; closures, subgroup and
-quotient computations all run over codes so one engine serves every
-backend.
+``range(order)`` plus ``mul``/``inv`` callbacks and their elementwise array
+forms ``mul_vec``/``inv_vec``; closures, subgroup and quotient computations
+all run over codes so one engine serves every backend.
 """
 
 from dataclasses import dataclass
@@ -81,7 +81,7 @@ class TensorGroup:
     # Vectorised variants used to build permutations and bulk tests.
 
     def mul_vec(self, g1, g2):
-        """Elementwise product of two equal-shape uint64 code arrays."""
+        """Elementwise (broadcast) product of two uint64 code arrays."""
         n = self.n
         g1 = np.asarray(g1, dtype=np.uint64)
         g2 = np.asarray(g2, dtype=np.uint64)
@@ -157,33 +157,67 @@ class DihedralProduct:
     def elements(self) -> range:
         return range(self.order)
 
+    # Vectorised variants: the same mixed-radix arithmetic on int64 arrays.
+
+    def _digits(self, g):
+        """(flip, rotation) arrays of every factor, least significant first."""
+        g = np.asarray(g, dtype=np.int64)
+        out = []
+        for m in self.ms:
+            g, v = np.divmod(g, 2 * m)
+            out.append(np.divmod(v, m))
+        return out
+
+    def _undigits(self, digits):
+        code, radix = 0, 1
+        for m, (flip, rot) in zip(self.ms, digits):
+            code = code + (flip * m + rot) * radix
+            radix *= 2 * m
+        return np.asarray(code, dtype=np.int64)
+
+    def mul_vec(self, g1, g2):
+        """Elementwise (broadcast) product of two int64 code arrays."""
+        return self._undigits(
+            (f1 ^ f2, np.where(f2 == 1, k2 - k1, k2 + k1) % m)
+            for m, (f1, k1), (f2, k2) in zip(self.ms, self._digits(g1), self._digits(g2)))
+
+    def inv_vec(self, g):
+        return self._undigits((flip, np.where(flip == 1, rot, -rot % m))
+                              for m, (flip, rot) in zip(self.ms, self._digits(g)))
+
 
 class TableGroup:
     """Explicit multiplication-table backend for small groups."""
 
     def __init__(self, table, identity=0, x_gens=(), y_gens=()):
-        self.table = [list(row) for row in table]
+        self.table = np.array(table, dtype=np.int64)
         self.order = len(self.table)
+        if self.table.shape != (self.order, self.order) or not self.order:
+            raise ValueError("the table must be a nonempty square array")
         self.identity = identity
         self.x_gens = list(x_gens)
         self.y_gens = list(y_gens)
         self.gens = self.x_gens + self.y_gens
-        self._inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == identity:
-                    self._inv[a] = b
-        if any(v is None for v in self._inv):
+        is_id = self.table == identity
+        if not is_id.any(axis=1).all():
             raise ValueError("table has an element without an inverse")
+        self._inv = np.argmax(is_id, axis=1)
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return self._inv[a]
+        return int(self._inv[a])
 
     def elements(self) -> range:
         return range(self.order)
+
+    def mul_vec(self, g1, g2):
+        """Elementwise (broadcast) product: a fancy index into the table."""
+        return self.table[np.asarray(g1, dtype=np.int64), np.asarray(g2, dtype=np.int64)]
+
+    def inv_vec(self, g):
+        return self._inv[np.asarray(g, dtype=np.int64)]
 
 
 def commutator(G, g1: int, g2: int) -> int:
@@ -233,17 +267,16 @@ def derived_subgroup(G, budget: int = DEFAULT_BUDGET) -> list[int]:
 def center(G, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Elements commuting with everything, verified against all elements."""
     _check_budget(G.order, budget)
-    cand = [z for z in G.elements() if all(G.mul(z, g) == G.mul(g, z) for g in G.gens)]
+    codes = np.arange(G.order)
+    central = np.ones(G.order, dtype=bool)
+    for g in G.gens:
+        central &= G.mul_vec(codes, g) == G.mul_vec(g, codes)
+    cand = np.flatnonzero(central).tolist()
     # commuting with generators is equivalent, but double-check on the full
     # element list while the group is small enough to enumerate
     if G.order <= 1 << 16:
-        if hasattr(G, "mul_vec"):
-            all_codes = np.arange(G.order, dtype=np.uint64)
-            cand = [z for z in cand
-                    if np.array_equal(G.mul_vec(np.uint64(z), all_codes),
-                                      G.mul_vec(all_codes, np.uint64(z)))]
-        else:
-            cand = [z for z in cand if all(G.mul(z, h) == G.mul(h, z) for h in G.elements())]
+        cand = [z for z in cand
+                if np.array_equal(G.mul_vec(z, codes), G.mul_vec(codes, z))]
     return cand
 
 
@@ -345,35 +378,26 @@ def is_mixed_dihedral(G, budget: int = DEFAULT_BUDGET) -> MixedDihedralReport:
     return MixedDihedralReport(True, G.order, len(derived), ab)
 
 
-def cosets(G, subgroup: list[int]) -> list[list[int]]:
-    """Right cosets S h, sorted by minimal member; each coset sorted.
+def cosets(G, subgroup: list[int]) -> np.ndarray:
+    """Right cosets S h as the rows of an int64 array: each row sorted, rows
+    sorted by their minimal member.
 
     Raises ValueError if ``subgroup`` is not multiplication-closed.
     """
-    sset = set(subgroup)
-    if G.identity not in sset:
+    sub = np.asarray(sorted(set(subgroup)), dtype=np.int64)
+    if not np.any(sub == G.identity):
         raise ValueError("subgroup must contain the identity")
-    for a in subgroup:
-        for b in subgroup:
-            if G.mul(a, b) not in sset:
-                raise ValueError("subgroup is not closed under multiplication")
-    seen = set()
-    out = []
-    for h in G.elements():
-        if h in seen:
-            continue
-        coset = sorted(G.mul(s, h) for s in subgroup)
-        seen.update(coset)
-        out.append(coset)
-    out.sort(key=lambda c: c[0])
-    return out
+    if not np.isin(np.asarray(G.mul_vec(sub[:, None], sub[None, :]), dtype=np.int64), sub).all():
+        raise ValueError("subgroup is not closed under multiplication")
+    # column h holds the coset S h; its least member names the coset
+    products = np.asarray(G.mul_vec(sub[:, None], np.arange(G.order)[None, :]), dtype=np.int64)
+    reps = np.flatnonzero(products.min(axis=0) == np.arange(G.order))
+    return np.sort(products[:, reps].T, axis=1)
 
 
-def coset_index_array(G, subgroup: list[int]) -> tuple[list[list[int]], list[int]]:
-    """Cosets plus a code -> coset-index lookup table."""
+def coset_index_array(G, subgroup: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Cosets plus a code -> coset-index lookup array."""
     cs = cosets(G, subgroup)
-    idx = [0] * G.order
-    for i, c in enumerate(cs):
-        for h in c:
-            idx[h] = i
+    idx = np.empty(G.order, dtype=np.int64)
+    idx[cs] = np.arange(len(cs))[:, None]
     return cs, idx

@@ -202,11 +202,12 @@ def orbit_of(gens, seed: int, degree: int) -> list[int]:
     seen[seed] = True
     frontier = np.array([seed], dtype=np.int32)
     while len(frontier):
-        imgs = np.unique(np.concatenate([g[frontier] for g in gens])) if gens else frontier[:0]
-        new = imgs[~seen[imgs]]
-        seen[new] = True
-        frontier = new
-    return np.nonzero(seen)[0].tolist()
+        hit = np.zeros(degree, dtype=bool)
+        for g in gens:
+            hit[g[frontier]] = True
+        frontier = np.flatnonzero(hit & ~seen)
+        seen[frontier] = True
+    return np.flatnonzero(seen).tolist()
 
 
 def orbits(gens, degree: int) -> list[list[int]]:
@@ -257,10 +258,14 @@ def are_automorphisms(graph: graphs.Graph, perms) -> bool:
     if k is not None and k > 0:
         nbr = graph.neighbor_array()
         return all(np.array_equal(np.sort(p[nbr], axis=1), nbr[p]) for p in perms)
+    # p maps the edge set one-to-one, so it is an automorphism iff the
+    # image edge set, as sorted keys, is the edge set
+    u, w = graph.edge_array().T
+    keys = u * graph.n + w
     for p in perms:
-        for v in range(graph.n):
-            if sorted(int(p[u]) for u in graph.neighbors[v]) != graph.neighbors[int(p[v])]:
-                return False
+        a, b = p[u].astype(np.int64), p[w].astype(np.int64)
+        if not np.array_equal(np.sort(np.minimum(a, b) * graph.n + np.maximum(a, b)), keys):
+            return False
     return True
 
 
@@ -268,9 +273,7 @@ def are_automorphisms(graph: graphs.Graph, perms) -> bool:
 
 def right_mult_perm(G, g: int) -> np.ndarray:
     """R(g): vertex k -> code of (element k) * g."""
-    if hasattr(G, "mul_vec"):
-        return G.mul_vec(np.arange(G.order, dtype=np.uint64), np.uint64(g)).astype(np.int32)
-    return np.array([G.mul(k, g) for k in G.elements()], dtype=np.int32)
+    return G.mul_vec(np.arange(G.order), g).astype(np.int32)
 
 
 def right_mult_action(G, gens=None) -> list[np.ndarray]:
@@ -376,7 +379,7 @@ def order_with_regular_normal_subgroup(G, stab_gens) -> int:
             t = int(conj[G.identity])
             if not np.array_equal(conj, right_mult_perm(G, t)):
                 raise ValueError("stabilizer generator does not normalise the regular action")
-    return G.order * PermGroup(list(stab_gens), G.degree if hasattr(G, "degree") else G.order).order()
+    return G.order * PermGroup(list(stab_gens), G.order).order()
 
 
 def expected_symmetry_order(n: int) -> int:
@@ -440,22 +443,15 @@ def distance_diagram(graph: graphs.Graph, stab_gens, v: int) -> DistanceDiagram:
     order = sorted(range(len(cells)), key=lambda i: (dists[i], cells[i][0]))
     cells = [cells[i] for i in order]
     dists = [dists[i] for i in order]
-    cell_of = [0] * graph.n
+    cell_of = np.empty(graph.n, dtype=np.int64)
     for ci, cell in enumerate(cells):
-        for u in cell:
-            cell_of[u] = ci
+        cell_of[cell] = ci
     counts = []
     for cell in cells:
-        row = None
-        for u in cell:
-            c = [0] * len(cells)
-            for w in graph.neighbors[u]:
-                c[cell_of[w]] += 1
-            if row is None:
-                row = c
-            elif row != c:
-                raise ValueError("inter-cell neighbor count is not constant")
-        counts.append(row)
+        rows = [np.bincount(cell_of[graph.neighbors(u)], minlength=len(cells)) for u in cell]
+        if any(not np.array_equal(r, rows[0]) for r in rows):
+            raise ValueError("inter-cell neighbor count is not constant")
+        counts.append(rows[0].tolist())
     return DistanceDiagram(v, cells, dists, counts)
 
 
@@ -520,13 +516,13 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
             raise ValueError("stabilizer generator moves the base vertex")
     vertex = len(orbit_of(gens + stab_gens, base, graph.n)) == graph.n
     dist, _ = graphs.bfs_layers(graph, base)
-    n1 = graph.neighbors[base]
+    n1 = graph.neighbors(base).tolist()
     arc = vertex and _pair_orbit_count(stab_gens, {(u, u) for u in n1}) == 1
     if arc or graph.edge_count() == 0:
         edge = arc
     else:
         # fall back to a direct edge-orbit sweep under the full generator set
-        e0 = min(graph.edges())
+        e0 = tuple(graph.edge_array()[0].tolist())
         seen = {e0}
         frontier = [e0]
         while frontier:
@@ -562,13 +558,13 @@ def induced_sigma_perm(info: graphs.SigmaInfo, p: np.ndarray) -> np.ndarray:
 
     The image of a coset is an X-coset iff it has the X-coset size and all
     its members share one X-coset index; likewise for Y."""
-    x_members, y_members, x_index, y_index = info.coset_arrays
     p = as_perm(p)
-    if len(p) != len(x_index):
+    if len(p) != len(info.x_index):
         raise ValueError("permutation degree is not the group order")
-    sides = ((x_index, x_members.shape[1], 0), (y_index, y_members.shape[1], info.n_x))
+    sides = ((info.x_index, info.x_cosets.shape[1], 0),
+             (info.y_index, info.y_cosets.shape[1], info.n_x))
     out = []
-    for members in (x_members, y_members):
+    for members in (info.x_cosets, info.y_cosets):
         images = p[members]
         target = np.full(len(members), -1, dtype=np.int32)
         for index, size, offset in sides:
@@ -592,7 +588,7 @@ def bipartition(graph: graphs.Graph) -> tuple[list[int], list[int]]:
         while frontier:
             new = []
             for u in frontier:
-                for w in graph.neighbors[u]:
+                for w in graph.neighbors(u).tolist():
                     if color[w] < 0:
                         color[w] = 1 - color[u]
                         new.append(w)
@@ -674,7 +670,7 @@ def edge_affine_witness(quotient: graphs.Graph, group_gens, candidate_gens) -> E
                 return fail("subgroup is not normalised by the group generators")
     if len(orbits(list(candidate_gens), quotient.n)) < 2:
         return fail("subgroup is vertex-transitive")
-    e0 = min(quotient.edges())
+    e0 = quotient.edge_array()[0].tolist()
     edge_orbit = set()
     for p in sub:
         a, b = int(p[e0[0]]), int(p[e0[1]])
@@ -693,13 +689,13 @@ def line_graph_as_cayley(G, info: graphs.SigmaInfo, sigma: graphs.Graph,
     an incident edge, and the verdict is whether Cay(G, S) coincides
     vertex-for-vertex with the supplied line-graph model ``gamma``.
     """
-    edge_of = {}
-    for h in G.elements():
-        edge_of[h] = (info.x_vertex(h), info.y_vertex(h))
-    if len(set(edge_of.values())) != G.order or len(edge_of) != sigma.edge_count():
+    x, y = info.x_index, info.n_x + info.y_index
+    keys = np.sort(x * sigma.n + y)
+    if np.any(keys[1:] == keys[:-1]) or G.order != sigma.edge_count():
         raise ValueError("the action on edges is not regular")
-    base = edge_of[G.identity]
-    S = [h for h, e in edge_of.items()
-         if e != base and (e[0] in base or e[1] in base)]
+    # another edge {Xh, Yh} meets the base edge iff it shares exactly one
+    # endpoint with it: Xh = X or Yh = Y, but not both
+    bx, by = x[G.identity], y[G.identity]
+    S = np.flatnonzero((x == bx) != (y == by)).tolist()
     cay = graphs.cayley_graph(G, S)
-    return sorted(S), cay == gamma
+    return S, cay == gamma

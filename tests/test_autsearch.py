@@ -117,7 +117,7 @@ def test_canonical_form_of_sigma_relabeling():
     rng = random.Random(11)
     perm = list(range(sigma.n))
     rng.shuffle(perm)
-    relab = graphs.Graph(sigma.n, [(perm[u], perm[v]) for u, v in sigma.edges()])
+    relab = graphs.Graph(sigma.n, [(perm[u], perm[v]) for u, v in sigma.edge_array().tolist()])
     c1, _, _ = autsearch.canonical_form(sigma)
     c2, _, _ = autsearch.canonical_form(relab)
     assert c1 == c2

@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -158,3 +160,44 @@ def test_diagram_table_stable():
     b = run("diagram", "-n", "2", "--format", "table")
     assert a.exit_code == 0 and a.output == b.output
     assert "dist" in a.output
+
+
+# SHA-256 of each export, recorded from the writers before they moved onto
+# the CSR graph store; any byte change in a writer shows here.
+EXPORT_DIGESTS = {
+    (2, "gamma", "graph6"): "c8385eec2509b203f93b54116ed514d31ebdf98a639147f8b971e99b3072b7a2",
+    (2, "gamma", "edgelist"): "a58c81bce77e92a572f90963dfc5e4a677ef5f3186c2ec4cb3a76c3df378cfac",
+    (2, "sigma", "graph6"): "0e3eabdc3d623a4d697c3985dcf72e2699a165d342cb06fbaac7744f65645790",
+    (2, "sigma", "edgelist"): "3880855de1349a8efdc83313c38b173046bbd413bcd59de820f0906d4c18a136",
+    (2, "kbip", "graph6"): "8a0c068cc5eeeea44f6c5b06f45f0995d7d67fdb8d3b644d38681f3369745085",
+    (2, "kbip", "edgelist"): "54d98cb3e31d082fe61f41984dc50c1ac6ba112202da16f75d2e7ddfb93a8e09",
+    (3, "sigma", "graph6"): "6043af898f8a59d0ae0999eda6ad95af5795f7678f1d00f4d2ff59326d106d69",
+    (3, "sigma", "edgelist"): "fdfa16c6dfa517c3ee9262166e022f2f57b5b40ef1cbeea2f51b74fe977dbd59",
+    (3, "gamma", "edgelist"): "03d13c8be79a042eb4507f81ba174c4b4d783eee1ee59f707a01b875544aa41d",
+}
+
+
+@pytest.mark.parametrize("n,target,fmt", sorted(EXPORT_DIGESTS),
+                         ids=lambda v: str(v))
+def test_export_bytes_are_pinned(tmp_path, n, target, fmt):
+    out = tmp_path / "export"
+    r = run("export", "-n", str(n), "--target", target, "--format", fmt, "-o", str(out))
+    assert r.exit_code == 0, r.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_DIGESTS[n, target, fmt]
+
+
+def test_jsonable_turns_numpy_scalars_into_json_scalars():
+    cases = [(np.int64(3), 3), (np.int32(-2), -2), (np.uint64(7), 7), (np.float64(2.5), 2.5),
+             (np.float32(4.0), 4), (np.bool_(True), True), (np.bool_(False), False),
+             ((np.int64(1), [np.bool_(True)]), [1, [True]]), ({"k": np.int16(5)}, {"k": 5})]
+    for value, expected in cases:
+        out = cli._jsonable(value)
+        assert out == expected and json.loads(json.dumps(out)) == expected
+        assert type(out) is type(expected)
+
+
+def test_graph_counts_are_python_ints():
+    _, _, gamma, sigma, _ = cli.build_instance(2)
+    for g in (gamma, sigma):
+        assert type(g.n) is int and type(g.edge_count()) is int and type(g.is_regular()) is int
+    assert graphs.Graph(3, [(0, 1)]).is_regular() is None

@@ -1,0 +1,282 @@
+"""Differential tests of the CSR graph core and the array passes built on
+it.  The oracles share no code with mdg.graphs: networkx where it is
+installed, otherwise scalar loops kept in this file."""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mdg import cli, graphs, groups
+
+try:
+    import networkx as nx
+except ImportError:
+    nx = None
+needs_networkx = pytest.mark.skipif(nx is None, reason="networkx is not installed")
+
+G2, S2, GAMMA2, SIGMA2, INFO2 = cli.build_instance(2)
+
+
+def to_nx(graph):
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edge_array().tolist())
+    return g
+
+
+def sorted_edges(g):
+    return sorted(tuple(sorted(e)) for e in g.edges())
+
+
+# Raw edge lists: duplicates, both orientations and isolated vertices.
+edge_lists = st.integers(min_value=0, max_value=30).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+        max_size=90) if n > 1 else st.just([])))
+
+
+@needs_networkx
+@given(edge_lists)
+@settings(max_examples=200, deadline=None)
+def test_graph_matches_networkx(case):
+    n, pairs = case
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(pairs)
+    g = graphs.Graph(n, pairs)
+    assert g == graphs.Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert g.n == n and g.edge_count() == ref.number_of_edges()
+    assert g.edge_array().tolist() == [list(e) for e in sorted_edges(ref)]
+    for v in range(n):
+        assert g.neighbors(v).tolist() == sorted(ref.adj[v])
+    degrees = {d for _, d in ref.degree()}
+    assert g.is_regular() == (degrees.pop() if len(degrees) == 1 else None)
+    for u, v in itertools.product(range(min(n, 8)), repeat=2):
+        assert g.has_edge(u, v) == ref.has_edge(u, v)
+    width = max((d for _, d in ref.degree()), default=0)
+    expect = [sorted(ref.adj[v]) + [-7] * (width - ref.degree(v)) for v in range(n)]
+    assert g.neighbor_array(pad=-7).tolist() == expect
+
+
+def test_graph_edge_cases():
+    for n in (0, 1):
+        g = graphs.Graph(n)
+        assert g.n == n and g.edge_count() == 0 and g.edge_array().shape == (0, 2)
+        assert g.indptr.tolist() == [0] * (n + 1)
+    assert graphs.Graph(0).is_regular() is None
+    assert graphs.Graph(1).is_regular() == 0
+    assert graphs.Graph(3, [(2, 0), (0, 2), (2, 0)]).edge_array().tolist() == [[0, 2]]
+    for bad in ([(1, 1)], [(0, 3)], [(-1, 0)], [(0, 1, 2)]):
+        with pytest.raises(ValueError):
+            graphs.Graph(3, bad)
+    g = graphs.Graph(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        g.indices[0] = 2  # the store is read-only
+
+
+def test_regular_neighbor_array_is_a_view_of_the_store():
+    nbr = GAMMA2.neighbor_array()
+    assert nbr.base is not None and np.shares_memory(nbr, GAMMA2.indices)
+    assert nbr.tolist() == [GAMMA2.neighbors(v).tolist() for v in range(GAMMA2.n)]
+
+
+random_graphs = edge_lists.map(lambda case: graphs.Graph(*case))
+
+
+def _check_line_graph(graph):
+    lg, edge_list = graphs.line_graph(graph)
+    ref = to_nx(graph)
+    index = {e: i for i, e in enumerate(sorted_edges(ref))}
+    assert edge_list == list(index)
+    lref = nx.relabel_nodes(nx.line_graph(ref), lambda e: index[tuple(sorted(e))])
+    assert lg.n == len(index)
+    assert lg.edge_array().tolist() == [list(e) for e in sorted_edges(lref)]
+
+
+@needs_networkx
+@pytest.mark.parametrize("graph", [GAMMA2, SIGMA2, graphs.complete_bipartite(3, 5)],
+                         ids=["gamma2", "sigma2", "k35"])
+def test_line_graph_matches_networkx(graph):
+    _check_line_graph(graph)
+
+
+@needs_networkx
+@given(random_graphs)
+@settings(max_examples=100, deadline=None)
+def test_line_graph_matches_networkx_random(graph):
+    _check_line_graph(graph)
+
+
+@needs_networkx
+def test_phi_map_is_an_isomorphism_onto_the_networkx_line_graph():
+    phi = graphs.phi_map(G2, GAMMA2, SIGMA2, INFO2)
+    sigma = to_nx(SIGMA2)
+    index = {e: i for i, e in enumerate(sorted_edges(sigma))}
+    lref = nx.relabel_nodes(nx.line_graph(sigma), lambda e: index[tuple(sorted(e))])
+    # phi(z) is the edge {Xz, Yz}
+    for z in G2.elements():
+        assert phi[z] == index[(INFO2.x_vertex(z), INFO2.y_vertex(z))]
+    gamma = to_nx(GAMMA2)
+    nx.set_node_attributes(gamma, {z: phi[z] for z in gamma}, "label")
+    nx.set_node_attributes(lref, {i: i for i in lref}, "label")
+    # VF2, forced to follow phi by the labels, confirms it is an isomorphism
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        gamma, lref, node_match=lambda a, b: a["label"] == b["label"])
+    assert matcher.is_isomorphic()
+    assert matcher.mapping == {z: phi[z] for z in gamma}
+
+
+def test_phi_map_rejects_a_wrong_cayley_graph():
+    edges = GAMMA2.edge_array()
+    with pytest.raises(ValueError, match="edge counts"):
+        graphs.phi_map(G2, graphs.Graph(GAMMA2.n, edges[1:]), SIGMA2, INFO2)
+    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
+    moved = graphs.Graph(GAMMA2.n, np.vstack([edges[1:], [[0, far]]]))
+    with pytest.raises(ValueError, match="does not preserve an edge"):
+        graphs.phi_map(G2, moved, SIGMA2, INFO2)
+    with pytest.raises(ValueError, match="not an edge of the coset graph"):
+        graphs.phi_map(G2, GAMMA2, graphs.Graph(SIGMA2.n, SIGMA2.edge_array()[1:]), INFO2)
+
+
+def brute_force_monochromatic(graph, colors):
+    """Every triangle from a triple loop over vertices."""
+    colour = {tuple(e): c for e, c in zip(graph.edge_array().tolist(), colors)}
+    adj = [set(graph.neighbors(v).tolist()) for v in range(graph.n)]
+    for a in range(graph.n):
+        for b in adj[a]:
+            for c in adj[a] & adj[b]:
+                if a < b < c and len({colour[(a, b)], colour[(a, c)], colour[(b, c)]}) != 1:
+                    return False
+    return True
+
+
+def test_triangles_match_brute_force_on_gamma2_with_random_flips():
+    X = groups.closure(G2, G2.x_gens)
+    Y = groups.closure(G2, G2.y_gens)
+    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
+    assert graphs.triangles_monochromatic(GAMMA2, colors) and brute_force_monochromatic(GAMMA2, colors)
+    rng = random.Random(5)
+    for flips in (1, 1, 1, 2, 3, 20, 300):
+        c = colors.copy()
+        for i in rng.sample(range(len(c)), flips):
+            c[i] = "Y" if c[i] == "X" else "X"
+        assert graphs.triangles_monochromatic(GAMMA2, c) == brute_force_monochromatic(GAMMA2, c)
+
+
+def test_every_flipped_edge_of_gamma2_is_caught():
+    X = groups.closure(G2, G2.x_gens)
+    Y = groups.closure(G2, G2.y_gens)
+    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
+    for i in range(len(colors)):
+        c = colors.copy()
+        c[i] = "Y" if c[i] == "X" else "X"
+        assert not graphs.triangles_monochromatic(GAMMA2, c)
+
+
+@given(random_graphs, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_triangles_match_brute_force_random(graph, rnd):
+    colors = np.array([rnd.choice("XY") if rnd.random() < 0.2 else "X"
+                       for _ in range(graph.edge_count())], dtype="U1")
+    assert graphs.triangles_monochromatic(graph, colors) == brute_force_monochromatic(graph, colors)
+
+
+def test_triangles_need_one_colour_per_edge():
+    with pytest.raises(ValueError):
+        graphs.triangles_monochromatic(GAMMA2, np.array(["X"] * 3))
+
+
+def test_edge_coloring_matches_the_scalar_rule():
+    X = groups.closure(G2, G2.x_gens)
+    Y = groups.closure(G2, G2.y_gens)
+    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
+    expect = ["X" if G2.mul(h, G2.inv(g)) in X else "Y" for g, h in GAMMA2.edge_array().tolist()]
+    assert colors.tolist() == expect
+    with pytest.raises(ValueError):
+        graphs.edge_coloring(GAMMA2, G2, X, [0])
+
+
+def scalar_cayley_edges(G, S):
+    return sorted({(min(g, G.mul(s, g)), max(g, G.mul(s, g))) for g in G.elements() for s in S})
+
+
+def _s3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(q[p[k]] for k in range(3))] for q in perms] for p in perms]
+    return groups.TableGroup(table, x_gens=[1], y_gens=[2])
+
+
+@pytest.mark.parametrize("G", [G2, groups.DihedralProduct(3, 4), groups.DihedralProduct(2, 2, 2), _s3()],
+                         ids=["tensor2", "dihedral34", "dihedral222", "table-s3"])
+def test_cayley_graph_matches_a_scalar_builder(G):
+    S = graphs.xy_connection_set(G)
+    g = graphs.cayley_graph(G, S)
+    assert g.n == G.order
+    assert [tuple(e) for e in g.edge_array().tolist()] == scalar_cayley_edges(G, S)
+
+
+@needs_networkx
+def test_bfs_layers_match_networkx():
+    rng = random.Random(3)
+    for graph in (GAMMA2, SIGMA2, graphs.Graph(7, [(0, 1), (1, 2), (4, 5)])):
+        ref = to_nx(graph)
+        for v in rng.sample(range(graph.n), 3):
+            dist, layers = graphs.bfs_layers(graph, v)
+            lengths = nx.single_source_shortest_path_length(ref, v)
+            assert dist == [lengths.get(u, -1) for u in range(graph.n)]
+            assert layers == [sum(1 for d in lengths.values() if d == k)
+                              for k in range(max(lengths.values()) + 1)]
+
+
+def test_normal_quotient_matches_a_scalar_quotient():
+    part, _ = cli.derived_orbit_partition(G2, INFO2)
+    quotient, preserved = graphs.normal_quotient(SIGMA2, part)
+    cell = {v: i for i, c in enumerate(part) for v in c}
+    expect = sorted({(min(cell[u], cell[v]), max(cell[u], cell[v]))
+                     for u, v in SIGMA2.edge_array().tolist() if cell[u] != cell[v]})
+    assert [tuple(e) for e in quotient.edge_array().tolist()] == expect
+    assert preserved
+    with pytest.raises(ValueError):
+        graphs.normal_quotient(SIGMA2, part + [[0]])
+
+
+def scalar_clique_graph_edges(cliques):
+    return sorted({(i, j) for i, j in itertools.combinations(range(len(cliques)), 2)
+                   if set(cliques[i]) & set(cliques[j])})
+
+
+@given(random_graphs)
+@settings(max_examples=100, deadline=None)
+def test_clique_graph_and_cover_check_match_scalar_rules(graph):
+    cg, cliques = graphs.clique_graph(graph)
+    assert [tuple(e) for e in cg.edge_array().tolist()] == scalar_clique_graph_edges(cliques)
+    # maximal cliques always cover the edges; the check passes iff each
+    # edge lies in only one of them
+    pairs = [p for c in cliques for p in itertools.combinations(c, 2)]
+    if len(pairs) == len(set(pairs)):
+        graphs.verify_clique_cover(graph, cliques)
+    else:
+        with pytest.raises(ValueError, match="two of the cliques"):
+            graphs.verify_clique_cover(graph, cliques)
+
+
+def test_verify_clique_cover_catches_each_fault():
+    cliques = sorted(sorted(c) for c in graphs.coset_cliques(G2, INFO2))
+    graphs.verify_clique_cover(GAMMA2, cliques)
+    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
+    bad = {
+        "cover every edge": cliques[1:],
+        "two of the cliques": cliques + cliques[:1],
+        "non-edge": cliques + [[0, far]],
+        "not maximal": [c[:-1] for c in cliques],
+    }
+    for why, cover in bad.items():
+        with pytest.raises(ValueError, match=why):
+            graphs.verify_clique_cover(GAMMA2, cover)
+    with pytest.raises(ValueError, match="not maximal"):
+        graphs.verify_clique_cover(GAMMA2, cliques + [[]])
+    graphs.verify_clique_cover(graphs.Graph(2), [[0], [1]])

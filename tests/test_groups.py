@@ -121,7 +121,7 @@ def test_cosets():
     assert len(cos) == 64
     assert all(len(c) == 4 for c in cos)
     assert sorted(v for c in cos for v in c) == list(range(256))
-    assert groups.cosets(G2, list(G2.elements())) == [list(G2.elements())]
+    assert groups.cosets(G2, list(G2.elements())).tolist() == [list(G2.elements())]
 
 
 def test_coset_intersections_at_most_one():
@@ -159,3 +159,56 @@ def test_mul_vec_matches_scalar():
     for i in range(500):
         assert int(prod[i]) == G3.mul(int(a[i]), int(b[i]))
         assert int(invs[i]) == G3.inv(int(a[i]))
+
+
+def _s3_table():
+    """S_3 as permutation tuples composed left to right, indexed in
+    lexicographic order; index 0 is the identity."""
+    import itertools
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(q[p[k]] for k in range(3))] for q in perms] for p in perms]
+
+
+BACKENDS = {
+    "dihedral-3-4": groups.DihedralProduct(3, 4),
+    "dihedral-2-2-2": groups.DihedralProduct(2, 2, 2),
+    "table-s3": groups.TableGroup(_s3_table(), x_gens=[1], y_gens=[2]),
+    "tensor-2": G2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_mul_vec_and_inv_vec_match_scalar_on_all_pairs(name):
+    G = BACKENDS[name]
+    codes = np.arange(G.order)
+    table = G.mul_vec(codes[:, None], codes[None, :])
+    assert table.shape == (G.order, G.order)
+    assert table.tolist() == [[G.mul(a, b) for b in G.elements()] for a in G.elements()]
+    assert np.asarray(G.inv_vec(codes)).tolist() == [G.inv(a) for a in G.elements()]
+    # a scalar on either side broadcasts
+    assert np.asarray(G.mul_vec(codes, 1)).tolist() == [G.mul(a, 1) for a in G.elements()]
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 1]], [], [[0, 1]], [[0, 1], [1]]])
+def test_table_group_rejects_a_malformed_table(table):
+    with pytest.raises(ValueError):
+        groups.TableGroup(table)
+
+
+def test_center_of_s3_and_dihedral_products():
+    assert groups.center(BACKENDS["table-s3"]) == [0]
+    D = groups.DihedralProduct(3, 4)
+    # D_6 has a trivial center, D_8 a center of order 2
+    assert len(groups.center(D)) == 2
+    assert groups.center(D) == [z for z in D.elements()
+                                if all(D.mul(z, h) == D.mul(h, z) for h in D.elements())]
+
+
+def test_center_above_the_double_check_size():
+    # order 160,800 > 2^16, so only the generator test runs; D_2m has a
+    # center of order 2 for even m and 1 for odd m
+    D = groups.DihedralProduct(200, 201)
+    z = groups.center(D)
+    assert len(z) == 2 and z[0] == 0
+    assert all(D.mul(z[1], g) == D.mul(g, z[1]) for g in D.gens)

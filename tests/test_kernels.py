@@ -28,7 +28,7 @@ def reference_refine(graph, cells):
             buckets = {}
             for v in c:
                 counts = [0] * k
-                for u in graph.neighbors[v]:
+                for u in graph.neighbors(v).tolist():
                     counts[cell_of[u]] += 1
                 buckets.setdefault(tuple(counts), []).append(v)
             if len(buckets) > 1:
@@ -42,7 +42,7 @@ def reference_refine(graph, cells):
 
 def reference_induced(info, p):
     """Induced coset permutation by looking up each coset's image set."""
-    cosets = info.x_cosets + info.y_cosets
+    cosets = info.x_cosets.tolist() + info.y_cosets.tolist()
     vertex_of = {frozenset(c): i for i, c in enumerate(cosets)}
     return [vertex_of[frozenset(int(p[m]) for m in c)] for c in cosets]
 

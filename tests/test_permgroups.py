@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdg import cli, f2, graphs, groups, permgroups as pg
 
@@ -227,3 +228,35 @@ def test_line_graph_as_cayley_roundtrip():
     assert verdict
     assert len(S_rec) == 6
     assert S_rec == S
+
+
+def _set_orbit(gens, seed):
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        v = stack.pop()
+        for g in gens:
+            w = int(g[v])
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return sorted(seen)
+
+
+@given(st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4),
+                        st.integers(0, n - 1))))
+@settings(max_examples=200, deadline=None)
+def test_orbit_of_matches_a_set_based_search(case):
+    n, perms, seed = case
+    gens = [pg.as_perm(p) for p in perms]
+    assert pg.orbit_of(gens, seed, n) == _set_orbit(gens, seed)
+    assert pg.orbits(gens, n) == [list(o) for o in sorted({tuple(_set_orbit(gens, v))
+                                                             for v in range(n)})]
+
+
+def test_orbit_of_on_sigma3_is_everything():
+    G = groups.TensorGroup(3)
+    sigma, info = graphs.sigma_graph(G)
+    gens = cli.sigma_action_gens(G, info)
+    assert pg.orbit_of(gens, 0, sigma.n) == list(range(sigma.n))
