@@ -20,7 +20,7 @@ print(f"coset graph:  {sigma.n} vertices, valency {sigma.is_regular()}, "
 cliques = graphs.maximal_cliques(gamma)
 print(f"{len(cliques)} maximal cliques, sizes {sorted({len(c) for c in cliques})}")
 print("clique graph == coset graph:",
-      cli.clique_graph_matches_sigma(G, gamma, sigma, info, generic=True))
+      cli.clique_graph_matches_sigma(gamma, sigma, info, generic=True))
 
 # the explicit vertex -> edge bijection realizing the line-graph isomorphism
 phi = graphs.phi_map(G, gamma, sigma, info)

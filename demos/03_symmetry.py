@@ -32,6 +32,9 @@ print(cli.render_diagram_table(diag))
 # transitivity profile
 rep = pg.transitivity_report(gamma, R, lifts, stabilizer_certified=True)
 print("Cayley graph transitivity:", rep.flags())
-srep = pg.transitivity_report(sigma, cli.sigma_action_gens(G, info),
-                              cli.sigma_stab_gens(G, info))
+# on the coset graph: the same generators, induced on the cosets
+sigma_r = [pg.induced_sigma_perm(info, p) for p in R]
+sigma_lifts = [pg.induced_sigma_perm(info, p) for p in lifts]
+srep = pg.transitivity_report(sigma, cli.sigma_action_gens(sigma_r, sigma_lifts),
+                              cli.sigma_stab_gens(sigma_r, sigma_lifts))
 print("coset graph 2-arc-transitive:", srep.two_arc)

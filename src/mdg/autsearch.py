@@ -161,56 +161,3 @@ def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 
         return AutResult(gens, None, False, matcher.nodes)
     return AutResult(gens, order, True, matcher.nodes)
 
-
-def _certificate(graph: graphs.Graph, labeling: list[int]) -> bytes:
-    """Adjacency bits of the relabelled graph; labeling[pos] = vertex."""
-    pos = np.empty(graph.n, dtype=np.int64)
-    pos[labeling] = np.arange(graph.n)
-    a, b = pos[graph.edge_array().T]
-    bits = np.zeros(graph.n * graph.n, dtype=bool)
-    bits[np.minimum(a, b) * graph.n + np.maximum(a, b)] = True
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def canonical_form(graph: graphs.Graph, node_budget: int = 1 << 20):
-    """Canonical relabelling: returns (canonical graph, labeling, AutResult).
-
-    Two graphs are isomorphic iff their canonical graphs are equal.
-    Branches are pruned modulo orbits of the pointwise prefix stabilizer
-    inside the full automorphism group, which is computed first.
-    Practical for graphs up to a few hundred vertices.
-    """
-    if graph.n > 512:
-        raise ValueError("canonical_form is limited to 512 vertices")
-    aut = automorphism_group(graph, node_budget=node_budget)
-    if not aut.complete:
-        raise groups.BudgetExceeded("automorphism search did not finish")
-    best: dict = {"cert": None, "labeling": None}
-    nodes = [0]
-
-    def search(seq, cells):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise groups.BudgetExceeded(f"canonical search exceeded {node_budget} nodes")
-        split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if split is None:
-            labeling = [c[0] for c in cells]
-            cert = _certificate(graph, labeling)
-            if best["cert"] is None or cert < best["cert"]:
-                best["cert"] = cert
-                best["labeling"] = labeling
-            return
-        stab = [g for g in aut.gens if all(int(g[x]) == x for x in seq)]
-        covered: set[int] = set()
-        for u in cells[split]:
-            if u in covered:
-                continue
-            covered.update(permgroups.orbit_of(stab, u, graph.n))
-            search(seq + [u], refine(graph, _individualize(cells, u)))
-
-    search([], refine(graph, [list(range(graph.n))]))
-    labeling = best["labeling"]
-    pos = np.empty(graph.n, dtype=np.int64)
-    pos[labeling] = np.arange(graph.n)
-    canon = graphs.Graph(graph.n, pos[graph.edge_array()])
-    return canon, labeling, aut

@@ -121,32 +121,27 @@ def derived_orbit_partition(G, info):
     return part, cell_of
 
 
-def sigma_action_gens(G, info):
+def sigma_action_gens(sigma_r, sigma_lifts):
     """Generators of a vertex-transitive automorphism group of the coset
-    graph: the induced right multiplications plus the side swap."""
-    out = [permgroups.induced_sigma_perm(info, p) for p in permgroups.right_mult_action(G)]
-    out.append(permgroups.induced_sigma_perm(info, permgroups.swap_sides_perm(G)))
-    return out
+    graph, from the right multiplications and the stabilizer lifts induced
+    on it: every right multiplication, plus the lifts that move the base
+    vertex (the X-coset of the identity), which is the side swap."""
+    return sigma_r + [p for p in sigma_lifts if p[0] != 0]
 
 
-def sigma_stab_gens(G, info):
+def sigma_stab_gens(sigma_r, sigma_lifts):
     """Generators of a subgroup of the stabilizer of the coset-graph base
-    vertex (the X-coset of the identity): induced matrix lifts on both
-    sides plus right multiplication by the X generators."""
-    out = [permgroups.induced_sigma_perm(info, permgroups.x_side_lift(G, m))
-           for m in f2.gl_generators(G.n)]
-    out += [permgroups.induced_sigma_perm(info, permgroups.y_side_lift(G, m))
-            for m in f2.gl_generators(G.n)]
-    out += [permgroups.induced_sigma_perm(info, permgroups.right_mult_perm(G, x))
-            for x in G.x_gens]
-    return out
+    vertex: the induced lifts and right multiplications that fix it, which
+    are the matrix lifts on both sides and right multiplication by the X
+    generators."""
+    return [p for p in sigma_lifts + sigma_r if p[0] == 0]
 
 
-def clique_graph_matches_sigma(G, gamma, sigma, info, generic: bool) -> bool:
+def clique_graph_matches_sigma(gamma, sigma, info, generic: bool) -> bool:
     """Build the clique graph (generic enumeration or the verified coset
     fast path) and check it equals the coset graph under the map sending
     each maximal clique to the coset it consists of."""
-    cliques = None if generic else graphs.coset_cliques(G, info)
+    cliques = None if generic else graphs.coset_cliques(info)
     cg, cliques = graphs.clique_graph(gamma, cliques)
     if cg.n != sigma.n:
         return False
@@ -233,7 +228,7 @@ def graphs_report(n: int) -> VerificationReport:
     rep.claim("coset-graph-valency", 1 << n, lambda: sigma.is_regular())
     rep.claim("coset-graph-edges", G.order, lambda: sigma.edge_count())
     rep.claim("clique-graph-is-coset-graph", True,
-              lambda: clique_graph_matches_sigma(G, gamma, sigma, info, generic=(n == 2)))
+              lambda: clique_graph_matches_sigma(gamma, sigma, info, generic=(n == 2)))
     rep.claim("line-graph-is-cayley-graph", True,
               lambda: bool(graphs.phi_map(G, gamma, sigma, info)))
     part, cell_of = derived_orbit_partition(G, info)
@@ -243,15 +238,19 @@ def graphs_report(n: int) -> VerificationReport:
     rep.claim("quotient-preserves-valency", True, lambda: preserved)
     rep.claim("derived-action-semiregular", True,
               lambda: all(len(c) == 1 << (n * n) for c in part))
-    rep.claim("edge-affine-witness", True, lambda: _edge_affine_ok(G, info, part, cell_of, quotient))
-    lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma)
     r_gens = permgroups.right_mult_action(G)
+    lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma)
+    sigma_r = [permgroups.induced_sigma_perm(info, p) for p in r_gens]
+    sigma_lifts = [permgroups.induced_sigma_perm(info, p) for p in lifts]
+    rep.claim("edge-affine-witness", True,
+              lambda: _edge_affine_ok(G, part, cell_of, quotient, sigma_r, sigma_lifts))
     rep.claim("cayley-transitivity", GAMMA_EXPECTED_FLAGS,
               lambda: permgroups.transitivity_report(
                   gamma, r_gens, lifts, stabilizer_certified=(n == 2)).flags())
     rep.claim("coset-graph-2-arc-transitive", True,
               lambda: permgroups.transitivity_report(
-                  sigma, sigma_action_gens(G, info), sigma_stab_gens(G, info)).two_arc)
+                  sigma, sigma_action_gens(sigma_r, sigma_lifts),
+                  sigma_stab_gens(sigma_r, sigma_lifts)).two_arc)
     if n == 2:
         rep.claim("distance-layers", [1, 6, 18, 54, 117, 54, 6],
                   lambda: graphs.bfs_layers(gamma, 0)[1])
@@ -271,14 +270,13 @@ def graphs_report(n: int) -> VerificationReport:
     return rep
 
 
-def _edge_affine_ok(G, info, part, cell_of, quotient) -> bool:
-    down = lambda p: permgroups.quotient_perm(
-        part, cell_of, permgroups.induced_sigma_perm(info, p))
-    candidate = [down(permgroups.right_mult_perm(G, s)) for s in G.gens]
-    group_gens = list(candidate)
-    group_gens += [down(permgroups.x_side_lift(G, m)) for m in f2.gl_generators(G.n)]
-    group_gens += [down(permgroups.y_side_lift(G, m)) for m in f2.gl_generators(G.n)]
-    group_gens.append(down(permgroups.swap_sides_perm(G)))
+def _edge_affine_ok(G, part, cell_of, quotient, sigma_r, sigma_lifts) -> bool:
+    """The right multiplications by the generators of G, pushed down to the
+    quotient, witness an edge-affine action normalised by those and the
+    stabilizer lifts."""
+    down = lambda p: permgroups.quotient_perm(part, cell_of, p)
+    candidate = [down(p) for p in sigma_r]
+    group_gens = candidate + [down(p) for p in sigma_lifts]
     w = permgroups.edge_affine_witness(quotient, group_gens, candidate)
     return w.ok and w.subgroup_order == 1 << (2 * G.n)
 
@@ -292,13 +290,14 @@ def aut_report(n: int, target: str, full_search: bool, budget: int) -> Verificat
     rep.claim("generated-order", formula,
               lambda: permgroups.order_with_regular_normal_subgroup(G, lifts))
     if full_search:
+        r_gens = permgroups.right_mult_action(G)
         if target == "sigma":
-            sigma, info = graphs.sigma_graph(G)
-            known = sigma_action_gens(G, info) + sigma_stab_gens(G, info)
-            graph = sigma
+            graph, info = graphs.sigma_graph(G)
+            sigma_r = [permgroups.induced_sigma_perm(info, p) for p in r_gens]
+            sigma_lifts = [permgroups.induced_sigma_perm(info, p) for p in lifts]
+            known = sigma_action_gens(sigma_r, sigma_lifts) + sigma_stab_gens(sigma_r, sigma_lifts)
         else:
-            known = permgroups.right_mult_action(G) + lifts
-            graph = gamma
+            graph, known = gamma, r_gens + lifts
         def run():
             res = autsearch.automorphism_group(graph, known, node_budget=budget)
             if not res.complete:
@@ -308,12 +307,6 @@ def aut_report(n: int, target: str, full_search: bool, budget: int) -> Verificat
     else:
         rep.asserted(f"full-automorphism-order-{target}", formula)
     return rep
-
-
-def diagram_for(n: int):
-    G, S, gamma, sigma, info = build_instance(n)
-    lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma)
-    return permgroups.distance_diagram(gamma, lifts, 0)
 
 
 def render_diagram_table(diag: permgroups.DistanceDiagram) -> str:
@@ -353,7 +346,7 @@ def _dihedral_orders(ctx, param, value):
     return ms
 
 
-@click.group(context_settings={"auto_envvar_prefix": "MDG"})
+@click.group()
 def main():
     """Construct the bit-packed 2-groups, their Cayley and coset graphs,
     and verify the structural and symmetry claims about them."""
@@ -444,7 +437,10 @@ def diagram(n, fmt):
     _check_n(n)
     if n > 3:
         raise click.BadParameter("diagram is supported for n <= 3")
-    diag = diagram_for(n)
+    G = groups.TensorGroup(n)
+    gamma = build_gamma(G)
+    diag = permgroups.distance_diagram(
+        gamma, permgroups.connection_stabilizer_gens(G, verify_graph=gamma), 0)
     if fmt == "table":
         click.echo(render_diagram_table(diag))
     else:

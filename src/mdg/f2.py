@@ -40,10 +40,6 @@ def mat_row(m: int, i: int, n: int) -> int:
     return (m >> (i * n)) & vec_mask(n)
 
 
-def mat_entry(m: int, i: int, j: int, n: int) -> int:
-    return (m >> (i * n + j)) & 1
-
-
 def mat_from_rows(rows, n: int) -> int:
     m = 0
     for i, r in enumerate(rows):
@@ -86,48 +82,6 @@ def mat_mul(a: int, b: int, n: int) -> int:
     return mat_from_rows([vec_mat(mat_row(a, i, n), b, n) for i in range(n)], n)
 
 
-def is_invertible(m: int, n: int) -> bool:
-    """Gaussian elimination over F_2 on the packed rows."""
-    rows = [mat_row(m, i, n) for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, n) if (rows[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(n):
-            if i != rank and (rows[i] >> col) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank == n
-
-
-def mat_inverse(m: int, n: int) -> int:
-    """Inverse over F_2; raises ValueError on a singular matrix."""
-    rows = [mat_row(m, i, n) for i in range(n)]
-    aug = [1 << i for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, n) if (rows[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        for i in range(n):
-            if i != rank and (rows[i] >> col) & 1:
-                rows[i] ^= rows[rank]
-                aug[i] ^= aug[rank]
-        rank += 1
-    if rank < n:
-        raise ValueError("matrix is singular")
-    # rows is now a permutation-free identity, so aug holds the inverse
-    inv = [0] * n
-    for i in range(n):
-        col = rows[i].bit_length() - 1
-        inv[col] = aug[i]
-    return mat_from_rows(inv, n)
-
-
 def gl_generators(n: int) -> list[int]:
     """All elementary transvections T_ij (i != j); they generate GL(n, 2).
 
@@ -147,19 +101,3 @@ def gl_order(n: int) -> int:
         order *= (1 << n) - (1 << i)
     return order
 
-
-def mat_closure(gens, n: int) -> list[int]:
-    """Multiplicative closure of a set of matrices, sorted by packed value."""
-    seen = set(gens)
-    seen.add(identity_mat(n))
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                p = mat_mul(a, g, n)
-                if p not in seen:
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return sorted(seen)

@@ -284,22 +284,18 @@ def clique_graph(graph: Graph, cliques: list[list[int]] | None = None,
     return Graph(len(cliques), np.stack([a, b], axis=1)), cliques
 
 
-def coset_cliques(G, info: SigmaInfo) -> list[list[int]]:
+def coset_cliques(info: SigmaInfo) -> list[list[int]]:
     """The X- and Y-cosets as vertex sets of the Cayley graph."""
     return info.x_cosets.tolist() + info.y_cosets.tolist()
 
 
-def _line_graph(graph: Graph) -> Graph:
+def line_graph(graph: Graph) -> Graph:
+    """Graph on the edges of ``graph`` (vertex i is row i of
+    ``edge_array()``), adjacent iff they share an endpoint.  The adjacent
+    pairs are those of the edges met at each vertex: the edge indices of
+    one CSR row."""
     a, b = _pairs_within(graph.indptr, _slot_edges(graph))
     return Graph(graph.edge_count(), np.stack([a, b], axis=1))
-
-
-def line_graph(graph: Graph) -> tuple[Graph, list[tuple[int, int]]]:
-    """Graph on the edges of ``graph`` (vertex i is row i of
-    ``edge_array()``), adjacent iff they share an endpoint; the edges are
-    returned as (u, v) tuples too.  The adjacent pairs are those of the
-    edges met at each vertex: the edge indices of one CSR row."""
-    return _line_graph(graph), list(map(tuple, graph.edge_array().tolist()))
 
 
 def phi_map(G, gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
@@ -309,7 +305,7 @@ def phi_map(G, gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
     the Cayley graph to the line graph of the coset graph; raises
     ValueError on any failure (which would signal an implementation bug).
     """
-    lg = _line_graph(sigma)
+    lg = line_graph(sigma)
     edges = sigma.edge_array()
     # Xz < Yz as vertices, so (Xz, Yz) is a row of edge_array() if an edge
     phi = _find(edges[:, 0] * sigma.n + edges[:, 1],

@@ -56,8 +56,8 @@ class _Level:
 
 
 class PermGroup:
-    """Group generated by vertex permutations, with exact order and
-    membership via a base and strong generating set."""
+    """Group generated by vertex permutations, with its exact order from a
+    base and strong generating set."""
 
     def __init__(self, gens, degree: int | None = None):
         gens = [as_perm(g) for g in gens]
@@ -175,27 +175,6 @@ class PermGroup:
             n *= len(level.orbit)
         return n
 
-    def base(self) -> list[int]:
-        self._build()
-        return [lv.base for lv in self._levels]
-
-    def contains(self, p) -> bool:
-        p = as_perm(p)
-        if len(p) != self.degree:
-            return False
-        self._build()
-        residue, _ = self._sift_from(0, p)
-        return is_identity(residue)
-
-    def basic_orbits(self) -> list[list[int]]:
-        self._build()
-        return [sorted(lv.orbit) for lv in self._levels]
-
-    def stabilizer_gens(self, li: int = 1) -> list[np.ndarray]:
-        """Strong generators fixing the first ``li`` base points."""
-        self._build()
-        return [g for lv in self._levels[li:] for g in lv.gens]
-
 
 def orbit_of(gens, seed: int, degree: int) -> list[int]:
     seen = np.zeros(degree, dtype=bool)
@@ -223,25 +202,6 @@ def orbits(gens, degree: int) -> list[list[int]]:
             assigned[u] = True
         out.append(orb)
     return out
-
-
-def tuple_orbit_is_all(gens, seed: tuple, universe_size: int) -> bool:
-    """BFS the orbit of an ordered tuple under coordinatewise action and
-    report whether it reaches ``universe_size`` tuples."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        new = []
-        for t in frontier:
-            for g in gens:
-                img = tuple(int(g[v]) for v in t)
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        if len(seen) > universe_size:
-            raise ValueError("orbit exceeded the stated universe size")
-        frontier = new
-    return len(seen) == universe_size
 
 
 def is_automorphism(graph: graphs.Graph, p: np.ndarray) -> bool:
@@ -615,7 +575,6 @@ class EdgeAffineWitness:
     ok: bool
     subgroup_order: int
     failing_check: str | None = None
-    subgroup: list[np.ndarray] | None = None
 
 
 def perm_closure(gens, degree: int, budget: int = 1 << 14) -> list[np.ndarray]:
@@ -677,7 +636,7 @@ def edge_affine_witness(quotient: graphs.Graph, group_gens, candidate_gens) -> E
         edge_orbit.add((a, b) if a < b else (b, a))
     if len(edge_orbit) != m * m:
         return fail("subgroup is not regular on the edges")
-    return EdgeAffineWitness(True, len(sub), None, sub)
+    return EdgeAffineWitness(True, len(sub))
 
 
 def line_graph_as_cayley(G, info: graphs.SigmaInfo, sigma: graphs.Graph,

@@ -26,6 +26,16 @@ def lifts(n):
     return d["lifts"]
 
 
+def sigma_gens(n):
+    """The right multiplications and the stabilizer lifts, induced on the
+    coset graph."""
+    d = inst(n)
+    if "sigma_r" not in d:
+        d["sigma_r"] = [pg.induced_sigma_perm(d["info"], p) for p in pg.right_mult_action(d["G"])]
+        d["sigma_lifts"] = [pg.induced_sigma_perm(d["info"], p) for p in lifts(n)]
+    return d["sigma_r"], d["sigma_lifts"]
+
+
 def quotient_data(n):
     d = inst(n)
     if "part" not in d:
@@ -86,7 +96,7 @@ def test_criterion_05_clique_and_line_graph_isomorphisms():
     ok = True
     for n in (2, 3):
         d = inst(n)
-        ok &= cli.clique_graph_matches_sigma(d["G"], d["gamma"], d["sigma"], d["info"],
+        ok &= cli.clique_graph_matches_sigma(d["gamma"], d["sigma"], d["info"],
                                              generic=(n == 2))
         phi = graphs.phi_map(d["G"], d["gamma"], d["sigma"], d["info"])
         ok &= len(phi) == d["G"].order
@@ -107,7 +117,7 @@ def test_criterion_07_edge_affine_witness():
     ok = True
     for n in (2, 3):
         d = quotient_data(n)
-        ok &= cli._edge_affine_ok(d["G"], d["info"], d["part"], d["cell_of"], d["quotient"])
+        ok &= cli._edge_affine_ok(d["G"], d["part"], d["cell_of"], d["quotient"], *sigma_gens(n))
     _report(7, "elementary abelian normal subgroup regular on quotient edges", ok)
 
 
@@ -128,8 +138,8 @@ def test_criterion_09_transitivity():
         rep = pg.transitivity_report(d["gamma"], pg.right_mult_action(d["G"]), lifts(n),
                                      stabilizer_certified=(n == 2))
         ok &= rep.flags() == cli.GAMMA_EXPECTED_FLAGS
-        srep = pg.transitivity_report(d["sigma"], cli.sigma_action_gens(d["G"], d["info"]),
-                                      cli.sigma_stab_gens(d["G"], d["info"]))
+        srep = pg.transitivity_report(d["sigma"], cli.sigma_action_gens(*sigma_gens(n)),
+                                      cli.sigma_stab_gens(*sigma_gens(n)))
         ok &= srep.vertex and srep.two_arc
     _report(9, "Cayley graph 2-geodesic- but not 2-arc-/3-distance-transitive; "
                "coset graph 2-arc-transitive", ok)
@@ -139,7 +149,7 @@ def test_criterion_10_full_automorphism_search():
     d = inst(2)
     known = pg.right_mult_action(d["G"]) + lifts(2)
     res_g = autsearch.automorphism_group(d["gamma"], known)
-    known_s = cli.sigma_action_gens(d["G"], d["info"]) + cli.sigma_stab_gens(d["G"], d["info"])
+    known_s = cli.sigma_action_gens(*sigma_gens(2)) + cli.sigma_stab_gens(*sigma_gens(2))
     res_s = autsearch.automorphism_group(d["sigma"], known_s)
     ok = (res_g.complete and res_s.complete
           and res_g.order == res_s.order == 18432 == pg.expected_symmetry_order(2))
@@ -206,7 +216,7 @@ def test_criterion_13_property_suites():
     d3 = inst(3)
     phi = np.array(graphs.phi_map(d3["G"], d3["gamma"], d3["sigma"], d3["info"]),
                    dtype=np.int64)
-    _, edge_list = graphs.line_graph(d3["sigma"])
+    edge_list = list(map(tuple, d3["sigma"].edge_array().tolist()))
     edge_index = {e: i for i, e in enumerate(edge_list)}
     for h in rng.integers(1, G3.order, 4, dtype=np.uint64):
         rp = pg.right_mult_perm(G3, int(h))

@@ -1,10 +1,17 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdg import autsearch, cli, graphs, groups, permgroups as pg
+from mdg import autsearch, cli, graphs, permgroups as pg
+
+try:
+    import networkx as nx
+except ImportError:
+    nx = None
+needs_networkx = pytest.mark.skipif(nx is None, reason="networkx is not installed")
 
 
 def petersen():
@@ -82,42 +89,45 @@ def test_aut_deterministic():
     assert all(np.array_equal(p, q) for p, q in zip(a.gens, b.gens))
 
 
-def test_canonical_form_distinguishes():
-    ck, _, _ = autsearch.canonical_form(graphs.complete_bipartite(4, 4))
-    cc, _, _ = autsearch.canonical_form(graphs.Graph(8, [(i, (i + 1) % 8) for i in range(8)]))
-    assert ck != cc
-
-
-def test_canonical_form_budget_exhaustion():
-    with pytest.raises(groups.BudgetExceeded):
-        autsearch.canonical_form(petersen(), node_budget=1)
-
-
-def test_canonical_form_size_limit():
-    with pytest.raises(ValueError):
-        autsearch.canonical_form(graphs.Graph(513, []))
+def test_aut_order_of_sigma_relabeling():
+    G, S, gamma, sigma, info = cli.build_instance(2)
+    rng = random.Random(11)
+    perm = list(range(sigma.n))
+    rng.shuffle(perm)
+    relab = graphs.Graph(sigma.n, [(perm[u], perm[v]) for u, v in sigma.edge_array().tolist()])
+    a, b = autsearch.automorphism_group(sigma), autsearch.automorphism_group(relab)
+    assert a.complete and b.complete and a.order == b.order == 18432
 
 
 @given(st.integers(min_value=1, max_value=10), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_canonical_form_relabeling_invariance(n, rnd):
+def test_aut_order_relabeling_invariance(n, rnd):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = [e for e in pairs if rnd.random() < 0.4]
     g = graphs.Graph(n, chosen)
     perm = list(range(n))
     rnd.shuffle(perm)
     relabeled = graphs.Graph(n, [(perm[u], perm[v]) for u, v in chosen])
-    c1, _, _ = autsearch.canonical_form(g)
-    c2, _, _ = autsearch.canonical_form(relabeled)
-    assert c1 == c2
+    a, b = autsearch.automorphism_group(g), autsearch.automorphism_group(relabeled)
+    assert a.complete and b.complete and a.order == b.order
 
 
-def test_canonical_form_of_sigma_relabeling():
-    G, S, gamma, sigma, info = cli.build_instance(2)
-    rng = random.Random(11)
-    perm = list(range(sigma.n))
-    rng.shuffle(perm)
-    relab = graphs.Graph(sigma.n, [(perm[u], perm[v]) for u, v in sigma.edge_array().tolist()])
-    c1, _, _ = autsearch.canonical_form(sigma)
-    c2, _, _ = autsearch.canonical_form(relab)
-    assert c1 == c2
+# Every graph on at most 6 vertices, as a mask over the vertex pairs.  VF2
+# enumerates all n! candidate maps of an edgeless graph, so n stays small.
+small_graphs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda bits: graphs.Graph(n, [e for e, b in zip(itertools.combinations(range(n), 2), bits)
+                                      if b])))
+
+
+@needs_networkx
+@given(small_graphs)
+@settings(max_examples=200, deadline=None)
+def test_aut_order_matches_networkx(graph):
+    res = autsearch.automorphism_group(graph)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(graph.n))
+    ref.add_edges_from(graph.edge_array().tolist())
+    self_maps = sum(1 for _ in nx.isomorphism.GraphMatcher(ref, ref).isomorphisms_iter())
+    assert res.complete and res.order == self_maps
+    assert pg.are_automorphisms(graph, res.gens)

@@ -49,6 +49,14 @@ def test_verify_group_json_schema():
     assert len(ids) == len(set(ids))  # claim ids unique
 
 
+def test_options_are_not_read_from_the_environment():
+    r = CliRunner().invoke(cli.main, ["verify", "group", "--json"],
+                           env={"MDG_VERIFY_GROUP_N": "3"})
+    assert r.exit_code == 0, r.output
+    order = next(c for c in json.loads(r.output)["claims"] if c["id"] == "order")
+    assert order["computed"] == 256
+
+
 def test_verify_group_dihedral():
     r = run("verify", "group", "--dihedral", "4,4")
     assert r.exit_code == 0

@@ -87,10 +87,11 @@ random_graphs = edge_lists.map(lambda case: graphs.Graph(*case))
 
 
 def _check_line_graph(graph):
-    lg, edge_list = graphs.line_graph(graph)
+    lg = graphs.line_graph(graph)
     ref = to_nx(graph)
     index = {e: i for i, e in enumerate(sorted_edges(ref))}
-    assert edge_list == list(index)
+    # line-graph vertex i is row i of edge_array()
+    assert list(map(tuple, graph.edge_array().tolist())) == list(index)
     lref = nx.relabel_nodes(nx.line_graph(ref), lambda e: index[tuple(sorted(e))])
     assert lg.n == len(index)
     assert lg.edge_array().tolist() == [list(e) for e in sorted_edges(lref)]
@@ -265,7 +266,7 @@ def test_clique_graph_and_cover_check_match_scalar_rules(graph):
 
 
 def test_verify_clique_cover_catches_each_fault():
-    cliques = sorted(sorted(c) for c in graphs.coset_cliques(G2, INFO2))
+    cliques = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
     graphs.verify_clique_cover(GAMMA2, cliques)
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     bad = {
