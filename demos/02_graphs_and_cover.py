@@ -23,7 +23,7 @@ print("clique graph == coset graph:",
       cli.clique_graph_matches_sigma(gamma, sigma, info, generic=True))
 
 # the explicit vertex -> edge bijection realizing the line-graph isomorphism
-phi = graphs.phi_map(G, gamma, sigma, info)
+phi = graphs.phi_map(gamma, sigma, info)
 print("line-graph bijection covers all vertices:", sorted(phi) == list(range(gamma.n)))
 
 # quotient by the derived-subgroup orbits: a complete bipartite graph,

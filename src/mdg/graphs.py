@@ -4,7 +4,6 @@ coset graph on [G:X] u [G:Y], clique graphs, line graphs and normal
 quotients.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,7 +297,7 @@ def line_graph(graph: Graph) -> Graph:
     return Graph(graph.edge_count(), np.stack([a, b], axis=1))
 
 
-def phi_map(G, gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
+def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
     """The bijection z -> {Xz, Yz} from group elements to coset-graph
     edges, returned as a list mapping Cayley vertex -> line-graph
     vertex.  Verifies edge-by-edge that it realises an isomorphism from
@@ -419,50 +418,6 @@ def to_graph6(graph: Graph) -> str:
     return (header + body.tobytes()).decode("ascii")
 
 
-def from_graph6(s: str) -> Graph:
-    data = [c - 63 for c in s.strip().encode("ascii")]
-    if not data:
-        raise ValueError("empty graph6 string")
-    if any(not 0 <= c <= 63 for c in data):
-        raise ValueError("invalid graph6 character")
-    if data[0] == 63:
-        if len(data) < 4:
-            raise ValueError("truncated graph6 size header")
-        if data[1] == 63:
-            raise ValueError("graph too large for the supported graph6 sizes")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        data = data[4:]
-    else:
-        n = data[0]
-        data = data[1:]
-    nbits = n * (n - 1) // 2
-    if len(data) != (nbits + 5) // 6:
-        raise ValueError("graph6 body has the wrong length")
-    edges = []
-    for b, c in enumerate(data):
-        while c:
-            r = c.bit_length() - 1
-            c ^= 1 << r
-            k = 6 * b + 5 - r
-            if k < nbits:  # padding bits are ignored
-                j = (1 + math.isqrt(8 * k + 1)) // 2
-                edges.append((k - j * (j - 1) // 2, j))
-    return Graph(n, edges)
-
-
 def to_edgelist(graph: Graph) -> str:
     edges = graph.edge_array()
     return "%d %d\n" * len(edges) % tuple(edges.ravel().tolist())
-
-
-def from_edgelist(text: str, n: int | None = None) -> Graph:
-    edges = []
-    top = -1
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        u, v = map(int, line.split())
-        edges.append((u, v))
-        top = max(top, u, v)
-    return Graph(top + 1 if n is None else n, edges)

@@ -227,22 +227,23 @@ def commutator(G, g1: int, g2: int) -> int:
 
 
 def closure(G, gens, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Subgroup generated by ``gens``, as a sorted list of codes."""
-    seen = {G.identity}
-    seen.update(gens)
-    frontier = sorted(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                p = G.mul(a, g)
-                if p not in seen:
-                    seen.add(p)
-                    new.append(p)
-        if len(seen) > budget:
-            raise BudgetExceeded(f"closure exceeded budget {budget}")
-        frontier = new
-    return sorted(seen)
+    """Subgroup generated by ``gens``, as a sorted list of codes: the
+    orbit of the identity under right multiplication by ``gens``, grown
+    one breadth-first layer at a time over a mask of all of G."""
+    _check_budget(G.order, budget)
+    seen = np.zeros(G.order, dtype=bool)
+    seen[G.identity] = True
+    seen[list(gens)] = True
+    frontier = np.flatnonzero(seen)
+    new = np.zeros_like(seen)
+    while frontier.size:
+        new[:] = False
+        for g in gens:
+            new[G.mul_vec(frontier, g)] = True
+        new &= ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+    return np.flatnonzero(seen).tolist()
 
 
 def derived_subgroup(G, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -252,25 +253,27 @@ def derived_subgroup(G, budget: int = DEFAULT_BUDGET) -> list[int]:
     comms.discard(G.identity)
     while True:
         sub = closure(G, sorted(comms), budget)
+        member = np.zeros(G.order, dtype=bool)
+        member[sub] = True
         conj = set()
-        subset = set(sub)
-        for z in sub:
-            for g in G.gens:
-                c = G.mul(G.mul(G.inv(g), z), g)
-                if c not in subset:
-                    conj.add(c)
+        for g in G.gens:
+            c = G.mul_vec(G.mul_vec(G.inv(g), sub), g)
+            conj.update(c[~member[c]].tolist())
         if not conj:
             return sub
-        comms = subset | conj
+        comms |= conj
 
 
 def center(G, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Elements commuting with everything, verified against all elements."""
     _check_budget(G.order, budget)
     codes = np.arange(G.order)
-    central = np.ones(G.order, dtype=bool)
-    for g in G.gens:
-        central &= G.mul_vec(codes, g) == G.mul_vec(g, codes)
+    gens = np.asarray(G.gens, dtype=np.int64)[:, None]
+    # all generators in one broadcast product per block of codes; a block
+    # holds about 2^20 products, so its arrays stay a few MB at any order
+    central = np.concatenate([
+        (G.mul_vec(block, gens) == G.mul_vec(gens, block)).all(axis=0)
+        for block in np.array_split(codes, max(1, G.order * len(G.gens) >> 20))])
     cand = np.flatnonzero(central).tolist()
     # commuting with generators is equivalent, but double-check on the full
     # element list while the group is small enough to enumerate

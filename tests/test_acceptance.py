@@ -63,8 +63,12 @@ def test_criterion_01_group_orders():
 
 def test_criterion_02_presentation():
     class Broken(groups.TensorGroup):
+        # no tensor term in either arithmetic: one consistent wrong group
         def mul(self, g1, g2):
             return g1 ^ g2
+
+        def mul_vec(self, g1, g2):
+            return np.asarray(g1, dtype=np.uint64) ^ np.asarray(g2, dtype=np.uint64)
 
     ok = (groups.verify_presentation(2) and groups.verify_presentation(3)
           and not groups.verify_presentation(2, group=Broken(2)))
@@ -98,7 +102,7 @@ def test_criterion_05_clique_and_line_graph_isomorphisms():
         d = inst(n)
         ok &= cli.clique_graph_matches_sigma(d["gamma"], d["sigma"], d["info"],
                                              generic=(n == 2))
-        phi = graphs.phi_map(d["G"], d["gamma"], d["sigma"], d["info"])
+        phi = graphs.phi_map(d["gamma"], d["sigma"], d["info"])
         ok &= len(phi) == d["G"].order
     _report(5, "clique graph is the coset graph; line graph is the Cayley graph", ok)
 
@@ -214,7 +218,7 @@ def test_criterion_13_property_suites():
 
     # phi equivariance: phi(z)^R(h) = phi(zh), all z for sampled h at n=3
     d3 = inst(3)
-    phi = np.array(graphs.phi_map(d3["G"], d3["gamma"], d3["sigma"], d3["info"]),
+    phi = np.array(graphs.phi_map(d3["gamma"], d3["sigma"], d3["info"]),
                    dtype=np.int64)
     edge_list = list(map(tuple, d3["sigma"].edge_array().tolist()))
     edge_index = {e: i for i, e in enumerate(edge_list)}

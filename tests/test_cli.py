@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mdg
+from graph_io import from_graph6
 from mdg import cli, graphs
 
 
@@ -73,6 +79,25 @@ def test_verify_group_dihedral_malformed(orders):
     assert "Traceback" not in r.output
 
 
+@pytest.mark.parametrize("args", [["-n", "5"], ["-n", "7"], ["--dihedral", "2000,2000,2000"]])
+def test_verify_group_above_the_enumeration_budget_skips(args):
+    """Run in a fresh interpreter, as a user would: an order above the
+    enumeration budget skips every claim at once, exits 0 and prints no
+    traceback."""
+    src = str(Path(mdg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    r = subprocess.run([sys.executable, "-m", "mdg.cli", "verify", "group", *args, "--json"],
+                       capture_output=True, text=True, timeout=30, env=env)
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    claims = json.loads(r.stdout)["claims"]
+    assert claims
+    for c in claims:
+        assert c["status"] == "skipped", c
+        assert "budget exceeded" in c["computed"]
+
+
 def test_verify_group_invalid_n():
     assert run("verify", "group", "-n", "1").exit_code != 0
     assert run("verify", "group", "-n", "9").exit_code != 0
@@ -135,14 +160,14 @@ def test_export_edgelist_gamma():
 def test_export_graph6_sigma_roundtrip():
     r = run("export", "-n", "2", "--target", "sigma", "--format", "graph6")
     assert r.exit_code == 0
-    g = graphs.from_graph6(r.output.strip())
+    g = from_graph6(r.output.strip())
     assert g.n == 128 and g.is_regular() == 4
 
 
 def test_export_graph6_kbip():
     r = run("export", "-n", "2", "--target", "kbip", "--format", "graph6")
     assert r.exit_code == 0
-    assert graphs.from_graph6(r.output.strip()) == graphs.complete_bipartite(4, 4)
+    assert from_graph6(r.output.strip()) == graphs.complete_bipartite(4, 4)
 
 
 def test_export_to_file(tmp_path):

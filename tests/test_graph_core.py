@@ -113,7 +113,7 @@ def test_line_graph_matches_networkx_random(graph):
 
 @needs_networkx
 def test_phi_map_is_an_isomorphism_onto_the_networkx_line_graph():
-    phi = graphs.phi_map(G2, GAMMA2, SIGMA2, INFO2)
+    phi = graphs.phi_map(GAMMA2, SIGMA2, INFO2)
     sigma = to_nx(SIGMA2)
     index = {e: i for i, e in enumerate(sorted_edges(sigma))}
     lref = nx.relabel_nodes(nx.line_graph(sigma), lambda e: index[tuple(sorted(e))])
@@ -133,13 +133,13 @@ def test_phi_map_is_an_isomorphism_onto_the_networkx_line_graph():
 def test_phi_map_rejects_a_wrong_cayley_graph():
     edges = GAMMA2.edge_array()
     with pytest.raises(ValueError, match="edge counts"):
-        graphs.phi_map(G2, graphs.Graph(GAMMA2.n, edges[1:]), SIGMA2, INFO2)
+        graphs.phi_map(graphs.Graph(GAMMA2.n, edges[1:]), SIGMA2, INFO2)
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     moved = graphs.Graph(GAMMA2.n, np.vstack([edges[1:], [[0, far]]]))
     with pytest.raises(ValueError, match="does not preserve an edge"):
-        graphs.phi_map(G2, moved, SIGMA2, INFO2)
+        graphs.phi_map(moved, SIGMA2, INFO2)
     with pytest.raises(ValueError, match="not an edge of the coset graph"):
-        graphs.phi_map(G2, GAMMA2, graphs.Graph(SIGMA2.n, SIGMA2.edge_array()[1:]), INFO2)
+        graphs.phi_map(GAMMA2, graphs.Graph(SIGMA2.n, SIGMA2.edge_array()[1:]), INFO2)
 
 
 def brute_force_monochromatic(graph, colors):

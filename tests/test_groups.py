@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdg import f2, groups
+from mdg import cli, f2, groups
 
 
 G2 = groups.TensorGroup(2)
@@ -54,8 +56,13 @@ def test_verify_presentation():
 
 def test_verify_presentation_mutation():
     class Broken(groups.TensorGroup):
-        def mul(self, g1, g2):  # drop the tensor correction term
+        # drop the tensor correction term from both arithmetics, so that
+        # this is one consistent (abelian) group of the wrong order
+        def mul(self, g1, g2):
             return g1 ^ g2
+
+        def mul_vec(self, g1, g2):
+            return np.asarray(g1, dtype=np.uint64) ^ np.asarray(g2, dtype=np.uint64)
 
     assert not groups.verify_presentation(2, group=Broken(2))
 
@@ -161,19 +168,18 @@ def test_mul_vec_matches_scalar():
         assert int(invs[i]) == G3.inv(int(a[i]))
 
 
-def _s3_table():
-    """S_3 as permutation tuples composed left to right, indexed in
+def _symmetric_table(k):
+    """S_k as permutation tuples composed left to right, indexed in
     lexicographic order; index 0 is the identity."""
-    import itertools
-    perms = list(itertools.permutations(range(3)))
+    perms = list(itertools.permutations(range(k)))
     index = {p: i for i, p in enumerate(perms)}
-    return [[index[tuple(q[p[k]] for k in range(3))] for q in perms] for p in perms]
+    return [[index[tuple(q[p[i]] for i in range(k))] for q in perms] for p in perms]
 
 
 BACKENDS = {
     "dihedral-3-4": groups.DihedralProduct(3, 4),
     "dihedral-2-2-2": groups.DihedralProduct(2, 2, 2),
-    "table-s3": groups.TableGroup(_s3_table(), x_gens=[1], y_gens=[2]),
+    "table-s3": groups.TableGroup(_symmetric_table(3), x_gens=[1], y_gens=[2]),
     "tensor-2": G2,
 }
 
@@ -212,3 +218,103 @@ def test_center_above_the_double_check_size():
     z = groups.center(D)
     assert len(z) == 2 and z[0] == 0
     assert all(D.mul(z[1], g) == D.mul(g, z[1]) for g in D.gens)
+
+
+# -- the array closure against a scalar breadth-first oracle ---------------
+
+def scalar_closure(G, gens):
+    """Subgroup generated by ``gens`` by breadth-first search, one scalar
+    product at a time."""
+    seen = {G.identity}
+    seen.update(gens)
+    frontier = sorted(seen)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                p = G.mul(a, g)
+                if p not in seen:
+                    seen.add(p)
+                    new.append(p)
+        frontier = new
+    return sorted(seen)
+
+
+def scalar_derived_subgroup(G):
+    """Normal closure of the generator commutators, by scalar products."""
+    comms = {groups.commutator(G, a, b) for a in G.gens for b in G.gens} - {G.identity}
+    while True:
+        sub = scalar_closure(G, sorted(comms))
+        conj = {G.mul(G.mul(G.inv(g), z), g) for z in sub for g in G.gens} - set(sub)
+        if not conj:
+            return sub
+        comms = set(sub) | conj
+
+
+def scalar_is_mixed_dihedral(G) -> bool:
+    """The definition, checked element by element: X and Y elementary
+    abelian of equal order 2^n, generating G, and G/G' elementary abelian
+    of order 2^(2n) (every square lies in G')."""
+    X, Y = scalar_closure(G, G.x_gens), scalar_closure(G, G.y_gens)
+    derived = set(scalar_derived_subgroup(G))
+    n = len(X).bit_length() - 1
+
+    def elementary_abelian(S):
+        return (all(G.mul(a, a) == G.identity for a in S)
+                and all(G.mul(a, b) == G.mul(b, a) for a in S for b in S))
+
+    return (len(X) == len(Y) == 1 << n and elementary_abelian(X) and elementary_abelian(Y)
+            and len(scalar_closure(G, G.gens)) == G.order
+            and all(G.mul(g, g) in derived for g in G.elements())
+            and G.order == len(derived) << (2 * n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closure_matches_the_scalar_oracle_on_tensor_groups(n):
+    G = groups.TensorGroup(n)
+    for gens in (G.gens, G.x_gens, G.y_gens, cli.derived_basis(G)):
+        assert groups.closure(G, gens) == scalar_closure(G, gens)
+    assert groups.derived_subgroup(G) == scalar_derived_subgroup(G)
+
+
+def test_closure_matches_the_scalar_oracle_on_every_subset_of_s3():
+    T = BACKENDS["table-s3"]
+    for k in range(T.order + 1):
+        for gens in itertools.combinations(T.elements(), k):
+            assert groups.closure(T, gens) == scalar_closure(T, gens)
+
+
+def test_derived_subgroup_takes_the_normal_closure():
+    # S_4 from a transposition and a 4-cycle: the commutator of the two
+    # generates a cyclic subgroup that is not normal, and the derived
+    # subgroup is all of A_4
+    perms = list(itertools.permutations(range(4)))
+    T = groups.TableGroup(_symmetric_table(4), x_gens=[perms.index((1, 0, 2, 3))],
+                          y_gens=[perms.index((1, 2, 3, 0))])
+    assert len(scalar_closure(T, cli.derived_basis(T))) < 12
+    derived = groups.derived_subgroup(T)
+    assert len(derived) == 12
+    assert derived == scalar_derived_subgroup(T)
+
+
+dihedral_products = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
+    lambda ms: groups.DihedralProduct(*ms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dihedral_products, st.data())
+def test_closure_matches_the_scalar_oracle_on_dihedral_products(D, data):
+    codes = st.integers(0, D.order - 1)
+    for gens in (D.gens, D.x_gens, D.y_gens, data.draw(st.lists(codes, max_size=4)),
+                 data.draw(st.lists(st.sampled_from(D.gens), unique=True))):
+        assert groups.closure(D, gens) == scalar_closure(D, gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dihedral_products)
+def test_group_claims_match_the_scalar_oracle_on_dihedral_products(D):
+    derived = scalar_derived_subgroup(D)
+    assert groups.derived_subgroup(D) == derived
+    rep = groups.is_mixed_dihedral(D)
+    assert rep.is_mixed_dihedral == scalar_is_mixed_dihedral(D)
+    assert rep.derived_subgroup_order == len(derived)
