@@ -16,7 +16,8 @@ lifts = pg.connection_stabilizer_gens(G, verify_graph=gamma)
 print("stabilizer lifts:", len(lifts), "generators, group order",
       pg.PermGroup(lifts).order())
 
-order = pg.order_with_regular_normal_subgroup(G, lifts)
+# the generated order, from the lifts' action on the connection set S
+order = pg.generated_order(G, S, [p[S] for p in lifts])
 print("generated symmetry order:", order,
       "== formula:", order == pg.expected_symmetry_order(2))
 

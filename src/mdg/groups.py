@@ -283,17 +283,11 @@ def center(G, budget: int = DEFAULT_BUDGET) -> list[int]:
     return cand
 
 
-def verify_presentation(n: int, group=None) -> bool:
-    """Check the defining relations of the 2n-generator presentation.
-
-    True iff x_i^2 = y_i^2 = 1, the x's commute, the y's commute,
-    [x_i, y_j]^2 = 1, [[x_i, y_j], x_k] = [[x_i, y_j], y_k] = 1, and the
-    generators produce the full 2^(n^2+2n) elements (the counting bound
-    that pins the abstract presentation down to this group).
-    """
-    G = TensorGroup(n) if group is None else group
+def relations_hold(G, xs, ys) -> bool:
+    """Whether xs, ys satisfy the 2n-generator presentation's relations:
+    x_i^2 = y_i^2 = 1, the x's commute, the y's commute, [x_i, y_j]^2 = 1
+    and [[x_i, y_j], x_k] = [[x_i, y_j], y_k] = 1."""
     e = G.identity
-    xs, ys = G.x_gens, G.y_gens
     for a in xs + ys:
         if G.mul(a, a) != e:
             return False
@@ -310,7 +304,16 @@ def verify_presentation(n: int, group=None) -> bool:
             for t in xs + ys:
                 if commutator(G, c, t) != e:
                     return False
-    return len(closure(G, G.gens)) == G.order == 1 << (n * n + 2 * n)
+    return True
+
+
+def verify_presentation(n: int, group=None) -> bool:
+    """True iff the generators satisfy ``relations_hold`` and produce the
+    full 2^(n^2+2n) elements (the counting bound that pins the abstract
+    presentation down to this group)."""
+    G = TensorGroup(n) if group is None else group
+    return (relations_hold(G, G.x_gens, G.y_gens)
+            and len(closure(G, G.gens)) == G.order == 1 << (n * n + 2 * n))
 
 
 @dataclass

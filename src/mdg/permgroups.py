@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import f2, graphs
+from . import f2, graphs, groups
 
 
 def identity_perm(degree: int) -> np.ndarray:
@@ -241,16 +241,18 @@ def right_mult_action(G, gens=None) -> list[np.ndarray]:
     return [right_mult_perm(G, g) for g in (G.gens if gens is None else gens)]
 
 
-def _split_codes(G):
-    """The x, y and A fields of every tensor-group code, as uint64 arrays."""
-    n, mask = G.n, np.uint64(f2.vec_mask(G.n))
-    codes = np.arange(G.order, dtype=np.uint64)
-    return codes & mask, (codes >> np.uint64(n)) & mask, codes >> np.uint64(2 * n)
+def _split_codes(G, codes):
+    """The x, y and A fields of the given codes, as uint64 arrays, and the
+    codes' dtype.  By default the codes are every code, so that a lift's
+    images form a permutation of the vertices."""
+    codes = np.arange(G.order, dtype=np.int32) if codes is None else np.asarray(codes)
+    n, mask, c = G.n, np.uint64(f2.vec_mask(G.n)), codes.astype(np.uint64)
+    return c & mask, (c >> np.uint64(n)) & mask, c >> np.uint64(2 * n), codes.dtype
 
 
-def _encode_codes(G, x, y, a) -> np.ndarray:
+def _encode_codes(G, x, y, a, dtype) -> np.ndarray:
     n = G.n
-    return (x | (y << np.uint64(n)) | (a << np.uint64(2 * n))).astype(np.int32)
+    return (x | (y << np.uint64(n)) | (a << np.uint64(2 * n))).astype(dtype)
 
 
 def _vec_mat_codes(v, m: int, n: int):
@@ -279,67 +281,92 @@ def _transpose_codes(a, n: int):
     return out
 
 
-def x_side_lift(G, m: int) -> np.ndarray:
+def x_side_lift(G, m: int, codes=None) -> np.ndarray:
     """Automorphism of the tensor group induced by an invertible matrix on
-    the X side: x -> x.M, y fixed, A -> M^T A."""
+    the X side: x -> x.M, y fixed, A -> M^T A.  Returns the images of
+    ``codes`` (default: every code), in their dtype."""
     n = G.n
-    x, y, a = _split_codes(G)
+    x, y, a, dtype = _split_codes(G, codes)
     # M^T A = (A^T M)^T
     mt_a = _transpose_codes(_mat_mul_codes(_transpose_codes(a, n), m, n), n)
-    return _encode_codes(G, _vec_mat_codes(x, m, n), y, mt_a)
+    return _encode_codes(G, _vec_mat_codes(x, m, n), y, mt_a, dtype)
 
 
-def y_side_lift(G, m: int) -> np.ndarray:
+def y_side_lift(G, m: int, codes=None) -> np.ndarray:
     """y -> y.M, x fixed, A -> A M."""
     n = G.n
-    x, y, a = _split_codes(G)
-    return _encode_codes(G, x, _vec_mat_codes(y, m, n), _mat_mul_codes(a, m, n))
+    x, y, a, dtype = _split_codes(G, codes)
+    return _encode_codes(G, x, _vec_mat_codes(y, m, n), _mat_mul_codes(a, m, n), dtype)
 
 
-def swap_sides_perm(G) -> np.ndarray:
+def swap_sides_perm(G, codes=None) -> np.ndarray:
     """The involution composing inversion with the swap of the two vector
     sides: (x, y, A) -> (y, x, outer(y, x) + A^T)."""
     n = G.n
-    x, y, a = _split_codes(G)
+    x, y, a, dtype = _split_codes(G, codes)
     outer = np.zeros_like(a)
     for i in range(n):
         outer |= ((y >> np.uint64(i)) & np.uint64(1)) * (x << np.uint64(i * n))
-    return _encode_codes(G, y, x, outer ^ _transpose_codes(a, n))
+    return _encode_codes(G, y, x, outer ^ _transpose_codes(a, n), dtype)
+
+
+def stabilizer_lift_images(G, codes=None) -> list[np.ndarray]:
+    """Images of ``codes`` (default: every code) under each generator of
+    the vertex-0 stabilizer preserving the connection set (X u Y) \\ {0}:
+    one lift per GL transvection on each side, plus the side-swapping
+    involution."""
+    ms = f2.gl_generators(G.n)
+    return ([x_side_lift(G, m, codes) for m in ms] + [y_side_lift(G, m, codes) for m in ms]
+            + [swap_sides_perm(G, codes)])
 
 
 def connection_stabilizer_gens(G, verify_graph: graphs.Graph | None = None) -> list[np.ndarray]:
-    """Generators of the vertex-0 stabilizer preserving the connection set
-    (X u Y) \\ {0}: one lift per GL transvection on each side, plus the
-    side-swapping involution.  Each is optionally verified to be an
-    automorphism of the supplied Cayley graph."""
-    perms = [x_side_lift(G, m) for m in f2.gl_generators(G.n)]
-    perms += [y_side_lift(G, m) for m in f2.gl_generators(G.n)]
-    perms.append(swap_sides_perm(G))
+    """The stabilizer lifts as permutations of all codes, each optionally
+    verified to be an automorphism of the supplied Cayley graph."""
+    perms = stabilizer_lift_images(G)
     if verify_graph is not None and not are_automorphisms(verify_graph, perms):
         raise ValueError("lift failed automorphism verification")
     return perms
 
 
-def order_with_regular_normal_subgroup(G, stab_gens) -> int:
-    """Order of <R(G) gens, stab_gens> via the verified factorisation
-    R(G) . <stab_gens>.
+def _words(G, S, x_imgs, y_imgs) -> np.ndarray:
+    """For each code (x, y, 0) of S, the product of x_imgs[i] over the bits
+    i of x, then of y_imgs[j] over the bits j of y."""
+    x, y, _, _ = _split_codes(G, S)
+    out = np.full(len(S), G.identity, dtype=np.uint64)
+    for bits, imgs in ((x, x_imgs), (y, y_imgs)):
+        for i, g in enumerate(imgs):
+            hit = ((bits >> np.uint64(i)) & np.uint64(1)).astype(bool)
+            out = G.mul_vec(out, np.where(hit, np.uint64(g), np.uint64(G.identity)))
+    return out.astype(np.int64)
 
-    Checks that every stab generator fixes vertex 0 and conjugates each
-    R(s) back into R(G); then the product set is a subgroup, it meets the
-    stabilizer of 0 in exactly <stab_gens>, and the order is
-    |G| * |<stab_gens>| with the second factor from an honest BSGS.
-    """
-    r_gens = {s: right_mult_perm(G, s) for s in G.gens}
-    for sg in stab_gens:
-        if int(sg[G.identity]) != G.identity:
-            raise ValueError("stabilizer generator moves the identity vertex")
-        sg_inv = inverse(sg)
-        for s, rp in r_gens.items():
-            conj = compose(compose(sg_inv, rp), sg)
-            t = int(conj[G.identity])
-            if not np.array_equal(conj, right_mult_perm(G, t)):
-                raise ValueError("stabilizer generator does not normalise the regular action")
-    return G.order * PermGroup(list(stab_gens), G.order).order()
+
+def generated_order(G, S, images) -> int:
+    """Order of <R(G), lifts> for the tensor group G, from each lift's
+    images of the sorted connection set S = (X u Y) \\ {1}.
+
+    Each lift must permute S; its generator images must satisfy the defining
+    relations, so by von Dyck they define an endomorphism phi of G; and phi
+    must agree with the lift on S, so phi(S) = S generates G and phi is an
+    automorphism.  Automorphisms act faithfully on S, fix 1 and normalise
+    R(G), meeting it trivially: the order is |G| * |<lifts on S>|."""
+    S = np.asarray(S, dtype=np.int64)
+    at = np.searchsorted(S, G.gens)
+    if (np.any(np.diff(S) <= 0) or not np.array_equal(S[at % len(S)], G.gens)
+            or not np.array_equal(_words(G, S, G.x_gens, G.y_gens), S)):
+        raise ValueError("S is not a sorted set of generators and their words")
+    perms = []
+    for img in images:
+        img = np.asarray(img, dtype=np.int64)
+        if not np.array_equal(np.sort(img), S):
+            raise ValueError("lift does not permute the connection set")
+        xs, ys = img[at[:G.n]].tolist(), img[at[G.n:]].tolist()
+        if not groups.relations_hold(G, xs, ys):
+            raise ValueError("lift's generator images break a defining relation")
+        if not np.array_equal(_words(G, S, xs, ys), img):
+            raise ValueError("lift differs from the automorphism its generator images define")
+        perms.append(np.searchsorted(S, img))
+    return G.order * PermGroup(perms, len(S)).order()
 
 
 def expected_symmetry_order(n: int) -> int:

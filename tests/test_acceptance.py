@@ -164,7 +164,7 @@ def test_criterion_11_generated_order():
     ok = True
     for n in (2, 3):
         d = inst(n)
-        ok &= pg.order_with_regular_normal_subgroup(d["G"], lifts(n)) == \
+        ok &= pg.generated_order(d["G"], d["S"], pg.stabilizer_lift_images(d["G"], d["S"])) == \
             pg.expected_symmetry_order(n)
     # independent full-degree cross-check at n=2
     d2 = inst(2)

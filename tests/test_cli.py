@@ -98,6 +98,49 @@ def test_verify_group_above_the_enumeration_budget_skips(args):
         assert "budget exceeded" in c["computed"]
 
 
+def run_fresh(*args):
+    """Run the CLI in a fresh interpreter, with a 30 s timeout; its stderr
+    must hold no traceback."""
+    src = str(Path(mdg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    r = subprocess.run([sys.executable, "-m", "mdg.cli", *args],
+                       capture_output=True, text=True, timeout=30, env=env)
+    assert "Traceback" not in r.stderr
+    return r
+
+
+def test_aut_n4_generated_order_passes():
+    r = run_fresh("aut", "-n", "4", "--json")
+    assert r.returncode == 0, r.stderr
+    by_id = {c["id"]: c for c in json.loads(r.stdout)["claims"]}
+    assert by_id["generated-order"]["status"] == "pass"
+    assert by_id["generated-order"]["computed"] == 2 ** 24 * 20160 ** 2 * 2
+
+
+@pytest.mark.parametrize("n", ["5", "7"])
+def test_aut_above_the_enumeration_budget_skips(n):
+    r = run_fresh("aut", "-n", n, "--json")
+    assert r.returncode == 0, r.stderr
+    by_id = {c["id"]: c for c in json.loads(r.stdout)["claims"]}
+    assert by_id["generated-order"]["status"] == "skipped"
+    assert "budget exceeded" in by_id["generated-order"]["computed"]
+
+
+@pytest.mark.parametrize("args", [["aut", "--full-search"], ["export", "--target", "sigma"],
+                                  ["export", "--target", "gamma"]])
+def test_full_degree_commands_above_n3_are_usage_errors(args):
+    r = run_fresh(*args, "-n", "4")
+    assert r.returncode == 2, r.stderr
+    assert "supported for n <= 3" in r.stderr
+
+
+def test_export_kbip_n4_is_allowed():
+    r = run("export", "-n", "4", "--target", "kbip")
+    assert r.exit_code == 0, r.output
+    assert len(r.output.splitlines()) == 16 * 16
+
+
 def test_verify_group_invalid_n():
     assert run("verify", "group", "-n", "1").exit_code != 0
     assert run("verify", "group", "-n", "9").exit_code != 0

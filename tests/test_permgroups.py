@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import perm_oracle
 from mdg import cli, f2, graphs, groups, permgroups as pg
 
 
@@ -88,11 +89,73 @@ def test_connection_stabilizer_gens():
 
 
 def test_order_with_regular_normal_subgroup():
-    order = pg.order_with_regular_normal_subgroup(G2, LIFTS2)
+    order = pg.generated_order(G2, S2, pg.stabilizer_lift_images(G2, S2))
     assert order == 18432 == pg.PermGroup(R2 + LIFTS2).order()
     moved = pg.right_mult_perm(G2, G2.x_gens[0])
     with pytest.raises(ValueError):
-        pg.order_with_regular_normal_subgroup(G2, LIFTS2 + [moved])
+        pg.generated_order(G2, S2, [p[S2] for p in LIFTS2 + [moved]])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generated_order_matches_the_full_degree_oracle(n):
+    G = groups.TensorGroup(n)
+    S = graphs.xy_connection_set(G)
+    lifts = pg.connection_stabilizer_gens(G)
+    on_s = pg.stabilizer_lift_images(G, S)
+    # the lifts on S are the full-degree lifts restricted to S
+    assert all(np.array_equal(a, p[S]) for a, p in zip(on_s, lifts))
+    order = pg.generated_order(G, S, on_s)
+    assert order == perm_oracle.order_with_regular_normal_subgroup(G, lifts)
+    assert order == pg.expected_symmetry_order(n)
+
+
+def test_generated_order_rejects_a_singular_lift():
+    singular = f2.mat_from_rows([1, 1], 2)  # both rows e1: x -> x.M is not injective
+    images = pg.stabilizer_lift_images(G2, S2) + [pg.x_side_lift(G2, singular, S2)]
+    with pytest.raises(ValueError, match="permute"):
+        pg.generated_order(G2, S2, images)
+
+
+def test_generated_order_rejects_a_non_homomorphism():
+    # swap two elements of X that are not generators: S is preserved and the
+    # generators are fixed, so only the word check can see it
+    G3 = groups.TensorGroup(3)
+    S3 = graphs.xy_connection_set(G3)
+    X3 = groups.closure(G3, G3.x_gens)
+    a, b = [x for x in X3 if x != G3.identity and x not in G3.x_gens][:2]
+    swapped = np.array(S3)
+    swapped[S3.index(a)], swapped[S3.index(b)] = b, a
+    assert sorted(swapped.tolist()) == S3
+    with pytest.raises(ValueError, match="differs"):
+        pg.generated_order(G3, S3, [swapped])
+
+
+def test_generated_order_rejects_broken_relations():
+    # swap x_1 and y_1: a permutation of S, but the images of x_1 and x_2
+    # no longer commute
+    x, y = G2.x_gens[0], G2.y_gens[0]
+    images = np.array(S2)
+    images[S2.index(x)], images[S2.index(y)] = y, x
+    with pytest.raises(ValueError, match="relation"):
+        pg.generated_order(G2, S2, [images])
+
+
+def test_full_degree_lift_with_a_wrong_matrix_part_is_rejected(monkeypatch):
+    # generated_order never looks at the A-part of the formula, so the
+    # full-degree verification must still catch a wrong one
+    real = pg.x_side_lift
+
+    def keep_a(G, m, codes=None):
+        images = real(G, m, codes)
+        mask = np.int32((1 << (2 * G.n)) - 1)
+        return (images & mask) | (np.arange(G.order, dtype=np.int32) & ~mask)
+
+    m = f2.gl_generators(2)[0]
+    assert np.array_equal(keep_a(G2, m)[S2], real(G2, m)[S2])
+    assert not np.array_equal(keep_a(G2, m), real(G2, m))
+    monkeypatch.setattr(pg, "x_side_lift", keep_a)
+    with pytest.raises(ValueError, match="automorphism"):
+        pg.connection_stabilizer_gens(G2, verify_graph=GAMMA2)
 
 
 def test_expected_symmetry_order():
