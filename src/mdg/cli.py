@@ -287,16 +287,14 @@ def aut_report(n: int, target: str, full_search: bool, budget: int) -> Verificat
     rep = VerificationReport()
     formula = permgroups.expected_symmetry_order(n)
     G = groups.TensorGroup(n)
-    # the full-degree lifts are built only to seed the search
-    gamma = build_gamma(G) if full_search and target == "gamma" else None
-    lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma) if full_search else None
-
     def generated_order():
         S = graphs.xy_connection_set(G)
-        images = [p[S] for p in lifts] if full_search else permgroups.stabilizer_lift_images(G, S)
-        return permgroups.generated_order(G, S, images)
+        return permgroups.generated_order(G, S, permgroups.stabilizer_lift_images(G, S))
     rep.claim("generated-order", formula, generated_order)
     if full_search:
+        # the full-degree lifts are built only to seed the search
+        gamma = build_gamma(G) if target == "gamma" else None
+        lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma)
         r_gens = permgroups.right_mult_action(G)
         if target == "sigma":
             graph, info = graphs.sigma_graph(G)
@@ -339,6 +337,12 @@ def _emit(rep: VerificationReport, as_json: bool):
 def _check_n(n: int):
     if not 2 <= n <= f2.MAX_DIM:
         raise click.BadParameter(f"n must be in [2, {f2.MAX_DIM}]")
+
+
+def _check_full_degree(n: int, what: str):
+    """Anything built on all 2^(n^2+2n) codes of G needs n <= 3."""
+    if n > 3:
+        raise click.BadParameter(f"{what} is supported for n <= 3")
 
 
 def _dihedral_orders(ctx, param, value):
@@ -389,8 +393,7 @@ def verify_graphs(n, as_json):
     line-graph identifications, the quotient cover, the edge-affine
     witness and the transitivity flags."""
     _check_n(n)
-    if n > 3:
-        raise click.BadParameter("graph verification is supported for n <= 3")
+    _check_full_degree(n, "graph verification")
     _emit(graphs_report(n), as_json)
 
 
@@ -407,8 +410,8 @@ def aut(n, target, full_search, budget, as_json):
     """Compare the generated symmetry-group order against the closed-form
     value, optionally certifying it as the full automorphism group."""
     _check_n(n)
-    if full_search and n > 3:
-        raise click.BadParameter("the full automorphism search is supported for n <= 3")
+    if full_search:
+        _check_full_degree(n, "the full automorphism search")
     _emit(aut_report(n, target, full_search, budget), as_json)
 
 
@@ -424,8 +427,8 @@ def export(n, target, fmt, output):
     """Write a graph as a graph6 string or an edge list (deterministic
     bytes for a given target)."""
     _check_n(n)
-    if target != "kbip" and n > 3:
-        raise click.BadParameter(f"{target} export is supported for n <= 3")
+    if target != "kbip":
+        _check_full_degree(n, f"{target} export")
     if target == "kbip":
         graph = graphs.complete_bipartite(1 << n, 1 << n)
     elif target == "gamma":
@@ -446,8 +449,7 @@ def diagram(n, fmt):
     distance with inter-cell counts); at n=2 it is also diffed against the
     packaged reference data."""
     _check_n(n)
-    if n > 3:
-        raise click.BadParameter("diagram is supported for n <= 3")
+    _check_full_degree(n, "diagram")
     G = groups.TensorGroup(n)
     gamma = build_gamma(G)
     diag = permgroups.distance_diagram(

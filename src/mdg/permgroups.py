@@ -241,18 +241,17 @@ def right_mult_action(G, gens=None) -> list[np.ndarray]:
     return [right_mult_perm(G, g) for g in (G.gens if gens is None else gens)]
 
 
-def _split_codes(G, codes):
-    """The x, y and A fields of the given codes, as uint64 arrays, and the
-    codes' dtype.  By default the codes are every code, so that a lift's
-    images form a permutation of the vertices."""
-    codes = np.arange(G.order, dtype=np.int32) if codes is None else np.asarray(codes)
-    n, mask, c = G.n, np.uint64(f2.vec_mask(G.n)), codes.astype(np.uint64)
-    return c & mask, (c >> np.uint64(n)) & mask, c >> np.uint64(2 * n), codes.dtype
+def _split_codes(G, codes=None):
+    """The x, y and A fields of the given codes (default: every code), as
+    uint64 arrays."""
+    n, mask = G.n, np.uint64(f2.vec_mask(G.n))
+    codes = np.arange(G.order, dtype=np.uint64) if codes is None else np.asarray(codes, dtype=np.uint64)
+    return codes & mask, (codes >> np.uint64(n)) & mask, codes >> np.uint64(2 * n)
 
 
-def _encode_codes(G, x, y, a, dtype) -> np.ndarray:
+def _encode_codes(G, x, y, a) -> np.ndarray:
     n = G.n
-    return (x | (y << np.uint64(n)) | (a << np.uint64(2 * n))).astype(dtype)
+    return (x | (y << np.uint64(n)) | (a << np.uint64(2 * n))).astype(np.int32)
 
 
 def _vec_mat_codes(v, m: int, n: int):
@@ -284,30 +283,30 @@ def _transpose_codes(a, n: int):
 def x_side_lift(G, m: int, codes=None) -> np.ndarray:
     """Automorphism of the tensor group induced by an invertible matrix on
     the X side: x -> x.M, y fixed, A -> M^T A.  Returns the images of
-    ``codes`` (default: every code), in their dtype."""
+    ``codes`` (default: every code)."""
     n = G.n
-    x, y, a, dtype = _split_codes(G, codes)
+    x, y, a = _split_codes(G, codes)
     # M^T A = (A^T M)^T
     mt_a = _transpose_codes(_mat_mul_codes(_transpose_codes(a, n), m, n), n)
-    return _encode_codes(G, _vec_mat_codes(x, m, n), y, mt_a, dtype)
+    return _encode_codes(G, _vec_mat_codes(x, m, n), y, mt_a)
 
 
 def y_side_lift(G, m: int, codes=None) -> np.ndarray:
     """y -> y.M, x fixed, A -> A M."""
     n = G.n
-    x, y, a, dtype = _split_codes(G, codes)
-    return _encode_codes(G, x, _vec_mat_codes(y, m, n), _mat_mul_codes(a, m, n), dtype)
+    x, y, a = _split_codes(G, codes)
+    return _encode_codes(G, x, _vec_mat_codes(y, m, n), _mat_mul_codes(a, m, n))
 
 
 def swap_sides_perm(G, codes=None) -> np.ndarray:
     """The involution composing inversion with the swap of the two vector
     sides: (x, y, A) -> (y, x, outer(y, x) + A^T)."""
     n = G.n
-    x, y, a, dtype = _split_codes(G, codes)
+    x, y, a = _split_codes(G, codes)
     outer = np.zeros_like(a)
     for i in range(n):
         outer |= ((y >> np.uint64(i)) & np.uint64(1)) * (x << np.uint64(i * n))
-    return _encode_codes(G, y, x, outer ^ _transpose_codes(a, n), dtype)
+    return _encode_codes(G, y, x, outer ^ _transpose_codes(a, n))
 
 
 def stabilizer_lift_images(G, codes=None) -> list[np.ndarray]:
@@ -332,7 +331,7 @@ def connection_stabilizer_gens(G, verify_graph: graphs.Graph | None = None) -> l
 def _words(G, S, x_imgs, y_imgs) -> np.ndarray:
     """For each code (x, y, 0) of S, the product of x_imgs[i] over the bits
     i of x, then of y_imgs[j] over the bits j of y."""
-    x, y, _, _ = _split_codes(G, S)
+    x, y, _ = _split_codes(G, S)
     out = np.full(len(S), G.identity, dtype=np.uint64)
     for bits, imgs in ((x, x_imgs), (y, y_imgs)):
         for i, g in enumerate(imgs):
