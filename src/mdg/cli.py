@@ -115,10 +115,9 @@ def derived_orbit_partition(G, info):
     perms = [permgroups.induced_sigma_perm(info, permgroups.right_mult_perm(G, d))
              for d in derived_basis(G)]
     part = permgroups.orbits(perms, info.n_x + len(info.y_cosets))
-    cell_of = [0] * (info.n_x + len(info.y_cosets))
+    cell_of = np.empty(info.n_x + len(info.y_cosets), dtype=np.int64)
     for ci, cell in enumerate(part):
-        for v in cell:
-            cell_of[v] = ci
+        cell_of[cell] = ci
     return part, cell_of
 
 

@@ -40,10 +40,6 @@ def is_identity(p: np.ndarray) -> bool:
     return bool(np.all(p == np.arange(len(p), dtype=p.dtype)))
 
 
-def perm_key(p: np.ndarray) -> bytes:
-    return p.tobytes()
-
-
 class _Level:
     __slots__ = ("base", "gens", "inv_gens", "orbit", "pending")
 
@@ -83,17 +79,6 @@ class PermGroup:
             point = prev
         for gi in path:
             p = compose(p, level.inv_gens[gi])
-        return p
-
-    def _transversal(self, level: _Level, point: int) -> np.ndarray:
-        path = []
-        while point != level.base:
-            prev, gi = level.orbit[point]
-            path.append(gi)
-            point = prev
-        p = identity_perm(self.degree)
-        for gi in reversed(path):
-            p = compose(p, level.gens[gi])
         return p
 
     def _orbit_grow(self, level: _Level, seeds) -> None:
@@ -159,7 +144,7 @@ class PermGroup:
             level = self._levels[li]
             pt, gi = level.pending.pop()
             g = level.gens[gi]
-            u = self._transversal(level, pt)
+            u = inverse(self._transversal_inv_apply(level, identity_perm(self.degree), pt))
             p = compose(u, g)
             p = self._transversal_inv_apply(level, p, int(p[level.base]))
             residue, lj = self._sift_from(li + 1, p)
@@ -198,8 +183,7 @@ def orbits(gens, degree: int) -> list[list[int]]:
         if assigned[v]:
             continue
         orb = orbit_of(gens, v, degree)
-        for u in orb:
-            assigned[u] = True
+        assigned[orb] = True
         out.append(orb)
     return out
 
@@ -377,12 +361,11 @@ def expected_symmetry_order(n: int) -> int:
 def quotient_perm(partition: list[list[int]], cell_of, p: np.ndarray) -> np.ndarray:
     """Push a permutation down to the cells of an invariant partition;
     raises ValueError if some cell image straddles two cells."""
-    out = np.empty(len(partition), dtype=np.int32)
-    for ci, cell in enumerate(partition):
-        images = {cell_of[int(p[v])] for v in cell}
-        if len(images) != 1:
-            raise ValueError("permutation does not preserve the partition")
-        out[ci] = images.pop()
+    cell_of = np.asarray(cell_of)
+    images = cell_of[p]
+    out = images[[cell[0] for cell in partition]]
+    if not np.array_equal(images, out[cell_of]):
+        raise ValueError("permutation does not preserve the partition")
     return as_perm(out)
 
 
@@ -459,24 +442,16 @@ class TransitivityReport:
                 **{f"{i}-distance": v for i, v in self.distance.items()}}
 
 
-def _pair_orbit_count(stab_gens, pairs: set[tuple[int, int]]) -> int:
-    remaining = set(pairs)
-    count = 0
-    while remaining:
-        seed = min(remaining)
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            new = []
-            for (u, w) in frontier:
-                for g in stab_gens:
-                    img = (int(g[u]), int(g[w]))
-                    if img in remaining:
-                        remaining.discard(img)
-                        new.append(img)
-            frontier = new
-        count += 1
-    return count
+def _edge_action(graph: graphs.Graph, perms) -> list[np.ndarray]:
+    """Each automorphism's action on the edges, as permutations of the rows
+    of ``edge_array()``."""
+    u, w = graph.edge_array().T
+    keys = u * graph.n + w
+    out = []
+    for p in perms:
+        a, b = p[u].astype(np.int64), p[w].astype(np.int64)
+        out.append(np.searchsorted(keys, np.minimum(a, b) * graph.n + np.maximum(a, b)))
+    return out
 
 
 def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
@@ -502,30 +477,22 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
             raise ValueError("stabilizer generator moves the base vertex")
     vertex = len(orbit_of(gens + stab_gens, base, graph.n)) == graph.n
     dist, _ = graphs.bfs_layers(graph, base)
-    n1 = graph.neighbors(base).tolist()
-    arc = vertex and _pair_orbit_count(stab_gens, {(u, u) for u in n1}) == 1
+    # the stabilizer on the k neighbours of the base, and on the ordered
+    # neighbour pairs (i, j), named i * k + j
+    n1 = graph.neighbors(base)
+    k = len(n1)
+    local = [np.searchsorted(n1, g[n1]) for g in stab_gens]
+    arc = vertex and len(orbits(local, k)) == 1
     if arc or graph.edge_count() == 0:
         edge = arc
     else:
-        # fall back to a direct edge-orbit sweep under the full generator set
-        e0 = tuple(graph.edge_array()[0].tolist())
-        seen = {e0}
-        frontier = [e0]
-        while frontier:
-            new = []
-            for (u, w) in frontier:
-                for g in gens + stab_gens:
-                    a, b = int(g[u]), int(g[w])
-                    img = (a, b) if a < b else (b, a)
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-            frontier = new
-        edge = len(seen) == graph.edge_count()
-    pairs = {(u, w) for u in n1 for w in n1 if u != w}
-    two_arc = vertex and len(pairs) > 0 and _pair_orbit_count(stab_gens, pairs) == 1
-    geo = {(u, w) for (u, w) in pairs if not graph.has_edge(u, w)}
-    two_geodesic = vertex and len(geo) > 0 and _pair_orbit_count(stab_gens, geo) == 1
+        edge = len(orbits(_edge_action(graph, gens + stab_gens), graph.edge_count())) == 1
+    # the diagonal i == j is a union of pair orbits; one (i, j) per other orbit
+    pairs = orbits([(q[:, None] * k + q).ravel() for q in local], k * k)
+    off = [divmod(c[0], k) for c in pairs if c[0] // k != c[0] % k]
+    two_arc = vertex and len(off) == 1
+    geo = [(i, j) for i, j in off if not graph.has_edge(int(n1[i]), int(n1[j]))]
+    two_geodesic = vertex and len(geo) == 1
     cells = orbits(stab_gens, graph.n)
     layer_orbit_count = {}
     for cell in cells:
@@ -564,35 +531,16 @@ def induced_sigma_perm(info: graphs.SigmaInfo, p: np.ndarray) -> np.ndarray:
     return as_perm(np.concatenate(out))
 
 
-def bipartition(graph: graphs.Graph) -> tuple[list[int], list[int]]:
-    color = [-1] * graph.n
-    for start in range(graph.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            new = []
-            for u in frontier:
-                for w in graph.neighbors(u).tolist():
-                    if color[w] < 0:
-                        color[w] = 1 - color[u]
-                        new.append(w)
-                    elif color[w] == color[u]:
-                        raise ValueError("graph is not bipartite")
-            frontier = new
-    parts = ([v for v in range(graph.n) if color[v] == 0],
-             [v for v in range(graph.n) if color[v] == 1])
-    return parts
-
-
 def is_complete_bipartite(graph: graphs.Graph) -> tuple[int, int] | None:
-    try:
-        a, b = bipartition(graph)
-    except ValueError:
-        return None
-    if graph.edge_count() == len(a) * len(b):
-        return len(a), len(b)
+    """(|A|, |B|) if the graph is complete bipartite on B = N(0) and the
+    other vertices A, else None."""
+    in_b = np.zeros(graph.n, dtype=bool)
+    if graph.n:
+        in_b[graph.neighbors(0)] = True
+    u, w = graph.edge_array().T
+    nb = int(in_b.sum())
+    if np.all(in_b[u] != in_b[w]) and graph.edge_count() == (graph.n - nb) * nb:
+        return graph.n - nb, nb
     return None
 
 
@@ -603,66 +551,39 @@ class EdgeAffineWitness:
     failing_check: str | None = None
 
 
-def perm_closure(gens, degree: int, budget: int = 1 << 14) -> list[np.ndarray]:
-    gens = [as_perm(g) for g in gens]
-    seen = {perm_key(identity_perm(degree)): identity_perm(degree)}
-    frontier = list(seen.values())
-    for g in gens:
-        k = perm_key(g)
-        if k not in seen:
-            seen[k] = g
-            frontier.append(g)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                p = compose(a, g)
-                k = perm_key(p)
-                if k not in seen:
-                    seen[k] = p
-                    new.append(p)
-        if len(seen) > budget:
-            raise ValueError("permutation closure exceeded budget")
-        frontier = new
-    return list(seen.values())
-
-
 def edge_affine_witness(quotient: graphs.Graph, group_gens, candidate_gens) -> EdgeAffineWitness:
     """Verify that the candidate generators witness an edge-affine action
-    on a complete bipartite quotient: the subgroup they generate must be
+    on a complete bipartite quotient: every generator must be an
+    automorphism, and the subgroup the candidates generate must be
     elementary abelian of order m^2, normalised by every group generator,
     intransitive on vertices and regular on the m^2 edges."""
     parts = is_complete_bipartite(quotient)
     if parts is None or parts[0] != parts[1]:
         return EdgeAffineWitness(False, 0, "quotient is not a balanced complete bipartite graph")
+    group_gens = [as_perm(g) for g in group_gens]
+    candidate_gens = [as_perm(c) for c in candidate_gens]
+    if not are_automorphisms(quotient, group_gens + candidate_gens):
+        return EdgeAffineWitness(False, 0, "generator is not an automorphism of the quotient")
     m = parts[0]
-    sub = perm_closure(candidate_gens, quotient.n)
-    fail = lambda why: EdgeAffineWitness(False, len(sub), why)
-    if len(sub) != m * m:
-        return fail(f"subgroup order {len(sub)} != {m * m}")
-    for p in sub:
-        if not is_identity(compose(p, p)):
-            return fail("subgroup has an element of order > 2")
-    for p in candidate_gens:
-        for q in candidate_gens:
-            if not np.array_equal(compose(p, q), compose(q, p)):
-                return fail("candidate generators do not commute")
-    keys = {perm_key(p) for p in sub}
-    for g in group_gens:
-        g_inv = inverse(as_perm(g))
-        for c in candidate_gens:
-            if perm_key(compose(compose(g_inv, as_perm(c)), as_perm(g))) not in keys:
-                return fail("subgroup is not normalised by the group generators")
-    if len(orbits(list(candidate_gens), quotient.n)) < 2:
+    order = PermGroup(candidate_gens, quotient.n).order()
+    fail = lambda why: EdgeAffineWitness(False, order, why)
+    if order != m * m:
+        return fail(f"subgroup order {order} != {m * m}")
+    # generated by commuting involutions <=> elementary abelian
+    if not all(is_identity(compose(p, p)) for p in candidate_gens):
+        return fail("subgroup has an element of order > 2")
+    if any(not np.array_equal(compose(p, q), compose(q, p))
+           for p in candidate_gens for q in candidate_gens):
+        return fail("candidate generators do not commute")
+    conj = [compose(compose(inverse(g), c), g) for g in group_gens for c in candidate_gens]
+    if PermGroup(candidate_gens + conj, quotient.n).order() != order:
+        return fail("subgroup is not normalised by the group generators")
+    if len(orbits(candidate_gens, quotient.n)) < 2:
         return fail("subgroup is vertex-transitive")
-    e0 = quotient.edge_array()[0].tolist()
-    edge_orbit = set()
-    for p in sub:
-        a, b = int(p[e0[0]]), int(p[e0[1]])
-        edge_orbit.add((a, b) if a < b else (b, a))
-    if len(edge_orbit) != m * m:
+    # of order m^2, so transitive on the m^2 edges iff regular on them
+    if len(orbits(_edge_action(quotient, candidate_gens), m * m)) != 1:
         return fail("subgroup is not regular on the edges")
-    return EdgeAffineWitness(True, len(sub))
+    return EdgeAffineWitness(True, order)
 
 
 def line_graph_as_cayley(G, info: graphs.SigmaInfo, sigma: graphs.Graph,

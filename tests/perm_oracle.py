@@ -1,10 +1,17 @@
-"""The full-degree computation of the generated symmetry order, kept as
-the test oracle for ``permgroups.generated_order``: it checks every lift
-as a permutation of all |G| codes, so it is practical at n <= 3 only."""
+"""Test oracles for mdg.permgroups, kept from earlier designs of it.
+
+``order_with_regular_normal_subgroup`` is the full-degree computation of
+the generated symmetry order, the oracle for ``generated_order``: it checks
+every lift as a permutation of all |G| codes, so it is practical at n <= 3
+only.  The transitivity flags, the complete-bipartite test and the
+edge-affine witness below search sets of vertex pairs, edges and subgroup
+elements directly instead of counting orbits of induced actions."""
 
 import numpy as np
 
-from mdg.permgroups import PermGroup, compose, inverse, right_mult_perm
+from mdg import graphs
+from mdg.permgroups import (PermGroup, are_automorphisms, as_perm, compose, identity_perm,
+                            inverse, is_identity, orbit_of, orbits, right_mult_perm)
 
 
 def order_with_regular_normal_subgroup(G, stab_gens) -> int:
@@ -27,3 +34,144 @@ def order_with_regular_normal_subgroup(G, stab_gens) -> int:
             if not np.array_equal(conj, right_mult_perm(G, t)):
                 raise ValueError("stabilizer generator does not normalise the regular action")
     return G.order * PermGroup(list(stab_gens), G.order).order()
+
+
+# -- the set-based searches that permgroups replaced by orbit counting -----
+
+def _pair_orbit_count(stab_gens, pairs: set[tuple[int, int]]) -> int:
+    remaining = set(pairs)
+    count = 0
+    while remaining:
+        seed = min(remaining)
+        frontier = [seed]
+        remaining.discard(seed)
+        while frontier:
+            new = []
+            for (u, w) in frontier:
+                for g in stab_gens:
+                    img = (int(g[u]), int(g[w]))
+                    if img in remaining:
+                        remaining.discard(img)
+                        new.append(img)
+            frontier = new
+        count += 1
+    return count
+
+
+def transitivity_flags(graph, gens, stab_gens, base: int = 0) -> dict:
+    """``transitivity_report(...).flags()`` by breadth-first search over
+    sets of vertex pairs and of edges."""
+    gens = [as_perm(g) for g in gens]
+    stab_gens = [as_perm(g) for g in stab_gens]
+    if not are_automorphisms(graph, gens + stab_gens):
+        raise ValueError("generator is not a graph automorphism")
+    vertex = len(orbit_of(gens + stab_gens, base, graph.n)) == graph.n
+    dist, _ = graphs.bfs_layers(graph, base)
+    n1 = graph.neighbors(base).tolist()
+    arc = vertex and _pair_orbit_count(stab_gens, {(u, u) for u in n1}) == 1
+    if arc or graph.edge_count() == 0:
+        edge = arc
+    else:
+        e0 = tuple(graph.edge_array()[0].tolist())
+        seen = {e0}
+        frontier = [e0]
+        while frontier:
+            new = []
+            for (u, w) in frontier:
+                for g in gens + stab_gens:
+                    a, b = int(g[u]), int(g[w])
+                    img = (a, b) if a < b else (b, a)
+                    if img not in seen:
+                        seen.add(img)
+                        new.append(img)
+            frontier = new
+        edge = len(seen) == graph.edge_count()
+    pairs = {(u, w) for u in n1 for w in n1 if u != w}
+    two_arc = vertex and len(pairs) > 0 and _pair_orbit_count(stab_gens, pairs) == 1
+    geo = {(u, w) for (u, w) in pairs if not graph.has_edge(u, w)}
+    two_geodesic = vertex and len(geo) > 0 and _pair_orbit_count(stab_gens, geo) == 1
+    layer_orbit_count = {}
+    for cell in orbits(stab_gens, graph.n):
+        d = dist[cell[0]]
+        layer_orbit_count[d] = layer_orbit_count.get(d, 0) + 1
+    return {"vertex": vertex, "edge": edge, "arc": arc, "2-arc": two_arc,
+            "2-geodesic": two_geodesic,
+            **{f"{i}-distance": vertex and layer_orbit_count.get(i, 0) == 1 for i in (1, 2, 3)}}
+
+
+def bipartition(graph) -> tuple[list[int], list[int]]:
+    color = [-1] * graph.n
+    for start in range(graph.n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        frontier = [start]
+        while frontier:
+            new = []
+            for u in frontier:
+                for w in graph.neighbors(u).tolist():
+                    if color[w] < 0:
+                        color[w] = 1 - color[u]
+                        new.append(w)
+                    elif color[w] == color[u]:
+                        raise ValueError("graph is not bipartite")
+            frontier = new
+    return ([v for v in range(graph.n) if color[v] == 0],
+            [v for v in range(graph.n) if color[v] == 1])
+
+
+def is_complete_bipartite(graph) -> tuple[int, int] | None:
+    try:
+        a, b = bipartition(graph)
+    except ValueError:
+        return None
+    if graph.edge_count() == len(a) * len(b):
+        return len(a), len(b)
+    return None
+
+
+def perm_closure(gens, degree: int, budget: int = 1 << 14) -> list[np.ndarray]:
+    """Every element of <gens>, by breadth-first products keyed by bytes."""
+    gens = [as_perm(g) for g in gens]
+    seen = {identity_perm(degree).tobytes(): identity_perm(degree)}
+    frontier = list(seen.values())
+    for g in gens:
+        if g.tobytes() not in seen:
+            seen[g.tobytes()] = g
+            frontier.append(g)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                p = compose(a, g)
+                if p.tobytes() not in seen:
+                    seen[p.tobytes()] = p
+                    new.append(p)
+        if len(seen) > budget:
+            raise ValueError("permutation closure exceeded budget")
+        frontier = new
+    return list(seen.values())
+
+
+def edge_affine_witness(quotient, group_gens, candidate_gens) -> tuple[bool, int]:
+    """(ok, subgroup order) of ``permgroups.edge_affine_witness`` by listing
+    every subgroup element.  Sound only for generators that are
+    automorphisms of the quotient: it never checks that they are."""
+    parts = is_complete_bipartite(quotient)
+    if parts is None or parts[0] != parts[1]:
+        return False, 0
+    m = parts[0]
+    sub = perm_closure(candidate_gens, quotient.n)
+    if len(sub) != m * m or any(not is_identity(compose(p, p)) for p in sub):
+        return False, len(sub)
+    keys = {p.tobytes() for p in sub}
+    for g in group_gens:
+        g_inv = inverse(as_perm(g))
+        for c in candidate_gens:
+            if compose(compose(g_inv, as_perm(c)), as_perm(g)).tobytes() not in keys:
+                return False, len(sub)
+    if len(orbits(list(candidate_gens), quotient.n)) < 2:
+        return False, len(sub)
+    e0 = quotient.edge_array()[0].tolist()
+    edge_orbit = {tuple(sorted((int(p[e0[0]]), int(p[e0[1]])))) for p in sub}
+    return len(edge_orbit) == m * m, len(sub)

@@ -272,3 +272,27 @@ def test_graph_counts_are_python_ints():
     for g in (gamma, sigma):
         assert type(g.n) is int and type(g.edge_count()) is int and type(g.is_regular()) is int
     assert graphs.Graph(3, [(0, 1)]).is_regular() is None
+
+
+# Reports recorded before the orbit-counting rewrite of permgroups, with the
+# per-claim "ms" timings removed; every other byte must stay the same.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_ARGS = {
+    "verify-group-n2": ["verify", "group", "-n", "2"],
+    "verify-group-n3": ["verify", "group", "-n", "3"],
+    "verify-graphs-n2": ["verify", "graphs", "-n", "2"],
+    "verify-graphs-n3": ["verify", "graphs", "-n", "3"],
+    "aut-sigma-full-search-n2": ["aut", "-n", "2", "--target", "sigma", "--full-search"],
+    "aut-sigma-full-search-n3": ["aut", "-n", "3", "--target", "sigma", "--full-search"],
+    "aut-gamma-full-search-n2": ["aut", "-n", "2", "--target", "gamma", "--full-search"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
+def test_report_matches_golden(name):
+    r = run(*GOLDEN_ARGS[name], "--json")
+    assert r.exit_code == 0, r.output
+    doc = json.loads(r.output)
+    for claim in doc["claims"]:
+        del claim["ms"]
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == (GOLDEN / f"{name}.json").read_text()

@@ -15,6 +15,9 @@ KEY_LINES = {
     "02_graphs_and_cover.py": ["clique graph == coset graph: True",
                                "quotient is complete bipartite: (4, 4)"],
     "03_symmetry.py": ["generated symmetry order: 18432 == formula: True",
+                       "Cayley graph transitivity: {'vertex': True, 'edge': True, 'arc': True, "
+                       "'2-arc': False, '2-geodesic': True, '1-distance': True, "
+                       "'2-distance': True, '3-distance': False}",
                        "coset graph 2-arc-transitive: True"],
 }
 

@@ -1,9 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import perm_oracle
-from mdg import cli, f2, graphs, groups, permgroups as pg
+from mdg import autsearch, cli, f2, graphs, groups, permgroups as pg
+
+try:
+    import networkx as nx
+except ImportError:
+    nx = None
+needs_networkx = pytest.mark.skipif(nx is None, reason="networkx is not installed")
 
 
 G2 = groups.TensorGroup(2)
@@ -330,3 +338,195 @@ def test_orbit_of_on_sigma3_is_everything():
     sigma_lifts = [pg.induced_sigma_perm(info, p) for p in pg.connection_stabilizer_gens(G)]
     gens = cli.sigma_action_gens(sigma_r, sigma_lifts)
     assert pg.orbit_of(gens, 0, sigma.n) == list(range(sigma.n))
+
+
+# -- orbit counting against the set-based searches it replaced -------------
+
+def cycles(degree, *cycs):
+    """The permutation of range(degree) with the given cycles."""
+    p = list(range(degree))
+    for c in cycs:
+        for a, b in zip(c, c[1:] + c[:1]):
+            p[a] = b
+    return pg.as_perm(p)
+
+
+@pytest.mark.parametrize("graph, gens, stab", [
+    (GAMMA2, R2, LIFTS2),
+    (SIGMA2, cli.sigma_action_gens(*([pg.induced_sigma_perm(INFO2, p) for p in ps]
+                                     for ps in (R2, LIFTS2))),
+     cli.sigma_stab_gens(*([pg.induced_sigma_perm(INFO2, p) for p in ps] for ps in (R2, LIFTS2)))),
+    (SIGMA2, [pg.induced_sigma_perm(INFO2, p) for p in R2], []),  # edge flag from the edge action
+])
+def test_transitivity_flags_are_python_bools(graph, gens, stab):
+    flags = pg.transitivity_report(graph, gens, stab).flags()
+    assert all(type(v) is bool for v in flags.values()), flags
+
+
+# Graphs on at most 9 vertices: any edge set, or a circulant (vertex-transitive).
+small_graphs = st.one_of(
+    st.integers(min_value=0, max_value=9).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+            lambda bits: graphs.Graph(n, [e for e, b in zip(itertools.combinations(range(n), 2), bits)
+                                          if b]))),
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.sets(st.integers(1, max(1, n // 2))).map(
+            lambda jumps: graphs.Graph(n, {tuple(sorted((v, (v + j) % n)))
+                                           for v in range(n) for j in jumps if j % n}))))
+
+
+@given(small_graphs.filter(lambda g: g.n > 0), st.sampled_from(["all", "subset", "none"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_transitivity_report_matches_the_pair_search(graph, mode, data):
+    found = autsearch.automorphism_group(graph).gens
+    if mode == "subset":
+        found = [g for g, keep in zip(found, data.draw(st.lists(
+            st.booleans(), min_size=len(found), max_size=len(found)))) if keep]
+    gens = [] if mode == "none" else found
+    stab = [g for g in gens if g[0] == 0]
+    flags = pg.transitivity_report(graph, gens, stab).flags()
+    assert flags == perm_oracle.transitivity_flags(graph, gens, stab)
+    assert all(type(v) is bool for v in flags.values())
+
+
+@st.composite
+def complete_bipartite_like(draw):
+    """K(A, B) with some vertices in neither part, and up to two vertex
+    pairs toggled."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    side = draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n))
+    edges = {(u, w) for u, w in itertools.combinations(range(n), 2) if {side[u], side[w]} == {"A", "B"}}
+    if n > 1:
+        for u, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+            if u != w:
+                edges ^= {(min(u, w), max(u, w))}
+    return graphs.Graph(n, sorted(edges))
+
+
+bipartite_cases = [graphs.Graph(0), graphs.Graph(6), graphs.Graph(5, [(1, 3), (1, 4), (2, 3), (2, 4)]),
+                   graphs.Graph(5, [(0, 2), (0, 3), (1, 2), (1, 3)])]
+
+
+def _with_examples(test):
+    for g in bipartite_cases:
+        test = example(g)(test)
+    return test
+
+
+@_with_examples
+@given(st.one_of(complete_bipartite_like(), small_graphs))
+@settings(max_examples=300, deadline=None)
+def test_is_complete_bipartite_matches_the_bfs_oracle(graph):
+    assert pg.is_complete_bipartite(graph) == perm_oracle.is_complete_bipartite(graph)
+
+
+@needs_networkx
+@_with_examples
+@given(st.one_of(complete_bipartite_like(), small_graphs))
+@settings(max_examples=200, deadline=None)
+def test_is_complete_bipartite_matches_networkx(graph):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(graph.n))
+    ref.add_edges_from(graph.edge_array().tolist())
+    got = pg.is_complete_bipartite(graph)
+    if got is None:
+        assert not any(nx.is_isomorphic(ref, nx.complete_bipartite_graph(a, graph.n - a))
+                       for a in range(graph.n + 1))
+    else:
+        assert sum(got) == graph.n and nx.is_isomorphic(ref, nx.complete_bipartite_graph(*got))
+
+
+def _kmm_automorphisms(m, rnd, count):
+    """Random automorphisms of K(m, m): a permutation of each side, then a
+    swap of the sides half of the time."""
+    out = []
+    for _ in range(count):
+        a, b = rnd.sample(range(m), m), rnd.sample(range(m, 2 * m), m)
+        out.append(pg.as_perm(b + a if rnd.random() < 0.5 else a + b))
+    return out
+
+
+def _kmm_translations(m):
+    """The elementary abelian group of order m^2 acting by XOR on each side
+    of K(m, m), m a power of two: an edge-affine witness."""
+    bits = [1 << i for i in range(m.bit_length() - 1)]
+    return ([pg.as_perm([v ^ t if v < m else v for v in range(2 * m)]) for t in bits]
+            + [pg.as_perm([v if v < m else m + ((v - m) ^ t) for v in range(2 * m)]) for t in bits])
+
+
+@given(st.sampled_from([2, 4]), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_edge_affine_witness_matches_the_closure_oracle(m, rnd):
+    kmm = graphs.complete_bipartite(m, m)
+    h = _kmm_automorphisms(m, rnd, 1)[0]
+    conj = lambda p: pg.compose(pg.compose(pg.inverse(h), p), h)
+    kind = rnd.choice(["random", "pairs", "witness", "drop", "replace"])
+    if kind == "random":
+        candidate = _kmm_automorphisms(m, rnd, rnd.randint(0, 4))
+    elif kind == "pairs":  # order m^2 only for m <= 4; a witness only for m = 2
+        candidate = [conj(cycles(2 * m, [2 * i, 2 * i + 1])) for i in range(m)]
+    else:
+        candidate = [conj(t) for t in _kmm_translations(m)]
+        if kind != "witness":
+            i = rnd.randrange(len(candidate))
+            candidate[i:i + 1] = [] if kind == "drop" else _kmm_automorphisms(m, rnd, 1)
+    swap = pg.as_perm([(v + m) % (2 * m) for v in range(2 * m)])
+    extra = rnd.sample([conj(swap)] + _kmm_automorphisms(m, rnd, 2), rnd.randint(0, 2))
+    w = pg.edge_affine_witness(kmm, candidate + extra, candidate)
+    assert (w.ok, w.subgroup_order) == perm_oracle.edge_affine_witness(kmm, candidate + extra, candidate)
+
+
+K22, K44 = graphs.complete_bipartite(2, 2), graphs.complete_bipartite(4, 4)
+WREATH44 = [cycles(8, [0, 1, 2, 3]), cycles(8, [0, 1]), cycles(8, [4, 5, 6, 7]), cycles(8, [4, 5]),
+            cycles(8, [0, 4], [1, 5], [2, 6], [3, 7])]
+PAIRS44 = [cycles(8, [0, 1]), cycles(8, [2, 3]), cycles(8, [4, 5]), cycles(8, [6, 7])]
+# the dihedral group of order 16 on the 8-cycle 0 4 1 5 2 6 3 7: two
+# non-commuting involutions, each of which keeps or swaps the two sides
+RING = [0, 4, 1, 5, 2, 6, 3, 7]
+
+
+def ring_reflection(shift):
+    p = [0] * 8
+    for i, v in enumerate(RING):
+        p[v] = RING[(shift - i) % 8]
+    return pg.as_perm(p)
+
+
+D16 = [ring_reflection(0), ring_reflection(1)]
+
+
+WITNESS_FAILURES = [
+    (graphs.complete_bipartite(2, 3), [], [], "not a balanced complete bipartite"),
+    (graphs.Graph(4, [(0, 1), (1, 2), (2, 3)]), [], [], "not a balanced complete bipartite"),
+    (K22, [cycles(4, [1, 2]), cycles(4, [0, 3])], [cycles(4, [1, 2]), cycles(4, [0, 3])],
+     "not an automorphism"),
+    (K22, [], [cycles(4, [0, 1])], "subgroup order 2 != 4"),
+    (K22, [], [cycles(4, [0, 2, 1, 3])], "element of order > 2"),
+    (K44, D16, D16, "do not commute"),
+    (K44, WREATH44, PAIRS44, "not normalised"),
+    (K22, [], [cycles(4, [0, 2], [1, 3]), cycles(4, [0, 1], [2, 3])], "vertex-transitive"),
+    (K44, PAIRS44, PAIRS44, "not regular on the edges"),
+]
+
+
+@pytest.mark.parametrize("quotient, group_gens, candidate, message", WITNESS_FAILURES,
+                         ids=[case[-1] for case in WITNESS_FAILURES])
+def test_edge_affine_witness_failure_branches(quotient, group_gens, candidate, message):
+    w = pg.edge_affine_witness(quotient, group_gens, candidate)
+    assert not w.ok and message in w.failing_check
+
+
+def test_edge_affine_witness_rejects_non_automorphisms():
+    # both are involutions fixing a vertex of each side, so they generate a
+    # group of order 4 with an edge orbit of size 4, but (1 2) maps the
+    # edge {0, 2} to the non-edge {0, 1}
+    gens = [cycles(4, [1, 2]), cycles(4, [0, 3])]
+    assert not pg.is_automorphism(K22, gens[0])
+    w = pg.edge_affine_witness(K22, gens, gens)
+    assert not w.ok and "not an automorphism" in w.failing_check
+
+
+def test_quotient_perm_rejects_a_permutation_of_the_first_members_only():
+    # the first members 0 and 2 stay in distinct cells, but 1 joins 2's cell
+    with pytest.raises(ValueError, match="partition"):
+        pg.quotient_perm([[0, 1], [2, 3]], np.array([0, 0, 1, 1]), pg.as_perm([1, 2, 3, 0]))
