@@ -489,7 +489,7 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
         edge = len(orbits(_edge_action(graph, gens + stab_gens), graph.edge_count())) == 1
     # the diagonal i == j is a union of pair orbits; one (i, j) per other orbit
     pairs = orbits([(q[:, None] * k + q).ravel() for q in local], k * k)
-    off = [divmod(c[0], k) for c in pairs if c[0] // k != c[0] % k]
+    off = [(i, j) for i, j in (divmod(c[0], k) for c in pairs) if i != j]
     two_arc = vertex and len(off) == 1
     geo = [(i, j) for i, j in off if not graph.has_edge(int(n1[i]), int(n1[j]))]
     two_geodesic = vertex and len(geo) == 1

@@ -351,13 +351,15 @@ def cycles(degree, *cycs):
     return pg.as_perm(p)
 
 
+SIGMA_R2 = [pg.induced_sigma_perm(INFO2, p) for p in R2]
+SIGMA_LIFTS2 = [pg.induced_sigma_perm(INFO2, p) for p in LIFTS2]
+
+
 @pytest.mark.parametrize("graph, gens, stab", [
     (GAMMA2, R2, LIFTS2),
-    (SIGMA2, cli.sigma_action_gens(*([pg.induced_sigma_perm(INFO2, p) for p in ps]
-                                     for ps in (R2, LIFTS2))),
-     cli.sigma_stab_gens(*([pg.induced_sigma_perm(INFO2, p) for p in ps] for ps in (R2, LIFTS2)))),
-    (SIGMA2, [pg.induced_sigma_perm(INFO2, p) for p in R2], []),  # edge flag from the edge action
-])
+    (SIGMA2, cli.sigma_action_gens(SIGMA_R2, SIGMA_LIFTS2), cli.sigma_stab_gens(SIGMA_R2, SIGMA_LIFTS2)),
+    (SIGMA2, SIGMA_R2, []),  # not arc-transitive: the edge flag comes from the edge action
+], ids=["gamma2", "sigma2", "sigma2-regular-action"])
 def test_transitivity_flags_are_python_bools(graph, gens, stab):
     flags = pg.transitivity_report(graph, gens, stab).flags()
     assert all(type(v) is bool for v in flags.values()), flags
