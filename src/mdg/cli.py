@@ -435,7 +435,11 @@ def export(n, target, fmt, output):
     else:
         graph, _ = graphs.sigma_graph(groups.TensorGroup(n))
     text = graphs.to_graph6(graph) + "\n" if fmt == "graph6" else graphs.to_edgelist(graph)
-    with click.open_file(output, "w") as f:
+    try:
+        f = click.open_file(output, "w")
+    except OSError as e:
+        raise click.BadParameter(f"{output!r}: {e.strerror}", param_hint="'-o' / '--output'") from None
+    with f:
         f.write(text)
 
 

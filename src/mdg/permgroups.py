@@ -225,72 +225,24 @@ def right_mult_action(G, gens=None) -> list[np.ndarray]:
     return [right_mult_perm(G, g) for g in (G.gens if gens is None else gens)]
 
 
-def _split_codes(G, codes=None):
-    """The x, y and A fields of the given codes (default: every code), as
-    uint64 arrays."""
-    n, mask = G.n, np.uint64(f2.vec_mask(G.n))
-    codes = np.arange(G.order, dtype=np.uint64) if codes is None else np.asarray(codes, dtype=np.uint64)
-    return codes & mask, (codes >> np.uint64(n)) & mask, codes >> np.uint64(2 * n)
-
-
-def _encode_codes(G, x, y, a) -> np.ndarray:
-    n = G.n
-    return (x | (y << np.uint64(n)) | (a << np.uint64(2 * n))).astype(np.int32)
-
-
-def _vec_mat_codes(v, m: int, n: int):
-    """Row vectors times a fixed matrix: XOR of the rows of m selected by
-    the bits of each entry of the uint64 array v."""
-    out = np.zeros_like(v)
-    for i in range(n):
-        out ^= ((v >> np.uint64(i)) & np.uint64(1)) * np.uint64(f2.mat_row(m, i, n))
-    return out
-
-
-def _mat_mul_codes(a, m: int, n: int):
-    """Matrices times a fixed matrix: row i of A.M is row_i(A) . M."""
-    mask = np.uint64(f2.vec_mask(n))
-    out = np.zeros_like(a)
-    for i in range(n):
-        out |= _vec_mat_codes((a >> np.uint64(i * n)) & mask, m, n) << np.uint64(i * n)
-    return out
-
-
-def _transpose_codes(a, n: int):
-    out = np.zeros_like(a)
-    for i in range(n):
-        for j in range(n):
-            out |= ((a >> np.uint64(i * n + j)) & np.uint64(1)) << np.uint64(j * n + i)
-    return out
-
-
 def x_side_lift(G, m: int, codes=None) -> np.ndarray:
     """Automorphism of the tensor group induced by an invertible matrix on
-    the X side: x -> x.M, y fixed, A -> M^T A.  Returns the images of
-    ``codes`` (default: every code)."""
-    n = G.n
-    x, y, a = _split_codes(G, codes)
-    # M^T A = (A^T M)^T
-    mt_a = _transpose_codes(_mat_mul_codes(_transpose_codes(a, n), m, n), n)
-    return _encode_codes(G, _vec_mat_codes(x, m, n), y, mt_a)
+    the X side: x_i -> row_i(M), the y_j fixed, so x -> x.M and A -> M^T A.
+    Returns the images of ``codes`` (default: every code)."""
+    xs = [G.encode(f2.mat_row(m, i, G.n), 0, 0) for i in range(G.n)]
+    return G.word_images(xs, G.y_gens, codes).astype(np.int32)
 
 
 def y_side_lift(G, m: int, codes=None) -> np.ndarray:
-    """y -> y.M, x fixed, A -> A M."""
-    n = G.n
-    x, y, a = _split_codes(G, codes)
-    return _encode_codes(G, x, _vec_mat_codes(y, m, n), _mat_mul_codes(a, m, n))
+    """y_j -> row_j(M), the x_i fixed, so y -> y.M and A -> A M."""
+    ys = [G.encode(0, f2.mat_row(m, j, G.n), 0) for j in range(G.n)]
+    return G.word_images(G.x_gens, ys, codes).astype(np.int32)
 
 
 def swap_sides_perm(G, codes=None) -> np.ndarray:
-    """The involution composing inversion with the swap of the two vector
-    sides: (x, y, A) -> (y, x, outer(y, x) + A^T)."""
-    n = G.n
-    x, y, a = _split_codes(G, codes)
-    outer = np.zeros_like(a)
-    for i in range(n):
-        outer |= ((y >> np.uint64(i)) & np.uint64(1)) * (x << np.uint64(i * n))
-    return _encode_codes(G, y, x, outer ^ _transpose_codes(a, n))
+    """The involution swapping x_i and y_i:
+    (x, y, A) -> (y, x, outer(y, x) + A^T)."""
+    return G.word_images(G.y_gens, G.x_gens, codes).astype(np.int32)
 
 
 def stabilizer_lift_images(G, codes=None) -> list[np.ndarray]:
@@ -312,18 +264,6 @@ def connection_stabilizer_gens(G, verify_graph: graphs.Graph | None = None) -> l
     return perms
 
 
-def _words(G, S, x_imgs, y_imgs) -> np.ndarray:
-    """For each code (x, y, 0) of S, the product of x_imgs[i] over the bits
-    i of x, then of y_imgs[j] over the bits j of y."""
-    x, y, _ = _split_codes(G, S)
-    out = np.full(len(S), G.identity, dtype=np.uint64)
-    for bits, imgs in ((x, x_imgs), (y, y_imgs)):
-        for i, g in enumerate(imgs):
-            hit = ((bits >> np.uint64(i)) & np.uint64(1)).astype(bool)
-            out = G.mul_vec(out, np.where(hit, np.uint64(g), np.uint64(G.identity)))
-    return out.astype(np.int64)
-
-
 def generated_order(G, S, images) -> int:
     """Order of <R(G), lifts> for the tensor group G, from each lift's
     images of the sorted connection set S = (X u Y) \\ {1}.
@@ -336,7 +276,7 @@ def generated_order(G, S, images) -> int:
     S = np.asarray(S, dtype=np.int64)
     at = np.searchsorted(S, G.gens)
     if (np.any(np.diff(S) <= 0) or not np.array_equal(S[at % len(S)], G.gens)
-            or not np.array_equal(_words(G, S, G.x_gens, G.y_gens), S)):
+            or not np.array_equal(G.word_images(G.x_gens, G.y_gens, S), S)):
         raise ValueError("S is not a sorted set of generators and their words")
     perms = []
     for img in images:
@@ -346,7 +286,7 @@ def generated_order(G, S, images) -> int:
         xs, ys = img[at[:G.n]].tolist(), img[at[G.n:]].tolist()
         if not groups.relations_hold(G, xs, ys):
             raise ValueError("lift's generator images break a defining relation")
-        if not np.array_equal(_words(G, S, xs, ys), img):
+        if not np.array_equal(G.word_images(xs, ys, S), img):
             raise ValueError("lift differs from the automorphism its generator images define")
         perms.append(np.searchsorted(S, img))
     return G.order * PermGroup(perms, len(S)).order()

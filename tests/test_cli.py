@@ -130,6 +130,19 @@ def test_full_degree_commands_above_n3_are_usage_errors(args):
     assert "supported for n <= 3" in r.stderr
 
 
+def test_export_to_a_directory_is_a_usage_error(tmp_path):
+    r = run_fresh("export", "-n", "2", "-o", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "Invalid value for '-o'" in r.stderr
+
+
+def test_export_into_a_missing_directory_is_a_usage_error(tmp_path):
+    r = run_fresh("export", "-n", "2", "-o", str(tmp_path / "missing" / "x.g6"))
+    assert r.returncode == 2, r.stderr
+    assert "Invalid value for '-o'" in r.stderr
+    assert not (tmp_path / "missing").exists()
+
+
 def test_export_kbip_n4_is_allowed():
     r = run("export", "-n", "4", "--target", "kbip")
     assert r.exit_code == 0, r.output
@@ -285,6 +298,13 @@ GOLDEN_ARGS = {
     "aut-sigma-full-search-n2": ["aut", "-n", "2", "--target", "sigma", "--full-search"],
     "aut-sigma-full-search-n3": ["aut", "-n", "3", "--target", "sigma", "--full-search"],
     "aut-gamma-full-search-n2": ["aut", "-n", "2", "--target", "gamma", "--full-search"],
+    # recorded before the lifts became generator images through
+    # TensorGroup.word_images: the lifts on S, and the full-degree lifts
+    # as search seeds on gamma
+    "aut-n2": ["aut", "-n", "2"],
+    "aut-n3": ["aut", "-n", "3"],
+    "aut-n4": ["aut", "-n", "4"],
+    "aut-gamma-full-search-n3": ["aut", "-n", "3", "--target", "gamma", "--full-search"],
 }
 
 
@@ -296,3 +316,13 @@ def test_report_matches_golden(name):
     for claim in doc["claims"]:
         del claim["ms"]
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == (GOLDEN / f"{name}.json").read_text()
+
+
+# The stdout of ``diagram``, recorded at the same time as the aut reports
+# above; its cells are the orbits of the full-degree lifts.
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("table", "txt")])
+def test_diagram_matches_golden(n, fmt, ext):
+    r = run("diagram", "-n", n, "--format", fmt)
+    assert r.exit_code == 0, r.output
+    assert r.output == (GOLDEN / f"diagram-{fmt}-n{n}.{ext}").read_text()

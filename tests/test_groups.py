@@ -211,9 +211,27 @@ def test_center_of_s3_and_dihedral_products():
                                 if all(D.mul(z, h) == D.mul(h, z) for h in D.elements())]
 
 
-def test_center_above_the_double_check_size():
-    # order 160,800 > 2^16, so only the generator test runs; D_2m has a
-    # center of order 2 for even m and 1 for odd m
+def brute_center(G):
+    """The center by its definition: the codes commuting with every code.
+    Each code is screened against the first 64 codes, then the survivors
+    against all of them, in blocks of about 2^21 products."""
+    codes = np.arange(G.order)
+    cand = codes
+    for others in (codes[:64], codes):
+        cand = cand[np.concatenate([
+            (G.mul_vec(block[:, None], others) == G.mul_vec(others, block[:, None])).all(axis=1)
+            for block in np.array_split(cand, max(1, len(cand) * len(others) >> 21))])]
+    return cand.tolist()
+
+
+@pytest.mark.parametrize("G", [G2, groups.TensorGroup(3), BACKENDS["table-s3"],
+                               groups.DihedralProduct(3, 4)], ids=lambda G: str(G.order))
+def test_center_matches_the_brute_force_definition(G):
+    assert groups.center(G) == brute_center(G)
+
+
+def test_center_of_a_large_dihedral_product():
+    # order 160,800; D_2m has a center of order 2 for even m and 1 for odd m
     D = groups.DihedralProduct(200, 201)
     z = groups.center(D)
     assert len(z) == 2 and z[0] == 0

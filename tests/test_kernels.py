@@ -1,7 +1,8 @@
 """Differential tests of the numpy kernels against scalar oracles that
 share no code with them: per-element F_2 formulas for the stabilizer
-lifts, per-coset set lookups for the induced coset action, and the
-dictionary-bucket refinement for ``autsearch.refine``."""
+lifts, scalar products for ``TensorGroup.word_images``, per-coset set
+lookups for the induced coset action, and the dictionary-bucket
+refinement for ``autsearch.refine``."""
 
 import random
 
@@ -72,7 +73,7 @@ def sample_codes(G):
     return random.Random(G.n).sample(range(G.order), 4096)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_lifts_match_scalar_formulas(n):
     G = groups.TensorGroup(n)
     codes = sample_codes(G)
@@ -82,14 +83,54 @@ def test_lifts_match_scalar_formulas(n):
     for m in gens[1:]:
         product = f2.mat_mul(product, m, n)
     for m in gens + [product]:
-        x_lift, y_lift = pg.x_side_lift(G, m), pg.y_side_lift(G, m)
-        assert [int(x_lift[c]) for c in codes] == [scalar_x_lift(G, m, c) for c in codes]
-        assert [int(y_lift[c]) for c in codes] == [scalar_y_lift(G, m, c) for c in codes]
-    swap = pg.swap_sides_perm(G)
-    assert [int(swap[c]) for c in codes] == [scalar_swap(G, c) for c in codes]
-    for p in (x_lift, y_lift, swap):
-        assert p.dtype == np.int32 and len(p) == G.order
+        assert pg.x_side_lift(G, m, codes).tolist() == [scalar_x_lift(G, m, c) for c in codes]
+        assert pg.y_side_lift(G, m, codes).tolist() == [scalar_y_lift(G, m, c) for c in codes]
+    assert pg.swap_sides_perm(G, codes).tolist() == [scalar_swap(G, c) for c in codes]
+    if n > 3:
+        return
+    # the full-degree arrays are permutations that agree with the images
+    for p, on in ((pg.x_side_lift(G, m), pg.x_side_lift(G, m, codes)),
+                  (pg.y_side_lift(G, m), pg.y_side_lift(G, m, codes)),
+                  (pg.swap_sides_perm(G), pg.swap_sides_perm(G, codes))):
+        assert p.dtype == on.dtype == np.int32 and len(p) == G.order
         pg.as_perm(p)
+        assert np.array_equal(p[codes], on)
+
+
+def scalar_word_image(G, x_imgs, y_imgs, comms, code):
+    """One code's image, one scalar product at a time: the x-word, the
+    y-word, then comms[i][j] = [x_imgs[i], y_imgs[j]] for each set entry
+    (i, j) of A."""
+    x, y, a = G.decode(code)
+    out = G.identity
+    for bits, imgs in ((x, x_imgs), (y, y_imgs)):
+        for i, g in enumerate(imgs):
+            if bits >> i & 1:
+                out = G.mul(out, g)
+    for i in range(G.n):
+        for j in range(G.n):
+            if a >> (i * G.n + j) & 1:
+                out = G.mul(out, comms[i][j])
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_word_images_match_scalar_products(n):
+    G = groups.TensorGroup(n)
+    codes = sample_codes(G)
+    rng = random.Random(n)
+    for _ in range(2):
+        x_imgs = [rng.randrange(G.order) for _ in range(n)]
+        y_imgs = [rng.randrange(G.order) for _ in range(n)]
+        # random images, so the map is no homomorphism
+        assert not groups.relations_hold(G, x_imgs, y_imgs)
+        comms = [[groups.commutator(G, gx, gy) for gy in y_imgs] for gx in x_imgs]
+        got = G.word_images(x_imgs, y_imgs, codes)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar_word_image(G, x_imgs, y_imgs, comms, c) for c in codes]
+    # the generators' own images give the identity map on every code
+    if n == 2:
+        assert G.word_images(G.x_gens, G.y_gens).tolist() == list(G.elements())
 
 
 def sigma_test_perms(G):
