@@ -117,6 +117,12 @@ def test_generated_order_matches_the_full_degree_oracle(n):
     assert order == pg.expected_symmetry_order(n)
 
 
+@pytest.mark.parametrize("outside", [G2.order, G2.order + 5, -1])
+def test_generated_order_rejects_a_code_outside_the_group(outside):
+    with pytest.raises(ValueError, match="generators and their words"):
+        pg.generated_order(G2, sorted(S2 + [outside]), [])
+
+
 def test_generated_order_rejects_a_singular_lift():
     singular = f2.mat_from_rows([1, 1], 2)  # both rows e1: x -> x.M is not injective
     images = pg.stabilizer_lift_images(G2, S2) + [pg.x_side_lift(G2, singular, S2)]
