@@ -143,20 +143,22 @@ def clique_graph_matches_sigma(gamma, sigma, info, generic: bool) -> bool:
     each maximal clique to the coset it consists of."""
     cliques = None if generic else graphs.coset_cliques(info)
     cg, cliques = graphs.clique_graph(gamma, cliques)
-    if cg.n != sigma.n:
+    width = info.x_cosets.shape[1]
+    if cg.n != sigma.n or any(len(c) != width for c in cliques):
         return False
-    to_sigma = []
-    for c in cliques:
-        first = c[0]
-        if info.x_cosets[info.x_index[first]].tolist() == c:
-            to_sigma.append(info.x_vertex(first))
-        elif info.y_cosets[info.y_index[first]].tolist() == c:
-            to_sigma.append(info.y_vertex(first))
-        else:
-            return False
-    if sorted(to_sigma) != list(range(sigma.n)):
+    members = np.asarray(cliques, dtype=np.int64).reshape(len(cliques), width)
+    first = members[:, 0]
+
+    def is_coset(cosets, index):
+        return cosets.shape[1] == width and np.all(cosets[index[first]] == members, axis=1)
+
+    in_x, in_y = is_coset(info.x_cosets, info.x_index), is_coset(info.y_cosets, info.y_index)
+    if not np.all(in_x | in_y):
         return False
-    return graphs.Graph(sigma.n, np.asarray(to_sigma)[cg.edge_array()]) == sigma
+    to_sigma = np.where(in_x, info.x_index[first], info.n_x + info.y_index[first])
+    if not np.array_equal(np.sort(to_sigma), np.arange(sigma.n)):
+        return False
+    return graphs.Graph(sigma.n, to_sigma[cg.edge_array()]) == sigma
 
 
 def load_reference_diagram() -> dict:
@@ -197,14 +199,14 @@ def group_report(n: int | None = None, dihedral=None) -> VerificationReport:
     rep = VerificationReport()
     if dihedral is not None:
         G = groups.DihedralProduct(*dihedral)
-        rep.claim("order", G.order, lambda: len(groups.closure(G, G.gens)))
+        rep.claim("order", G.order, lambda: groups.subgroup_order(G, G.gens))
         rep.claim("mixed-dihedral", True,
                   lambda: groups.is_mixed_dihedral(G).is_mixed_dihedral)
         rep.claim("abelianization", [2] * (2 * G.n),
                   lambda: groups.abelianization_structure(G, groups.derived_subgroup(G)))
         return rep
     G = groups.TensorGroup(n)
-    rep.claim("order", 1 << (n * n + 2 * n), lambda: len(groups.closure(G, G.gens)))
+    rep.claim("order", 1 << (n * n + 2 * n), lambda: groups.subgroup_order(G, G.gens))
     rep.claim("relations-and-count", True, lambda: groups.verify_presentation(n))
     # computed by the first claim that needs it, so an over-budget G skips
     derived = functools.cache(lambda: groups.derived_subgroup(G))

@@ -10,8 +10,10 @@ import numpy as np
 
 from . import groups
 
-#: Edges handled per step of the triangle check, to bound its temporaries.
-TRIANGLE_CHUNK = 1 << 15
+#: Elements per step of every array pass over arcs, cliques or pairs: each
+#: pass keeps its transient arrays to about this many entries whatever the
+#: graph's size.
+CHUNK = 1 << 15
 
 
 class Graph:
@@ -25,7 +27,9 @@ class Graph:
 
     def __init__(self, n: int, edges=()):
         self.n = n = int(n)
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.dtype.kind != "i":
+            pairs = pairs.astype(np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -35,15 +39,20 @@ class Graph:
             raise ValueError("loops are not allowed")
         if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError("vertex out of range")
-        # one key u * n + v per arc, deduplicated after the sort
-        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
-        keep = np.ones(len(keys), dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        keys = keys[keep]
-        tails, heads = np.divmod(keys, max(n, 1))
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=n), out=self.indptr[1:])
-        self.indices = heads.astype(np.int32)
+        # one key u * n + v per arc, built and sorted in place, deduplicated
+        m, dtype = len(pairs), _index_dtype(n * n)
+        keys = np.empty(2 * m, dtype=dtype)
+        for out, tail, head in ((keys[:m], u, v), (keys[m:], v, u)):
+            np.multiply(tail, n, out=out, dtype=dtype)
+            out += head
+        keys.sort()
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            keys = keys[np.concatenate([[True], ~repeated])]
+        self.indptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * n).astype(
+            np.int64, copy=False)
+        np.remainder(keys, max(n, 1), out=keys)
+        self.indices = keys.astype(np.int32, copy=False)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -96,40 +105,85 @@ def _tails(graph: Graph) -> np.ndarray:
     return np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr))
 
 
+def _index_dtype(limit: int):
+    """int32 when every index below ``limit`` fits in it, else int64."""
+    return np.int32 if limit <= np.iinfo(np.int32).max + 1 else np.int64
+
+
 def _ranges(starts, counts) -> np.ndarray:
     """Concatenation of the ranges starts[i], ..., starts[i] + counts[i] - 1."""
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _arc_keys(graph: Graph) -> np.ndarray:
-    """tail * n + head for every slot; ascending, as the rows are."""
-    return _tails(graph) * graph.n + graph.indices
+def _blocks(cum, per_item: int = 1):
+    """Consecutive ranges lo:hi covering the items whose cumulative weights
+    are ``cum`` (cum[0] == 0); each weighs at most CHUNK // per_item, or is a
+    single item."""
+    step = max(1, CHUNK // max(1, per_item))
+    lo, last = 0, len(cum) - 1
+    while lo < last:
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] + step, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
-def _find(keys: np.ndarray, query) -> np.ndarray:
-    """Position of each query in the ascending ``keys``, or -1."""
-    query = np.asarray(query, dtype=np.int64)
-    if not len(keys):
-        return np.full(query.shape, -1, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return np.where(keys[pos] == query, pos, -1)
+def _forward_arcs(graph: Graph, per_arc: int = 1):
+    """The arcs u -> v with u < v, in slot order (the order of the rows of
+    ``edge_array()``), as (slots, tails, heads) per block of tails holding
+    at most CHUNK // per_arc arcs."""
+    ptr = graph.indptr
+    for lo, hi in _blocks(ptr, per_arc):
+        tails = np.repeat(np.arange(lo, hi), np.diff(ptr[lo:hi + 1]))
+        heads = graph.indices[ptr[lo]:ptr[hi]]
+        fwd = np.flatnonzero(tails < heads)
+        yield ptr[lo] + fwd, tails[fwd], heads[fwd]
+
+
+def _find_arcs(graph: Graph, tails, heads) -> np.ndarray:
+    """Slot of each arc tails[i] -> heads[i], or -1 where there is none: one
+    binary search in every tail's sorted row at once."""
+    ptr, nb = graph.indptr, graph.indices
+    tails = np.asarray(tails)
+    if not len(nb):
+        return np.full(tails.shape, -1, dtype=np.int64)
+    lo, hi = ptr[tails], ptr[tails + 1]
+    end = hi
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        less = nb[np.minimum(mid, len(nb) - 1)] < heads
+        lo, hi = np.where(less & (lo < hi), mid + 1, lo), np.where(less, hi, mid)
+    hit = (lo < end) & (nb[np.minimum(lo, len(nb) - 1)] == heads)
+    return np.where(hit, lo, -1)
 
 
 def _slot_edges(graph: Graph) -> np.ndarray:
-    """Row in edge_array() of the edge behind every CSR slot."""
-    tails, heads = _tails(graph), graph.indices
-    keys = np.minimum(tails, heads) * graph.n + np.maximum(tails, heads)
-    return np.searchsorted(keys[tails < heads], keys)
+    """Row in edge_array() of the edge behind every CSR slot: each forward
+    arc numbers its edge, and its reverse arc takes the same number."""
+    out = np.empty(len(graph.indices), dtype=_index_dtype(graph.edge_count()))
+    done = 0
+    for slots, tails, heads in _forward_arcs(graph):
+        ids = np.arange(done, done + len(slots))
+        out[slots] = out[_find_arcs(graph, heads, tails)] = ids
+        done += len(slots)
+    return out
 
 
-def _pairs_within(ptr, values) -> tuple[np.ndarray, np.ndarray]:
-    """(values[p], values[q]) for every p < q in one segment ptr[i]:ptr[i+1]."""
+def _pairs_within(ptr, values) -> np.ndarray:
+    """(values[p], values[q]) for every p < q in one segment ptr[i]:ptr[i+1],
+    as the rows of an array filled a block of segments at a time."""
     sizes = np.diff(ptr)
-    pos = np.arange(ptr[-1])
-    later = np.repeat(ptr[1:], sizes) - pos - 1  # positions after p in its segment
-    first = np.repeat(pos, later)
-    return values[first], values[first + 1 + _ranges(np.zeros(len(pos), dtype=np.int64), later)]
+    start = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) // 2)])  # first row per segment
+    out = np.empty((int(start[-1]), 2), dtype=values.dtype)
+    # a block's temporaries run over its positions and over its pairs
+    for lo, hi in _blocks(start + ptr):
+        pos = np.arange(ptr[lo], ptr[hi])
+        later = np.repeat(ptr[lo + 1:hi + 1], sizes[lo:hi]) - pos - 1  # positions after p
+        first = np.repeat(pos, later)
+        rows = out[start[lo]:start[hi]]
+        rows[:, 0] = values[first]
+        rows[:, 1] = values[first + 1 + _ranges(np.zeros(len(pos), dtype=np.int64), later)]
+    return out
 
 
 def _codes(a) -> np.ndarray:
@@ -149,10 +203,16 @@ def cayley_graph(G, S) -> Graph:
         raise ValueError("identity must not lie in the connection set")
     if not np.isin(_codes(G.inv_vec(S)), S).all():
         raise ValueError("connection set is not inverse-closed")
-    heads = _codes(G.mul_vec(S[:, None], np.arange(G.order)[None, :]))
-    tails = np.broadcast_to(np.arange(G.order), heads.shape)
-    fwd = tails < heads
-    return Graph(G.order, np.stack([tails[fwd], heads[fwd]], axis=1))
+    # one block of tails against every s at a time
+    step, dtype = max(1, CHUNK // max(1, len(S))), _index_dtype(G.order)
+    blocks = []
+    for lo in range(0, G.order, step):
+        tails = np.arange(lo, min(lo + step, G.order))
+        heads = _codes(G.mul_vec(S[:, None], tails))
+        fwd = tails < heads
+        blocks.append(np.stack([np.broadcast_to(tails, heads.shape)[fwd], heads[fwd]],
+                               axis=1).astype(dtype))
+    return Graph(G.order, np.concatenate(blocks))
 
 
 def xy_connection_set(G) -> list[int]:
@@ -229,63 +289,91 @@ def maximal_cliques(graph: Graph, budget: int = 10**7) -> list[list[int]]:
     return out
 
 
-def verify_clique_cover(graph: Graph, cliques: list[list[int]]) -> None:
-    """Check that ``cliques`` are maximal cliques covering each edge exactly
-    once; raises ValueError otherwise.  Used to validate the coset fast
-    path against the graph itself.  Cliques of one size are checked
-    together, as the rows of one array.
+def _cliques_by_size(cliques):
+    """(size, members) for each clique size in ascending order, the members
+    of the cliques of that size as the rows of one array."""
+    if isinstance(cliques, np.ndarray):
+        return [(cliques.shape[1], cliques)] if len(cliques) else []
+    out = []
+    for size in sorted({len(c) for c in cliques}):
+        rows = [c for c in cliques if len(c) == size]
+        out.append((size, _codes(rows).reshape(len(rows), size)))
+    return out
+
+
+def verify_clique_cover(graph: Graph, cliques) -> None:
+    """Check that ``cliques`` (vertex lists, or the rows of a 2-D array) are
+    maximal cliques covering each edge exactly once; raises ValueError
+    otherwise.  Used to validate the coset fast path against the graph
+    itself.  Cliques of one size are checked together, a block of rows at
+    a time.
     """
     n, degs = graph.n, np.diff(graph.indptr)
-    arc_keys = _arc_keys(graph)
-    covered = [np.zeros(0, dtype=np.int64)]
-    for size in sorted({len(c) for c in cliques}):
+    width = int(degs.max(initial=0))
+    covered = np.zeros(len(graph.indices), dtype=bool)  # per forward arc
+    twice = False
+    for size, members in _cliques_by_size(cliques):
         if size == 0:  # every vertex extends the empty clique
             if n:
                 raise ValueError("clique is not maximal")
             continue
-        members = _codes([c for c in cliques if len(c) == size])
+        if members.min() < 0 or members.max() >= n:
+            raise ValueError("clique vertex out of range")
+        step = max(1, CHUNK // (size * max(width, size)))
         i, j = np.triu_indices(size, 1)
-        a, b = members[:, i].ravel(), members[:, j].ravel()
-        if np.any(_find(arc_keys, a * n + b) < 0):
-            raise ValueError("clique contains a non-edge")
-        covered.append(np.minimum(a, b) * n + np.maximum(a, b))
+        for lo in range(0, len(members), step):
+            block = members[lo:lo + step]
+            a, b = block[:, i].ravel(), block[:, j].ravel()
+            slots = np.sort(_find_arcs(graph, np.minimum(a, b), np.maximum(a, b)))
+            if len(slots) and slots[0] < 0:
+                raise ValueError("clique contains a non-edge")
+            twice = twice or covered[slots].any() or bool(np.any(slots[1:] == slots[:-1]))
+            covered[slots] = True
         # no vertex is its own neighbor, so a vertex adjacent to all
         # ``size`` members lies outside the clique and would extend it
-        flat = members.ravel()
-        owner = np.repeat(np.arange(len(flat)) // size, degs[flat])
-        seen = np.sort(owner * n + graph.indices[_ranges(graph.indptr[flat], degs[flat])])
-        starts = np.flatnonzero(np.diff(seen, prepend=-1))
-        if np.any(np.diff(starts, append=len(seen)) == size):
-            raise ValueError("clique is not maximal")
-    covered = np.sort(np.concatenate(covered))
-    if np.any(covered[1:] == covered[:-1]):
+        for lo in range(0, len(members), step):
+            flat = members[lo:lo + step].ravel()
+            owner = np.repeat(np.arange(len(flat)) // size, degs[flat])
+            seen = np.sort(owner * n + graph.indices[_ranges(graph.indptr[flat], degs[flat])])
+            starts = np.flatnonzero(np.diff(seen, prepend=-1))
+            if np.any(np.diff(starts, append=len(seen)) == size):
+                raise ValueError("clique is not maximal")
+    if twice:
         raise ValueError("edge lies in two of the cliques")
-    if len(covered) != graph.edge_count():
+    if np.count_nonzero(covered) != graph.edge_count():
         raise ValueError("cliques do not cover every edge")
 
 
-def clique_graph(graph: Graph, cliques: list[list[int]] | None = None,
-                 budget: int = 10**7) -> tuple[Graph, list[list[int]]]:
+def clique_graph(graph: Graph, cliques=None,
+                 budget: int = 10**7) -> tuple[Graph, list[list[int]] | np.ndarray]:
     """Graph on maximal cliques, adjacent iff their intersection is
     nonempty.  A precomputed clique list (e.g. the cosets of a tagged
-    Cayley instance) may be passed in; it is verified before use.
+    Cayley instance) may be passed in, as vertex lists or as the rows of a
+    2-D array; it is verified before use.  The cliques are returned sorted,
+    each in ascending order, as an array if one was passed.
     """
-    if cliques is None:
-        cliques = maximal_cliques(graph, budget)
-    else:
-        cliques = sorted(sorted(c) for c in cliques)
+    if isinstance(cliques, np.ndarray):
+        cliques = np.sort(cliques, axis=1)
+        cliques = cliques[np.lexsort(cliques.T[::-1])]
         verify_clique_cover(graph, cliques)
-    sizes = np.array([len(c) for c in cliques], dtype=np.int64)
-    vertex = _codes([v for c in cliques for v in c])
+        vertex, sizes = cliques.ravel(), np.full(len(cliques), cliques.shape[1])
+    else:
+        if cliques is None:
+            cliques = maximal_cliques(graph, budget)
+        else:
+            cliques = sorted(sorted(c) for c in cliques)
+            verify_clique_cover(graph, cliques)
+        vertex, sizes = _codes([v for c in cliques for v in c]), [len(c) for c in cliques]
     order = np.argsort(vertex, kind="stable")
     ptr = np.concatenate([[0], np.cumsum(np.bincount(vertex, minlength=graph.n))])
-    a, b = _pairs_within(ptr, np.repeat(np.arange(len(cliques)), sizes)[order])
-    return Graph(len(cliques), np.stack([a, b], axis=1)), cliques
+    owner = np.repeat(np.arange(len(cliques), dtype=_index_dtype(len(cliques))), sizes)
+    return Graph(len(cliques), _pairs_within(ptr, owner[order])), cliques
 
 
-def coset_cliques(info: SigmaInfo) -> list[list[int]]:
-    """The X- and Y-cosets as vertex sets of the Cayley graph."""
-    return info.x_cosets.tolist() + info.y_cosets.tolist()
+def coset_cliques(info: SigmaInfo) -> np.ndarray:
+    """The X- and Y-cosets as vertex sets of the Cayley graph: the rows of
+    one array."""
+    return np.concatenate([info.x_cosets, info.y_cosets])
 
 
 def line_graph(graph: Graph) -> Graph:
@@ -293,8 +381,7 @@ def line_graph(graph: Graph) -> Graph:
     ``edge_array()``), adjacent iff they share an endpoint.  The adjacent
     pairs are those of the edges met at each vertex: the edge indices of
     one CSR row."""
-    a, b = _pairs_within(graph.indptr, _slot_edges(graph))
-    return Graph(graph.edge_count(), np.stack([a, b], axis=1))
+    return Graph(graph.edge_count(), _pairs_within(graph.indptr, _slot_edges(graph)))
 
 
 def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
@@ -305,17 +392,16 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
     ValueError on any failure (which would signal an implementation bug).
     """
     lg = line_graph(sigma)
-    edges = sigma.edge_array()
-    # Xz < Yz as vertices, so (Xz, Yz) is a row of edge_array() if an edge
-    phi = _find(edges[:, 0] * sigma.n + edges[:, 1],
-                info.x_index * sigma.n + info.n_x + info.y_index)
-    if np.any(phi < 0):
+    # Xz < Yz as vertices, so Xz -> Yz is the forward arc of an edge, if any
+    slots = _find_arcs(sigma, info.x_index, info.n_x + info.y_index)
+    if np.any(slots < 0):
         raise ValueError("phi image is not an edge of the coset graph")
+    phi = _slot_edges(sigma)[slots]
     if len(phi) != lg.n or np.any(np.bincount(phi, minlength=lg.n) != 1):
         raise ValueError("phi is not a bijection onto the edges")
-    g, h = phi[gamma.edge_array().T]
-    if np.any(_find(_arc_keys(lg), g * lg.n + h) < 0):
-        raise ValueError("phi does not preserve an edge")
+    for _, g, h in _forward_arcs(gamma):
+        if np.any(_find_arcs(lg, phi[g], phi[h]) < 0):
+            raise ValueError("phi does not preserve an edge")
     if gamma.edge_count() != lg.edge_count():
         raise ValueError("edge counts of the Cayley and line graphs differ")
     return phi.tolist()
@@ -360,12 +446,17 @@ def bfs_layers(graph: Graph, v: int) -> tuple[list[int], list[int]]:
 def edge_coloring(graph: Graph, G, X, Y) -> np.ndarray:
     """Tag each Cayley edge {g, h}, g < h, as an X-edge (h g^-1 in X) or a
     Y-edge: one colour "X" or "Y" per row of ``graph.edge_array()``."""
-    g, h = graph.edge_array().T
-    diff = _codes(G.mul_vec(h, G.inv_vec(g)))
-    in_x = np.isin(diff, _codes(X))
-    if not np.all(in_x | np.isin(diff, _codes(Y))):
-        raise ValueError("edge difference lies outside X u Y")
-    return np.where(in_x, "X", "Y")
+    X, Y = _codes(X), _codes(Y)
+    out = np.empty(graph.edge_count(), dtype="<U1")
+    done = 0
+    for _, g, h in _forward_arcs(graph):
+        diff = _codes(G.mul_vec(h, G.inv_vec(g)))
+        in_x = np.isin(diff, X)
+        if not np.all(in_x | np.isin(diff, Y)):
+            raise ValueError("edge difference lies outside X u Y")
+        out[done:done + len(g)] = np.where(in_x, "X", "Y")
+        done += len(g)
+    return out
 
 
 def triangles_monochromatic(graph: Graph, colors) -> bool:
@@ -373,21 +464,23 @@ def triangles_monochromatic(graph: Graph, colors) -> bool:
     ``colors`` aligned to ``graph.edge_array()``.
 
     Triangle u < v < w is met once: from the slot u -> v, the later slots
-    u -> w of row u are paired with v, and the arc v -> w is looked up among
-    the sorted arc keys.  Edges are taken ``TRIANGLE_CHUNK`` at a time, so
-    the temporaries stay bounded."""
+    u -> w of row u are paired with v, and the arc v -> w is looked up in
+    row v.  All three arcs are forward, so colours are needed only at the
+    forward slots.  Arcs u -> v are taken a block at a time, so the
+    temporaries stay bounded."""
     colors = np.asarray(colors)
     if len(colors) != graph.edge_count():
         raise ValueError("need one colour per edge")
-    tails, heads = _tails(graph), graph.indices.astype(np.int64)
-    keys = tails * graph.n + heads
-    slot_color = colors[_slot_edges(graph)]
-    fwd = np.flatnonzero(tails < heads)
-    for start in range(0, len(fwd), TRIANGLE_CHUNK):
-        uv = fwd[start:start + TRIANGLE_CHUNK]
-        later = graph.indptr[tails[uv] + 1] - uv - 1
+    ptr = graph.indptr
+    slot_color = np.empty(len(graph.indices), dtype=colors.dtype)
+    done = 0
+    for slots, _, _ in _forward_arcs(graph):
+        slot_color[slots] = colors[done:done + len(slots)]
+        done += len(slots)
+    for uv, u, v in _forward_arcs(graph, int(np.diff(ptr).max(initial=0))):
+        later = ptr[u + 1] - uv - 1
         uw = _ranges(uv + 1, later)
-        vw = _find(keys, np.repeat(heads[uv], later) * graph.n + heads[uw])
+        vw = _find_arcs(graph, np.repeat(v, later), graph.indices[uw])
         tri = vw >= 0
         c = np.repeat(slot_color[uv], later)[tri]
         if np.any(slot_color[uw[tri]] != c) or np.any(slot_color[vw[tri]] != c):

@@ -250,10 +250,10 @@ def commutator(G, g1: int, g2: int) -> int:
     return m(m(m(G.inv(g1), G.inv(g2)), g1), g2)
 
 
-def closure(G, gens, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Subgroup generated by ``gens``, as a sorted list of codes: the
-    orbit of the identity under right multiplication by ``gens``, grown
-    one breadth-first layer at a time over a mask of all of G."""
+def _closure_mask(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Subgroup generated by ``gens``, as a boolean mask over every code:
+    the orbit of the identity under right multiplication by ``gens``,
+    grown one breadth-first layer at a time."""
     _check_budget(G.order, budget)
     seen = np.zeros(G.order, dtype=bool)
     seen[G.identity] = True
@@ -267,7 +267,17 @@ def closure(G, gens, budget: int = DEFAULT_BUDGET) -> list[int]:
         new &= ~seen
         seen |= new
         frontier = np.flatnonzero(new)
-    return np.flatnonzero(seen).tolist()
+    return seen
+
+
+def closure(G, gens, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """Subgroup generated by ``gens``, as a sorted list of codes."""
+    return np.flatnonzero(_closure_mask(G, gens, budget)).tolist()
+
+
+def subgroup_order(G, gens, budget: int = DEFAULT_BUDGET) -> int:
+    """|<gens>|, counted on the closure's mask without listing it."""
+    return int(np.count_nonzero(_closure_mask(G, gens, budget)))
 
 
 def derived_subgroup(G, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -332,7 +342,7 @@ def verify_presentation(n: int, group=None) -> bool:
     presentation down to this group)."""
     G = TensorGroup(n) if group is None else group
     return (relations_hold(G, G.x_gens, G.y_gens)
-            and len(closure(G, G.gens)) == G.order == 1 << (n * n + 2 * n))
+            and subgroup_order(G, G.gens) == G.order == 1 << (n * n + 2 * n))
 
 
 @dataclass
@@ -396,7 +406,7 @@ def is_mixed_dihedral(G, budget: int = DEFAULT_BUDGET) -> MixedDihedralReport:
     if rx is None or ry is None or rx != ry:
         return fail("X and Y are not elementary abelian of equal order 2^n")
     n = rx
-    if len(closure(G, G.x_gens + G.y_gens, budget)) != G.order:
+    if subgroup_order(G, G.x_gens + G.y_gens, budget) != G.order:
         return fail("X and Y do not generate the whole group")
     if ab != [2] * (2 * n):
         return fail(f"abelianization is {ab}, expected C_2^{2 * n}")

@@ -194,14 +194,16 @@ def is_automorphism(graph: graphs.Graph, p: np.ndarray) -> bool:
 
 def are_automorphisms(graph: graphs.Graph, perms) -> bool:
     """Whether every permutation in ``perms`` is an automorphism of the
-    graph; a regular graph's neighbour array is built once for all."""
+    graph; a regular graph's neighbour array is built once for all, and
+    compared a block of rows at a time."""
     perms = [as_perm(p) for p in perms]
     if any(len(p) != graph.n for p in perms):
         return False
     k = graph.is_regular()
     if k is not None and k > 0:
-        nbr = graph.neighbor_array()
-        return all(np.array_equal(np.sort(p[nbr], axis=1), nbr[p]) for p in perms)
+        nbr, step = graph.neighbor_array(), max(1, graphs.CHUNK // k)
+        return all(np.array_equal(np.sort(p[nbr[lo:lo + step]], axis=1), nbr[p[lo:lo + step]])
+                   for p in perms for lo in range(0, graph.n, step))
     # p maps the edge set one-to-one, so it is an automorphism iff the
     # image edge set, as sorted keys, is the edge set
     u, w = graph.edge_array().T
@@ -225,24 +227,32 @@ def right_mult_action(G, gens=None) -> list[np.ndarray]:
     return [right_mult_perm(G, g) for g in (G.gens if gens is None else gens)]
 
 
+def _lift(G, xs, ys, codes) -> np.ndarray:
+    """Images of ``codes`` under x_i -> xs[i], y_j -> ys[j]: int64 images of
+    the given codes, or an int32 permutation of every code (only built at
+    n <= 3, where every code fits)."""
+    images = G.word_images(xs, ys, codes)
+    return images.astype(np.int32) if codes is None else images
+
+
 def x_side_lift(G, m: int, codes=None) -> np.ndarray:
     """Automorphism of the tensor group induced by an invertible matrix on
     the X side: x_i -> row_i(M), the y_j fixed, so x -> x.M and A -> M^T A.
-    Returns the images of ``codes`` (default: every code)."""
+    Returns the images of ``codes`` (default: every code; see ``_lift``)."""
     xs = [G.encode(f2.mat_row(m, i, G.n), 0, 0) for i in range(G.n)]
-    return G.word_images(xs, G.y_gens, codes).astype(np.int32)
+    return _lift(G, xs, G.y_gens, codes)
 
 
 def y_side_lift(G, m: int, codes=None) -> np.ndarray:
     """y_j -> row_j(M), the x_i fixed, so y -> y.M and A -> A M."""
     ys = [G.encode(0, f2.mat_row(m, j, G.n), 0) for j in range(G.n)]
-    return G.word_images(G.x_gens, ys, codes).astype(np.int32)
+    return _lift(G, G.x_gens, ys, codes)
 
 
 def swap_sides_perm(G, codes=None) -> np.ndarray:
     """The involution swapping x_i and y_i:
     (x, y, A) -> (y, x, outer(y, x) + A^T)."""
-    return G.word_images(G.y_gens, G.x_gens, codes).astype(np.int32)
+    return _lift(G, G.y_gens, G.x_gens, codes)
 
 
 def stabilizer_lift_images(G, codes=None) -> list[np.ndarray]:

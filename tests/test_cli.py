@@ -79,16 +79,47 @@ def test_verify_group_dihedral_malformed(orders):
     assert "Traceback" not in r.output
 
 
+def fresh_env():
+    src = str(Path(mdg.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_fresh(*args):
     """Run the CLI in a fresh interpreter, with a 30 s timeout; its stderr
     must hold no traceback."""
-    src = str(Path(mdg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     r = subprocess.run([sys.executable, "-m", "mdg.cli", *args],
-                       capture_output=True, text=True, timeout=30, env=env)
+                       capture_output=True, text=True, timeout=30, env=fresh_env())
     assert "Traceback" not in r.stderr
     return r
+
+
+# The command's interpreter prints its own peak RSS as it exits.  It is
+# started by a small launcher, not by this test process: on Linux a process's
+# ru_maxrss starts from the peak of the address space it was exec'd from, so
+# a direct child would report pytest's peak.
+LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+PRINT_PEAK = """import resource, sys
+from mdg.cli import main
+try:
+    main(sys.argv[1:], standalone_mode=False)
+finally:
+    print("peak_kb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in kB on Linux")
+def test_verify_graphs_n3_peak_rss_stays_bounded():
+    """Every claim passes in a process that peaks under 60 MB: 79 MB when the
+    kernels built whole-arc temporaries, about 43 MB with bounded blocks,
+    plus room for other builds of Python and numpy."""
+    r = subprocess.run([sys.executable, "-c", LAUNCH, sys.executable, "-c", PRINT_PEAK,
+                        "verify", "graphs", "-n", "3", "--json"],
+                       capture_output=True, text=True, timeout=120, env=fresh_env())
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+    assert {c["status"] for c in json.loads(r.stdout)["claims"]} == {"pass"}
+    peak_mb = int(r.stderr.split("peak_kb")[-1]) / 1024
+    assert peak_mb < 60, f"verify graphs -n 3 peaked at {peak_mb:.1f} MB"
 
 
 @pytest.mark.parametrize("args", [["-n", "5"], ["-n", "7"], ["--dihedral", "2000,2000,2000"]])

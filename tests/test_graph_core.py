@@ -7,9 +7,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mdg import cli, graphs, groups
+from mdg import cli, graphs, groups, permgroups
 
 try:
     import networkx as nx
@@ -281,3 +281,145 @@ def test_verify_clique_cover_catches_each_fault():
     with pytest.raises(ValueError, match="not maximal"):
         graphs.verify_clique_cover(GAMMA2, cliques + [[]])
     graphs.verify_clique_cover(graphs.Graph(2), [[0], [1]])
+
+
+# -- block boundaries ----------------------------------------------------------
+# Every blocked pass must give the same answer, and raise the same error,
+# whatever the block size: one element per step, an odd size that splits
+# rows, segments and cliques, and the default.
+
+CHUNKS = (1, 7, graphs.CHUNK)
+
+
+def _canon(x):
+    if isinstance(x, graphs.Graph):
+        return ("graph", x.n, x.edge_array().tolist())
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, tuple):
+        return tuple(map(_canon, x))
+    return x
+
+
+def over_chunks(fn):
+    """fn() under each block size, as the result or the ValueError text;
+    asserts that every block size gives the same one, and returns it."""
+    out = []
+    for chunk in CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "CHUNK", chunk)
+            try:
+                out.append(_canon(fn()))
+            except ValueError as e:
+                out.append(("ValueError", str(e)))
+    assert out.count(out[0]) == len(out), out
+    return out[0]
+
+
+def scalar_cover_error(graph, cliques):
+    """The fault verify_clique_cover reports first, from set arithmetic: by
+    ascending clique size, a non-edge and then a clique some vertex
+    extends; then an edge in two cliques; then an uncovered edge."""
+    adj = [set(graph.neighbors(v).tolist()) for v in range(graph.n)]
+    for size in sorted({len(c) for c in cliques}):
+        same = [c for c in cliques if len(c) == size]
+        if any(b not in adj[a] for c in same for a, b in itertools.combinations(c, 2)):
+            return ("ValueError", "clique contains a non-edge")
+        if any(set(range(graph.n)).intersection(*(adj[v] for v in c)) for c in same):
+            return ("ValueError", "clique is not maximal")
+    pairs = [tuple(sorted(p)) for c in cliques for p in itertools.combinations(c, 2)]
+    if len(pairs) != len(set(pairs)):
+        return ("ValueError", "edge lies in two of the cliques")
+    if len(pairs) != graph.edge_count():
+        return ("ValueError", "cliques do not cover every edge")
+    return None
+
+
+def _edges(graph):
+    return [tuple(e) for e in graph.edge_array().tolist()]
+
+
+@pytest.mark.parametrize("G", [G2, groups.DihedralProduct(3, 4), _s3()],
+                         ids=["tensor2", "dihedral34", "table-s3"])
+def test_cayley_graph_is_the_same_for_every_block_size(G):
+    S = graphs.xy_connection_set(G)
+    assert over_chunks(lambda: graphs.cayley_graph(G, S)) == \
+        ("graph", G.order, [list(e) for e in scalar_cayley_edges(G, S)])
+
+
+def test_identifications_are_the_same_for_every_block_size():
+    for graph in (GAMMA2, SIGMA2):
+        lg = over_chunks(lambda: graphs.line_graph(graph))
+        assert lg == ("graph", graph.edge_count(),
+                      [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
+    cliques = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
+    cg, got = over_chunks(lambda: graphs.clique_graph(GAMMA2, graphs.coset_cliques(INFO2)))
+    assert got == cliques and cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
+    assert over_chunks(lambda: cli.clique_graph_matches_sigma(GAMMA2, SIGMA2, INFO2, False))
+    assert over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, INFO2)) == \
+        [_edges(SIGMA2).index((INFO2.x_vertex(z), INFO2.y_vertex(z))) for z in G2.elements()]
+    edges = GAMMA2.edge_array()
+    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
+    for gamma, sigma, why in (
+            (graphs.Graph(GAMMA2.n, edges[1:]), SIGMA2, "edge counts"),
+            (graphs.Graph(GAMMA2.n, np.vstack([edges[1:], [[0, far]]])), SIGMA2, "does not preserve"),
+            (GAMMA2, graphs.Graph(SIGMA2.n, SIGMA2.edge_array()[1:]), "not an edge of the coset")):
+        kind, text = over_chunks(lambda: graphs.phi_map(gamma, sigma, INFO2))
+        assert kind == "ValueError" and why in text
+
+
+def test_cover_faults_are_the_same_for_every_block_size():
+    cliques = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
+    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
+    covers = [cliques, cliques[1:], cliques + cliques[:1], cliques + [[0, far]],
+              [c[:-1] for c in cliques], cliques + [[]], [c[:2] for c in cliques] + cliques]
+    for cover in covers:
+        got = over_chunks(lambda: graphs.verify_clique_cover(GAMMA2, cover))
+        assert got == scalar_cover_error(GAMMA2, cover)
+
+
+def test_colour_kernels_are_the_same_for_every_block_size():
+    X = groups.closure(G2, G2.x_gens)
+    Y = groups.closure(G2, G2.y_gens)
+    colors = over_chunks(lambda: graphs.edge_coloring(GAMMA2, G2, X, Y))
+    assert colors == ["X" if G2.mul(h, G2.inv(g)) in X else "Y" for g, h in _edges(GAMMA2)]
+    assert over_chunks(lambda: graphs.edge_coloring(GAMMA2, G2, X, [0])) == \
+        ("ValueError", "edge difference lies outside X u Y")
+    rng = random.Random(11)
+    for flips in (0, 1, 2, 40):
+        c = np.array(colors)
+        for i in rng.sample(range(len(c)), flips):
+            c[i] = "Y" if c[i] == "X" else "X"
+        assert over_chunks(lambda: graphs.triangles_monochromatic(GAMMA2, c)) == \
+            brute_force_monochromatic(GAMMA2, c)
+
+
+def test_automorphism_check_is_the_same_for_every_block_size():
+    lifts = permgroups.connection_stabilizer_gens(G2)
+    assert over_chunks(lambda: permgroups.are_automorphisms(GAMMA2, lifts))
+    swap = np.arange(GAMMA2.n)
+    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
+    swap[[GAMMA2.neighbors(0)[0], far]] = swap[[far, GAMMA2.neighbors(0)[0]]]
+    assert not over_chunks(lambda: permgroups.are_automorphisms(GAMMA2, lifts + [swap]))
+
+
+@given(random_graphs, st.randoms(use_true_random=False))
+@example(graphs.Graph(9, [(0, v) for v in range(1, 9)]), random.Random(0))
+@example(graphs.Graph(6), random.Random(0))
+@settings(max_examples=100, deadline=None)
+def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
+    """Irregular graphs, a star and an edgeless graph, at every block size."""
+    assert over_chunks(lambda: graphs.line_graph(graph)) == \
+        ("graph", graph.edge_count(), [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
+    cg, cliques = over_chunks(lambda: graphs.clique_graph(graph))
+    assert cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
+    non_edges = [[u, v] for u, v in itertools.combinations(range(graph.n), 2)
+                 if not graph.has_edge(u, v)]
+    for cover in (cliques, cliques[1:], [c[:-1] for c in cliques if c],
+                  cliques + non_edges[:1], cliques + cliques[:1]):
+        got = over_chunks(lambda: graphs.verify_clique_cover(graph, cover))
+        assert got == scalar_cover_error(graph, cover)
+    colors = np.array([rnd.choice("XY") if rnd.random() < 0.2 else "X"
+                       for _ in range(graph.edge_count())], dtype="U1")
+    assert over_chunks(lambda: graphs.triangles_monochromatic(graph, colors)) == \
+        brute_force_monochromatic(graph, colors)

@@ -92,9 +92,26 @@ def test_lifts_match_scalar_formulas(n):
     for p, on in ((pg.x_side_lift(G, m), pg.x_side_lift(G, m, codes)),
                   (pg.y_side_lift(G, m), pg.y_side_lift(G, m, codes)),
                   (pg.swap_sides_perm(G), pg.swap_sides_perm(G, codes))):
-        assert p.dtype == on.dtype == np.int32 and len(p) == G.order
+        assert p.dtype == np.int32 and on.dtype == np.int64 and len(p) == G.order
         pg.as_perm(p)
         assert np.array_equal(p[codes], on)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_lift_images_of_wide_codes_do_not_wrap(n):
+    # codes have n^2 + 2n >= 35 bits here, too wide for int32
+    G = groups.TensorGroup(n)
+    top = [G.order - 1]
+    m = f2.gl_generators(n)[0]
+    xs = [G.encode(f2.mat_row(m, i, n), 0, 0) for i in range(n)]
+    ys = [G.encode(0, f2.mat_row(m, j, n), 0) for j in range(n)]
+    cases = ((pg.x_side_lift(G, m, top), xs, G.y_gens, scalar_x_lift(G, m, top[0])),
+             (pg.y_side_lift(G, m, top), G.x_gens, ys, scalar_y_lift(G, m, top[0])),
+             (pg.swap_sides_perm(G, top), G.y_gens, G.x_gens, scalar_swap(G, top[0])))
+    for got, x_imgs, y_imgs, scalar in cases:
+        assert got.dtype == np.int64
+        assert got.tolist() == G.word_images(x_imgs, y_imgs, top).tolist() == [scalar]
+    assert min(cases[0][3], cases[1][3]) >= 1 << 31
 
 
 def scalar_word_image(G, x_imgs, y_imgs, comms, code):
