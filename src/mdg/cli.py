@@ -141,12 +141,14 @@ def clique_graph_matches_sigma(gamma, sigma, info, generic: bool) -> bool:
     """Build the clique graph (generic enumeration or the verified coset
     fast path) and check it equals the coset graph under the map sending
     each maximal clique to the coset it consists of."""
-    cliques = None if generic else graphs.coset_cliques(info)
-    cg, cliques = graphs.clique_graph(gamma, cliques)
+    cg, members = graphs.clique_graph(gamma, None if generic else graphs.coset_cliques(info))
     width = info.x_cosets.shape[1]
-    if cg.n != sigma.n or any(len(c) != width for c in cliques):
+    if generic:  # enumerated cliques are vertex lists, possibly of several sizes
+        if any(len(c) != width for c in members):
+            return False
+        members = np.array(members, dtype=np.int64).reshape(len(members), width)
+    if cg.n != sigma.n:
         return False
-    members = np.asarray(cliques, dtype=np.int64).reshape(len(cliques), width)
     first = members[:, 0]
 
     def is_coset(cosets, index):

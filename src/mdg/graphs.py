@@ -344,26 +344,23 @@ def verify_clique_cover(graph: Graph, cliques) -> None:
         raise ValueError("cliques do not cover every edge")
 
 
-def clique_graph(graph: Graph, cliques=None,
+def clique_graph(graph: Graph, cliques: np.ndarray | None = None,
                  budget: int = 10**7) -> tuple[Graph, list[list[int]] | np.ndarray]:
     """Graph on maximal cliques, adjacent iff their intersection is
-    nonempty.  A precomputed clique list (e.g. the cosets of a tagged
-    Cayley instance) may be passed in, as vertex lists or as the rows of a
-    2-D array; it is verified before use.  The cliques are returned sorted,
-    each in ascending order, as an array if one was passed.
+    nonempty.  Precomputed cliques of one size (e.g. the cosets of a
+    tagged Cayley instance) may be passed in as the rows of a 2-D array;
+    they are verified before use and returned as such an array, sorted,
+    each row ascending.  Without them the cliques are enumerated and
+    returned as sorted vertex lists.
     """
-    if isinstance(cliques, np.ndarray):
-        cliques = np.sort(cliques, axis=1)
+    if cliques is None:
+        cliques = maximal_cliques(graph, budget)
+        vertex, sizes = _codes([v for c in cliques for v in c]), [len(c) for c in cliques]
+    else:
+        cliques = np.sort(np.asarray(cliques), axis=1)
         cliques = cliques[np.lexsort(cliques.T[::-1])]
         verify_clique_cover(graph, cliques)
         vertex, sizes = cliques.ravel(), np.full(len(cliques), cliques.shape[1])
-    else:
-        if cliques is None:
-            cliques = maximal_cliques(graph, budget)
-        else:
-            cliques = sorted(sorted(c) for c in cliques)
-            verify_clique_cover(graph, cliques)
-        vertex, sizes = _codes([v for c in cliques for v in c]), [len(c) for c in cliques]
     order = np.argsort(vertex, kind="stable")
     ptr = np.concatenate([[0], np.cumsum(np.bincount(vertex, minlength=graph.n))])
     owner = np.repeat(np.arange(len(cliques), dtype=_index_dtype(len(cliques))), sizes)
