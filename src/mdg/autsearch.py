@@ -6,6 +6,10 @@ other branch is either turned into a new explicit automorphism or refuted
 by an exhaustive sub-search.  With the full group supplied as the known
 subgroup the search degenerates into a (still exhaustive) verification
 that nothing further exists.
+
+Partitions are arrays (``Partition``), and the search keeps the refined
+partition of every node on its stack: a child individualises one vertex
+of its parent's partition and refines once, never from the unit partition.
 """
 
 from dataclasses import dataclass
@@ -15,97 +19,127 @@ import numpy as np
 from . import graphs, groups, permgroups
 
 
-def refine(graph: graphs.Graph, cells) -> list[list[int]]:
-    """Deterministic equitable refinement: split every cell by the tuple
-    of neighbor counts into all current cells, until stable.
+class Partition:
+    """An ordered partition of the vertices 0..n-1 in three int arrays:
+    ``order`` lists the vertices cell by cell, each cell ascending; cell i
+    is ``order[starts[i]:starts[i + 1]]``, the last start being n; and
+    ``cell[v]`` is the index of the cell holding v.  Its length is its
+    number of cells."""
 
-    The parts of a split cell are ordered by ascending count tuple, and
-    every cell lists its vertices in ascending order.  A pass is one
-    lexsort: a vertex's sorted row of neighbour cells, padded with a
-    sentinel above every cell index, sorts in descending order exactly
-    when its count tuple sorts in ascending order.  The padded row matrix
-    takes n * (maximum degree) entries.
+    def __init__(self, order: np.ndarray, starts: np.ndarray):
+        self.order, self.starts = order, starts
+        sizes = np.diff(starts)
+        self.cell = np.empty(len(order), dtype=np.int32)
+        self.cell[order] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+
+    @classmethod
+    def from_cells(cls, n: int, cells) -> "Partition":
+        """The given nonempty cells in order; they must partition 0..n-1."""
+        members = [np.sort(np.asarray(c, dtype=np.int32)) for c in cells if len(c)]
+        order = np.concatenate(members) if members else np.zeros(0, dtype=np.int32)
+        if len(order) != n or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("cells must partition the vertices")
+        return cls(order, np.cumsum([0] + [len(c) for c in members]))
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def members(self, i: int) -> np.ndarray:
+        return self.order[self.starts[i]:self.starts[i + 1]]
+
+    def first_split(self) -> int | None:
+        """Index of the first cell with more than one vertex, if any."""
+        big = np.flatnonzero(np.diff(self.starts) > 1)
+        return int(big[0]) if len(big) else None
+
+    def individualize(self, v: int) -> "Partition":
+        """v taken out of its cell into a singleton cell just before it."""
+        c = self.cell[v]
+        lo, hi = self.starts[c], self.starts[c + 1]
+        if hi - lo == 1:
+            return self
+        order = self.order.copy()
+        block = order[lo:hi]
+        block[1:] = block[block != v]
+        block[0] = v
+        return Partition(order, np.insert(self.starts, c + 1, lo + 1))
+
+
+def refine(graph: graphs.Graph, part: Partition) -> Partition:
+    """Deterministic equitable refinement: split every cell by the tuple
+    of neighbour counts into all current cells, until stable.
+
+    The parts of a split cell replace it in ascending count-tuple order,
+    each ascending.  A pass sorts vertices by cell, then by their sorted
+    row of neighbour cells padded with a sentinel above every cell index:
+    rows sort descending exactly when count tuples sort ascending.  Only a
+    cell next to a cell split in the last pass can split in the next, so a
+    pass reads the rows of those cells alone (first, of every cell).
     """
     n = graph.n
-    cell_of = np.full(n + 1, n, dtype=np.int32)  # slot n: the padding sentinel
-    members = [np.asarray(c, dtype=np.int64) for c in cells if len(c)]
-    flat = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
-    if len(flat) != n or not np.array_equal(np.sort(flat), np.arange(n)):
+    if len(part.order) != n:
         raise ValueError("cells must partition the vertices")
-    for ci, c in enumerate(members):
-        cell_of[c] = ci
-    k = len(members)
     nbr = graph.neighbor_array(pad=n)
-    while True:
-        rows = np.sort(cell_of[nbr], axis=1)
-        cur = cell_of[:n]
+    sizes = np.diff(part.starts)
+    todo = np.flatnonzero(sizes > 1)
+    while len(todo):
+        pos = graphs._ranges(part.starts[todo], sizes[todo])
+        verts = part.order[pos]
+        cur = part.cell[verts]
+        padded = np.append(part.cell, np.int32(n))  # slot n: the padding sentinel
+        rows = np.sort(padded[nbr[verts]], axis=1)
         # lexsort is stable, so each part keeps its vertices ascending
-        order = np.lexsort([-rows[:, j] for j in reversed(range(rows.shape[1]))] + [cur])
-        srt, sc = rows[order], cur[order]
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = (sc[1:] != sc[:-1]) | np.any(srt[1:] != srt[:-1], axis=1)
-        new_k = int(starts.sum())
-        if new_k == k:
+        srt = np.lexsort(np.vstack([n - rows.T[::-1], cur[None, :]]))
+        rows, cur, verts = rows[srt], cur[srt], verts[srt]
+        new = np.zeros(len(pos), dtype=bool)
+        new[1:] = (cur[1:] == cur[:-1]) & np.any(rows[1:] != rows[:-1], axis=1)
+        if not new.any():
             break
-        cur[order] = np.cumsum(starts) - 1
-        k = new_k
-    order = np.argsort(cell_of[:n], kind="stable")
-    bounds = np.flatnonzero(np.diff(cell_of[order])) + 1
-    return [c.tolist() for c in np.split(order, bounds)] if n else []
-
-
-def _individualize(cells, v: int) -> list[list[int]]:
-    out = []
-    for c in cells:
-        if v in c and len(c) > 1:
-            out.append([v])
-            out.append([u for u in c if u != v])
-        else:
-            out.append(c)
-    return out
-
-
-def _refine_seq(graph: graphs.Graph, seq) -> list[list[int]]:
-    cells = refine(graph, [list(range(graph.n))])
-    for v in seq:
-        cells = refine(graph, _individualize(cells, v))
-    return cells
+        did_split = np.bincount(cur[new], minlength=len(sizes)) > 0
+        order = part.order.copy()
+        order[pos] = verts
+        part = Partition(order, np.sort(np.concatenate([part.starts, pos[new]])))
+        sizes = np.diff(part.starts)
+        # the cells next to the vertices of a split cell, if they can split
+        near = nbr[verts[did_split[cur]]].ravel()
+        touched = np.zeros(len(sizes), dtype=bool)
+        touched[part.cell[near[near < n]]] = True
+        todo = np.flatnonzero(touched & (sizes > 1))
+    return part
 
 
 class _Matcher:
     """Searches for an automorphism sending one individualization sequence
-    to another, sharing a node budget across calls."""
+    to another, sharing a node budget across calls.  Each node holds the
+    refined partitions of both sequences; the source side's child is
+    refined once and shared by every target vertex tried against it."""
 
     def __init__(self, graph: graphs.Graph, budget: int):
-        self.graph = graph
-        self.budget = budget
-        self.nodes = 0
+        self.graph, self.budget, self.nodes = graph, budget, 0
 
-    def find(self, seq_s: list[int], seq_t: list[int]) -> np.ndarray | None:
+    def find(self, cs: Partition, parent_t: Partition, seq_s: list[int],
+             seq_t: list[int]) -> np.ndarray | None:
+        """``cs`` is the refined partition of ``seq_s``, and ``parent_t``
+        that of ``seq_t`` without its last vertex."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise groups.BudgetExceeded(f"matcher exceeded {self.budget} nodes")
         g = self.graph
-        cs = _refine_seq(g, seq_s)
-        ct = _refine_seq(g, seq_t)
-        if [len(c) for c in cs] != [len(c) for c in ct]:
+        ct = refine(g, parent_t.individualize(seq_t[-1]))
+        if not np.array_equal(cs.starts, ct.starts):
             return None
         # individualized vertices must sit in matching positions
-        pos_s = {c[0]: i for i, c in enumerate(cs) if len(c) == 1}
-        pos_t = {c[0]: i for i, c in enumerate(ct) if len(c) == 1}
-        if [pos_s[v] for v in seq_s] != [pos_t[v] for v in seq_t]:
+        if not np.array_equal(cs.cell[seq_s], ct.cell[seq_t]):
             return None
-        split = next((i for i, c in enumerate(cs) if len(c) > 1), None)
+        split = cs.first_split()
         if split is None:
             p = np.empty(g.n, dtype=np.int32)
-            for c_s, c_t in zip(cs, ct):
-                p[c_s[0]] = c_t[0]
-            if permgroups.is_automorphism(g, p):
-                return p
-            return None
-        v = cs[split][0]
-        for u in ct[split]:
-            found = self.find(seq_s + [v], seq_t + [u])
+            p[cs.order] = ct.order
+            return p if permgroups.is_automorphism(g, p) else None
+        v = int(cs.members(split)[0])
+        child_s = refine(g, cs.individualize(v))
+        for u in ct.members(split).tolist():
+            found = self.find(child_s, ct, seq_s + [v], seq_t + [u])
             if found is not None:
                 return found
         return None
@@ -131,33 +165,35 @@ def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 
     gens = [permgroups.as_perm(g) for g in known_gens]
     if not permgroups.are_automorphisms(graph, gens):
         raise ValueError("known generator is not an automorphism")
+    n = graph.n
     matcher = _Matcher(graph, node_budget)
     order = 1
     seq: list[int] = []
-    cells = refine(graph, [list(range(graph.n))])
+    cells = refine(graph, Partition.from_cells(n, [range(n)]))
     try:
         while True:
-            split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+            split = cells.first_split()
             if split is None:
                 break
-            v = cells[split][0]
-            stab = [g for g in gens if all(int(g[x]) == x for x in seq)]
-            orb_v = set(permgroups.orbit_of(stab, v, graph.n))
-            refuted: set[int] = set()
-            for u in cells[split]:
-                if u in orb_v or u in refuted:
+            members = cells.members(split)
+            v = int(members[0])
+            stab = [g for g in gens if np.array_equal(g[seq], seq)]
+            orb_v = permgroups.orbit_mask(stab, v, n)
+            refuted = np.zeros(n, dtype=bool)
+            child = refine(graph, cells.individualize(v))
+            for u in members.tolist():
+                if orb_v[u] or refuted[u]:
                     continue
-                p = matcher.find(seq + [v], seq + [u])
+                p = matcher.find(child, cells, seq + [v], seq + [u])
                 if p is None:
-                    refuted.update(permgroups.orbit_of(stab, u, graph.n))
+                    refuted |= permgroups.orbit_mask(stab, u, n)
                 else:
                     gens.append(p)
                     stab.append(p)
-                    orb_v = set(permgroups.orbit_of(stab, v, graph.n))
-            order *= len(orb_v)
+                    orb_v = permgroups.orbit_mask(stab, v, n)
+            order *= int(np.count_nonzero(orb_v))
             seq.append(v)
-            cells = refine(graph, _individualize(cells, v))
+            cells = child
     except groups.BudgetExceeded:
         return AutResult(gens, None, False, matcher.nodes)
     return AutResult(gens, order, True, matcher.nodes)
-

@@ -295,17 +295,7 @@ def aut_report(n: int, target: str, full_search: bool, budget: int) -> Verificat
         return permgroups.generated_order(G, S, permgroups.stabilizer_lift_images(G, S))
     rep.claim("generated-order", formula, generated_order)
     if full_search:
-        # the full-degree lifts are built only to seed the search
-        gamma = build_gamma(G) if target == "gamma" else None
-        lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma)
-        r_gens = permgroups.right_mult_action(G)
-        if target == "sigma":
-            graph, info = graphs.sigma_graph(G)
-            sigma_r = [permgroups.induced_sigma_perm(info, p) for p in r_gens]
-            sigma_lifts = [permgroups.induced_sigma_perm(info, p) for p in lifts]
-            known = sigma_action_gens(sigma_r, sigma_lifts) + sigma_stab_gens(sigma_r, sigma_lifts)
-        else:
-            graph, known = gamma, r_gens + lifts
+        graph, known = _search_input(G, target)
         def run():
             res = autsearch.automorphism_group(graph, known, node_budget=budget)
             if not res.complete:
@@ -315,6 +305,21 @@ def aut_report(n: int, target: str, full_search: bool, budget: int) -> Verificat
     else:
         rep.asserted(f"full-automorphism-order-{target}", formula)
     return rep
+
+
+def _search_input(G, target: str):
+    """The graph the full search certifies, and the known automorphisms
+    seeding it.  On the coset graph each full-degree permutation is induced
+    as soon as it is built, so none outlives this call."""
+    if target == "gamma":
+        gamma = build_gamma(G)
+        return gamma, (permgroups.right_mult_action(G)
+                       + permgroups.connection_stabilizer_gens(G, verify_graph=gamma))
+    sigma, info = graphs.sigma_graph(G)
+    induce = functools.partial(permgroups.induced_sigma_perm, info)
+    sigma_r = [induce(permgroups.right_mult_perm(G, g)) for g in G.gens]
+    sigma_lifts = [induce(p) for p in permgroups.stabilizer_lift_images(G)]
+    return sigma, sigma_action_gens(sigma_r, sigma_lifts) + sigma_stab_gens(sigma_r, sigma_lifts)
 
 
 def render_diagram_table(diag: permgroups.DistanceDiagram) -> str:
@@ -438,13 +443,16 @@ def export(n, target, fmt, output):
         graph = build_gamma(groups.TensorGroup(n))
     else:
         graph, _ = graphs.sigma_graph(groups.TensorGroup(n))
-    text = graphs.to_graph6(graph) + "\n" if fmt == "graph6" else graphs.to_edgelist(graph)
+    # graph6 is written as its one buffer, then the newline
+    chunks = ((graphs.to_graph6(graph), b"\n") if fmt == "graph6"
+              else (graphs.to_edgelist(graph).encode("ascii"),))
     try:
-        f = click.open_file(output, "w")
+        f = click.open_file(output, "wb")
     except OSError as e:
         raise click.BadParameter(f"{output!r}: {e.strerror}", param_hint="'-o' / '--output'") from None
     with f:
-        f.write(text)
+        for chunk in chunks:
+            f.write(chunk)
 
 
 @main.command()

@@ -59,15 +59,6 @@ def transvection(i: int, j: int, n: int) -> int:
     return identity_mat(n) | (1 << (i * n + j))
 
 
-def mat_transpose(m: int, n: int) -> int:
-    t = 0
-    for i in range(n):
-        for j in range(n):
-            if (m >> (i * n + j)) & 1:
-                t |= 1 << (j * n + i)
-    return t
-
-
 def vec_mat(x: int, m: int, n: int) -> int:
     """Row vector times matrix: XOR of the rows of m selected by bits of x."""
     r = 0

@@ -217,9 +217,9 @@ def cayley_graph(G, S) -> Graph:
 
 def xy_connection_set(G) -> list[int]:
     """(X u Y) \\ {1} for a group carrying distinguished X and Y."""
-    X = groups.closure(G, G.x_gens)
-    Y = groups.closure(G, G.y_gens)
-    return sorted((set(X) | set(Y)) - {G.identity})
+    S = groups.sorted_codes(np.concatenate([groups.closure_array(G, G.x_gens),
+                                            groups.closure_array(G, G.y_gens)]))
+    return S[S != G.identity].tolist()
 
 
 @dataclass
@@ -236,11 +236,27 @@ class SigmaInfo:
     def n_x(self) -> int:
         return len(self.x_cosets)
 
-    def x_vertex(self, code: int) -> int:
-        return int(self.x_index[code])
 
-    def y_vertex(self, code: int) -> int:
-        return self.n_x + int(self.y_index[code])
+def right_cosets(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """Right cosets S h of a subgroup as the rows of an int64 array, rows
+    ascending and ordered by their least member, plus every code's row.
+    The least coset member of each code is found a block of at most CHUNK
+    products at a time, and a stable sort by it lists the codes coset by
+    coset.  Raises ValueError if ``subgroup`` is not multiplication-closed.
+    """
+    sub = groups.sorted_codes(subgroup)
+    if not np.any(sub == G.identity):
+        raise ValueError("subgroup must contain the identity")
+    if not np.isin(_codes(G.mul_vec(sub[:, None], sub[None, :])), sub).all():
+        raise ValueError("subgroup is not closed under multiplication")
+    index = np.empty(G.order, dtype=np.int64)
+    step = max(1, CHUNK // len(sub))
+    for lo in range(0, G.order, step):
+        h = np.arange(lo, min(lo + step, G.order))
+        index[h] = _codes(G.mul_vec(sub[:, None], h)).min(axis=0)
+    rows = np.argsort(index, kind="stable").reshape(-1, len(sub))
+    index[rows] = np.arange(len(rows))[:, None]
+    return rows, index
 
 
 def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInfo]:
@@ -248,10 +264,9 @@ def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInf
     intersect.  Each group element h contributes the edge {Xh, Yh}, and
     |Xh n Yg| <= 1 makes that map one-to-one onto the edge set.
     """
-    X = groups.closure(G, G.x_gens, budget)
-    Y = groups.closure(G, G.y_gens, budget)
-    x_cosets, x_index = groups.coset_index_array(G, X)
-    y_cosets, y_index = groups.coset_index_array(G, Y)
+    groups.check_budget(G.order, budget)
+    x_cosets, x_index = right_cosets(G, groups.closure_array(G, G.x_gens))
+    y_cosets, y_index = right_cosets(G, groups.closure_array(G, G.y_gens))
     info = SigmaInfo(x_cosets, y_cosets, x_index, y_index)
     edges = np.stack([info.x_index, info.n_x + info.y_index], axis=1)
     return Graph(info.n_x + len(info.y_cosets), edges), info
@@ -498,14 +513,19 @@ def _graph6_size_bytes(n: int) -> bytes:
     raise ValueError("graph too large for the supported graph6 sizes")
 
 
-def to_graph6(graph: Graph) -> str:
+def to_graph6(graph: Graph) -> bytearray:
+    """The graph6 bytes, without a newline: the header and body are one
+    buffer, and the body is filled in place, a block of edges at a time."""
     n = graph.n
     header = _graph6_size_bytes(n)
-    body = np.full((n * (n - 1) // 2 + 5) // 6, 63, dtype=np.uint8)  # "?" is 63
-    i, j = graph.edge_array().T
-    k = j * (j - 1) // 2 + i
-    np.add.at(body, k // 6, (32 >> (k % 6)).astype(np.uint8))
-    return (header + body.tobytes()).decode("ascii")
+    out = bytearray(len(header) + (n * (n - 1) // 2 + 5) // 6)
+    out[:len(header)] = header
+    body = np.frombuffer(out, dtype=np.uint8, offset=len(header))
+    body[:] = 63  # "?": six zero bits
+    for _, i, j in _forward_arcs(graph):
+        k = j * (j - 1) // 2 + i
+        np.add.at(body, k // 6, (32 >> (k % 6)).astype(np.uint8))
+    return out
 
 
 def to_edgelist(graph: Graph) -> str:

@@ -29,7 +29,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-def _check_budget(order: int, budget: int = DEFAULT_BUDGET) -> None:
+def check_budget(order: int, budget: int = DEFAULT_BUDGET) -> None:
     if order > budget:
         raise BudgetExceeded(f"group order {order} exceeds enumeration budget {budget}")
 
@@ -210,40 +210,6 @@ class DihedralProduct:
                               for m, (flip, rot) in zip(self.ms, self._digits(g)))
 
 
-class TableGroup:
-    """Explicit multiplication-table backend for small groups."""
-
-    def __init__(self, table, identity=0, x_gens=(), y_gens=()):
-        self.table = np.array(table, dtype=np.int64)
-        self.order = len(self.table)
-        if self.table.shape != (self.order, self.order) or not self.order:
-            raise ValueError("the table must be a nonempty square array")
-        self.identity = identity
-        self.x_gens = list(x_gens)
-        self.y_gens = list(y_gens)
-        self.gens = self.x_gens + self.y_gens
-        is_id = self.table == identity
-        if not is_id.any(axis=1).all():
-            raise ValueError("table has an element without an inverse")
-        self._inv = np.argmax(is_id, axis=1)
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self._inv[a])
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def mul_vec(self, g1, g2):
-        """Elementwise (broadcast) product: a fancy index into the table."""
-        return self.table[np.asarray(g1, dtype=np.int64), np.asarray(g2, dtype=np.int64)]
-
-    def inv_vec(self, g):
-        return self._inv[np.asarray(g, dtype=np.int64)]
-
-
 def commutator(G, g1: int, g2: int) -> int:
     """[g1, g2] = g1^-1 g2^-1 g1 g2."""
     m = G.mul
@@ -254,7 +220,7 @@ def _closure_mask(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Subgroup generated by ``gens``, as a boolean mask over every code:
     the orbit of the identity under right multiplication by ``gens``,
     grown one breadth-first layer at a time."""
-    _check_budget(G.order, budget)
+    check_budget(G.order, budget)
     seen = np.zeros(G.order, dtype=bool)
     seen[G.identity] = True
     seen[list(gens)] = True
@@ -275,6 +241,26 @@ def closure(G, gens, budget: int = DEFAULT_BUDGET) -> list[int]:
     return np.flatnonzero(_closure_mask(G, gens, budget)).tolist()
 
 
+def closure_array(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Subgroup generated by ``gens``, as a sorted int64 array of codes,
+    grown a breadth-first layer at a time with no mask over G, so its cost
+    scales with the subgroup; BudgetExceeded past ``budget`` elements."""
+    gens = np.asarray(gens, dtype=np.int64)
+    seen = frontier = np.array([G.identity], dtype=np.int64)
+    while len(frontier):
+        found = sorted_codes(G.mul_vec(frontier[:, None], gens[None, :]))
+        frontier = found[~np.isin(found, seen, assume_unique=True)]
+        seen = sorted_codes(np.concatenate([seen, frontier]))
+        check_budget(len(seen), budget)
+    return seen
+
+
+def sorted_codes(codes) -> np.ndarray:
+    """Distinct codes, sorted, as int64 (np.unique imports numpy.ma)."""
+    codes = np.sort(np.asarray(codes, dtype=np.int64), axis=None)
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
 def subgroup_order(G, gens, budget: int = DEFAULT_BUDGET) -> int:
     """|<gens>|, counted on the closure's mask without listing it."""
     return int(np.count_nonzero(_closure_mask(G, gens, budget)))
@@ -282,7 +268,7 @@ def subgroup_order(G, gens, budget: int = DEFAULT_BUDGET) -> int:
 
 def derived_subgroup(G, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Normal closure of the commutators of generator pairs."""
-    _check_budget(G.order, budget)
+    check_budget(G.order, budget)
     comms = {commutator(G, a, b) for a in G.gens for b in G.gens}
     comms.discard(G.identity)
     while True:
@@ -302,7 +288,7 @@ def center(G, budget: int = DEFAULT_BUDGET) -> list[int]:
     """The elements commuting with every generator in ``G.gens``: the
     centraliser of the generators, which is the center when they generate G
     (for the tensor group the ``order`` claim shows that they do)."""
-    _check_budget(G.order, budget)
+    check_budget(G.order, budget)
     gens = np.asarray(G.gens, dtype=np.int64)[:, None]
     # all generators in one broadcast product per block of codes; a block
     # holds about 2^20 products, so its arrays stay a few MB at any order
@@ -392,7 +378,7 @@ def is_mixed_dihedral(G, budget: int = DEFAULT_BUDGET) -> MixedDihedralReport:
     Requires X and Y elementary abelian of equal order 2^n, X and Y
     together generating G, and G/G' elementary abelian of order 2^(2n).
     """
-    _check_budget(G.order, budget)
+    check_budget(G.order, budget)
     X = closure(G, G.x_gens, budget)
     Y = closure(G, G.y_gens, budget)
     derived = derived_subgroup(G, budget)
@@ -411,28 +397,3 @@ def is_mixed_dihedral(G, budget: int = DEFAULT_BUDGET) -> MixedDihedralReport:
     if ab != [2] * (2 * n):
         return fail(f"abelianization is {ab}, expected C_2^{2 * n}")
     return MixedDihedralReport(True, G.order, len(derived), ab)
-
-
-def cosets(G, subgroup: list[int]) -> np.ndarray:
-    """Right cosets S h as the rows of an int64 array: each row sorted, rows
-    sorted by their minimal member.
-
-    Raises ValueError if ``subgroup`` is not multiplication-closed.
-    """
-    sub = np.asarray(sorted(set(subgroup)), dtype=np.int64)
-    if not np.any(sub == G.identity):
-        raise ValueError("subgroup must contain the identity")
-    if not np.isin(np.asarray(G.mul_vec(sub[:, None], sub[None, :]), dtype=np.int64), sub).all():
-        raise ValueError("subgroup is not closed under multiplication")
-    # column h holds the coset S h; its least member names the coset
-    products = np.asarray(G.mul_vec(sub[:, None], np.arange(G.order)[None, :]), dtype=np.int64)
-    reps = np.flatnonzero(products.min(axis=0) == np.arange(G.order))
-    return np.sort(products[:, reps].T, axis=1)
-
-
-def coset_index_array(G, subgroup: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Cosets plus a code -> coset-index lookup array."""
-    cs = cosets(G, subgroup)
-    idx = np.empty(G.order, dtype=np.int64)
-    idx[cs] = np.arange(len(cs))[:, None]
-    return cs, idx

@@ -161,7 +161,8 @@ class PermGroup:
         return n
 
 
-def orbit_of(gens, seed: int, degree: int) -> list[int]:
+def orbit_mask(gens, seed: int, degree: int) -> np.ndarray:
+    """The orbit of ``seed`` as a boolean mask over the points."""
     seen = np.zeros(degree, dtype=bool)
     seen[seed] = True
     frontier = np.array([seed], dtype=np.int32)
@@ -171,7 +172,7 @@ def orbit_of(gens, seed: int, degree: int) -> list[int]:
             hit[g[frontier]] = True
         frontier = np.flatnonzero(hit & ~seen)
         seen[frontier] = True
-    return np.flatnonzero(seen).tolist()
+    return seen
 
 
 def orbits(gens, degree: int) -> list[list[int]]:
@@ -182,9 +183,9 @@ def orbits(gens, degree: int) -> list[list[int]]:
     for v in range(degree):
         if assigned[v]:
             continue
-        orb = orbit_of(gens, v, degree)
-        assigned[orb] = True
-        out.append(orb)
+        orb = orbit_mask(gens, v, degree)
+        assigned |= orb
+        out.append(np.flatnonzero(orb).tolist())
     return out
 
 
@@ -255,20 +256,24 @@ def swap_sides_perm(G, codes=None) -> np.ndarray:
     return _lift(G, G.y_gens, G.x_gens, codes)
 
 
-def stabilizer_lift_images(G, codes=None) -> list[np.ndarray]:
+def stabilizer_lift_images(G, codes=None):
     """Images of ``codes`` (default: every code) under each generator of
     the vertex-0 stabilizer preserving the connection set (X u Y) \\ {0}:
     one lift per GL transvection on each side, plus the side-swapping
-    involution."""
+    involution.  The lifts are yielded one at a time, each built when it
+    is asked for."""
     ms = f2.gl_generators(G.n)
-    return ([x_side_lift(G, m, codes) for m in ms] + [y_side_lift(G, m, codes) for m in ms]
-            + [swap_sides_perm(G, codes)])
+    for m in ms:
+        yield x_side_lift(G, m, codes)
+    for m in ms:
+        yield y_side_lift(G, m, codes)
+    yield swap_sides_perm(G, codes)
 
 
 def connection_stabilizer_gens(G, verify_graph: graphs.Graph | None = None) -> list[np.ndarray]:
     """The stabilizer lifts as permutations of all codes, each optionally
     verified to be an automorphism of the supplied Cayley graph."""
-    perms = stabilizer_lift_images(G)
+    perms = list(stabilizer_lift_images(G))
     if verify_graph is not None and not are_automorphisms(verify_graph, perms):
         raise ValueError("lift failed automorphism verification")
     return perms
@@ -425,7 +430,7 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
     for g in stab_gens:
         if int(g[base]) != base:
             raise ValueError("stabilizer generator moves the base vertex")
-    vertex = len(orbit_of(gens + stab_gens, base, graph.n)) == graph.n
+    vertex = bool(orbit_mask(gens + stab_gens, base, graph.n).all())
     dist, _ = graphs.bfs_layers(graph, base)
     # the stabilizer on the k neighbours of the base, and on the ordered
     # neighbour pairs (i, j), named i * k + j
@@ -534,24 +539,3 @@ def edge_affine_witness(quotient: graphs.Graph, group_gens, candidate_gens) -> E
     if len(orbits(_edge_action(quotient, candidate_gens), m * m)) != 1:
         return fail("subgroup is not regular on the edges")
     return EdgeAffineWitness(True, order)
-
-
-def line_graph_as_cayley(G, info: graphs.SigmaInfo, sigma: graphs.Graph,
-                         gamma: graphs.Graph) -> tuple[list[int], bool]:
-    """Reconstruct the connection set from the edge-regular action of G on
-    the coset-graph edges (h sends the base edge {X, Y} to {Xh, Yh}).
-
-    Returns (S, verdict): S is the set of elements moving the base edge to
-    an incident edge, and the verdict is whether Cay(G, S) coincides
-    vertex-for-vertex with the supplied line-graph model ``gamma``.
-    """
-    x, y = info.x_index, info.n_x + info.y_index
-    keys = np.sort(x * sigma.n + y)
-    if np.any(keys[1:] == keys[:-1]) or G.order != sigma.edge_count():
-        raise ValueError("the action on edges is not regular")
-    # another edge {Xh, Yh} meets the base edge iff it shares exactly one
-    # endpoint with it: Xh = X or Yh = Y, but not both
-    bx, by = x[G.identity], y[G.identity]
-    S = np.flatnonzero((x == bx) != (y == by)).tolist()
-    cay = graphs.cayley_graph(G, S)
-    return S, cay == gamma

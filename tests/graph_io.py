@@ -7,8 +7,8 @@ import math
 from mdg.graphs import Graph
 
 
-def from_graph6(s: str) -> Graph:
-    data = [c - 63 for c in s.strip().encode("ascii")]
+def from_graph6(s: str | bytes) -> Graph:
+    data = [c - 63 for c in (s.encode("ascii") if isinstance(s, str) else bytes(s)).strip()]
     if not data:
         raise ValueError("empty graph6 string")
     if any(not 0 <= c <= 63 for c in data):

@@ -1,0 +1,76 @@
+"""Test oracles for mdg.groups and mdg.graphs, kept from earlier designs.
+
+``TableGroup`` is an explicit multiplication-table backend for small
+groups.  ``cosets`` forms the whole (|H|, |G|) product at once, the oracle
+for the blocked ``graphs.right_cosets``.  ``mat_transpose`` is the scalar
+F_2 transpose behind the per-element lift formulas."""
+
+import numpy as np
+
+
+class TableGroup:
+    """Explicit multiplication-table backend for small groups."""
+
+    def __init__(self, table, identity=0, x_gens=(), y_gens=()):
+        self.table = np.array(table, dtype=np.int64)
+        self.order = len(self.table)
+        if self.table.shape != (self.order, self.order) or not self.order:
+            raise ValueError("the table must be a nonempty square array")
+        self.identity = identity
+        self.x_gens = list(x_gens)
+        self.y_gens = list(y_gens)
+        self.gens = self.x_gens + self.y_gens
+        is_id = self.table == identity
+        if not is_id.any(axis=1).all():
+            raise ValueError("table has an element without an inverse")
+        self._inv = np.argmax(is_id, axis=1)
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.table[a, b])
+
+    def inv(self, a: int) -> int:
+        return int(self._inv[a])
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def mul_vec(self, g1, g2):
+        """Elementwise (broadcast) product: a fancy index into the table."""
+        return self.table[np.asarray(g1, dtype=np.int64), np.asarray(g2, dtype=np.int64)]
+
+    def inv_vec(self, g):
+        return self._inv[np.asarray(g, dtype=np.int64)]
+
+
+def cosets(G, subgroup) -> np.ndarray:
+    """Right cosets S h as the rows of an int64 array: each row sorted, rows
+    sorted by their minimal member.
+
+    Raises ValueError if ``subgroup`` is not multiplication-closed.
+    """
+    sub = np.asarray(sorted(set(subgroup)), dtype=np.int64)
+    if not np.any(sub == G.identity):
+        raise ValueError("subgroup must contain the identity")
+    if not np.isin(np.asarray(G.mul_vec(sub[:, None], sub[None, :]), dtype=np.int64), sub).all():
+        raise ValueError("subgroup is not closed under multiplication")
+    # column h holds the coset S h; its least member names the coset
+    products = np.asarray(G.mul_vec(sub[:, None], np.arange(G.order)[None, :]), dtype=np.int64)
+    reps = np.flatnonzero(products.min(axis=0) == np.arange(G.order))
+    return np.sort(products[:, reps].T, axis=1)
+
+
+def coset_index_array(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """Cosets plus a code -> coset-index lookup array."""
+    cs = cosets(G, subgroup)
+    idx = np.empty(G.order, dtype=np.int64)
+    idx[cs] = np.arange(len(cs))[:, None]
+    return cs, idx
+
+
+def mat_transpose(m: int, n: int) -> int:
+    t = 0
+    for i in range(n):
+        for j in range(n):
+            if (m >> (i * n + j)) & 1:
+                t |= 1 << (j * n + i)
+    return t

@@ -5,13 +5,15 @@ the generated symmetry order, the oracle for ``generated_order``: it checks
 every lift as a permutation of all |G| codes, so it is practical at n <= 3
 only.  The transitivity flags, the complete-bipartite test and the
 edge-affine witness below search sets of vertex pairs, edges and subgroup
-elements directly instead of counting orbits of induced actions."""
+elements directly instead of counting orbits of induced actions.
+``line_graph_as_cayley`` is the converse construction, Γ rebuilt from the
+action of G on the coset-graph edges; no claim uses it yet."""
 
 import numpy as np
 
 from mdg import graphs
 from mdg.permgroups import (PermGroup, are_automorphisms, as_perm, compose, identity_perm,
-                            inverse, is_identity, orbit_of, orbits, right_mult_perm)
+                            inverse, is_identity, orbit_mask, orbits, right_mult_perm)
 
 
 def order_with_regular_normal_subgroup(G, stab_gens) -> int:
@@ -65,7 +67,7 @@ def transitivity_flags(graph, gens, stab_gens, base: int = 0) -> dict:
     stab_gens = [as_perm(g) for g in stab_gens]
     if not are_automorphisms(graph, gens + stab_gens):
         raise ValueError("generator is not a graph automorphism")
-    vertex = len(orbit_of(gens + stab_gens, base, graph.n)) == graph.n
+    vertex = bool(orbit_mask(gens + stab_gens, base, graph.n).all())
     dist, _ = graphs.bfs_layers(graph, base)
     n1 = graph.neighbors(base).tolist()
     arc = vertex and _pair_orbit_count(stab_gens, {(u, u) for u in n1}) == 1
@@ -175,3 +177,24 @@ def edge_affine_witness(quotient, group_gens, candidate_gens) -> tuple[bool, int
     e0 = quotient.edge_array()[0].tolist()
     edge_orbit = {tuple(sorted((int(p[e0[0]]), int(p[e0[1]])))) for p in sub}
     return len(edge_orbit) == m * m, len(sub)
+
+
+def line_graph_as_cayley(G, info: graphs.SigmaInfo, sigma: graphs.Graph,
+                         gamma: graphs.Graph) -> tuple[list[int], bool]:
+    """Reconstruct the connection set from the edge-regular action of G on
+    the coset-graph edges (h sends the base edge {X, Y} to {Xh, Yh}).
+
+    Returns (S, verdict): S is the set of elements moving the base edge to
+    an incident edge, and the verdict is whether Cay(G, S) coincides
+    vertex-for-vertex with the supplied line-graph model ``gamma``.
+    """
+    x, y = info.x_index, info.n_x + info.y_index
+    keys = np.sort(x * sigma.n + y)
+    if np.any(keys[1:] == keys[:-1]) or G.order != sigma.edge_count():
+        raise ValueError("the action on edges is not regular")
+    # another edge {Xh, Yh} meets the base edge iff it shares exactly one
+    # endpoint with it: Xh = X or Yh = Y, but not both
+    bx, by = x[G.identity], y[G.identity]
+    S = np.flatnonzero((x == bx) != (y == by)).tolist()
+    cay = graphs.cayley_graph(G, S)
+    return S, cay == gamma

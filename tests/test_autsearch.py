@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdg import autsearch, cli, graphs, permgroups as pg
+from mdg import autsearch, cli, graphs, groups, permgroups as pg
 
 try:
     import networkx as nx
@@ -21,19 +22,24 @@ def petersen():
     return graphs.Graph(10, edges)
 
 
+def refine(graph, cells) -> list[list[int]]:
+    part = autsearch.refine(graph, autsearch.Partition.from_cells(graph.n, cells))
+    return [c.tolist() for c in np.split(part.order, part.starts[1:-1])] if len(part) else []
+
+
 def test_refine_regular_fixed_point():
     k44 = graphs.complete_bipartite(4, 4)
-    assert autsearch.refine(k44, [list(range(8))]) == [list(range(8))]
+    assert refine(k44, [list(range(8))]) == [list(range(8))]
 
 
 def test_refine_splits_by_degree():
     p3 = graphs.Graph(3, [(0, 1), (1, 2)])
-    assert autsearch.refine(p3, [[0, 1, 2]]) == [[0, 2], [1]]
+    assert refine(p3, [[0, 1, 2]]) == [[0, 2], [1]]
 
 
 def test_refine_after_individualizing_refines_layers():
     G, S, gamma, sigma, info = cli.build_instance(2)
-    cells = autsearch.refine(gamma, [[0], [v for v in range(1, 256)]])
+    cells = refine(gamma, [[0], [v for v in range(1, 256)]])
     dist, _ = graphs.bfs_layers(gamma, 0)
     for cell in cells:
         assert len({dist[v] for v in cell}) == 1
@@ -41,8 +47,8 @@ def test_refine_after_individualizing_refines_layers():
 
 def test_refine_deterministic():
     g = petersen()
-    once = autsearch.refine(g, [[0], list(range(1, 10))])
-    again = autsearch.refine(g, [[0], list(range(1, 10))])
+    once = refine(g, [[0], list(range(1, 10))])
+    again = refine(g, [[0], list(range(1, 10))])
     assert once == again
 
 
@@ -130,4 +136,37 @@ def test_aut_order_matches_networkx(graph):
     ref.add_edges_from(graph.edge_array().tolist())
     self_maps = sum(1 for _ in nx.isomorphism.GraphMatcher(ref, ref).isomorphisms_iter())
     assert res.complete and res.order == self_maps
+    assert pg.are_automorphisms(graph, res.gens)
+
+
+def _sigma_of_dihedral(*ms):
+    return graphs.sigma_graph(groups.DihedralProduct(*ms))[0]
+
+
+# Unseeded searches as the list-partition search found them, when it
+# re-refined every node from the unit partition: order, matcher nodes,
+# generator count and the first 16 hex digits of the SHA-256 of the
+# generators' int32 bytes, in order.
+SEARCH_PINS = {
+    "sigma2": (lambda: cli.build_instance(2)[3], 18432, 58, 15, "5a0caa0fd95b7623"),
+    "gamma2": (lambda: cli.build_instance(2)[2], 18432, 30, 10, "283f1ff259fc0d86"),
+    "petersen": (petersen, 120, 9, 4, "741e6896047a51c4"),
+    "dihedral-2-4": (lambda: _sigma_of_dihedral(2, 4), 4096, 67, 12, "0ce8332b7f406fb2"),
+    "dihedral-4-4": (lambda: _sigma_of_dihedral(4, 4), 256, 17, 7, "839c3b8188d33183"),
+    "dihedral-2-4-6": (lambda: _sigma_of_dihedral(2, 4, 6), 54043195528445952, 1508, 55,
+                       "5e699210dffb1b73"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_PINS))
+def test_search_matches_the_pinned_searches(name):
+    build, order, nodes, count, digest = SEARCH_PINS[name]
+    graph = build()
+    res = autsearch.automorphism_group(graph)
+    h = hashlib.sha256()
+    for p in res.gens:
+        assert p.dtype == np.int32
+        h.update(p.tobytes())
+    assert (res.complete, res.order, res.nodes, len(res.gens)) == (True, order, nodes, count)
+    assert h.hexdigest()[:16] == digest
     assert pg.are_automorphisms(graph, res.gens)

@@ -108,18 +108,58 @@ finally:
 """
 
 
+# Peak-RSS bounds, in MB, of whole commands.  Each leaves room for other
+# builds of Python and numpy over what the command peaked at when its bound
+# was set (one run each on Linux, x86-64, CPython 3.11, numpy 2):
+# - verify graphs: 79 MB with whole-arc temporaries, about 43 MB with
+#   bounded blocks;
+# - the coset-graph certification: 41 MB with whole coset products and
+#   full-degree lifts alive during the search, 36 MB without;
+# - the Cayley graph as graph6 (an 89 MB body): 301 MB when the writer
+#   copied the body four times, 121 MB with the body held once.
+GAMMA3_GRAPH6_SHA256 = "7ae3178cea18714d5509713aa56a7204bbda6c76526af2b033bcdb15760f5be1"
+PEAK_BOUNDS_MB = {
+    "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 60),
+    "aut-sigma-full-search-n3": (["aut", "-n", "3", "--target", "sigma", "--full-search",
+                                  "--json"], 50),
+    "export-gamma-graph6-n3": (["export", "-n", "3", "--target", "gamma", "--format", "graph6",
+                                "-o", "{out}"], 220),
+}
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in kB on Linux")
-def test_verify_graphs_n3_peak_rss_stays_bounded():
-    """Every claim passes in a process that peaks under 60 MB: 79 MB when the
-    kernels built whole-arc temporaries, about 43 MB with bounded blocks,
-    plus room for other builds of Python and numpy."""
+@pytest.mark.parametrize("name", sorted(PEAK_BOUNDS_MB))
+def test_peak_rss_stays_bounded(name, tmp_path):
+    """The command succeeds, with every claim passing or the exported bytes
+    pinned, in a process that peaks under its bound."""
+    args, bound = PEAK_BOUNDS_MB[name]
+    out = tmp_path / "export"
     r = subprocess.run([sys.executable, "-c", LAUNCH, sys.executable, "-c", PRINT_PEAK,
-                        "verify", "graphs", "-n", "3", "--json"],
+                        *(a.format(out=out) for a in args)],
                        capture_output=True, text=True, timeout=120, env=fresh_env())
     assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
-    assert {c["status"] for c in json.loads(r.stdout)["claims"]} == {"pass"}
+    if args[0] == "export":
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GAMMA3_GRAPH6_SHA256
+    else:
+        assert {c["status"] for c in json.loads(r.stdout)["claims"]} == {"pass"}
     peak_mb = int(r.stderr.split("peak_kb")[-1]) / 1024
-    assert peak_mb < 60, f"verify graphs -n 3 peaked at {peak_mb:.1f} MB"
+    assert peak_mb < bound, f"{' '.join(args)} peaked at {peak_mb:.1f} MB"
+
+
+# np.unique, and np.isin when it sorts, import numpy.ma on first use: several
+# MB of peak RSS in a process that compiles its byte code.  No command's
+# path needs it.
+@pytest.mark.parametrize("args", [["verify", "group", "-n", "2"], ["verify", "graphs", "-n", "2"],
+                                  ["aut", "-n", "2", "--target", "sigma", "--full-search"],
+                                  ["aut", "-n", "5"], ["export", "-n", "2", "--format", "graph6"]],
+                         ids=lambda a: "-".join(a[:2]))
+def test_commands_leave_numpy_ma_unimported(args):
+    check = "import sys; from mdg.cli import main; main(sys.argv[1:], standalone_mode=False); " \
+            "print('numpy.ma' in sys.modules, file=sys.stderr)"
+    r = subprocess.run([sys.executable, "-c", check, *args], capture_output=True, text=True,
+                       timeout=60, env=fresh_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.split()[-1] == "False"
 
 
 @pytest.mark.parametrize("args", [["-n", "5"], ["-n", "7"], ["--dihedral", "2000,2000,2000"]])
@@ -146,11 +186,15 @@ def test_aut_n4_generated_order_passes():
 
 @pytest.mark.parametrize("n", ["5", "7"])
 def test_aut_above_the_enumeration_budget_skips(n):
+    """Above the enumeration budget the connection set is still listed
+    without a mask over G, so ``generated-order`` computes: |G| |GL(n,2)|^2 2."""
     r = run_fresh("aut", "-n", n, "--json")
     assert r.returncode == 0, r.stderr
     by_id = {c["id"]: c for c in json.loads(r.stdout)["claims"]}
-    assert by_id["generated-order"]["status"] == "skipped"
-    assert "budget exceeded" in by_id["generated-order"]["computed"]
+    assert by_id["generated-order"]["status"] == "pass"
+    k = int(n)
+    gl = int(np.prod([2 ** k - 2 ** i for i in range(k)], dtype=object))
+    assert by_id["generated-order"]["computed"] == 2 ** (k * k + 2 * k) * gl ** 2 * 2
 
 
 @pytest.mark.parametrize("args", [["aut", "--full-search"], ["export", "--target", "sigma"],

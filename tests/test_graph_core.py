@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from group_oracle import TableGroup
 from mdg import cli, graphs, groups, permgroups
 
 try:
@@ -119,7 +120,7 @@ def test_phi_map_is_an_isomorphism_onto_the_networkx_line_graph():
     lref = nx.relabel_nodes(nx.line_graph(sigma), lambda e: index[tuple(sorted(e))])
     # phi(z) is the edge {Xz, Yz}
     for z in G2.elements():
-        assert phi[z] == index[(INFO2.x_vertex(z), INFO2.y_vertex(z))]
+        assert phi[z] == index[(int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z]))]
     gamma = to_nx(GAMMA2)
     nx.set_node_attributes(gamma, {z: phi[z] for z in gamma}, "label")
     nx.set_node_attributes(lref, {i: i for i in lref}, "label")
@@ -208,7 +209,7 @@ def _s3():
     perms = list(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(q[p[k]] for k in range(3))] for q in perms] for p in perms]
-    return groups.TableGroup(table, x_gens=[1], y_gens=[2])
+    return TableGroup(table, x_gens=[1], y_gens=[2])
 
 
 @pytest.mark.parametrize("G", [G2, groups.DihedralProduct(3, 4), groups.DihedralProduct(2, 2, 2), _s3()],
@@ -357,7 +358,7 @@ def test_identifications_are_the_same_for_every_block_size():
     assert got == cliques and cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
     assert over_chunks(lambda: cli.clique_graph_matches_sigma(GAMMA2, SIGMA2, INFO2, False))
     assert over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, INFO2)) == \
-        [_edges(SIGMA2).index((INFO2.x_vertex(z), INFO2.y_vertex(z))) for z in G2.elements()]
+        [_edges(SIGMA2).index((int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z]))) for z in G2.elements()]
     edges = GAMMA2.edge_array()
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     for gamma, sigma, why in (

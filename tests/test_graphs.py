@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_io import from_edgelist, from_graph6
+from group_oracle import TableGroup, coset_index_array, cosets
 from mdg import f2, graphs, groups
 
 
@@ -21,7 +23,7 @@ def test_cayley_validations():
 
 def test_cayley_k2():
     table = [[0, 1], [1, 0]]
-    T = groups.TableGroup(table)
+    T = TableGroup(table)
     g = graphs.cayley_graph(T, [1])
     assert g.n == 2 and g.edge_count() == 1
 
@@ -42,8 +44,8 @@ def test_sigma_neighborhood_structure():
     # the neighbors of the coset Xh are exactly the cosets Yxh, x in X
     X = groups.closure(G2, G2.x_gens)
     for h in (0, 7, 100, 255):
-        v = INFO2.x_vertex(h)
-        expect = sorted({INFO2.y_vertex(G2.mul(x, h)) for x in X})
+        v = int(INFO2.x_index[h])
+        expect = sorted({INFO2.n_x + int(INFO2.y_index[G2.mul(x, h)]) for x in X})
         assert SIGMA2.neighbors(v).tolist() == expect
 
 
@@ -93,7 +95,7 @@ def test_line_graph_of_sigma():
 
 def test_phi_map():
     phi = graphs.phi_map(GAMMA2, SIGMA2, INFO2)
-    assert SIGMA2.edge_array()[phi[0]].tolist() == [INFO2.x_vertex(0), INFO2.y_vertex(0)]
+    assert SIGMA2.edge_array()[phi[0]].tolist() == [int(INFO2.x_index[0]), INFO2.n_x + int(INFO2.y_index[0])]
     assert sorted(phi) == list(range(256))
 
 
@@ -177,9 +179,9 @@ def test_distance_three_layer_structure(n):
 
 def test_graph6_known_strings():
     k2 = graphs.Graph(2, [(0, 1)])
-    assert graphs.to_graph6(k2) == "A_"
+    assert graphs.to_graph6(k2) == b"A_"
     p3 = graphs.Graph(3, [(0, 1), (1, 2)])
-    assert graphs.to_graph6(p3) == "Bg"
+    assert graphs.to_graph6(p3) == b"Bg"
 
 
 @given(st.integers(min_value=1, max_value=12), st.data())
@@ -193,7 +195,7 @@ def test_graph6_roundtrip(n, data):
 
 def test_graph6_long_header_roundtrip():
     s = graphs.to_graph6(SIGMA2)
-    assert s.startswith("~")
+    assert s.startswith(b"~")
     assert from_graph6(s) == SIGMA2
 
 
@@ -227,7 +229,7 @@ random_graphs = st.integers(min_value=1, max_value=40).flatmap(
 def _check_graph6_against_networkx(graph):
     nx, g = _nx_graph(graph)
     s = graphs.to_graph6(graph)
-    assert s.encode("ascii") == nx.to_graph6_bytes(g, header=False).rstrip(b"\n")
+    assert s == nx.to_graph6_bytes(g, header=False).rstrip(b"\n")
     assert from_graph6(s) == graph
 
 
@@ -257,3 +259,69 @@ def test_maximal_cliques_match_networkx_gamma2():
 @settings(max_examples=100, deadline=None)
 def test_maximal_cliques_match_networkx_random(graph):
     _check_cliques_against_networkx(graph)
+
+
+# The blocked coset rows and the array closure, against the whole-product
+# coset oracle and the mask closure.
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_right_cosets_match_the_whole_product_oracle(n):
+    G = groups.TensorGroup(n)
+    for gens in (G.x_gens, G.y_gens, G.gens[:1], []):
+        sub = groups.closure(G, gens)
+        rows, index = graphs.right_cosets(G, sub)
+        expect_rows, expect_index = coset_index_array(G, sub)
+        assert np.array_equal(rows, expect_rows) and np.array_equal(index, expect_index)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_right_cosets_match_the_oracle_on_dihedral_products(ms, data):
+    G = groups.DihedralProduct(*ms)
+    codes = st.integers(min_value=0, max_value=G.order - 1)
+    sub = groups.closure(G, data.draw(st.lists(codes, max_size=3)))
+    rows, index = graphs.right_cosets(G, sub)
+    assert np.array_equal(rows, cosets(G, sub))
+    assert np.array_equal(rows[index], np.sort(G.mul_vec(np.array(sub)[None, :],
+                                                         np.arange(G.order)[:, None]), axis=1))
+    # one more element: a subgroup only when it adds an involution to {1}
+    candidate = sorted(set(sub) | {data.draw(codes)})
+    try:
+        expect = cosets(G, candidate)
+    except ValueError:
+        with pytest.raises(ValueError, match="not closed"):
+            graphs.right_cosets(G, candidate)
+    else:
+        assert np.array_equal(graphs.right_cosets(G, candidate)[0], expect)
+
+
+def test_right_cosets_reject_a_non_subgroup_of_a_dihedral_product():
+    D = groups.DihedralProduct(2, 4)
+    flip_and_rotation = [0, D.x_gens[0], D.mul(D.x_gens[1], D.y_gens[1])]
+    for build in (graphs.right_cosets, cosets):
+        with pytest.raises(ValueError, match="not closed"):
+            build(D, flip_and_rotation)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_xy_connection_set_needs_no_mask_over_the_group(n):
+    G = groups.TensorGroup(n)
+    X, Y = groups.closure(G, G.x_gens), groups.closure(G, G.y_gens)
+    assert groups.closure_array(G, G.x_gens).tolist() == X
+    assert graphs.xy_connection_set(G) == sorted((set(X) | set(Y)) - {G.identity})
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closure_array_matches_the_mask_closure(ms, data):
+    G = groups.DihedralProduct(*ms)
+    gens = data.draw(st.lists(st.integers(min_value=0, max_value=G.order - 1), max_size=3))
+    sub = groups.closure_array(G, gens)
+    assert sub.dtype == np.int64 and sub.tolist() == groups.closure(G, gens)
+
+
+def test_closure_array_keeps_its_budget():
+    G = groups.TensorGroup(7)
+    assert len(groups.closure_array(G, G.x_gens, budget=128)) == 128
+    with pytest.raises(groups.BudgetExceeded):
+        groups.closure_array(G, G.gens, budget=1 << 10)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdg import cli, f2, groups
+from group_oracle import TableGroup, cosets
+from mdg import cli, f2, graphs, groups
 
 
 G2 = groups.TensorGroup(2)
@@ -124,18 +125,21 @@ def test_dihedral_center():
 
 def test_cosets():
     X = groups.closure(G2, G2.x_gens)
-    cos = groups.cosets(G2, X)
+    cos, index = graphs.right_cosets(G2, X)
     assert len(cos) == 64
     assert all(len(c) == 4 for c in cos)
     assert sorted(v for c in cos for v in c) == list(range(256))
-    assert groups.cosets(G2, list(G2.elements())).tolist() == [list(G2.elements())]
+    assert np.array_equal(cos[index], np.sort(G2.mul_vec(np.array(X)[None, :], np.arange(256)[:, None]), axis=1))
+    whole, index = graphs.right_cosets(G2, list(G2.elements()))
+    assert whole.tolist() == [list(G2.elements())] and not index.any()
+    assert cos.tolist() == cosets(G2, X).tolist()
 
 
 def test_coset_intersections_at_most_one():
     X = groups.closure(G2, G2.x_gens)
     Y = groups.closure(G2, G2.y_gens)
-    xc = groups.cosets(G2, X)
-    yc = groups.cosets(G2, Y)
+    xc, _ = graphs.right_cosets(G2, X)
+    yc, _ = graphs.right_cosets(G2, Y)
     for a in xc:
         sa = set(a)
         for b in yc:
@@ -143,14 +147,17 @@ def test_coset_intersections_at_most_one():
 
 
 def test_cosets_rejects_non_subgroup():
-    with pytest.raises(ValueError):
-        groups.cosets(G2, [0, 1, 4])
+    for build in (graphs.right_cosets, cosets):
+        with pytest.raises(ValueError):
+            build(G2, [0, 1, 4])
+        with pytest.raises(ValueError, match="identity"):
+            build(G2, [1])
 
 
 def test_table_group():
     # C_2 x C_2 as an explicit table
     table = [[a ^ b for b in range(4)] for a in range(4)]
-    T = groups.TableGroup(table, x_gens=[1], y_gens=[2])
+    T = TableGroup(table, x_gens=[1], y_gens=[2])
     assert T.mul(1, 2) == 3
     assert T.inv(3) == 3
     assert len(groups.closure(T, [1, 2])) == 4
@@ -179,7 +186,7 @@ def _symmetric_table(k):
 BACKENDS = {
     "dihedral-3-4": groups.DihedralProduct(3, 4),
     "dihedral-2-2-2": groups.DihedralProduct(2, 2, 2),
-    "table-s3": groups.TableGroup(_symmetric_table(3), x_gens=[1], y_gens=[2]),
+    "table-s3": TableGroup(_symmetric_table(3), x_gens=[1], y_gens=[2]),
     "tensor-2": G2,
 }
 
@@ -199,7 +206,7 @@ def test_mul_vec_and_inv_vec_match_scalar_on_all_pairs(name):
 @pytest.mark.parametrize("table", [[[0, 1], [1, 1]], [], [[0, 1]], [[0, 1], [1]]])
 def test_table_group_rejects_a_malformed_table(table):
     with pytest.raises(ValueError):
-        groups.TableGroup(table)
+        TableGroup(table)
 
 
 def test_center_of_s3_and_dihedral_products():
@@ -307,7 +314,7 @@ def test_derived_subgroup_takes_the_normal_closure():
     # generates a cyclic subgroup that is not normal, and the derived
     # subgroup is all of A_4
     perms = list(itertools.permutations(range(4)))
-    T = groups.TableGroup(_symmetric_table(4), x_gens=[perms.index((1, 0, 2, 3))],
+    T = TableGroup(_symmetric_table(4), x_gens=[perms.index((1, 0, 2, 3))],
                           y_gens=[perms.index((1, 2, 3, 0))])
     assert len(scalar_closure(T, cli.derived_basis(T))) < 12
     derived = groups.derived_subgroup(T)

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from group_oracle import mat_transpose
 from mdg import autsearch, cli, f2, graphs, groups, permgroups as pg
+from mdg.autsearch import Partition
 
 
 def reference_refine(graph, cells):
@@ -41,6 +43,37 @@ def reference_refine(graph, cells):
             return cells
 
 
+def reference_individualize(cells, v):
+    """The list form of individualising v: [v] just before the rest of its
+    cell."""
+    out = []
+    for c in cells:
+        if v in c and len(c) > 1:
+            out.append([v])
+            out.append([u for u in c if u != v])
+        else:
+            out.append(c)
+    return out
+
+
+def cells_of(part) -> list[list[int]]:
+    """A partition's cells as vertex lists."""
+    return [c.tolist() for c in np.split(part.order, part.starts[1:-1])] if len(part) else []
+
+
+def refine(graph, cells) -> list[list[int]]:
+    return cells_of(autsearch.refine(graph, Partition.from_cells(graph.n, cells)))
+
+
+def check_arrays(part, n):
+    """The three arrays of a partition describe the same cells."""
+    sizes = np.diff(part.starts)
+    assert part.starts[0] == 0 and part.starts[-1] == n and np.all(sizes > 0)
+    assert np.array_equal(part.cell[part.order], np.repeat(np.arange(len(sizes)), sizes))
+    for i in range(len(part)):
+        assert np.all(np.diff(part.members(i)) > 0)
+
+
 def reference_induced(info, p):
     """Induced coset permutation by looking up each coset's image set."""
     cosets = info.x_cosets.tolist() + info.y_cosets.tolist()
@@ -51,7 +84,7 @@ def reference_induced(info, p):
 def scalar_x_lift(G, m, code):
     n = G.n
     x, y, a = G.decode(code)
-    return G.encode(f2.vec_mat(x, m, n), y, f2.mat_mul(f2.mat_transpose(m, n), a, n))
+    return G.encode(f2.vec_mat(x, m, n), y, f2.mat_mul(mat_transpose(m, n), a, n))
 
 
 def scalar_y_lift(G, m, code):
@@ -63,7 +96,7 @@ def scalar_y_lift(G, m, code):
 def scalar_swap(G, code):
     n = G.n
     x, y, a = G.decode(code)
-    return G.encode(y, x, f2.outer(y, x, n) ^ f2.mat_transpose(a, n))
+    return G.encode(y, x, f2.outer(y, x, n) ^ mat_transpose(a, n))
 
 
 def sample_codes(G):
@@ -206,27 +239,41 @@ def graphs_and_partitions(draw):
 @settings(max_examples=300, deadline=None)
 def test_refine_matches_reference_on_random_graphs(case):
     graph, cells = case
-    assert autsearch.refine(graph, cells) == reference_refine(graph, cells)
+    assert refine(graph, cells) == reference_refine(graph, cells)
     unit = [list(range(graph.n))]
-    assert autsearch.refine(graph, unit) == reference_refine(graph, unit)
+    assert refine(graph, unit) == reference_refine(graph, unit)
+    # and one individualisation deeper, from the refined partition
+    part = autsearch.refine(graph, Partition.from_cells(graph.n, cells))
+    check_arrays(part, graph.n)
+    split = part.first_split()
+    if split is not None:
+        for u in part.members(split).tolist():
+            start = part.individualize(u)
+            check_arrays(start, graph.n)
+            assert cells_of(start) == reference_individualize(cells_of(part), u)
+            deeper = autsearch.refine(graph, start)
+            check_arrays(deeper, graph.n)
+            assert cells_of(deeper) == reference_refine(graph, cells_of(start))
 
 
 @pytest.mark.parametrize("target", ["sigma", "gamma"])
 def test_refine_matches_reference_along_individualisation(target):
     G, S, gamma, sigma, info = cli.build_instance(2)
     graph = sigma if target == "sigma" else gamma
-    cells = autsearch.refine(graph, [list(range(graph.n))])
-    assert cells == reference_refine(graph, [list(range(graph.n))])
+    part = autsearch.refine(graph, Partition.from_cells(graph.n, [range(graph.n)]))
+    assert cells_of(part) == reference_refine(graph, [list(range(graph.n))])
     steps = 0
     while True:
-        split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        split = part.first_split()
         if split is None:
             break
+        members = part.members(split).tolist()
         # the search's own sequence, plus every sibling at the first level
-        for u in cells[split] if steps == 0 else cells[split][:1]:
-            start = autsearch._individualize(cells, u)
-            assert autsearch.refine(graph, start) == reference_refine(graph, start)
-        cells = autsearch.refine(graph, autsearch._individualize(cells, cells[split][0]))
+        for u in members if steps == 0 else members[:1]:
+            start = part.individualize(u)
+            assert cells_of(start) == reference_individualize(cells_of(part), u)
+            assert cells_of(autsearch.refine(graph, start)) == reference_refine(graph, cells_of(start))
+        part = autsearch.refine(graph, part.individualize(members[0]))
         steps += 1
     assert steps > 0
 
@@ -235,11 +282,11 @@ def test_refine_and_search_on_tiny_and_edgeless_graphs():
     for n in (0, 1, 5):
         g = graphs.Graph(n, [])
         unit = [list(range(n))]
-        assert autsearch.refine(g, unit) == reference_refine(g, unit)
+        assert refine(g, unit) == reference_refine(g, unit)
         res = autsearch.automorphism_group(g)
         assert res.complete and res.order == [1, 1, 120][(0, 1, 5).index(n)]
     g = graphs.Graph(5, [])
-    assert autsearch.refine(g, [[3], [0, 1, 2, 4]]) == [[3], [0, 1, 2, 4]]
+    assert refine(g, [[3], [0, 1, 2, 4]]) == [[3], [0, 1, 2, 4]]
     assert autsearch.automorphism_group(graphs.Graph(6, [(0, 1)])).order == 48
 
 
@@ -247,7 +294,9 @@ def test_refine_rejects_a_non_partition():
     g = graphs.Graph(3, [(0, 1)])
     for cells in ([[0, 1]], [[0, 1], [1, 2]], [[0, 1, 2, 3]]):
         with pytest.raises(ValueError):
-            autsearch.refine(g, cells)
+            autsearch.refine(g, Partition.from_cells(g.n, cells))
+    with pytest.raises(ValueError):
+        autsearch.refine(g, Partition.from_cells(2, [[0, 1]]))
 
 
 def test_are_automorphisms_agrees_with_single_checks():
