@@ -217,9 +217,9 @@ def commutator(G, g1: int, g2: int) -> int:
 
 
 def _closure_mask(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Subgroup generated by ``gens``, as a boolean mask over every code:
-    the orbit of the identity under right multiplication by ``gens``,
-    grown one breadth-first layer at a time."""
+    """Subgroup generated by ``gens``, as a boolean mask over every code
+    (a byte each, to count subgroups as large as G): the identity's orbit
+    under right multiplication, grown a breadth-first layer at a time."""
     check_budget(G.order, budget)
     seen = np.zeros(G.order, dtype=bool)
     seen[G.identity] = True
@@ -238,7 +238,7 @@ def _closure_mask(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
 
 def closure(G, gens, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Subgroup generated by ``gens``, as a sorted list of codes."""
-    return np.flatnonzero(_closure_mask(G, gens, budget)).tolist()
+    return closure_array(G, gens, budget).tolist()
 
 
 def closure_array(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
