@@ -7,9 +7,8 @@ by an exhaustive sub-search.  With the full group supplied as the known
 subgroup the search degenerates into a (still exhaustive) verification
 that nothing further exists.
 
-Partitions are arrays (``Partition``), and the search keeps the refined
-partition of every node on its stack: a child individualises one vertex
-of its parent's partition and refines once, never from the unit partition.
+Partitions are int arrays (``Partition``), and each node of the search
+refines once, from its parent's refined partition.
 """
 
 from dataclasses import dataclass
@@ -59,9 +58,7 @@ class Partition:
         if hi - lo == 1:
             return self
         order = self.order.copy()
-        block = order[lo:hi]
-        block[1:] = block[block != v]
-        block[0] = v
+        order[lo:hi] = np.append(v, order[lo:hi][order[lo:hi] != v])
         return Partition(order, np.insert(self.starts, c + 1, lo + 1))
 
 
@@ -71,48 +68,54 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
 
     The parts of a split cell replace it in ascending count-tuple order,
     each ascending.  A pass sorts vertices by cell, then by their sorted
-    row of neighbour cells padded with a sentinel above every cell index:
-    rows sort descending exactly when count tuples sort ascending.  Only a
-    cell next to a cell split in the last pass can split in the next, so a
-    pass reads the rows of those cells alone (first, of every cell).
+    row of neighbour cells padded with a sentinel above every cell index,
+    packed into uint64 words: rows sort descending exactly when count
+    tuples sort ascending.  After a pass the vertices of a cell have equal
+    counts into each cell that split, so the next pass reads only the cells
+    next to the parts other than the largest (the first pass: every cell).
     """
     n = graph.n
     if len(part.order) != n:
         raise ValueError("cells must partition the vertices")
     nbr = graph.neighbor_array(pad=n)
-    sizes = np.diff(part.starts)
-    todo = np.flatnonzero(sizes > 1)
+    todo = np.flatnonzero(np.diff(part.starts) > 1)
     while len(todo):
-        pos = graphs._ranges(part.starts[todo], sizes[todo])
+        k = len(part)
+        pos = graphs._ranges(part.starts[todo], np.diff(part.starts)[todo])
         verts = part.order[pos]
         cur = part.cell[verts]
-        padded = np.append(part.cell, np.int32(n))  # slot n: the padding sentinel
-        rows = np.sort(padded[nbr[verts]], axis=1)
+        rows = np.sort(np.append(part.cell, np.int32(k))[nbr[verts]], axis=1)  # k pads
+        # k - entry, packed first-most-significant: words ascend as rows descend
+        per, width = 64 // k.bit_length(), np.uint64(k.bit_length())
+        words = np.zeros((-(-nbr.shape[1] // per) or 1, len(pos)), dtype=np.uint64)
+        for j in range(nbr.shape[1]):
+            words[j // per] = (words[j // per] << width) | (k - rows[:, j]).astype(np.uint64)
         # lexsort is stable, so each part keeps its vertices ascending
-        srt = np.lexsort(np.vstack([n - rows.T[::-1], cur[None, :]]))
-        rows, cur, verts = rows[srt], cur[srt], verts[srt]
-        new = np.zeros(len(pos), dtype=bool)
-        new[1:] = (cur[1:] == cur[:-1]) & np.any(rows[1:] != rows[:-1], axis=1)
+        srt = np.lexsort((*words[::-1], cur))
+        words, cur, verts = words[:, srt], cur[srt], verts[srt]
+        new = np.append(False, (cur[1:] == cur[:-1]) & np.any(words[:, 1:] != words[:, :-1], 0))
         if not new.any():
             break
-        did_split = np.bincount(cur[new], minlength=len(sizes)) > 0
         order = part.order.copy()
         order[pos] = verts
         part = Partition(order, np.sort(np.concatenate([part.starts, pos[new]])))
-        sizes = np.diff(part.starts)
-        # the cells next to the vertices of a split cell, if they can split
-        near = nbr[verts[did_split[cur]]].ravel()
-        touched = np.zeros(len(sizes), dtype=bool)
+        # every part but the largest of each old cell (one, if several tie)
+        first = np.flatnonzero(np.append(True, cur[1:] != cur[:-1]) | new)
+        size = np.diff(np.append(first, len(pos)))
+        big = np.lexsort((-size, cur[first]))
+        small = np.ones(len(first), dtype=bool)
+        small[big[np.append(True, np.diff(cur[first][big]) != 0)]] = False
+        near = nbr[verts[np.repeat(small, size)]].ravel()
+        touched = np.zeros(len(part), dtype=bool)
         touched[part.cell[near[near < n]]] = True
-        todo = np.flatnonzero(touched & (sizes > 1))
+        todo = np.flatnonzero(touched & (np.diff(part.starts) > 1))
     return part
 
 
 class _Matcher:
     """Searches for an automorphism sending one individualization sequence
-    to another, sharing a node budget across calls.  Each node holds the
-    refined partitions of both sequences; the source side's child is
-    refined once and shared by every target vertex tried against it."""
+    to another, sharing a node budget across calls.  A node refines its
+    source-side child once, for every target vertex tried against it."""
 
     def __init__(self, graph: graphs.Graph, budget: int):
         self.graph, self.budget, self.nodes = graph, budget, 0

@@ -308,9 +308,8 @@ def aut_report(n: int, target: str, full_search: bool, budget: int) -> Verificat
 
 
 def _search_input(G, target: str):
-    """The graph the full search certifies, and the known automorphisms
-    seeding it.  On the coset graph each full-degree permutation is induced
-    as soon as it is built, so none outlives this call."""
+    """The graph the full search certifies and the automorphisms seeding it;
+    on Σ each full-degree permutation is induced as soon as it is built."""
     if target == "gamma":
         gamma = build_gamma(G)
         return gamma, (permgroups.right_mult_action(G)

@@ -240,10 +240,9 @@ class SigmaInfo:
 def right_cosets(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
     """Right cosets S h of a subgroup as the rows of an int64 array, rows
     ascending and ordered by their least member, plus every code's row.
-    The least coset member of each code is found a block of at most CHUNK
-    products at a time, and a stable sort by it lists the codes coset by
-    coset.  Raises ValueError if ``subgroup`` is not multiplication-closed.
-    """
+    Each code's least coset member is found a block of at most CHUNK
+    products at a time; a stable sort by it lists the codes coset by coset.
+    Raises ValueError if ``subgroup`` is not multiplication-closed."""
     sub = groups.sorted_codes(subgroup)
     if not np.any(sub == G.identity):
         raise ValueError("subgroup must contain the identity")

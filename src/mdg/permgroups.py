@@ -260,8 +260,7 @@ def stabilizer_lift_images(G, codes=None):
     """Images of ``codes`` (default: every code) under each generator of
     the vertex-0 stabilizer preserving the connection set (X u Y) \\ {0}:
     one lift per GL transvection on each side, plus the side-swapping
-    involution.  The lifts are yielded one at a time, each built when it
-    is asked for."""
+    involution.  Each is built only when the caller asks for the next."""
     ms = f2.gl_generators(G.n)
     for m in ms:
         yield x_side_lift(G, m, codes)

@@ -256,6 +256,23 @@ def test_refine_matches_reference_on_random_graphs(case):
             assert cells_of(deeper) == reference_refine(graph, cells_of(start))
 
 
+@given(st.integers(min_value=20, max_value=50), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_refine_matches_reference_with_many_cells_and_high_degree(n, rnd):
+    """Rows of up to 49 neighbour cells among up to 25 cells: several packed
+    words per row, and several passes."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < 0.5]
+    labels = [rnd.randrange(n // 2) for _ in range(n)]
+    cells = [c for c in ([v for v in range(n) if labels[v] == lab] for lab in range(n // 2)) if c]
+    graph = graphs.Graph(n, edges)
+    assert refine(graph, cells) == reference_refine(graph, cells)
+    part = autsearch.refine(graph, Partition.from_cells(n, cells))
+    split = part.first_split()
+    if split is not None:
+        start = part.individualize(int(part.members(split)[-1]))
+        assert cells_of(autsearch.refine(graph, start)) == reference_refine(graph, cells_of(start))
+
+
 @pytest.mark.parametrize("target", ["sigma", "gamma"])
 def test_refine_matches_reference_along_individualisation(target):
     G, S, gamma, sigma, info = cli.build_instance(2)
