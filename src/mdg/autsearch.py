@@ -88,8 +88,9 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
         # k - entry, packed first-most-significant: words ascend as rows descend
         per, width = 64 // k.bit_length(), np.uint64(k.bit_length())
         words = np.zeros((-(-nbr.shape[1] // per) or 1, len(pos)), dtype=np.uint64)
-        for j in range(nbr.shape[1]):
-            words[j // per] = (words[j // per] << width) | (k - rows[:, j]).astype(np.uint64)
+        for j, col in enumerate(np.subtract(np.uint32(k), rows.view(np.uint32).T, order="C")):
+            words[j // per] <<= width
+            words[j // per] |= col
         # lexsort is stable, so each part keeps its vertices ascending
         srt = np.lexsort((*words[::-1], cur))
         words, cur, verts = words[:, srt], cur[srt], verts[srt]
@@ -106,8 +107,7 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
         small = np.ones(len(first), dtype=bool)
         small[big[np.append(True, np.diff(cur[first][big]) != 0)]] = False
         near = nbr[verts[np.repeat(small, size)]].ravel()
-        touched = np.zeros(len(part), dtype=bool)
-        touched[part.cell[near[near < n]]] = True
+        touched = np.bincount(part.cell[near[near < n]], minlength=len(part)) > 0
         todo = np.flatnonzero(touched & (np.diff(part.starts) > 1))
     return part
 
