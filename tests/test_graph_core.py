@@ -358,7 +358,8 @@ def test_identifications_are_the_same_for_every_block_size():
     assert got == cliques and cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
     assert over_chunks(lambda: cli.clique_graph_matches_sigma(GAMMA2, SIGMA2, INFO2, False))
     assert over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, INFO2)) == \
-        [_edges(SIGMA2).index((int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z]))) for z in G2.elements()]
+        [_edges(SIGMA2).index((int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z])))
+         for z in G2.elements()]
     edges = GAMMA2.edge_array()
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     for gamma, sigma, why in (

@@ -95,7 +95,8 @@ def test_line_graph_of_sigma():
 
 def test_phi_map():
     phi = graphs.phi_map(GAMMA2, SIGMA2, INFO2)
-    assert SIGMA2.edge_array()[phi[0]].tolist() == [int(INFO2.x_index[0]), INFO2.n_x + int(INFO2.y_index[0])]
+    x0, y0 = int(INFO2.x_index[0]), INFO2.n_x + int(INFO2.y_index[0])
+    assert SIGMA2.edge_array()[phi[0]].tolist() == [x0, y0]
     assert sorted(phi) == list(range(256))
 
 

@@ -129,7 +129,8 @@ def test_cosets():
     assert len(cos) == 64
     assert all(len(c) == 4 for c in cos)
     assert sorted(v for c in cos for v in c) == list(range(256))
-    assert np.array_equal(cos[index], np.sort(G2.mul_vec(np.array(X)[None, :], np.arange(256)[:, None]), axis=1))
+    members = G2.mul_vec(np.array(X)[None, :], np.arange(256)[:, None])
+    assert np.array_equal(cos[index], np.sort(members, axis=1))
     whole, index = graphs.right_cosets(G2, list(G2.elements()))
     assert whole.tolist() == [list(G2.elements())] and not index.any()
     assert cos.tolist() == cosets(G2, X).tolist()

@@ -1,8 +1,8 @@
 """Differential tests of the numpy kernels against scalar oracles that
 share no code with them: per-element F_2 formulas for the stabilizer
 lifts, scalar products for ``TensorGroup.word_images``, per-coset set
-lookups for the induced coset action, and the dictionary-bucket
-refinement for ``autsearch.refine``."""
+lookups for the induced coset action, and the dictionary-bucket and
+list-partition refinements for ``autsearch.refine``."""
 
 import random
 
@@ -41,6 +41,33 @@ def reference_refine(graph, cells):
         cells = new_cells
         if not changed:
             return cells
+
+
+def lexsort_refine(graph, cells):
+    """The list-partition refinement the array one replaced: every pass
+    lexsorts the padded neighbour-cell rows of all n vertices."""
+    n = graph.n
+    cell_of = np.full(n + 1, n, dtype=np.int32)  # slot n: the padding sentinel
+    members = [np.asarray(c, dtype=np.int64) for c in cells if len(c)]
+    for ci, c in enumerate(members):
+        cell_of[c] = ci
+    k = len(members)
+    nbr = graph.neighbor_array(pad=n)
+    while True:
+        rows = np.sort(cell_of[nbr], axis=1)
+        cur = cell_of[:n]
+        order = np.lexsort([-rows[:, j] for j in reversed(range(rows.shape[1]))] + [cur])
+        srt, sc = rows[order], cur[order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = (sc[1:] != sc[:-1]) | np.any(srt[1:] != srt[:-1], axis=1)
+        new_k = int(starts.sum())
+        if new_k == k:
+            break
+        cur[order] = np.cumsum(starts) - 1
+        k = new_k
+    order = np.argsort(cell_of[:n], kind="stable")
+    bounds = np.flatnonzero(np.diff(cell_of[order])) + 1
+    return [c.tolist() for c in np.split(order, bounds)] if n else []
 
 
 def reference_individualize(cells, v):
@@ -239,9 +266,9 @@ def graphs_and_partitions(draw):
 @settings(max_examples=300, deadline=None)
 def test_refine_matches_reference_on_random_graphs(case):
     graph, cells = case
-    assert refine(graph, cells) == reference_refine(graph, cells)
+    assert refine(graph, cells) == reference_refine(graph, cells) == lexsort_refine(graph, cells)
     unit = [list(range(graph.n))]
-    assert refine(graph, unit) == reference_refine(graph, unit)
+    assert refine(graph, unit) == reference_refine(graph, unit) == lexsort_refine(graph, unit)
     # and one individualisation deeper, from the refined partition
     part = autsearch.refine(graph, Partition.from_cells(graph.n, cells))
     check_arrays(part, graph.n)
@@ -265,12 +292,13 @@ def test_refine_matches_reference_with_many_cells_and_high_degree(n, rnd):
     labels = [rnd.randrange(n // 2) for _ in range(n)]
     cells = [c for c in ([v for v in range(n) if labels[v] == lab] for lab in range(n // 2)) if c]
     graph = graphs.Graph(n, edges)
-    assert refine(graph, cells) == reference_refine(graph, cells)
+    assert refine(graph, cells) == reference_refine(graph, cells) == lexsort_refine(graph, cells)
     part = autsearch.refine(graph, Partition.from_cells(n, cells))
     split = part.first_split()
     if split is not None:
         start = part.individualize(int(part.members(split)[-1]))
-        assert cells_of(autsearch.refine(graph, start)) == reference_refine(graph, cells_of(start))
+        deeper = cells_of(autsearch.refine(graph, start))
+        assert deeper == reference_refine(graph, cells_of(start))
 
 
 @pytest.mark.parametrize("target", ["sigma", "gamma"])
@@ -279,6 +307,7 @@ def test_refine_matches_reference_along_individualisation(target):
     graph = sigma if target == "sigma" else gamma
     part = autsearch.refine(graph, Partition.from_cells(graph.n, [range(graph.n)]))
     assert cells_of(part) == reference_refine(graph, [list(range(graph.n))])
+    assert cells_of(part) == lexsort_refine(graph, [list(range(graph.n))])
     steps = 0
     while True:
         split = part.first_split()
@@ -289,7 +318,8 @@ def test_refine_matches_reference_along_individualisation(target):
         for u in members if steps == 0 else members[:1]:
             start = part.individualize(u)
             assert cells_of(start) == reference_individualize(cells_of(part), u)
-            assert cells_of(autsearch.refine(graph, start)) == reference_refine(graph, cells_of(start))
+            deeper = cells_of(autsearch.refine(graph, start))
+            assert deeper == reference_refine(graph, cells_of(start))
         part = autsearch.refine(graph, part.individualize(members[0]))
         steps += 1
     assert steps > 0
