@@ -8,6 +8,8 @@ of the Cayley graph is the coset graph, and the line graph of the coset
 graph is the Cayley graph back again.
 """
 
+import numpy as np
+
 from mdg import cli, graphs, permgroups as pg
 
 G, S, gamma, sigma, info = cli.build_instance(2)
@@ -26,13 +28,14 @@ print("clique graph == coset graph:",
 phi = graphs.phi_map(gamma, sigma, info)
 print("line-graph bijection covers all vertices:", sorted(phi) == list(range(gamma.n)))
 
-# quotient by the derived-subgroup orbits: a complete bipartite graph,
-# covered semiregularly with fibres of size 2^(n^2)
-part, cell_of = cli.derived_orbit_partition(G, info)
-quotient, preserved = graphs.normal_quotient(sigma, part)
+# quotient by the derived-subgroup orbits, each vertex labelled by the least
+# vertex of its orbit: a complete bipartite graph, covered semiregularly with
+# fibres of size 2^(n^2)
+labels = cli.derived_orbit_partition(G, info)
+quotient, preserved = graphs.normal_quotient(sigma, labels)
 print("quotient is complete bipartite:", pg.is_complete_bipartite(quotient))
 print("valency preserved by the cover:", preserved)
-print("fibre sizes:", sorted({len(c) for c in part}))
+print("fibre sizes:", sorted(set(np.bincount(labels)[labels].tolist())))
 
 # two-colour the Cayley edges by generator side; triangles are monochromatic
 import mdg.groups as groups

@@ -109,16 +109,12 @@ def derived_basis(G) -> list[int]:
     return [groups.commutator(G, x, y) for x in G.x_gens for y in G.y_gens]
 
 
-def derived_orbit_partition(G, info):
+def derived_orbit_partition(G, info) -> np.ndarray:
     """Orbits of the derived subgroup's right action on the coset-graph
-    vertices, plus the cell index per vertex."""
+    vertices, as each vertex's orbit label (``permgroups.orbits``)."""
     perms = [permgroups.induced_sigma_perm(info, permgroups.right_mult_perm(G, d))
              for d in derived_basis(G)]
-    part = permgroups.orbits(perms, info.n_x + len(info.y_cosets))
-    cell_of = np.empty(info.n_x + len(info.y_cosets), dtype=np.int64)
-    for ci, cell in enumerate(part):
-        cell_of[cell] = ci
-    return part, cell_of
+    return permgroups.orbits(perms, info.n_x + len(info.y_cosets))
 
 
 def sigma_action_gens(sigma_r, sigma_lifts):
@@ -172,8 +168,8 @@ def diagram_matches_reference(diag: permgroups.DistanceDiagram, ref: dict) -> tu
     if diag.cell_sizes_by_distance() != ref["cell_sizes_by_distance"]:
         return False, "cell sizes differ"
     index = {}
-    for i, (cell, d) in enumerate(zip(diag.cells, diag.distances)):
-        key = (d, len(cell))
+    for i, (size, d) in enumerate(zip(diag.sizes, diag.distances)):
+        key = (d, size)
         if key in index:
             return False, f"cell key {key} is ambiguous"
         index[key] = i
@@ -236,19 +232,19 @@ def graphs_report(n: int) -> VerificationReport:
               lambda: clique_graph_matches_sigma(gamma, sigma, info, generic=(n == 2)))
     rep.claim("line-graph-is-cayley-graph", True,
               lambda: bool(graphs.phi_map(gamma, sigma, info)))
-    part, cell_of = derived_orbit_partition(G, info)
-    quotient, preserved = graphs.normal_quotient(sigma, part)
+    labels = derived_orbit_partition(G, info)
+    quotient, preserved = graphs.normal_quotient(sigma, labels)
     rep.claim("quotient-complete-bipartite", ((1 << n), (1 << n)),
               lambda: permgroups.is_complete_bipartite(quotient))
     rep.claim("quotient-preserves-valency", True, lambda: preserved)
     rep.claim("derived-action-semiregular", True,
-              lambda: all(len(c) == 1 << (n * n) for c in part))
+              lambda: bool(np.all(np.bincount(labels)[labels] == 1 << (n * n))))
     r_gens = permgroups.right_mult_action(G)
     lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma)
     sigma_r = [permgroups.induced_sigma_perm(info, p) for p in r_gens]
     sigma_lifts = [permgroups.induced_sigma_perm(info, p) for p in lifts]
     rep.claim("edge-affine-witness", True,
-              lambda: _edge_affine_ok(G, part, cell_of, quotient, sigma_r, sigma_lifts))
+              lambda: _edge_affine_ok(G, labels, quotient, sigma_r, sigma_lifts))
     rep.claim("cayley-transitivity", GAMMA_EXPECTED_FLAGS,
               lambda: permgroups.transitivity_report(
                   gamma, r_gens, lifts, stabilizer_certified=(n == 2)).flags())
@@ -275,11 +271,11 @@ def graphs_report(n: int) -> VerificationReport:
     return rep
 
 
-def _edge_affine_ok(G, part, cell_of, quotient, sigma_r, sigma_lifts) -> bool:
+def _edge_affine_ok(G, labels, quotient, sigma_r, sigma_lifts) -> bool:
     """The right multiplications by the generators of G, pushed down to the
     quotient, witness an edge-affine action normalised by those and the
     stabilizer lifts."""
-    down = lambda p: permgroups.quotient_perm(part, cell_of, p)
+    down = lambda p: permgroups.quotient_perm(labels, p)
     candidate = [down(p) for p in sigma_r]
     group_gens = candidate + [down(p) for p in sigma_lifts]
     w = permgroups.edge_affine_witness(quotient, group_gens, candidate)
@@ -324,9 +320,9 @@ def _search_input(G, target: str):
 def render_diagram_table(diag: permgroups.DistanceDiagram) -> str:
     head = f"{'cell':>4} {'dist':>4} {'size':>6} {'min':>8}  counts"
     lines = [head]
-    for i, (cell, d) in enumerate(zip(diag.cells, diag.distances)):
+    for i, (m, size, d) in enumerate(zip(diag.mins, diag.sizes, diag.distances)):
         counts = " ".join(f"{c:>3}" for c in diag.counts[i])
-        lines.append(f"{i:>4} {d:>4} {len(cell):>6} {cell[0]:>8}  {counts}")
+        lines.append(f"{i:>4} {d:>4} {size:>6} {m:>8}  {counts}")
     return "\n".join(lines)
 
 

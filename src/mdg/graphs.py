@@ -10,10 +10,7 @@ import numpy as np
 
 from . import groups
 
-#: Elements per step of every array pass over arcs, cliques or pairs: each
-#: pass keeps its transient arrays to about this many entries whatever the
-#: graph's size.
-CHUNK = 1 << 15
+CHUNK = groups.CHUNK
 
 
 class Graph:
@@ -418,20 +415,27 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
     return phi.tolist()
 
 
-def normal_quotient(graph: Graph, partition: list[list[int]]) -> tuple[Graph, bool]:
-    """Quotient by a vertex partition, plus whether valency is preserved
-    (the cover condition).  Cells keep their given order."""
-    sizes = [len(cell) for cell in partition]
-    members = _codes([v for cell in partition for v in cell])
-    hits = np.bincount(members, minlength=graph.n)
-    if np.any(hits > 1):
-        raise ValueError("partition cells overlap")
-    if len(hits) != graph.n or np.any(hits == 0):
-        raise ValueError("partition does not cover the vertex set")
-    cell_of = np.empty(graph.n, dtype=np.int64)
-    cell_of[members] = np.repeat(np.arange(len(partition)), sizes)
-    a, b = cell_of[graph.edge_array().T]
-    quotient = Graph(len(partition), np.stack([a, b], axis=1)[a != b])
+def cell_roots(labels, n: int) -> np.ndarray:
+    """The least members, ascending, of the cells of a partition of
+    range(n) given as each point's least cell member (``labels``, such as
+    ``permgroups.orbits`` returns); ValueError for any other array."""
+    labels, points = np.asarray(labels), np.arange(n)
+    if labels.shape != (n,) or (n and labels.dtype.kind not in "iu"):
+        raise ValueError("need one integer label per point")
+    if np.any(labels < 0) or np.any(labels > points):
+        raise ValueError("a label is out of range or above its point")
+    if np.any(labels[labels] != labels):
+        raise ValueError("a label is not the least member of its cell")
+    return np.flatnonzero(labels == points)
+
+
+def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
+    """Quotient by a vertex partition given as each vertex's least cell
+    member, plus whether valency is preserved (the cover condition).
+    Cells are numbered by least member."""
+    roots = cell_roots(labels, graph.n)
+    a, b = np.searchsorted(roots, np.asarray(labels)[graph.edge_array().T])
+    quotient = Graph(len(roots), np.stack([a, b], axis=1)[a != b])
     k = graph.is_regular()
     preserved = k is not None and quotient.is_regular() == k
     return quotient, preserved

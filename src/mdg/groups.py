@@ -24,6 +24,11 @@ from . import f2
 #: Largest group order the enumeration-based operations will touch.
 DEFAULT_BUDGET = 1 << 24
 
+#: Elements per step of every array pass over codes, arcs, cliques or
+#: pairs: each pass keeps its transient arrays to about this many entries
+#: whatever the group's or graph's size.
+CHUNK = 1 << 15
+
 
 class BudgetExceeded(Exception):
     pass
@@ -70,10 +75,8 @@ class TensorGroup:
         return g1 ^ g2 ^ (f2.outer(x2, y1, n) << (2 * n))
 
     def inv(self, g: int) -> int:
-        n = self.n
-        x = g & self._vmask
-        y = (g >> n) & self._vmask
-        return g ^ (f2.outer(x, y, n) << (2 * n))
+        # g^2 = (0, 0, outer(x, y)), so g ^ g^2 = (x, y, A + outer(x, y))
+        return g ^ self.mul(g, g)
 
     def elements(self) -> range:
         return range(self.order)
@@ -94,15 +97,8 @@ class TensorGroup:
         return out
 
     def inv_vec(self, g):
-        n = self.n
         g = np.asarray(g, dtype=np.uint64)
-        x = g & np.uint64(self._vmask)
-        y = (g >> np.uint64(n)) & np.uint64(self._vmask)
-        out = g.copy()
-        for i in range(n):
-            rowbit = (x >> np.uint64(i)) & np.uint64(1)
-            out ^= (y * rowbit) << np.uint64(2 * n + i * n)
-        return out
+        return g ^ self.mul_vec(g, g)
 
     def word_images(self, x_imgs, y_imgs, codes=None) -> np.ndarray:
         """Images of ``codes`` (default: every code), as int64, under the map
@@ -146,42 +142,22 @@ class DihedralProduct:
         for m in ms:
             self.order *= 2 * m
         self.identity = 0
-        self.x_gens = [self._from_factors([(1, 0) if j == i else (0, 0) for j in range(self.n)])
-                       for i in range(self.n)]
-        self.y_gens = [self._from_factors([(1, 1 % ms[i]) if j == i else (0, 0) for j in range(self.n)])
-                       for i in range(self.n)]
+        flip = lambda i, rot: int(self._undigits((1, rot % m) if j == i else (0, 0)
+                                                 for j, m in enumerate(ms)))
+        self.x_gens = [flip(i, 0) for i in range(self.n)]
+        self.y_gens = [flip(i, 1) for i in range(self.n)]
         self.gens = self.x_gens + self.y_gens
 
-    def _to_factors(self, code: int) -> list[tuple[int, int]]:
-        out = []
-        for m in self.ms:
-            code, v = divmod(code, 2 * m)
-            out.append((v // m, v % m))
-        return out
-
-    def _from_factors(self, factors) -> int:
-        code = 0
-        for m, (flip, rot) in zip(reversed(self.ms), reversed(factors)):
-            code = code * (2 * m) + flip * m + rot
-        return code
-
     def mul(self, g1: int, g2: int) -> int:
-        out = []
-        for m, (f1, k1), (f2, k2) in zip(self.ms, self._to_factors(g1), self._to_factors(g2)):
-            k = (k2 - k1 if f2 else k2 + k1) % m
-            out.append((f1 ^ f2, k))
-        return self._from_factors(out)
+        return int(self.mul_vec(g1, g2))
 
     def inv(self, g: int) -> int:
-        out = []
-        for m, (flip, rot) in zip(self.ms, self._to_factors(g)):
-            out.append((flip, rot if flip else (-rot) % m))
-        return self._from_factors(out)
+        return int(self.inv_vec(g))
 
     def elements(self) -> range:
         return range(self.order)
 
-    # Vectorised variants: the same mixed-radix arithmetic on int64 arrays.
+    # The arithmetic, on int64 arrays of mixed-radix codes.
 
     def _digits(self, g):
         """(flip, rotation) arrays of every factor, least significant first."""
@@ -219,7 +195,8 @@ def commutator(G, g1: int, g2: int) -> int:
 def _closure_mask(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Subgroup generated by ``gens``, as a boolean mask over every code
     (a byte each, to count subgroups as large as G): the identity's orbit
-    under right multiplication, grown a breadth-first layer at a time."""
+    under right multiplication, grown a breadth-first layer at a time and
+    each layer a block of CHUNK codes at a time."""
     check_budget(G.order, budget)
     seen = np.zeros(G.order, dtype=bool)
     seen[G.identity] = True
@@ -228,8 +205,9 @@ def _closure_mask(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     new = np.zeros_like(seen)
     while frontier.size:
         new[:] = False
-        for g in gens:
-            new[G.mul_vec(frontier, g)] = True
+        for lo in range(0, len(frontier), CHUNK):
+            for g in gens:
+                new[G.mul_vec(frontier[lo:lo + CHUNK], g)] = True
         new &= ~seen
         seen |= new
         frontier = np.flatnonzero(new)

@@ -175,18 +175,33 @@ def orbit_mask(gens, seed: int, degree: int) -> np.ndarray:
     return seen
 
 
-def orbits(gens, degree: int) -> list[list[int]]:
-    """Orbit partition, cells ordered by minimal vertex."""
+def orbits(gens, degree: int) -> np.ndarray:
+    """Orbit labels: the least point of each point's orbit, as an int64
+    array.  Along each generator, the larger of two roots is hooked under
+    the smaller, then pointers jump until every label is a root (Shiloach
+    & Vishkin, J. Algorithms 3, 1982); a pass that hooks nothing ends it."""
     gens = [as_perm(g) for g in gens]
-    assigned = np.zeros(degree, dtype=bool)
-    out = []
-    for v in range(degree):
-        if assigned[v]:
-            continue
-        orb = orbit_mask(gens, v, degree)
-        assigned |= orb
-        out.append(np.flatnonzero(orb).tolist())
-    return out
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generators must have the given degree")
+    label = np.arange(degree)
+    hooked = True
+    while hooked:
+        hooked = False
+        for g in gens:
+            other = label[g]
+            cut = other != label
+            if cut.any():
+                a, b = label[cut], other[cut]
+                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+                hooked = True
+                while not np.array_equal(up := label[label], label):
+                    label = up
+    return label
+
+
+def _orbit_count(gens, degree: int) -> int:
+    """The number of orbits of <gens> on range(degree)."""
+    return int(np.count_nonzero(orbits(gens, degree) == np.arange(degree)))
 
 
 def is_automorphism(graph: graphs.Graph, p: np.ndarray) -> bool:
@@ -312,15 +327,16 @@ def expected_symmetry_order(n: int) -> int:
     return (1 << (n * n + 2 * n)) * f2.gl_order(n) ** 2 * 2
 
 
-def quotient_perm(partition: list[list[int]], cell_of, p: np.ndarray) -> np.ndarray:
-    """Push a permutation down to the cells of an invariant partition;
-    raises ValueError if some cell image straddles two cells."""
-    cell_of = np.asarray(cell_of)
-    images = cell_of[p]
-    out = images[[cell[0] for cell in partition]]
-    if not np.array_equal(images, out[cell_of]):
+def quotient_perm(labels, p: np.ndarray) -> np.ndarray:
+    """Push a permutation down to the cells, numbered by least member, of
+    an invariant partition given as each point's least cell member; raises
+    ValueError if some cell image straddles two cells."""
+    p = as_perm(p)
+    roots = graphs.cell_roots(labels, len(p))
+    images = np.asarray(labels)[p]
+    if not np.array_equal(images, images[labels]):
         raise ValueError("permutation does not preserve the partition")
-    return as_perm(out)
+    return as_perm(np.searchsorted(roots, images[roots]))
 
 
 # -- distance diagrams -----------------------------------------------------
@@ -329,23 +345,24 @@ def quotient_perm(partition: list[list[int]], cell_of, p: np.ndarray) -> np.ndar
 class DistanceDiagram:
     """Equitable partition of the vertices into stabilizer orbits labelled
     by distance from the base vertex, with constant inter-cell neighbor
-    counts."""
+    counts; a cell is its least member and its size."""
     base: int
-    cells: list[list[int]]
+    mins: list[int]
+    sizes: list[int]
     distances: list[int]
     counts: list[list[int]] = field(repr=False)
 
     def cell_sizes_by_distance(self) -> list[list[int]]:
         out: dict[int, list[int]] = {}
-        for cell, d in zip(self.cells, self.distances):
-            out.setdefault(d, []).append(len(cell))
+        for size, d in zip(self.sizes, self.distances):
+            out.setdefault(d, []).append(size)
         return [sorted(out[d]) for d in sorted(out)]
 
     def to_dict(self) -> dict:
         return {
             "base": self.base,
-            "cells": [{"distance": d, "size": len(c), "members_min": c[0]}
-                      for c, d in zip(self.cells, self.distances)],
+            "cells": [{"distance": d, "size": size, "members_min": m}
+                      for m, size, d in zip(self.mins, self.sizes, self.distances)],
             "counts": self.counts,
         }
 
@@ -355,27 +372,32 @@ def distance_diagram(graph: graphs.Graph, stab_gens, v: int) -> DistanceDiagram:
     for g in stab_gens:
         if int(g[v]) != v:
             raise ValueError("stabilizer generators must fix the base vertex")
-    dist, _ = graphs.bfs_layers(graph, v)
-    cells = orbits(stab_gens, graph.n)
-    dists = []
-    for cell in cells:
-        ds = {dist[u] for u in cell}
-        if len(ds) != 1:
-            raise ValueError("orbit does not refine the distance layers")
-        dists.append(ds.pop())
-    order = sorted(range(len(cells)), key=lambda i: (dists[i], cells[i][0]))
-    cells = [cells[i] for i in order]
-    dists = [dists[i] for i in order]
-    cell_of = np.empty(graph.n, dtype=np.int64)
-    for ci, cell in enumerate(cells):
-        cell_of[cell] = ci
-    counts = []
-    for cell in cells:
-        rows = [np.bincount(cell_of[graph.neighbors(u)], minlength=len(cells)) for u in cell]
-        if any(not np.array_equal(r, rows[0]) for r in rows):
+    dist = np.asarray(graphs.bfs_layers(graph, v)[0])
+    labels = orbits(stab_gens, graph.n)
+    if not np.array_equal(dist[labels], dist):
+        raise ValueError("orbit does not refine the distance layers")
+    # cells by distance, then by least member; each least member's number
+    roots = np.flatnonzero(labels == np.arange(graph.n))
+    roots = roots[np.argsort(dist[roots], kind="stable")]
+    number = np.zeros(graph.n, dtype=np.int64)
+    number[roots] = np.arange(len(roots))
+    degs = np.diff(graph.indptr)
+
+    def rows(vs):
+        """Each vertex's neighbour count in every cell."""
+        heads = graph.indices[graphs._ranges(graph.indptr[vs], degs[vs])]
+        keys = np.repeat(np.arange(len(vs)) * len(roots), degs[vs]) + number[labels[heads]]
+        return np.bincount(keys, minlength=len(vs) * len(roots)).reshape(len(vs), len(roots))
+
+    counts = rows(roots)
+    # a block's count rows and arcs each hold at most about CHUNK entries
+    step = max(1, graphs.CHUNK // max(len(roots), int(degs.max(initial=0))))
+    for lo in range(0, graph.n, step):
+        vs = np.arange(lo, min(lo + step, graph.n))
+        if not np.array_equal(rows(vs), counts[number[labels[vs]]]):
             raise ValueError("inter-cell neighbor count is not constant")
-        counts.append(rows[0].tolist())
-    return DistanceDiagram(v, cells, dists, counts)
+    return DistanceDiagram(v, roots.tolist(), np.bincount(labels)[roots].tolist(),
+                           dist[roots].tolist(), counts.tolist())
 
 
 # -- transitivity checks ---------------------------------------------------
@@ -430,29 +452,27 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
         if int(g[base]) != base:
             raise ValueError("stabilizer generator moves the base vertex")
     vertex = bool(orbit_mask(gens + stab_gens, base, graph.n).all())
-    dist, _ = graphs.bfs_layers(graph, base)
     # the stabilizer on the k neighbours of the base, and on the ordered
     # neighbour pairs (i, j), named i * k + j
     n1 = graph.neighbors(base)
     k = len(n1)
     local = [np.searchsorted(n1, g[n1]) for g in stab_gens]
-    arc = vertex and len(orbits(local, k)) == 1
+    arc = vertex and _orbit_count(local, k) == 1
     if arc or graph.edge_count() == 0:
         edge = arc
     else:
-        edge = len(orbits(_edge_action(graph, gens + stab_gens), graph.edge_count())) == 1
+        edge = _orbit_count(_edge_action(graph, gens + stab_gens), graph.edge_count()) == 1
     # the diagonal i == j is a union of pair orbits; one (i, j) per other orbit
     pairs = orbits([(q[:, None] * k + q).ravel() for q in local], k * k)
-    off = [(i, j) for i, j in (divmod(c[0], k) for c in pairs) if i != j]
+    roots = np.flatnonzero(pairs == np.arange(k * k)).tolist()
+    off = [(i, j) for i, j in (divmod(r, k) for r in roots) if i != j]
     two_arc = vertex and len(off) == 1
     geo = [(i, j) for i, j in off if not graph.has_edge(int(n1[i]), int(n1[j]))]
     two_geodesic = vertex and len(geo) == 1
-    cells = orbits(stab_gens, graph.n)
-    layer_orbit_count = {}
-    for cell in cells:
-        d = dist[cell[0]]
-        layer_orbit_count[d] = layer_orbit_count.get(d, 0) + 1
-    distance = {i: vertex and layer_orbit_count.get(i, 0) == 1 for i in (1, 2, 3)}
+    # the distance of each stabilizer orbit's least member
+    layers = np.asarray(graphs.bfs_layers(graph, base)[0])[
+        orbits(stab_gens, graph.n) == np.arange(graph.n)]
+    distance = {i: vertex and int(np.count_nonzero(layers == i)) == 1 for i in (1, 2, 3)}
     return TransitivityReport(vertex, edge, arc, two_arc, two_geodesic, distance,
                               stabilizer_certified)
 
@@ -532,9 +552,9 @@ def edge_affine_witness(quotient: graphs.Graph, group_gens, candidate_gens) -> E
     conj = [compose(compose(inverse(g), c), g) for g in group_gens for c in candidate_gens]
     if PermGroup(candidate_gens + conj, quotient.n).order() != order:
         return fail("subgroup is not normalised by the group generators")
-    if len(orbits(candidate_gens, quotient.n)) < 2:
+    if _orbit_count(candidate_gens, quotient.n) < 2:
         return fail("subgroup is vertex-transitive")
     # of order m^2, so transitive on the m^2 edges iff regular on them
-    if len(orbits(_edge_action(quotient, candidate_gens), m * m)) != 1:
+    if _orbit_count(_edge_action(quotient, candidate_gens), m * m) != 1:
         return fail("subgroup is not regular on the edges")
     return EdgeAffineWitness(True, order)

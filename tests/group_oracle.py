@@ -3,7 +3,9 @@
 ``TableGroup`` is an explicit multiplication-table backend for small
 groups.  ``cosets`` forms the whole (|H|, |G|) product at once, the oracle
 for the blocked ``graphs.right_cosets``.  ``mat_transpose`` is the scalar
-F_2 transpose behind the per-element lift formulas."""
+F_2 transpose behind the per-element lift formulas.  ``dihedral_mul`` and
+``dihedral_inv`` are the scalar factor-by-factor arithmetic of
+``groups.DihedralProduct``, whose scalar forms now call its array forms."""
 
 import numpy as np
 
@@ -40,6 +42,32 @@ class TableGroup:
 
     def inv_vec(self, g):
         return self._inv[np.asarray(g, dtype=np.int64)]
+
+
+def _factors(ms, code: int) -> list[tuple[int, int]]:
+    """(flip, rotation) of every dihedral factor, least significant first."""
+    out = []
+    for m in ms:
+        code, v = divmod(code, 2 * m)
+        out.append((v // m, v % m))
+    return out
+
+
+def dihedral_code(ms, factors) -> int:
+    code = 0
+    for m, (flip, rot) in zip(reversed(ms), reversed(factors)):
+        code = code * (2 * m) + flip * m + rot
+    return code
+
+
+def dihedral_mul(ms, g1: int, g2: int) -> int:
+    return dihedral_code(ms, [(f1 ^ f2, (k2 - k1 if f2 else k2 + k1) % m)
+                              for m, (f1, k1), (f2, k2) in zip(ms, _factors(ms, g1), _factors(ms, g2))])
+
+
+def dihedral_inv(ms, g: int) -> int:
+    return dihedral_code(ms, [(flip, rot if flip else (-rot) % m)
+                              for m, (flip, rot) in zip(ms, _factors(ms, g))])
 
 
 def cosets(G, subgroup) -> np.ndarray:

@@ -7,13 +7,29 @@ only.  The transitivity flags, the complete-bipartite test and the
 edge-affine witness below search sets of vertex pairs, edges and subgroup
 elements directly instead of counting orbits of induced actions.
 ``line_graph_as_cayley`` is the converse construction, Γ rebuilt from the
-action of G on the coset-graph edges; no claim uses it yet."""
+action of G on the coset-graph edges; no claim uses it yet.  ``orbits`` is
+the orbit partition as lists of cells, one breadth-first search per orbit,
+the oracle for the orbit labels of ``permgroups.orbits``."""
 
 import numpy as np
 
 from mdg import graphs
 from mdg.permgroups import (PermGroup, are_automorphisms, as_perm, compose, identity_perm,
-                            inverse, is_identity, orbit_mask, orbits, right_mult_perm)
+                            inverse, is_identity, orbit_mask, right_mult_perm)
+
+
+def orbits(gens, degree: int) -> list[list[int]]:
+    """Orbit partition, cells ordered by minimal vertex."""
+    gens = [as_perm(g) for g in gens]
+    assigned = np.zeros(degree, dtype=bool)
+    out = []
+    for v in range(degree):
+        if assigned[v]:
+            continue
+        orb = orbit_mask(gens, v, degree)
+        assigned |= orb
+        out.append(np.flatnonzero(orb).tolist())
+    return out
 
 
 def order_with_regular_normal_subgroup(G, stab_gens) -> int:
@@ -99,6 +115,34 @@ def transitivity_flags(graph, gens, stab_gens, base: int = 0) -> dict:
     return {"vertex": vertex, "edge": edge, "arc": arc, "2-arc": two_arc,
             "2-geodesic": two_geodesic,
             **{f"{i}-distance": vertex and layer_orbit_count.get(i, 0) == 1 for i in (1, 2, 3)}}
+
+
+def distance_diagram(graph, stab_gens, v: int) -> dict:
+    """``permgroups.distance_diagram(...).to_dict()`` from the orbits as
+    lists of cells, with one neighbour-count row per vertex."""
+    dist, _ = graphs.bfs_layers(graph, v)
+    cells = orbits(stab_gens, graph.n)
+    dists = []
+    for cell in cells:
+        ds = {dist[u] for u in cell}
+        if len(ds) != 1:
+            raise ValueError("orbit does not refine the distance layers")
+        dists.append(ds.pop())
+    order = sorted(range(len(cells)), key=lambda i: (dists[i], cells[i][0]))
+    cells = [cells[i] for i in order]
+    dists = [dists[i] for i in order]
+    cell_of = np.empty(graph.n, dtype=np.int64)
+    for ci, cell in enumerate(cells):
+        cell_of[cell] = ci
+    counts = []
+    for cell in cells:
+        rows = [np.bincount(cell_of[graph.neighbors(u)], minlength=len(cells)) for u in cell]
+        if any(not np.array_equal(r, rows[0]) for r in rows):
+            raise ValueError("inter-cell neighbor count is not constant")
+        counts.append(rows[0].tolist())
+    return {"base": v, "counts": counts,
+            "cells": [{"distance": d, "size": len(c), "members_min": c[0]}
+                      for c, d in zip(cells, dists)]}
 
 
 def bipartition(graph) -> tuple[list[int], list[int]]:

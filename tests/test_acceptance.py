@@ -39,10 +39,10 @@ def sigma_gens(n):
 
 def quotient_data(n):
     d = inst(n)
-    if "part" not in d:
-        part, cell_of = cli.derived_orbit_partition(d["G"], d["info"])
-        quotient, preserved = graphs.normal_quotient(d["sigma"], part)
-        d.update(part=part, cell_of=cell_of, quotient=quotient, preserved=preserved)
+    if "labels" not in d:
+        labels = cli.derived_orbit_partition(d["G"], d["info"])
+        quotient, preserved = graphs.normal_quotient(d["sigma"], labels)
+        d.update(labels=labels, quotient=quotient, preserved=preserved)
     return d
 
 
@@ -114,7 +114,8 @@ def test_criterion_06_cover():
         d = quotient_data(n)
         ok &= pg.is_complete_bipartite(d["quotient"]) == (1 << n, 1 << n)
         ok &= d["preserved"]
-        ok &= all(len(c) == 1 << (n * n) for c in d["part"])  # semiregular
+        sizes = np.bincount(d["labels"])
+        ok &= set(sizes[sizes > 0].tolist()) == {1 << (n * n)}  # semiregular
     _report(6, "coset graph covers the complete bipartite quotient semiregularly", ok)
 
 
@@ -122,7 +123,7 @@ def test_criterion_07_edge_affine_witness():
     ok = True
     for n in (2, 3):
         d = quotient_data(n)
-        ok &= cli._edge_affine_ok(d["G"], d["part"], d["cell_of"], d["quotient"], *sigma_gens(n))
+        ok &= cli._edge_affine_ok(d["G"], d["labels"], d["quotient"], *sigma_gens(n))
     _report(7, "elementary abelian normal subgroup regular on quotient edges", ok)
 
 
@@ -130,7 +131,7 @@ def test_criterion_08_distance_diagram():
     d = inst(2)
     diag = pg.distance_diagram(d["gamma"], lifts(2), 0)
     ok, why = cli.diagram_matches_reference(diag, cli.load_reference_diagram())
-    idx = {(dd, len(c)): i for i, (c, dd) in enumerate(zip(diag.cells, diag.distances))}
+    idx = {(dd, size): i for i, (size, dd) in enumerate(zip(diag.sizes, diag.distances))}
     row = diag.counts[idx[(1, 6)]]
     ok &= (row[idx[(0, 1)]], row[idx[(1, 6)]], row[idx[(2, 18)]]) == (1, 2, 3)
     _report(8, f"distance diagram matches the reference data ({why})", ok)

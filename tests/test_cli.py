@@ -116,7 +116,9 @@ finally:
 # - the coset-graph certification: 41 MB with whole coset products and
 #   full-degree lifts alive during the search, 36 MB without;
 # - the Cayley graph as graph6 (an 89 MB body): 301 MB when the writer
-#   copied the body four times, 121 MB with the body held once.
+#   copied the body four times, 121 MB with the body held once;
+# - the distance diagram: 52 MB with the whole vertices-by-cells count
+#   matrix alive, 40-42 MB counting it a block of rows at a time.
 GAMMA3_GRAPH6_SHA256 = "7ae3178cea18714d5509713aa56a7204bbda6c76526af2b033bcdb15760f5be1"
 PEAK_BOUNDS_MB = {
     "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 60),
@@ -124,6 +126,7 @@ PEAK_BOUNDS_MB = {
                                   "--json"], 50),
     "export-gamma-graph6-n3": (["export", "-n", "3", "--target", "gamma", "--format", "graph6",
                                 "-o", "{out}"], 220),
+    "diagram-n3": (["diagram", "-n", "3"], 47),
 }
 
 
@@ -140,6 +143,8 @@ def test_peak_rss_stays_bounded(name, tmp_path):
     assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
     if args[0] == "export":
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GAMMA3_GRAPH6_SHA256
+    elif args[0] == "diagram":
+        assert r.stdout == (GOLDEN / "diagram-json-n3.json").read_text()
     else:
         assert {c["status"] for c in json.loads(r.stdout)["claims"]} == {"pass"}
     peak_mb = int(r.stderr.split("peak_kb")[-1]) / 1024

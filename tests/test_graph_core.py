@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import perm_oracle
 from group_oracle import TableGroup
 from mdg import cli, graphs, groups, permgroups
 
@@ -235,15 +236,35 @@ def test_bfs_layers_match_networkx():
 
 
 def test_normal_quotient_matches_a_scalar_quotient():
-    part, _ = cli.derived_orbit_partition(G2, INFO2)
-    quotient, preserved = graphs.normal_quotient(SIGMA2, part)
+    labels = cli.derived_orbit_partition(G2, INFO2)
+    quotient, preserved = graphs.normal_quotient(SIGMA2, labels)
+    part = perm_oracle.orbits(
+        [permgroups.induced_sigma_perm(INFO2, permgroups.right_mult_perm(G2, d))
+         for d in cli.derived_basis(G2)], SIGMA2.n)
+    assert labels.tolist() == [next(c[0] for c in part if v in c) for v in range(SIGMA2.n)]
     cell = {v: i for i, c in enumerate(part) for v in c}
     expect = sorted({(min(cell[u], cell[v]), max(cell[u], cell[v]))
                      for u, v in SIGMA2.edge_array().tolist() if cell[u] != cell[v]})
     assert [tuple(e) for e in quotient.edge_array().tolist()] == expect
     assert preserved
+
+
+BAD_LABELS = {
+    "too-short": lambda labels: labels[:-1],
+    "too-long": lambda labels: np.append(labels, 0),
+    "negative": lambda labels: np.where(np.arange(len(labels)) == 5, -1, labels),
+    "out-of-range": lambda labels: np.where(np.arange(len(labels)) == 0, len(labels), labels),
+    "above-its-point": lambda labels: np.where(labels == 0, 1, labels),
+    "not-a-root": lambda labels: np.where(np.arange(len(labels)) == 7, 4, labels),
+    "not-integers": lambda labels: labels.astype(float),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LABELS))
+def test_normal_quotient_rejects_malformed_labels(bad):
+    labels = BAD_LABELS[bad](cli.derived_orbit_partition(G2, INFO2))
     with pytest.raises(ValueError):
-        graphs.normal_quotient(SIGMA2, part + [[0]])
+        graphs.normal_quotient(SIGMA2, labels)
 
 
 def scalar_clique_graph_edges(cliques):
@@ -403,6 +424,26 @@ def test_automorphism_check_is_the_same_for_every_block_size():
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     swap[[GAMMA2.neighbors(0)[0], far]] = swap[[far, GAMMA2.neighbors(0)[0]]]
     assert not over_chunks(lambda: permgroups.are_automorphisms(GAMMA2, lifts + [swap]))
+
+
+def _diagram_or_error(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def test_distance_diagram_is_the_same_for_every_block_size():
+    # the lifts' diagram; a path 1 - 0 - 2 - 3 whose "stabilizer" swaps 1 and
+    # 2 (equal distances, unequal counts); one that swaps 0's neighbour 1
+    # with 3, at distance 2
+    lifts = permgroups.connection_stabilizer_gens(G2)
+    path = graphs.Graph(4, [(0, 1), (0, 2), (2, 3)])
+    for graph, stab in ((GAMMA2, lifts), (path, [permgroups.as_perm([0, 2, 1, 3])]),
+                        (path, [permgroups.as_perm([0, 3, 2, 1])])):
+        got = over_chunks(lambda: _diagram_or_error(
+            lambda: permgroups.distance_diagram(graph, stab, 0).to_dict()))
+        assert got == _diagram_or_error(lambda: perm_oracle.distance_diagram(graph, stab, 0))
 
 
 @given(random_graphs, st.randoms(use_true_random=False))

@@ -101,10 +101,10 @@ def test_phi_map():
 
 
 def test_normal_quotient_trivial():
-    q, preserved = graphs.normal_quotient(GAMMA2, [[v] for v in range(GAMMA2.n)])
+    q, preserved = graphs.normal_quotient(GAMMA2, np.arange(GAMMA2.n))
     assert q == GAMMA2 and preserved
     with pytest.raises(ValueError):
-        graphs.normal_quotient(GAMMA2, [[0, 1]])
+        graphs.normal_quotient(GAMMA2, [0, 0])
 
 
 def test_bfs_layers():

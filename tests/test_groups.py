@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from group_oracle import TableGroup, cosets
+from group_oracle import TableGroup, cosets, dihedral_code, dihedral_inv, dihedral_mul
 from mdg import cli, f2, graphs, groups
 
 
@@ -202,6 +202,40 @@ def test_mul_vec_and_inv_vec_match_scalar_on_all_pairs(name):
     assert np.asarray(G.inv_vec(codes)).tolist() == [G.inv(a) for a in G.elements()]
     # a scalar on either side broadcasts
     assert np.asarray(G.mul_vec(codes, 1)).tolist() == [G.mul(a, 1) for a in G.elements()]
+
+
+@pytest.mark.parametrize("ms", [(4, 4), (2, 4, 6), (3,), (5, 7), (1, 2)])
+def test_dihedral_arithmetic_matches_the_factor_oracle(ms):
+    D = groups.DihedralProduct(*ms)
+    codes = np.arange(D.order)
+    assert D.mul_vec(codes[:, None], codes[None, :]).tolist() == \
+        [[dihedral_mul(ms, a, b) for b in codes.tolist()] for a in codes.tolist()]
+    assert [D.mul(a, b) for a in (0, 1, D.order - 1) for b in codes.tolist()] == \
+        [dihedral_mul(ms, a, b) for a in (0, 1, D.order - 1) for b in codes.tolist()]
+    assert [D.inv(a) for a in codes.tolist()] == [dihedral_inv(ms, a) for a in codes.tolist()]
+    assert type(D.mul(1, 1)) is int and type(D.inv(1)) is int
+    one = lambda i, k: [(1, k % m) if j == i else (0, 0) for j, m in enumerate(ms)]
+    assert D.x_gens == [dihedral_code(ms, one(i, 0)) for i in range(len(ms))]
+    assert D.y_gens == [dihedral_code(ms, one(i, 1)) for i in range(len(ms))]
+
+
+@pytest.mark.parametrize("G", [G2, groups.DihedralProduct(2, 4, 6)],
+                         ids=["tensor-2", "dihedral-2-4-6"])
+def test_subgroup_order_is_the_same_for_every_block_size(G, monkeypatch):
+    subsets = (G.gens, G.x_gens, G.y_gens, cli.derived_basis(G), G.gens[:1], [])
+    want = [len(groups.closure_array(G, gens)) for gens in subsets]
+    for chunk in (1, 7, groups.CHUNK):
+        monkeypatch.setattr(groups, "CHUNK", chunk)
+        assert [groups.subgroup_order(G, gens) for gens in subsets] == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_inverse_matches_the_closed_form(n):
+    # (x, y, A)^-1 = (x, y, A + outer(x, y))
+    G = groups.TensorGroup(n)
+    want = [g ^ (f2.outer(*G.decode(g)[:2], n) << (2 * n)) for g in G.elements()]
+    assert [G.inv(g) for g in G.elements()] == want
+    assert G.inv_vec(np.arange(G.order)).tolist() == want
 
 
 @pytest.mark.parametrize("table", [[[0, 1], [1, 1]], [], [[0, 1]], [[0, 1], [1]]])

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -42,15 +43,17 @@ def test_permgroup_known_orders():
 
 def test_permgroup_lagrange_spot_check():
     stab_order = pg.PermGroup(LIFTS2).order()
-    for orb in pg.orbits(LIFTS2, 256):
-        assert stab_order % len(orb) == 0
+    for size in np.bincount(pg.orbits(LIFTS2, 256)):
+        assert size == 0 or stab_order % size == 0
 
 
 def test_orbits():
-    assert pg.orbits([], 3) == [[0], [1], [2]]
-    cells = pg.orbits(LIFTS2, 256)
-    assert sorted(len(c) for c in cells) == sorted([1, 6, 18, 18, 36, 9, 36, 72, 18, 36, 6])
+    assert pg.orbits([], 3).tolist() == [0, 1, 2]
+    sizes = np.bincount(pg.orbits(LIFTS2, 256))
+    assert sorted(sizes[sizes > 0]) == sorted([1, 6, 18, 18, 36, 9, 36, 72, 18, 36, 6])
     assert pg.orbit_mask(R2, 0, 256).all()
+    with pytest.raises(ValueError):
+        pg.orbits(LIFTS2, 255)
 
 
 def test_is_automorphism():
@@ -180,8 +183,10 @@ def test_expected_symmetry_order():
 def test_distance_diagram_gamma2():
     diag = pg.distance_diagram(GAMMA2, LIFTS2, 0)
     assert diag.cell_sizes_by_distance() == [[1], [6], [18], [18, 36], [9, 36, 72], [18, 36], [6]]
-    for i, cell in enumerate(diag.cells):
-        assert sum(diag.counts[i]) == 6  # row sums are the valency
+    for row in diag.counts:
+        assert sum(row) == 6  # row sums are the valency
+    cells = perm_oracle.orbits(LIFTS2, 256)
+    assert sorted(zip(diag.mins, diag.sizes)) == [(c[0], len(c)) for c in cells]
     d = diag.to_dict()
     assert d["cells"][0] == {"distance": 0, "size": 1, "members_min": 0}
 
@@ -237,9 +242,7 @@ def test_induced_sigma_perm():
     assert pg.is_identity(pg.induced_sigma_perm(INFO2, pg.identity_perm(256)))
     # the H-image acts with two vertex orbits and regularly on the edges
     induced = [pg.induced_sigma_perm(INFO2, p) for p in R2]
-    orbs = pg.orbits(induced, SIGMA2.n)
-    assert len(orbs) == 2
-    assert orbs[0] == list(range(64)) and orbs[1] == list(range(64, 128))
+    assert pg.orbits(induced, SIGMA2.n).tolist() == [0] * 64 + [64] * 64
     assert pg.transitivity_report(SIGMA2, induced, []).edge
 
 
@@ -259,11 +262,11 @@ def test_bipartition_helpers():
 
 
 def test_edge_affine_witness_positive():
-    part, cell_of = cli.derived_orbit_partition(G2, INFO2)
-    quotient, _ = graphs.normal_quotient(SIGMA2, part)
+    labels = cli.derived_orbit_partition(G2, INFO2)
+    quotient, _ = graphs.normal_quotient(SIGMA2, labels)
     sigma_r = [pg.induced_sigma_perm(INFO2, p) for p in R2]
     sigma_lifts = [pg.induced_sigma_perm(INFO2, p) for p in LIFTS2]
-    assert cli._edge_affine_ok(G2, part, cell_of, quotient, sigma_r, sigma_lifts)
+    assert cli._edge_affine_ok(G2, labels, quotient, sigma_r, sigma_lifts)
 
 
 def test_sigma_generators_split_the_induced_lifts():
@@ -298,10 +301,19 @@ def test_edge_affine_witness_refutations():
 
 
 def test_quotient_perm_rejects_non_invariant():
-    part = [[0, 1], [2, 3]]
-    cell_of = [0, 0, 1, 1]
+    labels = np.array([0, 0, 2, 2])
+    assert pg.quotient_perm(labels, pg.as_perm([3, 2, 1, 0])).tolist() == [1, 0]
     with pytest.raises(ValueError):
-        pg.quotient_perm(part, cell_of, pg.as_perm([0, 2, 1, 3]))
+        pg.quotient_perm(labels, pg.as_perm([0, 2, 1, 3]))
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 2], [0, 0, 2, 2, 4], [0, 0, 2, 4], [0, 0, 2, -1],
+                                    [0, 0, 1, 1], [1, 1, 2, 2], [0, 0, 2, 2.0]],
+                         ids=["too-short", "too-long", "out-of-range", "negative",
+                              "not-a-root", "above-its-point", "not-integers"])
+def test_quotient_perm_rejects_malformed_labels(labels):
+    with pytest.raises(ValueError):
+        pg.quotient_perm(np.array(labels), pg.as_perm([1, 0, 3, 2]))
 
 
 def test_line_graph_as_cayley_roundtrip():
@@ -333,8 +345,28 @@ def test_orbit_of_matches_a_set_based_search(case):
     n, perms, seed = case
     gens = [pg.as_perm(p) for p in perms]
     assert np.flatnonzero(pg.orbit_mask(gens, seed, n)).tolist() == _set_orbit(gens, seed)
-    assert pg.orbits(gens, n) == [list(o) for o in sorted({tuple(_set_orbit(gens, v))
-                                                             for v in range(n)})]
+    cells = [list(o) for o in sorted({tuple(_set_orbit(gens, v)) for v in range(n)})]
+    assert perm_oracle.orbits(gens, n) == cells
+    assert pg.orbits(gens, n).tolist() == [_set_orbit(gens, v)[0] for v in range(n)]
+
+
+@pytest.mark.parametrize("cycles", [1, 2])
+def test_orbits_of_shuffled_long_cycles(cycles):
+    # least-label propagation alone moves a label one step along a cycle per
+    # round, tens of thousands of rounds here; hooking roots and jumping
+    # pointers takes a handful
+    n = 1 << 16
+    order = np.random.default_rng(7).permutation(n).reshape(cycles, -1)
+    cycle = np.empty(n, dtype=np.int32)
+    for points in order:
+        cycle[points] = np.roll(points, -1)
+    t0 = time.perf_counter()
+    labels = pg.orbits([cycle], n)
+    assert time.perf_counter() - t0 < 1.0
+    expect = np.empty(n, dtype=np.int64)
+    for points in order:
+        expect[points] = points.min()
+    assert np.array_equal(labels, expect)
 
 
 def test_orbit_of_on_sigma3_is_everything():
@@ -537,4 +569,4 @@ def test_edge_affine_witness_rejects_non_automorphisms():
 def test_quotient_perm_rejects_a_permutation_of_the_first_members_only():
     # the first members 0 and 2 stay in distinct cells, but 1 joins 2's cell
     with pytest.raises(ValueError, match="partition"):
-        pg.quotient_perm([[0, 1], [2, 3]], np.array([0, 0, 1, 1]), pg.as_perm([1, 2, 3, 0]))
+        pg.quotient_perm(np.array([0, 0, 2, 2]), pg.as_perm([1, 2, 3, 0]))
