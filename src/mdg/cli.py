@@ -231,7 +231,7 @@ def graphs_report(n: int) -> VerificationReport:
     rep.claim("clique-graph-is-coset-graph", True,
               lambda: clique_graph_matches_sigma(gamma, sigma, info, generic=(n == 2)))
     rep.claim("line-graph-is-cayley-graph", True,
-              lambda: bool(graphs.phi_map(gamma, sigma, info)))
+              lambda: len(graphs.phi_map(gamma, sigma, info)) == G.order)
     labels = derived_orbit_partition(G, info)
     quotient, preserved = graphs.normal_quotient(sigma, labels)
     rep.claim("quotient-complete-bipartite", ((1 << n), (1 << n)),

@@ -52,6 +52,16 @@ class Graph:
         self.indices = keys.astype(np.int32, copy=False)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
 
+    @classmethod
+    def _from_rows(cls, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+        """The graph whose CSR rows are already built: each row ascending,
+        with no loop or repeat, and u in row v iff v in row u.  Nothing is
+        checked; both arrays are made read-only."""
+        graph = cls.__new__(cls)
+        graph.n, graph.indptr, graph.indices = len(indptr) - 1, indptr, indices
+        indptr.flags.writeable = indices.flags.writeable = False
+        return graph
+
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
@@ -60,10 +70,14 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """The edges as an int64 (m, 2) array of pairs u < v, in
-        ascending order."""
-        tails = _tails(self)
-        fwd = tails < self.indices
-        return np.stack([tails[fwd], self.indices[fwd]], axis=1)
+        ascending order, filled a block of arcs at a time."""
+        out = np.empty((self.edge_count(), 2), dtype=np.int64)
+        done = 0
+        for _, tails, heads in _forward_arcs(self):
+            out[done:done + len(tails), 0] = tails
+            out[done:done + len(tails), 1] = heads
+            done += len(tails)
+        return out
 
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors(u)
@@ -83,7 +97,8 @@ class Graph:
             return self.indices.reshape(self.n, k)
         degs = np.diff(self.indptr)
         out = np.full((self.n, int(degs.max()) if self.n else 0), pad, dtype=np.int32)
-        out[_tails(self), np.arange(len(self.indices)) - np.repeat(self.indptr[:-1], degs)] = self.indices
+        tails = np.repeat(np.arange(self.n), degs)
+        out[tails, np.arange(len(self.indices)) - self.indptr[tails]] = self.indices
         return out
 
     def __eq__(self, other):
@@ -97,11 +112,6 @@ class Graph:
 
 # -- array helpers on the CSR store ------------------------------------------
 
-def _tails(graph: Graph) -> np.ndarray:
-    """The tail vertex of every CSR slot (arc tail -> indices[slot])."""
-    return np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr))
-
-
 def _index_dtype(limit: int):
     """int32 when every index below ``limit`` fits in it, else int64."""
     return np.int32 if limit <= np.iinfo(np.int32).max + 1 else np.int64
@@ -110,7 +120,9 @@ def _index_dtype(limit: int):
 def _ranges(starts, counts) -> np.ndarray:
     """Concatenation of the ranges starts[i], ..., starts[i] + counts[i] - 1."""
     ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+    out = np.repeat(starts - ends + counts, counts)
+    out += np.arange(len(out))
+    return out
 
 
 def _blocks(cum, per_item: int = 1):
@@ -193,23 +205,25 @@ def cayley_graph(G, S) -> Graph:
     """Cayley graph of G with connection set S: edges {g, sg}.
 
     S must be inverse-closed and must not contain the identity; vertex i
-    is the element with canonical code i.
+    is the element with canonical code i.  Row g is S g, sorted: S is a set
+    without 1, so the row has no loop or repeat, and h = s g iff
+    g = s^-1 h with s^-1 in S, so the rows are symmetric.
     """
     S = _codes(sorted(set(S)))
     if np.any(S == G.identity):
         raise ValueError("identity must not lie in the connection set")
     if not np.isin(_codes(G.inv_vec(S)), S).all():
         raise ValueError("connection set is not inverse-closed")
-    # one block of tails against every s at a time
-    step, dtype = max(1, CHUNK // max(1, len(S))), _index_dtype(G.order)
-    blocks = []
+    k = len(S)
+    indices = np.empty(G.order * k, dtype=np.int32)
+    rows = indices.reshape(G.order, k)
+    # one block of rows against every s at a time
+    step = max(1, CHUNK // max(1, k))
     for lo in range(0, G.order, step):
-        tails = np.arange(lo, min(lo + step, G.order))
-        heads = _codes(G.mul_vec(S[:, None], tails))
-        fwd = tails < heads
-        blocks.append(np.stack([np.broadcast_to(tails, heads.shape)[fwd], heads[fwd]],
-                               axis=1).astype(dtype))
-    return Graph(G.order, np.concatenate(blocks))
+        block = rows[lo:lo + step]
+        block[:] = G.mul_vec(S[:, None], np.arange(lo, lo + len(block))).T
+        block.sort(axis=1)
+    return Graph._from_rows(np.arange(G.order + 1, dtype=np.int64) * k, indices)
 
 
 def xy_connection_set(G) -> list[int]:
@@ -222,8 +236,9 @@ def xy_connection_set(G) -> list[int]:
 @dataclass
 class SigmaInfo:
     """Bookkeeping for the coset graph: vertex i < n_x is X-coset i,
-    vertex n_x + j is Y-coset j.  The cosets are the rows of int64 member
-    arrays; the index arrays map a group code to its coset's row."""
+    vertex n_x + j is Y-coset j.  The cosets are the rows of member
+    arrays; the index arrays map a group code to its coset's row.  All
+    four hold ``_index_dtype(G.order)`` integers."""
     x_cosets: np.ndarray
     y_cosets: np.ndarray
     x_index: np.ndarray
@@ -235,8 +250,9 @@ class SigmaInfo:
 
 
 def right_cosets(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
-    """Right cosets S h of a subgroup as the rows of an int64 array, rows
-    ascending and ordered by their least member, plus every code's row.
+    """Right cosets S h of a subgroup as the rows of an array, rows
+    ascending and ordered by their least member, plus every code's row,
+    both in ``_index_dtype(G.order)``.
     Each code's least coset member is found a block of at most CHUNK
     products at a time; a stable sort by it lists the codes coset by coset.
     Raises ValueError if ``subgroup`` is not multiplication-closed."""
@@ -245,27 +261,45 @@ def right_cosets(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("subgroup must contain the identity")
     if not np.isin(_codes(G.mul_vec(sub[:, None], sub[None, :])), sub).all():
         raise ValueError("subgroup is not closed under multiplication")
-    index = np.empty(G.order, dtype=np.int64)
+    dtype = _index_dtype(G.order)
+    index = np.empty(G.order, dtype=dtype)
     step = max(1, CHUNK // len(sub))
     for lo in range(0, G.order, step):
         h = np.arange(lo, min(lo + step, G.order))
-        index[h] = _codes(G.mul_vec(sub[:, None], h)).min(axis=0)
-    rows = np.argsort(index, kind="stable").reshape(-1, len(sub))
-    index[rows] = np.arange(len(rows))[:, None]
+        index[h] = G.mul_vec(sub[:, None], h).min(axis=0)
+    rows = np.argsort(index, kind="stable").astype(dtype).reshape(-1, len(sub))
+    index[rows] = np.arange(len(rows), dtype=dtype)[:, None]
     return rows, index
 
 
 def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInfo]:
     """Bipartite graph on right X-cosets and Y-cosets, adjacent iff they
-    intersect.  Each group element h contributes the edge {Xh, Yh}, and
-    |Xh n Yg| <= 1 makes that map one-to-one onto the edge set.
+    intersect.  The row of an X-coset lists the Y-cosets of its members,
+    and the row of a Y-coset the X-cosets of its members.  Each group
+    element h then gives the edge {Xh, Yh} once; ValueError when a row
+    repeats a coset, that is when two members of a coset share a coset of
+    the other side and |Xh n Yg| <= 1 fails.
     """
     groups.check_budget(G.order, budget)
     x_cosets, x_index = right_cosets(G, groups.closure_array(G, G.x_gens))
     y_cosets, y_index = right_cosets(G, groups.closure_array(G, G.y_gens))
     info = SigmaInfo(x_cosets, y_cosets, x_index, y_index)
-    edges = np.stack([info.x_index, info.n_x + info.y_index], axis=1)
-    return Graph(info.n_x + len(info.y_cosets), edges), info
+    n_x, n_y = info.n_x, len(y_cosets)
+    indices = np.empty(x_cosets.size + y_cosets.size, dtype=np.int32)
+    degrees = np.repeat(np.array([x_cosets.shape[1], y_cosets.shape[1]], dtype=np.int64),
+                        [n_x, n_y])
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    for cosets, index, offset, out in ((x_cosets, y_index, n_x, indices[:x_cosets.size]),
+                                       (y_cosets, x_index, 0, indices[x_cosets.size:])):
+        rows = out.reshape(cosets.shape)
+        step = max(1, CHUNK // cosets.shape[1])
+        for lo in range(0, len(cosets), step):
+            block = rows[lo:lo + step]
+            np.add(index[cosets[lo:lo + step]], offset, out=block)
+            block.sort(axis=1)
+            if np.any(block[:, 1:] == block[:, :-1]):
+                raise ValueError("two members of a coset share a coset of the other side")
+    return Graph._from_rows(indptr, indices), info
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
@@ -341,13 +375,17 @@ def verify_clique_cover(graph: Graph, cliques) -> None:
             twice = twice or covered[slots].any() or bool(np.any(slots[1:] == slots[:-1]))
             covered[slots] = True
         # no vertex is its own neighbor, so a vertex adjacent to all
-        # ``size`` members lies outside the clique and would extend it
+        # ``size`` members lies outside the clique and would extend it; no
+        # key (clique, neighbour) occurs more than ``size`` times, so one
+        # occurs that often iff the sorted keys hold a run of ``size``
         for lo in range(0, len(members), step):
             flat = members[lo:lo + step].ravel()
-            owner = np.repeat(np.arange(len(flat)) // size, degs[flat])
-            seen = np.sort(owner * n + graph.indices[_ranges(graph.indptr[flat], degs[flat])])
-            starts = np.flatnonzero(np.diff(seen, prepend=-1))
-            if np.any(np.diff(starts, append=len(seen)) == size):
+            dtype = _index_dtype(len(flat) // size * n)
+            seen = np.repeat(np.arange(len(flat), dtype=dtype) // size * n, degs[flat])
+            seen += graph.indices[_ranges(graph.indptr[flat], degs[flat])]
+            seen.sort()
+            runs = len(seen) - size + 1
+            if runs > 0 and np.any(seen[size - 1:] == seen[:runs]):
                 raise ValueError("clique is not maximal")
     if twice:
         raise ValueError("edge lies in two of the cliques")
@@ -384,35 +422,33 @@ def coset_cliques(info: SigmaInfo) -> np.ndarray:
     return np.concatenate([info.x_cosets, info.y_cosets])
 
 
-def line_graph(graph: Graph) -> Graph:
-    """Graph on the edges of ``graph`` (vertex i is row i of
-    ``edge_array()``), adjacent iff they share an endpoint.  The adjacent
-    pairs are those of the edges met at each vertex: the edge indices of
-    one CSR row."""
-    return Graph(graph.edge_count(), _pairs_within(graph.indptr, _slot_edges(graph)))
-
-
-def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> list[int]:
+def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
     """The bijection z -> {Xz, Yz} from group elements to coset-graph
-    edges, returned as a list mapping Cayley vertex -> line-graph
-    vertex.  Verifies edge-by-edge that it realises an isomorphism from
-    the Cayley graph to the line graph of the coset graph; raises
-    ValueError on any failure (which would signal an implementation bug).
+    edges, returned as an integer array mapping Cayley vertex -> line-graph
+    vertex (row of ``sigma.edge_array()``).  Verifies that it realises an
+    isomorphism from the Cayley graph to the line graph of the coset graph
+    without building the line graph: the images of every Cayley edge share
+    an endpoint, and the edge counts agree, the line graph having
+    C(deg v, 2) edges at each vertex v.  Raises ValueError on any failure
+    (which would signal an implementation bug).
     """
-    lg = line_graph(sigma)
     # Xz < Yz as vertices, so Xz -> Yz is the forward arc of an edge, if any
     slots = _find_arcs(sigma, info.x_index, info.n_x + info.y_index)
     if np.any(slots < 0):
         raise ValueError("phi image is not an edge of the coset graph")
     phi = _slot_edges(sigma)[slots]
-    if len(phi) != lg.n or np.any(np.bincount(phi, minlength=lg.n) != 1):
+    m = sigma.edge_count()
+    if len(phi) != m or np.any(np.bincount(phi, minlength=m) != 1):
         raise ValueError("phi is not a bijection onto the edges")
+    ends = sigma.edge_array()
     for _, g, h in _forward_arcs(gamma):
-        if np.any(_find_arcs(lg, phi[g], phi[h]) < 0):
+        a, b = ends[phi[g]], ends[phi[h]]
+        if not np.all((a[:, :1] == b).any(axis=1) | (a[:, 1:] == b).any(axis=1)):
             raise ValueError("phi does not preserve an edge")
-    if gamma.edge_count() != lg.edge_count():
+    degs = np.diff(sigma.indptr)
+    if gamma.edge_count() != int(np.sum(degs * (degs - 1) // 2)):
         raise ValueError("edge counts of the Cayley and line graphs differ")
-    return phi.tolist()
+    return phi
 
 
 def cell_roots(labels, n: int) -> np.ndarray:
@@ -442,18 +478,25 @@ def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
 
 
 def bfs_layers(graph: Graph, v: int) -> tuple[list[int], list[int]]:
-    """Exact BFS distances from v (-1 for unreachable) and layer sizes."""
-    degs = np.diff(graph.indptr)
+    """Exact BFS distances from v (-1 for unreachable) and layer sizes.
+    The frontier's rows are read a block of at most CHUNK arcs at a time,
+    and the next layer is marked in a mask over the vertices."""
+    ptr, degs = graph.indptr, np.diff(graph.indptr)
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[v] = 0
     frontier = np.array([v], dtype=np.int64)
     layers = [1]
+    marked = np.zeros(graph.n, dtype=bool)
     while True:
-        reached = graph.indices[_ranges(graph.indptr[frontier], degs[frontier])]
-        reached = np.sort(reached[dist[reached] < 0])
-        frontier = reached[np.diff(reached, prepend=-1) != 0]
+        cum = np.concatenate([[0], np.cumsum(degs[frontier])])
+        for lo, hi in _blocks(cum):
+            rows = frontier[lo:hi]
+            marked[graph.indices[_ranges(ptr[rows], degs[rows])]] = True
+        marked[dist >= 0] = False
+        frontier = np.flatnonzero(marked)
         if not len(frontier):
             return dist.tolist(), layers
+        marked[frontier] = False
         dist[frontier] = len(layers)
         layers.append(len(frontier))
 
@@ -464,7 +507,8 @@ def edge_coloring(graph: Graph, G, X, Y) -> np.ndarray:
     X, Y = _codes(X), _codes(Y)
     out = np.empty(graph.edge_count(), dtype="<U1")
     done = 0
-    for _, g, h in _forward_arcs(graph):
+    # the products keep several 8-byte temporaries per arc: half blocks
+    for _, g, h in _forward_arcs(graph, 2):
         diff = _codes(G.mul_vec(h, G.inv_vec(g)))
         in_x = np.isin(diff, X)
         if not np.all(in_x | np.isin(diff, Y)):
@@ -487,18 +531,22 @@ def triangles_monochromatic(graph: Graph, colors) -> bool:
     if len(colors) != graph.edge_count():
         raise ValueError("need one colour per edge")
     ptr = graph.indptr
-    slot_color = np.empty(len(graph.indices), dtype=colors.dtype)
+    # edges are numbered in slot order and a row's forward slots are
+    # consecutive, so forward slot s of row u is edge s + off[u]
+    off = np.zeros(graph.n, dtype=np.int64)
     done = 0
-    for slots, _, _ in _forward_arcs(graph):
-        slot_color[slots] = colors[done:done + len(slots)]
+    for slots, tails, _ in _forward_arcs(graph):
+        off[tails] = np.arange(done, done + len(slots)) - slots
         done += len(slots)
     for uv, u, v in _forward_arcs(graph, int(np.diff(ptr).max(initial=0))):
         later = ptr[u + 1] - uv - 1
         uw = _ranges(uv + 1, later)
-        vw = _find_arcs(graph, np.repeat(v, later), graph.indices[uw])
-        tri = vw >= 0
-        c = np.repeat(slot_color[uv], later)[tri]
-        if np.any(slot_color[uw[tri]] != c) or np.any(slot_color[vw[tri]] != c):
+        arc = np.repeat(np.arange(len(uv)), later)  # the arc u -> v of each pair
+        vw = _find_arcs(graph, v[arc], graph.indices[uw])
+        tri = np.flatnonzero(vw >= 0)
+        arc, uw, vw = arc[tri], uw[tri], vw[tri]
+        c = colors[(uv + off[u])[arc]]
+        if np.any(colors[uw + off[u][arc]] != c) or np.any(colors[vw + off[v][arc]] != c):
             return False
     return True
 

@@ -269,10 +269,10 @@ def center(G, budget: int = DEFAULT_BUDGET) -> list[int]:
     check_budget(G.order, budget)
     gens = np.asarray(G.gens, dtype=np.int64)[:, None]
     # all generators in one broadcast product per block of codes; a block
-    # holds about 2^20 products, so its arrays stay a few MB at any order
+    # holds about CHUNK products, so its arrays stay bounded at any order
     central = np.concatenate([
         (G.mul_vec(block, gens) == G.mul_vec(gens, block)).all(axis=0)
-        for block in np.array_split(np.arange(G.order), max(1, G.order * len(G.gens) >> 20))])
+        for block in np.array_split(np.arange(G.order), max(1, G.order * len(G.gens) // CHUNK))])
     return np.flatnonzero(central).tolist()
 
 

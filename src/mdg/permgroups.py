@@ -20,7 +20,12 @@ def identity_perm(degree: int) -> np.ndarray:
 
 def as_perm(images) -> np.ndarray:
     p = np.asarray(images, dtype=np.int32)
-    if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(len(p), dtype=np.int32)):
+    if p.ndim != 1 or (len(p) and (p.min() < 0 or p.max() >= len(p))):
+        raise ValueError("not a permutation")
+    # len(p) images in range(len(p)) that reach every point reach each once
+    hit = np.zeros(len(p), dtype=bool)
+    hit[p] = True
+    if not hit.all():
         raise ValueError("not a permutation")
     return p
 

@@ -5,9 +5,15 @@ groups.  ``cosets`` forms the whole (|H|, |G|) product at once, the oracle
 for the blocked ``graphs.right_cosets``.  ``mat_transpose`` is the scalar
 F_2 transpose behind the per-element lift formulas.  ``dihedral_mul`` and
 ``dihedral_inv`` are the scalar factor-by-factor arithmetic of
-``groups.DihedralProduct``, whose scalar forms now call its array forms."""
+``groups.DihedralProduct``, whose scalar forms now call its array forms.
+``cayley_graph_from_pairs`` and ``sigma_graph_from_pairs`` build Γ and Σ
+from their edge lists through the general ``graphs.Graph``, the oracles
+for the builders that write the CSR rows directly.  ``line_graph`` builds
+the line graph that ``graphs.phi_map`` checks against without forming."""
 
 import numpy as np
+
+from mdg import graphs
 
 
 class TableGroup:
@@ -102,3 +108,27 @@ def mat_transpose(m: int, n: int) -> int:
             if (m >> (i * n + j)) & 1:
                 t |= 1 << (j * n + i)
     return t
+
+
+def cayley_graph_from_pairs(G, S) -> graphs.Graph:
+    """Cay(G, S) from its pairs {g, s g}, each edge listed from both ends."""
+    S = np.asarray(sorted(set(S)), dtype=np.int64)
+    heads = np.asarray(G.mul_vec(S[:, None], np.arange(G.order)[None, :]), dtype=np.int64)
+    tails = np.broadcast_to(np.arange(G.order), heads.shape)
+    return graphs.Graph(G.order, np.stack([tails.ravel(), heads.ravel()], axis=1))
+
+
+def sigma_graph_from_pairs(info: graphs.SigmaInfo) -> graphs.Graph:
+    """The coset graph from its pairs {Xh, Yh}, one per group element;
+    repeated pairs are merged."""
+    pairs = np.stack([info.x_index, info.n_x + info.y_index], axis=1).astype(np.int64)
+    return graphs.Graph(info.n_x + len(info.y_cosets), pairs)
+
+
+def line_graph(graph: graphs.Graph) -> graphs.Graph:
+    """Graph on the edges of ``graph`` (vertex i is row i of
+    ``edge_array()``), adjacent iff they share an endpoint.  The adjacent
+    pairs are those of the edges met at each vertex: the edge indices of
+    one CSR row."""
+    return graphs.Graph(graph.edge_count(),
+                        graphs._pairs_within(graph.indptr, graphs._slot_edges(graph)))

@@ -118,9 +118,12 @@ finally:
 # - the Cayley graph as graph6 (an 89 MB body): 301 MB when the writer
 #   copied the body four times, 121 MB with the body held once;
 # - the distance diagram: 52 MB with the whole vertices-by-cells count
-#   matrix alive, 40-42 MB counting it a block of rows at a time.
+#   matrix alive, 40-42 MB counting it a block of rows at a time;
+# - verify group: 37.9 MB with the centre's products in blocks of 2^20,
+#   33.6 MB in blocks of CHUNK.
 GAMMA3_GRAPH6_SHA256 = "7ae3178cea18714d5509713aa56a7204bbda6c76526af2b033bcdb15760f5be1"
 PEAK_BOUNDS_MB = {
+    "verify-group-n3": (["verify", "group", "-n", "3", "--json"], 36),
     "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 60),
     "aut-sigma-full-search-n3": (["aut", "-n", "3", "--target", "sigma", "--full-search",
                                   "--json"], 50),

@@ -2,15 +2,17 @@
 it.  The oracles share no code with mdg.graphs: networkx where it is
 installed, otherwise scalar loops kept in this file."""
 
+import dataclasses
 import itertools
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import perm_oracle
-from group_oracle import TableGroup
+from group_oracle import TableGroup, cayley_graph_from_pairs, line_graph, sigma_graph_from_pairs
 from mdg import cli, graphs, groups, permgroups
 
 try:
@@ -89,7 +91,7 @@ random_graphs = edge_lists.map(lambda case: graphs.Graph(*case))
 
 
 def _check_line_graph(graph):
-    lg = graphs.line_graph(graph)
+    lg = line_graph(graph)
     ref = to_nx(graph)
     index = {e: i for i, e in enumerate(sorted_edges(ref))}
     # line-graph vertex i is row i of edge_array()
@@ -323,11 +325,11 @@ def _canon(x):
     return x
 
 
-def over_chunks(fn):
+def over_chunks(fn, chunks=CHUNKS):
     """fn() under each block size, as the result or the ValueError text;
     asserts that every block size gives the same one, and returns it."""
     out = []
-    for chunk in CHUNKS:
+    for chunk in chunks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "CHUNK", chunk)
             try:
@@ -369,9 +371,66 @@ def test_cayley_graph_is_the_same_for_every_block_size(G):
         ("graph", G.order, [list(e) for e in scalar_cayley_edges(G, S)])
 
 
+@pytest.mark.parametrize("G", [G2, groups.TensorGroup(3), groups.DihedralProduct(2, 3),
+                               groups.DihedralProduct(4, 4)],
+                         ids=["tensor2", "tensor3", "dihedral23", "dihedral44"])
+def test_row_builders_match_the_pair_list_oracle(G):
+    """Γ and Σ written row by row equal the graphs built from their pairs,
+    at every block size; at order 32,768 a prime block size stands in for
+    the single-element one, which takes seconds there."""
+    chunks = CHUNKS if G.order < 1 << 12 else (509, graphs.CHUNK)
+    S = graphs.xy_connection_set(G)
+    assert over_chunks(lambda: graphs.cayley_graph(G, S), chunks) == \
+        _canon(cayley_graph_from_pairs(G, S))
+    sigma, info = graphs.sigma_graph(G)
+    assert over_chunks(lambda: graphs.sigma_graph(G)[0], chunks) == \
+        _canon(sigma_graph_from_pairs(info))
+    assert sigma.edge_count() == G.order
+
+
+@given(st.sampled_from([G2, groups.DihedralProduct(3, 4), groups.DihedralProduct(2, 2, 2), _s3()]),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_cayley_graph_matches_the_pair_list_oracle_on_random_connection_sets(G, data):
+    picked = data.draw(st.sets(st.integers(min_value=0, max_value=G.order - 1), max_size=8))
+    S = sorted(({G.inv(s) for s in picked} | picked) - {G.identity})
+    assert over_chunks(lambda: graphs.cayley_graph(G, S)) == _canon(cayley_graph_from_pairs(G, S))
+
+
+def test_sigma_graph_rejects_a_coset_meeting_another_twice():
+    # in D_2 the flip x and the flipped rotation y are one element, so X = Y
+    # and the X-coset X meets the Y-coset Y in two elements
+    assert over_chunks(lambda: graphs.sigma_graph(groups.DihedralProduct(1))[0]) == \
+        ("ValueError", "two members of a coset share a coset of the other side")
+
+
+def test_phi_map_rejects_two_swapped_images():
+    """Swapping the cosets of z and of a vertex far from z keeps phi a
+    bijection onto the edges, but moves the image of an edge at z."""
+    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
+    x, y = INFO2.x_index.copy(), INFO2.y_index.copy()
+    x[[0, far]], y[[0, far]] = x[[far, 0]], y[[far, 0]]
+    swapped = dataclasses.replace(INFO2, x_index=x, y_index=y)
+    kind, text = over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, swapped))
+    assert kind == "ValueError" and "does not preserve an edge" in text
+
+
+def scalar_bfs(graph, v):
+    dist = [-1] * graph.n
+    dist[v] = 0
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in graph.neighbors(u).tolist():
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist, [dist.count(k) for k in range(max(dist) + 1)]
+
+
 def test_identifications_are_the_same_for_every_block_size():
     for graph in (GAMMA2, SIGMA2):
-        lg = over_chunks(lambda: graphs.line_graph(graph))
+        lg = over_chunks(lambda: line_graph(graph))
         assert lg == ("graph", graph.edge_count(),
                       [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
     cliques = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
@@ -452,7 +511,7 @@ def test_distance_diagram_is_the_same_for_every_block_size():
 @settings(max_examples=100, deadline=None)
 def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
     """Irregular graphs, a star and an edgeless graph, at every block size."""
-    assert over_chunks(lambda: graphs.line_graph(graph)) == \
+    assert over_chunks(lambda: line_graph(graph)) == \
         ("graph", graph.edge_count(), [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
     cg, cliques = over_chunks(lambda: graphs.clique_graph(graph))
     assert cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
@@ -466,3 +525,12 @@ def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
                        for _ in range(graph.edge_count())], dtype="U1")
     assert over_chunks(lambda: graphs.triangles_monochromatic(graph, colors)) == \
         brute_force_monochromatic(graph, colors)
+    if graph.n:
+        v = rnd.randrange(graph.n)
+        assert over_chunks(lambda: graphs.bfs_layers(graph, v)) == scalar_bfs(graph, v)
+
+
+def test_bfs_layers_are_the_same_for_every_block_size():
+    for graph in (GAMMA2, SIGMA2):
+        for v in (0, 77, graph.n - 1):
+            assert over_chunks(lambda: graphs.bfs_layers(graph, v)) == scalar_bfs(graph, v)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_io import from_edgelist, from_graph6
-from group_oracle import TableGroup, coset_index_array, cosets
+from group_oracle import TableGroup, coset_index_array, cosets, line_graph
 from mdg import f2, graphs, groups
 
 
@@ -80,15 +80,15 @@ def test_verify_clique_cover_rejects_bad_input():
 
 def test_line_graph_small():
     k3 = graphs.Graph(3, [(0, 1), (0, 2), (1, 2)])
-    lg = graphs.line_graph(k3)
+    lg = line_graph(k3)
     assert lg.n == 3 and lg.edge_count() == 3
     star = graphs.Graph(4, [(0, 1), (0, 2), (0, 3)])
-    lg2 = graphs.line_graph(star)
+    lg2 = line_graph(star)
     assert lg2.n == 3 and lg2.edge_count() == 3
 
 
 def test_line_graph_of_sigma():
-    lg = graphs.line_graph(SIGMA2)
+    lg = line_graph(SIGMA2)
     assert lg.n == 256
     assert lg.is_regular() == 6
 

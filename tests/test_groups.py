@@ -272,6 +272,14 @@ def test_center_matches_the_brute_force_definition(G):
     assert groups.center(G) == brute_center(G)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, groups.CHUNK])
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_center_is_the_same_for_every_block_size(name, chunk, monkeypatch):
+    G = BACKENDS[name]
+    monkeypatch.setattr(groups, "CHUNK", chunk)
+    assert groups.center(G) == brute_center(G)
+
+
 def test_center_of_a_large_dihedral_product():
     # order 160,800; D_2m has a center of order 2 for even m and 1 for odd m
     D = groups.DihedralProduct(200, 201)

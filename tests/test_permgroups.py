@@ -33,6 +33,21 @@ def test_perm_basics():
         pg.as_perm([0, 0, 1])
 
 
+@pytest.mark.parametrize("images", [[0, 0, 1], [1, 2, -1], [-3, 1, 2], [0, 1, 3], [3, 0, 1, 2, 9],
+                                    [[0, 1], [1, 0]], [[0]]],
+                         ids=["repeated", "negative", "negative-first", "at-len", "above-len",
+                              "2d", "2d-single"])
+def test_as_perm_rejects_non_permutations(images):
+    with pytest.raises(ValueError, match="not a permutation"):
+        pg.as_perm(images)
+
+
+def test_as_perm_accepts_permutations():
+    assert pg.as_perm([]).tolist() == []
+    for p in itertools.permutations(range(4)):
+        assert pg.as_perm(p).tolist() == list(p)
+
+
 def test_permgroup_known_orders():
     assert pg.PermGroup([pg.as_perm([1, 0, 2, 3]), pg.as_perm([1, 2, 3, 0])]).order() == 24
     assert pg.PermGroup([pg.as_perm([1, 0, 2, 3, 4]), pg.as_perm([1, 2, 3, 4, 0])]).order() == 120
