@@ -259,6 +259,9 @@ def graphs_report(n: int) -> VerificationReport:
                   lambda: diagram_matches_reference(
                       permgroups.distance_diagram(gamma, lifts, 0),
                       load_reference_diagram()))
+    # about 3 MB of permutations of all codes at n = 3, needed no further:
+    # freed, the colouring passes below reuse their memory
+    del r_gens, lifts, sigma_r, sigma_lifts
     X = groups.closure(G, G.x_gens)
     Y = groups.closure(G, G.y_gens)
     colors = graphs.edge_coloring(gamma, G, X, Y)

@@ -181,14 +181,15 @@ def orbit_mask(gens, seed: int, degree: int) -> np.ndarray:
 
 
 def orbits(gens, degree: int) -> np.ndarray:
-    """Orbit labels: the least point of each point's orbit, as an int64
-    array.  Along each generator, the larger of two roots is hooked under
-    the smaller, then pointers jump until every label is a root (Shiloach
-    & Vishkin, J. Algorithms 3, 1982); a pass that hooks nothing ends it."""
+    """Orbit labels: the least point of each point's orbit, as an int32
+    array (the generators are int32 permutations, so every point fits).
+    Along each generator, the larger of two roots is hooked under the
+    smaller, then pointers jump until every label is a root (Shiloach &
+    Vishkin, J. Algorithms 3, 1982); a pass that hooks nothing ends it."""
     gens = [as_perm(g) for g in gens]
     if any(len(g) != degree for g in gens):
         raise ValueError("generators must have the given degree")
-    label = np.arange(degree)
+    label = np.arange(degree, dtype=np.int32)
     hooked = True
     while hooked:
         hooked = False
