@@ -286,9 +286,9 @@ def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInf
     info = SigmaInfo(x_cosets, y_cosets, x_index, y_index)
     n_x, n_y = info.n_x, len(y_cosets)
     indices = np.empty(x_cosets.size + y_cosets.size, dtype=np.int32)
-    degrees = np.repeat(np.array([x_cosets.shape[1], y_cosets.shape[1]], dtype=np.int64),
-                        [n_x, n_y])
-    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    wx, wy = x_cosets.shape[1], y_cosets.shape[1]
+    indptr = np.concatenate([np.arange(n_x, dtype=np.int64) * wx,
+                             x_cosets.size + np.arange(n_y + 1, dtype=np.int64) * wy])
     for cosets, index, offset, out in ((x_cosets, y_index, n_x, indices[:x_cosets.size]),
                                        (y_cosets, x_index, 0, indices[x_cosets.size:])):
         rows = out.reshape(cosets.shape)
