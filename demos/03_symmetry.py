@@ -7,6 +7,8 @@ A seeded backtracking search certifies that this is the full
 automorphism group of both graphs.
 """
 
+import numpy as np
+
 from mdg import autsearch, cli, permgroups as pg
 
 G, S, gamma, sigma, info = cli.build_instance(2)
@@ -33,9 +35,11 @@ print(cli.render_diagram_table(diag))
 # transitivity profile
 rep = pg.transitivity_report(gamma, R, lifts, stabilizer_certified=True)
 print("Cayley graph transitivity:", rep.flags())
-# on the coset graph: the same generators, induced on the cosets
-sigma_r = [pg.induced_sigma_perm(info, p) for p in R]
-sigma_lifts = [pg.induced_sigma_perm(info, p) for p in lifts]
+# on the coset graph: the same generators, induced on the cosets from one
+# representative each, as pushing the permutations of all codes down gives
+sigma_r, sigma_lifts = cli.sigma_generators(G, info)
+assert all(np.array_equal(p, pg.induced_sigma_perm(info, q))
+           for p, q in zip(sigma_r + sigma_lifts, R + lifts))
 srep = pg.transitivity_report(sigma, cli.sigma_action_gens(sigma_r, sigma_lifts),
                               cli.sigma_stab_gens(sigma_r, sigma_lifts))
 print("coset graph 2-arc-transitive:", srep.two_arc)

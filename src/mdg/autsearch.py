@@ -40,6 +40,11 @@ class Partition:
             raise ValueError("cells must partition the vertices")
         return cls(order, np.cumsum([0] + [len(c) for c in members]))
 
+    @classmethod
+    def unit(cls, n: int) -> "Partition":
+        """All n vertices in one cell (no cell when n is 0), built directly."""
+        return cls(np.arange(n, dtype=np.int32), np.array([0, n] if n else [0]))
+
     def __len__(self) -> int:
         return len(self.starts) - 1
 
@@ -62,6 +67,33 @@ class Partition:
         return Partition(order, np.insert(self.starts, c + 1, lo + 1))
 
 
+def _row_words(nbr: np.ndarray, cell: np.ndarray, verts: np.ndarray, k: int) -> np.ndarray:
+    """The sorted row of neighbour cells of each vertex in ``verts``
+    (``cell`` maps the padding to k, above every cell index), as k - entry
+    packed first-most-significant into uint64 words, one column per vertex:
+    words ascend as rows descend.  Rows are taken CHUNK // degree at a
+    time, and each block is packed with array shifts."""
+    d, width = nbr.shape[1], k.bit_length()
+    per = 64 // width
+    # column j is field j % per of word j // per; a shorter last word keeps
+    # its fields in its low bits
+    col = np.arange(d)
+    shifts = (np.minimum(per, d - col // per * per) - 1 - col % per).astype(np.uint64)
+    shifts *= np.uint64(width)
+    words = np.zeros((-(-d // per) or 1, len(verts)), dtype=np.uint64)
+    if not d:  # every row is empty
+        return words
+    step = max(1, graphs.CHUNK // d)
+    for lo in range(0, len(verts), step):
+        rows = cell[nbr[verts[lo:lo + step]]]
+        rows.sort(axis=1)
+        fields = np.subtract(k, rows, out=rows).astype(np.uint64)
+        fields <<= shifts
+        words[:, lo:lo + step] = np.bitwise_or.reduceat(fields, np.arange(0, d, per), axis=1).T
+        del rows, fields  # before the next block's are made
+    return words
+
+
 def refine(graph: graphs.Graph, part: Partition) -> Partition:
     """Deterministic equitable refinement: split every cell by the tuple
     of neighbour counts into all current cells, until stable.
@@ -69,28 +101,25 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
     The parts of a split cell replace it in ascending count-tuple order,
     each ascending.  A pass sorts vertices by cell, then by their sorted
     row of neighbour cells padded with a sentinel above every cell index,
-    packed into uint64 words: rows sort descending exactly when count
-    tuples sort ascending.  After a pass the vertices of a cell have equal
-    counts into each cell that split, so the next pass reads only the cells
-    next to the parts other than the largest (the first pass: every cell).
+    packed into uint64 words (``_row_words``): rows sort descending exactly
+    when count tuples sort ascending.  After a pass the vertices of a cell
+    have equal counts into each cell that split, so the next pass reads
+    only the cells next to the parts other than the largest (the first
+    pass: every cell).  Rows are read a block of vertices at a time
+    (McKay & Piperno, J. Symb. Comput. 60, 2014).
     """
     n = graph.n
     if len(part.order) != n:
         raise ValueError("cells must partition the vertices")
     nbr = graph.neighbor_array(pad=n)
+    step = max(1, graphs.CHUNK // max(1, nbr.shape[1]))
     todo = np.flatnonzero(np.diff(part.starts) > 1)
     while len(todo):
         k = len(part)
         pos = graphs._ranges(part.starts[todo], np.diff(part.starts)[todo])
         verts = part.order[pos]
         cur = part.cell[verts]
-        rows = np.sort(np.append(part.cell, np.int32(k))[nbr[verts]], axis=1)  # k pads
-        # k - entry, packed first-most-significant: words ascend as rows descend
-        per, width = 64 // k.bit_length(), np.uint64(k.bit_length())
-        words = np.zeros((-(-nbr.shape[1] // per) or 1, len(pos)), dtype=np.uint64)
-        for j, col in enumerate(np.subtract(np.uint32(k), rows.view(np.uint32).T, order="C")):
-            words[j // per] <<= width
-            words[j // per] |= col
+        words = _row_words(nbr, np.append(part.cell, np.int32(k)), verts, k)  # k pads
         # lexsort is stable, so each part keeps its vertices ascending
         srt = np.lexsort((*words[::-1], cur))
         words, cur, verts = words[:, srt], cur[srt], verts[srt]
@@ -106,8 +135,11 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
         big = np.lexsort((-size, cur[first]))
         small = np.ones(len(first), dtype=bool)
         small[big[np.append(True, np.diff(cur[first][big]) != 0)]] = False
-        near = nbr[verts[np.repeat(small, size)]].ravel()
-        touched = np.bincount(part.cell[near[near < n]], minlength=len(part)) > 0
+        smalls = verts[np.repeat(small, size)]
+        touched = np.zeros(len(part), dtype=bool)
+        for lo in range(0, len(smalls), step):
+            near = nbr[smalls[lo:lo + step]].ravel()
+            touched[part.cell[near[near < n]]] = True
         todo = np.flatnonzero(touched & (np.diff(part.starts) > 1))
     return part
 
@@ -172,7 +204,7 @@ def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 
     matcher = _Matcher(graph, node_budget)
     order = 1
     seq: list[int] = []
-    cells = refine(graph, Partition.from_cells(n, [range(n)]))
+    cells = refine(graph, Partition.unit(n))
     try:
         while True:
             split = cells.first_split()

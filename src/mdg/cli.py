@@ -109,12 +109,26 @@ def derived_basis(G) -> list[int]:
     return [groups.commutator(G, x, y) for x in G.x_gens for y in G.y_gens]
 
 
-def derived_orbit_partition(G, info) -> np.ndarray:
+def derived_orbit_partition(G, sigma, info) -> np.ndarray:
     """Orbits of the derived subgroup's right action on the coset-graph
-    vertices, as each vertex's orbit label (``permgroups.orbits``)."""
-    perms = [permgroups.induced_sigma_perm(info, permgroups.right_mult_perm(G, d))
-             for d in derived_basis(G)]
-    return permgroups.orbits(perms, info.n_x + len(info.y_cosets))
+    vertices, as each vertex's orbit label (``permgroups.orbits``).  The
+    action is read from the coset representatives, and checked once to be
+    by automorphisms of the coset graph."""
+    probes = permgroups.coset_probes(info)
+    perms = [permgroups.coset_action(info, G.mul_vec(probes, d)) for d in derived_basis(G)]
+    if not permgroups.are_automorphisms(sigma, perms):
+        raise ValueError("derived right multiplication is not a coset-graph automorphism")
+    return permgroups.orbits(perms, sigma.n)
+
+
+def sigma_generators(G, info):
+    """The right multiplications by the generators of G and the stabilizer
+    lifts, induced on the coset graph from their images of one
+    representative per coset (``permgroups.coset_action``)."""
+    probes = permgroups.coset_probes(info)
+    act = functools.partial(permgroups.coset_action, info)
+    return ([act(G.mul_vec(probes, g)) for g in G.gens],
+            [act(p) for p in permgroups.stabilizer_lift_images(G, probes)])
 
 
 def sigma_action_gens(sigma_r, sigma_lifts):
@@ -232,17 +246,17 @@ def graphs_report(n: int) -> VerificationReport:
               lambda: clique_graph_matches_sigma(gamma, sigma, info, generic=(n == 2)))
     rep.claim("line-graph-is-cayley-graph", True,
               lambda: len(graphs.phi_map(gamma, sigma, info)) == G.order)
-    labels = derived_orbit_partition(G, info)
+    labels = derived_orbit_partition(G, sigma, info)
     quotient, preserved = graphs.normal_quotient(sigma, labels)
     rep.claim("quotient-complete-bipartite", ((1 << n), (1 << n)),
               lambda: permgroups.is_complete_bipartite(quotient))
     rep.claim("quotient-preserves-valency", True, lambda: preserved)
     rep.claim("derived-action-semiregular", True,
               lambda: bool(np.all(np.bincount(labels)[labels] == 1 << (n * n))))
+    # the lifts are checked to be automorphisms of Γ by cayley-transitivity
     r_gens = permgroups.right_mult_action(G)
-    lifts = permgroups.connection_stabilizer_gens(G, verify_graph=gamma)
-    sigma_r = [permgroups.induced_sigma_perm(info, p) for p in r_gens]
-    sigma_lifts = [permgroups.induced_sigma_perm(info, p) for p in lifts]
+    lifts = permgroups.connection_stabilizer_gens(G)
+    sigma_r, sigma_lifts = sigma_generators(G, info)
     rep.claim("edge-affine-witness", True,
               lambda: _edge_affine_ok(G, labels, quotient, sigma_r, sigma_lifts))
     rep.claim("cayley-transitivity", GAMMA_EXPECTED_FLAGS,
@@ -307,16 +321,14 @@ def aut_report(n: int, target: str, full_search: bool, budget: int) -> Verificat
 
 
 def _search_input(G, target: str):
-    """The graph the full search certifies and the automorphisms seeding it;
-    on Σ each full-degree permutation is induced as soon as it is built."""
+    """The graph the full search certifies and the automorphisms seeding it,
+    which the search checks before it starts; on Σ they are induced from
+    the coset representatives, with no permutation of all codes."""
     if target == "gamma":
-        gamma = build_gamma(G)
-        return gamma, (permgroups.right_mult_action(G)
-                       + permgroups.connection_stabilizer_gens(G, verify_graph=gamma))
+        return build_gamma(G), (permgroups.right_mult_action(G)
+                                + permgroups.connection_stabilizer_gens(G))
     sigma, info = graphs.sigma_graph(G)
-    induce = functools.partial(permgroups.induced_sigma_perm, info)
-    sigma_r = [induce(permgroups.right_mult_perm(G, g)) for g in G.gens]
-    sigma_lifts = [induce(p) for p in permgroups.stabilizer_lift_images(G)]
+    sigma_r, sigma_lifts = sigma_generators(G, info)
     return sigma, sigma_action_gens(sigma_r, sigma_lifts) + sigma_stab_gens(sigma_r, sigma_lifts)
 
 

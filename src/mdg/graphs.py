@@ -477,8 +477,9 @@ def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
     return quotient, preserved
 
 
-def bfs_layers(graph: Graph, v: int) -> tuple[list[int], list[int]]:
-    """Exact BFS distances from v (-1 for unreachable) and layer sizes.
+def bfs_layers(graph: Graph, v: int) -> tuple[np.ndarray, list[int]]:
+    """Exact BFS distances from v (-1 for unreachable), as an int64 array
+    over the vertices, and the layer sizes.
     The frontier's rows are read a block of at most CHUNK arcs at a time,
     and the next layer is marked in a mask over the vertices."""
     ptr, degs = graph.indptr, np.diff(graph.indptr)
@@ -495,7 +496,7 @@ def bfs_layers(graph: Graph, v: int) -> tuple[list[int], list[int]]:
         marked[dist >= 0] = False
         frontier = np.flatnonzero(marked)
         if not len(frontier):
-            return dist.tolist(), layers
+            return dist, layers
         marked[frontier] = False
         dist[frontier] = len(layers)
         layers.append(len(frontier))

@@ -378,7 +378,7 @@ def distance_diagram(graph: graphs.Graph, stab_gens, v: int) -> DistanceDiagram:
     for g in stab_gens:
         if int(g[v]) != v:
             raise ValueError("stabilizer generators must fix the base vertex")
-    dist = np.asarray(graphs.bfs_layers(graph, v)[0])
+    dist = graphs.bfs_layers(graph, v)[0]
     labels = orbits(stab_gens, graph.n)
     if not np.array_equal(dist[labels], dist):
         raise ValueError("orbit does not refine the distance layers")
@@ -476,7 +476,7 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
     geo = [(i, j) for i, j in off if not graph.has_edge(int(n1[i]), int(n1[j]))]
     two_geodesic = vertex and len(geo) == 1
     # the distance of each stabilizer orbit's least member
-    layers = np.asarray(graphs.bfs_layers(graph, base)[0])[
+    layers = graphs.bfs_layers(graph, base)[0][
         orbits(stab_gens, graph.n) == np.arange(graph.n)]
     distance = {i: vertex and int(np.count_nonzero(layers == i)) == 1 for i in (1, 2, 3)}
     return TransitivityReport(vertex, edge, arc, two_arc, two_geodesic, distance,
@@ -487,7 +487,9 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
 
 def induced_sigma_perm(info: graphs.SigmaInfo, p: np.ndarray) -> np.ndarray:
     """Push a permutation of group-element vertices down to the coset
-    vertices; raises ValueError if some coset image is not a coset.
+    vertices; raises ValueError if some coset image is not a coset.  It
+    reads every member of every coset, so it is the reference that
+    ``coset_action`` is tested against.
 
     The image of a coset is an X-coset iff it has the X-coset size and all
     its members share one X-coset index; likewise for Y."""
@@ -509,6 +511,46 @@ def induced_sigma_perm(info: graphs.SigmaInfo, p: np.ndarray) -> np.ndarray:
             raise ValueError("coset image is not a coset")
         out.append(target)
     return as_perm(np.concatenate(out))
+
+
+def coset_probes(info: graphs.SigmaInfo) -> np.ndarray:
+    """The codes whose images ``coset_action`` reads, as int64: the least
+    member of every X-coset, then of every Y-coset, then the members of X
+    and of Y."""
+    return np.concatenate([info.x_cosets[:, 0], info.y_cosets[:, 0],
+                           info.x_cosets[0], info.y_cosets[0]]).astype(np.int64)
+
+
+def coset_action(info: graphs.SigmaInfo, images) -> np.ndarray:
+    """The permutation of the coset vertices induced by a map of group
+    elements that sends every coset Xh to a coset through h's image, such
+    as a right multiplication or an automorphism, from its int64 images of
+    ``coset_probes(info)``: one representative per coset (Seress,
+    Permutation Group Algorithms, CUP 2003, §5.5).
+
+    X goes to the side on which its image lies within a single coset, and
+    each X-coset to the coset on that side holding its least member's
+    image; Y likewise.  |Xh n Yg| <= 1, so no image lies within a coset of
+    both sides; ValueError when the image of X or of Y lies within none."""
+    images = np.asarray(images, dtype=np.int64)
+    n_x, n = info.n_x, info.n_x + len(info.y_cosets)
+    sides = ((info.x_index, info.x_cosets.shape[1], 0),
+             (info.y_index, info.y_cosets.shape[1], n_x))
+    if len(images) != n + sides[0][1] + sides[1][1]:
+        raise ValueError("need one image per coset probe")
+    if images.min() < 0 or images.max() >= len(info.x_index):
+        raise ValueError("image is not a group element")
+    out = np.empty(n, dtype=np.int32)
+    members = images[n:]
+    for (lo, hi), (_, width, _) in zip(((0, n_x), (n_x, n)), sides):
+        subgroup, members = members[:width], members[width:]
+        side = next((s for s in sides if s[1] == width
+                     and np.all(s[0][subgroup] == s[0][subgroup[0]])), None)
+        if side is None:
+            raise ValueError("image of X or Y lies within no single coset")
+        index, _, offset = side
+        out[lo:hi] = index[images[lo:hi]] + offset
+    return as_perm(out)
 
 
 def is_complete_bipartite(graph: graphs.Graph) -> tuple[int, int] | None:

@@ -29,18 +29,17 @@ def lifts(n):
 
 def sigma_gens(n):
     """The right multiplications and the stabilizer lifts, induced on the
-    coset graph."""
+    coset graph from the coset representatives."""
     d = inst(n)
     if "sigma_r" not in d:
-        d["sigma_r"] = [pg.induced_sigma_perm(d["info"], p) for p in pg.right_mult_action(d["G"])]
-        d["sigma_lifts"] = [pg.induced_sigma_perm(d["info"], p) for p in lifts(n)]
+        d["sigma_r"], d["sigma_lifts"] = cli.sigma_generators(d["G"], d["info"])
     return d["sigma_r"], d["sigma_lifts"]
 
 
 def quotient_data(n):
     d = inst(n)
     if "labels" not in d:
-        labels = cli.derived_orbit_partition(d["G"], d["info"])
+        labels = cli.derived_orbit_partition(d["G"], d["sigma"], d["info"])
         quotient, preserved = graphs.normal_quotient(d["sigma"], labels)
         d.update(labels=labels, quotient=quotient, preserved=preserved)
     return d

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import mdg
 from graph_io import from_graph6
-from mdg import cli, graphs
+from mdg import cli, graphs, permgroups
 
 
 REPORT_SCHEMA = {
@@ -114,7 +114,9 @@ finally:
 # - verify graphs: 79 MB with whole-arc temporaries, about 43 MB with
 #   bounded blocks;
 # - the coset-graph certification: 41 MB with whole coset products and
-#   full-degree lifts alive during the search, 36 MB without;
+#   full-degree lifts alive during the search, 36 MB without, 34.1 MB with
+#   every permutation induced from the coset representatives and the
+#   refinement rows read in blocks;
 # - the Cayley graph as graph6 (an 89 MB body): 301 MB when the writer
 #   copied the body four times, 121 MB with the body held once;
 # - the distance diagram: 52 MB with the whole vertices-by-cells count
@@ -126,7 +128,7 @@ PEAK_BOUNDS_MB = {
     "verify-group-n3": (["verify", "group", "-n", "3", "--json"], 36),
     "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 60),
     "aut-sigma-full-search-n3": (["aut", "-n", "3", "--target", "sigma", "--full-search",
-                                  "--json"], 50),
+                                  "--json"], 38),
     "export-gamma-graph6-n3": (["export", "-n", "3", "--target", "gamma", "--format", "graph6",
                                 "-o", "{out}"], 220),
     "diagram-n3": (["diagram", "-n", "3"], 47),
@@ -152,6 +154,49 @@ def test_peak_rss_stays_bounded(name, tmp_path):
         assert {c["status"] for c in json.loads(r.stdout)["claims"]} == {"pass"}
     peak_mb = int(r.stderr.split("peak_kb")[-1]) / 1024
     assert peak_mb < bound, f"{' '.join(args)} peaked at {peak_mb:.1f} MB"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a permutation of all codes was built")
+
+
+def test_sigma_paths_build_no_permutation_of_all_codes(monkeypatch):
+    """Every coset-graph permutation comes from the coset representatives."""
+    lift_images = permgroups.stabilizer_lift_images
+    monkeypatch.setattr(permgroups, "induced_sigma_perm", _refuse)
+    r = run("verify", "graphs", "-n", "2", "--json")
+    assert r.exit_code == 0, r.output
+    monkeypatch.setattr(permgroups, "right_mult_perm", _refuse)
+    monkeypatch.setattr(permgroups, "stabilizer_lift_images",
+                        lambda G, codes=None: lift_images(G, codes) if codes is not None else _refuse())
+    r = run("aut", "-n", "2", "--target", "sigma", "--full-search", "--json")
+    assert r.exit_code == 0, r.output
+    assert {c["status"] for c in json.loads(r.output)["claims"]} == {"pass"}
+
+
+@pytest.mark.parametrize("args, cid", [
+    (["verify", "graphs", "-n", "2", "--json"], "cayley-transitivity"),
+    (["aut", "-n", "2", "--target", "gamma", "--full-search", "--json"],
+     "full-automorphism-order-gamma"),
+], ids=["verify-graphs", "aut-gamma"])
+def test_a_bad_cayley_lift_is_a_failed_claim(monkeypatch, args, cid):
+    """The lifts of the Cayley graph are checked once, inside a claim: a
+    lift that is no automorphism fails it with exit 1, not a traceback."""
+    lifts = permgroups.connection_stabilizer_gens
+
+    def with_a_bad_lift(G, verify_graph=None):
+        bad = lifts(G, verify_graph)
+        bad[0] = bad[0].copy()
+        bad[0][[1, 2]] = bad[0][[2, 1]]  # x_0 and x_1 are not twins
+        return bad
+
+    monkeypatch.setattr(permgroups, "connection_stabilizer_gens", with_a_bad_lift)
+    r = run(*args)
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert "Traceback" not in r.output
+    claims = {c["id"]: c for c in json.loads(r.output)["claims"]}
+    assert [i for i, c in claims.items() if c["status"] != "pass"] == [cid]
+    assert claims[cid]["status"] == "fail" and "automorphism" in claims[cid]["computed"]
 
 
 # np.unique, and np.isin when it sorts, import numpy.ma on first use: several

@@ -232,13 +232,13 @@ def test_bfs_layers_match_networkx():
         for v in rng.sample(range(graph.n), 3):
             dist, layers = graphs.bfs_layers(graph, v)
             lengths = nx.single_source_shortest_path_length(ref, v)
-            assert dist == [lengths.get(u, -1) for u in range(graph.n)]
+            assert dist.tolist() == [lengths.get(u, -1) for u in range(graph.n)]
             assert layers == [sum(1 for d in lengths.values() if d == k)
                               for k in range(max(lengths.values()) + 1)]
 
 
 def test_normal_quotient_matches_a_scalar_quotient():
-    labels = cli.derived_orbit_partition(G2, INFO2)
+    labels = cli.derived_orbit_partition(G2, SIGMA2, INFO2)
     quotient, preserved = graphs.normal_quotient(SIGMA2, labels)
     part = perm_oracle.orbits(
         [permgroups.induced_sigma_perm(INFO2, permgroups.right_mult_perm(G2, d))
@@ -264,7 +264,7 @@ BAD_LABELS = {
 
 @pytest.mark.parametrize("bad", sorted(BAD_LABELS))
 def test_normal_quotient_rejects_malformed_labels(bad):
-    labels = BAD_LABELS[bad](cli.derived_orbit_partition(G2, INFO2))
+    labels = BAD_LABELS[bad](cli.derived_orbit_partition(G2, SIGMA2, INFO2))
     with pytest.raises(ValueError):
         graphs.normal_quotient(SIGMA2, labels)
 

@@ -110,7 +110,8 @@ def test_normal_quotient_trivial():
 def test_bfs_layers():
     dist, sizes = graphs.bfs_layers(GAMMA2, 0)
     assert sizes == [1, 6, 18, 54, 117, 54, 6]
-    assert max(dist) == 6
+    assert dist.dtype == np.int64 and dist.shape == (256,) and dist.max() == 6
+    assert np.bincount(dist).tolist() == sizes
     _, k = graphs.bfs_layers(graphs.complete_bipartite(4, 4), 0)
     assert k == [1, 4, 3]
     _, single = graphs.bfs_layers(graphs.Graph(1, []), 0)

@@ -5,12 +5,14 @@ lookups for the induced coset action, and the dictionary-bucket and
 list-partition refinements for ``autsearch.refine``."""
 
 import random
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from group_oracle import mat_transpose
+from test_graph_core import over_chunks
 from mdg import autsearch, cli, f2, graphs, groups, permgroups as pg
 from mdg.autsearch import Partition
 
@@ -248,6 +250,57 @@ def test_induced_sigma_perm_rejects_what_the_lookup_rejects():
         pg.induced_sigma_perm(info, pg.identity_perm(G.order - 1))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_coset_action_matches_the_induced_permutation(n):
+    """From the coset representatives, the same permutation of the coset
+    vertices as pushing each permutation of all codes down."""
+    G = groups.TensorGroup(n)
+    sigma, info = graphs.sigma_graph(G)
+    probes = pg.coset_probes(info)
+    assert probes.dtype == np.int64 and len(probes) == sigma.n + 2 * (1 << n)
+    for g in G.gens + cli.derived_basis(G):
+        got = pg.coset_action(info, G.mul_vec(probes, g))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, pg.induced_sigma_perm(info, pg.right_mult_perm(G, g)))
+    lifts = list(zip(pg.stabilizer_lift_images(G), pg.stabilizer_lift_images(G, probes)))
+    assert len(lifts) == 2 * len(f2.gl_generators(n)) + 1
+    for full, images in lifts:
+        got = pg.coset_action(info, images)
+        assert np.array_equal(got, pg.induced_sigma_perm(info, full))
+    # the last lift is the side swap: the X-cosets and the Y-cosets trade places
+    assert np.all(got[:info.n_x] >= info.n_x) and np.all(got[info.n_x:] < info.n_x)
+
+
+@pytest.mark.parametrize("ms", [(2, 2), (4, 4), (2, 4, 6)])
+def test_coset_action_matches_the_induced_permutation_on_dihedral_products(ms):
+    G = groups.DihedralProduct(*ms)
+    sigma, info = graphs.sigma_graph(G)
+    probes = pg.coset_probes(info)
+    rng = random.Random(3)
+    for g in G.gens + [rng.randrange(G.order) for _ in range(4)]:
+        want = pg.induced_sigma_perm(info, pg.right_mult_perm(G, g))
+        assert np.array_equal(pg.coset_action(info, G.mul_vec(probes, g)), want)
+
+
+def test_coset_action_rejects_a_map_that_scatters_x():
+    G = groups.TensorGroup(2)
+    sigma, info = graphs.sigma_graph(G)
+    probes = pg.coset_probes(info)
+    bad = pg.identity_perm(G.order)
+    bad[0], bad[4] = 4, 0  # X = {0, 1, 2, 3} goes to {4, 1, 2, 3}: x_0 and y_0 both in it
+    with pytest.raises(ValueError, match="coset image is not a coset"):
+        pg.induced_sigma_perm(info, bad)
+    with pytest.raises(ValueError, match="lies within no single coset"):
+        pg.coset_action(info, bad[probes])
+    with pytest.raises(ValueError, match="one image per coset probe"):
+        pg.coset_action(info, probes[:-1])
+    for wrong in (-1, G.order):
+        images = probes.copy()
+        images[7] = wrong
+        with pytest.raises(ValueError, match="not a group element"):
+            pg.coset_action(info, images)
+
+
 @st.composite
 def graphs_and_partitions(draw):
     """Graphs with uneven degrees and isolated vertices, each with a
@@ -323,6 +376,43 @@ def test_refine_matches_reference_along_individualisation(target):
         part = autsearch.refine(graph, part.individualize(members[0]))
         steps += 1
     assert steps > 0
+
+
+STAR = graphs.Graph(9, [(0, v) for v in range(1, 9)])
+
+
+@given(graphs_and_partitions())
+@example((STAR, [list(range(9))]))
+@example((STAR, [[3], [0, 1, 2, 4, 5, 6, 7, 8]]))
+@settings(max_examples=150, deadline=None)
+def test_refine_is_the_same_for_every_block_size(case):
+    """Rows read one vertex, seven vertices' worth of entries and CHUNK
+    entries at a time give the same partitions."""
+    graph, cells = case
+    got = over_chunks(lambda: cells_of(autsearch.refine(graph, Partition.from_cells(graph.n, cells))))
+    assert got == reference_refine(graph, cells)
+
+
+def test_refine_packs_wide_rows_with_array_shifts():
+    """K(1, 2000): rows of 2000 entries, in blocks of 16 rows.  Packing a
+    block a column at a time took over 2 s; array shifts take under 0.2 s."""
+    star = graphs.Graph(2001, [(0, v) for v in range(1, 2001)])
+    unit = Partition.from_cells(star.n, [range(star.n)])
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        part = autsearch.refine(star, unit)
+        times.append(time.perf_counter() - t0)
+    assert cells_of(part) == [list(range(1, 2001)), [0]]
+    assert min(times) < 0.6, times
+
+
+def test_unit_partition_is_the_one_cell_partition():
+    for n in (0, 1, 5):
+        unit, cells = Partition.unit(n), Partition.from_cells(n, [range(n)])
+        for a, b in ((unit.order, cells.order), (unit.starts, cells.starts), (unit.cell, cells.cell)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        check_arrays(unit, n)
 
 
 def test_refine_and_search_on_tiny_and_edgeless_graphs():

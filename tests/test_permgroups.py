@@ -277,7 +277,7 @@ def test_bipartition_helpers():
 
 
 def test_edge_affine_witness_positive():
-    labels = cli.derived_orbit_partition(G2, INFO2)
+    labels = cli.derived_orbit_partition(G2, SIGMA2, INFO2)
     quotient, _ = graphs.normal_quotient(SIGMA2, labels)
     sigma_r = [pg.induced_sigma_perm(INFO2, p) for p in R2]
     sigma_lifts = [pg.induced_sigma_perm(INFO2, p) for p in LIFTS2]
