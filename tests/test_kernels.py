@@ -386,16 +386,16 @@ STAR = graphs.Graph(9, [(0, v) for v in range(1, 9)])
 @example((STAR, [[3], [0, 1, 2, 4, 5, 6, 7, 8]]))
 @settings(max_examples=150, deadline=None)
 def test_refine_is_the_same_for_every_block_size(case):
-    """Rows read one vertex, seven vertices' worth of entries and CHUNK
-    entries at a time give the same partitions."""
+    """Rows read in blocks of CHUNK // degree vertices give the reference's
+    partitions whether CHUNK is 1, 7 or the default."""
     graph, cells = case
     got = over_chunks(lambda: cells_of(autsearch.refine(graph, Partition.from_cells(graph.n, cells))))
     assert got == reference_refine(graph, cells)
 
 
 def test_refine_packs_wide_rows_with_array_shifts():
-    """K(1, 2000): rows of 2000 entries, in blocks of 16 rows.  Packing a
-    block a column at a time took over 2 s; array shifts take under 0.2 s."""
+    """K(1, 2000): rows of 2000 entries, in blocks of 16 rows.  Packing each
+    block a column at a time took about 2 s; array shifts take under 0.1 s."""
     star = graphs.Graph(2001, [(0, v) for v in range(1, 2001)])
     unit = Partition.from_cells(star.n, [range(star.n)])
     times = []
