@@ -14,7 +14,8 @@ from mdg import autsearch, cli, permgroups as pg
 G, S, gamma, sigma, info = cli.build_instance(2)
 
 R = pg.right_mult_action(G)
-lifts = pg.connection_stabilizer_gens(G, verify_graph=gamma)
+lifts = pg.connection_stabilizer_gens(G)
+assert pg.are_automorphisms(gamma, lifts)
 print("stabilizer lifts:", len(lifts), "generators, group order",
       pg.PermGroup(lifts).order())
 

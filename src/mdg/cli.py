@@ -147,22 +147,17 @@ def sigma_stab_gens(sigma_r, sigma_lifts):
     return [p for p in sigma_lifts + sigma_r if p[0] == 0]
 
 
-def clique_graph_matches_sigma(gamma, sigma, info, generic: bool) -> bool:
-    """Build the clique graph (generic enumeration or the verified coset
-    fast path) and check it equals the coset graph under the map sending
-    each maximal clique to the coset it consists of."""
-    cg, members = graphs.clique_graph(gamma, None if generic else graphs.coset_cliques(info))
-    width = info.x_cosets.shape[1]
-    if generic:  # enumerated cliques are vertex lists, possibly of several sizes
-        if any(len(c) != width for c in members):
-            return False
-        members = np.array(members, dtype=np.int64).reshape(len(members), width)
+def clique_graph_matches_sigma(gamma, sigma, info) -> bool:
+    """Build the clique graph on the coset cliques, verified to be exactly
+    the maximal cliques of the Cayley graph, and check it equals the coset
+    graph under the map sending each clique to the coset it consists of."""
+    cg, members = graphs.clique_graph(gamma, graphs.coset_cliques(info))
     if cg.n != sigma.n:
         return False
     first = members[:, 0]
 
     def is_coset(cosets, index):
-        return cosets.shape[1] == width and np.all(cosets[index[first]] == members, axis=1)
+        return np.all(cosets[index[first]] == members, axis=1)
 
     in_x, in_y = is_coset(info.x_cosets, info.x_index), is_coset(info.y_cosets, info.y_index)
     if not np.all(in_x | in_y):
@@ -243,7 +238,7 @@ def graphs_report(n: int) -> VerificationReport:
     rep.claim("coset-graph-valency", 1 << n, lambda: sigma.is_regular())
     rep.claim("coset-graph-edges", G.order, lambda: sigma.edge_count())
     rep.claim("clique-graph-is-coset-graph", True,
-              lambda: clique_graph_matches_sigma(gamma, sigma, info, generic=(n == 2)))
+              lambda: clique_graph_matches_sigma(gamma, sigma, info))
     rep.claim("line-graph-is-cayley-graph", True,
               lambda: len(graphs.phi_map(gamma, sigma, info)) == G.order)
     labels = derived_orbit_partition(G, sigma, info)
@@ -478,8 +473,11 @@ def diagram(n, fmt):
     _check_full_degree(n, "diagram")
     G = groups.TensorGroup(n)
     gamma = build_gamma(G)
-    diag = permgroups.distance_diagram(
-        gamma, permgroups.connection_stabilizer_gens(G, verify_graph=gamma), 0)
+    lifts = permgroups.connection_stabilizer_gens(G)
+    if not permgroups.are_automorphisms(gamma, lifts):
+        click.echo("lift is not an automorphism", err=True)
+        sys.exit(1)
+    diag = permgroups.distance_diagram(gamma, lifts, 0)
     if fmt == "table":
         click.echo(render_diagram_table(diag))
     else:

@@ -308,112 +308,81 @@ def complete_bipartite(m: int, n: int) -> Graph:
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
-def maximal_cliques(graph: Graph, budget: int = 10**7) -> list[list[int]]:
-    """Pivot-free Bron-Kerbosch enumeration, canonically sorted."""
-    bitsets = [sum(1 << v for v in graph.neighbors(u).tolist()) for u in range(graph.n)]
-    out = []
-    calls = 0
+def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
+    """Check that the rows of ``cliques``, a 2-D array of nonempty cliques
+    of one size, are exactly the maximal cliques of the graph, each edge
+    lying in one of them; raises ValueError otherwise.  Used to check the
+    coset cliques against the graph itself.  The rows are checked a block
+    at a time.
 
-    def expand(r: list[int], p: int, x: int):
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise groups.BudgetExceeded("clique enumeration budget exceeded")
-        if p == 0 and x == 0:
-            out.append(sorted(r))
-            return
-        while p:
-            v = (p & -p).bit_length() - 1
-            vb = 1 << v
-            expand(r + [v], p & bitsets[v], x & bitsets[v])
-            p &= ~vb
-            x |= vb
-
-    expand([], (1 << graph.n) - 1, 0)
-    out.sort()
-    return out
-
-
-def _cliques_by_size(cliques):
-    """(size, members) for each clique size in ascending order, the members
-    of the cliques of that size as the rows of one array."""
-    if isinstance(cliques, np.ndarray):
-        return [(cliques.shape[1], cliques)] if len(cliques) else []
-    out = []
-    for size in sorted({len(c) for c in cliques}):
-        rows = [c for c in cliques if len(c) == size]
-        out.append((size, _codes(rows).reshape(len(rows), size)))
-    return out
-
-
-def verify_clique_cover(graph: Graph, cliques) -> None:
-    """Check that ``cliques`` (vertex lists, or the rows of a 2-D array) are
-    maximal cliques covering each edge exactly once; raises ValueError
-    otherwise.  Used to validate the coset fast path against the graph
-    itself.  Cliques of one size are checked together, a block of rows at
-    a time.
+    With each edge in exactly one clique, the cliques are all the maximal
+    ones iff no vertex outside a clique is adjacent to two of its members
+    (the three would make a triangle that lies in no clique) and each
+    isolated vertex is one of the cliques.
     """
+    members = np.asarray(cliques)
+    if members.ndim != 2 or members.shape[1] == 0:
+        raise ValueError("cliques must be the nonempty rows of a 2-D array")
     n, degs = graph.n, np.diff(graph.indptr)
-    width = int(degs.max(initial=0))
+    size, width = members.shape[1], int(degs.max(initial=0))
+    if members.size and (members.min() < 0 or members.max() >= n):
+        raise ValueError("clique vertex out of range")
     covered = np.zeros(len(graph.indices), dtype=bool)  # per forward arc
-    twice = False
-    for size, members in _cliques_by_size(cliques):
-        if size == 0:  # every vertex extends the empty clique
-            if n:
-                raise ValueError("clique is not maximal")
-            continue
-        if members.min() < 0 or members.max() >= n:
-            raise ValueError("clique vertex out of range")
-        step = max(1, CHUNK // (size * max(width, size)))
-        i, j = np.triu_indices(size, 1)
-        for lo in range(0, len(members), step):
-            block = members[lo:lo + step]
-            a, b = block[:, i].ravel(), block[:, j].ravel()
-            slots = np.sort(_find_arcs(graph, np.minimum(a, b), np.maximum(a, b)))
-            if len(slots) and slots[0] < 0:
-                raise ValueError("clique contains a non-edge")
-            twice = twice or covered[slots].any() or bool(np.any(slots[1:] == slots[:-1]))
-            covered[slots] = True
-        # no vertex is its own neighbor, so a vertex adjacent to all
-        # ``size`` members lies outside the clique and would extend it; no
-        # key (clique, neighbour) occurs more than ``size`` times, so one
-        # occurs that often iff the sorted keys hold a run of ``size``
-        for lo in range(0, len(members), step):
-            flat = members[lo:lo + step].ravel()
-            dtype = _index_dtype(len(flat) // size * n)
-            seen = np.repeat(np.arange(len(flat), dtype=dtype) // size * n, degs[flat])
-            seen += graph.indices[_ranges(graph.indptr[flat], degs[flat])]
-            seen.sort()
-            runs = len(seen) - size + 1
-            if runs > 0 and np.any(seen[size - 1:] == seen[:runs]):
-                raise ValueError("clique is not maximal")
+    twice = triangle = False
+    step = max(1, CHUNK // (size * max(width, size)))
+    i, j = np.triu_indices(size, 1)
+    for lo in range(0, len(members), step):
+        block = members[lo:lo + step]
+        a, b = block[:, i].ravel(), block[:, j].ravel()
+        slots = np.sort(_find_arcs(graph, np.minimum(a, b), np.maximum(a, b)))
+        if len(slots) and slots[0] < 0:
+            raise ValueError("clique contains a non-edge")
+        twice = twice or covered[slots].any() or bool(np.any(slots[1:] == slots[:-1]))
+        covered[slots] = True
+    # no vertex is its own neighbor, so a vertex adjacent to all ``size``
+    # members lies outside the clique and would extend it; no key (clique,
+    # neighbour) occurs more than ``size`` times, so one occurs that often
+    # iff the sorted keys hold a run of ``size``.  Each member meets the
+    # size - 1 others, which repeats its key size - 2 times; a vertex
+    # outside that meets two members repeats a key once more.
+    for lo in range(0, len(members), step):
+        flat = members[lo:lo + step].ravel()
+        dtype = _index_dtype(len(flat) // size * n)
+        seen = np.repeat(np.arange(len(flat), dtype=dtype) // size * n, degs[flat])
+        seen += graph.indices[_ranges(graph.indptr[flat], degs[flat])]
+        seen.sort()
+        runs = len(seen) - size + 1
+        if runs > 0 and np.any(seen[size - 1:] == seen[:runs]):
+            raise ValueError("clique is not maximal")
+        repeats = np.count_nonzero(seen[1:] == seen[:-1])
+        triangle = triangle or repeats != len(flat) * max(size - 2, 0)
     if twice:
         raise ValueError("edge lies in two of the cliques")
     if np.count_nonzero(covered) != graph.edge_count():
         raise ValueError("cliques do not cover every edge")
+    if triangle:
+        raise ValueError("a triangle lies in no clique")
+    if np.any(np.bincount(members.ravel(), minlength=n)[degs == 0] != 1):
+        raise ValueError("an isolated vertex is not exactly one of the cliques")
 
 
-def clique_graph(graph: Graph, cliques: np.ndarray | None = None,
-                 budget: int = 10**7) -> tuple[Graph, list[list[int]] | np.ndarray]:
-    """Graph on maximal cliques, adjacent iff their intersection is
-    nonempty.  Precomputed cliques of one size (e.g. the cosets of a
-    tagged Cayley instance) may be passed in as the rows of a 2-D array;
-    they are verified before use and returned as such an array, sorted,
-    each row ascending.  Without them the cliques are enumerated and
-    returned as sorted vertex lists.
+def clique_graph(graph: Graph, cliques: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """Graph on the maximal cliques, adjacent iff their intersection is
+    nonempty.  The cliques, of one size (e.g. the cosets of a tagged
+    Cayley instance), are the rows of a 2-D array; they are verified to be
+    exactly the maximal cliques, and returned as such an array, sorted,
+    each row ascending.
     """
-    if cliques is None:
-        cliques = maximal_cliques(graph, budget)
-        vertex, sizes = _codes([v for c in cliques for v in c]), [len(c) for c in cliques]
-    else:
-        cliques = np.sort(np.asarray(cliques), axis=1)
-        cliques = cliques[np.lexsort(cliques.T[::-1])]
-        verify_clique_cover(graph, cliques)
-        vertex, sizes = cliques.ravel(), np.full(len(cliques), cliques.shape[1])
-    order = np.argsort(vertex, kind="stable")
+    cliques = np.sort(np.asarray(cliques), axis=1)
+    cliques = cliques[np.lexsort(cliques.T[::-1])]
+    verify_clique_cover(graph, cliques)
+    vertex = cliques.ravel()
     ptr = np.concatenate([[0], np.cumsum(np.bincount(vertex, minlength=graph.n))])
-    owner = np.repeat(np.arange(len(cliques), dtype=_index_dtype(len(cliques))), sizes)
-    return Graph(len(cliques), _pairs_within(ptr, owner[order])), cliques
+    # position p of ``vertex`` lies in clique p // size: the cliques of each
+    # vertex in turn, with nothing else of the sort kept alive
+    owner = (np.argsort(vertex, kind="stable") // cliques.shape[1]).astype(
+        _index_dtype(len(cliques)))
+    return Graph(len(cliques), _pairs_within(ptr, owner)), cliques
 
 
 def coset_cliques(info: SigmaInfo) -> np.ndarray:

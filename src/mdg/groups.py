@@ -106,8 +106,8 @@ class TensorGroup:
         the x-word times the y-word times [x_i, y_j] over the set bits (i, j)
         of A.  When the images satisfy the relations this is, by von Dyck,
         the endomorphism they define."""
-        x, y, a = self.decode(np.arange(self.order, dtype=np.uint64) if codes is None
-                              else np.asarray(codes, dtype=np.uint64))
+        codes = (np.arange(self.order, dtype=np.uint64) if codes is None
+                 else np.asarray(codes, dtype=np.uint64))
         tables = []
         for imgs in (x_imgs, y_imgs):
             # the word of every vector: table[k | 1 << i] = table[k] . imgs[i]
@@ -115,14 +115,21 @@ class TensorGroup:
             for g in imgs:
                 table = np.concatenate([table, self.mul_vec(table, g)])
             tables.append(table)
-        # every x-word times every y-word, gathered by each code's (x, y)
-        out = self.mul_vec(tables[0][:, None], tables[1][None, :])[x, y]
-        # a commutator is a central (0, 0, B): right multiplication XORs in B
+        # every x-word times every y-word: the word of (x, y) is entry
+        # y 2^n + x of the products, the code's low 2n bits
+        words = self.mul_vec(tables[0][None, :], tables[1][:, None]).ravel()
+        out = words[(codes & np.uint64((1 << (2 * self.n)) - 1)).astype(np.intp)]
+        # a commutator is a central (0, 0, B): right multiplication XORs in B;
+        # bit (i, j) of A is bit 2n + i n + j of the code, and one buffer
+        # holds each term in turn
+        term = np.empty_like(out)
         for i, gx in enumerate(x_imgs):
             for j, gy in enumerate(y_imgs):
-                bit = (a >> np.uint64(i * self.n + j)) & np.uint64(1)
-                out ^= bit * np.uint64(commutator(self, gx, gy))
-        return out.astype(np.int64)
+                np.right_shift(codes, np.uint64(2 * self.n + i * self.n + j), out=term)
+                term &= np.uint64(1)
+                term *= np.uint64(commutator(self, gx, gy))
+                out ^= term
+        return out.view(np.int64)
 
 
 class DihedralProduct:

@@ -244,9 +244,9 @@ def right_mult_perm(G, g: int) -> np.ndarray:
     return G.mul_vec(np.arange(G.order), g).astype(np.int32)
 
 
-def right_mult_action(G, gens=None) -> list[np.ndarray]:
-    """Right-multiplication permutations for a generating set of G."""
-    return [right_mult_perm(G, g) for g in (G.gens if gens is None else gens)]
+def right_mult_action(G) -> list[np.ndarray]:
+    """Right-multiplication permutations for the generators of G."""
+    return [right_mult_perm(G, g) for g in G.gens]
 
 
 def _lift(G, xs, ys, codes) -> np.ndarray:
@@ -290,13 +290,10 @@ def stabilizer_lift_images(G, codes=None):
     yield swap_sides_perm(G, codes)
 
 
-def connection_stabilizer_gens(G, verify_graph: graphs.Graph | None = None) -> list[np.ndarray]:
-    """The stabilizer lifts as permutations of all codes, each optionally
-    verified to be an automorphism of the supplied Cayley graph."""
-    perms = list(stabilizer_lift_images(G))
-    if verify_graph is not None and not are_automorphisms(verify_graph, perms):
-        raise ValueError("lift failed automorphism verification")
-    return perms
+def connection_stabilizer_gens(G) -> list[np.ndarray]:
+    """The stabilizer lifts as permutations of all codes; the callers check
+    them with ``are_automorphisms``."""
+    return list(stabilizer_lift_images(G))
 
 
 def generated_order(G, S, images) -> int:

@@ -9,7 +9,10 @@ F_2 transpose behind the per-element lift formulas.  ``dihedral_mul`` and
 ``cayley_graph_from_pairs`` and ``sigma_graph_from_pairs`` build Γ and Σ
 from their edge lists through the general ``graphs.Graph``, the oracles
 for the builders that write the CSR rows directly.  ``line_graph`` builds
-the line graph that ``graphs.phi_map`` checks against without forming."""
+the line graph that ``graphs.phi_map`` checks against without forming.
+``maximal_cliques`` enumerates the maximal cliques with Bron-Kerbosch,
+the oracle for the complete clique-cover check
+``graphs.verify_clique_cover``."""
 
 import numpy as np
 
@@ -132,3 +135,24 @@ def line_graph(graph: graphs.Graph) -> graphs.Graph:
     one CSR row."""
     return graphs.Graph(graph.edge_count(),
                         graphs._pairs_within(graph.indptr, graphs._slot_edges(graph)))
+
+
+def maximal_cliques(graph: graphs.Graph) -> list[list[int]]:
+    """Pivot-free Bron-Kerbosch enumeration, canonically sorted."""
+    bitsets = [sum(1 << v for v in graph.neighbors(u).tolist()) for u in range(graph.n)]
+    out = []
+
+    def expand(r: list[int], p: int, x: int):
+        if p == 0 and x == 0:
+            out.append(sorted(r))
+            return
+        while p:
+            v = (p & -p).bit_length() - 1
+            vb = 1 << v
+            expand(r + [v], p & bitsets[v], x & bitsets[v])
+            p &= ~vb
+            x |= vb
+
+    expand([], (1 << graph.n) - 1, 0)
+    out.sort()
+    return out

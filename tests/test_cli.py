@@ -183,15 +183,7 @@ def test_a_bad_cayley_lift_is_a_failed_claim(monkeypatch, args, cids):
     """The lifts of the Cayley graph are checked inside the claims that read
     them: a lift that is no automorphism fails those claims with exit 1,
     not a traceback."""
-    lifts = permgroups.connection_stabilizer_gens
-
-    def with_a_bad_lift(G, verify_graph=None):
-        bad = lifts(G, verify_graph)
-        bad[0] = bad[0].copy()
-        bad[0][[1, 2]] = bad[0][[2, 1]]  # x_0 and x_1 are not twins
-        return bad
-
-    monkeypatch.setattr(permgroups, "connection_stabilizer_gens", with_a_bad_lift)
+    _plant_a_bad_lift(monkeypatch)
     r = run(*args)
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
     assert "Traceback" not in r.output
@@ -199,6 +191,30 @@ def test_a_bad_cayley_lift_is_a_failed_claim(monkeypatch, args, cids):
     assert [i for i, c in claims.items() if c["status"] != "pass"] == cids
     for cid in cids:
         assert claims[cid]["status"] == "fail" and "automorphism" in str(claims[cid]["computed"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_diagram_with_a_bad_lift_exits_1(monkeypatch, fmt):
+    """``diagram`` checks the lifts before it builds the diagram: a lift
+    that is no automorphism is a one-line error with exit 1."""
+    _plant_a_bad_lift(monkeypatch)
+    r = run("diagram", "-n", "2", "--format", fmt)
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert "Traceback" not in r.output and r.stdout == ""
+    assert r.stderr == "lift is not an automorphism\n"
+
+
+def _plant_a_bad_lift(monkeypatch):
+    """Make the first stabilizer lift swap x_0 and x_1, which are not twins."""
+    lifts = permgroups.connection_stabilizer_gens
+
+    def with_a_bad_lift(G):
+        bad = lifts(G)
+        bad[0] = bad[0].copy()
+        bad[0][[1, 2]] = bad[0][[2, 1]]
+        return bad
+
+    monkeypatch.setattr(permgroups, "connection_stabilizer_gens", with_a_bad_lift)
 
 
 # np.unique, and np.isin when it sorts, import numpy.ma on first use: several

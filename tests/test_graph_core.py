@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import perm_oracle
-from group_oracle import TableGroup, cayley_graph_from_pairs, line_graph, sigma_graph_from_pairs
+from group_oracle import (TableGroup, cayley_graph_from_pairs, line_graph, maximal_cliques,
+                          sigma_graph_from_pairs)
 from mdg import cli, graphs, groups, permgroups
 
 try:
@@ -274,37 +275,97 @@ def scalar_clique_graph_edges(cliques):
                    if set(cliques[i]) & set(cliques[j])})
 
 
+def by_size(cliques):
+    """The cliques of each size, ascending, as the rows of one array."""
+    sizes = [len(c) for c in cliques]
+    return [np.array([c for c in cliques if len(c) == size], dtype=np.int64)
+            .reshape(sizes.count(size), size) for size in sorted(set(sizes))]
+
+
 @given(random_graphs)
 @settings(max_examples=100, deadline=None)
 def test_clique_graph_and_cover_check_match_scalar_rules(graph):
-    cg, cliques = graphs.clique_graph(graph)
-    assert [tuple(e) for e in cg.edge_array().tolist()] == scalar_clique_graph_edges(cliques)
-    # maximal cliques always cover the edges; the check passes iff each
-    # edge lies in only one of them
+    cliques = maximal_cliques(graph)
+    # maximal cliques always cover the edges; the check passes iff they are
+    # nonempty and of one size, so that one array holds them, and each edge
+    # lies in only one of them; an array of only some of them never passes
     pairs = [p for c in cliques for p in itertools.combinations(c, 2)]
-    if len(pairs) == len(set(pairs)):
-        graphs.verify_clique_cover(graph, cliques)
-    else:
-        with pytest.raises(ValueError, match="two of the cliques"):
-            graphs.verify_clique_cover(graph, cliques)
+    one_size = len(by_size(cliques)) == 1 and len(cliques[0]) > 0
+    for same in by_size(cliques):
+        if not one_size:
+            with pytest.raises(ValueError):
+                graphs.verify_clique_cover(graph, same)
+        elif len(pairs) == len(set(pairs)):
+            cg, got = graphs.clique_graph(graph, same)
+            assert got.tolist() == cliques
+            assert [tuple(e) for e in cg.edge_array().tolist()] == scalar_clique_graph_edges(cliques)
+        else:
+            with pytest.raises(ValueError, match="two of the cliques"):
+                graphs.verify_clique_cover(graph, same)
+
+
+def _far(graph, row):
+    """A vertex outside ``row`` and not adjacent to its first member, if any."""
+    return next((v for v in range(graph.n) if v not in row and v != row[0]
+                 and not graph.has_edge(row[0], v)), None)
 
 
 def test_verify_clique_cover_catches_each_fault():
-    cliques = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
+    cliques = np.array(sorted(sorted(c) for c in graphs.coset_cliques(INFO2)))
     graphs.verify_clique_cover(GAMMA2, cliques)
-    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
+    far = _far(GAMMA2, cliques[0].tolist())
     bad = {
         "cover every edge": cliques[1:],
-        "two of the cliques": cliques + cliques[:1],
-        "non-edge": cliques + [[0, far]],
-        "not maximal": [c[:-1] for c in cliques],
+        "two of the cliques": np.vstack([cliques, cliques[:1]]),
+        "non-edge": np.vstack([cliques, [[0, *cliques[0, 1:-1], far]]]),
+        "not maximal": cliques[:, :-1],
+        "out of range": np.vstack([cliques, [[0, 1, 2, GAMMA2.n]]]),
+        "nonempty rows of a 2-D array": np.empty((3, 0), dtype=np.int64),
     }
     for why, cover in bad.items():
         with pytest.raises(ValueError, match=why):
             graphs.verify_clique_cover(GAMMA2, cover)
-    with pytest.raises(ValueError, match="not maximal"):
-        graphs.verify_clique_cover(GAMMA2, cliques + [[]])
-    graphs.verify_clique_cover(graphs.Graph(2), [[0], [1]])
+    for cover in (cliques.ravel(), cliques.tolist() + [[0]]):
+        with pytest.raises(ValueError):
+            graphs.verify_clique_cover(GAMMA2, cover)
+    graphs.verify_clique_cover(graphs.Graph(2), np.array([[0], [1]]))
+    graphs.verify_clique_cover(graphs.Graph(0), np.empty((0, 1), dtype=np.int64))
+
+
+# three K4s that pairwise share one vertex: the shared vertices 0, 1, 2 make
+# a triangle whose edges lie in three different K4s, a fourth maximal clique
+THREE_K4S = np.array([[0, 2, 3, 4], [0, 1, 5, 6], [1, 2, 7, 8]])
+
+
+def union_of_cliques(n, rows):
+    return graphs.Graph(n, [p for r in rows for p in itertools.combinations(r, 2)])
+
+
+def test_a_cover_missing_a_triangle_is_rejected():
+    graph = union_of_cliques(9, THREE_K4S.tolist())
+    assert maximal_cliques(graph) == sorted(THREE_K4S.tolist() + [[0, 1, 2]])
+    with pytest.raises(ValueError, match="a triangle lies in no clique"):
+        graphs.clique_graph(graph, THREE_K4S)
+    assert scalar_cover_error(graph, THREE_K4S) == \
+        over_chunks(lambda: graphs.verify_clique_cover(graph, THREE_K4S)) == \
+        ("ValueError", "a triangle lies in no clique")
+    # two K4s sharing one vertex leave no such triangle
+    two = THREE_K4S[:2]
+    cg, _ = graphs.clique_graph(union_of_cliques(7, two.tolist()), two)
+    assert cg.n == 2 and cg.edge_count() == 1
+
+
+def test_a_cover_leaving_out_an_isolated_vertex_is_rejected():
+    k4 = np.array([[0, 1, 2, 3]])
+    graphs.verify_clique_cover(union_of_cliques(4, k4), k4)
+    with pytest.raises(ValueError, match="isolated vertex"):
+        graphs.verify_clique_cover(union_of_cliques(5, k4), k4)
+    edgeless = graphs.Graph(3)
+    graphs.verify_clique_cover(edgeless, np.array([[2], [0], [1]]))
+    for cover in ([[0], [1]], [[0], [1], [2], [2]]):
+        with pytest.raises(ValueError, match="isolated vertex"):
+            graphs.verify_clique_cover(edgeless, np.array(cover))
+    assert graphs.clique_graph(edgeless, np.array([[2], [0], [1]]))[1].tolist() == [[0], [1], [2]]
 
 
 # -- block boundaries ----------------------------------------------------------
@@ -341,22 +402,52 @@ def over_chunks(fn, chunks=CHUNKS):
 
 
 def scalar_cover_error(graph, cliques):
-    """The fault verify_clique_cover reports first, from set arithmetic: by
-    ascending clique size, a non-edge and then a clique some vertex
-    extends; then an edge in two cliques; then an uncovered edge."""
+    """The fault verify_clique_cover reports first, from set arithmetic: a
+    non-edge; a clique some vertex extends; an edge in two cliques; an
+    uncovered edge; a vertex outside a clique adjacent to two of its
+    members; an isolated vertex that is not exactly one of the cliques."""
+    cliques = np.asarray(cliques).tolist()
     adj = [set(graph.neighbors(v).tolist()) for v in range(graph.n)]
-    for size in sorted({len(c) for c in cliques}):
-        same = [c for c in cliques if len(c) == size]
-        if any(b not in adj[a] for c in same for a, b in itertools.combinations(c, 2)):
-            return ("ValueError", "clique contains a non-edge")
-        if any(set(range(graph.n)).intersection(*(adj[v] for v in c)) for c in same):
-            return ("ValueError", "clique is not maximal")
+    if any(b not in adj[a] for c in cliques for a, b in itertools.combinations(c, 2)):
+        return ("ValueError", "clique contains a non-edge")
+    if any(set(range(graph.n)).intersection(*(adj[v] for v in c)) for c in cliques):
+        return ("ValueError", "clique is not maximal")
     pairs = [tuple(sorted(p)) for c in cliques for p in itertools.combinations(c, 2)]
     if len(pairs) != len(set(pairs)):
         return ("ValueError", "edge lies in two of the cliques")
     if len(pairs) != graph.edge_count():
         return ("ValueError", "cliques do not cover every edge")
+    if any(len(adj[u] & set(c)) >= 2 for c in cliques for u in set(range(graph.n)) - set(c)):
+        return ("ValueError", "a triangle lies in no clique")
+    if any(cliques.count([v]) != 1 for v in range(graph.n) if not adj[v]):
+        return ("ValueError", "an isolated vertex is not exactly one of the cliques")
     return None
+
+
+# Graphs made of random cliques of one size: the cover of those cliques is
+# accepted exactly when it is the set of all maximal cliques and no two of
+# them share an edge.
+clique_unions = st.integers(min_value=1, max_value=5).flatmap(
+    lambda size: st.integers(min_value=size, max_value=3 * size + 2).flatmap(
+        lambda n: st.tuples(st.just(n), st.just(size), st.lists(
+            st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True),
+            max_size=7))))
+
+
+@given(clique_unions)
+@example((9, 4, THREE_K4S.tolist()))
+@example((7, 4, THREE_K4S[:2].tolist()))
+@example((3, 1, [[2], [0], [1]]))
+@settings(max_examples=150, deadline=None)
+def test_cover_check_accepts_exactly_the_maximal_cliques(case):
+    n, size, rows = case
+    graph = union_of_cliques(n, rows)
+    cover = np.array(rows, dtype=np.int64).reshape(len(rows), size)
+    got = over_chunks(lambda: graphs.verify_clique_cover(graph, cover))
+    pairs = [tuple(sorted(p)) for r in rows for p in itertools.combinations(r, 2)]
+    exact = sorted(sorted(r) for r in rows) == maximal_cliques(graph)
+    assert (got is None) == (exact and len(pairs) == len(set(pairs)))
+    assert got == scalar_cover_error(graph, cover)
 
 
 def _edges(graph):
@@ -436,7 +527,7 @@ def test_identifications_are_the_same_for_every_block_size():
     cliques = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
     cg, got = over_chunks(lambda: graphs.clique_graph(GAMMA2, graphs.coset_cliques(INFO2)))
     assert got == cliques and cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
-    assert over_chunks(lambda: cli.clique_graph_matches_sigma(GAMMA2, SIGMA2, INFO2, False))
+    assert over_chunks(lambda: cli.clique_graph_matches_sigma(GAMMA2, SIGMA2, INFO2))
     assert over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, INFO2)) == \
         [_edges(SIGMA2).index((int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z])))
          for z in G2.elements()]
@@ -451,10 +542,11 @@ def test_identifications_are_the_same_for_every_block_size():
 
 
 def test_cover_faults_are_the_same_for_every_block_size():
-    cliques = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
-    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
-    covers = [cliques, cliques[1:], cliques + cliques[:1], cliques + [[0, far]],
-              [c[:-1] for c in cliques], cliques + [[]], [c[:2] for c in cliques] + cliques]
+    cliques = np.array(sorted(sorted(c) for c in graphs.coset_cliques(INFO2)))
+    far = _far(GAMMA2, cliques[0].tolist())
+    covers = [cliques, cliques[1:], np.vstack([cliques, cliques[:1]]),
+              np.vstack([cliques, [[0, *cliques[0, 1:-1], far]]]), cliques[:, :-1],
+              cliques[:, :2]]
     for cover in covers:
         got = over_chunks(lambda: graphs.verify_clique_cover(GAMMA2, cover))
         assert got == scalar_cover_error(GAMMA2, cover)
@@ -513,14 +605,22 @@ def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
     """Irregular graphs, a star and an edgeless graph, at every block size."""
     assert over_chunks(lambda: line_graph(graph)) == \
         ("graph", graph.edge_count(), [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
-    cg, cliques = over_chunks(lambda: graphs.clique_graph(graph))
-    assert cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
-    non_edges = [[u, v] for u, v in itertools.combinations(range(graph.n), 2)
-                 if not graph.has_edge(u, v)]
-    for cover in (cliques, cliques[1:], [c[:-1] for c in cliques if c],
-                  cliques + non_edges[:1], cliques + cliques[:1]):
-        got = over_chunks(lambda: graphs.verify_clique_cover(graph, cover))
-        assert got == scalar_cover_error(graph, cover)
+    cliques = maximal_cliques(graph)
+    for same in by_size(cliques):
+        if not same.size:  # the empty graph's one maximal clique is empty
+            continue
+        covers = [same, same[1:], np.vstack([same, same[:1]])]
+        if same.shape[1] > 1:
+            covers.append(same[:, :-1])
+            far = _far(graph, same[0].tolist())
+            if far is not None:
+                covers.append(np.vstack([same, [[*same[0, :-1], far]]]))
+        for cover in covers:
+            got = over_chunks(lambda: graphs.verify_clique_cover(graph, cover))
+            assert got == scalar_cover_error(graph, cover)
+        if len(same) == len(cliques) and scalar_cover_error(graph, same) is None:
+            cg, got = over_chunks(lambda: graphs.clique_graph(graph, same))
+            assert got == cliques and cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
     colors = np.array([rnd.choice("XY") if rnd.random() < 0.2 else "X"
                        for _ in range(graph.edge_count())], dtype="U1")
     assert over_chunks(lambda: graphs.triangles_monochromatic(graph, colors)) == \

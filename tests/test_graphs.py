@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_io import from_edgelist, from_graph6
-from group_oracle import TableGroup, coset_index_array, cosets, line_graph
+from group_oracle import TableGroup, coset_index_array, cosets, line_graph, maximal_cliques
 from mdg import f2, graphs, groups
 
 
@@ -58,24 +58,36 @@ def test_complete_bipartite():
 
 def test_maximal_cliques_small():
     k3 = graphs.Graph(3, [(0, 1), (0, 2), (1, 2)])
-    assert graphs.maximal_cliques(k3) == [[0, 1, 2]]
-    cg, cliques = graphs.clique_graph(k3)
-    assert cg.n == 1 and cg.edge_count() == 0
+    assert maximal_cliques(k3) == [[0, 1, 2]]
+    cg, cliques = graphs.clique_graph(k3, np.array([[2, 0, 1]]))
+    assert cg.n == 1 and cg.edge_count() == 0 and cliques.tolist() == [[0, 1, 2]]
     k44 = graphs.complete_bipartite(4, 4)
-    assert len(graphs.maximal_cliques(k44)) == 16  # the edges
+    assert maximal_cliques(k44) == k44.edge_array().tolist()  # the edges
+    cg, _ = graphs.clique_graph(k44, k44.edge_array())
+    assert cg == line_graph(k44)
 
 
 def test_clique_fast_path_matches_generic():
-    generic = graphs.maximal_cliques(GAMMA2)
+    generic = maximal_cliques(GAMMA2)
     fast = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
     assert generic == fast
-    graphs.verify_clique_cover(GAMMA2, fast)
+    graphs.verify_clique_cover(GAMMA2, np.array(fast))
+
+
+def test_coset_cliques_of_gamma3_are_its_maximal_cliques():
+    """networkx enumerates the maximal cliques of Γ(3): 8,192 cosets of 8."""
+    G = groups.TensorGroup(3)
+    gamma = graphs.cayley_graph(G, graphs.xy_connection_set(G))
+    nx, g = _nx_graph(gamma)
+    cliques = np.sort(graphs.coset_cliques(graphs.sigma_graph(G)[1]), axis=1)
+    assert sorted(map(sorted, nx.find_cliques(g))) == sorted(cliques.tolist())
+    graphs.verify_clique_cover(gamma, cliques)
 
 
 def test_verify_clique_cover_rejects_bad_input():
     with pytest.raises(ValueError):
         # an edge is not a maximal clique here (cosets have size 4)
-        graphs.verify_clique_cover(GAMMA2, GAMMA2.edge_array().tolist())
+        graphs.verify_clique_cover(GAMMA2, GAMMA2.edge_array())
 
 
 def test_line_graph_small():
@@ -250,7 +262,7 @@ def test_graph6_matches_networkx_random(graph):
 
 def _check_cliques_against_networkx(graph):
     nx, g = _nx_graph(graph)
-    assert graphs.maximal_cliques(graph) == sorted(sorted(c) for c in nx.find_cliques(g))
+    assert maximal_cliques(graph) == sorted(sorted(c) for c in nx.find_cliques(g))
 
 
 def test_maximal_cliques_match_networkx_gamma2():
