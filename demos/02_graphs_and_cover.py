@@ -19,10 +19,12 @@ print(f"coset graph:  {sigma.n} vertices, valency {sigma.is_regular()}, "
       f"{sigma.edge_count()} edges")
 
 # the coset cliques are verified to be exactly the maximal cliques of the
-# Cayley graph, and their clique graph is the coset graph
-_, cliques = graphs.clique_graph(gamma, graphs.coset_cliques(info))
+# Cayley graph, and their clique graph, numbered by the cosets' vertices, is
+# the coset graph
+cliques = graphs.coset_cliques(info)
+cg = graphs.clique_graph(gamma, cliques)
 print(f"{len(cliques)} verified coset cliques of size {cliques.shape[1]}")
-print("clique graph == coset graph:", cli.clique_graph_matches_sigma(gamma, sigma, info))
+print("clique graph == coset graph:", cg == sigma)
 
 # the explicit vertex -> edge bijection realizing the line-graph isomorphism
 phi = graphs.phi_map(gamma, sigma, info)

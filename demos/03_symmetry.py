@@ -7,15 +7,14 @@ A seeded backtracking search certifies that this is the full
 automorphism group of both graphs.
 """
 
-import numpy as np
-
 from mdg import autsearch, cli, permgroups as pg
 
 G, S, gamma, sigma, info = cli.build_instance(2)
 
-R = pg.right_mult_action(G)
-lifts = pg.connection_stabilizer_gens(G)
-assert pg.are_automorphisms(gamma, lifts)
+# the right multiplications by the generators, then the stabilizer lifts
+gens = pg.action_gens(G)
+lifts = gens[len(G.gens):]
+assert pg.are_automorphisms(gamma, gens)
 print("stabilizer lifts:", len(lifts), "generators, group order",
       pg.PermGroup(lifts).order())
 
@@ -24,7 +23,7 @@ order = pg.generated_order(G, S, [p[S] for p in lifts])
 print("generated symmetry order:", order,
       "== formula:", order == pg.expected_symmetry_order(2))
 
-res = autsearch.automorphism_group(gamma, R + lifts)
+res = autsearch.automorphism_group(gamma, gens)
 print(f"full search on the Cayley graph: order {res.order}, "
       f"complete={res.complete}, {res.nodes} search nodes")
 
@@ -34,13 +33,9 @@ print("orbit sizes by distance:", diag.cell_sizes_by_distance())
 print(cli.render_diagram_table(diag))
 
 # transitivity profile
-rep = pg.transitivity_report(gamma, R, lifts, stabilizer_certified=True)
+rep = pg.transitivity_report(gamma, gens, stabilizer_certified=True)
 print("Cayley graph transitivity:", rep.flags())
 # on the coset graph: the same generators, induced on the cosets from one
-# representative each, as pushing the permutations of all codes down gives
-sigma_r, sigma_lifts = cli.sigma_generators(G, info)
-assert all(np.array_equal(p, pg.induced_sigma_perm(info, q))
-           for p, q in zip(sigma_r + sigma_lifts, R + lifts))
-srep = pg.transitivity_report(sigma, cli.sigma_action_gens(sigma_r, sigma_lifts),
-                              cli.sigma_stab_gens(sigma_r, sigma_lifts))
+# representative each
+srep = pg.transitivity_report(sigma, pg.action_gens(G, info))
 print("coset graph 2-arc-transitive:", srep.two_arc)

@@ -32,15 +32,6 @@ class Partition:
         self.cell[order] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
 
     @classmethod
-    def from_cells(cls, n: int, cells) -> "Partition":
-        """The given nonempty cells in order; they must partition 0..n-1."""
-        members = [np.sort(np.asarray(c, dtype=np.int32)) for c in cells if len(c)]
-        order = np.concatenate(members) if members else np.zeros(0, dtype=np.int32)
-        if len(order) != n or not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError("cells must partition the vertices")
-        return cls(order, np.cumsum([0] + [len(c) for c in members]))
-
-    @classmethod
     def unit(cls, n: int) -> "Partition":
         """All n vertices in one cell (no cell when n is 0), built directly."""
         return cls(np.arange(n, dtype=np.int32), np.array([0, n] if n else [0]))
@@ -170,7 +161,7 @@ class _Matcher:
         if split is None:
             p = np.empty(g.n, dtype=np.int32)
             p[cs.order] = ct.order
-            return p if permgroups.is_automorphism(g, p) else None
+            return p if permgroups.are_automorphisms(g, [p]) else None
         v = int(cs.members(split)[0])
         child_s = refine(g, cs.individualize(v))
         for u in ct.members(split).tolist():

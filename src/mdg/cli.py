@@ -121,53 +121,6 @@ def derived_orbit_partition(G, sigma, info) -> np.ndarray:
     return permgroups.orbits(perms, sigma.n)
 
 
-def sigma_generators(G, info):
-    """The right multiplications by the generators of G and the stabilizer
-    lifts, induced on the coset graph from their images of one
-    representative per coset (``permgroups.coset_action``)."""
-    probes = permgroups.coset_probes(info)
-    act = functools.partial(permgroups.coset_action, info)
-    return ([act(G.mul_vec(probes, g)) for g in G.gens],
-            [act(p) for p in permgroups.stabilizer_lift_images(G, probes)])
-
-
-def sigma_action_gens(sigma_r, sigma_lifts):
-    """Generators of a vertex-transitive automorphism group of the coset
-    graph, from the right multiplications and the stabilizer lifts induced
-    on it: every right multiplication, plus the lifts that move the base
-    vertex (the X-coset of the identity), which is the side swap."""
-    return sigma_r + [p for p in sigma_lifts if p[0] != 0]
-
-
-def sigma_stab_gens(sigma_r, sigma_lifts):
-    """Generators of a subgroup of the stabilizer of the coset-graph base
-    vertex: the induced lifts and right multiplications that fix it, which
-    are the matrix lifts on both sides and right multiplication by the X
-    generators."""
-    return [p for p in sigma_lifts + sigma_r if p[0] == 0]
-
-
-def clique_graph_matches_sigma(gamma, sigma, info) -> bool:
-    """Build the clique graph on the coset cliques, verified to be exactly
-    the maximal cliques of the Cayley graph, and check it equals the coset
-    graph under the map sending each clique to the coset it consists of."""
-    cg, members = graphs.clique_graph(gamma, graphs.coset_cliques(info))
-    if cg.n != sigma.n:
-        return False
-    first = members[:, 0]
-
-    def is_coset(cosets, index):
-        return np.all(cosets[index[first]] == members, axis=1)
-
-    in_x, in_y = is_coset(info.x_cosets, info.x_index), is_coset(info.y_cosets, info.y_index)
-    if not np.all(in_x | in_y):
-        return False
-    to_sigma = np.where(in_x, info.x_index[first], info.n_x + info.y_index[first])
-    if not np.array_equal(np.sort(to_sigma), np.arange(sigma.n)):
-        return False
-    return graphs.Graph(sigma.n, to_sigma[cg.edge_array()]) == sigma
-
-
 def load_reference_diagram() -> dict:
     with resources.files("mdg").joinpath("data/distance_diagram_n2.json").open() as f:
         return json.load(f)
@@ -237,8 +190,9 @@ def graphs_report(n: int) -> VerificationReport:
     rep.claim("coset-graph-vertices", 1 << (n * n + n + 1), lambda: sigma.n)
     rep.claim("coset-graph-valency", 1 << n, lambda: sigma.is_regular())
     rep.claim("coset-graph-edges", G.order, lambda: sigma.edge_count())
+    # clique i is row i, the coset that is vertex i of the coset graph
     rep.claim("clique-graph-is-coset-graph", True,
-              lambda: clique_graph_matches_sigma(gamma, sigma, info))
+              lambda: graphs.clique_graph(gamma, graphs.coset_cliques(info)) == sigma)
     rep.claim("line-graph-is-cayley-graph", True,
               lambda: len(graphs.phi_map(gamma, sigma, info)) == G.order)
     labels = derived_orbit_partition(G, sigma, info)
@@ -248,30 +202,28 @@ def graphs_report(n: int) -> VerificationReport:
     rep.claim("quotient-preserves-valency", True, lambda: preserved)
     rep.claim("derived-action-semiregular", True,
               lambda: bool(np.all(np.bincount(labels)[labels] == 1 << (n * n))))
-    # each claim that reads the lifts checks that they are automorphisms of Γ
-    r_gens = permgroups.right_mult_action(G)
-    lifts = permgroups.connection_stabilizer_gens(G)
-    sigma_r, sigma_lifts = sigma_generators(G, info)
+    # each claim that reads the lifts checks that they are automorphisms
+    gamma_gens = permgroups.action_gens(G)
+    sigma_gens = permgroups.action_gens(G, info)
     rep.claim("edge-affine-witness", True,
-              lambda: _edge_affine_ok(G, labels, quotient, sigma_r, sigma_lifts))
+              lambda: _edge_affine_ok(G, labels, quotient, sigma_gens))
     rep.claim("cayley-transitivity", GAMMA_EXPECTED_FLAGS,
               lambda: permgroups.transitivity_report(
-                  gamma, r_gens, lifts, stabilizer_certified=(n == 2)).flags())
+                  gamma, gamma_gens, stabilizer_certified=(n == 2)).flags())
     rep.claim("coset-graph-2-arc-transitive", True,
-              lambda: permgroups.transitivity_report(
-                  sigma, sigma_action_gens(sigma_r, sigma_lifts),
-                  sigma_stab_gens(sigma_r, sigma_lifts)).two_arc)
+              lambda: permgroups.transitivity_report(sigma, sigma_gens).two_arc)
     if n == 2:
         rep.claim("distance-layers", [1, 6, 18, 54, 117, 54, 6],
                   lambda: graphs.bfs_layers(gamma, 0)[1])
         rep.claim("distance-diagram-reference", (True, "ok"),
                   lambda: diagram_matches_reference(
-                      permgroups.distance_diagram(gamma, lifts, 0), load_reference_diagram())
-                  if permgroups.are_automorphisms(gamma, lifts)
+                      permgroups.distance_diagram(gamma, gamma_gens[len(G.gens):], 0),
+                      load_reference_diagram())
+                  if permgroups.are_automorphisms(gamma, gamma_gens)
                   else (False, "lift is not an automorphism"))
     # about 3 MB of permutations of all codes at n = 3, needed no further:
     # freed, the colouring passes below reuse their memory
-    del r_gens, lifts, sigma_r, sigma_lifts
+    del gamma_gens, sigma_gens
     X = groups.closure(G, G.x_gens)
     Y = groups.closure(G, G.y_gens)
     colors = graphs.edge_coloring(gamma, G, X, Y)
@@ -284,14 +236,12 @@ def graphs_report(n: int) -> VerificationReport:
     return rep
 
 
-def _edge_affine_ok(G, labels, quotient, sigma_r, sigma_lifts) -> bool:
-    """The right multiplications by the generators of G, pushed down to the
-    quotient, witness an edge-affine action normalised by those and the
-    stabilizer lifts."""
-    down = lambda p: permgroups.quotient_perm(labels, p)
-    candidate = [down(p) for p in sigma_r]
-    group_gens = candidate + [down(p) for p in sigma_lifts]
-    w = permgroups.edge_affine_witness(quotient, group_gens, candidate)
+def _edge_affine_ok(G, labels, quotient, sigma_gens) -> bool:
+    """The right multiplications by the generators of G, the first of
+    ``sigma_gens``, pushed down to the quotient, witness an edge-affine
+    action normalised by all of ``sigma_gens``."""
+    down = [permgroups.quotient_perm(labels, p) for p in sigma_gens]
+    w = permgroups.edge_affine_witness(quotient, down, down[:len(G.gens)])
     return w.ok and w.subgroup_order == 1 << (2 * G.n)
 
 
@@ -321,11 +271,9 @@ def _search_input(G, target: str):
     which the search checks before it starts; on Σ they are induced from
     the coset representatives, with no permutation of all codes."""
     if target == "gamma":
-        return build_gamma(G), (permgroups.right_mult_action(G)
-                                + permgroups.connection_stabilizer_gens(G))
+        return build_gamma(G), permgroups.action_gens(G)
     sigma, info = graphs.sigma_graph(G)
-    sigma_r, sigma_lifts = sigma_generators(G, info)
-    return sigma, sigma_action_gens(sigma_r, sigma_lifts) + sigma_stab_gens(sigma_r, sigma_lifts)
+    return sigma, permgroups.action_gens(G, info)
 
 
 def render_diagram_table(diag: permgroups.DistanceDiagram) -> str:
@@ -473,7 +421,7 @@ def diagram(n, fmt):
     _check_full_degree(n, "diagram")
     G = groups.TensorGroup(n)
     gamma = build_gamma(G)
-    lifts = permgroups.connection_stabilizer_gens(G)
+    lifts = permgroups.action_gens(G)[len(G.gens):]
     if not permgroups.are_automorphisms(gamma, lifts):
         click.echo("lift is not an automorphism", err=True)
         sys.exit(1)

@@ -366,15 +366,13 @@ def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
         raise ValueError("an isolated vertex is not exactly one of the cliques")
 
 
-def clique_graph(graph: Graph, cliques: np.ndarray) -> tuple[Graph, np.ndarray]:
+def clique_graph(graph: Graph, cliques: np.ndarray) -> Graph:
     """Graph on the maximal cliques, adjacent iff their intersection is
-    nonempty.  The cliques, of one size (e.g. the cosets of a tagged
-    Cayley instance), are the rows of a 2-D array; they are verified to be
-    exactly the maximal cliques, and returned as such an array, sorted,
-    each row ascending.
+    nonempty, vertex i being row i of ``cliques``.  The cliques, of one
+    size (e.g. the cosets of a tagged Cayley instance), are the rows of a
+    2-D array, verified to be exactly the maximal cliques.
     """
-    cliques = np.sort(np.asarray(cliques), axis=1)
-    cliques = cliques[np.lexsort(cliques.T[::-1])]
+    cliques = np.asarray(cliques)
     verify_clique_cover(graph, cliques)
     vertex = cliques.ravel()
     ptr = np.concatenate([[0], np.cumsum(np.bincount(vertex, minlength=graph.n))])
@@ -382,7 +380,7 @@ def clique_graph(graph: Graph, cliques: np.ndarray) -> tuple[Graph, np.ndarray]:
     # vertex in turn, with nothing else of the sort kept alive
     owner = (np.argsort(vertex, kind="stable") // cliques.shape[1]).astype(
         _index_dtype(len(cliques)))
-    return Graph(len(cliques), _pairs_within(ptr, owner)), cliques
+    return Graph(len(cliques), _pairs_within(ptr, owner))
 
 
 def coset_cliques(info: SigmaInfo) -> np.ndarray:
@@ -397,7 +395,8 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
     vertex (row of ``sigma.edge_array()``).  Verifies that it realises an
     isomorphism from the Cayley graph to the line graph of the coset graph
     without building the line graph: the images of every Cayley edge share
-    an endpoint, and the edge counts agree, the line graph having
+    an endpoint, which for phi(g) = {Xg, Yg} and phi(h) = {Xh, Yh} means
+    Xg = Xh or Yg = Yh, and the edge counts agree, the line graph having
     C(deg v, 2) edges at each vertex v.  Raises ValueError on any failure
     (which would signal an implementation bug).
     """
@@ -409,10 +408,8 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
     m = sigma.edge_count()
     if len(phi) != m or np.any(np.bincount(phi, minlength=m) != 1):
         raise ValueError("phi is not a bijection onto the edges")
-    ends = sigma.edge_array()
     for _, g, h in _forward_arcs(gamma):
-        a, b = ends[phi[g]], ends[phi[h]]
-        if not np.all((a[:, :1] == b).any(axis=1) | (a[:, 1:] == b).any(axis=1)):
+        if not np.all((info.x_index[g] == info.x_index[h]) | (info.y_index[g] == info.y_index[h])):
             raise ValueError("phi does not preserve an edge")
     degs = np.diff(sigma.indptr)
     if gamma.edge_count() != int(np.sum(degs * (degs - 1) // 2)):
@@ -449,8 +446,9 @@ def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
 def bfs_layers(graph: Graph, v: int) -> tuple[np.ndarray, list[int]]:
     """Exact BFS distances from v (-1 for unreachable), as an int64 array
     over the vertices, and the layer sizes.
-    The frontier's rows are read a block of at most CHUNK arcs at a time,
-    and the next layer is marked in a mask over the vertices."""
+    The frontier's rows are read a block of at most CHUNK // 4 arcs at a
+    time, as a block's arc indices keep several 8-byte temporaries, and the
+    next layer is marked in a mask over the vertices."""
     ptr, degs = graph.indptr, np.diff(graph.indptr)
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[v] = 0
@@ -459,7 +457,7 @@ def bfs_layers(graph: Graph, v: int) -> tuple[np.ndarray, list[int]]:
     marked = np.zeros(graph.n, dtype=bool)
     while True:
         cum = np.concatenate([[0], np.cumsum(degs[frontier])])
-        for lo, hi in _blocks(cum):
+        for lo, hi in _blocks(cum, 4):
             rows = frontier[lo:hi]
             marked[graph.indices[_ranges(ptr[rows], degs[rows])]] = True
         marked[dist >= 0] = False

@@ -210,10 +210,6 @@ def _orbit_count(gens, degree: int) -> int:
     return int(np.count_nonzero(orbits(gens, degree) == np.arange(degree)))
 
 
-def is_automorphism(graph: graphs.Graph, p: np.ndarray) -> bool:
-    return are_automorphisms(graph, [p])
-
-
 def are_automorphisms(graph: graphs.Graph, perms) -> bool:
     """Whether every permutation in ``perms`` is an automorphism of the
     graph; a regular graph's neighbour array is built once for all, and
@@ -239,61 +235,37 @@ def are_automorphisms(graph: graphs.Graph, perms) -> bool:
 
 # -- actions attached to the group backends --------------------------------
 
-def right_mult_perm(G, g: int) -> np.ndarray:
-    """R(g): vertex k -> code of (element k) * g."""
-    return G.mul_vec(np.arange(G.order), g).astype(np.int32)
-
-
-def right_mult_action(G) -> list[np.ndarray]:
-    """Right-multiplication permutations for the generators of G."""
-    return [right_mult_perm(G, g) for g in G.gens]
-
-
-def _lift(G, xs, ys, codes) -> np.ndarray:
-    """Images of ``codes`` under x_i -> xs[i], y_j -> ys[j]: int64 images of
-    the given codes, or an int32 permutation of every code (only built at
-    n <= 3, where every code fits)."""
-    images = G.word_images(xs, ys, codes)
-    return images.astype(np.int32) if codes is None else images
-
-
-def x_side_lift(G, m: int, codes=None) -> np.ndarray:
-    """Automorphism of the tensor group induced by an invertible matrix on
-    the X side: x_i -> row_i(M), the y_j fixed, so x -> x.M and A -> M^T A.
-    Returns the images of ``codes`` (default: every code; see ``_lift``)."""
-    xs = [G.encode(f2.mat_row(m, i, G.n), 0, 0) for i in range(G.n)]
-    return _lift(G, xs, G.y_gens, codes)
-
-
-def y_side_lift(G, m: int, codes=None) -> np.ndarray:
-    """y_j -> row_j(M), the x_i fixed, so y -> y.M and A -> A M."""
-    ys = [G.encode(0, f2.mat_row(m, j, G.n), 0) for j in range(G.n)]
-    return _lift(G, G.x_gens, ys, codes)
-
-
-def swap_sides_perm(G, codes=None) -> np.ndarray:
-    """The involution swapping x_i and y_i:
-    (x, y, A) -> (y, x, outer(y, x) + A^T)."""
-    return _lift(G, G.y_gens, G.x_gens, codes)
-
-
 def stabilizer_lift_images(G, codes=None):
-    """Images of ``codes`` (default: every code) under each generator of
-    the vertex-0 stabilizer preserving the connection set (X u Y) \\ {0}:
-    one lift per GL transvection on each side, plus the side-swapping
-    involution.  Each is built only when the caller asks for the next."""
+    """Images of ``codes`` (default: every code), as int64, under each
+    generator of the vertex-0 stabilizer preserving the connection set
+    (X u Y) \\ {0}; each is built only when the caller asks for the next.
+    For each GL transvection M, x_i -> row_i(M) with the y_j fixed, so
+    x -> x.M and A -> M^T A; then for each M, y_j -> row_j(M) with the x_i
+    fixed, so y -> y.M and A -> A M; last the involution swapping x_i and
+    y_i, (x, y, A) -> (y, x, outer(y, x) + A^T)."""
     ms = f2.gl_generators(G.n)
     for m in ms:
-        yield x_side_lift(G, m, codes)
+        xs = [G.encode(f2.mat_row(m, i, G.n), 0, 0) for i in range(G.n)]
+        yield G.word_images(xs, G.y_gens, codes)
     for m in ms:
-        yield y_side_lift(G, m, codes)
-    yield swap_sides_perm(G, codes)
+        ys = [G.encode(0, f2.mat_row(m, j, G.n), 0) for j in range(G.n)]
+        yield G.word_images(G.x_gens, ys, codes)
+    yield G.word_images(G.y_gens, G.x_gens, codes)
 
 
-def connection_stabilizer_gens(G) -> list[np.ndarray]:
-    """The stabilizer lifts as permutations of all codes; the callers check
-    them with ``are_automorphisms``."""
-    return list(stabilizer_lift_images(G))
+def action_gens(G, info=None) -> list[np.ndarray]:
+    """The right multiplications by ``G.gens``, then the stabilizer lifts:
+    int32 permutations of every code (only built at n <= 3, where every
+    code fits), or, given the coset graph's ``info``, the permutations they
+    induce on its vertices from one representative per coset
+    (``coset_action``).  The callers check them with ``are_automorphisms``."""
+    if info is None:
+        # map, so each lift's int64 images are freed before the next lift's are built
+        return ([G.mul_vec(np.arange(G.order), g).astype(np.int32) for g in G.gens]
+                + list(map(lambda p: p.astype(np.int32), stabilizer_lift_images(G))))
+    probes = coset_probes(info)
+    return ([coset_action(info, G.mul_vec(probes, g)) for g in G.gens]
+            + [coset_action(info, p) for p in stabilizer_lift_images(G, probes)])
 
 
 def generated_order(G, S, images) -> int:
@@ -433,28 +405,26 @@ def _edge_action(graph: graphs.Graph, perms) -> list[np.ndarray]:
     return out
 
 
-def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
+def transitivity_report(graph: graphs.Graph, gens, base: int = 0,
                         stabilizer_certified: bool = False) -> TransitivityReport:
     """Transitivity flags computed by stabilizer-orbit counting at a base
     vertex of a vertex-transitive graph.
 
-    Positive flags are valid for the group generated by ``gens`` as long
-    as ``stab_gens`` generate any subgroup of the base stabilizer;
-    negative flags are only conclusive when the caller certifies that
-    ``stab_gens`` generate the full stabilizer (``stabilizer_certified``).
+    The members of ``gens`` that fix ``base`` generate a subgroup of its
+    stabilizer in the group generated by ``gens``.  Positive flags are
+    valid for that group; negative flags are only conclusive when the
+    caller certifies that they generate the full stabilizer
+    (``stabilizer_certified``).
 
     Transitivity on an empty set counts as false: a graph without edges
     has ``edge``, ``arc``, ``two_arc`` and ``two_geodesic`` all false,
     since the group has no orbit on its edges rather than one.
     """
     gens = [as_perm(g) for g in gens]
-    stab_gens = [as_perm(g) for g in stab_gens]
-    if not are_automorphisms(graph, gens + stab_gens):
+    if not are_automorphisms(graph, gens):
         raise ValueError("generator is not a graph automorphism")
-    for g in stab_gens:
-        if int(g[base]) != base:
-            raise ValueError("stabilizer generator moves the base vertex")
-    vertex = bool(orbit_mask(gens + stab_gens, base, graph.n).all())
+    stab_gens = [g for g in gens if int(g[base]) == base]
+    vertex = bool(orbit_mask(gens, base, graph.n).all())
     # the stabilizer on the k neighbours of the base, and on the ordered
     # neighbour pairs (i, j), named i * k + j
     n1 = graph.neighbors(base)
@@ -464,7 +434,7 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
     if arc or graph.edge_count() == 0:
         edge = arc
     else:
-        edge = _orbit_count(_edge_action(graph, gens + stab_gens), graph.edge_count()) == 1
+        edge = _orbit_count(_edge_action(graph, gens), graph.edge_count()) == 1
     # the diagonal i == j is a union of pair orbits; one (i, j) per other orbit
     pairs = orbits([(q[:, None] * k + q).ravel() for q in local], k * k)
     roots = np.flatnonzero(pairs == np.arange(k * k)).tolist()
@@ -472,43 +442,16 @@ def transitivity_report(graph: graphs.Graph, gens, stab_gens, base: int = 0,
     two_arc = vertex and len(off) == 1
     geo = [(i, j) for i, j in off if not graph.has_edge(int(n1[i]), int(n1[j]))]
     two_geodesic = vertex and len(geo) == 1
-    # the distance of each stabilizer orbit's least member
-    layers = graphs.bfs_layers(graph, base)[0][
-        orbits(stab_gens, graph.n) == np.arange(graph.n)]
+    # the distance of each stabilizer orbit's least member; the orbit
+    # labels are freed before the BFS makes its temporaries
+    roots = orbits(stab_gens, graph.n) == np.arange(graph.n)
+    layers = graphs.bfs_layers(graph, base)[0][roots]
     distance = {i: vertex and int(np.count_nonzero(layers == i)) == 1 for i in (1, 2, 3)}
     return TransitivityReport(vertex, edge, arc, two_arc, two_geodesic, distance,
                               stabilizer_certified)
 
 
 # -- induced actions and witnesses ----------------------------------------
-
-def induced_sigma_perm(info: graphs.SigmaInfo, p: np.ndarray) -> np.ndarray:
-    """Push a permutation of group-element vertices down to the coset
-    vertices; raises ValueError if some coset image is not a coset.  It
-    reads every member of every coset, so it is the reference that
-    ``coset_action`` is tested against.
-
-    The image of a coset is an X-coset iff it has the X-coset size and all
-    its members share one X-coset index; likewise for Y."""
-    p = as_perm(p)
-    if len(p) != len(info.x_index):
-        raise ValueError("permutation degree is not the group order")
-    sides = ((info.x_index, info.x_cosets.shape[1], 0),
-             (info.y_index, info.y_cosets.shape[1], info.n_x))
-    out = []
-    for members in (info.x_cosets, info.y_cosets):
-        images = p[members]
-        target = np.full(len(members), -1, dtype=np.int32)
-        for index, size, offset in sides:
-            if members.shape[1] == size:
-                idx = index[images]
-                hit = (target < 0) & np.all(idx == idx[:, :1], axis=1)
-                target = np.where(hit, offset + idx[:, 0], target)
-        if np.any(target < 0):
-            raise ValueError("coset image is not a coset")
-        out.append(target)
-    return as_perm(np.concatenate(out))
-
 
 def coset_probes(info: graphs.SigmaInfo) -> np.ndarray:
     """The codes whose images ``coset_action`` reads, as int64: the least

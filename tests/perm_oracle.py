@@ -9,13 +9,58 @@ elements directly instead of counting orbits of induced actions.
 ``line_graph_as_cayley`` is the converse construction, Γ rebuilt from the
 action of G on the coset-graph edges; no claim uses it yet.  ``orbits`` is
 the orbit partition as lists of cells, one breadth-first search per orbit,
-the oracle for the orbit labels of ``permgroups.orbits``."""
+the oracle for the orbit labels of ``permgroups.orbits``.
+``induced_sigma_perm`` pushes a permutation of all codes down to the coset
+vertices, reading every member of every coset: the reference that
+``permgroups.coset_action`` is tested against.  ``right_mult_perm`` and
+``partition_from_cells`` build the inputs these tests compare on."""
 
 import numpy as np
 
-from mdg import graphs
+from mdg import autsearch, graphs
 from mdg.permgroups import (PermGroup, are_automorphisms, as_perm, compose, identity_perm,
-                            inverse, is_identity, orbit_mask, right_mult_perm)
+                            inverse, is_identity, orbit_mask)
+
+
+def right_mult_perm(G, g: int) -> np.ndarray:
+    """R(g): vertex k -> code of (element k) * g."""
+    return G.mul_vec(np.arange(G.order), g).astype(np.int32)
+
+
+def induced_sigma_perm(info: graphs.SigmaInfo, p: np.ndarray) -> np.ndarray:
+    """Push a permutation of group-element vertices down to the coset
+    vertices; raises ValueError if some coset image is not a coset.
+
+    The image of a coset is an X-coset iff it has the X-coset size and all
+    its members share one X-coset index; likewise for Y."""
+    p = as_perm(p)
+    if len(p) != len(info.x_index):
+        raise ValueError("permutation degree is not the group order")
+    sides = ((info.x_index, info.x_cosets.shape[1], 0),
+             (info.y_index, info.y_cosets.shape[1], info.n_x))
+    out = []
+    for members in (info.x_cosets, info.y_cosets):
+        images = p[members]
+        target = np.full(len(members), -1, dtype=np.int32)
+        for index, size, offset in sides:
+            if members.shape[1] == size:
+                idx = index[images]
+                hit = (target < 0) & np.all(idx == idx[:, :1], axis=1)
+                target = np.where(hit, offset + idx[:, 0], target)
+        if np.any(target < 0):
+            raise ValueError("coset image is not a coset")
+        out.append(target)
+    return as_perm(np.concatenate(out))
+
+
+def partition_from_cells(n: int, cells) -> autsearch.Partition:
+    """The ``autsearch.Partition`` of the given nonempty cells in order;
+    they must partition 0..n-1."""
+    members = [np.sort(np.asarray(c, dtype=np.int32)) for c in cells if len(c)]
+    order = np.concatenate(members) if members else np.zeros(0, dtype=np.int32)
+    if len(order) != n or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError("cells must partition the vertices")
+    return autsearch.Partition(order, np.cumsum([0] + [len(c) for c in members]))
 
 
 def orbits(gens, degree: int) -> list[list[int]]:

@@ -20,21 +20,26 @@ def inst(n):
     return _cache[n]
 
 
-def lifts(n):
+def gamma_gens(n):
+    """The right multiplications and the stabilizer lifts on all codes."""
     d = inst(n)
-    if "lifts" not in d:
-        d["lifts"] = pg.connection_stabilizer_gens(d["G"])
-        assert pg.are_automorphisms(d["gamma"], d["lifts"])
-    return d["lifts"]
+    if "gamma_gens" not in d:
+        d["gamma_gens"] = pg.action_gens(d["G"])
+        assert pg.are_automorphisms(d["gamma"], d["gamma_gens"])
+    return d["gamma_gens"]
+
+
+def lifts(n):
+    return gamma_gens(n)[len(inst(n)["G"].gens):]
 
 
 def sigma_gens(n):
-    """The right multiplications and the stabilizer lifts, induced on the
-    coset graph from the coset representatives."""
+    """The same generators, induced on the coset graph from the coset
+    representatives."""
     d = inst(n)
-    if "sigma_r" not in d:
-        d["sigma_r"], d["sigma_lifts"] = cli.sigma_generators(d["G"], d["info"])
-    return d["sigma_r"], d["sigma_lifts"]
+    if "sigma_gens" not in d:
+        d["sigma_gens"] = pg.action_gens(d["G"], d["info"])
+    return d["sigma_gens"]
 
 
 def quotient_data(n):
@@ -101,7 +106,7 @@ def test_criterion_05_clique_and_line_graph_isomorphisms():
     ok = True
     for n in (2, 3):
         d = inst(n)
-        ok &= cli.clique_graph_matches_sigma(d["gamma"], d["sigma"], d["info"])
+        ok &= graphs.clique_graph(d["gamma"], graphs.coset_cliques(d["info"])) == d["sigma"]
         phi = graphs.phi_map(d["gamma"], d["sigma"], d["info"])
         ok &= len(phi) == d["G"].order
     _report(5, "clique graph is the coset graph; line graph is the Cayley graph", ok)
@@ -122,7 +127,7 @@ def test_criterion_07_edge_affine_witness():
     ok = True
     for n in (2, 3):
         d = quotient_data(n)
-        ok &= cli._edge_affine_ok(d["G"], d["labels"], d["quotient"], *sigma_gens(n))
+        ok &= cli._edge_affine_ok(d["G"], d["labels"], d["quotient"], sigma_gens(n))
     _report(7, "elementary abelian normal subgroup regular on quotient edges", ok)
 
 
@@ -140,11 +145,9 @@ def test_criterion_09_transitivity():
     ok = True
     for n in (2, 3):
         d = inst(n)
-        rep = pg.transitivity_report(d["gamma"], pg.right_mult_action(d["G"]), lifts(n),
-                                     stabilizer_certified=(n == 2))
+        rep = pg.transitivity_report(d["gamma"], gamma_gens(n), stabilizer_certified=(n == 2))
         ok &= rep.flags() == cli.GAMMA_EXPECTED_FLAGS
-        srep = pg.transitivity_report(d["sigma"], cli.sigma_action_gens(*sigma_gens(n)),
-                                      cli.sigma_stab_gens(*sigma_gens(n)))
+        srep = pg.transitivity_report(d["sigma"], sigma_gens(n))
         ok &= srep.vertex and srep.two_arc
     _report(9, "Cayley graph 2-geodesic- but not 2-arc-/3-distance-transitive; "
                "coset graph 2-arc-transitive", ok)
@@ -152,10 +155,8 @@ def test_criterion_09_transitivity():
 
 def test_criterion_10_full_automorphism_search():
     d = inst(2)
-    known = pg.right_mult_action(d["G"]) + lifts(2)
-    res_g = autsearch.automorphism_group(d["gamma"], known)
-    known_s = cli.sigma_action_gens(*sigma_gens(2)) + cli.sigma_stab_gens(*sigma_gens(2))
-    res_s = autsearch.automorphism_group(d["sigma"], known_s)
+    res_g = autsearch.automorphism_group(d["gamma"], gamma_gens(2))
+    res_s = autsearch.automorphism_group(d["sigma"], sigma_gens(2))
     ok = (res_g.complete and res_s.complete
           and res_g.order == res_s.order == 18432 == pg.expected_symmetry_order(2))
     _report(10, "full searches on both graphs certify automorphism order 18432", ok)
@@ -169,7 +170,7 @@ def test_criterion_11_generated_order():
             pg.expected_symmetry_order(n)
     # independent full-degree cross-check at n=2
     d2 = inst(2)
-    ok &= pg.PermGroup(pg.right_mult_action(d2["G"]) + lifts(2)).order() == 18432
+    ok &= pg.PermGroup(gamma_gens(2)).order() == 18432
     _report(11, "order of <regular action, stabilizer lifts> matches the formula at n=2,3", ok)
 
 
@@ -224,8 +225,8 @@ def test_criterion_13_property_suites():
     edge_list = list(map(tuple, d3["sigma"].edge_array().tolist()))
     edge_index = {e: i for i, e in enumerate(edge_list)}
     for h in rng.integers(1, G3.order, 4, dtype=np.uint64):
-        rp = pg.right_mult_perm(G3, int(h))
-        sp = pg.induced_sigma_perm(d3["info"], rp)
+        rp = perm_oracle.right_mult_perm(G3, int(h))
+        sp = perm_oracle.induced_sigma_perm(d3["info"], rp)
         edge_perm = np.empty(len(edge_list), dtype=np.int64)
         for i, (u, v) in enumerate(edge_list):
             a2, b2 = int(sp[u]), int(sp[v])
@@ -236,7 +237,7 @@ def test_criterion_13_property_suites():
     # refinement determinism (search-based; full property tests live in
     # the autsearch suite)
     gamma2 = inst(2)["gamma"]
-    part = autsearch.Partition.from_cells(256, [[0], range(1, 256)])
+    part = perm_oracle.partition_from_cells(256, [[0], range(1, 256)])
     once, again = autsearch.refine(gamma2, part), autsearch.refine(gamma2, part)
     ok &= np.array_equal(once.order, again.order) and np.array_equal(once.starts, again.starts)
 

@@ -161,17 +161,29 @@ def _refuse(*args, **kwargs):
 
 
 def test_sigma_paths_build_no_permutation_of_all_codes(monkeypatch):
-    """Every coset-graph permutation comes from the coset representatives."""
-    lift_images = permgroups.stabilizer_lift_images
-    monkeypatch.setattr(permgroups, "induced_sigma_perm", _refuse)
-    r = run("verify", "graphs", "-n", "2", "--json")
-    assert r.exit_code == 0, r.output
-    monkeypatch.setattr(permgroups, "right_mult_perm", _refuse)
-    monkeypatch.setattr(permgroups, "stabilizer_lift_images",
-                        lambda G, codes=None: lift_images(G, codes) if codes is not None else _refuse())
+    """Every coset-graph permutation comes from the coset representatives:
+    with the builder's branch for all codes refused, the search on Σ
+    passes; with that branch's permutations spoiled, ``verify graphs``
+    fails only the claims on the Cayley graph."""
+    build = permgroups.action_gens
+    monkeypatch.setattr(permgroups, "action_gens",
+                        lambda G, info=None: build(G, info) if info is not None else _refuse())
     r = run("aut", "-n", "2", "--target", "sigma", "--full-search", "--json")
     assert r.exit_code == 0, r.output
     assert {c["status"] for c in json.loads(r.output)["claims"]} == {"pass"}
+
+    def spoiled(G, info=None):
+        gens = build(G, info)
+        if info is None:
+            for p in gens:
+                p[[1, 2]] = p[[2, 1]]
+        return gens
+
+    monkeypatch.setattr(permgroups, "action_gens", spoiled)
+    r = run("verify", "graphs", "-n", "2", "--json")
+    assert r.exit_code == 1 and "Traceback" not in r.output
+    assert [c["id"] for c in json.loads(r.output)["claims"] if c["status"] != "pass"] == \
+        ["cayley-transitivity", "distance-diagram-reference"]
 
 
 @pytest.mark.parametrize("args, cids", [
@@ -205,16 +217,18 @@ def test_diagram_with_a_bad_lift_exits_1(monkeypatch, fmt):
 
 
 def _plant_a_bad_lift(monkeypatch):
-    """Make the first stabilizer lift swap x_0 and x_1, which are not twins."""
-    lifts = permgroups.connection_stabilizer_gens
+    """Make the builder's first stabilizer lift on all codes swap x_0 and
+    x_1, which are not twins."""
+    build = permgroups.action_gens
 
-    def with_a_bad_lift(G):
-        bad = lifts(G)
-        bad[0] = bad[0].copy()
-        bad[0][[1, 2]] = bad[0][[2, 1]]
-        return bad
+    def with_a_bad_lift(G, info=None):
+        gens = build(G, info)
+        if info is None:
+            bad = gens[len(G.gens)]
+            bad[[1, 2]] = bad[[2, 1]]
+        return gens
 
-    monkeypatch.setattr(permgroups, "connection_stabilizer_gens", with_a_bad_lift)
+    monkeypatch.setattr(permgroups, "action_gens", with_a_bad_lift)
 
 
 # np.unique, and np.isin when it sorts, import numpy.ma on first use: several

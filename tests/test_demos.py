@@ -31,3 +31,11 @@ def test_demo_runs(demo):
     out = r.stdout.splitlines()
     for line in KEY_LINES[demo]:
         assert line in out
+
+
+def test_readme_library_tour_runs():
+    """The README's library tour, its one fenced python block, runs as
+    written at n = 2."""
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    assert "TensorGroup(2)" in block
+    exec(compile(block, "README.md", "exec"), {})

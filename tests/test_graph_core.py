@@ -242,7 +242,7 @@ def test_normal_quotient_matches_a_scalar_quotient():
     labels = cli.derived_orbit_partition(G2, SIGMA2, INFO2)
     quotient, preserved = graphs.normal_quotient(SIGMA2, labels)
     part = perm_oracle.orbits(
-        [permgroups.induced_sigma_perm(INFO2, permgroups.right_mult_perm(G2, d))
+        [perm_oracle.induced_sigma_perm(INFO2, perm_oracle.right_mult_perm(G2, d))
          for d in cli.derived_basis(G2)], SIGMA2.n)
     assert labels.tolist() == [next(c[0] for c in part if v in c) for v in range(SIGMA2.n)]
     cell = {v: i for i, c in enumerate(part) for v in c}
@@ -296,8 +296,7 @@ def test_clique_graph_and_cover_check_match_scalar_rules(graph):
             with pytest.raises(ValueError):
                 graphs.verify_clique_cover(graph, same)
         elif len(pairs) == len(set(pairs)):
-            cg, got = graphs.clique_graph(graph, same)
-            assert got.tolist() == cliques
+            cg = graphs.clique_graph(graph, same)
             assert [tuple(e) for e in cg.edge_array().tolist()] == scalar_clique_graph_edges(cliques)
         else:
             with pytest.raises(ValueError, match="two of the cliques"):
@@ -351,7 +350,7 @@ def test_a_cover_missing_a_triangle_is_rejected():
         ("ValueError", "a triangle lies in no clique")
     # two K4s sharing one vertex leave no such triangle
     two = THREE_K4S[:2]
-    cg, _ = graphs.clique_graph(union_of_cliques(7, two.tolist()), two)
+    cg = graphs.clique_graph(union_of_cliques(7, two.tolist()), two)
     assert cg.n == 2 and cg.edge_count() == 1
 
 
@@ -365,7 +364,21 @@ def test_a_cover_leaving_out_an_isolated_vertex_is_rejected():
     for cover in ([[0], [1]], [[0], [1], [2], [2]]):
         with pytest.raises(ValueError, match="isolated vertex"):
             graphs.verify_clique_cover(edgeless, np.array(cover))
-    assert graphs.clique_graph(edgeless, np.array([[2], [0], [1]]))[1].tolist() == [[0], [1], [2]]
+    # vertex i is row i: the three singletons share nothing
+    assert graphs.clique_graph(edgeless, np.array([[2], [0], [1]])) == graphs.Graph(3)
+
+
+def test_clique_graph_rejects_zero_width_cliques():
+    with pytest.raises(ValueError, match="nonempty rows"):
+        graphs.clique_graph(graphs.Graph(3), np.empty((3, 0)))
+
+
+def test_clique_graph_numbers_the_cliques_by_their_rows():
+    # a path 0 - 1 - 2 - 3: its edges are its maximal cliques, and two
+    # edges meet iff their rows are adjacent in this order
+    path = graphs.Graph(4, [(0, 1), (1, 2), (2, 3)])
+    rows = np.array([[3, 2], [1, 0], [2, 1]])
+    assert graphs.clique_graph(path, rows).edge_array().tolist() == [[0, 2], [1, 2]]
 
 
 # -- block boundaries ----------------------------------------------------------
@@ -524,10 +537,10 @@ def test_identifications_are_the_same_for_every_block_size():
         lg = over_chunks(lambda: line_graph(graph))
         assert lg == ("graph", graph.edge_count(),
                       [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
-    cliques = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
-    cg, got = over_chunks(lambda: graphs.clique_graph(GAMMA2, graphs.coset_cliques(INFO2)))
-    assert got == cliques and cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
-    assert over_chunks(lambda: cli.clique_graph_matches_sigma(GAMMA2, SIGMA2, INFO2))
+    cliques = graphs.coset_cliques(INFO2).tolist()
+    cg = over_chunks(lambda: graphs.clique_graph(GAMMA2, graphs.coset_cliques(INFO2)))
+    assert cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
+    assert over_chunks(lambda: graphs.clique_graph(GAMMA2, graphs.coset_cliques(INFO2)) == SIGMA2)
     assert over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, INFO2)) == \
         [_edges(SIGMA2).index((int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z])))
          for z in G2.elements()]
@@ -569,7 +582,7 @@ def test_colour_kernels_are_the_same_for_every_block_size():
 
 
 def test_automorphism_check_is_the_same_for_every_block_size():
-    lifts = permgroups.connection_stabilizer_gens(G2)
+    lifts = permgroups.action_gens(G2)
     assert over_chunks(lambda: permgroups.are_automorphisms(GAMMA2, lifts))
     swap = np.arange(GAMMA2.n)
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
@@ -588,7 +601,7 @@ def test_distance_diagram_is_the_same_for_every_block_size():
     # the lifts' diagram; a path 1 - 0 - 2 - 3 whose "stabilizer" swaps 1 and
     # 2 (equal distances, unequal counts); one that swaps 0's neighbour 1
     # with 3, at distance 2
-    lifts = permgroups.connection_stabilizer_gens(G2)
+    lifts = permgroups.action_gens(G2)[len(G2.gens):]
     path = graphs.Graph(4, [(0, 1), (0, 2), (2, 3)])
     for graph, stab in ((GAMMA2, lifts), (path, [permgroups.as_perm([0, 2, 1, 3])]),
                         (path, [permgroups.as_perm([0, 3, 2, 1])])):
@@ -619,8 +632,8 @@ def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
             got = over_chunks(lambda: graphs.verify_clique_cover(graph, cover))
             assert got == scalar_cover_error(graph, cover)
         if len(same) == len(cliques) and scalar_cover_error(graph, same) is None:
-            cg, got = over_chunks(lambda: graphs.clique_graph(graph, same))
-            assert got == cliques and cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
+            cg = over_chunks(lambda: graphs.clique_graph(graph, same))
+            assert cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
     colors = np.array([rnd.choice("XY") if rnd.random() < 0.2 else "X"
                        for _ in range(graph.edge_count())], dtype="U1")
     assert over_chunks(lambda: graphs.triangles_monochromatic(graph, colors)) == \

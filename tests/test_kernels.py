@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from group_oracle import mat_transpose
+from perm_oracle import induced_sigma_perm, partition_from_cells, right_mult_perm
 from test_graph_core import over_chunks
 from mdg import autsearch, cli, f2, graphs, groups, permgroups as pg
 from mdg.autsearch import Partition
@@ -91,7 +92,7 @@ def cells_of(part) -> list[list[int]]:
 
 
 def refine(graph, cells) -> list[list[int]]:
-    return cells_of(autsearch.refine(graph, Partition.from_cells(graph.n, cells)))
+    return cells_of(autsearch.refine(graph, partition_from_cells(graph.n, cells)))
 
 
 def check_arrays(part, n):
@@ -135,25 +136,37 @@ def sample_codes(G):
     return random.Random(G.n).sample(range(G.order), 4096)
 
 
+def side_rows(G, m):
+    """The images x_i -> row_i(M) on the X side and y_j -> row_j(M) on
+    the Y side."""
+    rows = [f2.mat_row(m, i, G.n) for i in range(G.n)]
+    return [G.encode(r, 0, 0) for r in rows], [G.encode(0, r, 0) for r in rows]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lifts_match_scalar_formulas(n):
     G = groups.TensorGroup(n)
     codes = sample_codes(G)
     gens = f2.gl_generators(n)
-    # the transvections, plus one product of them that is not a transvection
+    lifts = list(pg.stabilizer_lift_images(G, codes))
+    assert len(lifts) == 2 * len(gens) + 1
+    for m, x_lift, y_lift in zip(gens, lifts, lifts[len(gens):]):
+        assert x_lift.tolist() == [scalar_x_lift(G, m, c) for c in codes]
+        assert y_lift.tolist() == [scalar_y_lift(G, m, c) for c in codes]
+    assert lifts[-1].tolist() == [scalar_swap(G, c) for c in codes]
+    # the same word map for a product of transvections that is not one
     product = gens[0]
     for m in gens[1:]:
         product = f2.mat_mul(product, m, n)
-    for m in gens + [product]:
-        assert pg.x_side_lift(G, m, codes).tolist() == [scalar_x_lift(G, m, c) for c in codes]
-        assert pg.y_side_lift(G, m, codes).tolist() == [scalar_y_lift(G, m, c) for c in codes]
-    assert pg.swap_sides_perm(G, codes).tolist() == [scalar_swap(G, c) for c in codes]
+    xs, ys = side_rows(G, product)
+    assert G.word_images(xs, G.y_gens, codes).tolist() == [scalar_x_lift(G, product, c) for c in codes]
+    assert G.word_images(G.x_gens, ys, codes).tolist() == [scalar_y_lift(G, product, c) for c in codes]
     if n > 3:
         return
-    # the full-degree arrays are permutations that agree with the images
-    for p, on in ((pg.x_side_lift(G, m), pg.x_side_lift(G, m, codes)),
-                  (pg.y_side_lift(G, m), pg.y_side_lift(G, m, codes)),
-                  (pg.swap_sides_perm(G), pg.swap_sides_perm(G, codes))):
+    # the builder's full-degree arrays are permutations that agree with the images
+    full = pg.action_gens(G)[len(G.gens):]
+    assert len(full) == len(lifts)
+    for p, on in zip(full, lifts):
         assert p.dtype == np.int32 and on.dtype == np.int64 and len(p) == G.order
         pg.as_perm(p)
         assert np.array_equal(p[codes], on)
@@ -164,12 +177,13 @@ def test_lift_images_of_wide_codes_do_not_wrap(n):
     # codes have n^2 + 2n >= 35 bits here, too wide for int32
     G = groups.TensorGroup(n)
     top = [G.order - 1]
-    m = f2.gl_generators(n)[0]
-    xs = [G.encode(f2.mat_row(m, i, n), 0, 0) for i in range(n)]
-    ys = [G.encode(0, f2.mat_row(m, j, n), 0) for j in range(n)]
-    cases = ((pg.x_side_lift(G, m, top), xs, G.y_gens, scalar_x_lift(G, m, top[0])),
-             (pg.y_side_lift(G, m, top), G.x_gens, ys, scalar_y_lift(G, m, top[0])),
-             (pg.swap_sides_perm(G, top), G.y_gens, G.x_gens, scalar_swap(G, top[0])))
+    gens = f2.gl_generators(n)
+    m = gens[0]
+    xs, ys = side_rows(G, m)
+    lifts = list(pg.stabilizer_lift_images(G, top))
+    cases = ((lifts[0], xs, G.y_gens, scalar_x_lift(G, m, top[0])),
+             (lifts[len(gens)], G.x_gens, ys, scalar_y_lift(G, m, top[0])),
+             (lifts[-1], G.y_gens, G.x_gens, scalar_swap(G, top[0])))
     for got, x_imgs, y_imgs, scalar in cases:
         assert got.dtype == np.int64
         assert got.tolist() == G.word_images(x_imgs, y_imgs, top).tolist() == [scalar]
@@ -215,11 +229,9 @@ def test_word_images_match_scalar_products(n):
 def sigma_test_perms(G):
     """Right multiplications, matrix lifts on both sides and the swap."""
     rng = random.Random(7)
-    perms = pg.right_mult_action(G)
-    perms += [pg.right_mult_perm(G, rng.randrange(G.order)) for _ in range(4)]
-    perms += [pg.x_side_lift(G, m) for m in f2.gl_generators(G.n)]
-    perms += [pg.y_side_lift(G, m) for m in f2.gl_generators(G.n)]
-    return perms + [pg.swap_sides_perm(G)]
+    gens = pg.action_gens(G)
+    return (gens[:len(G.gens)] + [right_mult_perm(G, rng.randrange(G.order)) for _ in range(4)]
+            + gens[len(G.gens):])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -230,8 +242,8 @@ def test_induced_sigma_perm_matches_coset_lookup(n):
     if n == 3:
         perms = perms[:2] + perms[-2:]
     for p in perms:
-        assert pg.induced_sigma_perm(info, p).tolist() == reference_induced(info, p)
-    swapped = pg.induced_sigma_perm(info, pg.swap_sides_perm(G))
+        assert induced_sigma_perm(info, p).tolist() == reference_induced(info, p)
+    swapped = induced_sigma_perm(info, perms[-1])
     assert all(int(v) >= info.n_x for v in swapped[:info.n_x])
     assert all(int(v) < info.n_x for v in swapped[info.n_x:])
 
@@ -245,9 +257,9 @@ def test_induced_sigma_perm_rejects_what_the_lookup_rejects():
         with pytest.raises(KeyError):
             reference_induced(info, p)
         with pytest.raises(ValueError, match="coset image is not a coset"):
-            pg.induced_sigma_perm(info, p)
+            induced_sigma_perm(info, p)
     with pytest.raises(ValueError):
-        pg.induced_sigma_perm(info, pg.identity_perm(G.order - 1))
+        induced_sigma_perm(info, pg.identity_perm(G.order - 1))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -261,14 +273,18 @@ def test_coset_action_matches_the_induced_permutation(n):
     for g in G.gens + cli.derived_basis(G):
         got = pg.coset_action(info, G.mul_vec(probes, g))
         assert got.dtype == np.int32
-        assert np.array_equal(got, pg.induced_sigma_perm(info, pg.right_mult_perm(G, g)))
+        assert np.array_equal(got, induced_sigma_perm(info, right_mult_perm(G, g)))
     lifts = list(zip(pg.stabilizer_lift_images(G), pg.stabilizer_lift_images(G, probes)))
     assert len(lifts) == 2 * len(f2.gl_generators(n)) + 1
     for full, images in lifts:
         got = pg.coset_action(info, images)
-        assert np.array_equal(got, pg.induced_sigma_perm(info, full))
+        assert np.array_equal(got, induced_sigma_perm(info, full))
     # the last lift is the side swap: the X-cosets and the Y-cosets trade places
     assert np.all(got[:info.n_x] >= info.n_x) and np.all(got[info.n_x:] < info.n_x)
+    # the builder gives these generators on Σ in the order it gives them on all codes
+    on_sigma, on_codes = pg.action_gens(G, info), pg.action_gens(G)
+    assert len(on_sigma) == len(on_codes) == len(G.gens) + len(lifts)
+    assert all(np.array_equal(p, induced_sigma_perm(info, q)) for p, q in zip(on_sigma, on_codes))
 
 
 @pytest.mark.parametrize("ms", [(2, 2), (4, 4), (2, 4, 6)])
@@ -278,7 +294,7 @@ def test_coset_action_matches_the_induced_permutation_on_dihedral_products(ms):
     probes = pg.coset_probes(info)
     rng = random.Random(3)
     for g in G.gens + [rng.randrange(G.order) for _ in range(4)]:
-        want = pg.induced_sigma_perm(info, pg.right_mult_perm(G, g))
+        want = induced_sigma_perm(info, right_mult_perm(G, g))
         assert np.array_equal(pg.coset_action(info, G.mul_vec(probes, g)), want)
 
 
@@ -289,7 +305,7 @@ def test_coset_action_rejects_a_map_that_scatters_x():
     bad = pg.identity_perm(G.order)
     bad[0], bad[4] = 4, 0  # X = {0, 1, 2, 3} goes to {4, 1, 2, 3}: x_0 and y_0 both in it
     with pytest.raises(ValueError, match="coset image is not a coset"):
-        pg.induced_sigma_perm(info, bad)
+        induced_sigma_perm(info, bad)
     with pytest.raises(ValueError, match="lies within no single coset"):
         pg.coset_action(info, bad[probes])
     with pytest.raises(ValueError, match="one image per coset probe"):
@@ -323,7 +339,7 @@ def test_refine_matches_reference_on_random_graphs(case):
     unit = [list(range(graph.n))]
     assert refine(graph, unit) == reference_refine(graph, unit) == lexsort_refine(graph, unit)
     # and one individualisation deeper, from the refined partition
-    part = autsearch.refine(graph, Partition.from_cells(graph.n, cells))
+    part = autsearch.refine(graph, partition_from_cells(graph.n, cells))
     check_arrays(part, graph.n)
     split = part.first_split()
     if split is not None:
@@ -346,7 +362,7 @@ def test_refine_matches_reference_with_many_cells_and_high_degree(n, rnd):
     cells = [c for c in ([v for v in range(n) if labels[v] == lab] for lab in range(n // 2)) if c]
     graph = graphs.Graph(n, edges)
     assert refine(graph, cells) == reference_refine(graph, cells) == lexsort_refine(graph, cells)
-    part = autsearch.refine(graph, Partition.from_cells(n, cells))
+    part = autsearch.refine(graph, partition_from_cells(n, cells))
     split = part.first_split()
     if split is not None:
         start = part.individualize(int(part.members(split)[-1]))
@@ -358,7 +374,7 @@ def test_refine_matches_reference_with_many_cells_and_high_degree(n, rnd):
 def test_refine_matches_reference_along_individualisation(target):
     G, S, gamma, sigma, info = cli.build_instance(2)
     graph = sigma if target == "sigma" else gamma
-    part = autsearch.refine(graph, Partition.from_cells(graph.n, [range(graph.n)]))
+    part = autsearch.refine(graph, partition_from_cells(graph.n, [range(graph.n)]))
     assert cells_of(part) == reference_refine(graph, [list(range(graph.n))])
     assert cells_of(part) == lexsort_refine(graph, [list(range(graph.n))])
     steps = 0
@@ -389,7 +405,7 @@ def test_refine_is_the_same_for_every_block_size(case):
     """Rows read in blocks of CHUNK // degree vertices give the reference's
     partitions whether CHUNK is 1, 7 or the default."""
     graph, cells = case
-    got = over_chunks(lambda: cells_of(autsearch.refine(graph, Partition.from_cells(graph.n, cells))))
+    got = over_chunks(lambda: cells_of(autsearch.refine(graph, partition_from_cells(graph.n, cells))))
     assert got == reference_refine(graph, cells)
 
 
@@ -397,7 +413,7 @@ def test_refine_packs_wide_rows_with_array_shifts():
     """K(1, 2000): rows of 2000 entries, in blocks of 16 rows.  Packing each
     block a column at a time took about 2 s; array shifts take under 0.1 s."""
     star = graphs.Graph(2001, [(0, v) for v in range(1, 2001)])
-    unit = Partition.from_cells(star.n, [range(star.n)])
+    unit = partition_from_cells(star.n, [range(star.n)])
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
@@ -409,7 +425,7 @@ def test_refine_packs_wide_rows_with_array_shifts():
 
 def test_unit_partition_is_the_one_cell_partition():
     for n in (0, 1, 5):
-        unit, cells = Partition.unit(n), Partition.from_cells(n, [range(n)])
+        unit, cells = Partition.unit(n), partition_from_cells(n, [range(n)])
         for a, b in ((unit.order, cells.order), (unit.starts, cells.starts), (unit.cell, cells.cell)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         check_arrays(unit, n)
@@ -431,19 +447,19 @@ def test_refine_rejects_a_non_partition():
     g = graphs.Graph(3, [(0, 1)])
     for cells in ([[0, 1]], [[0, 1], [1, 2]], [[0, 1, 2, 3]]):
         with pytest.raises(ValueError):
-            autsearch.refine(g, Partition.from_cells(g.n, cells))
+            autsearch.refine(g, partition_from_cells(g.n, cells))
     with pytest.raises(ValueError):
-        autsearch.refine(g, Partition.from_cells(2, [[0, 1]]))
+        autsearch.refine(g, partition_from_cells(2, [[0, 1]]))
 
 
 def test_are_automorphisms_agrees_with_single_checks():
     G, S, gamma, sigma, info = cli.build_instance(2)
     rng = np.random.default_rng(1)
-    good = pg.right_mult_action(G) + pg.connection_stabilizer_gens(G)
+    good = pg.action_gens(G)
     bad = [rng.permutation(G.order).astype(np.int32) for _ in range(3)]
     assert pg.are_automorphisms(gamma, good)
-    assert all(pg.is_automorphism(gamma, p) for p in good)
-    assert not any(pg.is_automorphism(gamma, p) for p in bad)
+    assert all(pg.are_automorphisms(gamma, [p]) for p in good)
+    assert not any(pg.are_automorphisms(gamma, [p]) for p in bad)
     assert not pg.are_automorphisms(gamma, good + bad[:1])
     assert not pg.are_automorphisms(gamma, good + [pg.identity_perm(G.order + 1)])
     assert pg.are_automorphisms(gamma, [])

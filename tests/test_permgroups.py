@@ -19,8 +19,9 @@ G2 = groups.TensorGroup(2)
 S2 = graphs.xy_connection_set(G2)
 GAMMA2 = graphs.cayley_graph(G2, S2)
 SIGMA2, INFO2 = graphs.sigma_graph(G2)
-R2 = pg.right_mult_action(G2)
-LIFTS2 = pg.connection_stabilizer_gens(G2)
+GENS2 = pg.action_gens(G2)
+R2, LIFTS2 = GENS2[:len(G2.gens)], GENS2[len(G2.gens):]
+SIGMA_GENS2 = pg.action_gens(G2, INFO2)
 
 
 def test_perm_basics():
@@ -73,36 +74,35 @@ def test_orbits():
 
 def test_is_automorphism():
     c4 = graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert pg.is_automorphism(c4, pg.as_perm([1, 2, 3, 0]))
+    assert pg.are_automorphisms(c4, [pg.as_perm([1, 2, 3, 0])])
     p3 = graphs.Graph(3, [(0, 1), (1, 2)])
-    assert not pg.is_automorphism(p3, pg.as_perm([1, 0, 2]))
+    assert not pg.are_automorphisms(p3, [pg.as_perm([1, 0, 2])])
 
 
 def test_right_mult_action():
-    assert pg.is_identity(pg.right_mult_perm(G2, 0))
+    # the builder's first generators are R(g) for g in G.gens, in order
+    assert pg.is_identity(perm_oracle.right_mult_perm(G2, 0))
+    assert all(np.array_equal(p, perm_oracle.right_mult_perm(G2, g)) for p, g in zip(R2, G2.gens))
     assert pg.PermGroup(R2).order() == 256
-    for p in R2:
-        assert pg.is_automorphism(GAMMA2, p)
+    assert pg.are_automorphisms(GAMMA2, R2)
 
 
 def test_lift_identities():
-    eye = f2.identity_mat(2)
-    assert pg.is_identity(pg.x_side_lift(G2, eye))
-    assert pg.is_identity(pg.y_side_lift(G2, eye))
-    delta = pg.swap_sides_perm(G2)
-    assert pg.is_identity(pg.compose(delta, delta))
+    # every GL generator is a transvection, an involution, and so is the swap
+    assert len(LIFTS2) == 2 * len(f2.gl_generators(2)) + 1
+    for p in LIFTS2:
+        assert pg.is_identity(pg.compose(p, p))
+    delta = LIFTS2[-1]
     g = G2.encode(1, 1, 0)  # e1 + f1
     assert int(delta[g]) == G2.encode(1, 1, f2.outer(1, 1, 2))
 
 
 def test_x_lift_fixes_y_and_permutes_x():
-    m = f2.transvection(0, 1, 2)
-    lift = pg.x_side_lift(G2, m)
     Y = groups.closure(G2, G2.y_gens)
     X = groups.closure(G2, G2.x_gens)
-    for y in Y:
-        assert int(lift[y]) == y
-    assert sorted(int(lift[x]) for x in X) == sorted(X)
+    for lift in LIFTS2[:len(f2.gl_generators(2))]:
+        assert [int(lift[y]) for y in Y] == Y
+        assert sorted(int(lift[x]) for x in X) == sorted(X)
 
 
 def test_connection_stabilizer_gens():
@@ -110,23 +110,22 @@ def test_connection_stabilizer_gens():
     for p in LIFTS2:
         assert int(p[0]) == 0
         assert {int(p[s]) for s in S2} == sset
-        assert pg.is_automorphism(GAMMA2, p)
+    assert pg.are_automorphisms(GAMMA2, LIFTS2)
     assert pg.PermGroup(LIFTS2).order() == 72  # 6 * 6 * 2
 
 
 def test_order_with_regular_normal_subgroup():
     order = pg.generated_order(G2, S2, pg.stabilizer_lift_images(G2, S2))
     assert order == 18432 == pg.PermGroup(R2 + LIFTS2).order()
-    moved = pg.right_mult_perm(G2, G2.x_gens[0])
     with pytest.raises(ValueError):
-        pg.generated_order(G2, S2, [p[S2] for p in LIFTS2 + [moved]])
+        pg.generated_order(G2, S2, [p[S2] for p in LIFTS2 + R2[:1]])
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_generated_order_matches_the_full_degree_oracle(n):
     G = groups.TensorGroup(n)
     S = graphs.xy_connection_set(G)
-    lifts = pg.connection_stabilizer_gens(G)
+    lifts = pg.action_gens(G)[len(G.gens):]
     on_s = list(pg.stabilizer_lift_images(G, S))
     # the lifts on S are the full-degree lifts restricted to S
     assert all(np.array_equal(a, p[S]) for a, p in zip(on_s, lifts))
@@ -142,8 +141,9 @@ def test_generated_order_rejects_a_code_outside_the_group(outside):
 
 
 def test_generated_order_rejects_a_singular_lift():
-    singular = f2.mat_from_rows([1, 1], 2)  # both rows e1: x -> x.M is not injective
-    images = [*pg.stabilizer_lift_images(G2, S2), pg.x_side_lift(G2, singular, S2)]
+    # x_0, x_1 -> x_0: x -> x.M for M with both rows e1, which is not injective
+    singular = G2.word_images([G2.x_gens[0]] * 2, G2.y_gens, S2)
+    images = [*pg.stabilizer_lift_images(G2, S2), singular]
     with pytest.raises(ValueError, match="permute"):
         pg.generated_order(G2, S2, images)
 
@@ -175,19 +175,19 @@ def test_generated_order_rejects_broken_relations():
 def test_full_degree_lift_with_a_wrong_matrix_part_is_rejected(monkeypatch):
     # generated_order never looks at the A-part of the formula, so the
     # full-degree verification must still catch a wrong one
-    real = pg.x_side_lift
+    real = pg.stabilizer_lift_images
 
-    def keep_a(G, m, codes=None):
-        images = real(G, m, codes)
-        mask = np.int32((1 << (2 * G.n)) - 1)
-        return (images & mask) | (np.arange(G.order, dtype=np.int32) & ~mask)
+    def keep_a(G, codes=None):
+        on = np.arange(G.order) if codes is None else np.asarray(codes, dtype=np.int64)
+        mask = np.int64((1 << (2 * G.n)) - 1)
+        for images in real(G, codes):
+            yield (images & mask) | (on & ~mask)
 
-    m = f2.gl_generators(2)[0]
-    assert np.array_equal(keep_a(G2, m)[S2], real(G2, m)[S2])
-    assert not np.array_equal(keep_a(G2, m), real(G2, m))
-    assert pg.are_automorphisms(GAMMA2, pg.connection_stabilizer_gens(G2))
-    monkeypatch.setattr(pg, "x_side_lift", keep_a)
-    assert not pg.are_automorphisms(GAMMA2, pg.connection_stabilizer_gens(G2))
+    assert all(np.array_equal(a, b) for a, b in zip(keep_a(G2, S2), real(G2, S2)))
+    assert not np.array_equal(next(keep_a(G2)), next(real(G2)))
+    assert pg.are_automorphisms(GAMMA2, pg.action_gens(G2))
+    monkeypatch.setattr(pg, "stabilizer_lift_images", keep_a)
+    assert not pg.are_automorphisms(GAMMA2, pg.action_gens(G2))
 
 
 def test_expected_symmetry_order():
@@ -220,7 +220,7 @@ def test_distance_diagram_rejects_moving_base():
 
 
 def test_transitivity_gamma2():
-    rep = pg.transitivity_report(GAMMA2, R2, LIFTS2, stabilizer_certified=True)
+    rep = pg.transitivity_report(GAMMA2, GENS2, stabilizer_certified=True)
     assert rep.flags() == {"vertex": True, "edge": True, "arc": True,
                            "2-arc": False, "2-geodesic": True,
                            "1-distance": True, "2-distance": True, "3-distance": False}
@@ -233,39 +233,39 @@ def test_transitivity_k44():
             pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([4, 5, 6, 7, 0, 1, 2, 3])]
     stab = [pg.as_perm([0, 2, 3, 1, 4, 5, 6, 7]), pg.as_perm([0, 2, 1, 3, 4, 5, 6, 7]),
             pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([0, 1, 2, 3, 5, 4, 6, 7])]
-    rep = pg.transitivity_report(k44, gens, stab, stabilizer_certified=True)
+    rep = pg.transitivity_report(k44, gens + stab, stabilizer_certified=True)
     assert rep.vertex and rep.edge and rep.arc and rep.two_arc and rep.two_geodesic
     assert rep.distance == {1: True, 2: True, 3: False}
 
 
 def test_transitivity_edgeless_graph():
-    rep = pg.transitivity_report(graphs.Graph(4, []), [pg.as_perm([1, 2, 3, 0])],
-                                 [pg.identity_perm(4)])
+    rep = pg.transitivity_report(graphs.Graph(4, []),
+                                 [pg.as_perm([1, 2, 3, 0]), pg.identity_perm(4)])
     assert rep.vertex
     assert not (rep.edge or rep.arc or rep.two_arc or rep.two_geodesic)
     assert rep.distance == {1: False, 2: False, 3: False}
-    single = pg.transitivity_report(graphs.Graph(1, []), [], [])
+    single = pg.transitivity_report(graphs.Graph(1, []), [])
     assert single.vertex and not single.edge
 
 
 def test_transitivity_rejects_non_automorphism():
     with pytest.raises(ValueError):
-        pg.transitivity_report(GAMMA2, [pg.as_perm(list(range(1, 256)) + [0])], [])
+        pg.transitivity_report(GAMMA2, [pg.as_perm(list(range(1, 256)) + [0])])
 
 
 def test_induced_sigma_perm():
-    assert pg.is_identity(pg.induced_sigma_perm(INFO2, pg.identity_perm(256)))
+    assert pg.is_identity(perm_oracle.induced_sigma_perm(INFO2, pg.identity_perm(256)))
     # the H-image acts with two vertex orbits and regularly on the edges
-    induced = [pg.induced_sigma_perm(INFO2, p) for p in R2]
+    induced = [perm_oracle.induced_sigma_perm(INFO2, p) for p in R2]
     assert pg.orbits(induced, SIGMA2.n).tolist() == [0] * 64 + [64] * 64
-    assert pg.transitivity_report(SIGMA2, induced, []).edge
+    assert pg.transitivity_report(SIGMA2, induced).edge
 
 
 def test_induced_sigma_perm_rejects_non_coset_map():
     bad = pg.identity_perm(256)
     bad[0], bad[4] = 4, 0  # swaps an X-element with a Y-element
     with pytest.raises(ValueError):
-        pg.induced_sigma_perm(INFO2, bad)
+        perm_oracle.induced_sigma_perm(INFO2, bad)
 
 
 def test_bipartition_helpers():
@@ -279,25 +279,17 @@ def test_bipartition_helpers():
 def test_edge_affine_witness_positive():
     labels = cli.derived_orbit_partition(G2, SIGMA2, INFO2)
     quotient, _ = graphs.normal_quotient(SIGMA2, labels)
-    sigma_r = [pg.induced_sigma_perm(INFO2, p) for p in R2]
-    sigma_lifts = [pg.induced_sigma_perm(INFO2, p) for p in LIFTS2]
-    assert cli._edge_affine_ok(G2, labels, quotient, sigma_r, sigma_lifts)
+    assert cli._edge_affine_ok(G2, labels, quotient, SIGMA_GENS2)
 
 
-def test_sigma_generators_split_the_induced_lifts():
-    # the same generators, in the same order, as inducing each family on
-    # its own: the swap is the one lift that moves the base vertex, and
-    # right multiplication fixes it exactly for the X generators
-    ind = lambda p: pg.induced_sigma_perm(INFO2, p)
-    sigma_r, sigma_lifts = [ind(p) for p in R2], [ind(p) for p in LIFTS2]
-    action = [ind(p) for p in R2] + [ind(pg.swap_sides_perm(G2))]
-    stab = [ind(pg.x_side_lift(G2, m)) for m in f2.gl_generators(2)]
-    stab += [ind(pg.y_side_lift(G2, m)) for m in f2.gl_generators(2)]
-    stab += [ind(pg.right_mult_perm(G2, x)) for x in G2.x_gens]
-    for got, want in ((cli.sigma_action_gens(sigma_r, sigma_lifts), action),
-                      (cli.sigma_stab_gens(sigma_r, sigma_lifts), stab)):
-        assert len(got) == len(want)
-        assert all(np.array_equal(p, q) for p, q in zip(got, want))
+def test_sigma_right_multiplications_fixing_the_base_join_the_stabilizer():
+    # R(x_i) maps the X-coset X, the base vertex, to itself: with the side
+    # swap, the right multiplications are arc-transitive on Σ, since X acts
+    # regularly on the Y-cosets through its members, the base's neighbours
+    r_and_swap = SIGMA_GENS2[:len(G2.gens)] + SIGMA_GENS2[-1:]
+    assert [int(p[0]) == 0 for p in r_and_swap] == [True] * G2.n + [False] * (G2.n + 1)
+    rep = pg.transitivity_report(SIGMA2, r_and_swap)
+    assert rep.vertex and rep.arc and not rep.two_arc
 
 
 def test_edge_affine_witness_refutations():
@@ -387,10 +379,7 @@ def test_orbits_of_shuffled_long_cycles(cycles):
 def test_orbit_of_on_sigma3_is_everything():
     G = groups.TensorGroup(3)
     sigma, info = graphs.sigma_graph(G)
-    sigma_r = [pg.induced_sigma_perm(info, p) for p in pg.right_mult_action(G)]
-    sigma_lifts = [pg.induced_sigma_perm(info, p) for p in pg.connection_stabilizer_gens(G)]
-    gens = cli.sigma_action_gens(sigma_r, sigma_lifts)
-    assert pg.orbit_mask(gens, 0, sigma.n).all()
+    assert pg.orbit_mask(pg.action_gens(G, info), 0, sigma.n).all()
 
 
 # -- orbit counting against the set-based searches it replaced -------------
@@ -404,17 +393,14 @@ def cycles(degree, *cycs):
     return pg.as_perm(p)
 
 
-SIGMA_R2 = [pg.induced_sigma_perm(INFO2, p) for p in R2]
-SIGMA_LIFTS2 = [pg.induced_sigma_perm(INFO2, p) for p in LIFTS2]
-
-
-@pytest.mark.parametrize("graph, gens, stab", [
-    (GAMMA2, R2, LIFTS2),
-    (SIGMA2, cli.sigma_action_gens(SIGMA_R2, SIGMA_LIFTS2), cli.sigma_stab_gens(SIGMA_R2, SIGMA_LIFTS2)),
-    (SIGMA2, SIGMA_R2, []),  # not arc-transitive: the edge flag comes from the edge action
-], ids=["gamma2", "sigma2", "sigma2-regular-action"])
-def test_transitivity_flags_are_python_bools(graph, gens, stab):
-    flags = pg.transitivity_report(graph, gens, stab).flags()
+@pytest.mark.parametrize("graph, gens", [
+    (GAMMA2, GENS2),
+    (SIGMA2, SIGMA_GENS2),
+    (SIGMA2, SIGMA_GENS2[:len(G2.gens)]),
+    (SIGMA2, SIGMA_GENS2[G2.n:len(G2.gens)]),  # intransitive: the edge flag is from the edge action
+], ids=["gamma2", "sigma2", "sigma2-regular-action", "sigma2-y-side"])
+def test_transitivity_flags_are_python_bools(graph, gens):
+    flags = pg.transitivity_report(graph, gens).flags()
     assert all(type(v) is bool for v in flags.values()), flags
 
 
@@ -439,7 +425,7 @@ def test_transitivity_report_matches_the_pair_search(graph, mode, data):
             st.booleans(), min_size=len(found), max_size=len(found)))) if keep]
     gens = [] if mode == "none" else found
     stab = [g for g in gens if g[0] == 0]
-    flags = pg.transitivity_report(graph, gens, stab).flags()
+    flags = pg.transitivity_report(graph, gens).flags()
     assert flags == perm_oracle.transitivity_flags(graph, gens, stab)
     assert all(type(v) is bool for v in flags.values())
 
@@ -576,7 +562,7 @@ def test_edge_affine_witness_rejects_non_automorphisms():
     # group of order 4 with an edge orbit of size 4, but (1 2) maps the
     # edge {0, 2} to the non-edge {0, 1}
     gens = [cycles(4, [1, 2]), cycles(4, [0, 3])]
-    assert not pg.is_automorphism(K22, gens[0])
+    assert not pg.are_automorphisms(K22, gens[:1])
     w = pg.edge_affine_witness(K22, gens, gens)
     assert not w.ok and "not an automorphism" in w.failing_check
 
