@@ -17,6 +17,10 @@ class Graph:
     """Simple undirected graph stored once, as a CSR adjacency: the
     neighbours of v are ``indices[indptr[v]:indptr[v + 1]]`` in ascending
     order.  Both arrays are read-only; every other view derives from them.
+    ``indices`` holds vertex ids in ``_index_dtype(n)`` (int16 up to 2^15
+    vertices) and ``indptr`` is int32 while the arc count fits; arithmetic
+    that can leave those ranges widens where it is done.  Permutations of
+    the vertices stay int32 (``permgroups``).
 
     ``edges`` is an (m, 2) integer array or any iterable of pairs;
     repeated edges are merged, loops and out-of-range vertices rejected.
@@ -37,7 +41,7 @@ class Graph:
         if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError("vertex out of range")
         # one key u * n + v per arc, built and sorted in place, deduplicated
-        m, dtype = len(pairs), _index_dtype(n * n)
+        m, dtype = len(pairs), _index_dtype(n * n + 1)
         keys = np.empty(2 * m, dtype=dtype)
         for out, tail, head in ((keys[:m], u, v), (keys[m:], v, u)):
             np.multiply(tail, n, out=out, dtype=dtype)
@@ -47,9 +51,9 @@ class Graph:
         if repeated.any():
             keys = keys[np.concatenate([[True], ~repeated])]
         self.indptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * n).astype(
-            np.int64, copy=False)
+            _index_dtype(len(keys) + 1, (np.int32,)), copy=False)
         np.remainder(keys, max(n, 1), out=keys)
-        self.indices = keys.astype(np.int32, copy=False)
+        self.indices = keys.astype(_index_dtype(n), copy=False)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     @classmethod
@@ -69,9 +73,9 @@ class Graph:
         return len(self.indices) // 2
 
     def edge_array(self) -> np.ndarray:
-        """The edges as an int64 (m, 2) array of pairs u < v, in
-        ascending order, filled a block of arcs at a time."""
-        out = np.empty((self.edge_count(), 2), dtype=np.int64)
+        """The edges as an (m, 2) array of pairs u < v, of the type of
+        ``indices``, in ascending order, filled a block of arcs at a time."""
+        out = np.empty((self.edge_count(), 2), dtype=self.indices.dtype)
         done = 0
         for _, tails, heads in _forward_arcs(self):
             out[done:done + len(tails), 0] = tails
@@ -89,14 +93,16 @@ class Graph:
         return int(degs[0]) if self.n and np.all(degs == degs[0]) else None
 
     def neighbor_array(self, pad: int = -1) -> np.ndarray:
-        """Neighbour lists as an int32 (n, max degree) array; row v holds
-        the sorted neighbours of v, then ``pad`` up to the width.  For a
-        regular graph this is a read-only view of ``indices``."""
+        """Neighbour lists as an (n, max degree) array of a type holding
+        every vertex and ``pad``; row v holds the sorted neighbours of v,
+        then ``pad`` up to the width.  For a regular graph this is a
+        read-only view of ``indices``."""
         k = self.is_regular()
         if k is not None:
             return self.indices.reshape(self.n, k)
         degs = np.diff(self.indptr)
-        out = np.full((self.n, int(degs.max()) if self.n else 0), pad, dtype=np.int32)
+        out = np.full((self.n, int(degs.max()) if self.n else 0), pad,
+                      dtype=_index_dtype(max(self.n, pad + 1)))
         tails = np.repeat(np.arange(self.n), degs)
         out[tails, np.arange(len(self.indices)) - self.indptr[tails]] = self.indices
         return out
@@ -112,9 +118,10 @@ class Graph:
 
 # -- array helpers on the CSR store ------------------------------------------
 
-def _index_dtype(limit: int):
-    """int32 when every index below ``limit`` fits in it, else int64."""
-    return np.int32 if limit <= np.iinfo(np.int32).max + 1 else np.int64
+def _index_dtype(limit: int, types=(np.int16, np.int32)):
+    """The narrowest of ``types``, else int64, that holds range(limit):
+    the type of every stored array of vertex ids, cosets or slots."""
+    return next((t for t in types if limit <= np.iinfo(t).max + 1), np.int64)
 
 
 def _ranges(starts, counts) -> np.ndarray:
@@ -132,7 +139,7 @@ def _blocks(cum, per_item: int = 1):
     step = max(1, CHUNK // max(1, per_item))
     lo, last = 0, len(cum) - 1
     while lo < last:
-        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] + step, side="right")) - 1)
+        hi = max(lo + 1, int(np.searchsorted(cum, int(cum[lo]) + step, side="right")) - 1)
         yield lo, hi
         lo = hi
 
@@ -156,10 +163,10 @@ def _find_arcs(graph: Graph, tails, heads) -> np.ndarray:
     tails = np.asarray(tails)
     if not len(nb):
         return np.full(tails.shape, -1, dtype=np.int64)
-    lo, hi = ptr[tails], ptr[tails + 1]
+    lo, hi = ptr[tails], ptr[1:][tails]  # not tails + 1, which may wrap
     end = hi
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = (lo + hi) >> 1
+        mid = lo + ((hi - lo) >> 1)
         less = nb[np.minimum(mid, len(nb) - 1)] < heads
         lo, hi = np.where(less & (lo < hi), mid + 1, lo), np.where(less, hi, mid)
     hit = (lo < end) & (nb[np.minimum(lo, len(nb) - 1)] == heads)
@@ -181,7 +188,7 @@ def _slot_edges(graph: Graph) -> np.ndarray:
 def _pairs_within(ptr, values) -> np.ndarray:
     """(values[p], values[q]) for every p < q in one segment ptr[i]:ptr[i+1],
     as the rows of an array filled a block of segments at a time."""
-    sizes = np.diff(ptr)
+    sizes = np.diff(ptr).astype(np.int64)
     start = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) // 2)])  # first row per segment
     out = np.empty((int(start[-1]), 2), dtype=values.dtype)
     # a block's temporaries run over its positions and over its pairs
@@ -215,7 +222,7 @@ def cayley_graph(G, S) -> Graph:
     if not np.isin(_codes(G.inv_vec(S)), S).all():
         raise ValueError("connection set is not inverse-closed")
     k = len(S)
-    indices = np.empty(G.order * k, dtype=np.int32)
+    indices = np.empty(G.order * k, dtype=_index_dtype(G.order))
     rows = indices.reshape(G.order, k)
     # one block of rows against every s at a time
     step = max(1, CHUNK // max(1, k))
@@ -223,7 +230,8 @@ def cayley_graph(G, S) -> Graph:
         block = rows[lo:lo + step]
         block[:] = G.mul_vec(S[:, None], np.arange(lo, lo + len(block))).T
         block.sort(axis=1)
-    return Graph._from_rows(np.arange(G.order + 1, dtype=np.int64) * k, indices)
+    ptr = _index_dtype(len(indices) + 1, (np.int32,))
+    return Graph._from_rows(np.arange(G.order + 1, dtype=ptr) * k, indices)
 
 
 def xy_connection_set(G) -> list[int]:
@@ -253,22 +261,24 @@ def right_cosets(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
     """Right cosets S h of a subgroup as the rows of an array, rows
     ascending and ordered by their least member, plus every code's row,
     both in ``_index_dtype(G.order)``.
-    Each code's least coset member is found a block of at most CHUNK
-    products at a time; a stable sort by it lists the codes coset by coset.
+    The codes least in their cosets are found, and then the cosets
+    through them listed, a block of at most CHUNK products at a time.
     Raises ValueError if ``subgroup`` is not multiplication-closed."""
     sub = groups.sorted_codes(subgroup)
     if not np.any(sub == G.identity):
         raise ValueError("subgroup must contain the identity")
     if not np.isin(_codes(G.mul_vec(sub[:, None], sub[None, :])), sub).all():
         raise ValueError("subgroup is not closed under multiplication")
-    dtype = _index_dtype(G.order)
-    index = np.empty(G.order, dtype=dtype)
-    step = max(1, CHUNK // len(sub))
-    for lo in range(0, G.order, step):
-        h = np.arange(lo, min(lo + step, G.order))
-        index[h] = G.mul_vec(sub[:, None], h).min(axis=0)
-    rows = np.argsort(index, kind="stable").astype(dtype).reshape(-1, len(sub))
-    index[rows] = np.arange(len(rows), dtype=dtype)[:, None]
+    dtype, step = _index_dtype(G.order), max(1, CHUNK // len(sub))
+    blocks = (np.arange(lo, min(lo + step, G.order), dtype=np.uint64)
+              for lo in range(0, G.order, step))
+    roots = np.concatenate([h[G.mul_vec(sub[:, None], h).min(axis=0) == h] for h in blocks])
+    rows, index = np.empty((len(roots), len(sub)), dtype=dtype), np.empty(G.order, dtype=dtype)
+    for lo in range(0, len(roots), step):
+        block = rows[lo:lo + step]
+        block[:] = G.mul_vec(sub[:, None], roots[lo:lo + step]).T
+        block.sort(axis=1)
+        index[block] = np.arange(lo, lo + len(block), dtype=dtype)[:, None]
     return rows, index
 
 
@@ -285,10 +295,11 @@ def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInf
     y_cosets, y_index = right_cosets(G, groups.closure_array(G, G.y_gens))
     info = SigmaInfo(x_cosets, y_cosets, x_index, y_index)
     n_x, n_y = info.n_x, len(y_cosets)
-    indices = np.empty(x_cosets.size + y_cosets.size, dtype=np.int32)
+    indices = np.empty(x_cosets.size + y_cosets.size, dtype=_index_dtype(n_x + n_y))
+    ptr = _index_dtype(len(indices) + 1, (np.int32,))
     wx, wy = x_cosets.shape[1], y_cosets.shape[1]
-    indptr = np.concatenate([np.arange(n_x, dtype=np.int64) * wx,
-                             x_cosets.size + np.arange(n_y + 1, dtype=np.int64) * wy])
+    indptr = np.concatenate([np.arange(n_x, dtype=ptr) * wx,
+                             x_cosets.size + np.arange(n_y + 1, dtype=ptr) * wy])
     for cosets, index, offset, out in ((x_cosets, y_index, n_x, indices[:x_cosets.size]),
                                        (y_cosets, x_index, 0, indices[x_cosets.size:])):
         rows = out.reshape(cosets.shape)
@@ -347,8 +358,8 @@ def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
     # outside that meets two members repeats a key once more.
     for lo in range(0, len(members), step):
         flat = members[lo:lo + step].ravel()
-        dtype = _index_dtype(len(flat) // size * n)
-        seen = np.repeat(np.arange(len(flat), dtype=dtype) // size * n, degs[flat])
+        keys = (np.arange(len(flat)) // size * n).astype(_index_dtype(len(flat) // size * n))
+        seen = np.repeat(keys, degs[flat])
         seen += graph.indices[_ranges(graph.indptr[flat], degs[flat])]
         seen.sort()
         runs = len(seen) - size + 1
@@ -401,7 +412,8 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
     (which would signal an implementation bug).
     """
     # Xz < Yz as vertices, so Xz -> Yz is the forward arc of an edge, if any
-    slots = _find_arcs(sigma, info.x_index, info.n_x + info.y_index)
+    heads = np.add(info.y_index, info.n_x, dtype=_index_dtype(info.n_x + len(info.y_cosets)))
+    slots = _find_arcs(sigma, info.x_index, heads)
     if np.any(slots < 0):
         raise ValueError("phi image is not an edge of the coset graph")
     phi = _slot_edges(sigma)[slots]
@@ -411,7 +423,7 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
     for _, g, h in _forward_arcs(gamma):
         if not np.all((info.x_index[g] == info.x_index[h]) | (info.y_index[g] == info.y_index[h])):
             raise ValueError("phi does not preserve an edge")
-    degs = np.diff(sigma.indptr)
+    degs = np.diff(sigma.indptr).astype(np.int64)
     if gamma.edge_count() != int(np.sum(degs * (degs - 1) // 2)):
         raise ValueError("edge counts of the Cayley and line graphs differ")
     return phi
@@ -434,10 +446,18 @@ def cell_roots(labels, n: int) -> np.ndarray:
 def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
     """Quotient by a vertex partition given as each vertex's least cell
     member, plus whether valency is preserved (the cover condition).
-    Cells are numbered by least member."""
+    Cells are numbered by least member.  Every vertex is mapped to its
+    cell's number once; the edges are read a block at a time, and only
+    each block's distinct cell pairs a < b, named a * q + b, are kept."""
     roots = cell_roots(labels, graph.n)
-    a, b = np.searchsorted(roots, np.asarray(labels)[graph.edge_array().T])
-    quotient = Graph(len(roots), np.stack([a, b], axis=1)[a != b])
+    q = len(roots)
+    number = np.empty(graph.n, dtype=_index_dtype(q))
+    number[roots] = np.arange(q)
+    cell, pairs = number[labels], np.empty(0, dtype=np.int64)
+    for _, u, v in _forward_arcs(graph):
+        a, b = np.sort([cell[u], cell[v]], axis=0)
+        pairs = groups.sorted_codes(np.concatenate([pairs, (a.astype(np.int64) * q + b)[a != b]]))
+    quotient = Graph(q, np.stack(np.divmod(pairs, q), axis=1))
     k = graph.is_regular()
     preserved = k is not None and quotient.is_regular() == k
     return quotient, preserved
@@ -542,7 +562,7 @@ def to_graph6(graph: Graph) -> bytearray:
     body = np.frombuffer(out, dtype=np.uint8, offset=len(header))
     body[:] = 63  # "?": six zero bits
     for _, i, j in _forward_arcs(graph):
-        k = j * (j - 1) // 2 + i
+        k = j.astype(np.int64) * (j - 1) // 2 + i
         np.add.at(body, k // 6, (32 >> (k % 6)).astype(np.uint8))
     return out
 

@@ -91,9 +91,12 @@ class TensorGroup:
         x2 = g2 & np.uint64(self._vmask)
         y1 = (g1 >> np.uint64(n)) & np.uint64(self._vmask)
         out = g1 ^ g2
+        term = np.empty_like(out)
         for i in range(n):
             rowbit = (x2 >> np.uint64(i)) & np.uint64(1)
-            out ^= (y1 * rowbit) << np.uint64(2 * n + i * n)
+            np.multiply(y1, rowbit, out=term)
+            term <<= np.uint64(2 * n + i * n)
+            out ^= term
         return out
 
     def inv_vec(self, g):
@@ -105,9 +108,9 @@ class TensorGroup:
         sending x_i to x_imgs[i] and y_j to y_imgs[j]: the code (x, y, A) is
         the x-word times the y-word times [x_i, y_j] over the set bits (i, j)
         of A.  When the images satisfy the relations this is, by von Dyck,
-        the endomorphism they define."""
-        codes = (np.arange(self.order, dtype=np.uint64) if codes is None
-                 else np.asarray(codes, dtype=np.uint64))
+        the endomorphism they define.  The codes are taken a block of
+        CHUNK at a time."""
+        codes = None if codes is None else np.asarray(codes, dtype=np.uint64)
         tables = []
         for imgs in (x_imgs, y_imgs):
             # the word of every vector: table[k | 1 << i] = table[k] . imgs[i]
@@ -118,17 +121,23 @@ class TensorGroup:
         # every x-word times every y-word: the word of (x, y) is entry
         # y 2^n + x of the products, the code's low 2n bits
         words = self.mul_vec(tables[0][None, :], tables[1][:, None]).ravel()
-        out = words[(codes & np.uint64((1 << (2 * self.n)) - 1)).astype(np.intp)]
         # a commutator is a central (0, 0, B): right multiplication XORs in B;
-        # bit (i, j) of A is bit 2n + i n + j of the code, and one buffer
-        # holds each term in turn
-        term = np.empty_like(out)
-        for i, gx in enumerate(x_imgs):
-            for j, gy in enumerate(y_imgs):
-                np.right_shift(codes, np.uint64(2 * self.n + i * self.n + j), out=term)
+        # bit (i, j) of A is bit 2n + i n + j of the code
+        comms = [(np.uint64(2 * self.n + i * self.n + j), np.uint64(commutator(self, gx, gy)))
+                 for i, gx in enumerate(x_imgs) for j, gy in enumerate(y_imgs)]
+        size = self.order if codes is None else len(codes)
+        out = np.empty(size, dtype=np.uint64)
+        for lo in range(0, size, CHUNK):
+            block = (np.arange(lo, min(lo + CHUNK, size), dtype=np.uint64) if codes is None
+                     else codes[lo:lo + CHUNK])
+            part = out[lo:lo + CHUNK]
+            np.take(words, (block & np.uint64((1 << (2 * self.n)) - 1)).astype(np.intp), out=part)
+            term = np.empty_like(part)  # one buffer holds each term in turn
+            for shift, comm in comms:
+                np.right_shift(block, shift, out=term)
                 term &= np.uint64(1)
-                term *= np.uint64(commutator(self, gx, gy))
-                out ^= term
+                term *= comm
+                part ^= term
         return out.view(np.int64)
 
 

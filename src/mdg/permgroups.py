@@ -1,6 +1,8 @@
 """Permutation groups on graph vertices.
 
-Permutations are numpy int32 arrays mapping vertex -> image.  PermGroup
+Permutations are numpy int32 arrays mapping vertex -> image, even where
+a graph stores its vertex ids in int16 (``graphs._index_dtype``); edge
+keys u * n + v are formed in int64.  PermGroup
 keeps a base and strong generating set computed by a deterministic,
 randomisation-free Schreier-Sims (base points chosen as minimal moved
 points; transversal elements rebuilt by walking the Schreier tree, so no
@@ -225,7 +227,7 @@ def are_automorphisms(graph: graphs.Graph, perms) -> bool:
     # p maps the edge set one-to-one, so it is an automorphism iff the
     # image edge set, as sorted keys, is the edge set
     u, w = graph.edge_array().T
-    keys = u * graph.n + w
+    keys = u.astype(np.int64) * graph.n + w
     for p in perms:
         a, b = p[u].astype(np.int64), p[w].astype(np.int64)
         if not np.array_equal(np.sort(np.minimum(a, b) * graph.n + np.maximum(a, b)), keys):
@@ -397,7 +399,7 @@ def _edge_action(graph: graphs.Graph, perms) -> list[np.ndarray]:
     """Each automorphism's action on the edges, as permutations of the rows
     of ``edge_array()``."""
     u, w = graph.edge_array().T
-    keys = u * graph.n + w
+    keys = u.astype(np.int64) * graph.n + w
     out = []
     for p in perms:
         a, b = p[u].astype(np.int64), p[w].astype(np.int64)
@@ -489,7 +491,7 @@ def coset_action(info: graphs.SigmaInfo, images) -> np.ndarray:
         if side is None:
             raise ValueError("image of X or Y lies within no single coset")
         index, _, offset = side
-        out[lo:hi] = index[images[lo:hi]] + offset
+        np.add(index[images[lo:hi]], offset, out=out[lo:hi], dtype=np.int32)
     return as_perm(out)
 
 

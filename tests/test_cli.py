@@ -112,17 +112,20 @@ finally:
 # builds of Python and numpy over what the command peaked at when its bound
 # was set (one run each on Linux, x86-64, CPython 3.11, numpy 2):
 # - verify graphs: 79 MB with whole-arc temporaries, about 43 MB with
-#   bounded blocks;
+#   bounded blocks, 38.6 MB with int32 vertex ids and int64 row pointers,
+#   37.3 MB with int16 ids (Γ(3) and Σ(3)) and int32 row pointers;
 # - the coset-graph certification: 41 MB with whole coset products and
 #   full-degree lifts alive during the search, 36 MB without, 34.1 MB with
 #   every permutation induced from the coset representatives and the
-#   refinement rows read in blocks;
+#   refinement rows read in blocks, 33.3 MB with the coset rows listed from
+#   their least members (no sort of all codes) and int16 vertex ids;
 # - the Cayley graph as graph6 (an 89 MB body): 301 MB when the writer
 #   copied the body four times, 121 MB with the body held once;
 # - the distance diagram: 52 MB with the whole vertices-by-cells count
 #   matrix alive, 40-42 MB counting it a block of rows at a time;
 # - verify group: 37.9 MB with the centre's products in blocks of 2^20,
-#   33.6 MB in blocks of CHUNK.
+#   33.6 MB in blocks of CHUNK, 32.7 MB with one product buffer in
+#   ``TensorGroup.mul_vec``.
 GAMMA3_GRAPH6_SHA256 = "7ae3178cea18714d5509713aa56a7204bbda6c76526af2b033bcdb15760f5be1"
 PEAK_BOUNDS_MB = {
     "verify-group-n3": (["verify", "group", "-n", "3", "--json"], 36),

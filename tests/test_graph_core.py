@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import perm_oracle
 from group_oracle import (TableGroup, cayley_graph_from_pairs, line_graph, maximal_cliques,
                           sigma_graph_from_pairs)
-from mdg import cli, graphs, groups, permgroups
+from mdg import autsearch, cli, graphs, groups, permgroups
 
 try:
     import networkx as nx
@@ -647,3 +647,135 @@ def test_bfs_layers_are_the_same_for_every_block_size():
     for graph in (GAMMA2, SIGMA2):
         for v in (0, 77, graph.n - 1):
             assert over_chunks(lambda: graphs.bfs_layers(graph, v)) == scalar_bfs(graph, v)
+
+
+@given(random_graphs, st.randoms(use_true_random=False))
+@example(graphs.Graph(0), random.Random(0))
+@example(graphs.Graph(5), random.Random(0))
+@settings(max_examples=100, deadline=None)
+def test_normal_quotient_matches_a_scalar_quotient_for_every_block_size(graph, rnd):
+    cells = [rnd.randrange(graph.n // 3 + 1) for _ in range(graph.n)]
+    least = {}
+    for v, c in enumerate(cells):
+        least.setdefault(c, v)
+    labels = np.array([least[c] for c in cells], dtype=np.int64)
+    number = {r: i for i, r in enumerate(sorted(least.values()))}
+    expect = sorted({tuple(sorted((number[labels[u]], number[labels[v]])))
+                     for u, v in graph.edge_array().tolist() if labels[u] != labels[v]})
+    quotient, preserved = over_chunks(lambda: graphs.normal_quotient(graph, labels))
+    assert quotient == ("graph", len(number), [list(e) for e in expect])
+    k = graph.is_regular()
+    assert preserved == (k is not None and graphs.Graph(len(number), expect).is_regular() == k)
+
+
+# -- the index-width rule at its boundaries ------------------------------------
+
+@pytest.mark.parametrize("limit, dtype", [(0, np.int16), (1 << 15, np.int16),
+                                          ((1 << 15) + 1, np.int32), (1 << 31, np.int32),
+                                          ((1 << 31) + 1, np.int64)])
+def test_index_dtype_is_the_narrowest_type_holding_the_range(limit, dtype):
+    assert graphs._index_dtype(limit) is dtype
+    assert limit - 1 <= np.iinfo(dtype).max
+    # row pointers: never narrower than int32
+    assert graphs._index_dtype(limit, (np.int32,)) is (np.int32 if dtype is np.int16 else dtype)
+
+
+N16 = 1 << 15  # the most vertices whose ids fit in int16
+_rnd = random.Random(15)
+BOUNDARY_EDGES = {
+    "one-edge": [(0, N16 - 1)],
+    # irregular, with the top vertices 32,767, 32,766, ... in many rows
+    "irregular": [(0, N16 - 1), (N16 - 2, N16 - 1)] + [
+        (_rnd.choice([_rnd.randrange(50), _rnd.randrange(N16 - 60, N16)]),
+         _rnd.randrange(N16 - 60, N16)) for _ in range(400)],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BOUNDARY_EDGES))
+def boundary_graphs(request):
+    """The same edges on 2^15 vertices (int16 ids) and on 2^15 + 1 (int32)."""
+    edges = [(u, v) for u, v in BOUNDARY_EDGES[request.param] if u != v]
+    return edges, graphs.Graph(N16, edges), graphs.Graph(N16 + 1, edges)
+
+
+def test_a_graph_on_2_15_vertices_matches_its_int32_build(boundary_graphs):
+    edges, g, h = boundary_graphs
+    assert g.indices.dtype == np.int16 and h.indices.dtype == np.int32
+    assert g.indptr.dtype == h.indptr.dtype == np.int32
+    assert g.is_regular() is None
+    assert g.edge_array().dtype == np.int16
+    assert np.array_equal(g.edge_array(), h.edge_array())
+    top = [0, 1, 7, N16 - 3, N16 - 2, N16 - 1]
+    for u, v in itertools.product(top, repeat=2):
+        assert g.has_edge(u, v) == h.has_edge(u, v)
+    assert g.has_edge(0, N16 - 1) and g.has_edge(N16 - 1, 0)
+    # the padding sentinel n = 2^15 does not fit in int16, so it widens
+    a, b = g.neighbor_array(pad=g.n), h.neighbor_array(pad=h.n)
+    assert np.array_equal(np.where(a == g.n, -1, a), np.where(b[:N16] == h.n, -1, b[:N16]))
+    assert np.count_nonzero(a == g.n) == np.count_nonzero(b[:N16] == h.n) > 0
+    # arc lookups from the top row, whose end pointer sits one past 2^15 - 1
+    u, v = g.edge_array().T
+    for tails, heads in ((u, v), (v, u)):
+        slots = graphs._find_arcs(g, tails, heads)
+        assert slots.min() >= 0 and np.array_equal(slots, graphs._find_arcs(h, tails, heads))
+    assert np.array_equal(graphs._slot_edges(g), graphs._slot_edges(h))
+    # a block of one clique: its keys (clique, neighbour) stay below 1 * 2^15
+    errors = []
+    for graph in (g, h):
+        with pytest.raises(ValueError) as e:
+            graphs.verify_clique_cover(graph, np.array([[0, N16 - 1]]))
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+    # the extra vertex of h is isolated: kept in a cell of its own, it
+    # splits nothing, so both refinements order the first 2^15 alike
+    gp = autsearch.refine(g, autsearch.Partition.unit(N16))
+    hp = autsearch.refine(h, perm_oracle.partition_from_cells(N16 + 1, [range(N16), [N16]]))
+    assert len(gp) >= 2
+    assert np.array_equal(hp.order[:N16], gp.order) and np.array_equal(hp.starts[:-1], gp.starts)
+
+
+def test_graph6_on_2_15_vertices(boundary_graphs):
+    """Body bit j(j-1)/2 + i passes 2^15 from j = 182; the bodies of the
+    int16 and int32 builds agree, and the set bits are the edges'."""
+    edges, g, h = boundary_graphs
+    a, b = graphs.to_graph6(g), graphs.to_graph6(h)
+    assert a[:4] == bytes([126, 63 + 8, 63, 63])
+    body_a = np.frombuffer(a, dtype=np.uint8, offset=4)
+    body_b = np.frombuffer(b, dtype=np.uint8, offset=4)
+    assert np.array_equal(body_a, body_b[:len(body_a)]) and np.all(body_b[len(body_a):] == 63)
+    expect = {}
+    for i, j in {tuple(sorted(e)) for e in edges}:
+        k = j * (j - 1) // 2 + i
+        expect[k // 6] = expect.get(k // 6, 0) | 32 >> k % 6
+    hit = np.flatnonzero(body_a != 63)
+    assert dict(zip(hit.tolist(), (body_a[hit] - 63).tolist())) == expect
+
+
+@needs_networkx
+def test_graph6_of_an_int16_graph_past_the_offset_wrap_matches_networkx():
+    rnd = random.Random(600)
+    n = 600
+    g = graphs.Graph(n, [(0, n - 1), (n - 2, n - 1)]
+                     + [tuple(rnd.sample(range(n), 2)) for _ in range(900)])
+    assert g.indices.dtype == np.int16
+    assert graphs.to_graph6(g) == nx.to_graph6_bytes(to_nx(g), header=False).rstrip(b"\n")
+
+
+def test_edge_keys_widen_past_int16():
+    """Two copies of an irregular graph on 150 vertices: edge keys u * 300 + v
+    pass 2^15, and swapping the copies moves every key across it."""
+    rnd = random.Random(256)
+    half = 150
+    base = [(0, half - 1)] + [tuple(rnd.sample(range(half), 2)) for _ in range(260)]
+    g = graphs.Graph(2 * half, base + [(u + half, v + half) for u, v in base])
+    assert g.indices.dtype == np.int16 and g.is_regular() is None
+    swap = np.roll(np.arange(2 * half, dtype=np.int32), half)
+    assert permgroups.are_automorphisms(g, [swap, permgroups.identity_perm(g.n)])
+    moved = swap.copy()
+    moved[[0, 1]] = moved[[1, 0]]
+    assert not permgroups.are_automorphisms(g, [moved])
+    rows = {e: i for i, e in enumerate(map(tuple, g.edge_array().tolist()))}
+    for p in (swap, permgroups.identity_perm(g.n)):
+        got = permgroups._edge_action(g, [p])[0]
+        assert got.tolist() == [rows[tuple(sorted((int(p[u]), int(p[v]))))]
+                                for u, v in g.edge_array().tolist()]

@@ -226,6 +226,22 @@ def test_word_images_match_scalar_products(n):
         assert G.word_images(G.x_gens, G.y_gens).tolist() == list(G.elements())
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_word_images_are_the_same_for_every_block_size(chunk, monkeypatch):
+    """The codes are taken CHUNK at a time, both when given and when every
+    code is meant; a short last block and one code per block included."""
+    G = groups.TensorGroup(2)
+    rng = random.Random(chunk)
+    x_imgs = [rng.randrange(G.order) for _ in range(2)]
+    y_imgs = [rng.randrange(G.order) for _ in range(2)]
+    codes = [rng.randrange(G.order) for _ in range(301)]
+    every, some = G.word_images(x_imgs, y_imgs), G.word_images(x_imgs, y_imgs, codes)
+    monkeypatch.setattr(groups, "CHUNK", chunk)
+    assert np.array_equal(G.word_images(x_imgs, y_imgs), every)
+    assert np.array_equal(G.word_images(x_imgs, y_imgs, codes), some)
+    assert np.array_equal(every[codes], some)
+
+
 def sigma_test_perms(G):
     """Right multiplications, matrix lifts on both sides and the swap."""
     rng = random.Random(7)
