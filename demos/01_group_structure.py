@@ -17,7 +17,7 @@ print("x-side generators:", [G.decode(g) for g in G.x_gens])
 print("y-side generators:", [G.decode(g) for g in G.y_gens])
 
 # the defining relations hold, and counting pins the presentation
-print("presentation verified:", groups.verify_presentation(n))
+print("presentation verified:", groups.verify_presentation(G))
 
 derived = groups.derived_subgroup(G)
 print("derived subgroup order:", len(derived))

@@ -102,7 +102,7 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
     n = graph.n
     if len(part.order) != n:
         raise ValueError("cells must partition the vertices")
-    nbr = graph.neighbor_array(pad=n)
+    nbr = graph.neighbor_array()
     step = max(1, graphs.CHUNK // max(1, nbr.shape[1]))
     todo = np.flatnonzero(np.diff(part.starts) > 1)
     while len(todo):

@@ -92,17 +92,17 @@ class Graph:
         degs = np.diff(self.indptr)
         return int(degs[0]) if self.n and np.all(degs == degs[0]) else None
 
-    def neighbor_array(self, pad: int = -1) -> np.ndarray:
+    def neighbor_array(self) -> np.ndarray:
         """Neighbour lists as an (n, max degree) array of a type holding
-        every vertex and ``pad``; row v holds the sorted neighbours of v,
-        then ``pad`` up to the width.  For a regular graph this is a
+        every vertex and n; row v holds the sorted neighbours of v, then
+        the padding n up to the width.  For a regular graph this is a
         read-only view of ``indices``."""
         k = self.is_regular()
         if k is not None:
             return self.indices.reshape(self.n, k)
         degs = np.diff(self.indptr)
-        out = np.full((self.n, int(degs.max()) if self.n else 0), pad,
-                      dtype=_index_dtype(max(self.n, pad + 1)))
+        out = np.full((self.n, int(degs.max()) if self.n else 0), self.n,
+                      dtype=_index_dtype(self.n + 1))
         tails = np.repeat(np.arange(self.n), degs)
         out[tails, np.arange(len(self.indices)) - self.indptr[tails]] = self.indices
         return out
@@ -282,7 +282,7 @@ def right_cosets(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
     return rows, index
 
 
-def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInfo]:
+def sigma_graph(G) -> tuple[Graph, SigmaInfo]:
     """Bipartite graph on right X-cosets and Y-cosets, adjacent iff they
     intersect.  The row of an X-coset lists the Y-cosets of its members,
     and the row of a Y-coset the X-cosets of its members.  Each group
@@ -290,7 +290,7 @@ def sigma_graph(G, budget: int = groups.DEFAULT_BUDGET) -> tuple[Graph, SigmaInf
     repeats a coset, that is when two members of a coset share a coset of
     the other side and |Xh n Yg| <= 1 fails.
     """
-    groups.check_budget(G.order, budget)
+    groups.check_budget(G.order)
     x_cosets, x_index = right_cosets(G, groups.closure_array(G, G.x_gens))
     y_cosets, y_index = right_cosets(G, groups.closure_array(G, G.y_gens))
     info = SigmaInfo(x_cosets, y_cosets, x_index, y_index)

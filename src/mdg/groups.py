@@ -34,9 +34,9 @@ class BudgetExceeded(Exception):
     pass
 
 
-def check_budget(order: int, budget: int = DEFAULT_BUDGET) -> None:
-    if order > budget:
-        raise BudgetExceeded(f"group order {order} exceeds enumeration budget {budget}")
+def check_budget(order: int) -> None:
+    if order > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"group order {order} exceeds enumeration budget {DEFAULT_BUDGET}")
 
 
 class TensorGroup:
@@ -59,24 +59,25 @@ class TensorGroup:
         self.y_gens = [self.encode(0, 1 << i, 0) for i in range(n)]
         self.gens = self.x_gens + self.y_gens
         self._vmask = f2.vec_mask(n)
+        # the product's matrix term outer(x2, y1), shifted into place, at
+        # entry y1 2^n + x2: y1 sits in bits n..2n-1 of the left code and
+        # x2 in bits 0..n-1 of the right one, so they index it unshifted
+        self._twist = np.array([f2.outer(x, y, n) << (2 * n)
+                                for y in range(1 << n) for x in range(1 << n)], dtype=np.uint64)
 
     def encode(self, x: int, y: int, a: int) -> int:
         n = self.n
         return x | (y << n) | (a << (2 * n))
 
     def decode(self, code: int) -> tuple[int, int, int]:
-        n = self.n
+        n, code = self.n, int(code)
         return code & self._vmask, (code >> n) & self._vmask, code >> (2 * n)
 
     def mul(self, g1: int, g2: int) -> int:
-        n = self.n
-        x2 = g2 & self._vmask
-        y1 = (g1 >> n) & self._vmask
-        return g1 ^ g2 ^ (f2.outer(x2, y1, n) << (2 * n))
+        return int(self.mul_vec(g1, g2))
 
     def inv(self, g: int) -> int:
-        # g^2 = (0, 0, outer(x, y)), so g ^ g^2 = (x, y, A + outer(x, y))
-        return g ^ self.mul(g, g)
+        return int(self.inv_vec(g))
 
     def elements(self) -> range:
         return range(self.order)
@@ -84,22 +85,20 @@ class TensorGroup:
     # Vectorised variants used to build permutations and bulk tests.
 
     def mul_vec(self, g1, g2):
-        """Elementwise (broadcast) product of two uint64 code arrays."""
-        n = self.n
+        """Elementwise (broadcast) product of two uint64 code arrays: the
+        XOR of the codes and one gather from the twist table."""
         g1 = np.asarray(g1, dtype=np.uint64)
         g2 = np.asarray(g2, dtype=np.uint64)
-        x2 = g2 & np.uint64(self._vmask)
-        y1 = (g1 >> np.uint64(n)) & np.uint64(self._vmask)
+        term = np.asarray((g1 & np.uint64(self._vmask << self.n)) | (g2 & np.uint64(self._vmask)))
         out = g1 ^ g2
-        term = np.empty_like(out)
-        for i in range(n):
-            rowbit = (x2 >> np.uint64(i)) & np.uint64(1)
-            np.multiply(y1, rowbit, out=term)
-            term <<= np.uint64(2 * n + i * n)
-            out ^= term
+        # gathered in place: the table index of each entry is read before
+        # the entry is written, and "clip" mode takes no buffered copy
+        np.take(self._twist, term.view(np.int64), out=term, mode="clip")
+        out ^= term
         return out
 
     def inv_vec(self, g):
+        # g^2 = (0, 0, outer(x, y)), so g ^ g^2 = (x, y, A + outer(x, y))
         g = np.asarray(g, dtype=np.uint64)
         return g ^ self.mul_vec(g, g)
 
@@ -123,8 +122,9 @@ class TensorGroup:
         words = self.mul_vec(tables[0][None, :], tables[1][:, None]).ravel()
         # a commutator is a central (0, 0, B): right multiplication XORs in B;
         # bit (i, j) of A is bit 2n + i n + j of the code
-        comms = [(np.uint64(2 * self.n + i * self.n + j), np.uint64(commutator(self, gx, gy)))
-                 for i, gx in enumerate(x_imgs) for j, gy in enumerate(y_imgs)]
+        comms = commutator(self, np.asarray(x_imgs, dtype=np.uint64)[:, None],
+                           np.asarray(y_imgs, dtype=np.uint64)).ravel()
+        shifts = np.arange(2 * self.n, 2 * self.n + len(comms), dtype=np.uint64)
         size = self.order if codes is None else len(codes)
         out = np.empty(size, dtype=np.uint64)
         for lo in range(0, size, CHUNK):
@@ -133,7 +133,7 @@ class TensorGroup:
             part = out[lo:lo + CHUNK]
             np.take(words, (block & np.uint64((1 << (2 * self.n)) - 1)).astype(np.intp), out=part)
             term = np.empty_like(part)  # one buffer holds each term in turn
-            for shift, comm in comms:
+            for shift, comm in zip(shifts, comms):
                 np.right_shift(block, shift, out=term)
                 term &= np.uint64(1)
                 term *= comm
@@ -202,18 +202,18 @@ class DihedralProduct:
                               for m, (flip, rot) in zip(self.ms, self._digits(g)))
 
 
-def commutator(G, g1: int, g2: int) -> int:
-    """[g1, g2] = g1^-1 g2^-1 g1 g2."""
-    m = G.mul
-    return m(m(m(G.inv(g1), G.inv(g2)), g1), g2)
+def commutator(G, g1, g2):
+    """[g1, g2] = g1^-1 g2^-1 g1 g2, elementwise over broadcast code arrays."""
+    m = G.mul_vec
+    return m(m(m(G.inv_vec(g1), G.inv_vec(g2)), g1), g2)
 
 
-def _closure_mask(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def _closure_mask(G, gens) -> np.ndarray:
     """Subgroup generated by ``gens``, as a boolean mask over every code
     (a byte each, to count subgroups as large as G): the identity's orbit
     under right multiplication, grown a breadth-first layer at a time and
     each layer a block of CHUNK codes at a time."""
-    check_budget(G.order, budget)
+    check_budget(G.order)
     seen = np.zeros(G.order, dtype=bool)
     seen[G.identity] = True
     seen[list(gens)] = True
@@ -230,22 +230,23 @@ def _closure_mask(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     return seen
 
 
-def closure(G, gens, budget: int = DEFAULT_BUDGET) -> list[int]:
+def closure(G, gens) -> list[int]:
     """Subgroup generated by ``gens``, as a sorted list of codes."""
-    return closure_array(G, gens, budget).tolist()
+    return closure_array(G, gens).tolist()
 
 
-def closure_array(G, gens, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def closure_array(G, gens) -> np.ndarray:
     """Subgroup generated by ``gens``, as a sorted int64 array of codes,
     grown a breadth-first layer at a time with no mask over G, so its cost
-    scales with the subgroup; BudgetExceeded past ``budget`` elements."""
+    scales with the subgroup; BudgetExceeded past ``DEFAULT_BUDGET``
+    elements."""
     gens = np.asarray(gens, dtype=np.int64)
     seen = frontier = np.array([G.identity], dtype=np.int64)
     while len(frontier):
         found = sorted_codes(G.mul_vec(frontier[:, None], gens[None, :]))
         frontier = found[~np.isin(found, seen, assume_unique=True)]
         seen = sorted_codes(np.concatenate([seen, frontier]))
-        check_budget(len(seen), budget)
+        check_budget(len(seen))
     return seen
 
 
@@ -255,18 +256,19 @@ def sorted_codes(codes) -> np.ndarray:
     return codes[np.diff(codes, prepend=-1) != 0]
 
 
-def subgroup_order(G, gens, budget: int = DEFAULT_BUDGET) -> int:
+def subgroup_order(G, gens) -> int:
     """|<gens>|, counted on the closure's mask without listing it."""
-    return int(np.count_nonzero(_closure_mask(G, gens, budget)))
+    return int(np.count_nonzero(_closure_mask(G, gens)))
 
 
-def derived_subgroup(G, budget: int = DEFAULT_BUDGET) -> list[int]:
+def derived_subgroup(G) -> list[int]:
     """Normal closure of the commutators of generator pairs."""
-    check_budget(G.order, budget)
-    comms = {commutator(G, a, b) for a in G.gens for b in G.gens}
+    check_budget(G.order)
+    gens = np.asarray(G.gens, dtype=np.int64)
+    comms = set(commutator(G, gens[:, None], gens).ravel().tolist())
     comms.discard(G.identity)
     while True:
-        sub = closure(G, sorted(comms), budget)
+        sub = closure(G, sorted(comms))
         member = np.zeros(G.order, dtype=bool)
         member[sub] = True
         conj = set()
@@ -278,11 +280,11 @@ def derived_subgroup(G, budget: int = DEFAULT_BUDGET) -> list[int]:
         comms |= conj
 
 
-def center(G, budget: int = DEFAULT_BUDGET) -> list[int]:
+def center(G) -> list[int]:
     """The elements commuting with every generator in ``G.gens``: the
     centraliser of the generators, which is the center when they generate G
     (for the tensor group the ``order`` claim shows that they do)."""
-    check_budget(G.order, budget)
+    check_budget(G.order)
     gens = np.asarray(G.gens, dtype=np.int64)[:, None]
     # all generators in one broadcast product per block of codes; a block
     # holds about CHUNK products, so its arrays stay bounded at any order
@@ -296,31 +298,19 @@ def relations_hold(G, xs, ys) -> bool:
     """Whether xs, ys satisfy the 2n-generator presentation's relations:
     x_i^2 = y_i^2 = 1, the x's commute, the y's commute, [x_i, y_j]^2 = 1
     and [[x_i, y_j], x_k] = [[x_i, y_j], y_k] = 1."""
-    e = G.identity
-    for a in xs + ys:
-        if G.mul(a, a) != e:
-            return False
-    for gens in (xs, ys):
-        for a in gens:
-            for b in gens:
-                if commutator(G, a, b) != e:
-                    return False
-    for a in xs:
-        for b in ys:
-            c = commutator(G, a, b)
-            if G.mul(c, c) != e:
-                return False
-            for t in xs + ys:
-                if commutator(G, c, t) != e:
-                    return False
-    return True
+    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    gens = np.concatenate([xs, ys])
+    c = commutator(G, xs[:, None], ys).ravel()
+    return all(np.all(w == G.identity) for w in (
+        G.mul_vec(gens, gens), commutator(G, xs[:, None], xs), commutator(G, ys[:, None], ys),
+        G.mul_vec(c, c), commutator(G, c[:, None], gens)))
 
 
-def verify_presentation(n: int, group=None) -> bool:
+def verify_presentation(G: TensorGroup) -> bool:
     """True iff the generators satisfy ``relations_hold`` and produce the
     full 2^(n^2+2n) elements (the counting bound that pins the abstract
     presentation down to this group)."""
-    G = TensorGroup(n) if group is None else group
+    n = G.n
     return (relations_hold(G, G.x_gens, G.y_gens)
             and subgroup_order(G, G.gens) == G.order == 1 << (n * n + 2 * n))
 
@@ -334,19 +324,14 @@ class MixedDihedralReport:
     failure_reason: str | None = None
 
 
-def _elementary_abelian_rank(G, sub: list[int]) -> int | None:
-    """log2 of |sub| if sub is elementary abelian of 2-power order."""
-    size = len(sub)
-    if size & (size - 1):
-        return None
-    for a in sub:
-        if G.mul(a, a) != G.identity:
-            return None
-    for a in sub:
-        for b in sub:
-            if G.mul(a, b) != G.mul(b, a):
-                return None
-    return size.bit_length() - 1
+def _elementary_abelian_rank(G, gens) -> int | None:
+    """log2 of |<gens>| if <gens> is elementary abelian, that is when its
+    generators are commuting involutions."""
+    gens = np.asarray(gens, dtype=np.int64)
+    if np.all(G.mul_vec(gens, gens) == G.identity) and np.all(
+            commutator(G, gens[:, None], gens) == G.identity):
+        return len(closure_array(G, gens)).bit_length() - 1
+    return None
 
 
 def abelianization_structure(G, derived: list[int]) -> list[int]:
@@ -356,9 +341,9 @@ def abelianization_structure(G, derived: list[int]) -> list[int]:
     only need to distinguish C_2^k (every generator squares into G') from
     anything else, so no Smith normal form is required.
     """
-    dset = set(derived)
     index = G.order // len(derived)
-    if all(G.mul(g, g) in dset for g in G.gens):
+    gens = np.asarray(G.gens, dtype=np.int64)
+    if np.isin(sorted_codes(G.mul_vec(gens, gens)), derived, assume_unique=True).all():
         rank = index.bit_length() - 1
         if 1 << rank == index:
             return [2] * rank
@@ -366,27 +351,25 @@ def abelianization_structure(G, derived: list[int]) -> list[int]:
     return [index]
 
 
-def is_mixed_dihedral(G, budget: int = DEFAULT_BUDGET) -> MixedDihedralReport:
+def is_mixed_dihedral(G) -> MixedDihedralReport:
     """Decide whether G is mixed dihedral relative to its X and Y.
 
     Requires X and Y elementary abelian of equal order 2^n, X and Y
     together generating G, and G/G' elementary abelian of order 2^(2n).
     """
-    check_budget(G.order, budget)
-    X = closure(G, G.x_gens, budget)
-    Y = closure(G, G.y_gens, budget)
-    derived = derived_subgroup(G, budget)
+    check_budget(G.order)
+    derived = derived_subgroup(G)
     ab = abelianization_structure(G, derived)
 
     def fail(reason):
         return MixedDihedralReport(False, G.order, len(derived), ab, reason)
 
-    rx = _elementary_abelian_rank(G, X)
-    ry = _elementary_abelian_rank(G, Y)
+    rx = _elementary_abelian_rank(G, G.x_gens)
+    ry = _elementary_abelian_rank(G, G.y_gens)
     if rx is None or ry is None or rx != ry:
         return fail("X and Y are not elementary abelian of equal order 2^n")
     n = rx
-    if subgroup_order(G, G.x_gens + G.y_gens, budget) != G.order:
+    if subgroup_order(G, G.x_gens + G.y_gens) != G.order:
         return fail("X and Y do not generate the whole group")
     if ab != [2] * (2 * n):
         return fail(f"abelianization is {ab}, expected C_2^{2 * n}")

@@ -76,8 +76,9 @@ def test_criterion_02_presentation():
         def mul_vec(self, g1, g2):
             return np.asarray(g1, dtype=np.uint64) ^ np.asarray(g2, dtype=np.uint64)
 
-    ok = (groups.verify_presentation(2) and groups.verify_presentation(3)
-          and not groups.verify_presentation(2, group=Broken(2)))
+    ok = (groups.verify_presentation(groups.TensorGroup(2))
+          and groups.verify_presentation(groups.TensorGroup(3))
+          and not groups.verify_presentation(Broken(2)))
     _report(2, "defining relations hold and the order count pins the presentation", ok)
 
 

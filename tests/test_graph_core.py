@@ -62,8 +62,8 @@ def test_graph_matches_networkx(case):
     for u, v in itertools.product(range(min(n, 8)), repeat=2):
         assert g.has_edge(u, v) == ref.has_edge(u, v)
     width = max((d for _, d in ref.degree()), default=0)
-    expect = [sorted(ref.adj[v]) + [-7] * (width - ref.degree(v)) for v in range(n)]
-    assert g.neighbor_array(pad=-7).tolist() == expect
+    expect = [sorted(ref.adj[v]) + [n] * (width - ref.degree(v)) for v in range(n)]
+    assert g.neighbor_array().tolist() == expect
 
 
 def test_graph_edge_cases():
@@ -710,7 +710,7 @@ def test_a_graph_on_2_15_vertices_matches_its_int32_build(boundary_graphs):
         assert g.has_edge(u, v) == h.has_edge(u, v)
     assert g.has_edge(0, N16 - 1) and g.has_edge(N16 - 1, 0)
     # the padding sentinel n = 2^15 does not fit in int16, so it widens
-    a, b = g.neighbor_array(pad=g.n), h.neighbor_array(pad=h.n)
+    a, b = g.neighbor_array(), h.neighbor_array()
     assert np.array_equal(np.where(a == g.n, -1, a), np.where(b[:N16] == h.n, -1, b[:N16]))
     assert np.count_nonzero(a == g.n) == np.count_nonzero(b[:N16] == h.n) > 0
     # arc lookups from the top row, whose end pointer sits one past 2^15 - 1

@@ -338,8 +338,13 @@ def test_closure_array_matches_the_mask_closure(ms, data):
     assert sub.dtype == np.int64 and sub.tolist() == mask_closure(G, gens)
 
 
-def test_closure_array_keeps_its_budget():
+def test_closure_array_keeps_its_budget(monkeypatch):
     G = groups.TensorGroup(7)
-    assert len(groups.closure_array(G, G.x_gens, budget=128)) == 128
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 128)
+    assert len(groups.closure_array(G, G.x_gens)) == 128
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 127)
     with pytest.raises(groups.BudgetExceeded):
-        groups.closure_array(G, G.gens, budget=1 << 10)
+        groups.closure_array(G, G.x_gens)
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 1 << 10)
+    with pytest.raises(groups.BudgetExceeded):
+        groups.closure_array(G, G.gens)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -44,28 +45,30 @@ def test_inv_fixed_points():
         assert (G2.inv(g) == g) == (f2.outer(x, y, 2) == 0)
 
 
-def test_closure_and_budget():
+def test_closure_and_budget(monkeypatch):
     assert len(groups.closure(G2, G2.gens)) == 256
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 10)
     with pytest.raises(groups.BudgetExceeded):
-        groups.closure(G2, G2.gens, budget=10)
+        groups.closure(G2, G2.gens)
 
 
 def test_verify_presentation():
-    assert groups.verify_presentation(2)
-    assert groups.verify_presentation(3)
+    assert groups.verify_presentation(G2)
+    assert groups.verify_presentation(groups.TensorGroup(3))
+
+
+class Broken(groups.TensorGroup):
+    # drop the tensor correction term from both arithmetics, so that this
+    # is one consistent (abelian) group of the wrong order
+    def mul(self, g1, g2):
+        return g1 ^ g2
+
+    def mul_vec(self, g1, g2):
+        return np.asarray(g1, dtype=np.uint64) ^ np.asarray(g2, dtype=np.uint64)
 
 
 def test_verify_presentation_mutation():
-    class Broken(groups.TensorGroup):
-        # drop the tensor correction term from both arithmetics, so that
-        # this is one consistent (abelian) group of the wrong order
-        def mul(self, g1, g2):
-            return g1 ^ g2
-
-        def mul_vec(self, g1, g2):
-            return np.asarray(g1, dtype=np.uint64) ^ np.asarray(g2, dtype=np.uint64)
-
-    assert not groups.verify_presentation(2, group=Broken(2))
+    assert not groups.verify_presentation(Broken(2))
 
 
 def test_derived_subgroup_is_pure_tensors():
@@ -164,6 +167,29 @@ def test_table_group():
     assert len(groups.closure(T, [1, 2])) == 4
 
 
+# -- the tensor product against its closed form -----------------------------
+
+def closed_mul(G, g1, g2):
+    """(x1+x2, y1+y2, A1+A2+outer(x2, y1)), from the decoded triples."""
+    (x1, y1, a1), (x2, y2, a2) = G.decode(g1), G.decode(g2)
+    return G.encode(x1 ^ x2, y1 ^ y2, a1 ^ a2 ^ f2.outer(x2, y1, G.n))
+
+
+def closed_inv(G, g):
+    x, y, a = G.decode(g)
+    return G.encode(x, y, a ^ f2.outer(x, y, G.n))
+
+
+def closed_commutator(G, g1, g2):
+    (x1, y1, _), (x2, y2, _) = G.decode(g1), G.decode(g2)
+    return G.encode(0, 0, f2.outer(x1, y2, G.n) ^ f2.outer(x2, y1, G.n))
+
+
+def scalar_commutator(G, a, b):
+    """[a, b] from four scalar products, sharing no code with the array one."""
+    return G.mul(G.mul(G.mul(G.inv(a), G.inv(b)), a), b)
+
+
 def test_mul_vec_matches_scalar():
     rng = np.random.default_rng(0)
     G3 = groups.TensorGroup(3)
@@ -172,8 +198,37 @@ def test_mul_vec_matches_scalar():
     prod = G3.mul_vec(a, b)
     invs = G3.inv_vec(a)
     for i in range(500):
-        assert int(prod[i]) == G3.mul(int(a[i]), int(b[i]))
-        assert int(invs[i]) == G3.inv(int(a[i]))
+        assert int(prod[i]) == G3.mul(int(a[i]), int(b[i])) == closed_mul(G3, int(a[i]), int(b[i]))
+        assert int(invs[i]) == G3.inv(int(a[i])) == closed_inv(G3, int(a[i]))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tensor_arithmetic_matches_the_closed_form(n):
+    G = groups.TensorGroup(n)
+    rng = random.Random(n)
+    a = [rng.randrange(G.order) for _ in range(24)]
+    b = [rng.randrange(G.order) for _ in range(17)]
+    if n == 7:  # the top bit of a 63-bit code
+        a[:4] = [g | 1 << 62 for g in a[:4]]
+        b[:4] = [g | 1 << 62 for g in b[:4]]
+    if n <= 2:  # every pair
+        a = b = list(G.elements())
+    va, vb = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+    want = [[closed_mul(G, p, q) for q in b] for p in a]
+    # (k, 1) x (m,), and a scalar on either side
+    assert G.mul_vec(va[:, None], vb).tolist() == want
+    assert G.mul_vec(a[0], vb).tolist() == want[0]
+    assert G.mul_vec(va, b[-1]).tolist() == [row[-1] for row in want]
+    assert int(G.mul_vec(a[1], b[2])) == want[1][2]
+    products = [G.mul(p, q) for p, q in zip(a, b)]
+    assert all(type(p) is int for p in products)
+    assert products == [want[i][i] for i in range(len(products))]
+    assert G.inv_vec(va).tolist() == [G.inv(g) for g in a] == [closed_inv(G, g) for g in a]
+    assert type(G.inv(a[0])) is int
+    comms = [[closed_commutator(G, p, q) for q in b] for p in a]
+    assert groups.commutator(G, va[:, None], vb).tolist() == comms
+    assert groups.commutator(G, a[0], vb).tolist() == comms[0]
+    assert int(groups.commutator(G, a[1], b[2])) == comms[1][2]
 
 
 def _symmetric_table(k):
@@ -310,7 +365,7 @@ def scalar_closure(G, gens):
 
 def scalar_derived_subgroup(G):
     """Normal closure of the generator commutators, by scalar products."""
-    comms = {groups.commutator(G, a, b) for a in G.gens for b in G.gens} - {G.identity}
+    comms = {scalar_commutator(G, a, b) for a in G.gens for b in G.gens} - {G.identity}
     while True:
         sub = scalar_closure(G, sorted(comms))
         conj = {G.mul(G.mul(G.inv(g), z), g) for z in sub for g in G.gens} - set(sub)
@@ -386,3 +441,70 @@ def test_group_claims_match_the_scalar_oracle_on_dihedral_products(D):
     rep = groups.is_mixed_dihedral(D)
     assert rep.is_mixed_dihedral == scalar_is_mixed_dihedral(D)
     assert rep.derived_subgroup_order == len(derived)
+
+
+# -- the relations against a scalar oracle ---------------------------------
+
+def scalar_relations_hold(G, xs, ys) -> bool:
+    """The presentation's relations, one pair of elements at a time."""
+    e, comm = G.identity, lambda a, b: scalar_commutator(G, a, b)
+    cs = [comm(a, b) for a in xs for b in ys]
+    return (all(G.mul(a, a) == e for a in xs + ys)
+            and all(comm(a, b) == e for side in (xs, ys) for a in side for b in side)
+            and all(G.mul(c, c) == e for c in cs)
+            and all(comm(c, t) == e for c in cs for t in xs + ys))
+
+
+@pytest.mark.parametrize("G", [G2, groups.TensorGroup(3), Broken(2), groups.DihedralProduct(4, 4),
+                               groups.DihedralProduct(3, 4), groups.DihedralProduct(2, 4, 6),
+                               BACKENDS["table-s3"]], ids=lambda G: f"{type(G).__name__}-{G.order}")
+def test_relations_hold_matches_the_scalar_oracle(G):
+    rng = random.Random(G.order)
+    k = len(G.x_gens)
+    # each side alone, so that a pair failing only to commute is seen
+    cases = [(G.x_gens, G.y_gens), (G.y_gens, G.x_gens), (G.x_gens, G.x_gens), ([], []),
+             (G.gens, []), ([], G.gens), (G.gens, G.gens)]
+    for _ in range(20):
+        # random images, and the generators with one image replaced
+        cases.append(([rng.randrange(G.order) for _ in range(k)],
+                      [rng.randrange(G.order) for _ in range(k)]))
+        xs = list(G.x_gens)
+        xs[rng.randrange(k)] = rng.choice(G.gens + [rng.randrange(G.order)])
+        cases.append((xs, G.y_gens))
+    verdicts = [groups.relations_hold(G, xs, ys) for xs, ys in cases]
+    assert all(type(v) is bool for v in verdicts)
+    assert verdicts == [scalar_relations_hold(G, xs, ys) for xs, ys in cases]
+
+
+def test_relations_hold_sees_a_commutator_that_is_not_central():
+    """Commuting involutions x_0, x_1 and y_0, y_1 of S_6 whose four
+    commutators are involutions: every relation holds but the last, as some
+    [x_i, y_j] fails to commute with a generator."""
+    perms = list(itertools.permutations(range(6)))
+    T = TableGroup(_symmetric_table(6))
+    xs = [perms.index(p) for p in ((4, 2, 1, 5, 0, 3), (4, 3, 5, 1, 0, 2))]
+    ys = [perms.index(p) for p in ((0, 1, 4, 3, 2, 5), (1, 0, 2, 3, 4, 5))]
+    comm = lambda a, b: scalar_commutator(T, a, b)
+    cs = [comm(a, b) for a in xs for b in ys]
+    assert all(T.mul(g, g) == 0 for g in xs + ys + cs)
+    assert comm(*xs) == comm(*ys) == 0
+    assert any(comm(c, t) != 0 for c in cs for t in xs + ys)
+    assert not groups.relations_hold(T, xs, ys) and not scalar_relations_hold(T, xs, ys)
+
+
+D8 = groups.DihedralProduct(4)
+
+
+@pytest.mark.parametrize("G, structure", [
+    # C_4 = <g>: g commutes with itself but is no involution, and G/G' = C_4
+    (TableGroup([[(a + b) % 4 for b in range(4)] for a in range(4)], x_gens=[1], y_gens=[1]), [4]),
+    # X = Y = D_8, from a flip and a flipped rotation: involutions that do not commute
+    (TableGroup(D8.mul_vec(np.arange(8)[:, None], np.arange(8)), x_gens=D8.gens, y_gens=D8.gens),
+     [2, 2]),
+], ids=["c4", "d8"])
+def test_a_side_that_is_not_elementary_abelian_is_refused(G, structure):
+    rep = groups.is_mixed_dihedral(G)
+    assert not rep.is_mixed_dihedral
+    assert rep.failure_reason.startswith("X and Y are not elementary abelian")
+    assert rep.abelianization_structure == structure
+    assert not scalar_is_mixed_dihedral(G)

@@ -55,7 +55,7 @@ def lexsort_refine(graph, cells):
     for ci, c in enumerate(members):
         cell_of[c] = ci
     k = len(members)
-    nbr = graph.neighbor_array(pad=n)
+    nbr = graph.neighbor_array()
     while True:
         rows = np.sort(cell_of[nbr], axis=1)
         cur = cell_of[:n]
@@ -486,6 +486,6 @@ def test_are_automorphisms_agrees_with_single_checks():
 
 def test_neighbor_array_pads_irregular_rows():
     g = graphs.Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert g.neighbor_array().tolist() == [[1, 2, 3], [0, -1, -1], [0, -1, -1], [0, -1, -1]]
-    assert graphs.Graph(3, []).neighbor_array(pad=3).shape == (3, 0)
+    assert g.neighbor_array().tolist() == [[1, 2, 3], [0, 4, 4], [0, 4, 4], [0, 4, 4]]
+    assert graphs.Graph(3, []).neighbor_array().shape == (3, 0)
     assert graphs.Graph(0, []).neighbor_array().shape == (0, 0)
