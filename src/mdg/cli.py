@@ -1,18 +1,21 @@
-"""Command-line front end: build the groups and graphs, run the claim
-checks, and export artifacts.  Every command can emit a machine-readable
-JSON report (schema 1); the exit code is 0 iff no claim failed.  Claims
-with status "asserted" (expected but not machine-verified here) or
-"skipped" do not fail a run.
+"""Construct the bit-packed 2-groups, their Cayley and coset graphs, and
+verify the structural and symmetry claims about them, or export the graphs.
+Every command can emit a machine-readable JSON report (schema 1).  It exits
+0 when no claim failed, 1 when one did and 2 on a usage error; claims with
+status "asserted" (expected but not machine-verified here) or "skipped" do
+not fail a run.
 """
 
+import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-import click
 import numpy as np
 
 from . import autsearch, f2, graphs, groups, permgroups
@@ -61,10 +64,8 @@ class VerificationReport:
              "expected": _jsonable(c.expected), "ms": c.ms} for c in self.claims]}
 
     def render(self) -> str:
-        lines = []
-        for c in self.claims:
-            lines.append(f"{c.status.upper():>8}  {c.id}: computed={c.computed!r} "
-                         f"expected={c.expected!r} ({c.ms} ms)")
+        lines = [f"{c.status.upper():>8}  {c.id}: computed={c.computed!r} "
+                 f"expected={c.expected!r} ({c.ms} ms)" for c in self.claims]
         verdict = "OK" if self.ok() else "FAILED"
         lines.append(f"{verdict}: {sum(c.status == PASS for c in self.claims)} passed, "
                      f"{sum(c.status == FAIL for c in self.claims)} failed, "
@@ -123,8 +124,7 @@ def derived_orbit_partition(G, sigma, info) -> np.ndarray:
 
 
 def load_reference_diagram() -> dict:
-    with resources.files("mdg").joinpath("data/distance_diagram_n2.json").open() as f:
-        return json.load(f)
+    return json.loads(resources.files("mdg").joinpath("data/distance_diagram_n2.json").read_text())
 
 
 def diagram_matches_reference(diag: permgroups.DistanceDiagram, ref: dict) -> tuple[bool, str]:
@@ -286,156 +286,156 @@ def render_diagram_table(diag: permgroups.DistanceDiagram) -> str:
     return "\n".join(lines)
 
 
-# -- click wiring ----------------------------------------------------------
+# -- command-line wiring ---------------------------------------------------
 
-def _emit(rep: VerificationReport, as_json: bool):
-    if as_json:
-        click.echo(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-    else:
-        click.echo(rep.render())
-    if not rep.ok():
-        sys.exit(1)
+def _emit(rep: VerificationReport, as_json: bool) -> int:
+    print(json.dumps(rep.to_dict(), indent=2, sort_keys=True) if as_json else rep.render())
+    return 0 if rep.ok() else 1
 
 
-def _check_n(n: int):
+def _check_n(n: int, full_degree: str | None = None):
+    """Raise a usage error unless n is in [2, MAX_DIM] and, when the command
+    builds ``full_degree`` on all 2^(n^2+2n) codes of G, n <= 3."""
     if not 2 <= n <= f2.MAX_DIM:
-        raise click.BadParameter(f"n must be in [2, {f2.MAX_DIM}]")
+        raise argparse.ArgumentError(None, f"Invalid value: n must be in [2, {f2.MAX_DIM}]")
+    if full_degree and n > 3:
+        raise argparse.ArgumentError(None, f"Invalid value: {full_degree} is supported for n <= 3")
 
 
-def _check_full_degree(n: int, what: str):
-    """Anything built on all 2^(n^2+2n) codes of G needs n <= 3."""
-    if n > 3:
-        raise click.BadParameter(f"{what} is supported for n <= 3")
-
-
-def _dihedral_orders(ctx, param, value):
-    if value is None:
-        return None
+def _dihedral_orders(text: str) -> tuple:
     try:
-        ms = tuple(int(p) for p in value.split(","))
+        ms = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
     if min(ms) < 1:
-        raise click.BadParameter("every half-order must be >= 1")
+        raise argparse.ArgumentTypeError("every half-order must be >= 1")
     return ms
 
 
-@click.group()
-def main():
-    """Construct the bit-packed 2-groups, their Cayley and coset graphs,
-    and verify the structural and symmetry claims about them."""
-
-
-@main.group()
-def verify():
-    """Run verification claim suites."""
-
-
-@verify.command("group")
-@click.option("-n", "n", type=int, default=2, show_default=True,
-              help="Dimension of the tensor-group backend.")
-@click.option("--dihedral", default=None, callback=_dihedral_orders,
-              help="Comma-separated dihedral half-orders, e.g. 4,4; "
-                   "verifies the dihedral-product backend instead.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
-def verify_group(n, dihedral, as_json):
+def verify_group(a) -> int:
     """Check group order, defining relations, derived subgroup / center,
     abelianization and the mixed-dihedral predicate."""
-    if dihedral is not None:
-        _emit(group_report(dihedral=dihedral), as_json)
-    else:
-        _check_n(n)
-        _emit(group_report(n=n), as_json)
+    if a.dihedral is None:
+        _check_n(a.n)
+    return _emit(group_report(a.n, a.dihedral), a.json)
 
 
-@verify.command("graphs")
-@click.option("-n", "n", type=int, default=2, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-def verify_graphs(n, as_json):
+def verify_graphs(a) -> int:
     """Build the Cayley and coset graphs and check counts, the clique- and
     line-graph identifications, the quotient cover, the edge-affine
     witness and the transitivity flags."""
-    _check_n(n)
-    _check_full_degree(n, "graph verification")
-    _emit(graphs_report(n), as_json)
+    _check_n(a.n, "graph verification")
+    return _emit(graphs_report(a.n), a.json)
 
 
-@main.command()
-@click.option("-n", "n", type=int, default=2, show_default=True)
-@click.option("--target", type=click.Choice(["gamma", "sigma"]), default="gamma",
-              show_default=True, help="Graph whose automorphism group to consider.")
-@click.option("--full-search", is_flag=True,
-              help="Run the exhaustive certification search (seconds at n=3).")
-@click.option("--budget", type=int, default=1 << 20, show_default=True,
-              help="Node budget for the search.")
-@click.option("--json", "as_json", is_flag=True)
-def aut(n, target, full_search, budget, as_json):
+def aut(a) -> int:
     """Compare the generated symmetry-group order against the closed-form
     value, optionally certifying it as the full automorphism group."""
-    _check_n(n)
-    if full_search:
-        _check_full_degree(n, "the full automorphism search")
-    _emit(aut_report(n, target, full_search, budget), as_json)
+    _check_n(a.n, "the full automorphism search" if a.full_search else None)
+    return _emit(aut_report(a.n, a.target, a.full_search, a.budget), a.json)
 
 
-@main.command()
-@click.option("-n", "n", type=int, default=2, show_default=True)
-@click.option("--target", type=click.Choice(["gamma", "sigma", "kbip"]),
-              default="gamma", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["graph6", "edgelist"]),
-              default="edgelist", show_default=True)
-@click.option("-o", "--output", type=click.Path(allow_dash=True), default="-",
-              show_default=True)
-def export(n, target, fmt, output):
+def export(a) -> int:
     """Write a graph as a graph6 string or an edge list (deterministic
     bytes for a given target)."""
-    _check_n(n)
-    if target != "kbip":
-        _check_full_degree(n, f"{target} export")
-    if target == "kbip":
-        graph = graphs.complete_bipartite(1 << n, 1 << n)
-    elif target == "gamma":
-        graph = build_gamma(groups.TensorGroup(n))
+    _check_n(a.n, None if a.target == "kbip" else f"{a.target} export")
+    if a.target == "kbip":
+        graph = graphs.complete_bipartite(1 << a.n, 1 << a.n)
     else:
-        graph, _ = graphs.sigma_graph(groups.TensorGroup(n))
+        G = groups.TensorGroup(a.n)
+        graph = build_gamma(G) if a.target == "gamma" else graphs.sigma_graph(G)[0]
     # graph6 is written as its one buffer, then the newline
-    chunks = ((graphs.to_graph6(graph), b"\n") if fmt == "graph6"
+    chunks = ((graphs.to_graph6(graph), b"\n") if a.format == "graph6"
               else (graphs.to_edgelist(graph).encode("ascii"),))
     try:
-        f = click.open_file(output, "wb")
+        f = (contextlib.nullcontext(sys.stdout.buffer) if a.output == "-"
+             else open(a.output, "wb"))
     except OSError as e:
-        raise click.BadParameter(f"{output!r}: {e.strerror}", param_hint="'-o' / '--output'") from None
-    with f:
-        for chunk in chunks:
-            f.write(chunk)
+        raise argparse.ArgumentError(
+            None, f"Invalid value for '-o' / '--output': {a.output!r}: {e.strerror}") from None
+    with f as out:
+        out.writelines(chunks)
+    return 0
 
 
-@main.command()
-@click.option("-n", "n", type=int, default=2, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "table"]),
-              default="json", show_default=True)
-def diagram(n, fmt):
+def diagram(a) -> int:
     """Emit the distance diagram of the Cayley graph (stabilizer orbits by
     distance with inter-cell counts); at n=2 it is also diffed against the
     packaged reference data."""
-    _check_n(n)
-    _check_full_degree(n, "diagram")
-    G = groups.TensorGroup(n)
+    _check_n(a.n, "diagram")
+    G = groups.TensorGroup(a.n)
     gamma = build_gamma(G)
     lifts = permgroups.action_gens(G)[len(G.gens):]
     if not permgroups.are_automorphisms(gamma, lifts):
-        click.echo("lift is not an automorphism", err=True)
-        sys.exit(1)
+        print("lift is not an automorphism", file=sys.stderr)
+        return 1
     diag = permgroups.distance_diagram(gamma, lifts, 0)
-    if fmt == "table":
-        click.echo(render_diagram_table(diag))
-    else:
-        click.echo(json.dumps(diag.to_dict(), indent=2, sort_keys=True))
-    if n == 2:
+    print(render_diagram_table(diag) if a.format == "table"
+          else json.dumps(diag.to_dict(), indent=2, sort_keys=True))
+    if a.n == 2:
         ok, why = diagram_matches_reference(diag, load_reference_diagram())
         if not ok:
-            click.echo(f"reference mismatch: {why}", err=True)
-            sys.exit(1)
+            print(f"reference mismatch: {why}", file=sys.stderr)
+            return 1
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command; its namespace holds the command as ``run``."""
+    style = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, exit_on_error=False)
+    parser = argparse.ArgumentParser(prog="mdg", description=__doc__, **style)
+    commands = parser.add_subparsers(dest="command", required=True)
+    verify = commands.add_parser("verify", help="Run verification claim suites.", **style)
+    verify = verify.add_subparsers(dest="suite", required=True)
+
+    def command(group, name, fn):
+        p = group.add_parser(name, help=fn.__doc__, description=fn.__doc__, **style)
+        p.set_defaults(run=fn)
+        p.add_argument("-n", type=int, default=2, help="Dimension of the tensor-group backend.")
+        return p
+
+    report = dict(action="store_true", help="Emit a JSON report.")
+    p = command(verify, "group", verify_group)
+    p.add_argument("--dihedral", type=_dihedral_orders,
+                   help="Comma-separated dihedral half-orders, e.g. 4,4; "
+                        "verifies the dihedral-product backend instead.")
+    p.add_argument("--json", **report)
+    command(verify, "graphs", verify_graphs).add_argument("--json", **report)
+    p = command(commands, "aut", aut)
+    p.add_argument("--target", choices=["gamma", "sigma"], default="gamma",
+                   help="Graph whose automorphism group to consider.")
+    p.add_argument("--full-search", action="store_true",
+                   help="Run the exhaustive certification search (seconds at n=3).")
+    p.add_argument("--budget", type=int, default=1 << 20, help="Node budget for the search.")
+    p.add_argument("--json", **report)
+    p = command(commands, "export", export)
+    p.add_argument("--target", choices=["gamma", "sigma", "kbip"], default="gamma",
+                   help="Graph to write.")
+    p.add_argument("--format", choices=["graph6", "edgelist"], default="edgelist",
+                   help="Output format.")
+    p.add_argument("-o", "--output", default="-", help="Output file; - is standard output.")
+    command(commands, "diagram", diagram).add_argument(
+        "--format", choices=["json", "table"], default="json", help="Output format.")
+    return parser
+
+
+def main(args=None, standalone_mode=True):
+    """Run one command on ``args`` (default ``sys.argv[1:]``) and exit with its
+    code; with ``standalone_mode=False`` a command that succeeds returns."""
+    parser = _parser()
+    try:
+        a = parser.parse_args(args)
+        code = a.run(a)
+        sys.stdout.flush()
+    except argparse.ArgumentError as e:
+        parser.error(f"Invalid value for '{e.argument_name}': {e.message}"
+                     if e.argument_name else e.message)
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to /dev/null, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if code or standalone_mode:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

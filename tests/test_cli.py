@@ -1,14 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import mdg
 from graph_io import from_graph6
@@ -36,8 +39,48 @@ REPORT_SCHEMA = {
 }
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str          # stdout and stderr, interleaved as written
+    exception: BaseException | None   # a nonzero SystemExit, or what escaped main
+
+
+class _Stream(io.BytesIO):
+    """A byte stream that also appends what is written to a shared copy."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, b):
+        self.both.write(b)
+        return super().write(b)
+
+    def writelines(self, lines):
+        for b in lines:
+            self.write(b)
+
+
 def run(*args):
-    return CliRunner().invoke(cli.main, args)
+    """Run the CLI in this process, with its standard output and error
+    captured, and return how it ended."""
+    both = io.BytesIO()
+    out, err = (io.TextIOWrapper(_Stream(both), encoding="utf-8", write_through=True)
+                for _ in range(2))
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(list(args))
+        except SystemExit as e:
+            code = e.code or 0
+            exception = e if code else None
+        except Exception as e:
+            code, exception = 1, e
+    text = [s.getvalue().decode() for s in (out.buffer, err.buffer, both)]
+    return Result(code, *text, exception)
 
 
 def test_verify_group_n2():
@@ -55,9 +98,9 @@ def test_verify_group_json_schema():
     assert len(ids) == len(set(ids))  # claim ids unique
 
 
-def test_options_are_not_read_from_the_environment():
-    r = CliRunner().invoke(cli.main, ["verify", "group", "--json"],
-                           env={"MDG_VERIFY_GROUP_N": "3"})
+def test_options_are_not_read_from_the_environment(monkeypatch):
+    monkeypatch.setenv("MDG_VERIFY_GROUP_N", "3")
+    r = run("verify", "group", "--json")
     assert r.exit_code == 0, r.output
     order = next(c for c in json.loads(r.output)["claims"] if c["id"] == "order")
     assert order["computed"] == 256
@@ -113,19 +156,23 @@ finally:
 # was set (one run each on Linux, x86-64, CPython 3.11, numpy 2):
 # - verify graphs: 79 MB with whole-arc temporaries, about 43 MB with
 #   bounded blocks, 38.6 MB with int32 vertex ids and int64 row pointers,
-#   37.3 MB with int16 ids (Γ(3) and Σ(3)) and int32 row pointers;
+#   37.3 MB with int16 ids (Γ(3) and Σ(3)) and int32 row pointers, 36.6 MB
+#   with a CLI on the standard library's argparse instead of click;
 # - the coset-graph certification: 41 MB with whole coset products and
 #   full-degree lifts alive during the search, 36 MB without, 34.1 MB with
 #   every permutation induced from the coset representatives and the
 #   refinement rows read in blocks, 33.3 MB with the coset rows listed from
-#   their least members (no sort of all codes) and int16 vertex ids;
+#   their least members (no sort of all codes) and int16 vertex ids, 32.3 MB
+#   on argparse;
 # - the Cayley graph as graph6 (an 89 MB body): 301 MB when the writer
-#   copied the body four times, 121 MB with the body held once;
+#   copied the body four times, 121 MB with the body held once, 119 MB on
+#   argparse;
 # - the distance diagram: 52 MB with the whole vertices-by-cells count
-#   matrix alive, 40-42 MB counting it a block of rows at a time;
+#   matrix alive, 40-42 MB counting it a block of rows at a time (36.5 MB
+#   in the last run with click), 35.8 MB on argparse;
 # - verify group: 37.9 MB with the centre's products in blocks of 2^20,
 #   33.6 MB in blocks of CHUNK, 32.7 MB with one product buffer in
-#   ``TensorGroup.mul_vec``.
+#   ``TensorGroup.mul_vec``, 31.7 MB on argparse.
 GAMMA3_GRAPH6_SHA256 = "7ae3178cea18714d5509713aa56a7204bbda6c76526af2b033bcdb15760f5be1"
 PEAK_BOUNDS_MB = {
     "verify-group-n3": (["verify", "group", "-n", "3", "--json"], 36),
@@ -234,25 +281,76 @@ def _plant_a_bad_lift(monkeypatch):
     monkeypatch.setattr(permgroups, "action_gens", with_a_bad_lift)
 
 
-# np.unique, and np.isin when it sorts, import numpy.ma on first use: several
-# MB of peak RSS in a process that compiles its byte code.  No command's
-# path needs it.
+# Each command, in a fresh interpreter, imports no third-party package but
+# numpy: start-up is most of a command's time at n = 3.  np.unique, and
+# np.isin when it sorts, import numpy.ma on first use: several MB of peak RSS
+# in a process that compiles its byte code.  No command's path needs it.
 @pytest.mark.parametrize("args", [["verify", "group", "-n", "2"], ["verify", "graphs", "-n", "2"],
                                   ["aut", "-n", "2", "--target", "sigma", "--full-search"],
-                                  ["aut", "-n", "5"], ["export", "-n", "2", "--format", "graph6"]],
+                                  ["aut", "-n", "5"], ["export", "-n", "2", "--format", "graph6"],
+                                  ["diagram", "-n", "2"]],
                          ids=["verify-group", "verify-graphs", "aut-sigma-full-search", "aut-n5",
-                              "export-graph6"])
+                              "export-graph6", "diagram"])
 def test_commands_leave_numpy_ma_unimported(args):
-    check = "import sys; from mdg.cli import main; at_import = 'numpy.ma' in sys.modules; " \
-            "main(sys.argv[1:], standalone_mode=False); " \
-            "print(at_import, 'numpy.ma' in sys.modules, file=sys.stderr)"
+    check = "import sys; before = set(sys.modules); from mdg.cli import main; " \
+            "at_import = 'numpy.ma' in sys.modules; main(sys.argv[1:], standalone_mode=False); " \
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}; " \
+            "print(at_import, 'numpy.ma' in sys.modules, " \
+            "','.join(sorted(added - set(sys.stdlib_module_names))), file=sys.stderr)"
     r = subprocess.run([sys.executable, "-c", check, *args], capture_output=True, text=True,
                        timeout=60, env=fresh_env())
     assert r.returncode == 0, r.stderr
-    at_import, after = r.stderr.split()[-2:]
+    at_import, after, third_party = r.stderr.split()[-3:]
+    assert third_party == "mdg,numpy"
     if at_import == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert after == "False"
+
+
+@pytest.mark.parametrize("args", [["verify", "graphs", "-n", "2"],
+                                  ["export", "-n", "3", "--target", "gamma"]],
+                         ids=["verify-graphs", "export-gamma"])
+def test_a_closed_pipe_is_no_error(args, tmp_path):
+    """A reader that closes standard output after one byte, as ``head -c 1``
+    does, ends the command quietly: exit 0 or 1, nothing on stderr."""
+    with open(tmp_path / "stderr", "wb") as err:
+        p = subprocess.Popen([sys.executable, "-m", "mdg.cli", *args], stdout=subprocess.PIPE,
+                             stderr=err, env=fresh_env())
+        assert len(p.stdout.read(1)) == 1
+        p.stdout.close()
+        assert p.wait(timeout=60) in (0, 1)
+    assert (tmp_path / "stderr").read_text() == ""
+
+
+@pytest.mark.parametrize("args", [["verify", "group", "-n", "x"], ["verify", "group", "--bogus"],
+                                  ["verify"], [], ["aut", "--target", "bogus"]],
+                         ids=["n-not-an-integer", "unknown-option", "missing-suite",
+                              "missing-command", "unknown-target"])
+def test_usage_errors_exit_2_on_stderr(args):
+    r = run(*args)
+    assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+    assert r.stdout == "" and r.stderr.strip()
+    assert "Traceback" not in r.output
+
+
+HELP_DEFAULTS = {
+    ("verify", "group"): {"-n": "2", "--dihedral": "None", "--json": "False"},
+    ("verify", "graphs"): {"-n": "2", "--json": "False"},
+    ("aut",): {"-n": "2", "--target": "gamma", "--full-search": "False", "--budget": "1048576",
+               "--json": "False"},
+    ("export",): {"-n": "2", "--target": "gamma", "--format": "edgelist", "--output": "-"},
+    ("diagram",): {"-n": "2", "--format": "json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DEFAULTS), ids="-".join)
+def test_help_shows_every_option_with_its_default(command):
+    r = run(*command, "--help")
+    assert r.exit_code == 0 and r.stderr == ""
+    text = " ".join(r.stdout.split())
+    defaults = HELP_DEFAULTS[command]
+    assert all(f" {option}" in text for option in defaults)
+    assert re.findall(r"\(default: ([^)]*)\)", text) == list(defaults.values())
 
 
 @pytest.mark.parametrize("args", [["-n", "5"], ["-n", "7"], ["--dihedral", "2000,2000,2000"]])
