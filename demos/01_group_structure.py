@@ -6,6 +6,8 @@ matrix part by the outer product of the right factor's x with the left
 factor's y, which makes the group nonabelian of nilpotency class 2.
 """
 
+import numpy as np
+
 from mdg import groups
 
 n = 2
@@ -21,7 +23,7 @@ print("presentation verified:", groups.verify_presentation(G))
 
 derived = groups.derived_subgroup(G)
 print("derived subgroup order:", len(derived))
-print("derived == center:", derived == groups.center(G))
+print("derived == center:", np.array_equal(derived, groups.center(G)))
 print("abelianization:", groups.abelianization_structure(G, derived))
 
 # a sample commutator: [e1, f1] is the elementary matrix e1 (x) f1

@@ -41,7 +41,7 @@ print("fibre sizes:", sorted(set(np.bincount(labels)[labels].tolist())))
 
 # two-colour the Cayley edges by generator side; triangles are monochromatic
 import mdg.groups as groups
-X = groups.closure(G, G.x_gens)
-Y = groups.closure(G, G.y_gens)
+X = groups.closure_array(G, G.x_gens)
+Y = groups.closure_array(G, G.y_gens)
 colors = graphs.edge_coloring(gamma, G, X, Y)
 print("all triangles monochromatic:", graphs.triangles_monochromatic(gamma, colors))

@@ -28,7 +28,7 @@ print(f"full search on the Cayley graph: order {res.order}, "
       f"complete={res.complete}, {res.nodes} search nodes")
 
 # local action: the distance diagram of the stabilizer orbits
-diag = pg.distance_diagram(gamma, lifts, 0)
+diag = pg.distance_diagram(gamma, lifts)
 print("orbit sizes by distance:", diag.cell_sizes_by_distance())
 print(cli.render_diagram_table(diag))
 

@@ -112,9 +112,6 @@ class Graph:
                 and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.indices, other.indices))
 
-    def __hash__(self):
-        raise TypeError("graphs are unhashable")
-
 
 # -- array helpers on the CSR store ------------------------------------------
 

@@ -10,9 +10,10 @@ Two concrete backends are provided:
   of orders 2*m_i, with X the flips and Y the flipped rotations.
 
 Every backend exposes elements as canonical integer codes in
-``range(order)`` plus ``mul``/``inv`` callbacks and their elementwise array
-forms ``mul_vec``/``inv_vec``; closures, subgroup and quotient computations
-all run over codes so one engine serves every backend.
+``range(order)`` and its product and inverse as the elementwise array
+operations ``mul_vec``/``inv_vec``; closures, subgroup and quotient
+computations all run over codes so one engine serves every backend.  A
+subgroup is a sorted int64 array of codes.
 """
 
 from dataclasses import dataclass
@@ -73,17 +74,6 @@ class TensorGroup:
         n, code = self.n, int(code)
         return code & self._vmask, (code >> n) & self._vmask, code >> (2 * n)
 
-    def mul(self, g1: int, g2: int) -> int:
-        return int(self.mul_vec(g1, g2))
-
-    def inv(self, g: int) -> int:
-        return int(self.inv_vec(g))
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    # Vectorised variants used to build permutations and bulk tests.
-
     def mul_vec(self, g1, g2):
         """Elementwise (broadcast) product of two uint64 code arrays: the
         XOR of the codes and one gather from the twist table."""
@@ -131,7 +121,9 @@ class TensorGroup:
             block = (np.arange(lo, min(lo + CHUNK, size), dtype=np.uint64) if codes is None
                      else codes[lo:lo + CHUNK])
             part = out[lo:lo + CHUNK]
-            np.take(words, (block & np.uint64((1 << (2 * self.n)) - 1)).astype(np.intp), out=part)
+            # an int64 view and "clip" mode: no copy of the indices, no buffered output
+            np.take(words, (block & np.uint64((1 << (2 * self.n)) - 1)).view(np.int64),
+                    out=part, mode="clip")
             term = np.empty_like(part)  # one buffer holds each term in turn
             for shift, comm in zip(shifts, comms):
                 np.right_shift(block, shift, out=term)
@@ -163,15 +155,6 @@ class DihedralProduct:
         self.x_gens = [flip(i, 0) for i in range(self.n)]
         self.y_gens = [flip(i, 1) for i in range(self.n)]
         self.gens = self.x_gens + self.y_gens
-
-    def mul(self, g1: int, g2: int) -> int:
-        return int(self.mul_vec(g1, g2))
-
-    def inv(self, g: int) -> int:
-        return int(self.inv_vec(g))
-
-    def elements(self) -> range:
-        return range(self.order)
 
     # The arithmetic, on int64 arrays of mixed-radix codes.
 
@@ -230,11 +213,6 @@ def _closure_mask(G, gens) -> np.ndarray:
     return seen
 
 
-def closure(G, gens) -> list[int]:
-    """Subgroup generated by ``gens``, as a sorted list of codes."""
-    return closure_array(G, gens).tolist()
-
-
 def closure_array(G, gens) -> np.ndarray:
     """Subgroup generated by ``gens``, as a sorted int64 array of codes,
     grown a breadth-first layer at a time with no mask over G, so its cost
@@ -261,26 +239,26 @@ def subgroup_order(G, gens) -> int:
     return int(np.count_nonzero(_closure_mask(G, gens)))
 
 
-def derived_subgroup(G) -> list[int]:
+def derived_subgroup(G) -> np.ndarray:
     """Normal closure of the commutators of generator pairs."""
     check_budget(G.order)
     gens = np.asarray(G.gens, dtype=np.int64)
     comms = set(commutator(G, gens[:, None], gens).ravel().tolist())
     comms.discard(G.identity)
     while True:
-        sub = closure(G, sorted(comms))
+        sub = closure_array(G, sorted(comms))
         member = np.zeros(G.order, dtype=bool)
         member[sub] = True
         conj = set()
         for g in G.gens:
-            c = G.mul_vec(G.mul_vec(G.inv(g), sub), g)
+            c = G.mul_vec(G.mul_vec(G.inv_vec(g), sub), g)
             conj.update(c[~member[c]].tolist())
         if not conj:
             return sub
         comms |= conj
 
 
-def center(G) -> list[int]:
+def center(G) -> np.ndarray:
     """The elements commuting with every generator in ``G.gens``: the
     centraliser of the generators, which is the center when they generate G
     (for the tensor group the ``order`` claim shows that they do)."""
@@ -291,7 +269,7 @@ def center(G) -> list[int]:
     central = np.concatenate([
         (G.mul_vec(block, gens) == G.mul_vec(gens, block)).all(axis=0)
         for block in np.array_split(np.arange(G.order), max(1, G.order * len(G.gens) // CHUNK))])
-    return np.flatnonzero(central).tolist()
+    return np.flatnonzero(central).astype(np.int64, copy=False)
 
 
 def relations_hold(G, xs, ys) -> bool:
@@ -334,7 +312,7 @@ def _elementary_abelian_rank(G, gens) -> int | None:
     return None
 
 
-def abelianization_structure(G, derived: list[int]) -> list[int]:
+def abelianization_structure(G, derived: np.ndarray) -> list[int]:
     """Cyclic factor orders of G/G', specialised to exponent-2 quotients.
 
     The quotient of any group by its derived subgroup is abelian; here we

@@ -1,12 +1,13 @@
 """Permutation groups on graph vertices.
 
 Permutations are numpy int32 arrays mapping vertex -> image, even where
-a graph stores its vertex ids in int16 (``graphs._index_dtype``); edge
-keys u * n + v are formed in int64.  PermGroup
-keeps a base and strong generating set computed by a deterministic,
-randomisation-free Schreier-Sims (base points chosen as minimal moved
-points; transversal elements rebuilt by walking the Schreier tree, so no
-per-point permutation storage is needed at large degrees).
+a graph stores its vertex ids in int16 (``graphs._index_dtype``); an edge
+is found by ``graphs._find_arcs`` and numbered by ``graphs._slot_edges``,
+as the row of ``edge_array()``.  PermGroup keeps a base and strong
+generating set computed by a deterministic, randomisation-free
+Schreier-Sims (base points chosen as minimal moved points; transversal
+elements rebuilt by walking the Schreier tree, so no per-point
+permutation storage is needed at large degrees).
 """
 
 from dataclasses import dataclass, field
@@ -224,15 +225,10 @@ def are_automorphisms(graph: graphs.Graph, perms) -> bool:
         nbr, step = graph.neighbor_array(), max(1, graphs.CHUNK // k)
         return all(np.array_equal(np.sort(p[nbr[lo:lo + step]], axis=1), nbr[p[lo:lo + step]])
                    for p in perms for lo in range(0, graph.n, step))
-    # p maps the edge set one-to-one, so it is an automorphism iff the
-    # image edge set, as sorted keys, is the edge set
+    # p maps the edge set one-to-one, so it is an automorphism iff every
+    # edge's image is an edge
     u, w = graph.edge_array().T
-    keys = u.astype(np.int64) * graph.n + w
-    for p in perms:
-        a, b = p[u].astype(np.int64), p[w].astype(np.int64)
-        if not np.array_equal(np.sort(np.minimum(a, b) * graph.n + np.maximum(a, b)), keys):
-            return False
-    return True
+    return all(np.all(graphs._find_arcs(graph, p[u], p[w]) >= 0) for p in perms)
 
 
 # -- actions attached to the group backends --------------------------------
@@ -344,12 +340,13 @@ class DistanceDiagram:
         }
 
 
-def distance_diagram(graph: graphs.Graph, stab_gens, v: int) -> DistanceDiagram:
+def distance_diagram(graph: graphs.Graph, stab_gens) -> DistanceDiagram:
+    """The distance diagram of ``stab_gens``, which fix the base vertex 0."""
     stab_gens = [as_perm(g) for g in stab_gens]
     for g in stab_gens:
-        if int(g[v]) != v:
+        if int(g[0]) != 0:
             raise ValueError("stabilizer generators must fix the base vertex")
-    dist = graphs.bfs_layers(graph, v)[0]
+    dist = graphs.bfs_layers(graph, 0)[0]
     labels = orbits(stab_gens, graph.n)
     if not np.array_equal(dist[labels], dist):
         raise ValueError("orbit does not refine the distance layers")
@@ -373,7 +370,7 @@ def distance_diagram(graph: graphs.Graph, stab_gens, v: int) -> DistanceDiagram:
         vs = np.arange(lo, min(lo + step, graph.n))
         if not np.array_equal(rows(vs), counts[number[labels[vs]]]):
             raise ValueError("inter-cell neighbor count is not constant")
-    return DistanceDiagram(v, roots.tolist(), np.bincount(labels)[roots].tolist(),
+    return DistanceDiagram(0, roots.tolist(), np.bincount(labels)[roots].tolist(),
                            dist[roots].tolist(), counts.tolist())
 
 
@@ -399,20 +396,16 @@ def _edge_action(graph: graphs.Graph, perms) -> list[np.ndarray]:
     """Each automorphism's action on the edges, as permutations of the rows
     of ``edge_array()``."""
     u, w = graph.edge_array().T
-    keys = u.astype(np.int64) * graph.n + w
-    out = []
-    for p in perms:
-        a, b = p[u].astype(np.int64), p[w].astype(np.int64)
-        out.append(np.searchsorted(keys, np.minimum(a, b) * graph.n + np.maximum(a, b)))
-    return out
+    edges = graphs._slot_edges(graph)
+    return [edges[graphs._find_arcs(graph, p[u], p[w])] for p in perms]
 
 
-def transitivity_report(graph: graphs.Graph, gens, base: int = 0,
+def transitivity_report(graph: graphs.Graph, gens,
                         stabilizer_certified: bool = False) -> TransitivityReport:
-    """Transitivity flags computed by stabilizer-orbit counting at a base
-    vertex of a vertex-transitive graph.
+    """Transitivity flags computed by stabilizer-orbit counting at the base
+    vertex 0 of a vertex-transitive graph.
 
-    The members of ``gens`` that fix ``base`` generate a subgroup of its
+    The members of ``gens`` that fix 0 generate a subgroup of its
     stabilizer in the group generated by ``gens``.  Positive flags are
     valid for that group; negative flags are only conclusive when the
     caller certifies that they generate the full stabilizer
@@ -425,11 +418,11 @@ def transitivity_report(graph: graphs.Graph, gens, base: int = 0,
     gens = [as_perm(g) for g in gens]
     if not are_automorphisms(graph, gens):
         raise ValueError("generator is not a graph automorphism")
-    stab_gens = [g for g in gens if int(g[base]) == base]
-    vertex = bool(orbit_mask(gens, base, graph.n).all())
+    stab_gens = [g for g in gens if int(g[0]) == 0]
+    vertex = bool(orbit_mask(gens, 0, graph.n).all())
     # the stabilizer on the k neighbours of the base, and on the ordered
     # neighbour pairs (i, j), named i * k + j
-    n1 = graph.neighbors(base)
+    n1 = graph.neighbors(0)
     k = len(n1)
     local = [np.searchsorted(n1, g[n1]) for g in stab_gens]
     arc = vertex and _orbit_count(local, k) == 1
@@ -447,7 +440,7 @@ def transitivity_report(graph: graphs.Graph, gens, base: int = 0,
     # the distance of each stabilizer orbit's least member; the orbit
     # labels are freed before the BFS makes its temporaries
     roots = orbits(stab_gens, graph.n) == np.arange(graph.n)
-    layers = graphs.bfs_layers(graph, base)[0][roots]
+    layers = graphs.bfs_layers(graph, 0)[0][roots]
     distance = {i: vertex and int(np.count_nonzero(layers == i)) == 1 for i in (1, 2, 3)}
     return TransitivityReport(vertex, edge, arc, two_arc, two_geodesic, distance,
                               stabilizer_certified)

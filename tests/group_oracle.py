@@ -5,7 +5,7 @@ groups.  ``cosets`` forms the whole (|H|, |G|) product at once, the oracle
 for the blocked ``graphs.right_cosets``.  ``mat_transpose`` is the scalar
 F_2 transpose behind the per-element lift formulas.  ``dihedral_mul`` and
 ``dihedral_inv`` are the scalar factor-by-factor arithmetic of
-``groups.DihedralProduct``, whose scalar forms now call its array forms.
+``groups.DihedralProduct``, whose product and inverse are array forms.
 ``cayley_graph_from_pairs`` and ``sigma_graph_from_pairs`` build Γ and Σ
 from their edge lists through the general ``graphs.Graph``, the oracles
 for the builders that write the CSR rows directly.  ``line_graph`` builds
@@ -35,15 +35,6 @@ class TableGroup:
         if not is_id.any(axis=1).all():
             raise ValueError("table has an element without an inverse")
         self._inv = np.argmax(is_id, axis=1)
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self._inv[a])
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def mul_vec(self, g1, g2):
         """Elementwise (broadcast) product: a fancy index into the table."""

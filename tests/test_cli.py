@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -112,6 +113,13 @@ def test_verify_group_dihedral():
     assert "mixed-dihedral: computed=True" in r.output
     # an odd factor fails the predicate and the exit code reflects it
     assert run("verify", "group", "--dihedral", "3").exit_code == 1
+    # -n is checked, and changes nothing in the dihedral report
+    r = run("verify", "group", "--dihedral", "4,4", "-n", "3", "--json")
+    doc = json.loads(r.stdout)
+    for claim in doc["claims"]:
+        del claim["ms"]
+    golden = GOLDEN / "verify-group-dihedral-4-4.json"
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
 @pytest.mark.parametrize("orders", ["4,x", "", "0,4"])
@@ -322,6 +330,40 @@ def test_a_closed_pipe_is_no_error(args, tmp_path):
     assert (tmp_path / "stderr").read_text() == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args, to_stdout", [
+    (["export", "-n", "2", "-o", "/dev/full"], False), (["export", "-n", "2"], True),
+    (["verify", "group", "-n", "2"], True)], ids=["export-to-file", "export", "verify-group"])
+def test_a_write_error_is_one_line_on_stderr(args, to_stdout):
+    """A full device, as the output file or as standard output, ends the
+    command with exit 1 and one line on stderr, with no traceback."""
+    with open("/dev/full", "wb") as full:
+        r = subprocess.run([sys.executable, "-m", "mdg.cli", *args],
+                           stdout=full if to_stdout else subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, text=True, timeout=60, env=fresh_env())
+    assert r.returncode == 1
+    assert r.stderr == f"mdg: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("args", [["verify", "group", "-n", "2", "--json"],
+                                  ["export", "-n", "2", "--target", "sigma", "--format", "graph6"]],
+                         ids=["verify-group", "export-sigma-graph6"])
+def test_the_benchmark_tracer_runs_the_cli(args, tmp_path):
+    """perfbench's traced child wraps mdg's public functions and counts the
+    f2 helpers it names, then runs ``cli.main(args, standalone_mode=False)``;
+    its set-up builds ``cli.build_instance(3)``."""
+    from mdg import f2
+    assert all(callable(getattr(f2, name)) for name in ("outer", "vec_mat", "mat_mul"))
+    assert callable(cli.build_instance)
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spans = tmp_path / "spans.json"
+    # no byte code is written next to the benchmark's sources
+    r = subprocess.run([sys.executable, str(tracer), str(spans), *args], capture_output=True,
+                       timeout=60, env={**fresh_env(), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout and json.loads(spans.read_text())["spans"]
+
+
 @pytest.mark.parametrize("args", [["verify", "group", "-n", "x"], ["verify", "group", "--bogus"],
                                   ["verify"], [], ["aut", "--target", "bogus"]],
                          ids=["n-not-an-integer", "unknown-option", "missing-suite",
@@ -426,8 +468,11 @@ def test_export_kbip_n4_is_allowed():
 
 
 def test_verify_group_invalid_n():
-    assert run("verify", "group", "-n", "1").exit_code != 0
-    assert run("verify", "group", "-n", "9").exit_code != 0
+    for backend in ([], ["--dihedral", "4,4"]):
+        for n in ("1", "9", "99"):
+            r = run("verify", "group", *backend, "-n", n)
+            assert r.exit_code == 2 and r.stdout == ""
+            assert "n must be in [2, 7]" in r.stderr
 
 
 def test_verify_graphs_n2():
@@ -569,6 +614,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_ARGS = {
     "verify-group-n2": ["verify", "group", "-n", "2"],
     "verify-group-n3": ["verify", "group", "-n", "3"],
+    "verify-group-dihedral-4-4": ["verify", "group", "--dihedral", "4,4"],
     "verify-graphs-n2": ["verify", "graphs", "-n", "2"],
     "verify-graphs-n3": ["verify", "graphs", "-n", "3"],
     "aut-sigma-full-search-n2": ["aut", "-n", "2", "--target", "sigma", "--full-search"],

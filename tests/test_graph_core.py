@@ -80,6 +80,10 @@ def test_graph_edge_cases():
     g = graphs.Graph(3, [(0, 1)])
     with pytest.raises(ValueError):
         g.indices[0] = 2  # the store is read-only
+    # a graph compares by value, so it is unhashable
+    for use in (hash, lambda g: {g}):
+        with pytest.raises(TypeError):
+            use(g)
 
 
 def test_regular_neighbor_array_is_a_view_of_the_store():
@@ -123,7 +127,7 @@ def test_phi_map_is_an_isomorphism_onto_the_networkx_line_graph():
     index = {e: i for i, e in enumerate(sorted_edges(sigma))}
     lref = nx.relabel_nodes(nx.line_graph(sigma), lambda e: index[tuple(sorted(e))])
     # phi(z) is the edge {Xz, Yz}
-    for z in G2.elements():
+    for z in range(G2.order):
         assert phi[z] == index[(int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z]))]
     gamma = to_nx(GAMMA2)
     nx.set_node_attributes(gamma, {z: phi[z] for z in gamma}, "label")
@@ -160,8 +164,8 @@ def brute_force_monochromatic(graph, colors):
 
 
 def test_triangles_match_brute_force_on_gamma2_with_random_flips():
-    X = groups.closure(G2, G2.x_gens)
-    Y = groups.closure(G2, G2.y_gens)
+    X = groups.closure_array(G2, G2.x_gens)
+    Y = groups.closure_array(G2, G2.y_gens)
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
     assert graphs.triangles_monochromatic(GAMMA2, colors) and brute_force_monochromatic(GAMMA2, colors)
     rng = random.Random(5)
@@ -173,8 +177,8 @@ def test_triangles_match_brute_force_on_gamma2_with_random_flips():
 
 
 def test_every_flipped_edge_of_gamma2_is_caught():
-    X = groups.closure(G2, G2.x_gens)
-    Y = groups.closure(G2, G2.y_gens)
+    X = groups.closure_array(G2, G2.x_gens)
+    Y = groups.closure_array(G2, G2.y_gens)
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
     for i in range(len(colors)):
         c = colors.copy()
@@ -196,17 +200,18 @@ def test_triangles_need_one_colour_per_edge():
 
 
 def test_edge_coloring_matches_the_scalar_rule():
-    X = groups.closure(G2, G2.x_gens)
-    Y = groups.closure(G2, G2.y_gens)
+    X = groups.closure_array(G2, G2.x_gens)
+    Y = groups.closure_array(G2, G2.y_gens)
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
-    expect = ["X" if G2.mul(h, G2.inv(g)) in X else "Y" for g, h in GAMMA2.edge_array().tolist()]
+    expect = ["X" if int(G2.mul_vec(h, G2.inv_vec(g))) in X else "Y"
+              for g, h in GAMMA2.edge_array().tolist()]
     assert colors.tolist() == expect
     with pytest.raises(ValueError):
         graphs.edge_coloring(GAMMA2, G2, X, [0])
 
 
 def scalar_cayley_edges(G, S):
-    return sorted({(min(g, G.mul(s, g)), max(g, G.mul(s, g))) for g in G.elements() for s in S})
+    return sorted({tuple(sorted((g, int(G.mul_vec(s, g))))) for g in range(G.order) for s in S})
 
 
 def _s3():
@@ -497,7 +502,7 @@ def test_row_builders_match_the_pair_list_oracle(G):
 @settings(max_examples=40, deadline=None)
 def test_cayley_graph_matches_the_pair_list_oracle_on_random_connection_sets(G, data):
     picked = data.draw(st.sets(st.integers(min_value=0, max_value=G.order - 1), max_size=8))
-    S = sorted(({G.inv(s) for s in picked} | picked) - {G.identity})
+    S = sorted(({int(G.inv_vec(s)) for s in picked} | picked) - {G.identity})
     assert over_chunks(lambda: graphs.cayley_graph(G, S)) == _canon(cayley_graph_from_pairs(G, S))
 
 
@@ -543,7 +548,7 @@ def test_identifications_are_the_same_for_every_block_size():
     assert over_chunks(lambda: graphs.clique_graph(GAMMA2, graphs.coset_cliques(INFO2)) == SIGMA2)
     assert over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, INFO2)) == \
         [_edges(SIGMA2).index((int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z])))
-         for z in G2.elements()]
+         for z in range(G2.order)]
     edges = GAMMA2.edge_array()
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     for gamma, sigma, why in (
@@ -566,10 +571,11 @@ def test_cover_faults_are_the_same_for_every_block_size():
 
 
 def test_colour_kernels_are_the_same_for_every_block_size():
-    X = groups.closure(G2, G2.x_gens)
-    Y = groups.closure(G2, G2.y_gens)
+    X = groups.closure_array(G2, G2.x_gens)
+    Y = groups.closure_array(G2, G2.y_gens)
     colors = over_chunks(lambda: graphs.edge_coloring(GAMMA2, G2, X, Y))
-    assert colors == ["X" if G2.mul(h, G2.inv(g)) in X else "Y" for g, h in _edges(GAMMA2)]
+    assert colors == ["X" if int(G2.mul_vec(h, G2.inv_vec(g))) in X else "Y"
+                      for g, h in _edges(GAMMA2)]
     assert over_chunks(lambda: graphs.edge_coloring(GAMMA2, G2, X, [0])) == \
         ("ValueError", "edge difference lies outside X u Y")
     rng = random.Random(11)
@@ -606,7 +612,7 @@ def test_distance_diagram_is_the_same_for_every_block_size():
     for graph, stab in ((GAMMA2, lifts), (path, [permgroups.as_perm([0, 2, 1, 3])]),
                         (path, [permgroups.as_perm([0, 3, 2, 1])])):
         got = over_chunks(lambda: _diagram_or_error(
-            lambda: permgroups.distance_diagram(graph, stab, 0).to_dict()))
+            lambda: permgroups.distance_diagram(graph, stab).to_dict()))
         assert got == _diagram_or_error(lambda: perm_oracle.distance_diagram(graph, stab, 0))
 
 
@@ -762,8 +768,10 @@ def test_graph6_of_an_int16_graph_past_the_offset_wrap_matches_networkx():
 
 
 def test_edge_keys_widen_past_int16():
-    """Two copies of an irregular graph on 150 vertices: edge keys u * 300 + v
-    pass 2^15, and swapping the copies moves every key across it."""
+    """Two copies of an irregular graph on 150 vertices, where u * 300 + v
+    passes 2^15 and swapping the copies moves every edge across it; then a
+    path with an isolated vertex and a graph with no edges.  The checks and
+    the edge action agree with the edge sets."""
     rnd = random.Random(256)
     half = 150
     base = [(0, half - 1)] + [tuple(rnd.sample(range(half), 2)) for _ in range(260)]
@@ -773,9 +781,17 @@ def test_edge_keys_widen_past_int16():
     assert permgroups.are_automorphisms(g, [swap, permgroups.identity_perm(g.n)])
     moved = swap.copy()
     moved[[0, 1]] = moved[[1, 0]]
-    assert not permgroups.are_automorphisms(g, [moved])
-    rows = {e: i for i, e in enumerate(map(tuple, g.edge_array().tolist()))}
-    for p in (swap, permgroups.identity_perm(g.n)):
-        got = permgroups._edge_action(g, [p])[0]
-        assert got.tolist() == [rows[tuple(sorted((int(p[u]), int(p[v]))))]
-                                for u, v in g.edge_array().tolist()]
+    as_perms = lambda *ps: [permgroups.as_perm(p) for p in ps]
+    cases = [(g, [swap, permgroups.identity_perm(g.n), moved], [True, True, False]),
+             (graphs.Graph(5, [(0, 1), (1, 2), (2, 3)]),
+              as_perms([3, 2, 1, 0, 4], [4, 2, 1, 0, 3], [0, 1, 2, 3, 4]), [True, False, True]),
+             (graphs.Graph(4, []), as_perms([1, 0, 3, 2]), [True])]
+    for graph, perms, autos in cases:
+        edges = graph.edge_array().tolist()
+        rows = {tuple(e): i for i, e in enumerate(edges)}
+        for p, auto in zip(perms, autos):
+            images = [tuple(sorted((int(p[u]), int(p[v])))) for u, v in edges]
+            assert (set(images) == set(rows)) == auto
+            assert permgroups.are_automorphisms(graph, [p]) == auto
+            if auto:
+                assert permgroups._edge_action(graph, [p])[0].tolist() == [rows[e] for e in images]

@@ -18,7 +18,7 @@ def test_cayley_validations():
         graphs.cayley_graph(G2, [0, 1])
     with pytest.raises(ValueError):
         # f1 * e1 is not an involution, and its inverse is missing
-        graphs.cayley_graph(G2, [G2.mul(G2.y_gens[0], G2.x_gens[0])])
+        graphs.cayley_graph(G2, [int(G2.mul_vec(G2.y_gens[0], G2.x_gens[0]))])
 
 
 def test_cayley_k2():
@@ -42,10 +42,10 @@ def test_sigma2_counts():
 
 def test_sigma_neighborhood_structure():
     # the neighbors of the coset Xh are exactly the cosets Yxh, x in X
-    X = groups.closure(G2, G2.x_gens)
+    X = groups.closure_array(G2, G2.x_gens)
     for h in (0, 7, 100, 255):
         v = int(INFO2.x_index[h])
-        expect = sorted({INFO2.n_x + int(INFO2.y_index[G2.mul(x, h)]) for x in X})
+        expect = sorted({INFO2.n_x + int(INFO2.y_index[G2.mul_vec(x, h)]) for x in X})
         assert SIGMA2.neighbors(v).tolist() == expect
 
 
@@ -131,8 +131,8 @@ def test_bfs_layers():
 
 
 def test_edge_coloring():
-    X = groups.closure(G2, G2.x_gens)
-    Y = groups.closure(G2, G2.y_gens)
+    X = groups.closure_array(G2, G2.x_gens)
+    Y = groups.closure_array(G2, G2.y_gens)
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
     assert len(colors) == 768
     counts = (sum(1 for c in colors if c == "X"),
@@ -142,8 +142,8 @@ def test_edge_coloring():
 
 
 def test_triangles_monochromatic_detects_a_flipped_edge():
-    X = groups.closure(G2, G2.x_gens)
-    Y = groups.closure(G2, G2.y_gens)
+    X = groups.closure_array(G2, G2.x_gens)
+    Y = groups.closure_array(G2, G2.y_gens)
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
     colors[0] = "Y" if colors[0] == "X" else "X"
     assert not graphs.triangles_monochromatic(GAMMA2, colors)
@@ -153,8 +153,8 @@ def _layer_sets(n):
     G = groups.TensorGroup(n)
     gamma = graphs.cayley_graph(G, graphs.xy_connection_set(G))
     dist, _ = graphs.bfs_layers(gamma, 0)
-    x0 = [x for x in groups.closure(G, G.x_gens) if x]
-    y0 = [y for y in groups.closure(G, G.y_gens) if y]
+    x0 = [x for x in groups.closure_array(G, G.x_gens).tolist() if x]
+    y0 = [y for y in groups.closure_array(G, G.y_gens).tolist() if y]
     return G, dist, x0, y0
 
 
@@ -286,7 +286,7 @@ def mask_closure(G, gens) -> list[int]:
 def test_right_cosets_match_the_whole_product_oracle(n):
     G = groups.TensorGroup(n)
     for gens in (G.x_gens, G.y_gens, G.gens[:1], []):
-        sub = groups.closure(G, gens)
+        sub = groups.closure_array(G, gens)
         rows, index = graphs.right_cosets(G, sub)
         expect_rows, expect_index = coset_index_array(G, sub)
         assert np.array_equal(rows, expect_rows) and np.array_equal(index, expect_index)
@@ -297,10 +297,10 @@ def test_right_cosets_match_the_whole_product_oracle(n):
 def test_right_cosets_match_the_oracle_on_dihedral_products(ms, data):
     G = groups.DihedralProduct(*ms)
     codes = st.integers(min_value=0, max_value=G.order - 1)
-    sub = groups.closure(G, data.draw(st.lists(codes, max_size=3)))
+    sub = groups.closure_array(G, data.draw(st.lists(codes, max_size=3)))
     rows, index = graphs.right_cosets(G, sub)
     assert np.array_equal(rows, cosets(G, sub))
-    assert np.array_equal(rows[index], np.sort(G.mul_vec(np.array(sub)[None, :],
+    assert np.array_equal(rows[index], np.sort(G.mul_vec(sub[None, :],
                                                          np.arange(G.order)[:, None]), axis=1))
     # one more element: a subgroup only when it adds an involution to {1}
     candidate = sorted(set(sub) | {data.draw(codes)})
@@ -315,7 +315,7 @@ def test_right_cosets_match_the_oracle_on_dihedral_products(ms, data):
 
 def test_right_cosets_reject_a_non_subgroup_of_a_dihedral_product():
     D = groups.DihedralProduct(2, 4)
-    flip_and_rotation = [0, D.x_gens[0], D.mul(D.x_gens[1], D.y_gens[1])]
+    flip_and_rotation = [0, D.x_gens[0], int(D.mul_vec(D.x_gens[1], D.y_gens[1]))]
     for build in (graphs.right_cosets, cosets):
         with pytest.raises(ValueError, match="not closed"):
             build(D, flip_and_rotation)

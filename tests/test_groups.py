@@ -14,19 +14,19 @@ elem2 = st.integers(min_value=0, max_value=G2.order - 1)
 
 
 def test_identity_laws():
-    for g in G2.elements():
-        assert G2.mul(g, 0) == g
-        assert G2.mul(0, g) == g
-        assert G2.mul(g, G2.inv(g)) == 0
-        assert G2.mul(G2.inv(g), g) == 0
+    for g in range(G2.order):
+        assert int(G2.mul_vec(g, 0)) == g
+        assert int(G2.mul_vec(0, g)) == g
+        assert int(G2.mul_vec(g, G2.inv_vec(g))) == 0
+        assert int(G2.mul_vec(G2.inv_vec(g), g)) == 0
 
 
 def test_xy_multiplication_order_matters():
     e1 = G2.x_gens[0]
     f1 = G2.y_gens[0]
     # xy = x + y; yx = x + y + x(x)y
-    assert G2.mul(e1, f1) == G2.encode(1, 1, 0)
-    assert G2.mul(f1, e1) == G2.encode(1, 1, f2.outer(1, 1, 2))
+    assert int(G2.mul_vec(e1, f1)) == G2.encode(1, 1, 0)
+    assert int(G2.mul_vec(f1, e1)) == G2.encode(1, 1, f2.outer(1, 1, 2))
 
 
 @given(elem2, elem2)
@@ -40,16 +40,16 @@ def test_commutator_closed_form(g1, g2):
 def test_inv_fixed_points():
     # g is an involution (or trivial) exactly when the x/y parts have
     # zero outer product
-    for g in G2.elements():
+    for g in range(G2.order):
         x, y, _ = G2.decode(g)
-        assert (G2.inv(g) == g) == (f2.outer(x, y, 2) == 0)
+        assert (int(G2.inv_vec(g)) == g) == (f2.outer(x, y, 2) == 0)
 
 
 def test_closure_and_budget(monkeypatch):
-    assert len(groups.closure(G2, G2.gens)) == 256
+    assert len(groups.closure_array(G2, G2.gens)) == 256
     monkeypatch.setattr(groups, "DEFAULT_BUDGET", 10)
     with pytest.raises(groups.BudgetExceeded):
-        groups.closure(G2, G2.gens)
+        groups.closure_array(G2, G2.gens)
 
 
 def test_verify_presentation():
@@ -58,11 +58,8 @@ def test_verify_presentation():
 
 
 class Broken(groups.TensorGroup):
-    # drop the tensor correction term from both arithmetics, so that this
-    # is one consistent (abelian) group of the wrong order
-    def mul(self, g1, g2):
-        return g1 ^ g2
-
+    # drop the tensor correction term from the product, so that this is
+    # an (abelian) group of the wrong order
     def mul_vec(self, g1, g2):
         return np.asarray(g1, dtype=np.uint64) ^ np.asarray(g2, dtype=np.uint64)
 
@@ -73,8 +70,17 @@ def test_verify_presentation_mutation():
 
 def test_derived_subgroup_is_pure_tensors():
     derived = groups.derived_subgroup(G2)
-    assert derived == [G2.encode(0, 0, a) for a in range(16)]
-    assert derived == groups.center(G2)
+    assert derived.tolist() == [G2.encode(0, 0, a) for a in range(16)]
+    assert np.array_equal(derived, groups.center(G2))
+
+
+@pytest.mark.parametrize("G", [G2, groups.TensorGroup(3), groups.DihedralProduct(3, 4),
+                               groups.DihedralProduct(2, 4, 6)], ids=lambda G: str(G.order))
+def test_subgroups_are_sorted_int64_arrays(G):
+    for sub in (groups.closure_array(G, G.x_gens), groups.closure_array(G, G.gens),
+                groups.derived_subgroup(G), groups.center(G)):
+        assert isinstance(sub, np.ndarray) and sub.dtype == np.int64 and sub.ndim == 1
+        assert len(sub) and np.all(np.diff(sub) > 0)
 
 
 def test_abelianization_structure():
@@ -94,12 +100,12 @@ def test_dihedral_product_relations():
     D = groups.DihedralProduct(4, 4)
     assert D.order == 64
     for x, y, m in zip(D.x_gens, D.y_gens, D.ms):
-        assert D.mul(x, x) == 0
-        assert D.mul(y, y) == 0
-        xy = D.mul(x, y)
+        assert int(D.mul_vec(x, x)) == 0
+        assert int(D.mul_vec(y, y)) == 0
+        xy = D.mul_vec(x, y)
         p = 0
         for _ in range(m):
-            p = D.mul(p, xy)
+            p = int(D.mul_vec(p, xy))
         assert p == 0
 
 
@@ -127,21 +133,21 @@ def test_dihedral_center():
 
 
 def test_cosets():
-    X = groups.closure(G2, G2.x_gens)
+    X = groups.closure_array(G2, G2.x_gens)
     cos, index = graphs.right_cosets(G2, X)
     assert len(cos) == 64
     assert all(len(c) == 4 for c in cos)
     assert sorted(v for c in cos for v in c) == list(range(256))
-    members = G2.mul_vec(np.array(X)[None, :], np.arange(256)[:, None])
+    members = G2.mul_vec(X[None, :], np.arange(256)[:, None])
     assert np.array_equal(cos[index], np.sort(members, axis=1))
-    whole, index = graphs.right_cosets(G2, list(G2.elements()))
-    assert whole.tolist() == [list(G2.elements())] and not index.any()
+    whole, index = graphs.right_cosets(G2, range(G2.order))
+    assert whole.tolist() == [list(range(G2.order))] and not index.any()
     assert cos.tolist() == cosets(G2, X).tolist()
 
 
 def test_coset_intersections_at_most_one():
-    X = groups.closure(G2, G2.x_gens)
-    Y = groups.closure(G2, G2.y_gens)
+    X = groups.closure_array(G2, G2.x_gens)
+    Y = groups.closure_array(G2, G2.y_gens)
     xc, _ = graphs.right_cosets(G2, X)
     yc, _ = graphs.right_cosets(G2, Y)
     for a in xc:
@@ -162,9 +168,9 @@ def test_table_group():
     # C_2 x C_2 as an explicit table
     table = [[a ^ b for b in range(4)] for a in range(4)]
     T = TableGroup(table, x_gens=[1], y_gens=[2])
-    assert T.mul(1, 2) == 3
-    assert T.inv(3) == 3
-    assert len(groups.closure(T, [1, 2])) == 4
+    assert int(T.mul_vec(1, 2)) == 3
+    assert int(T.inv_vec(3)) == 3
+    assert groups.closure_array(T, [1, 2]).tolist() == [0, 1, 2, 3]
 
 
 # -- the tensor product against its closed form -----------------------------
@@ -186,8 +192,10 @@ def closed_commutator(G, g1, g2):
 
 
 def scalar_commutator(G, a, b):
-    """[a, b] from four scalar products, sharing no code with the array one."""
-    return G.mul(G.mul(G.mul(G.inv(a), G.inv(b)), a), b)
+    """[a, b] from four products of single codes, sharing no code with the
+    broadcast one."""
+    mul = lambda p, q: int(G.mul_vec(p, q))
+    return mul(mul(mul(int(G.inv_vec(a)), int(G.inv_vec(b))), a), b)
 
 
 def test_mul_vec_matches_scalar():
@@ -198,8 +206,9 @@ def test_mul_vec_matches_scalar():
     prod = G3.mul_vec(a, b)
     invs = G3.inv_vec(a)
     for i in range(500):
-        assert int(prod[i]) == G3.mul(int(a[i]), int(b[i])) == closed_mul(G3, int(a[i]), int(b[i]))
-        assert int(invs[i]) == G3.inv(int(a[i])) == closed_inv(G3, int(a[i]))
+        assert int(prod[i]) == int(G3.mul_vec(int(a[i]), int(b[i]))) == \
+            closed_mul(G3, int(a[i]), int(b[i]))
+        assert int(invs[i]) == int(G3.inv_vec(int(a[i]))) == closed_inv(G3, int(a[i]))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -212,7 +221,7 @@ def test_tensor_arithmetic_matches_the_closed_form(n):
         a[:4] = [g | 1 << 62 for g in a[:4]]
         b[:4] = [g | 1 << 62 for g in b[:4]]
     if n <= 2:  # every pair
-        a = b = list(G.elements())
+        a = b = list(range(G.order))
     va, vb = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
     want = [[closed_mul(G, p, q) for q in b] for p in a]
     # (k, 1) x (m,), and a scalar on either side
@@ -220,11 +229,8 @@ def test_tensor_arithmetic_matches_the_closed_form(n):
     assert G.mul_vec(a[0], vb).tolist() == want[0]
     assert G.mul_vec(va, b[-1]).tolist() == [row[-1] for row in want]
     assert int(G.mul_vec(a[1], b[2])) == want[1][2]
-    products = [G.mul(p, q) for p, q in zip(a, b)]
-    assert all(type(p) is int for p in products)
-    assert products == [want[i][i] for i in range(len(products))]
-    assert G.inv_vec(va).tolist() == [G.inv(g) for g in a] == [closed_inv(G, g) for g in a]
-    assert type(G.inv(a[0])) is int
+    assert G.inv_vec(va).tolist() == [closed_inv(G, g) for g in a]
+    assert int(G.inv_vec(a[0])) == closed_inv(G, a[0])
     comms = [[closed_commutator(G, p, q) for q in b] for p in a]
     assert groups.commutator(G, va[:, None], vb).tolist() == comms
     assert groups.commutator(G, a[0], vb).tolist() == comms[0]
@@ -253,10 +259,12 @@ def test_mul_vec_and_inv_vec_match_scalar_on_all_pairs(name):
     codes = np.arange(G.order)
     table = G.mul_vec(codes[:, None], codes[None, :])
     assert table.shape == (G.order, G.order)
-    assert table.tolist() == [[G.mul(a, b) for b in G.elements()] for a in G.elements()]
-    assert np.asarray(G.inv_vec(codes)).tolist() == [G.inv(a) for a in G.elements()]
+    assert table.tolist() == [[int(G.mul_vec(a, b)) for b in range(G.order)]
+                              for a in range(G.order)]
+    assert np.asarray(G.inv_vec(codes)).tolist() == [int(G.inv_vec(a)) for a in range(G.order)]
     # a scalar on either side broadcasts
-    assert np.asarray(G.mul_vec(codes, 1)).tolist() == [G.mul(a, 1) for a in G.elements()]
+    assert np.asarray(G.mul_vec(codes, 1)).tolist() == table[:, 1].tolist()
+    assert np.asarray(G.mul_vec(1, codes)).tolist() == table[1].tolist()
 
 
 @pytest.mark.parametrize("ms", [(4, 4), (2, 4, 6), (3,), (5, 7), (1, 2)])
@@ -265,10 +273,7 @@ def test_dihedral_arithmetic_matches_the_factor_oracle(ms):
     codes = np.arange(D.order)
     assert D.mul_vec(codes[:, None], codes[None, :]).tolist() == \
         [[dihedral_mul(ms, a, b) for b in codes.tolist()] for a in codes.tolist()]
-    assert [D.mul(a, b) for a in (0, 1, D.order - 1) for b in codes.tolist()] == \
-        [dihedral_mul(ms, a, b) for a in (0, 1, D.order - 1) for b in codes.tolist()]
-    assert [D.inv(a) for a in codes.tolist()] == [dihedral_inv(ms, a) for a in codes.tolist()]
-    assert type(D.mul(1, 1)) is int and type(D.inv(1)) is int
+    assert D.inv_vec(codes).tolist() == [dihedral_inv(ms, a) for a in codes.tolist()]
     one = lambda i, k: [(1, k % m) if j == i else (0, 0) for j, m in enumerate(ms)]
     assert D.x_gens == [dihedral_code(ms, one(i, 0)) for i in range(len(ms))]
     assert D.y_gens == [dihedral_code(ms, one(i, 1)) for i in range(len(ms))]
@@ -288,8 +293,7 @@ def test_subgroup_order_is_the_same_for_every_block_size(G, monkeypatch):
 def test_tensor_inverse_matches_the_closed_form(n):
     # (x, y, A)^-1 = (x, y, A + outer(x, y))
     G = groups.TensorGroup(n)
-    want = [g ^ (f2.outer(*G.decode(g)[:2], n) << (2 * n)) for g in G.elements()]
-    assert [G.inv(g) for g in G.elements()] == want
+    want = [g ^ (f2.outer(*G.decode(g)[:2], n) << (2 * n)) for g in range(G.order)]
     assert G.inv_vec(np.arange(G.order)).tolist() == want
 
 
@@ -300,12 +304,13 @@ def test_table_group_rejects_a_malformed_table(table):
 
 
 def test_center_of_s3_and_dihedral_products():
-    assert groups.center(BACKENDS["table-s3"]) == [0]
+    assert groups.center(BACKENDS["table-s3"]).tolist() == [0]
     D = groups.DihedralProduct(3, 4)
     # D_6 has a trivial center, D_8 a center of order 2
     assert len(groups.center(D)) == 2
-    assert groups.center(D) == [z for z in D.elements()
-                                if all(D.mul(z, h) == D.mul(h, z) for h in D.elements())]
+    assert groups.center(D).tolist() == [
+        z for z in range(D.order)
+        if all(int(D.mul_vec(z, h)) == int(D.mul_vec(h, z)) for h in range(D.order))]
 
 
 def brute_center(G):
@@ -324,7 +329,7 @@ def brute_center(G):
 @pytest.mark.parametrize("G", [G2, groups.TensorGroup(3), BACKENDS["table-s3"],
                                groups.DihedralProduct(3, 4)], ids=lambda G: str(G.order))
 def test_center_matches_the_brute_force_definition(G):
-    assert groups.center(G) == brute_center(G)
+    assert groups.center(G).tolist() == brute_center(G)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, groups.CHUNK])
@@ -332,7 +337,7 @@ def test_center_matches_the_brute_force_definition(G):
 def test_center_is_the_same_for_every_block_size(name, chunk, monkeypatch):
     G = BACKENDS[name]
     monkeypatch.setattr(groups, "CHUNK", chunk)
-    assert groups.center(G) == brute_center(G)
+    assert groups.center(G).tolist() == brute_center(G)
 
 
 def test_center_of_a_large_dihedral_product():
@@ -340,14 +345,14 @@ def test_center_of_a_large_dihedral_product():
     D = groups.DihedralProduct(200, 201)
     z = groups.center(D)
     assert len(z) == 2 and z[0] == 0
-    assert all(D.mul(z[1], g) == D.mul(g, z[1]) for g in D.gens)
+    assert all(int(D.mul_vec(z[1], g)) == int(D.mul_vec(g, z[1])) for g in D.gens)
 
 
 # -- the array closure against a scalar breadth-first oracle ---------------
 
 def scalar_closure(G, gens):
-    """Subgroup generated by ``gens`` by breadth-first search, one scalar
-    product at a time."""
+    """Subgroup generated by ``gens`` by breadth-first search, one product
+    of two codes at a time."""
     seen = {G.identity}
     seen.update(gens)
     frontier = sorted(seen)
@@ -355,7 +360,7 @@ def scalar_closure(G, gens):
         new = []
         for a in frontier:
             for g in gens:
-                p = G.mul(a, g)
+                p = int(G.mul_vec(a, g))
                 if p not in seen:
                     seen.add(p)
                     new.append(p)
@@ -364,11 +369,12 @@ def scalar_closure(G, gens):
 
 
 def scalar_derived_subgroup(G):
-    """Normal closure of the generator commutators, by scalar products."""
+    """Normal closure of the generator commutators, one product at a time."""
     comms = {scalar_commutator(G, a, b) for a in G.gens for b in G.gens} - {G.identity}
     while True:
         sub = scalar_closure(G, sorted(comms))
-        conj = {G.mul(G.mul(G.inv(g), z), g) for z in sub for g in G.gens} - set(sub)
+        conj = {int(G.mul_vec(G.mul_vec(G.inv_vec(g), z), g))
+                for z in sub for g in G.gens} - set(sub)
         if not conj:
             return sub
         comms = set(sub) | conj
@@ -383,12 +389,12 @@ def scalar_is_mixed_dihedral(G) -> bool:
     n = len(X).bit_length() - 1
 
     def elementary_abelian(S):
-        return (all(G.mul(a, a) == G.identity for a in S)
-                and all(G.mul(a, b) == G.mul(b, a) for a in S for b in S))
+        return (all(int(G.mul_vec(a, a)) == G.identity for a in S)
+                and all(int(G.mul_vec(a, b)) == int(G.mul_vec(b, a)) for a in S for b in S))
 
     return (len(X) == len(Y) == 1 << n and elementary_abelian(X) and elementary_abelian(Y)
             and len(scalar_closure(G, G.gens)) == G.order
-            and all(G.mul(g, g) in derived for g in G.elements())
+            and all(int(G.mul_vec(g, g)) in derived for g in range(G.order))
             and G.order == len(derived) << (2 * n))
 
 
@@ -396,15 +402,15 @@ def scalar_is_mixed_dihedral(G) -> bool:
 def test_closure_matches_the_scalar_oracle_on_tensor_groups(n):
     G = groups.TensorGroup(n)
     for gens in (G.gens, G.x_gens, G.y_gens, cli.derived_basis(G)):
-        assert groups.closure(G, gens) == scalar_closure(G, gens)
-    assert groups.derived_subgroup(G) == scalar_derived_subgroup(G)
+        assert groups.closure_array(G, gens).tolist() == scalar_closure(G, gens)
+    assert groups.derived_subgroup(G).tolist() == scalar_derived_subgroup(G)
 
 
 def test_closure_matches_the_scalar_oracle_on_every_subset_of_s3():
     T = BACKENDS["table-s3"]
     for k in range(T.order + 1):
-        for gens in itertools.combinations(T.elements(), k):
-            assert groups.closure(T, gens) == scalar_closure(T, gens)
+        for gens in itertools.combinations(range(T.order), k):
+            assert groups.closure_array(T, gens).tolist() == scalar_closure(T, gens)
 
 
 def test_derived_subgroup_takes_the_normal_closure():
@@ -417,7 +423,7 @@ def test_derived_subgroup_takes_the_normal_closure():
     assert len(scalar_closure(T, cli.derived_basis(T))) < 12
     derived = groups.derived_subgroup(T)
     assert len(derived) == 12
-    assert derived == scalar_derived_subgroup(T)
+    assert derived.tolist() == scalar_derived_subgroup(T)
 
 
 dihedral_products = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
@@ -430,14 +436,14 @@ def test_closure_matches_the_scalar_oracle_on_dihedral_products(D, data):
     codes = st.integers(0, D.order - 1)
     for gens in (D.gens, D.x_gens, D.y_gens, data.draw(st.lists(codes, max_size=4)),
                  data.draw(st.lists(st.sampled_from(D.gens), unique=True))):
-        assert groups.closure(D, gens) == scalar_closure(D, gens)
+        assert groups.closure_array(D, gens).tolist() == scalar_closure(D, gens)
 
 
 @settings(max_examples=30, deadline=None)
 @given(dihedral_products)
 def test_group_claims_match_the_scalar_oracle_on_dihedral_products(D):
     derived = scalar_derived_subgroup(D)
-    assert groups.derived_subgroup(D) == derived
+    assert groups.derived_subgroup(D).tolist() == derived
     rep = groups.is_mixed_dihedral(D)
     assert rep.is_mixed_dihedral == scalar_is_mixed_dihedral(D)
     assert rep.derived_subgroup_order == len(derived)
@@ -449,9 +455,9 @@ def scalar_relations_hold(G, xs, ys) -> bool:
     """The presentation's relations, one pair of elements at a time."""
     e, comm = G.identity, lambda a, b: scalar_commutator(G, a, b)
     cs = [comm(a, b) for a in xs for b in ys]
-    return (all(G.mul(a, a) == e for a in xs + ys)
+    return (all(int(G.mul_vec(a, a)) == e for a in xs + ys)
             and all(comm(a, b) == e for side in (xs, ys) for a in side for b in side)
-            and all(G.mul(c, c) == e for c in cs)
+            and all(int(G.mul_vec(c, c)) == e for c in cs)
             and all(comm(c, t) == e for c in cs for t in xs + ys))
 
 
@@ -486,7 +492,7 @@ def test_relations_hold_sees_a_commutator_that_is_not_central():
     ys = [perms.index(p) for p in ((0, 1, 4, 3, 2, 5), (1, 0, 2, 3, 4, 5))]
     comm = lambda a, b: scalar_commutator(T, a, b)
     cs = [comm(a, b) for a in xs for b in ys]
-    assert all(T.mul(g, g) == 0 for g in xs + ys + cs)
+    assert all(int(T.mul_vec(g, g)) == 0 for g in xs + ys + cs)
     assert comm(*xs) == comm(*ys) == 0
     assert any(comm(c, t) != 0 for c in cs for t in xs + ys)
     assert not groups.relations_hold(T, xs, ys) and not scalar_relations_hold(T, xs, ys)

@@ -132,7 +132,7 @@ def scalar_swap(G, code):
 def sample_codes(G):
     """Every code at n = 2; 4,096 seeded random codes beyond that."""
     if G.n == 2:
-        return list(G.elements())
+        return list(range(G.order))
     return random.Random(G.n).sample(range(G.order), 4096)
 
 
@@ -199,11 +199,11 @@ def scalar_word_image(G, x_imgs, y_imgs, comms, code):
     for bits, imgs in ((x, x_imgs), (y, y_imgs)):
         for i, g in enumerate(imgs):
             if bits >> i & 1:
-                out = G.mul(out, g)
+                out = int(G.mul_vec(out, g))
     for i in range(G.n):
         for j in range(G.n):
             if a >> (i * G.n + j) & 1:
-                out = G.mul(out, comms[i][j])
+                out = int(G.mul_vec(out, comms[i][j]))
     return out
 
 
@@ -223,7 +223,7 @@ def test_word_images_match_scalar_products(n):
         assert got.tolist() == [scalar_word_image(G, x_imgs, y_imgs, comms, c) for c in codes]
     # the generators' own images give the identity map on every code
     if n == 2:
-        assert G.word_images(G.x_gens, G.y_gens).tolist() == list(G.elements())
+        assert G.word_images(G.x_gens, G.y_gens).tolist() == list(range(G.order))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
@@ -482,6 +482,15 @@ def test_are_automorphisms_agrees_with_single_checks():
     path = graphs.Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert pg.are_automorphisms(path, [pg.as_perm([3, 2, 1, 0]), pg.identity_perm(4)])
     assert not pg.are_automorphisms(path, [pg.as_perm([3, 2, 1, 0]), pg.as_perm([1, 0, 2, 3])])
+    # a path with an isolated vertex, then a graph with no edges
+    for graph, perms, singles in (
+            (graphs.Graph(5, [(0, 1), (1, 2), (2, 3)]),
+             [[3, 2, 1, 0, 4], [4, 2, 1, 0, 3], [0, 1, 2, 3, 4]], [True, False, True]),
+            (graphs.Graph(4, []), [[1, 0, 3, 2], [0, 1, 2, 3]], [True, True])):
+        perms = [pg.as_perm(p) for p in perms]
+        assert [pg.are_automorphisms(graph, [p]) for p in perms] == singles
+        assert pg.are_automorphisms(graph, perms) == all(singles)
+        assert pg.are_automorphisms(graph, perms[::2]) == all(singles[::2])
 
 
 def test_neighbor_array_pads_irregular_rows():

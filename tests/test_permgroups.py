@@ -98,8 +98,8 @@ def test_lift_identities():
 
 
 def test_x_lift_fixes_y_and_permutes_x():
-    Y = groups.closure(G2, G2.y_gens)
-    X = groups.closure(G2, G2.x_gens)
+    Y = groups.closure_array(G2, G2.y_gens).tolist()
+    X = groups.closure_array(G2, G2.x_gens).tolist()
     for lift in LIFTS2[:len(f2.gl_generators(2))]:
         assert [int(lift[y]) for y in Y] == Y
         assert sorted(int(lift[x]) for x in X) == sorted(X)
@@ -153,7 +153,7 @@ def test_generated_order_rejects_a_non_homomorphism():
     # generators are fixed, so only the word check can see it
     G3 = groups.TensorGroup(3)
     S3 = graphs.xy_connection_set(G3)
-    X3 = groups.closure(G3, G3.x_gens)
+    X3 = groups.closure_array(G3, G3.x_gens).tolist()
     a, b = [x for x in X3 if x != G3.identity and x not in G3.x_gens][:2]
     swapped = np.array(S3)
     swapped[S3.index(a)], swapped[S3.index(b)] = b, a
@@ -196,7 +196,7 @@ def test_expected_symmetry_order():
 
 
 def test_distance_diagram_gamma2():
-    diag = pg.distance_diagram(GAMMA2, LIFTS2, 0)
+    diag = pg.distance_diagram(GAMMA2, LIFTS2)
     assert diag.cell_sizes_by_distance() == [[1], [6], [18], [18, 36], [9, 36, 72], [18, 36], [6]]
     for row in diag.counts:
         assert sum(row) == 6  # row sums are the valency
@@ -210,13 +210,13 @@ def test_distance_diagram_k44():
     k44 = graphs.complete_bipartite(4, 4)
     stab = [pg.as_perm([0, 2, 3, 1, 4, 5, 6, 7]), pg.as_perm([0, 2, 1, 3, 4, 5, 6, 7]),
             pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([0, 1, 2, 3, 5, 4, 6, 7])]
-    diag = pg.distance_diagram(k44, stab, 0)
+    diag = pg.distance_diagram(k44, stab)
     assert diag.cell_sizes_by_distance() == [[1], [4], [3]]
 
 
 def test_distance_diagram_rejects_moving_base():
     with pytest.raises(ValueError):
-        pg.distance_diagram(GAMMA2, R2, 0)
+        pg.distance_diagram(GAMMA2, R2)
 
 
 def test_transitivity_gamma2():
