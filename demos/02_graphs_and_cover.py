@@ -10,7 +10,7 @@ graph is the Cayley graph back again.
 
 import numpy as np
 
-from mdg import cli, graphs, permgroups as pg
+from mdg import claims, cli, graphs, permgroups as pg
 
 G, S, gamma, sigma, info = cli.build_instance(2)
 print(f"Cayley graph: {gamma.n} vertices, valency {gamma.is_regular()}, "
@@ -33,7 +33,7 @@ print("line-graph bijection covers all vertices:", sorted(phi) == list(range(gam
 # quotient by the derived-subgroup orbits, each vertex labelled by the least
 # vertex of its orbit: a complete bipartite graph, covered semiregularly with
 # fibres of size 2^(n^2)
-labels = cli.derived_orbit_partition(G, sigma, info)
+labels = claims.derived_orbit_partition(G, sigma, info)
 quotient, preserved = graphs.normal_quotient(sigma, labels)
 print("quotient is complete bipartite:", pg.is_complete_bipartite(quotient))
 print("valency preserved by the cover:", preserved)

@@ -1,0 +1,295 @@
+"""The paper's claims as one table of rows (id, expected, compute, needs),
+and the runner that reports them.  ``expected`` is the value, or the
+group's value; a row whose value is None for the group is not reported.
+``compute`` reads the shared objects that ``needs`` names from a
+``Context``; None marks a row asserted, not computed.  A row is skipped,
+before anything is built, when an object it needs, directly or through
+another object, holds more entries than ``groups.DEFAULT_BUDGET``.
+"""
+
+import json
+import time
+from collections import namedtuple
+from importlib import resources
+
+import numpy as np
+
+from . import autsearch, graphs, groups, permgroups
+
+PASS, FAIL, SKIPPED, ASSERTED = "pass", "fail", "skipped", "asserted"
+
+Claim = namedtuple("Claim", "id status computed expected ms")
+
+
+class VerificationReport(list):
+    """The claims of one run, in order."""
+
+    def ok(self) -> bool:
+        return all(c.status != FAIL for c in self)
+
+    def to_dict(self) -> dict:
+        return {"schema": 1, "claims": [_jsonable(c._asdict()) for c in self]}
+
+    def render(self) -> str:
+        lines = [f"{c.status.upper():>8}  {c.id}: computed={c.computed!r} "
+                 f"expected={c.expected!r} ({c.ms} ms)" for c in self]
+        verdict = "OK" if self.ok() else "FAILED"
+        lines.append(f"{verdict}: {sum(c.status == PASS for c in self)} passed, "
+                     f"{sum(c.status == FAIL for c in self)} failed, "
+                     f"{len(self)} total")
+        return "\n".join(lines)
+
+
+def _jsonable(v):
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, bool) or v is None or isinstance(v, str):
+        return v
+    if isinstance(v, (int, float)):
+        return int(v) if float(v).is_integer() else float(v)
+    return str(v)
+
+
+# -- helpers of the rows (also used by the test suite) ---------------------
+
+def derived_basis(G) -> list[int]:
+    """Generators of the derived subgroup: the commutators of the x/y
+    generator pairs (pure one-bit matrices)."""
+    comms = groups.commutator(G, np.asarray(G.x_gens)[:, None], np.asarray(G.y_gens))
+    return comms.ravel().tolist()
+
+
+def derived_orbit_partition(G, sigma, info) -> np.ndarray:
+    """Orbits of the derived subgroup's right action on the coset-graph
+    vertices, as each vertex's orbit label (``permgroups.orbits``).  The
+    action is read from the coset representatives, and checked once to be
+    by automorphisms of the coset graph."""
+    probes = permgroups.coset_probes(info)
+    perms = [permgroups.coset_action(info, G.mul_vec(probes, d)) for d in derived_basis(G)]
+    if not permgroups.are_automorphisms(sigma, perms):
+        raise ValueError("derived right multiplication is not a coset-graph automorphism")
+    return permgroups.orbits(perms, sigma.n)
+
+
+def _edge_affine_ok(G, labels, quotient, sigma_gens) -> bool:
+    """The right multiplications by the generators of G, the first of
+    ``sigma_gens``, pushed down to the quotient, witness an edge-affine
+    action normalised by all of ``sigma_gens``."""
+    down = [permgroups.quotient_perm(labels, p) for p in sigma_gens]
+    w = permgroups.edge_affine_witness(quotient, down, down[:len(G.gens)])
+    return w.ok and w.subgroup_order == 1 << (2 * G.n)
+
+
+def load_reference_diagram() -> dict:
+    return json.loads(resources.files("mdg").joinpath("data/distance_diagram_n2.json").read_text())
+
+
+def diagram_matches_reference(diag: permgroups.DistanceDiagram, ref: dict) -> tuple[bool, str]:
+    if diag.cell_sizes_by_distance() != ref["cell_sizes_by_distance"]:
+        return False, "cell sizes differ"
+    index = {}
+    for i, (size, d) in enumerate(zip(diag.sizes, diag.distances)):
+        key = (d, size)
+        if key in index:
+            return False, f"cell key {key} is ambiguous"
+        index[key] = i
+    for chk in ref["edge_checks"]:
+        i = index.get(tuple(chk["from"]))
+        j = index.get(tuple(chk["to"]))
+        if i is None or j is None:
+            return False, f"no cell for {chk['from']} or {chk['to']}"
+        if diag.counts[i][j] != chk["count"]:
+            return False, (f"count {chk['from']}->{chk['to']}: "
+                           f"{diag.counts[i][j]} != {chk['count']}")
+    return True, "ok"
+
+
+def _search(graph, known, budget: int) -> int:
+    """The order of Aut(graph), certified by the search seeded with the
+    automorphisms ``known``, which it checks before it starts."""
+    res = autsearch.automorphism_group(graph, known, node_budget=budget)
+    if not res.complete:
+        raise groups.BudgetExceeded(f"search budget after {res.nodes} nodes")
+    return res.order
+
+
+# -- the shared objects: name -> (label, entries from G, build, needs) ------
+# A label is ASCII: a text report may go to a stream of any encoding.
+# Σ(n) has 2|G|/2^n vertices; ``action_gens`` lists 2n right
+# multiplications, 2n(n-1) lifts and the swap.
+
+OBJECTS = {
+    # the group; the rows that need it enumerate it, a byte per element
+    "G": ("G", lambda G: G.order, lambda c: c.group, ""),
+    "derived": ("G'", lambda G: G.order, lambda c: groups.derived_subgroup(c.G), "G"),
+    "S": ("S", lambda G: 2 * (2 ** G.n - 1), lambda c: graphs.xy_connection_set(c.group), ""),
+    "gamma": ("Gamma", lambda G: G.order * 2 * (2 ** G.n - 1),
+              lambda c: graphs.cayley_graph(c.group, c.S), "S"),
+    # two arcs, a coset member and a coset index per element
+    "coset_graph": ("Sigma", lambda G: 6 * G.order, lambda c: graphs.sigma_graph(c.group), ""),
+    # Σ and its coset bookkeeping apart, holding no entries of their own
+    "sigma": ("Sigma", lambda G: 0, lambda c: c.coset_graph[0], "coset_graph"),
+    "info": ("Sigma", lambda G: 0, lambda c: c.coset_graph[1], "coset_graph"),
+    "labels": ("the G'-orbits on Sigma", lambda G: G.n ** 2 * (G.order >> (G.n - 1)),
+               lambda c: derived_orbit_partition(c.group, c.sigma, c.info), "sigma info"),
+    # the quotient graph, and whether it keeps the valency
+    "quotient": ("the quotient of Sigma", lambda G: 2 << (2 * G.n),
+                 lambda c: graphs.normal_quotient(c.sigma, c.labels), "sigma labels"),
+    "gamma_gens": ("the actions on G", lambda G: (2 * G.n ** 2 + 1) * G.order,
+                   lambda c: permgroups.action_gens(c.group), ""),
+    "sigma_gens": ("the actions on Sigma", lambda G: (2 * G.n ** 2 + 1) * (G.order >> (G.n - 1)),
+                   lambda c: permgroups.action_gens(c.group, c.info), "info"),
+    "colors": ("the edge colours of Gamma", lambda G: G.order * (2 ** G.n - 1),
+               lambda c: graphs.edge_coloring(c.gamma, c.group, *(
+                   groups.closure_array(c.group, g) for g in (c.group.x_gens, c.group.y_gens))),
+               "gamma"),
+}
+
+
+def needs_of(names: str) -> list[str]:
+    """The objects ``names`` need, transitively, each after its own needs."""
+    return list(dict.fromkeys(dep for name in names.split()
+                              for dep in [*needs_of(OBJECTS[name][3]), name]))
+
+
+class Context(dict):
+    """The objects of one run on ``group``, by name.  Reading one as an
+    attribute builds it on first use; a build that raised raises the same
+    error at every later use."""
+
+    def __init__(self, group, node_budget: int = 1 << 20):
+        super().__init__()
+        self.group, self.node_budget = group, node_budget
+
+    def __getattr__(self, name):
+        if name not in OBJECTS:
+            raise AttributeError(name)
+        if name not in self:
+            try:
+                self[name] = OBJECTS[name][2](self)
+            except Exception as e:
+                self[name] = e
+        if isinstance(self[name], Exception):
+            raise self[name]
+        return self[name]
+
+
+# -- the table ---------------------------------------------------------------
+
+GAMMA_EXPECTED_FLAGS = {
+    "vertex": True, "edge": True, "arc": True,
+    "2-arc": False, "2-geodesic": True,
+    "1-distance": True, "2-distance": True, "3-distance": False,
+}
+
+
+def _order(c) -> int:
+    return groups.subgroup_order(c.G, c.G.gens)
+
+
+def _symmetry(G) -> int:
+    return permgroups.expected_symmetry_order(G.n)
+
+
+_ABELIANIZATION = ("abelianization", lambda G: [2] * (2 * G.n),
+                   lambda c: groups.abelianization_structure(c.G, c.derived), "derived")
+_MIXED = ("mixed-dihedral", True, lambda c: groups.is_mixed_dihedral(c.G).is_mixed_dihedral, "G")
+
+GROUP = (
+    ("order", lambda G: 2 ** (G.n * G.n + 2 * G.n), _order, "G"),
+    ("relations-and-count", True, lambda c: groups.verify_presentation(c.G), "G"),
+    ("derived-order", lambda G: 2 ** (G.n * G.n), lambda c: len(c.derived), "derived"),
+    ("derived-equals-center", True,
+     lambda c: np.array_equal(c.derived, groups.center(c.G)), "derived"),
+    ("derived-is-pure-tensors", True, lambda c: np.array_equal(
+        c.derived, np.arange(1 << (c.G.n ** 2)) << (2 * c.G.n)), "derived"),
+    _ABELIANIZATION,
+    _MIXED,
+)
+
+DIHEDRAL = (("order", lambda G: G.order, _order, "G"), _MIXED, _ABELIANIZATION)
+
+GRAPHS = (
+    ("cayley-vertices", lambda G: G.order, lambda c: c.gamma.n, "gamma"),
+    ("cayley-valency", lambda G: 2 * (2 ** G.n - 1), lambda c: c.gamma.is_regular(), "gamma"),
+    ("coset-graph-vertices", lambda G: 2 ** (G.n * G.n + G.n + 1), lambda c: c.sigma.n, "sigma"),
+    ("coset-graph-valency", lambda G: 2 ** G.n, lambda c: c.sigma.is_regular(), "sigma"),
+    ("coset-graph-edges", lambda G: G.order, lambda c: c.sigma.edge_count(), "sigma"),
+    # clique i is row i, the coset that is vertex i of the coset graph
+    ("clique-graph-is-coset-graph", True, lambda c: graphs.clique_graph(
+        c.gamma, graphs.coset_cliques(c.info)) == c.sigma, "gamma sigma info"),
+    ("line-graph-is-cayley-graph", True, lambda c: len(
+        graphs.phi_map(c.gamma, c.sigma, c.info)) == c.group.order, "gamma sigma info"),
+    ("quotient-complete-bipartite", lambda G: (2 ** G.n, 2 ** G.n),
+     lambda c: permgroups.is_complete_bipartite(c.quotient[0]), "quotient"),
+    ("quotient-preserves-valency", True, lambda c: c.quotient[1], "quotient"),
+    ("derived-action-semiregular", True, lambda c: bool(np.all(
+        np.bincount(c.labels)[c.labels] == 1 << (c.group.n ** 2))), "labels"),
+    # each row that reads the actions checks that they are automorphisms
+    ("edge-affine-witness", True, lambda c: _edge_affine_ok(
+        c.group, c.labels, c.quotient[0], c.sigma_gens), "labels quotient sigma_gens"),
+    ("cayley-transitivity", GAMMA_EXPECTED_FLAGS, lambda c: permgroups.transitivity_report(
+        c.gamma, c.gamma_gens, stabilizer_certified=(c.group.n == 2)).flags(), "gamma gamma_gens"),
+    ("coset-graph-2-arc-transitive", True, lambda c: permgroups.transitivity_report(
+        c.sigma, c.sigma_gens).two_arc, "sigma sigma_gens"),
+    ("distance-layers", lambda G: [1, 6, 18, 54, 117, 54, 6] if G.n == 2 else None,
+     lambda c: graphs.bfs_layers(c.gamma, 0)[1], "gamma"),
+    ("distance-diagram-reference", lambda G: (True, "ok") if G.n == 2 else None,
+     lambda c: diagram_matches_reference(
+         permgroups.distance_diagram(c.gamma, c.gamma_gens[len(c.group.gens):]),
+         load_reference_diagram())
+     if permgroups.are_automorphisms(c.gamma, c.gamma_gens)
+     else (False, "lift is not an automorphism"), "gamma gamma_gens"),
+    ("edge-color-counts", lambda G: (G.order * (2 ** G.n - 1) // 2,) * 2,
+     lambda c: (int(np.count_nonzero(c.colors == "X")), int(np.count_nonzero(c.colors == "Y"))),
+     "colors"),
+    ("triangles-monochromatic", True,
+     lambda c: graphs.triangles_monochromatic(c.gamma, c.colors), "gamma colors"),
+)
+
+GENERATED_ORDER = ("generated-order", _symmetry, lambda c: permgroups.generated_order(
+    c.group, c.S, permgroups.stabilizer_lift_images(c.group, c.S)), "S")
+# the full search; on Σ its seeds are induced from the coset
+# representatives, with no permutation of all codes
+SEARCH = {
+    "gamma": ("full-automorphism-order-gamma", _symmetry,
+              lambda c: _search(c.gamma, c.gamma_gens, c.node_budget), "gamma gamma_gens"),
+    "sigma": ("full-automorphism-order-sigma", _symmetry,
+              lambda c: _search(c.sigma, c.sigma_gens, c.node_budget), "sigma sigma_gens"),
+}
+
+
+def run(rows, ctx: Context) -> VerificationReport:
+    """Report, in order, every row whose expected value is known; a crash
+    is a failed claim, not a crashed run.  Each object is released after
+    the last row that needs it."""
+    G = ctx.group
+    param = ",".join(map(str, getattr(G, "ms", [G.n])))  # how a skip reason names G
+    rows = [(row, row[1](G) if callable(row[1]) else row[1]) for row in rows]
+    rows = [(row, expected) for row, expected in rows if expected is not None]
+    last = {name: i for i, (row, _) in enumerate(rows) for name in needs_of(row[3])}
+    rep = VerificationReport()
+    for i, ((cid, _, compute, needs), expected) in enumerate(rows):
+        t0 = time.perf_counter()
+        try:
+            if compute is None:
+                computed, status = None, ASSERTED
+            else:
+                for label, size, _, _ in (OBJECTS[name] for name in needs_of(needs)):
+                    if size(G) > groups.DEFAULT_BUDGET:
+                        raise groups.BudgetExceeded(f"needs {label}({param}): {size(G):,} "
+                                                    f"entries > {groups.DEFAULT_BUDGET:,}")
+                computed = compute(ctx)
+                status = PASS if computed == expected else FAIL
+        except groups.BudgetExceeded as e:
+            computed, status = f"budget exceeded: {e}", SKIPPED
+        except Exception as e:
+            computed, status = f"error: {type(e).__name__}: {e}", FAIL
+        rep.append(Claim(cid, status, computed, expected, int((time.perf_counter() - t0) * 1000)))
+        for name in [name for name, j in last.items() if j == i]:
+            ctx.pop(name, None)
+    return rep

@@ -1,0 +1,54 @@
+"""The claim table's context and size rule."""
+
+import collections
+import tracemalloc
+
+from mdg import claims, graphs, groups, permgroups
+
+
+def test_an_object_is_built_once_and_released_after_its_last_reader(monkeypatch):
+    calls = collections.Counter()
+    for name in ("cayley_graph", "sigma_graph"):
+        build = getattr(graphs, name)
+        monkeypatch.setattr(graphs, name,
+                            lambda *a, _build=build, _name=name: calls.update([_name]) or _build(*a))
+    held = []  # the objects the context holds as each row starts
+
+    def row(cid, expected, compute, needs):
+        return cid, expected, lambda c: (held.append(sorted(c)), compute(c))[1], needs
+
+    ctx = claims.Context(groups.TensorGroup(2))
+    rep = claims.run([row("gamma-once", 256, lambda c: c.gamma.n, "gamma"),
+                      row("gamma-again", 6, lambda c: c.gamma.is_regular(), "gamma"),
+                      row("quotient", (4, 4),
+                          lambda c: permgroups.is_complete_bipartite(c.quotient[0]), "quotient"),
+                      row("sigma", 128, lambda c: c.sigma.n, "sigma")], ctx)
+    assert [c.status for c in rep] == ["pass"] * 4
+    assert calls == {"cayley_graph": 1, "sigma_graph": 1}
+    # Γ and S go after their last reader; the labels and the coset
+    # bookkeeping go after the quotient, the last object that reads them,
+    # while Σ stays for its row
+    assert held == [[], ["S", "gamma"], [], ["coset_graph", "sigma"]]
+    assert ctx == {}
+
+
+def test_over_budget_objects_are_never_built():
+    """At n = 5, Γ(5) and Σ(5) would hold about 2·10^12 and 2·10^11
+    entries: the graph suite skips every claim before it builds anything,
+    under a 2 MB traced peak (about 50 kB on Linux, CPython 3.11, numpy 2)."""
+    tracemalloc.start()
+    try:
+        rep = claims.run(claims.GRAPHS, claims.Context(groups.TensorGroup(5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.status for c in rep] == ["skipped"] * 15
+    assert peak < 2 << 20, f"traced peak {peak} bytes"
+
+
+def test_the_table_ids_are_unique_and_every_need_is_an_object():
+    for rows in (claims.GROUP, claims.DIHEDRAL, claims.GRAPHS,
+                 (claims.GENERATED_ORDER, *claims.SEARCH.values())):
+        assert len({r[0] for r in rows}) == len(rows)
+        for r in rows:
+            assert set(claims.needs_of(r[3])) <= set(claims.OBJECTS)

@@ -16,7 +16,7 @@ import pytest
 
 import mdg
 from graph_io import from_graph6
-from mdg import cli, graphs, permgroups
+from mdg import claims, cli, graphs, permgroups
 
 
 REPORT_SCHEMA = {
@@ -263,6 +263,40 @@ def test_a_bad_cayley_lift_is_a_failed_claim(monkeypatch, args, cids):
         assert claims[cid]["status"] == "fail" and "automorphism" in str(claims[cid]["computed"])
 
 
+def test_a_failing_builder_is_a_failed_claim(monkeypatch):
+    """A coset action that swaps two vertices makes the derived-orbit
+    labels' builder raise: the rows that read them, and the one that reads
+    the coset-graph actions, fail with the error as their computed value;
+    every other claim still runs and passes, with exit 1 and no traceback.
+    The failed build is not retried: the probes are listed once for the
+    labels and once for the actions."""
+    act, probes, calls = permgroups.coset_action, permgroups.coset_probes, []
+
+    def with_a_swap(info, images):
+        p = act(info, images).copy()
+        p[[0, 1]] = p[[1, 0]]
+        return p
+
+    monkeypatch.setattr(permgroups, "coset_action", with_a_swap)
+    monkeypatch.setattr(permgroups, "coset_probes", lambda info: calls.append(1) or probes(info))
+    r = run("verify", "graphs", "-n", "2", "--json")
+    assert len(calls) == 2
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert "Traceback" not in r.output
+    by_id = {c["id"]: c for c in json.loads(r.output)["claims"]}
+    golden = json.loads((GOLDEN / "verify-graphs-n2.json").read_text())
+    assert list(by_id) == [c["id"] for c in golden["claims"]]
+    orbit_rows = ["quotient-complete-bipartite", "quotient-preserves-valency",
+                  "derived-action-semiregular", "edge-affine-witness"]
+    assert [i for i, c in by_id.items() if c["status"] != "pass"] == \
+        orbit_rows + ["coset-graph-2-arc-transitive"]
+    for cid in orbit_rows:
+        assert by_id[cid]["status"] == "fail"
+        assert by_id[cid]["computed"] == ("error: ValueError: derived right multiplication "
+                                          "is not a coset-graph automorphism")
+    assert by_id["coset-graph-2-arc-transitive"]["computed"].startswith("error: ValueError: ")
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_diagram_with_a_bad_lift_exits_1(monkeypatch, fmt):
     """``diagram`` checks the lifts before it builds the diagram: a lift
@@ -440,6 +474,27 @@ def test_aut_above_the_enumeration_budget_skips(n):
     assert by_id["generated-order"]["computed"] == 2 ** (k * k + 2 * k) * gl ** 2 * 2
 
 
+@pytest.mark.parametrize("n", ["4", "5", "7"])
+def test_verify_graphs_above_n3_skips_every_claim(n):
+    """Above n = 3, Γ and Σ hold more than 2^24 entries: every claim of
+    n = 3 is reported, in the same order, as skipped with the object it
+    needs and that object's size; the run exits 0."""
+    r = run_fresh("verify", "graphs", "-n", n, "--json")
+    assert r.returncode == 0, r.stderr
+    reported = json.loads(r.stdout)["claims"]
+    golden = json.loads((GOLDEN / "verify-graphs-n3.json").read_text())
+    assert [c["id"] for c in reported] == [c["id"] for c in golden["claims"]]
+    for c in reported:
+        assert c["status"] == "skipped", c
+        assert re.fullmatch(r"budget exceeded: needs .+\(%s\): [\d,]+ entries > 16,777,216" % n,
+                            c["computed"]), c
+    # the text report is ASCII, so a stream of any encoding can print it
+    text = subprocess.run([sys.executable, "-m", "mdg.cli", "verify", "graphs", "-n", n],
+                          capture_output=True, text=True, timeout=30,
+                          env={**fresh_env(), "PYTHONIOENCODING": "ascii"})
+    assert text.returncode == 0 and text.stderr == "", text.stderr
+
+
 @pytest.mark.parametrize("args", [["aut", "--full-search"], ["export", "--target", "sigma"],
                                   ["export", "--target", "gamma"]])
 def test_full_degree_commands_above_n3_are_usage_errors(args):
@@ -482,8 +537,9 @@ def test_verify_graphs_n2():
     assert "'2-geodesic': True" in r.output
 
 
-def test_verify_graphs_json_schema():
-    r = run("verify", "graphs", "-n", "2", "--json")
+@pytest.mark.parametrize("n", ["2", "5"])
+def test_verify_graphs_json_schema(n):
+    r = run("verify", "graphs", "-n", n, "--json")
     assert r.exit_code == 0
     jsonschema.validate(json.loads(r.output), REPORT_SCHEMA)
 
@@ -596,7 +652,7 @@ def test_jsonable_turns_numpy_scalars_into_json_scalars():
              (np.float32(4.0), 4), (np.bool_(True), True), (np.bool_(False), False),
              ((np.int64(1), [np.bool_(True)]), [1, [True]]), ({"k": np.int16(5)}, {"k": 5})]
     for value, expected in cases:
-        out = cli._jsonable(value)
+        out = claims._jsonable(value)
         assert out == expected and json.loads(json.dumps(out)) == expected
         assert type(out) is type(expected)
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import perm_oracle
 from group_oracle import (TableGroup, cayley_graph_from_pairs, line_graph, maximal_cliques,
                           sigma_graph_from_pairs)
-from mdg import autsearch, cli, graphs, groups, permgroups
+from mdg import autsearch, claims, cli, graphs, groups, permgroups
 
 try:
     import networkx as nx
@@ -244,11 +244,11 @@ def test_bfs_layers_match_networkx():
 
 
 def test_normal_quotient_matches_a_scalar_quotient():
-    labels = cli.derived_orbit_partition(G2, SIGMA2, INFO2)
+    labels = claims.derived_orbit_partition(G2, SIGMA2, INFO2)
     quotient, preserved = graphs.normal_quotient(SIGMA2, labels)
     part = perm_oracle.orbits(
         [perm_oracle.induced_sigma_perm(INFO2, perm_oracle.right_mult_perm(G2, d))
-         for d in cli.derived_basis(G2)], SIGMA2.n)
+         for d in claims.derived_basis(G2)], SIGMA2.n)
     assert labels.tolist() == [next(c[0] for c in part if v in c) for v in range(SIGMA2.n)]
     cell = {v: i for i, c in enumerate(part) for v in c}
     expect = sorted({(min(cell[u], cell[v]), max(cell[u], cell[v]))
@@ -270,7 +270,7 @@ BAD_LABELS = {
 
 @pytest.mark.parametrize("bad", sorted(BAD_LABELS))
 def test_normal_quotient_rejects_malformed_labels(bad):
-    labels = BAD_LABELS[bad](cli.derived_orbit_partition(G2, SIGMA2, INFO2))
+    labels = BAD_LABELS[bad](claims.derived_orbit_partition(G2, SIGMA2, INFO2))
     with pytest.raises(ValueError):
         graphs.normal_quotient(SIGMA2, labels)
 

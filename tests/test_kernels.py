@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from group_oracle import mat_transpose
 from perm_oracle import induced_sigma_perm, partition_from_cells, right_mult_perm
 from test_graph_core import over_chunks
-from mdg import autsearch, cli, f2, graphs, groups, permgroups as pg
+from mdg import autsearch, claims, cli, f2, graphs, groups, permgroups as pg
 from mdg.autsearch import Partition
 
 
@@ -286,7 +286,7 @@ def test_coset_action_matches_the_induced_permutation(n):
     sigma, info = graphs.sigma_graph(G)
     probes = pg.coset_probes(info)
     assert probes.dtype == np.int64 and len(probes) == sigma.n + 2 * (1 << n)
-    for g in G.gens + cli.derived_basis(G):
+    for g in G.gens + claims.derived_basis(G):
         got = pg.coset_action(info, G.mul_vec(probes, g))
         assert got.dtype == np.int32
         assert np.array_equal(got, induced_sigma_perm(info, right_mult_perm(G, g)))

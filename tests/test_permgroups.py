@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import perm_oracle
-from mdg import autsearch, cli, f2, graphs, groups, permgroups as pg
+from mdg import autsearch, claims, cli, f2, graphs, groups, permgroups as pg
 
 try:
     import networkx as nx
@@ -277,9 +277,9 @@ def test_bipartition_helpers():
 
 
 def test_edge_affine_witness_positive():
-    labels = cli.derived_orbit_partition(G2, SIGMA2, INFO2)
+    labels = claims.derived_orbit_partition(G2, SIGMA2, INFO2)
     quotient, _ = graphs.normal_quotient(SIGMA2, labels)
-    assert cli._edge_affine_ok(G2, labels, quotient, SIGMA_GENS2)
+    assert claims._edge_affine_ok(G2, labels, quotient, SIGMA_GENS2)
 
 
 def test_sigma_right_multiplications_fixing_the_base_join_the_stabilizer():
