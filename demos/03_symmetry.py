@@ -32,8 +32,8 @@ diag = pg.distance_diagram(gamma, lifts)
 print("orbit sizes by distance:", diag.cell_sizes_by_distance())
 print(cli.render_diagram_table(diag))
 
-# transitivity profile
-rep = pg.transitivity_report(gamma, gens, stabilizer_certified=True)
+# transitivity profile, from the lifts on the ball of radius 3 about vertex 0
+rep = pg.cayley_transitivity(G, S, gamma, stabilizer_certified=True)
 print("Cayley graph transitivity:", rep.flags())
 # on the coset graph: the same generators, induced on the cosets from one
 # representative each

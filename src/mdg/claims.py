@@ -232,8 +232,8 @@ GRAPHS = (
     # each row that reads the actions checks that they are automorphisms
     ("edge-affine-witness", True, lambda c: _edge_affine_ok(
         c.group, c.labels, c.quotient[0], c.sigma_gens), "labels quotient sigma_gens"),
-    ("cayley-transitivity", GAMMA_EXPECTED_FLAGS, lambda c: permgroups.transitivity_report(
-        c.gamma, c.gamma_gens, stabilizer_certified=(c.group.n == 2)).flags(), "gamma gamma_gens"),
+    ("cayley-transitivity", GAMMA_EXPECTED_FLAGS, lambda c: permgroups.cayley_transitivity(
+        c.group, c.S, c.gamma, stabilizer_certified=(c.group.n == 2)).flags(), "gamma S"),
     ("coset-graph-2-arc-transitive", True, lambda c: permgroups.transitivity_report(
         c.sigma, c.sigma_gens).two_arc, "sigma sigma_gens"),
     ("distance-layers", lambda G: [1, 6, 18, 54, 117, 54, 6] if G.n == 2 else None,

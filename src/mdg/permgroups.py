@@ -1,13 +1,13 @@
 """Permutation groups on graph vertices.
 
-Permutations are numpy int32 arrays mapping vertex -> image, even where
-a graph stores its vertex ids in int16 (``graphs._index_dtype``); an edge
-is found by ``graphs._find_arcs`` and numbered by ``graphs._slot_edges``,
-as the row of ``edge_array()``.  PermGroup keeps a base and strong
-generating set computed by a deterministic, randomisation-free
-Schreier-Sims (base points chosen as minimal moved points; transversal
-elements rebuilt by walking the Schreier tree, so no per-point
-permutation storage is needed at large degrees).
+Permutations are numpy int32 arrays mapping vertex -> image, even where a
+graph stores its vertex ids in int16 (``graphs._index_dtype``), each checked
+once by ``as_perm`` where it is made or enters; an edge is found by
+``graphs._find_arcs`` and numbered by ``graphs._slot_edges``, as the row of
+``edge_array()``.  PermGroup keeps a base and strong generating set computed
+by a deterministic, randomisation-free Schreier-Sims (base points chosen as
+minimal moved points; transversal elements rebuilt by walking the Schreier
+tree, so no per-point permutation storage is needed at large degrees).
 """
 
 from dataclasses import dataclass, field
@@ -189,7 +189,6 @@ def orbits(gens, degree: int) -> np.ndarray:
     Along each generator, the larger of two roots is hooked under the
     smaller, then pointers jump until every label is a root (Shiloach &
     Vishkin, J. Algorithms 3, 1982); a pass that hooks nothing ends it."""
-    gens = [as_perm(g) for g in gens]
     if any(len(g) != degree for g in gens):
         raise ValueError("generators must have the given degree")
     label = np.arange(degree, dtype=np.int32)
@@ -217,7 +216,6 @@ def are_automorphisms(graph: graphs.Graph, perms) -> bool:
     """Whether every permutation in ``perms`` is an automorphism of the
     graph; a regular graph's neighbour array is built once for all, and
     compared a block of rows at a time."""
-    perms = [as_perm(p) for p in perms]
     if any(len(p) != graph.n for p in perms):
         return False
     k = graph.is_regular()
@@ -259,39 +257,44 @@ def action_gens(G, info=None) -> list[np.ndarray]:
     (``coset_action``).  The callers check them with ``are_automorphisms``."""
     if info is None:
         # map, so each lift's int64 images are freed before the next lift's are built
-        return ([G.mul_vec(np.arange(G.order), g).astype(np.int32) for g in G.gens]
-                + list(map(lambda p: p.astype(np.int32), stabilizer_lift_images(G))))
+        return ([as_perm(G.mul_vec(np.arange(G.order), g)) for g in G.gens]
+                + list(map(as_perm, stabilizer_lift_images(G))))
     probes = coset_probes(info)
     return ([coset_action(info, G.mul_vec(probes, g)) for g in G.gens]
             + [coset_action(info, p) for p in stabilizer_lift_images(G, probes)])
 
 
-def generated_order(G, S, images) -> int:
-    """Order of <R(G), lifts> for the tensor group G, from each lift's
-    images of the sorted connection set S = (X u Y) \\ {1}.
-
-    Each lift must permute S; its generator images must satisfy the defining
+def checked_lifts(G, S, codes, images):
+    """Each of ``images``, a lift's int64 images of the sorted ``codes``,
+    which hold the sorted connection set S = (X u Y) \\ {1}, once checked:
+    the lift must permute S; its generator images must satisfy the defining
     relations, so by von Dyck they define an endomorphism phi of G; and phi
-    must agree with the lift on S, so phi(S) = S generates G and phi is an
-    automorphism.  Automorphisms act faithfully on S, fix 1 and normalise
-    R(G), meeting it trivially: the order is |G| * |<lifts on S>|."""
-    S = np.asarray(S, dtype=np.int64)
-    at = np.searchsorted(S, G.gens)
-    if (np.any(np.diff(S) <= 0) or not np.array_equal(S[at % len(S)], G.gens)
+    must agree with the lift on ``codes``, so phi(S) = S generates G and phi
+    is an automorphism.  ValueError names the first check that fails."""
+    S, codes = np.asarray(S, dtype=np.int64), np.asarray(codes, dtype=np.int64)
+    on_s = np.searchsorted(codes, S) % len(codes)
+    at = on_s[np.searchsorted(S, G.gens) % len(S)]  # the generators' places in codes
+    if (np.any(np.diff(S) <= 0) or not np.array_equal(codes[np.r_[on_s, at]], np.r_[S, G.gens])
             or not np.array_equal(G.word_images(G.x_gens, G.y_gens, S), S)):
         raise ValueError("S is not a sorted set of generators and their words")
-    perms = []
     for img in images:
         img = np.asarray(img, dtype=np.int64)
-        if not np.array_equal(np.sort(img), S):
+        if not np.array_equal(np.sort(img[on_s]), S):
             raise ValueError("lift does not permute the connection set")
         xs, ys = img[at[:G.n]].tolist(), img[at[G.n:]].tolist()
         if not groups.relations_hold(G, xs, ys):
             raise ValueError("lift's generator images break a defining relation")
-        if not np.array_equal(G.word_images(xs, ys, S), img):
+        if not np.array_equal(G.word_images(xs, ys, codes), img):
             raise ValueError("lift differs from the automorphism its generator images define")
-        perms.append(np.searchsorted(S, img))
-    return G.order * PermGroup(perms, len(S)).order()
+        yield img
+
+
+def generated_order(G, S, images) -> int:
+    """Order of <R(G), lifts> from the lifts' ``checked_lifts`` images of S:
+    automorphisms act faithfully on S, fix 1 and normalise R(G), meeting it
+    trivially, so the order is |G| * |<lifts on S>|."""
+    return G.order * PermGroup([np.searchsorted(S, img) for img in checked_lifts(
+        G, S, S, images)], len(S)).order()
 
 
 def expected_symmetry_order(n: int) -> int:
@@ -400,50 +403,72 @@ def _edge_action(graph: graphs.Graph, perms) -> list[np.ndarray]:
     return [edges[graphs._find_arcs(graph, p[u], p[w])] for p in perms]
 
 
-def transitivity_report(graph: graphs.Graph, gens,
-                        stabilizer_certified: bool = False) -> TransitivityReport:
-    """Transitivity flags computed by stabilizer-orbit counting at the base
-    vertex 0 of a vertex-transitive graph.
+def ball_of(graph: graphs.Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices at distance <= 3 from vertex 0, and their distances."""
+    dist = graphs.bfs_layers(graph, 0)[0]
+    ball = np.flatnonzero((dist >= 0) & (dist <= 3))
+    return ball, dist[ball]
 
-    The members of ``gens`` that fix 0 generate a subgroup of its
-    stabilizer in the group generated by ``gens``.  Positive flags are
-    valid for that group; negative flags are only conclusive when the
-    caller certifies that they generate the full stabilizer
-    (``stabilizer_certified``).
 
-    Transitivity on an empty set counts as false: a graph without edges
-    has ``edge``, ``arc``, ``two_arc`` and ``two_geodesic`` all false,
-    since the group has no orbit on its edges rather than one.
-    """
-    gens = [as_perm(g) for g in gens]
-    if not are_automorphisms(graph, gens):
-        raise ValueError("generator is not a graph automorphism")
-    stab_gens = [g for g in gens if int(g[0]) == 0]
-    vertex = bool(orbit_mask(gens, 0, graph.n).all())
+def ball_report(graph, ball, dist, stab, vertex, stabilizer_certified=False) -> TransitivityReport:
+    """Flags of a group A of automorphisms, vertex-transitive iff ``vertex``,
+    from the orbits on the ball (``ball_of``, at distances ``dist``) of
+    ``stab``, members of A_0 given by their images of the ball: true flags
+    hold for A, false ones if ``stab`` generates A_0 (``stabilizer_certified``).
+    An empty set has no orbit; ``edge`` is ``arc``, exact if A reverses edges."""
+    places = [np.searchsorted(ball, img) for img in stab]
     # the stabilizer on the k neighbours of the base, and on the ordered
     # neighbour pairs (i, j), named i * k + j
-    n1 = graph.neighbors(0)
+    n1 = np.flatnonzero(dist == 1)
     k = len(n1)
-    local = [np.searchsorted(n1, g[n1]) for g in stab_gens]
-    arc = vertex and _orbit_count(local, k) == 1
-    if arc or graph.edge_count() == 0:
-        edge = arc
-    else:
-        edge = _orbit_count(_edge_action(graph, gens), graph.edge_count()) == 1
+    local = [np.searchsorted(n1, q[n1]) for q in places]
     # the diagonal i == j is a union of pair orbits; one (i, j) per other orbit
     pairs = orbits([(q[:, None] * k + q).ravel() for q in local], k * k)
     roots = np.flatnonzero(pairs == np.arange(k * k)).tolist()
     off = [(i, j) for i, j in (divmod(r, k) for r in roots) if i != j]
-    two_arc = vertex and len(off) == 1
-    geo = [(i, j) for i, j in off if not graph.has_edge(int(n1[i]), int(n1[j]))]
-    two_geodesic = vertex and len(geo) == 1
-    # the distance of each stabilizer orbit's least member; the orbit
-    # labels are freed before the BFS makes its temporaries
-    roots = orbits(stab_gens, graph.n) == np.arange(graph.n)
-    layers = graphs.bfs_layers(graph, 0)[0][roots]
-    distance = {i: vertex and int(np.count_nonzero(layers == i)) == 1 for i in (1, 2, 3)}
-    return TransitivityReport(vertex, edge, arc, two_arc, two_geodesic, distance,
-                              stabilizer_certified)
+    geo = [(i, j) for i, j in off if not graph.has_edge(int(ball[n1[i]]), int(ball[n1[j]]))]
+    # the distance of each stabilizer orbit's least member on the ball
+    cells = dist[orbits(places, len(ball)) == np.arange(len(ball))]
+    distance = {i: vertex and int(np.count_nonzero(cells == i)) == 1 for i in (1, 2, 3)}
+    return TransitivityReport(vertex, distance[1], distance[1], vertex and len(off) == 1,
+                              vertex and len(geo) == 1, distance, stabilizer_certified)
+
+
+def transitivity_report(graph, gens, stabilizer_certified=False) -> TransitivityReport:
+    """``ball_report`` of <gens>, permutations of all vertices checked once;
+    ``edge`` counts the edge orbits where <gens> is not arc-transitive."""
+    gens = [as_perm(g) for g in gens]
+    if not are_automorphisms(graph, gens):
+        raise ValueError("generator is not a graph automorphism")
+    ball, dist = ball_of(graph)
+    rep = ball_report(graph, ball, dist, [g[ball] for g in gens if int(g[0]) == 0],
+                      bool(orbit_mask(gens, 0, graph.n).all()), stabilizer_certified)
+    if not rep.arc and graph.edge_count():
+        rep.edge = _orbit_count(_edge_action(graph, gens), graph.edge_count()) == 1
+    return rep
+
+
+def cayley_transitivity(G, S, gamma, stabilizer_certified=False) -> TransitivityReport:
+    """``ball_report`` of A = <R(G), lifts> on the Cayley graph ``gamma`` of
+    G on S = (X u Y) \\ {1}, with one R(g), g in G.gens, at a time as the only
+    permutation of all codes.  Each R(g) is an automorphism of ``gamma``, so
+    it is the Cayley graph on the row of 0; each lift agrees on the ball with
+    an automorphism of G permuting S (``checked_lifts``) and maps each row
+    within distance 2 onto its image's row, so it is an automorphism of
+    ``gamma`` normalising R(G) and fixing 0: <lifts> = A_0 (Praeger, 1993)."""
+    ball, dist = ball_of(gamma)
+    lifts = list(checked_lifts(G, S, ball, stabilizer_lift_images(G, ball)))
+    # rows within distance 2 by place in the ball; padding n stays past it
+    rows, inner = gamma.neighbor_array(), np.flatnonzero(dist <= 2)
+    at = np.searchsorted(ball, rows[ball[inner]])
+    for img in lifts:
+        if not np.array_equal(np.sort(np.append(img, gamma.n)[at], axis=1), rows[img[inner]]):
+            raise ValueError("lift is not an automorphism of the Cayley graph near vertex 0")
+    codes = np.arange(G.order, dtype=np.uint64)
+    if not all(are_automorphisms(gamma, [as_perm(G.mul_vec(codes, g))]) for g in G.gens):
+        raise ValueError("right multiplication is not an automorphism of the Cayley graph")
+    return ball_report(gamma, ball, dist, lifts, groups.subgroup_order(G, G.gens) == gamma.n,
+                       stabilizer_certified)
 
 
 # -- induced actions and witnesses ----------------------------------------

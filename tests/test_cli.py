@@ -219,25 +219,23 @@ def _refuse(*args, **kwargs):
 
 
 def test_sigma_paths_build_no_permutation_of_all_codes(monkeypatch):
-    """Every coset-graph permutation comes from the coset representatives:
-    with the builder's branch for all codes refused, the search on Σ
-    passes; with that branch's permutations spoiled, ``verify graphs``
-    fails only the claims on the Cayley graph."""
+    """Every coset-graph permutation comes from the coset representatives,
+    and the Cayley graph's transitivity from the lifts near vertex 0: with
+    the builder's branch for all codes refused, the search on Σ and
+    ``verify graphs -n 3`` pass; with every lift spoiled where the Cayley
+    graph's claims ask for it, ``verify graphs`` fails only those claims."""
     build = permgroups.action_gens
     monkeypatch.setattr(permgroups, "action_gens",
                         lambda G, info=None: build(G, info) if info is not None else _refuse())
-    r = run("aut", "-n", "2", "--target", "sigma", "--full-search", "--json")
-    assert r.exit_code == 0, r.output
-    assert {c["status"] for c in json.loads(r.output)["claims"]} == {"pass"}
+    for args in (["aut", "-n", "2", "--target", "sigma", "--full-search", "--json"],
+                 ["verify", "graphs", "-n", "3", "--json"]):
+        r = run(*args)
+        assert r.exit_code == 0, r.output
+        assert {c["status"] for c in json.loads(r.output)["claims"]} == {"pass"}
+    assert len(json.loads(r.output)["claims"]) == 15
 
-    def spoiled(G, info=None):
-        gens = build(G, info)
-        if info is None:
-            for p in gens:
-                p[[1, 2]] = p[[2, 1]]
-        return gens
-
-    monkeypatch.setattr(permgroups, "action_gens", spoiled)
+    monkeypatch.setattr(permgroups, "action_gens", build)
+    _plant_a_bad_lift(monkeypatch, every=True)
     r = run("verify", "graphs", "-n", "2", "--json")
     assert r.exit_code == 1 and "Traceback" not in r.output
     assert [c["id"] for c in json.loads(r.output)["claims"] if c["status"] != "pass"] == \
@@ -308,19 +306,24 @@ def test_diagram_with_a_bad_lift_exits_1(monkeypatch, fmt):
     assert r.stderr == "lift is not an automorphism\n"
 
 
-def _plant_a_bad_lift(monkeypatch):
-    """Make the builder's first stabilizer lift on all codes swap x_0 and
-    x_1, which are not twins."""
-    build = permgroups.action_gens
+def _plant_a_bad_lift(monkeypatch, every=False):
+    """Make the first stabilizer lift (or, with ``every``, each of them)
+    swap the images of x_0 and x_1, codes 1 and 2, which are not twins,
+    wherever those codes are asked for in ascending order: on all codes, on
+    S and on the ball about vertex 0, though not on the coset probes, so
+    the actions on Σ stay right."""
+    build = permgroups.stabilizer_lift_images
 
-    def with_a_bad_lift(G, info=None):
-        gens = build(G, info)
-        if info is None:
-            bad = gens[len(G.gens)]
-            bad[[1, 2]] = bad[[2, 1]]
-        return gens
+    def with_a_bad_lift(G, codes=None):
+        asked = np.arange(G.order) if codes is None else np.asarray(codes)
+        one, two = asked == 1, asked == 2
+        plant = np.all(np.diff(asked) > 0) and one.any() and two.any()
+        for i, img in enumerate(build(G, codes)):
+            if plant and (every or i == 0):
+                img[one], img[two] = img[two][0], img[one][0]
+            yield img
 
-    monkeypatch.setattr(permgroups, "action_gens", with_a_bad_lift)
+    monkeypatch.setattr(permgroups, "stabilizer_lift_images", with_a_bad_lift)
 
 
 # Each command, in a fresh interpreter, imports no third-party package but

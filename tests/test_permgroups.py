@@ -174,7 +174,8 @@ def test_generated_order_rejects_broken_relations():
 
 def test_full_degree_lift_with_a_wrong_matrix_part_is_rejected(monkeypatch):
     # generated_order never looks at the A-part of the formula, so the
-    # full-degree verification must still catch a wrong one
+    # full-degree verification and the check on the ball must still catch
+    # a wrong one
     real = pg.stabilizer_lift_images
 
     def keep_a(G, codes=None):
@@ -188,6 +189,8 @@ def test_full_degree_lift_with_a_wrong_matrix_part_is_rejected(monkeypatch):
     assert pg.are_automorphisms(GAMMA2, pg.action_gens(G2))
     monkeypatch.setattr(pg, "stabilizer_lift_images", keep_a)
     assert not pg.are_automorphisms(GAMMA2, pg.action_gens(G2))
+    with pytest.raises(ValueError, match="differs"):
+        pg.cayley_transitivity(G2, S2, GAMMA2)
 
 
 def test_expected_symmetry_order():
@@ -251,6 +254,81 @@ def test_transitivity_edgeless_graph():
 def test_transitivity_rejects_non_automorphism():
     with pytest.raises(ValueError):
         pg.transitivity_report(GAMMA2, [pg.as_perm(list(range(1, 256)) + [0])])
+
+
+def test_transitivity_report_checks_each_generator_once(monkeypatch):
+    calls = []
+    check = pg.as_perm
+    monkeypatch.setattr(pg, "as_perm", lambda p: calls.append(1) or check(p))
+    assert pg.transitivity_report(SIGMA2, SIGMA_GENS2).two_arc
+    assert len(calls) == len(SIGMA_GENS2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cayley_transitivity_matches_the_report_on_all_codes(n):
+    G = groups.TensorGroup(n)
+    S = graphs.xy_connection_set(G)
+    gamma = graphs.cayley_graph(G, S)
+    local = pg.cayley_transitivity(G, S, gamma).flags()
+    assert local == pg.transitivity_report(gamma, pg.action_gens(G)).flags()
+    assert local == claims.GAMMA_EXPECTED_FLAGS
+    if n == 2:
+        assert local == perm_oracle.transitivity_flags(GAMMA2, GENS2, LIFTS2)
+
+
+def _plant_in_the_first_lift(edit):
+    """Planters of ``edit(G, images, at)`` on the first lift's images,
+    where ``at(code)`` marks that code among the codes asked for."""
+    real = pg.stabilizer_lift_images
+
+    def planted(G, codes=None):
+        asked = np.arange(G.order) if codes is None else np.asarray(codes)
+        lifts = real(G, codes)
+        first = next(lifts)
+        edit(G, first, lambda code: asked == code)
+        yield first
+        yield from lifts
+
+    return lambda monkeypatch, ctx: monkeypatch.setattr(pg, "stabilizer_lift_images", planted)
+
+
+def _swap_x0_and_y0(G, images, at):
+    # a permutation of S, but the images of x_0 and x_1 no longer commute
+    x, y = at(G.x_gens[0]), at(G.y_gens[0])
+    images[x], images[y] = images[y][0], images[x][0]
+
+
+def _send_x0_out_of_s(G, images, at):
+    x, y = at(G.x_gens[0]), at(G.y_gens[0])
+    images[x] = G.mul_vec(images[x], images[y]).astype(np.int64)
+
+
+def _move_an_edge(within):
+    """A planter of Γ(2) with one edge {u, w} moved to {u, c}, where u, w
+    and c lie at the distances from 0 in ``within``: at 4 or more, the ball
+    of radius 3 and its rows stay as they were."""
+    def plant(monkeypatch, ctx):
+        dist = graphs.bfs_layers(GAMMA2, 0)[0]
+        edges = GAMMA2.edge_array().tolist()
+        u, w = next(e for e in edges if dist[e[0]] in within and dist[e[1]] in within)
+        c = next(v for v in range(GAMMA2.n)
+                 if dist[v] in within and v not in (u, w) and not GAMMA2.has_edge(u, v))
+        ctx["gamma"] = graphs.Graph(GAMMA2.n, [e for e in edges if e != [u, w]] + [(u, c)])
+    return plant
+
+
+@pytest.mark.parametrize("plant, why", [
+    (_plant_in_the_first_lift(_swap_x0_and_y0), "lift's generator images break a defining relation"),
+    (_plant_in_the_first_lift(_send_x0_out_of_s), "lift does not permute the connection set"),
+    (_move_an_edge((1, 2)), "lift is not an automorphism of the Cayley graph near vertex 0"),
+    (_move_an_edge((4, 5, 6)), "right multiplication is not an automorphism of the Cayley graph"),
+], ids=["broken-relation", "leaves-s", "moved-near-edge", "moved-far-edge"])
+def test_cayley_transitivity_names_what_a_planted_input_breaks(monkeypatch, plant, why):
+    ctx = claims.Context(G2)
+    plant(monkeypatch, ctx)
+    row = next(r for r in claims.GRAPHS if r[0] == "cayley-transitivity")
+    (claim,) = claims.run([row], ctx)
+    assert (claim.status, claim.computed) == ("fail", f"error: ValueError: {why}")
 
 
 def test_induced_sigma_perm():
