@@ -245,7 +245,7 @@ GRAPHS = (
      if permgroups.are_automorphisms(c.gamma, c.gamma_gens)
      else (False, "lift is not an automorphism"), "gamma gamma_gens"),
     ("edge-color-counts", lambda G: (G.order * (2 ** G.n - 1) // 2,) * 2,
-     lambda c: (int(np.count_nonzero(c.colors == "X")), int(np.count_nonzero(c.colors == "Y"))),
+     lambda c: (int(np.count_nonzero(c.colors)), int(np.count_nonzero(~c.colors))),
      "colors"),
     ("triangles-monochromatic", True,
      lambda c: graphs.triangles_monochromatic(c.gamma, c.colors), "gamma colors"),

@@ -132,7 +132,7 @@ def _ranges(starts, counts) -> np.ndarray:
 def _blocks(cum, per_item: int = 1):
     """Consecutive ranges lo:hi covering the items whose cumulative weights
     are ``cum`` (cum[0] == 0); each weighs at most CHUNK // per_item, or is a
-    single item."""
+    single item: ``per_item`` is the pass's 8-byte temporaries per unit."""
     step = max(1, CHUNK // max(1, per_item))
     lo, last = 0, len(cum) - 1
     while lo < last:
@@ -141,62 +141,61 @@ def _blocks(cum, per_item: int = 1):
         lo = hi
 
 
-def _forward_arcs(graph: Graph, per_arc: int = 1):
+def _forward_arcs(graph: Graph, per_arc: int = 4):
     """The arcs u -> v with u < v, in slot order (the order of the rows of
     ``edge_array()``), as (slots, tails, heads) per block of tails holding
-    at most CHUNK // per_arc arcs."""
+    at most CHUNK // per_arc arcs; ``per_arc`` counts the caller's 8-byte
+    temporaries per arc of the block and these four (the tails, the forward
+    positions, the slots, and the caller's hold on the last block)."""
     ptr = graph.indptr
     for lo, hi in _blocks(ptr, per_arc):
-        tails = np.repeat(np.arange(lo, hi), np.diff(ptr[lo:hi + 1]))
+        tails = np.repeat(np.arange(lo, hi, dtype=graph.indices.dtype), np.diff(ptr[lo:hi + 1]))
         heads = graph.indices[ptr[lo]:ptr[hi]]
         fwd = np.flatnonzero(tails < heads)
         yield ptr[lo] + fwd, tails[fwd], heads[fwd]
 
 
 def _find_arcs(graph: Graph, tails, heads) -> np.ndarray:
-    """Slot of each arc tails[i] -> heads[i], or -1 where there is none: one
-    binary search in every tail's sorted row at once."""
+    """Slot of each arc tails[i] -> heads[i], or -1 where there is none, in
+    the type of ``indptr``: one binary search in every tail's sorted row at
+    once, a block of CHUNK // 8 queries (about four temporaries each) at a time."""
     ptr, nb = graph.indptr, graph.indices
-    tails = np.asarray(tails)
-    if not len(nb):
-        return np.full(tails.shape, -1, dtype=np.int64)
-    lo, hi = ptr[tails], ptr[1:][tails]  # not tails + 1, which may wrap
-    end = hi
-    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = lo + ((hi - lo) >> 1)
-        less = nb[np.minimum(mid, len(nb) - 1)] < heads
-        lo, hi = np.where(less & (lo < hi), mid + 1, lo), np.where(less, hi, mid)
-    hit = (lo < end) & (nb[np.minimum(lo, len(nb) - 1)] == heads)
-    return np.where(hit, lo, -1)
+    out = np.full(np.shape(tails), -1, dtype=ptr.dtype)
+    step = max(1, CHUNK // 8)
+    for a in range(0, len(tails) if len(nb) else 0, step):
+        t, h = tails[a:a + step], heads[a:a + step]
+        lo, hi = ptr[t], ptr[1:][t]  # not t + 1, which may wrap
+        size = hi - lo  # the first entry >= h lies in lo .. lo + size
+        for _ in range(int(size.max(initial=0)).bit_length()):
+            half = size >> 1
+            mid = lo + half
+            np.copyto(lo, mid, where=nb.take(mid, mode="clip") < h)
+            size -= half
+        lo += (size > 0) & (nb.take(lo, mode="clip") < h)
+        hit = (lo < hi) & (nb.take(lo, mode="clip") == h)
+        out[a:a + step][hit] = lo[hit]
+    return out
 
 
 def _slot_edges(graph: Graph) -> np.ndarray:
     """Row in edge_array() of the edge behind every CSR slot: each forward
     arc numbers its edge, and its reverse arc takes the same number."""
     out = np.empty(len(graph.indices), dtype=_index_dtype(graph.edge_count()))
+    off = _edge_offsets(graph)
+    for slots, tails, heads in _forward_arcs(graph, 6):
+        out[slots] = out[_find_arcs(graph, heads, tails)] = slots + off[tails]
+    return out
+
+
+def _edge_offsets(graph: Graph) -> np.ndarray:
+    """off[u] such that forward slot s of row u is edge s + off[u]: edges are
+    numbered in slot order, and a row's forward slots are consecutive."""
+    off = np.zeros(graph.n, dtype=_index_dtype(len(graph.indices)))
     done = 0
-    for slots, tails, heads in _forward_arcs(graph):
-        ids = np.arange(done, done + len(slots))
-        out[slots] = out[_find_arcs(graph, heads, tails)] = ids
+    for slots, tails, _ in _forward_arcs(graph, 7):
+        off[tails] = np.arange(done, done + len(slots)) - slots
         done += len(slots)
-    return out
-
-
-def _pairs_within(ptr, values) -> np.ndarray:
-    """(values[p], values[q]) for every p < q in one segment ptr[i]:ptr[i+1],
-    as the rows of an array filled a block of segments at a time."""
-    sizes = np.diff(ptr).astype(np.int64)
-    start = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) // 2)])  # first row per segment
-    out = np.empty((int(start[-1]), 2), dtype=values.dtype)
-    # a block's temporaries run over its positions and over its pairs
-    for lo, hi in _blocks(start + ptr):
-        pos = np.arange(ptr[lo], ptr[hi])
-        later = np.repeat(ptr[lo + 1:hi + 1], sizes[lo:hi]) - pos - 1  # positions after p
-        first = np.repeat(pos, later)
-        rows = out[start[lo]:start[hi]]
-        rows[:, 0] = values[first]
-        rows[:, 1] = values[first + 1 + _ranges(np.zeros(len(pos), dtype=np.int64), later)]
-    return out
+    return off
 
 
 def _codes(a) -> np.ndarray:
@@ -321,7 +320,7 @@ def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
     of one size, are exactly the maximal cliques of the graph, each edge
     lying in one of them; raises ValueError otherwise.  Used to check the
     coset cliques against the graph itself.  The rows are checked a block
-    at a time.
+    at a time: six 8-byte temporaries per pair, four per member's arc.
 
     With each edge in exactly one clique, the cliques are all the maximal
     ones iff no vertex outside a clique is adjacent to two of its members
@@ -335,18 +334,20 @@ def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
     size, width = members.shape[1], int(degs.max(initial=0))
     if members.size and (members.min() < 0 or members.max() >= n):
         raise ValueError("clique vertex out of range")
-    covered = np.zeros(len(graph.indices), dtype=bool)  # per forward arc
+    covered = np.zeros(len(graph.indices) // 8 + 1, dtype=np.uint8)  # a bit per forward arc
     twice = triangle = False
-    step = max(1, CHUNK // (size * max(width, size)))
+    pstep, step = max(1, CHUNK // (3 * size ** 2)), max(1, CHUNK // (4 * size * max(width, size)))
     i, j = np.triu_indices(size, 1)
-    for lo in range(0, len(members), step):
-        block = members[lo:lo + step]
+    for lo in range(0, len(members), pstep):
+        block = members[lo:lo + pstep]
         a, b = block[:, i].ravel(), block[:, j].ravel()
         slots = np.sort(_find_arcs(graph, np.minimum(a, b), np.maximum(a, b)))
         if len(slots) and slots[0] < 0:
             raise ValueError("clique contains a non-edge")
-        twice = twice or covered[slots].any() or bool(np.any(slots[1:] == slots[:-1]))
-        covered[slots] = True
+        byte, bit = slots >> 3, (1 << (slots & 7)).astype(np.uint8)
+        twice = twice or bool(np.any(covered[byte] & bit)) or bool(np.any(slots[1:] == slots[:-1]))
+        first = np.flatnonzero(np.diff(byte, prepend=-1))  # the runs of one byte
+        covered[byte[first]] |= np.bitwise_or.reduceat(bit, first)
     # no vertex is its own neighbor, so a vertex adjacent to all ``size``
     # members lies outside the clique and would extend it; no key (clique,
     # neighbour) occurs more than ``size`` times, so one occurs that often
@@ -366,11 +367,11 @@ def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
         triangle = triangle or repeats != len(flat) * max(size - 2, 0)
     if twice:
         raise ValueError("edge lies in two of the cliques")
-    if np.count_nonzero(covered) != graph.edge_count():
+    if len(members) * (size * (size - 1) // 2) != graph.edge_count():  # distinct edges by now
         raise ValueError("cliques do not cover every edge")
     if triangle:
         raise ValueError("a triangle lies in no clique")
-    if np.any(np.bincount(members.ravel(), minlength=n)[degs == 0] != 1):
+    if not degs.all() and np.any(np.bincount(members.ravel(), minlength=n)[degs == 0] != 1):
         raise ValueError("an isolated vertex is not exactly one of the cliques")
 
 
@@ -378,17 +379,43 @@ def clique_graph(graph: Graph, cliques: np.ndarray) -> Graph:
     """Graph on the maximal cliques, adjacent iff their intersection is
     nonempty, vertex i being row i of ``cliques``.  The cliques, of one
     size (e.g. the cosets of a tagged Cayley instance), are the rows of a
-    2-D array, verified to be exactly the maximal cliques.
+    2-D array, verified to be exactly the maximal cliques.  Row i, written a
+    block of cliques at a time, holds the other cliques through i's members,
+    each once: two cliques sharing two vertices would share an edge.
     """
     cliques = np.asarray(cliques)
     verify_clique_cover(graph, cliques)
-    vertex = cliques.ravel()
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(vertex, minlength=graph.n))])
-    # position p of ``vertex`` lies in clique p // size: the cliques of each
-    # vertex in turn, with nothing else of the sort kept alive
-    owner = (np.argsort(vertex, kind="stable") // cliques.shape[1]).astype(
-        _index_dtype(len(cliques)))
-    return Graph(len(cliques), _pairs_within(ptr, owner))
+    (q, size), vertex = cliques.shape, cliques.ravel()
+    # each vertex's cliques, by a stable counting sort of the positions p of
+    # ``vertex`` (p lies in clique p // size): v lies in deg(v) / (size - 1)
+    # cliques, as each holds size - 1 of its edges; ptr[v + 1] is v's next place
+    ptr = np.zeros(graph.n + 1, dtype=_index_dtype(len(vertex) + 1, (np.int32,)))
+    ptr[2:] = np.diff(graph.indptr[:-1]) // (size - 1) if size > 1 else 1
+    np.cumsum(ptr, out=ptr)
+    owner = np.empty(len(vertex), dtype=_index_dtype(q))
+    step = max(1, CHUNK // 6)
+    for lo in range(0, len(vertex), step):
+        order = np.argsort(vertex[lo:lo + step], kind="stable")
+        v = vertex[lo:lo + step][order]
+        at = ptr[1:][v] + np.arange(len(v)) - np.searchsorted(v, v)
+        owner[at] = (order + lo) // size
+        last = np.append(v[1:] != v[:-1], True)
+        ptr[1:][v[last]] = at[last] + 1
+    # ptr[v + 1] now ends v's cliques; a block's keys (clique, neighbour) keep six temporaries
+    step = max(1, CHUNK // (6 * size * int(np.diff(ptr).max(initial=1))))
+    counts, rows = np.zeros(q + 1, dtype=np.int64), [np.empty(0, dtype=owner.dtype)]
+    for lo in range(0, q, step):
+        block = cliques[lo:lo + step]
+        c = ptr[1:][block] - ptr[block]
+        counts[lo + 1:lo + 1 + len(block)] = c.sum(axis=1) - size
+        key = np.repeat(np.arange(lo, lo + len(block)).repeat(size) * q, c.ravel())
+        key += owner[_ranges(ptr[block.ravel()], c.ravel())]
+        key = np.sort(key[key % (q + 1) != 0])  # clique i meets itself at key i * (q + 1)
+        rows.append((key % q).astype(owner.dtype))
+    del ptr, owner
+    indices = np.concatenate(rows)
+    return Graph._from_rows(np.cumsum(counts).astype(
+        _index_dtype(len(indices) + 1, (np.int32,))), indices)
 
 
 def coset_cliques(info: SigmaInfo) -> np.ndarray:
@@ -409,15 +436,14 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
     (which would signal an implementation bug).
     """
     # Xz < Yz as vertices, so Xz -> Yz is the forward arc of an edge, if any
-    heads = np.add(info.y_index, info.n_x, dtype=_index_dtype(info.n_x + len(info.y_cosets)))
-    slots = _find_arcs(sigma, info.x_index, heads)
-    if np.any(slots < 0):
+    phi = _find_arcs(sigma, info.x_index, np.add(
+        info.y_index, info.n_x, dtype=_index_dtype(info.n_x + len(info.y_cosets))))
+    if np.any(phi < 0):
         raise ValueError("phi image is not an edge of the coset graph")
-    phi = _slot_edges(sigma)[slots]
-    m = sigma.edge_count()
-    if len(phi) != m or np.any(np.bincount(phi, minlength=m) != 1):
+    phi = (phi + _edge_offsets(sigma)[info.x_index]).astype(_index_dtype(sigma.edge_count()))
+    if not np.array_equal(np.sort(phi), np.arange(sigma.edge_count(), dtype=phi.dtype)):
         raise ValueError("phi is not a bijection onto the edges")
-    for _, g, h in _forward_arcs(gamma):
+    for _, g, h in _forward_arcs(gamma, 7):
         if not np.all((info.x_index[g] == info.x_index[h]) | (info.y_index[g] == info.y_index[h])):
             raise ValueError("phi does not preserve an edge")
     degs = np.diff(sigma.indptr).astype(np.int64)
@@ -450,55 +476,56 @@ def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
     q = len(roots)
     number = np.empty(graph.n, dtype=_index_dtype(q))
     number[roots] = np.arange(q)
-    cell, pairs = number[labels], np.empty(0, dtype=np.int64)
-    for _, u, v in _forward_arcs(graph):
+    cell, pairs = number[labels], np.empty(0, dtype=_index_dtype(q * q))
+    for _, u, v in _forward_arcs(graph, 8):
         a, b = np.sort([cell[u], cell[v]], axis=0)
-        pairs = groups.sorted_codes(np.concatenate([pairs, (a.astype(np.int64) * q + b)[a != b]]))
+        pairs = np.sort(np.concatenate([pairs, (a.astype(pairs.dtype) * q + b)[a != b]]))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     quotient = Graph(q, np.stack(np.divmod(pairs, q), axis=1))
     k = graph.is_regular()
     preserved = k is not None and quotient.is_regular() == k
     return quotient, preserved
 
 
-def bfs_layers(graph: Graph, v: int) -> tuple[np.ndarray, list[int]]:
-    """Exact BFS distances from v (-1 for unreachable), as an int64 array
-    over the vertices, and the layer sizes.
+def bfs_layers(graph: Graph, v: int, depth: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Exact BFS distances from v (-1 for unreachable, or beyond ``depth``
+    if given), as an int64 array over the vertices, and the layer sizes.
     The frontier's rows are read a block of at most CHUNK // 4 arcs at a
     time, as a block's arc indices keep several 8-byte temporaries, and the
     next layer is marked in a mask over the vertices."""
-    ptr, degs = graph.indptr, np.diff(graph.indptr)
+    ptr = graph.indptr
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[v] = 0
     frontier = np.array([v], dtype=np.int64)
     layers = [1]
     marked = np.zeros(graph.n, dtype=bool)
-    while True:
-        cum = np.concatenate([[0], np.cumsum(degs[frontier])])
-        for lo, hi in _blocks(cum, 4):
-            rows = frontier[lo:hi]
-            marked[graph.indices[_ranges(ptr[rows], degs[rows])]] = True
+    while len(layers) - 1 != depth:
+        degs = ptr[1:][frontier] - ptr[frontier]
+        for lo, hi in _blocks(np.concatenate([[0], np.cumsum(degs)]), 4):
+            marked[graph.indices[_ranges(ptr[frontier[lo:hi]], degs[lo:hi])]] = True
         marked[dist >= 0] = False
         frontier = np.flatnonzero(marked)
         if not len(frontier):
-            return dist, layers
+            break
         marked[frontier] = False
         dist[frontier] = len(layers)
         layers.append(len(frontier))
+    return dist, layers
 
 
 def edge_coloring(graph: Graph, G, X, Y) -> np.ndarray:
     """Tag each Cayley edge {g, h}, g < h, as an X-edge (h g^-1 in X) or a
-    Y-edge: one colour "X" or "Y" per row of ``graph.edge_array()``."""
-    X, Y = _codes(X), _codes(Y)
-    out = np.empty(graph.edge_count(), dtype="<U1")
+    Y-edge: one bool per row of ``graph.edge_array()``, True for an X-edge."""
+    X, Y = np.sort(_codes(X)), np.sort(_codes(Y))
+    out = np.empty(graph.edge_count(), dtype=bool)
     done = 0
-    # the products keep several 8-byte temporaries per arc: half blocks
-    for _, g, h in _forward_arcs(graph, 2):
+    # the products and lookups keep about four 8-byte temporaries per arc
+    for _, g, h in _forward_arcs(graph, 8):
         diff = _codes(G.mul_vec(h, G.inv_vec(g)))
-        in_x = np.isin(diff, X)
-        if not np.all(in_x | np.isin(diff, Y)):
+        in_x, in_y = (Z[np.searchsorted(Z, diff) % len(Z)] == diff for Z in (X, Y))
+        if not np.all(in_x | in_y):
             raise ValueError("edge difference lies outside X u Y")
-        out[done:done + len(g)] = np.where(in_x, "X", "Y")
+        out[done:done + len(g)] = in_x
         done += len(g)
     return out
 
@@ -515,24 +542,19 @@ def triangles_monochromatic(graph: Graph, colors) -> bool:
     colors = np.asarray(colors)
     if len(colors) != graph.edge_count():
         raise ValueError("need one colour per edge")
-    ptr = graph.indptr
-    # edges are numbered in slot order and a row's forward slots are
-    # consecutive, so forward slot s of row u is edge s + off[u]
-    off = np.zeros(graph.n, dtype=np.int64)
-    done = 0
-    for slots, tails, _ in _forward_arcs(graph):
-        off[tails] = np.arange(done, done + len(slots)) - slots
-        done += len(slots)
-    for uv, u, v in _forward_arcs(graph, int(np.diff(ptr).max(initial=0))):
-        later = ptr[u + 1] - uv - 1
-        uw = _ranges(uv + 1, later)
-        arc = np.repeat(np.arange(len(uv)), later)  # the arc u -> v of each pair
-        vw = _find_arcs(graph, v[arc], graph.indices[uw])
-        tri = np.flatnonzero(vw >= 0)
-        arc, uw, vw = arc[tri], uw[tri], vw[tri]
-        c = colors[(uv + off[u])[arc]]
-        if np.any(colors[uw + off[u][arc]] != c) or np.any(colors[vw + off[v][arc]] != c):
-            return False
+    ptr, off = graph.indptr, _edge_offsets(graph)
+    for uv, u, v in _forward_arcs(graph, 16):
+        later = ptr[1:][u] - uv - 1
+        # the pairs (u -> v, u -> w) a block at a time, eight temporaries each
+        for lo, hi in _blocks(np.concatenate([[0], np.cumsum(later)]), 8):
+            uw = _ranges(uv[lo:hi] + 1, later[lo:hi])
+            arc = np.repeat(np.arange(lo, hi), later[lo:hi])  # the arc u -> v of each pair
+            vw = _find_arcs(graph, v[arc], graph.indices[uw])
+            tri = np.flatnonzero(vw >= 0)
+            arc, uw, vw = arc[tri], uw[tri], vw[tri]
+            c = colors[(uv + off[u])[arc]]
+            if np.any(colors[uw + off[u][arc]] != c) or np.any(colors[vw + off[v][arc]] != c):
+                return False
     return True
 
 

@@ -25,9 +25,11 @@ from . import f2
 #: Largest group order the enumeration-based operations will touch.
 DEFAULT_BUDGET = 1 << 24
 
-#: Elements per step of every array pass over codes, arcs, cliques or
-#: pairs: each pass keeps its transient arrays to about this many entries
-#: whatever the group's or graph's size.
+#: The block budget of every array pass over codes, arcs, cliques or pairs:
+#: a block holds at most about CHUNK 8-byte temporaries in all, so a pass
+#: takes CHUNK // w items per block when each keeps w of them (a pass that
+#: runs inside another's block, as the arc search does, takes its own).
+#: Arrays as long as the graph are stored in ``graphs._index_dtype`` widths.
 CHUNK = 1 << 15
 
 

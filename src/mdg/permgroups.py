@@ -405,8 +405,8 @@ def _edge_action(graph: graphs.Graph, perms) -> list[np.ndarray]:
 
 def ball_of(graph: graphs.Graph) -> tuple[np.ndarray, np.ndarray]:
     """The vertices at distance <= 3 from vertex 0, and their distances."""
-    dist = graphs.bfs_layers(graph, 0)[0]
-    ball = np.flatnonzero((dist >= 0) & (dist <= 3))
+    dist = graphs.bfs_layers(graph, 0, 3)[0]
+    ball = np.flatnonzero(dist >= 0)
     return ball, dist[ball]
 
 
@@ -450,12 +450,13 @@ def transitivity_report(graph, gens, stabilizer_certified=False) -> Transitivity
 
 def cayley_transitivity(G, S, gamma, stabilizer_certified=False) -> TransitivityReport:
     """``ball_report`` of A = <R(G), lifts> on the Cayley graph ``gamma`` of
-    G on S = (X u Y) \\ {1}, with one R(g), g in G.gens, at a time as the only
-    permutation of all codes.  Each R(g) is an automorphism of ``gamma``, so
-    it is the Cayley graph on the row of 0; each lift agrees on the ball with
-    an automorphism of G permuting S (``checked_lifts``) and maps each row
-    within distance 2 onto its image's row, so it is an automorphism of
-    ``gamma`` normalising R(G) and fixing 0: <lifts> = A_0 (Praeger, 1993)."""
+    G on S = (X u Y) \\ {1}, with no permutation of all codes.  Each R(g), g
+    in G.gens, is an automorphism of ``gamma`` (checked a block of rows at a
+    time), so it is the Cayley graph on the row of 0; each lift agrees on the
+    ball with an automorphism of G permuting S (``checked_lifts``) and maps
+    each row within distance 2 onto its image's row, so it is an automorphism
+    of ``gamma`` normalising R(G) and fixing 0: <lifts> = A_0 (Praeger, 1993)."""
+    vertex = groups.subgroup_order(G, G.gens) == gamma.n  # first, while little is held
     ball, dist = ball_of(gamma)
     lifts = list(checked_lifts(G, S, ball, stabilizer_lift_images(G, ball)))
     # rows within distance 2 by place in the ball; padding n stays past it
@@ -464,11 +465,16 @@ def cayley_transitivity(G, S, gamma, stabilizer_certified=False) -> Transitivity
     for img in lifts:
         if not np.array_equal(np.sort(np.append(img, gamma.n)[at], axis=1), rows[img[inner]]):
             raise ValueError("lift is not an automorphism of the Cayley graph near vertex 0")
-    codes = np.arange(G.order, dtype=np.uint64)
-    if not all(are_automorphisms(gamma, [as_perm(G.mul_vec(codes, g))]) for g in G.gens):
-        raise ValueError("right multiplication is not an automorphism of the Cayley graph")
-    return ball_report(gamma, ball, dist, lifts, groups.subgroup_order(G, G.gens) == gamma.n,
-                       stabilizer_certified)
+    # each vertex must be the image of a row (so of one) whose sorted image is its row
+    step = max(1, graphs.CHUNK // (3 * rows.shape[1]))
+    for g in G.gens:
+        ok = np.zeros(gamma.n, dtype=bool)
+        for lo in range(0, gamma.n, step):
+            img = G.mul_vec(np.arange(lo, min(lo + step, gamma.n), dtype=np.uint64), g)
+            ok[img] = np.array_equal(np.sort(G.mul_vec(rows[lo:lo + step], g), axis=1), rows[img])
+        if not ok.all():
+            raise ValueError("right multiplication is not an automorphism of the Cayley graph")
+    return ball_report(gamma, ball, dist, lifts, vertex, stabilizer_certified)
 
 
 # -- induced actions and witnesses ----------------------------------------

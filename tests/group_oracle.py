@@ -14,6 +14,8 @@ the line graph that ``graphs.phi_map`` checks against without forming.
 the oracle for the complete clique-cover check
 ``graphs.verify_clique_cover``."""
 
+import itertools
+
 import numpy as np
 
 from mdg import graphs
@@ -124,8 +126,9 @@ def line_graph(graph: graphs.Graph) -> graphs.Graph:
     ``edge_array()``), adjacent iff they share an endpoint.  The adjacent
     pairs are those of the edges met at each vertex: the edge indices of
     one CSR row."""
-    return graphs.Graph(graph.edge_count(),
-                        graphs._pairs_within(graph.indptr, graphs._slot_edges(graph)))
+    edges, ptr = graphs._slot_edges(graph).tolist(), graph.indptr.tolist()
+    return graphs.Graph(graph.edge_count(), [
+        pair for v in range(graph.n) for pair in itertools.combinations(edges[ptr[v]:ptr[v + 1]], 2)])
 
 
 def maximal_cliques(graph: graphs.Graph) -> list[list[int]]:

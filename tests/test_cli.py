@@ -165,7 +165,9 @@ finally:
 # - verify graphs: 79 MB with whole-arc temporaries, about 43 MB with
 #   bounded blocks, 38.6 MB with int32 vertex ids and int64 row pointers,
 #   37.3 MB with int16 ids (Γ(3) and Σ(3)) and int32 row pointers, 36.6 MB
-#   with a CLI on the standard library's argparse instead of click;
+#   with a CLI on the standard library's argparse instead of click, 35.4 MB
+#   with the Cayley graph's flags read near vertex 0, 33.2 MB with every
+#   pass's blocks sized by its own temporaries;
 # - the coset-graph certification: 41 MB with whole coset products and
 #   full-degree lifts alive during the search, 36 MB without, 34.1 MB with
 #   every permutation induced from the coset representatives and the
@@ -184,7 +186,7 @@ finally:
 GAMMA3_GRAPH6_SHA256 = "7ae3178cea18714d5509713aa56a7204bbda6c76526af2b033bcdb15760f5be1"
 PEAK_BOUNDS_MB = {
     "verify-group-n3": (["verify", "group", "-n", "3", "--json"], 36),
-    "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 60),
+    "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 40),
     "aut-sigma-full-search-n3": (["aut", "-n", "3", "--target", "sigma", "--full-search",
                                   "--json"], 38),
     "export-gamma-graph6-n3": (["export", "-n", "3", "--target", "gamma", "--format", "graph6",

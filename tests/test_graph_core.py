@@ -172,7 +172,7 @@ def test_triangles_match_brute_force_on_gamma2_with_random_flips():
     for flips in (1, 1, 1, 2, 3, 20, 300):
         c = colors.copy()
         for i in rng.sample(range(len(c)), flips):
-            c[i] = "Y" if c[i] == "X" else "X"
+            c[i] = not c[i]
         assert graphs.triangles_monochromatic(GAMMA2, c) == brute_force_monochromatic(GAMMA2, c)
 
 
@@ -182,30 +182,28 @@ def test_every_flipped_edge_of_gamma2_is_caught():
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
     for i in range(len(colors)):
         c = colors.copy()
-        c[i] = "Y" if c[i] == "X" else "X"
+        c[i] = not c[i]
         assert not graphs.triangles_monochromatic(GAMMA2, c)
 
 
 @given(random_graphs, st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_triangles_match_brute_force_random(graph, rnd):
-    colors = np.array([rnd.choice("XY") if rnd.random() < 0.2 else "X"
-                       for _ in range(graph.edge_count())], dtype="U1")
+    colors = np.array([rnd.random() >= 0.1 for _ in range(graph.edge_count())], dtype=bool)
     assert graphs.triangles_monochromatic(graph, colors) == brute_force_monochromatic(graph, colors)
 
 
 def test_triangles_need_one_colour_per_edge():
     with pytest.raises(ValueError):
-        graphs.triangles_monochromatic(GAMMA2, np.array(["X"] * 3))
+        graphs.triangles_monochromatic(GAMMA2, np.ones(3, dtype=bool))
 
 
 def test_edge_coloring_matches_the_scalar_rule():
     X = groups.closure_array(G2, G2.x_gens)
     Y = groups.closure_array(G2, G2.y_gens)
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
-    expect = ["X" if int(G2.mul_vec(h, G2.inv_vec(g))) in X else "Y"
-              for g, h in GAMMA2.edge_array().tolist()]
-    assert colors.tolist() == expect
+    expect = [int(G2.mul_vec(h, G2.inv_vec(g))) in X for g, h in GAMMA2.edge_array().tolist()]
+    assert colors.dtype == bool and colors.tolist() == expect
     with pytest.raises(ValueError):
         graphs.edge_coloring(GAMMA2, G2, X, [0])
 
@@ -574,15 +572,14 @@ def test_colour_kernels_are_the_same_for_every_block_size():
     X = groups.closure_array(G2, G2.x_gens)
     Y = groups.closure_array(G2, G2.y_gens)
     colors = over_chunks(lambda: graphs.edge_coloring(GAMMA2, G2, X, Y))
-    assert colors == ["X" if int(G2.mul_vec(h, G2.inv_vec(g))) in X else "Y"
-                      for g, h in _edges(GAMMA2)]
+    assert colors == [int(G2.mul_vec(h, G2.inv_vec(g))) in X for g, h in _edges(GAMMA2)]
     assert over_chunks(lambda: graphs.edge_coloring(GAMMA2, G2, X, [0])) == \
         ("ValueError", "edge difference lies outside X u Y")
     rng = random.Random(11)
     for flips in (0, 1, 2, 40):
         c = np.array(colors)
         for i in rng.sample(range(len(c)), flips):
-            c[i] = "Y" if c[i] == "X" else "X"
+            c[i] = not c[i]
         assert over_chunks(lambda: graphs.triangles_monochromatic(GAMMA2, c)) == \
             brute_force_monochromatic(GAMMA2, c)
 
@@ -640,8 +637,7 @@ def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
         if len(same) == len(cliques) and scalar_cover_error(graph, same) is None:
             cg = over_chunks(lambda: graphs.clique_graph(graph, same))
             assert cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
-    colors = np.array([rnd.choice("XY") if rnd.random() < 0.2 else "X"
-                       for _ in range(graph.edge_count())], dtype="U1")
+    colors = np.array([rnd.random() >= 0.1 for _ in range(graph.edge_count())], dtype=bool)
     assert over_chunks(lambda: graphs.triangles_monochromatic(graph, colors)) == \
         brute_force_monochromatic(graph, colors)
     if graph.n:

@@ -130,14 +130,22 @@ def test_bfs_layers():
     assert single == [1]
 
 
+def test_bfs_layers_stop_at_the_depth():
+    full, sizes = graphs.bfs_layers(GAMMA2, 0)
+    for depth in range(9):
+        dist, layers = graphs.bfs_layers(GAMMA2, 0, depth)
+        assert layers == sizes[:depth + 1]
+        assert dist.tolist() == np.where(full <= depth, full, -1).tolist()
+    assert graphs.bfs_layers(GAMMA2, 0, 3)[1] == [1, 6, 18, 54]
+
+
 def test_edge_coloring():
     X = groups.closure_array(G2, G2.x_gens)
     Y = groups.closure_array(G2, G2.y_gens)
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
     assert len(colors) == 768
-    counts = (sum(1 for c in colors if c == "X"),
-              sum(1 for c in colors if c == "Y"))
-    assert counts == (384, 384)
+    assert colors.dtype == bool  # True for an X-edge
+    assert (np.count_nonzero(colors), np.count_nonzero(~colors)) == (384, 384)
     assert graphs.triangles_monochromatic(GAMMA2, colors)
 
 
@@ -145,7 +153,7 @@ def test_triangles_monochromatic_detects_a_flipped_edge():
     X = groups.closure_array(G2, G2.x_gens)
     Y = groups.closure_array(G2, G2.y_gens)
     colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
-    colors[0] = "Y" if colors[0] == "X" else "X"
+    colors[0] = not colors[0]
     assert not graphs.triangles_monochromatic(GAMMA2, colors)
 
 

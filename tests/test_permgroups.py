@@ -276,6 +276,23 @@ def test_cayley_transitivity_matches_the_report_on_all_codes(n):
         assert local == perm_oracle.transitivity_flags(GAMMA2, GENS2, LIFTS2)
 
 
+def test_cayley_transitivity_reads_vertex_from_the_group_its_gens_generate():
+    """A stand-in group whose ``gens`` generate a proper subgroup: TensorGroup(2)
+    with its order doubled, so that the codes 256..511 are a second coset
+    that ``mul_vec`` keeps apart (bit 8 goes through the XOR untouched).  Its
+    Cayley graph on S is two copies of Γ(2), every check of the row passes,
+    and R(<gens>) fixes each copy, so no flag holds."""
+    G = groups.TensorGroup(2)
+    G.order *= 2
+    S = graphs.xy_connection_set(G)
+    assert S == S2 and groups.subgroup_order(G, G.gens) == 256
+    gamma = graphs.cayley_graph(G, S)
+    assert gamma.n == 512 and graphs.bfs_layers(gamma, 0)[1] == [1, 6, 18, 54, 117, 54, 6]
+    rep = pg.cayley_transitivity(G, S, gamma)
+    assert not rep.vertex and not any(rep.flags().values())
+    assert pg.cayley_transitivity(G2, S2, GAMMA2).vertex
+
+
 def _plant_in_the_first_lift(edit):
     """Planters of ``edit(G, images, at)`` on the first lift's images,
     where ``at(code)`` marks that code among the codes asked for."""
