@@ -6,11 +6,11 @@ status "asserted" (expected but not machine-verified here) or "skipped" do
 not fail a run.
 """
 
-import argparse
 import contextlib
 import json
 import os
 import sys
+import types
 
 from . import claims, f2, graphs, groups, permgroups
 
@@ -33,6 +33,10 @@ def render_diagram_table(diag: permgroups.DistanceDiagram) -> str:
 
 # -- command-line wiring ---------------------------------------------------
 
+class UsageError(Exception):
+    """A command line or option value that is refused: exit 2, the message on stderr."""
+
+
 def _report(rows, ctx: claims.Context, as_json: bool) -> int:
     """Run the claim rows on the context and print their report."""
     rep = claims.run(rows, ctx)
@@ -44,18 +48,16 @@ def _check_n(n: int, full_degree: str | None = None):
     """Raise a usage error unless n is in [2, MAX_DIM] and, when the command
     builds ``full_degree`` on all 2^(n^2+2n) codes of G, n <= 3."""
     if not 2 <= n <= f2.MAX_DIM:
-        raise argparse.ArgumentError(None, f"Invalid value: n must be in [2, {f2.MAX_DIM}]")
+        raise UsageError(f"Invalid value for '-n': n must be in [2, {f2.MAX_DIM}]")
     if full_degree and n > 3:
-        raise argparse.ArgumentError(None, f"Invalid value: {full_degree} is supported for n <= 3")
+        raise UsageError(f"Invalid value for '-n': {full_degree} is supported for n <= 3")
 
 
 def _dihedral_orders(text: str) -> tuple:
-    try:
-        ms = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
+    ms = tuple(int(p) if p.strip().isdecimal() else 0 for p in text.split(","))
     if min(ms) < 1:
-        raise argparse.ArgumentTypeError("every half-order must be >= 1")
+        raise UsageError(f"Invalid value for '--dihedral': {text!r} is not a comma-separated "
+                         "list of integers >= 1")
     return ms
 
 
@@ -97,11 +99,9 @@ def export(a) -> int:
     chunks = ((graphs.to_graph6(graph), b"\n") if a.format == "graph6"
               else (graphs.to_edgelist(graph).encode("ascii"),))
     try:
-        f = (contextlib.nullcontext(sys.stdout.buffer) if a.output == "-"
-             else open(a.output, "wb"))
+        f = contextlib.nullcontext(sys.stdout.buffer) if a.output == "-" else open(a.output, "wb")
     except OSError as e:
-        raise argparse.ArgumentError(
-            None, f"Invalid value for '-o' / '--output': {a.output!r}: {e.strerror}") from None
+        raise UsageError(f"Invalid value for '-o' / '--output': {a.output!r}: {e.strerror}") from None
     with f as out:
         out.writelines(chunks)
     return 0
@@ -129,56 +129,82 @@ def diagram(a) -> int:
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every command; its namespace holds the command as ``run``."""
-    style = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, exit_on_error=False)
-    parser = argparse.ArgumentParser(prog="mdg", description=__doc__, **style)
-    commands = parser.add_subparsers(dest="command", required=True)
-    verify = commands.add_parser("verify", help="Run verification claim suites.", **style)
-    verify = verify.add_subparsers(dest="suite", required=True)
+N = ("-n", int, 2, "Dimension of the tensor-group backend.")
+JSON = ("--json", bool, False, "Emit a JSON report.")
+# Each command's words, its function and its options as (flags, type or choices,
+# default, help); a bool option is a flag that takes no value.
+COMMANDS = {
+    ("verify", "group"): (verify_group, N, ("--dihedral", _dihedral_orders, None,
+                          "Comma-separated dihedral half-orders, e.g. 4,4; verifies the "
+                          "dihedral-product backend instead."), JSON),
+    ("verify", "graphs"): (verify_graphs, N, JSON),
+    ("aut",): (aut, N, ("--target", ("gamma", "sigma"), "gamma",
+                        "Graph whose automorphism group to consider."),
+               ("--full-search", bool, False,
+                "Run the exhaustive certification search (seconds at n=3)."),
+               ("--budget", int, 1 << 20, "Node budget for the search."), JSON),
+    ("export",): (export, N, ("--target", ("gamma", "sigma", "kbip"), "gamma", "Graph to write."),
+                  ("--format", ("graph6", "edgelist"), "edgelist", "Output format."),
+                  ("-o --output", str, "-", "Output file; - is standard output.")),
+    ("diagram",): (diagram, N, ("--format", ("json", "table"), "json", "Output format.")),
+}
 
-    def command(group, name, fn):
-        p = group.add_parser(name, help=fn.__doc__, description=fn.__doc__, **style)
-        p.set_defaults(run=fn)
-        p.add_argument("-n", type=int, default=2, help="Dimension of the tensor-group backend.")
-        return p
 
-    report = dict(action="store_true", help="Emit a JSON report.")
-    p = command(verify, "group", verify_group)
-    p.add_argument("--dihedral", type=_dihedral_orders,
-                   help="Comma-separated dihedral half-orders, e.g. 4,4; "
-                        "verifies the dihedral-product backend instead.")
-    p.add_argument("--json", **report)
-    command(verify, "graphs", verify_graphs).add_argument("--json", **report)
-    p = command(commands, "aut", aut)
-    p.add_argument("--target", choices=["gamma", "sigma"], default="gamma",
-                   help="Graph whose automorphism group to consider.")
-    p.add_argument("--full-search", action="store_true",
-                   help="Run the exhaustive certification search (seconds at n=3).")
-    p.add_argument("--budget", type=int, default=1 << 20, help="Node budget for the search.")
-    p.add_argument("--json", **report)
-    p = command(commands, "export", export)
-    p.add_argument("--target", choices=["gamma", "sigma", "kbip"], default="gamma",
-                   help="Graph to write.")
-    p.add_argument("--format", choices=["graph6", "edgelist"], default="edgelist",
-                   help="Output format.")
-    p.add_argument("-o", "--output", default="-", help="Output file; - is standard output.")
-    command(commands, "diagram", diagram).add_argument(
-        "--format", choices=["json", "table"], default="json", help="Output format.")
-    return parser
+def _help(words, fn, spec) -> str:
+    """The help of the command ``words``, or of mdg when ``fn`` is None."""
+    lines = [f"usage: mdg {' '.join(words) or 'COMMAND'} [options]", "",
+             *(line.strip() for line in (fn.__doc__ if fn else __doc__).splitlines()), ""]
+    for flags, kind, default, text in spec:
+        choices = " {%s}" % ",".join(kind) if isinstance(kind, tuple) else ""
+        lines.append(f"  {', '.join(flags.split())}{choices}: {text} (default: {default})")
+    return "\n".join(lines + ([] if fn else [f"  mdg {' '.join(w)}" for w in COMMANDS]))
+
+
+def _parse(args):
+    """The function of the command that ``args`` name and a namespace of its
+    options; -h or --help in place of an option gives ``print`` and the help."""
+    words = next((w for w in COMMANDS if w == tuple(args[:len(w)])), ())
+    fn, *spec = COMMANDS.get(words, (None,))
+    if fn is None:  # no command, so no option values: help anywhere is mdg's own
+        if not {"-h", "--help"} & set(args):
+            raise UsageError(f"no command in {' '.join(args)!r}")
+        return print, _help(words, fn, spec)
+    flags, values = {f: o for o in spec for f in o[0].split()}, {o: o[2] for o in spec}
+    rest = iter(args[len(words):])
+    for arg in rest:
+        flag = arg.partition("=")[0] if arg.startswith("--") else arg[:2]
+        tail, opt = arg[len(flag):], flags.get(flag)  # "", "=VALUE" or, after -n, "VALUE"
+        if arg in ("-h", "--help"):
+            return print, _help(words, fn, spec)
+        if opt is None or opt[1] is bool and tail:
+            raise UsageError(f"{arg!r} is not an option of 'mdg {' '.join(words)}'")
+        kind = opt[1]
+        if kind is bool:
+            values[opt] = True
+            continue
+        # the value is joined to the flag, or is the next word unless that looks like an option
+        text = tail.removeprefix("=") if tail else next(rest, None)
+        if text is None or not tail and text.startswith("-") and text != "-":
+            raise UsageError(f"{flag!r} needs a value")
+        if kind is int and not text.removeprefix("-").isdecimal():
+            raise UsageError(f"Invalid value for {flag!r}: {text!r} is not an integer")
+        if isinstance(kind, tuple) and text not in kind:
+            raise UsageError(f"Invalid value for {flag!r}: {text!r} is not one of {', '.join(kind)}")
+        values[opt] = text if isinstance(kind, tuple) else kind(text)
+    return fn, types.SimpleNamespace(**{o[0].split()[-1].lstrip("-").replace("-", "_"): v
+                                        for o, v in values.items()})
 
 
 def main(args=None, standalone_mode=True):
     """Run one command on ``args`` (default ``sys.argv[1:]``) and exit with its
     code; with ``standalone_mode=False`` a command that succeeds returns."""
-    parser = _parser()
     try:
-        a = parser.parse_args(args)
-        code = a.run(a)
+        run, a = _parse(sys.argv[1:] if args is None else list(args))
+        code = run(a)
         sys.stdout.flush()
-    except argparse.ArgumentError as e:
-        parser.error(f"Invalid value for '{e.argument_name}': {e.message}"
-                     if e.argument_name else e.message)
+    except UsageError as e:
+        print(f"mdg: error: {e} (see mdg --help)", file=sys.stderr)
+        code = 2
     except OSError as e:
         # stdout goes to /dev/null, so the flush at exit cannot fail; a closed pipe needs no message
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

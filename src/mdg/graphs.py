@@ -555,6 +555,7 @@ def triangles_monochromatic(graph: Graph, colors) -> bool:
             c = colors[(uv + off[u])[arc]]
             if np.any(colors[uw + off[u][arc]] != c) or np.any(colors[vw + off[v][arc]] != c):
                 return False
+            del uw, arc, vw, tri, c  # released before the next block is built
     return True
 
 

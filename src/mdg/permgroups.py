@@ -451,8 +451,8 @@ def transitivity_report(graph, gens, stabilizer_certified=False) -> Transitivity
 def cayley_transitivity(G, S, gamma, stabilizer_certified=False) -> TransitivityReport:
     """``ball_report`` of A = <R(G), lifts> on the Cayley graph ``gamma`` of
     G on S = (X u Y) \\ {1}, with no permutation of all codes.  Each R(g), g
-    in G.gens, is an automorphism of ``gamma`` (checked a block of rows at a
-    time), so it is the Cayley graph on the row of 0; each lift agrees on the
+    in G.gens (involutions), is an automorphism of ``gamma`` (checked by blocks
+    of rows), so it is the Cayley graph on the row of 0; each lift agrees on the
     ball with an automorphism of G permuting S (``checked_lifts``) and maps
     each row within distance 2 onto its image's row, so it is an automorphism
     of ``gamma`` normalising R(G) and fixing 0: <lifts> = A_0 (Praeger, 1993)."""
@@ -465,13 +465,17 @@ def cayley_transitivity(G, S, gamma, stabilizer_certified=False) -> Transitivity
     for img in lifts:
         if not np.array_equal(np.sort(np.append(img, gamma.n)[at], axis=1), rows[img[inner]]):
             raise ValueError("lift is not an automorphism of the Cayley graph near vertex 0")
-    # each vertex must be the image of a row (so of one) whose sorted image is its row
+    # as g^2 = 1, row h sent onto row hg gives row hg onto row h: check h <= hg, cover both
     step = max(1, graphs.CHUNK // (3 * rows.shape[1]))
     for g in G.gens:
+        if G.mul_vec(g, g) != G.identity:
+            raise ValueError("generator is not an involution")
         ok = np.zeros(gamma.n, dtype=bool)
         for lo in range(0, gamma.n, step):
-            img = G.mul_vec(np.arange(lo, min(lo + step, gamma.n), dtype=np.uint64), g)
-            ok[img] = np.array_equal(np.sort(G.mul_vec(rows[lo:lo + step], g), axis=1), rows[img])
+            h = np.arange(lo, min(lo + step, gamma.n), dtype=np.uint64)
+            img = G.mul_vec(h, g)
+            h, img = h[h <= img], img[h <= img]
+            ok[h] = ok[img] = np.array_equal(np.sort(G.mul_vec(rows[h], g), axis=1), rows[img])
         if not ok.all():
             raise ValueError("right multiplication is not an automorphism of the Cayley graph")
     return ball_report(gamma, ball, dist, lifts, vertex, stabilizer_certified)

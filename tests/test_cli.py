@@ -167,22 +167,23 @@ finally:
 #   37.3 MB with int16 ids (Γ(3) and Σ(3)) and int32 row pointers, 36.6 MB
 #   with a CLI on the standard library's argparse instead of click, 35.4 MB
 #   with the Cayley graph's flags read near vertex 0, 33.2 MB with every
-#   pass's blocks sized by its own temporaries;
+#   pass's blocks sized by its own temporaries, 32.9 MB with the command
+#   line parsed from one table instead of argparse;
 # - the coset-graph certification: 41 MB with whole coset products and
 #   full-degree lifts alive during the search, 36 MB without, 34.1 MB with
 #   every permutation induced from the coset representatives and the
 #   refinement rows read in blocks, 33.3 MB with the coset rows listed from
 #   their least members (no sort of all codes) and int16 vertex ids, 32.3 MB
-#   on argparse;
+#   on argparse, 32.2 MB on the table;
 # - the Cayley graph as graph6 (an 89 MB body): 301 MB when the writer
 #   copied the body four times, 121 MB with the body held once, 119 MB on
-#   argparse;
+#   argparse, 117.2 MB on the table;
 # - the distance diagram: 52 MB with the whole vertices-by-cells count
 #   matrix alive, 40-42 MB counting it a block of rows at a time (36.5 MB
-#   in the last run with click), 35.8 MB on argparse;
+#   in the last run with click), 35.8 MB on argparse, 35.5 MB on the table;
 # - verify group: 37.9 MB with the centre's products in blocks of 2^20,
 #   33.6 MB in blocks of CHUNK, 32.7 MB with one product buffer in
-#   ``TensorGroup.mul_vec``, 31.7 MB on argparse.
+#   ``TensorGroup.mul_vec``, 31.7 MB on argparse, 31.6 MB on the table.
 GAMMA3_GRAPH6_SHA256 = "7ae3178cea18714d5509713aa56a7204bbda6c76526af2b033bcdb15760f5be1"
 PEAK_BOUNDS_MB = {
     "verify-group-n3": (["verify", "group", "-n", "3", "--json"], 36),
@@ -354,6 +355,22 @@ def test_commands_leave_numpy_ma_unimported(args):
     assert after == "False"
 
 
+# argparse is 2,600 lines to compile when no byte code is cached, and its
+# first message imports gettext and locale: no command needs any of them.
+@pytest.mark.parametrize("args", [[], ["verify", "graphs", "-n", "2", "--json"],
+                                  ["export", "-n", "2", "--target", "kbip"], ["aut", "--help"]],
+                         ids=["import", "verify-graphs", "export-kbip", "aut-help"])
+def test_start_up_leaves_argparse_gettext_and_locale_unimported(args):
+    check = "import sys; from mdg.cli import main; " \
+            "sys.argv[1:] and main(sys.argv[1:], standalone_mode=False); " \
+            "print('loaded:', *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), " \
+            "file=sys.stderr)"
+    r = subprocess.run([sys.executable, "-c", check, *args], capture_output=True, text=True,
+                       timeout=60, env=fresh_env())
+    assert r.returncode == 0 and "loaded:" in r.stderr, r.stderr
+    assert r.stderr.split("loaded:")[-1].split() == []
+
+
 @pytest.mark.parametrize("args", [["verify", "graphs", "-n", "2"],
                                   ["export", "-n", "3", "--target", "gamma"]],
                          ids=["verify-graphs", "export-gamma"])
@@ -403,10 +420,16 @@ def test_the_benchmark_tracer_runs_the_cli(args, tmp_path):
     assert r.stdout and json.loads(spans.read_text())["spans"]
 
 
-@pytest.mark.parametrize("args", [["verify", "group", "-n", "x"], ["verify", "group", "--bogus"],
-                                  ["verify"], [], ["aut", "--target", "bogus"]],
-                         ids=["n-not-an-integer", "unknown-option", "missing-suite",
-                              "missing-command", "unknown-target"])
+@pytest.mark.parametrize("args", [
+    ["verify", "group", "-n", "x"], ["verify", "group", "--bogus"], ["verify"], [],
+    ["aut", "--target", "bogus"], ["verify", "group", "-n"], ["verify", "graphs", "extra"],
+    ["aut", "--budget", "x"], ["export", "--format", "bogus"], ["aut", "--full"],
+    ["verify", "graphs", "--json=1"], ["export", "-n", "2", "-o", "-h"],
+    ["export", "-n", "2", "--output", "--json"]],
+    ids=["n-not-an-integer", "unknown-option", "missing-suite", "missing-command",
+         "unknown-target", "missing-value", "stray-word", "budget-not-an-integer",
+         "unknown-format", "abbreviation", "flag-with-a-value", "help-as-a-value",
+         "option-as-a-value"])
 def test_usage_errors_exit_2_on_stderr(args):
     r = run(*args)
     assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
@@ -422,6 +445,13 @@ HELP_DEFAULTS = {
     ("export",): {"-n": "2", "--target": "gamma", "--format": "edgelist", "--output": "-"},
     ("diagram",): {"-n": "2", "--format": "json"},
 }
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verify", "-h"]], ids=["top", "verify"])
+def test_help_lists_every_command(args):
+    r = run(*args)
+    assert r.exit_code == 0 and r.stderr == ""
+    assert all(" ".join(words) in r.stdout for words in cli.COMMANDS)
 
 
 @pytest.mark.parametrize("command", sorted(HELP_DEFAULTS), ids="-".join)
@@ -603,11 +633,24 @@ def test_export_graph6_kbip():
     assert from_graph6(r.output.strip()) == graphs.complete_bipartite(4, 4)
 
 
-def test_export_to_file(tmp_path):
+def test_export_to_file(tmp_path, monkeypatch):
     out = tmp_path / "g.el"
     r = run("export", "-n", "2", "-o", str(out))
     assert r.exit_code == 0
     assert len(out.read_text().strip().splitlines()) == 768
+    # a value joined to its option, and the long name of -o
+    r = run("export", "-n3", "--target=sigma", "--output", str(out))
+    assert r.exit_code == 0, r.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_DIGESTS[3, "sigma", "edgelist"]
+    # a value is taken as it is: "=" in a file name, -o joined to its value
+    monkeypatch.chdir(tmp_path)
+    kbip = ["export", "-n", "2", "--target", "kbip", "--format", "graph6"]
+    expected = run(*kbip).stdout.encode()
+    for args in (["-o", "ab=c.g6"], ["-o=ab=c.g6"], ["-oab=c.g6"], ["--output=ab=c.g6"]):
+        (tmp_path / "ab=c.g6").unlink(missing_ok=True)
+        r = run(*kbip, *args)
+        assert r.exit_code == 0 and r.output == "", (args, r.output)
+        assert (tmp_path / "ab=c.g6").read_bytes() == expected
 
 
 def test_diagram_json():

@@ -293,6 +293,18 @@ def test_cayley_transitivity_reads_vertex_from_the_group_its_gens_generate():
     assert pg.cayley_transitivity(G2, S2, GAMMA2).vertex
 
 
+def test_cayley_transitivity_refuses_a_generator_that_is_no_involution(monkeypatch):
+    """Only the rows h <= hg are checked for R(g), which covers every row
+    when g^2 = 1; a generator of order 4 (x_0 y_0) is refused, not passed.
+    ``checked_lifts`` already refuses it as no member of S, so it is skipped."""
+    G = groups.TensorGroup(2)
+    G.gens = G.gens + [int(G.mul_vec(G.x_gens[0], G.y_gens[0]))]
+    monkeypatch.setattr(pg, "checked_lifts", lambda G, S, codes, lifts: lifts)
+    assert G.mul_vec(G.gens[-1], G.gens[-1]) != G.identity
+    with pytest.raises(ValueError, match="generator is not an involution"):
+        pg.cayley_transitivity(G, S2, GAMMA2)
+
+
 def _plant_in_the_first_lift(edit):
     """Planters of ``edit(G, images, at)`` on the first lift's images,
     where ``at(code)`` marks that code among the codes asked for."""
