@@ -8,6 +8,7 @@ not fail a run.
 
 import contextlib
 import json
+import math
 import os
 import sys
 import types
@@ -58,6 +59,9 @@ def _dihedral_orders(text: str) -> tuple:
     if min(ms) < 1:
         raise UsageError(f"Invalid value for '--dihedral': {text!r} is not a comma-separated "
                          "list of integers >= 1")
+    if math.prod(2 * m for m in ms) >= 1 << 63:  # the codes are int64
+        raise UsageError(f"Invalid value for '--dihedral': {text!r} gives an order of 2^63 "
+                         "or more")
     return ms
 
 

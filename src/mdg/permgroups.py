@@ -5,11 +5,14 @@ graph stores its vertex ids in int16 (``graphs._index_dtype``), each checked
 once by ``as_perm`` where it is made or enters; an edge is found by
 ``graphs._find_arcs`` and numbered by ``graphs._slot_edges``, as the row of
 ``edge_array()``.  PermGroup keeps a base and strong generating set computed
-by a deterministic, randomisation-free Schreier-Sims (base points chosen as
-minimal moved points; transversal elements rebuilt by walking the Schreier
-tree, so no per-point permutation storage is needed at large degrees).
+by a deterministic, randomisation-free Schreier-Sims: each base point is the
+least point its level's generators move, and each level stores a transversal
+element and its inverse for every orbit point, as rows of int32 arrays, since
+its callers' degrees are small (the 2(2^n - 1) points of the connection set
+for ``generated_order``, the 2^(n+1) vertices of the edge-affine quotient).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,20 +51,21 @@ def is_identity(p: np.ndarray) -> bool:
     return bool(np.all(p == np.arange(len(p), dtype=p.dtype)))
 
 
-class _Level:
-    __slots__ = ("base", "gens", "inv_gens", "orbit", "pending")
-
-    def __init__(self, base: int):
-        self.base = base
-        self.gens: list[np.ndarray] = []
-        self.inv_gens: list[np.ndarray] = []
-        self.orbit: dict[int, tuple[int, int]] = {base: (-1, -1)}
-        self.pending: list[tuple[int, int]] = []  # (point, gen index) Schreier pairs
+def _least_moved(perms) -> int:
+    """The least point that one of ``perms`` moves; not all are the identity."""
+    return min(int(np.argmax(p != np.arange(len(p)))) for p in perms)
 
 
 class PermGroup:
     """Group generated by vertex permutations, with its exact order from a
-    base and strong generating set."""
+    base and strong generating set (Seress, Permutation Group Algorithms,
+    CUP 2003, ch. 4).
+
+    Level i is a list [base, strong generators, u, u_inv, row].  Its
+    generators fix the bases of the levels before it.  The transversal of
+    the base's orbit under them is the int32 array u, one row per orbit
+    point r: u[row[r]] maps the base to r, row is -1 off the orbit, and
+    u[0] is the identity.  u_inv holds the inverses of u's rows."""
 
     def __init__(self, gens, degree: int | None = None):
         gens = [as_perm(g) for g in gens]
@@ -73,100 +77,79 @@ class PermGroup:
             raise ValueError("generators must share a degree")
         self.degree = degree
         self.gens = [g for g in gens if not is_identity(g)]
-        self._levels: list[_Level] | None = None
+        self._levels: list[list] | None = None
 
-    # -- BSGS construction -------------------------------------------------
+    def _level(self, base: int, gens) -> list:
+        """A new level of ``gens`` at ``base``."""
+        row = np.full(self.degree, -1, dtype=np.int32)
+        row[base] = 0
+        u = identity_perm(self.degree)[None, :]
+        level = [base, [], u, u, row]
+        self._grow(level, gens)
+        return level
 
-    def _transversal_inv_apply(self, level: _Level, p: np.ndarray, point: int) -> np.ndarray:
-        """Return p * u^-1 where u is the transversal element b -> point,
-        by walking the Schreier tree and applying inverse generators."""
-        path = []
-        while point != level.base:
-            prev, gi = level.orbit[point]
-            path.append(gi)
-            point = prev
-        for gi in path:
-            p = compose(p, level.inv_gens[gi])
-        return p
+    def _grow(self, level: list, gens) -> None:
+        """Add ``gens`` to a level's strong generators and extend its orbit
+        by one generator's images of the whole orbit at a time, u_(r^g) =
+        u_r g, until no generator brings a new point."""
+        base, strong, u, u_inv, row = level
+        strong.extend(gens)
+        grown = True
+        while grown:
+            grown = False
+            for g in strong:
+                img = g[u[:, base]]
+                fresh = row[img] < 0
+                if fresh.any():
+                    w = g[u[fresh]]
+                    w_inv = np.empty_like(w)
+                    np.put_along_axis(w_inv, w, np.broadcast_to(u[0], w.shape), axis=1)
+                    row[img[fresh]] = np.arange(len(u), len(u) + len(w))
+                    u, u_inv, grown = np.concatenate([u, w]), np.concatenate([u_inv, w_inv]), True
+        level[2:4] = u, u_inv
 
-    def _orbit_grow(self, level: _Level, seeds) -> None:
-        frontier = list(seeds)
-        while frontier:
-            new = []
-            for pt in frontier:
-                for gi, g in enumerate(level.gens):
-                    img = int(g[pt])
-                    if img not in level.orbit:
-                        level.orbit[img] = (pt, gi)
-                        level.pending.extend((img, k) for k in range(len(level.gens)))
-                        new.append(img)
-            frontier = new
+    def _sift(self, s: np.ndarray, j: int):
+        """Sift the rows of ``s`` through the levels from j on: the level
+        where the first row sticks and its residue, or (number of levels,
+        None) when every row sifts to the identity."""
+        for base, _, _, u_inv, row in self._levels[j:]:
+            at = row[s[:, base]]
+            if np.any(at < 0):
+                return j, s[np.argmax(at < 0)]
+            s = np.take_along_axis(u_inv[at], s, axis=1)
+            j += 1
+        moved = np.any(s != identity_perm(self.degree), axis=1)
+        return j, (s[np.argmax(moved)] if moved.any() else None)
 
-    def _add_gen_at(self, li: int, p: np.ndarray) -> None:
-        """Install a strong generator fixing the first ``li`` base points.
-
-        It joins the generating set of every level up to ``li``: it lies
-        in all those stabilizers and may grow any of their orbits."""
-        levels = self._levels
-        if li == len(levels):
-            moved = int(np.nonzero(p != np.arange(self.degree, dtype=np.int32))[0][0])
-            levels.append(_Level(moved))
-        p_inv = inverse(p)
-        for i in range(min(li, len(levels) - 1) + 1):
-            level = levels[i]
-            level.gens.append(p)
-            level.inv_gens.append(p_inv)
-            gi = len(level.gens) - 1
-            level.pending.extend((pt, gi) for pt in level.orbit)
-            self._orbit_grow(level, list(level.orbit))
-
-    def _sift_from(self, li: int, p: np.ndarray) -> tuple[np.ndarray, int]:
-        """Sift p through levels >= li; returns (residue, level index where
-        it stuck).  Residue is the identity iff p is in the subgroup."""
-        levels = self._levels
-        i = li
-        while i < len(levels):
-            level = levels[i]
-            img = int(p[level.base])
-            if img != level.base:
-                if img not in level.orbit:
-                    return p, i
-                p = self._transversal_inv_apply(level, p, img)
-            i += 1
-        return p, len(levels)
-
-    def _build(self) -> None:
-        if self._levels is not None:
-            return
-        self._levels = []
-        for g in self.gens:
-            residue, li = self._sift_from(0, g)
-            if not is_identity(residue):
-                self._add_gen_at(li, residue)
-        # Process Schreier pairs until every level is verified; a pair that
-        # once sifts to the identity never needs re-checking.
-        while True:
-            li = next((i for i, lv in enumerate(self._levels) if lv.pending), None)
-            if li is None:
-                break
-            level = self._levels[li]
-            pt, gi = level.pending.pop()
-            g = level.gens[gi]
-            u = inverse(self._transversal_inv_apply(level, identity_perm(self.degree), pt))
-            p = compose(u, g)
-            p = self._transversal_inv_apply(level, p, int(p[level.base]))
-            residue, lj = self._sift_from(li + 1, p)
-            if not is_identity(residue):
-                self._add_gen_at(lj, residue)
-
-    # -- queries -----------------------------------------------------------
+    def _verify(self, i: int) -> int:
+        """The next level to verify once level i's Schreier generators
+        u_r g u_(r^g)^-1 are sifted through the levels after it, as one
+        array per strong generator g.  The first residue that is not the
+        identity joins the levels after i up to where it stuck (a new level
+        if it passed them all), and that level is next; else level i - 1."""
+        base, strong, u, u_inv, row = self._levels[i]
+        for g in strong:
+            j, h = self._sift(np.take_along_axis(u_inv[row[g[u[:, base]]]], g[u], axis=1), i + 1)
+            if h is not None:
+                if j == len(self._levels):
+                    self._levels.append(self._level(_least_moved([h]), []))
+                for level in self._levels[i + 1:j + 1]:
+                    self._grow(level, [h])
+                return j
+        return i - 1
 
     def order(self) -> int:
-        self._build()
-        n = 1
-        for level in self._levels:
-            n *= len(level.orbit)
-        return n
+        if self._levels is None:
+            # level i + 1 starts with the generators of level i that fix its base
+            self._levels, gens = [], self.gens
+            while gens:
+                base = _least_moved(gens)
+                self._levels.append(self._level(base, gens))
+                gens = [g for g in gens if g[base] == base]
+            i = len(self._levels) - 1
+            while i >= 0:
+                i = self._verify(i)
+        return math.prod(len(level[2]) for level in self._levels)
 
 
 def orbit_mask(gens, seed: int, degree: int) -> np.ndarray:

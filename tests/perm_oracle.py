@@ -1,9 +1,14 @@
 """Test oracles for mdg.permgroups, kept from earlier designs of it.
 
-``order_with_regular_normal_subgroup`` is the full-degree computation of
-the generated symmetry order, the oracle for ``generated_order``: it checks
-every lift as a permutation of all |G| codes, so it is practical at n <= 3
-only.  The transitivity flags, the complete-bipartite test and the
+``TreePermGroup`` is the Schreier-Sims that ``permgroups.PermGroup`` used
+before its levels became transversal arrays: Schreier-tree walks and one
+pending Schreier pair at a time.  It is the reference that ``PermGroup``'s
+orders are tested against, and the one
+``order_with_regular_normal_subgroup`` counts with, so that the full-degree
+computation of the generated symmetry order, the oracle for
+``generated_order``, shares no group-order code with what it checks; it
+checks every lift as a permutation of all |G| codes, so it is practical at
+n <= 3 only.  The transitivity flags, the complete-bipartite test and the
 edge-affine witness below search sets of vertex pairs, edges and subgroup
 elements directly instead of counting orbits of induced actions.
 ``line_graph_as_cayley`` is the converse construction, Γ rebuilt from the
@@ -18,8 +23,8 @@ vertices, reading every member of every coset: the reference that
 import numpy as np
 
 from mdg import autsearch, graphs
-from mdg.permgroups import (PermGroup, are_automorphisms, as_perm, compose, identity_perm,
-                            inverse, is_identity, orbit_mask)
+from mdg.permgroups import (are_automorphisms, as_perm, compose, identity_perm, inverse,
+                            is_identity, orbit_mask)
 
 
 def right_mult_perm(G, g: int) -> np.ndarray:
@@ -77,6 +82,130 @@ def orbits(gens, degree: int) -> list[list[int]]:
     return out
 
 
+class _Level:
+    __slots__ = ("base", "gens", "inv_gens", "orbit", "pending")
+
+    def __init__(self, base: int):
+        self.base = base
+        self.gens: list[np.ndarray] = []
+        self.inv_gens: list[np.ndarray] = []
+        self.orbit: dict[int, tuple[int, int]] = {base: (-1, -1)}
+        self.pending: list[tuple[int, int]] = []  # (point, gen index) Schreier pairs
+
+
+class TreePermGroup:
+    """``permgroups.PermGroup`` as it was before its levels became arrays:
+    a deterministic Schreier-Sims that keeps each level's orbit as a
+    Schreier tree (point -> (parent, generator index)), rebuilds every
+    transversal element by walking it, and sifts one Schreier pair
+    (point, generator) at a time from a list of pending pairs."""
+
+    def __init__(self, gens, degree: int | None = None):
+        gens = [as_perm(g) for g in gens]
+        if degree is None:
+            if not gens:
+                raise ValueError("need a degree for the trivial group")
+            degree = len(gens[0])
+        if any(len(g) != degree for g in gens):
+            raise ValueError("generators must share a degree")
+        self.degree = degree
+        self.gens = [g for g in gens if not is_identity(g)]
+        self._levels: list[_Level] | None = None
+
+    # -- BSGS construction -------------------------------------------------
+
+    def _transversal_inv_apply(self, level: _Level, p: np.ndarray, point: int) -> np.ndarray:
+        """Return p * u^-1 where u is the transversal element b -> point,
+        by walking the Schreier tree and applying inverse generators."""
+        path = []
+        while point != level.base:
+            prev, gi = level.orbit[point]
+            path.append(gi)
+            point = prev
+        for gi in path:
+            p = compose(p, level.inv_gens[gi])
+        return p
+
+    def _orbit_grow(self, level: _Level, seeds) -> None:
+        frontier = list(seeds)
+        while frontier:
+            new = []
+            for pt in frontier:
+                for gi, g in enumerate(level.gens):
+                    img = int(g[pt])
+                    if img not in level.orbit:
+                        level.orbit[img] = (pt, gi)
+                        level.pending.extend((img, k) for k in range(len(level.gens)))
+                        new.append(img)
+            frontier = new
+
+    def _add_gen_at(self, li: int, p: np.ndarray) -> None:
+        """Install a strong generator fixing the first ``li`` base points.
+
+        It joins the generating set of every level up to ``li``: it lies
+        in all those stabilizers and may grow any of their orbits."""
+        levels = self._levels
+        if li == len(levels):
+            moved = int(np.nonzero(p != np.arange(self.degree, dtype=np.int32))[0][0])
+            levels.append(_Level(moved))
+        p_inv = inverse(p)
+        for i in range(min(li, len(levels) - 1) + 1):
+            level = levels[i]
+            level.gens.append(p)
+            level.inv_gens.append(p_inv)
+            gi = len(level.gens) - 1
+            level.pending.extend((pt, gi) for pt in level.orbit)
+            self._orbit_grow(level, list(level.orbit))
+
+    def _sift_from(self, li: int, p: np.ndarray) -> tuple[np.ndarray, int]:
+        """Sift p through levels >= li; returns (residue, level index where
+        it stuck).  Residue is the identity iff p is in the subgroup."""
+        levels = self._levels
+        i = li
+        while i < len(levels):
+            level = levels[i]
+            img = int(p[level.base])
+            if img != level.base:
+                if img not in level.orbit:
+                    return p, i
+                p = self._transversal_inv_apply(level, p, img)
+            i += 1
+        return p, len(levels)
+
+    def _build(self) -> None:
+        if self._levels is not None:
+            return
+        self._levels = []
+        for g in self.gens:
+            residue, li = self._sift_from(0, g)
+            if not is_identity(residue):
+                self._add_gen_at(li, residue)
+        # Process Schreier pairs until every level is verified; a pair that
+        # once sifts to the identity never needs re-checking.
+        while True:
+            li = next((i for i, lv in enumerate(self._levels) if lv.pending), None)
+            if li is None:
+                break
+            level = self._levels[li]
+            pt, gi = level.pending.pop()
+            g = level.gens[gi]
+            u = inverse(self._transversal_inv_apply(level, identity_perm(self.degree), pt))
+            p = compose(u, g)
+            p = self._transversal_inv_apply(level, p, int(p[level.base]))
+            residue, lj = self._sift_from(li + 1, p)
+            if not is_identity(residue):
+                self._add_gen_at(lj, residue)
+
+    # -- queries -----------------------------------------------------------
+
+    def order(self) -> int:
+        self._build()
+        n = 1
+        for level in self._levels:
+            n *= len(level.orbit)
+        return n
+
+
 def order_with_regular_normal_subgroup(G, stab_gens) -> int:
     """Order of <R(G) gens, stab_gens> via the verified factorisation
     R(G) . <stab_gens>.
@@ -84,7 +213,7 @@ def order_with_regular_normal_subgroup(G, stab_gens) -> int:
     Checks that every stab generator fixes vertex 0 and conjugates each
     R(s) back into R(G); then the product set is a subgroup, it meets the
     stabilizer of 0 in exactly <stab_gens>, and the order is
-    |G| * |<stab_gens>| with the second factor from an honest BSGS.
+    |G| * |<stab_gens>| with the second factor from ``TreePermGroup``.
     """
     r_gens = {s: right_mult_perm(G, s) for s in G.gens}
     for sg in stab_gens:
@@ -96,7 +225,7 @@ def order_with_regular_normal_subgroup(G, stab_gens) -> int:
             t = int(conj[G.identity])
             if not np.array_equal(conj, right_mult_perm(G, t)):
                 raise ValueError("stabilizer generator does not normalise the regular action")
-    return G.order * PermGroup(list(stab_gens), G.order).order()
+    return G.order * TreePermGroup(list(stab_gens), G.order).order()
 
 
 # -- the set-based searches that permgroups replaced by orbit counting -----

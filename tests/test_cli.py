@@ -130,6 +130,17 @@ def test_verify_group_dihedral_malformed(orders):
     assert "Traceback" not in r.output
 
 
+@pytest.mark.parametrize("orders", ["99999999999999999999", "1099511627776,1099511627776",
+                                    "4611686018427387904"])
+def test_verify_group_dihedral_order_from_2_63_is_a_usage_error(orders):
+    """Codes are int64, so an order prod 2 m_i >= 2^63 is refused with the
+    limit named (the first two inputs once ended in an OverflowError)."""
+    r = run("verify", "group", "--dihedral", orders)
+    assert r.exit_code == 2 and r.stdout == ""
+    assert "Invalid value for '--dihedral'" in r.stderr and "2^63" in r.stderr
+    assert "Traceback" not in r.output
+
+
 def fresh_env():
     src = str(Path(mdg.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -464,7 +475,8 @@ def test_help_shows_every_option_with_its_default(command):
     assert re.findall(r"\(default: ([^)]*)\)", text) == list(defaults.values())
 
 
-@pytest.mark.parametrize("args", [["-n", "5"], ["-n", "7"], ["--dihedral", "2000,2000,2000"]])
+@pytest.mark.parametrize("args", [["-n", "5"], ["-n", "7"], ["--dihedral", "2000,2000,2000"],
+                                  ["--dihedral", "4611686018427387903"]])
 def test_verify_group_above_the_enumeration_budget_skips(args):
     """Run in a fresh interpreter, as a user would: an order above the
     enumeration budget skips every claim at once, exits 0 and prints no
