@@ -204,20 +204,20 @@ def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 
             members = cells.members(split)
             v = int(members[0])
             stab = [g for g in gens if np.array_equal(g[seq], seq)]
-            orb_v = permgroups.orbit_mask(stab, v, n)
+            lab = permgroups.orbits(stab, n)  # each point's orbit under stab
             refuted = np.zeros(n, dtype=bool)
             child = refine(graph, cells.individualize(v))
             for u in members.tolist():
-                if orb_v[u] or refuted[u]:
+                if lab[u] == lab[v] or refuted[u]:
                     continue
                 p = matcher.find(child, cells, seq + [v], seq + [u])
                 if p is None:
-                    refuted |= permgroups.orbit_mask(stab, u, n)
+                    refuted |= lab == lab[u]
                 else:
                     gens.append(p)
                     stab.append(p)
-                    orb_v = permgroups.orbit_mask(stab, v, n)
-            order *= int(np.count_nonzero(orb_v))
+                    lab = permgroups.orbits(stab, n)
+            order *= int(np.count_nonzero(lab == lab[v]))
             seq.append(v)
             cells = child
     except groups.BudgetExceeded:

@@ -117,6 +117,26 @@ def _search(graph, known, budget: int) -> int:
     return res.order
 
 
+def _line_graph_search(c) -> int:
+    """The order of Aut(Γ) as Σ's certified search order.  By Whitney's
+    theorem every automorphism of L(Σ) is induced by exactly one of Σ when
+    Σ is connected on more than four vertices; so Γ must be L(Σ)
+    (``phi_map``), and Σ connected and that large."""
+    graphs.phi_map(c.gamma, c.sigma, c.info)
+    if c.sigma.n <= 4 or np.any(graphs.bfs_layers(c.sigma, 0)[0] < 0):
+        raise ValueError("Sigma is not connected on more than 4 vertices")
+    return _search(c.sigma, c.sigma_gens, c.node_budget)
+
+
+def checked_diagram(G, gamma) -> permgroups.DistanceDiagram:
+    """The distance diagram of Γ under the stabilizer lifts, each a
+    permutation of all codes checked to be an automorphism of Γ."""
+    lifts = list(map(permgroups.as_perm, permgroups.stabilizer_lift_images(G)))
+    if not permgroups.are_automorphisms(gamma, lifts):
+        raise ValueError("lift is not an automorphism")
+    return permgroups.distance_diagram(gamma, lifts)
+
+
 # -- the shared objects: name -> (label, entries from G, build, needs) ------
 # A label is ASCII: a text report may go to a stream of any encoding.
 # Σ(n) has 2|G|/2^n vertices; ``action_gens`` lists 2n right
@@ -139,8 +159,8 @@ OBJECTS = {
     # the quotient graph, and whether it keeps the valency
     "quotient": ("the quotient of Sigma", lambda G: 2 << (2 * G.n),
                  lambda c: graphs.normal_quotient(c.sigma, c.labels), "sigma labels"),
-    "gamma_gens": ("the actions on G", lambda G: (2 * G.n ** 2 + 1) * G.order,
-                   lambda c: permgroups.action_gens(c.group), ""),
+    "diagram": ("the lifts on G", lambda G: (2 * G.n * (G.n - 1) + 1) * G.order,
+                lambda c: checked_diagram(c.group, c.gamma), "gamma"),
     "sigma_gens": ("the actions on Sigma", lambda G: (2 * G.n ** 2 + 1) * (G.order >> (G.n - 1)),
                    lambda c: permgroups.action_gens(c.group, c.info), "info"),
     "colors": ("the edge colours of Gamma", lambda G: G.order * (2 ** G.n - 1),
@@ -239,11 +259,7 @@ GRAPHS = (
     ("distance-layers", lambda G: [1, 6, 18, 54, 117, 54, 6] if G.n == 2 else None,
      lambda c: graphs.bfs_layers(c.gamma, 0)[1], "gamma"),
     ("distance-diagram-reference", lambda G: (True, "ok") if G.n == 2 else None,
-     lambda c: diagram_matches_reference(
-         permgroups.distance_diagram(c.gamma, c.gamma_gens[len(c.group.gens):]),
-         load_reference_diagram())
-     if permgroups.are_automorphisms(c.gamma, c.gamma_gens)
-     else (False, "lift is not an automorphism"), "gamma gamma_gens"),
+     lambda c: diagram_matches_reference(c.diagram, load_reference_diagram()), "diagram"),
     ("edge-color-counts", lambda G: (G.order * (2 ** G.n - 1) // 2,) * 2,
      lambda c: (int(np.count_nonzero(c.colors)), int(np.count_nonzero(~c.colors))),
      "colors"),
@@ -253,11 +269,11 @@ GRAPHS = (
 
 GENERATED_ORDER = ("generated-order", _symmetry, lambda c: permgroups.generated_order(
     c.group, c.S, permgroups.stabilizer_lift_images(c.group, c.S)), "S")
-# the full search; on Σ its seeds are induced from the coset
-# representatives, with no permutation of all codes
+# the full search, on Σ for both targets; its seeds are induced from the
+# coset representatives, with no permutation of all codes
 SEARCH = {
-    "gamma": ("full-automorphism-order-gamma", _symmetry,
-              lambda c: _search(c.gamma, c.gamma_gens, c.node_budget), "gamma gamma_gens"),
+    "gamma": ("full-automorphism-order-gamma", _symmetry, _line_graph_search,
+              "gamma sigma info sigma_gens"),
     "sigma": ("full-automorphism-order-sigma", _symmetry,
               lambda c: _search(c.sigma, c.sigma_gens, c.node_budget), "sigma sigma_gens"),
 }

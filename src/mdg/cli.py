@@ -116,13 +116,11 @@ def diagram(a) -> int:
     distance with inter-cell counts); at n=2 it is also diffed against the
     packaged reference data."""
     _check_n(a.n, "diagram")
-    G = groups.TensorGroup(a.n)
-    gamma = claims.Context(G).gamma
-    lifts = permgroups.action_gens(G)[len(G.gens):]
-    if not permgroups.are_automorphisms(gamma, lifts):
-        print("lift is not an automorphism", file=sys.stderr)
+    try:
+        diag = claims.Context(groups.TensorGroup(a.n)).diagram
+    except ValueError as e:  # such as a lift that is no automorphism
+        print(e, file=sys.stderr)
         return 1
-    diag = permgroups.distance_diagram(gamma, lifts)
     print(render_diagram_table(diag) if a.format == "table"
           else json.dumps(diag.to_dict(), indent=2, sort_keys=True))
     if a.n == 2:

@@ -431,9 +431,9 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
     isomorphism from the Cayley graph to the line graph of the coset graph
     without building the line graph: the images of every Cayley edge share
     an endpoint, which for phi(g) = {Xg, Yg} and phi(h) = {Xh, Yh} means
-    Xg = Xh or Yg = Yh, and the edge counts agree, the line graph having
-    C(deg v, 2) edges at each vertex v.  Raises ValueError on any failure
-    (which would signal an implementation bug).
+    Xg = Xh or Yg = Yh, and the vertex and edge counts agree, the line graph
+    having C(deg v, 2) edges at each vertex v.  Raises ValueError on any
+    failure (which would signal an implementation bug).
     """
     # Xz < Yz as vertices, so Xz -> Yz is the forward arc of an edge, if any
     phi = _find_arcs(sigma, info.x_index, np.add(
@@ -447,8 +447,8 @@ def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
         if not np.all((info.x_index[g] == info.x_index[h]) | (info.y_index[g] == info.y_index[h])):
             raise ValueError("phi does not preserve an edge")
     degs = np.diff(sigma.indptr).astype(np.int64)
-    if gamma.edge_count() != int(np.sum(degs * (degs - 1) // 2)):
-        raise ValueError("edge counts of the Cayley and line graphs differ")
+    if gamma.n != len(phi) or gamma.edge_count() != int(np.sum(degs * (degs - 1) // 2)):
+        raise ValueError("vertex or edge counts of the Cayley and line graphs differ")
     return phi
 
 

@@ -152,20 +152,6 @@ class PermGroup:
         return math.prod(len(level[2]) for level in self._levels)
 
 
-def orbit_mask(gens, seed: int, degree: int) -> np.ndarray:
-    """The orbit of ``seed`` as a boolean mask over the points."""
-    seen = np.zeros(degree, dtype=bool)
-    seen[seed] = True
-    frontier = np.array([seed], dtype=np.int32)
-    while len(frontier):
-        hit = np.zeros(degree, dtype=bool)
-        for g in gens:
-            hit[g[frontier]] = True
-        frontier = np.flatnonzero(hit & ~seen)
-        seen[frontier] = True
-    return seen
-
-
 def orbits(gens, degree: int) -> np.ndarray:
     """Orbit labels: the least point of each point's orbit, as an int32
     array (the generators are int32 permutations, so every point fits).
@@ -425,7 +411,7 @@ def transitivity_report(graph, gens, stabilizer_certified=False) -> Transitivity
         raise ValueError("generator is not a graph automorphism")
     ball, dist = ball_of(graph)
     rep = ball_report(graph, ball, dist, [g[ball] for g in gens if int(g[0]) == 0],
-                      bool(orbit_mask(gens, 0, graph.n).all()), stabilizer_certified)
+                      _orbit_count(gens, graph.n) == 1, stabilizer_certified)
     if not rep.arc and graph.edge_count():
         rep.edge = _orbit_count(_edge_action(graph, gens), graph.edge_count()) == 1
     return rep

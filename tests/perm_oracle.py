@@ -13,8 +13,8 @@ edge-affine witness below search sets of vertex pairs, edges and subgroup
 elements directly instead of counting orbits of induced actions.
 ``line_graph_as_cayley`` is the converse construction, Γ rebuilt from the
 action of G on the coset-graph edges; no claim uses it yet.  ``orbits`` is
-the orbit partition as lists of cells, one breadth-first search per orbit,
-the oracle for the orbit labels of ``permgroups.orbits``.
+the orbit partition as lists of cells, one breadth-first search per orbit
+(``orbit_mask``), the oracle for the orbit labels of ``permgroups.orbits``.
 ``induced_sigma_perm`` pushes a permutation of all codes down to the coset
 vertices, reading every member of every coset: the reference that
 ``permgroups.coset_action`` is tested against.  ``right_mult_perm`` and
@@ -23,8 +23,7 @@ vertices, reading every member of every coset: the reference that
 import numpy as np
 
 from mdg import autsearch, graphs
-from mdg.permgroups import (are_automorphisms, as_perm, compose, identity_perm, inverse,
-                            is_identity, orbit_mask)
+from mdg.permgroups import are_automorphisms, as_perm, compose, identity_perm, inverse, is_identity
 
 
 def right_mult_perm(G, g: int) -> np.ndarray:
@@ -66,6 +65,19 @@ def partition_from_cells(n: int, cells) -> autsearch.Partition:
     if len(order) != n or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("cells must partition the vertices")
     return autsearch.Partition(order, np.cumsum([0] + [len(c) for c in members]))
+
+
+def orbit_mask(gens, seed: int, degree: int) -> np.ndarray:
+    """The orbit of ``seed`` as a boolean mask over the points, one
+    breadth-first layer of images at a time."""
+    seen = np.zeros(degree, dtype=bool)
+    seen[seed] = True
+    layer = np.array([seed])
+    while len(layer):
+        images = np.unique(np.concatenate([g[layer] for g in gens] or [layer[:0]]))
+        layer = images[~seen[images]]
+        seen[layer] = True
+    return seen
 
 
 def orbits(gens, degree: int) -> list[list[int]]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perm_oracle
-from mdg import autsearch, cli, graphs, groups, permgroups as pg
+from mdg import autsearch, claims, cli, graphs, groups, permgroups as pg
 
 try:
     import networkx as nx
@@ -169,3 +169,14 @@ def test_search_matches_the_pinned_searches(name):
     assert (res.complete, res.order, res.nodes, len(res.gens)) == (True, order, nodes, count)
     assert h.hexdigest()[:16] == digest
     assert pg.are_automorphisms(graph, res.gens)
+
+
+def test_the_gamma_search_certifies_the_order_the_line_graph_row_reports():
+    """The search on Γ(3) itself, seeded with the actions on all codes,
+    certifies the order that ``full-automorphism-order-gamma`` reads from
+    Σ's search by Whitney's theorem (both searches at n = 2: criterion 10)."""
+    G = groups.TensorGroup(3)
+    row = claims.run([claims.SEARCH["gamma"]], claims.Context(G))[0]
+    res = autsearch.automorphism_group(claims.Context(G).gamma, pg.action_gens(G))
+    assert row.status == claims.PASS
+    assert (res.complete, res.order) == (True, row.computed)

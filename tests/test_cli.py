@@ -185,7 +185,10 @@ finally:
 #   every permutation induced from the coset representatives and the
 #   refinement rows read in blocks, 33.3 MB with the coset rows listed from
 #   their least members (no sort of all codes) and int16 vertex ids, 32.3 MB
-#   on argparse, 32.2 MB on the table;
+#   on argparse, 32.2 MB on the table; the Cayley graph's certification
+#   shares that bound: 40.3 MB when it searched Γ, 33.2 MB reading
+#   |Aut(Γ)| from Σ's search by Whitney's theorem, with Γ alive for the
+#   line-graph check;
 # - the Cayley graph as graph6 (an 89 MB body): 301 MB when the writer
 #   copied the body four times, 121 MB with the body held once, 119 MB on
 #   argparse, 117.2 MB on the table;
@@ -200,6 +203,8 @@ PEAK_BOUNDS_MB = {
     "verify-group-n3": (["verify", "group", "-n", "3", "--json"], 36),
     "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 40),
     "aut-sigma-full-search-n3": (["aut", "-n", "3", "--target", "sigma", "--full-search",
+                                  "--json"], 38),
+    "aut-gamma-full-search-n3": (["aut", "-n", "3", "--target", "gamma", "--full-search",
                                   "--json"], 38),
     "export-gamma-graph6-n3": (["export", "-n", "3", "--target", "gamma", "--format", "graph6",
                                 "-o", "{out}"], 220),
@@ -235,13 +240,15 @@ def _refuse(*args, **kwargs):
 def test_sigma_paths_build_no_permutation_of_all_codes(monkeypatch):
     """Every coset-graph permutation comes from the coset representatives,
     and the Cayley graph's transitivity from the lifts near vertex 0: with
-    the builder's branch for all codes refused, the search on Σ and
-    ``verify graphs -n 3`` pass; with every lift spoiled where the Cayley
-    graph's claims ask for it, ``verify graphs`` fails only those claims."""
+    the builder's branch for all codes refused, the search on Σ for either
+    target and ``verify graphs -n 3`` pass; with every lift spoiled where
+    the Cayley graph's claims ask for it, ``verify graphs`` fails only those
+    claims."""
     build = permgroups.action_gens
     monkeypatch.setattr(permgroups, "action_gens",
                         lambda G, info=None: build(G, info) if info is not None else _refuse())
     for args in (["aut", "-n", "2", "--target", "sigma", "--full-search", "--json"],
+                 ["aut", "-n", "2", "--target", "gamma", "--full-search", "--json"],
                  ["verify", "graphs", "-n", "3", "--json"]):
         r = run(*args)
         assert r.exit_code == 0, r.output
@@ -258,9 +265,7 @@ def test_sigma_paths_build_no_permutation_of_all_codes(monkeypatch):
 
 @pytest.mark.parametrize("args, cids", [
     (["verify", "graphs", "-n", "2", "--json"], ["cayley-transitivity", "distance-diagram-reference"]),
-    (["aut", "-n", "2", "--target", "gamma", "--full-search", "--json"],
-     ["full-automorphism-order-gamma"]),
-], ids=["verify-graphs", "aut-gamma"])
+], ids=["verify-graphs"])
 def test_a_bad_cayley_lift_is_a_failed_claim(monkeypatch, args, cids):
     """The lifts of the Cayley graph are checked inside the claims that read
     them: a lift that is no automorphism fails those claims with exit 1,
@@ -273,6 +278,50 @@ def test_a_bad_cayley_lift_is_a_failed_claim(monkeypatch, args, cids):
     assert [i for i, c in claims.items() if c["status"] != "pass"] == cids
     for cid in cids:
         assert claims[cid]["status"] == "fail" and "automorphism" in str(claims[cid]["computed"])
+
+
+def _drop_an_edge_of_gamma(monkeypatch):
+    build = graphs.cayley_graph
+    monkeypatch.setattr(graphs, "cayley_graph", lambda G, S: graphs.Graph(
+        (g := build(G, S)).n, g.edge_array()[1:]))
+
+
+def _add_two_isolated_vertices_to_gamma(monkeypatch):
+    build = graphs.cayley_graph
+    monkeypatch.setattr(graphs, "cayley_graph", lambda G, S: graphs.Graph(
+        (g := build(G, S)).n + 2, g.edge_array()))
+
+
+def _cut_sigma_in_bfs(monkeypatch):
+    bfs = graphs.bfs_layers
+
+    def with_an_unreached_vertex(graph, v, depth=None):
+        dist, layers = bfs(graph, v, depth)
+        dist[-1] = -1
+        return dist, layers
+
+    monkeypatch.setattr(graphs, "bfs_layers", with_an_unreached_vertex)
+
+
+@pytest.mark.parametrize("plant, why", [
+    (_drop_an_edge_of_gamma, "vertex or edge counts of the Cayley and line graphs differ"),
+    (_add_two_isolated_vertices_to_gamma,
+     "vertex or edge counts of the Cayley and line graphs differ"),
+    (_cut_sigma_in_bfs, "Sigma is not connected on more than 4 vertices"),
+], ids=["gamma-not-a-line-graph", "gamma-with-isolated-vertices", "sigma-not-connected"])
+def test_the_gamma_order_needs_whitneys_premises(monkeypatch, plant, why):
+    """|Aut(Γ)| is Σ's certified search order only when Γ is L(Σ) and Σ is
+    connected: a Cayley graph with one edge dropped or two isolated vertices
+    added (so Aut(Γ) doubles), or a Σ whose search from vertex 0 misses a
+    vertex, fails ``full-automorphism-order-gamma`` with exit 1 and no
+    traceback, while ``generated-order`` (on S) passes."""
+    plant(monkeypatch)
+    r = run("aut", "-n", "2", "--target", "gamma", "--full-search", "--json")
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert "Traceback" not in r.output
+    rows = {c["id"]: (c["status"], c["computed"]) for c in json.loads(r.output)["claims"]}
+    assert rows == {"generated-order": ("pass", 18432),
+                    "full-automorphism-order-gamma": ("fail", f"error: ValueError: {why}")}
 
 
 def test_a_failing_builder_is_a_failed_claim(monkeypatch):

@@ -143,6 +143,8 @@ def test_phi_map_rejects_a_wrong_cayley_graph():
     edges = GAMMA2.edge_array()
     with pytest.raises(ValueError, match="edge counts"):
         graphs.phi_map(graphs.Graph(GAMMA2.n, edges[1:]), SIGMA2, INFO2)
+    with pytest.raises(ValueError, match="vertex or edge counts"):  # isolated extra vertices
+        graphs.phi_map(graphs.Graph(GAMMA2.n + 2, edges), SIGMA2, INFO2)
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     moved = graphs.Graph(GAMMA2.n, np.vstack([edges[1:], [[0, far]]]))
     with pytest.raises(ValueError, match="does not preserve an edge"):
