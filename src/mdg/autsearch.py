@@ -62,8 +62,8 @@ def _row_words(nbr: np.ndarray, cell: np.ndarray, verts: np.ndarray, k: int) -> 
     """The sorted row of neighbour cells of each vertex in ``verts``
     (``cell`` maps the padding to k, above every cell index), as k - entry
     packed first-most-significant into uint64 words, one column per vertex:
-    words ascend as rows descend.  Rows are taken CHUNK // degree at a
-    time, and each block is packed with array shifts."""
+    words ascend as rows descend.  Rows are taken a block of vertices at a
+    time, weighed by the degree, and each block is packed with array shifts."""
     d, width = nbr.shape[1], k.bit_length()
     per = 64 // width
     # column j is field j % per of word j // per; a shorter last word keeps
@@ -74,13 +74,12 @@ def _row_words(nbr: np.ndarray, cell: np.ndarray, verts: np.ndarray, k: int) -> 
     words = np.zeros((-(-d // per) or 1, len(verts)), dtype=np.uint64)
     if not d:  # every row is empty
         return words
-    step = max(1, graphs.CHUNK // d)
-    for lo in range(0, len(verts), step):
-        rows = cell[nbr[verts[lo:lo + step]]]
+    for lo, hi in groups._blocks(len(verts), d):
+        rows = cell[nbr[verts[lo:hi]]]
         rows.sort(axis=1)
         fields = np.subtract(k, rows, out=rows).astype(np.uint64)
         fields <<= shifts
-        words[:, lo:lo + step] = np.bitwise_or.reduceat(fields, np.arange(0, d, per), axis=1).T
+        words[:, lo:hi] = np.bitwise_or.reduceat(fields, np.arange(0, d, per), axis=1).T
         del rows, fields  # before the next block's are made
     return words
 
@@ -103,7 +102,6 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
     if len(part.order) != n:
         raise ValueError("cells must partition the vertices")
     nbr = graph.neighbor_array()
-    step = max(1, graphs.CHUNK // max(1, nbr.shape[1]))
     todo = np.flatnonzero(np.diff(part.starts) > 1)
     while len(todo):
         k = len(part)
@@ -128,8 +126,8 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
         small[big[np.append(True, np.diff(cur[first][big]) != 0)]] = False
         smalls = verts[np.repeat(small, size)]
         touched = np.zeros(len(part), dtype=bool)
-        for lo in range(0, len(smalls), step):
-            near = nbr[smalls[lo:lo + step]].ravel()
+        for lo, hi in groups._blocks(len(smalls), nbr.shape[1]):
+            near = nbr[smalls[lo:hi]].ravel()
             touched[part.cell[near[near < n]]] = True
         todo = np.flatnonzero(touched & (np.diff(part.starts) > 1))
     return part

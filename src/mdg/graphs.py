@@ -10,8 +10,6 @@ import numpy as np
 
 from . import groups
 
-CHUNK = groups.CHUNK
-
 
 class Graph:
     """Simple undirected graph stored once, as a CSR adjacency: the
@@ -22,19 +20,17 @@ class Graph:
     that can leave those ranges widens where it is done.  Permutations of
     the vertices stay int32 (``permgroups``).
 
-    ``edges`` is an (m, 2) integer array or any iterable of pairs;
-    repeated edges are merged, loops and out-of-range vertices rejected.
+    ``edges`` is an (m, 2) integer array or any iterable of integer pairs;
+    repeats are merged, loops and out-of-range or non-integer vertices rejected.
     """
 
     def __init__(self, n: int, edges=()):
         self.n = n = int(n)
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-        if pairs.dtype.kind != "i":
-            pairs = pairs.astype(np.int64)
         if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("edges must be vertex pairs")
+            pairs = pairs.astype(np.int64).reshape(0, 2)
+        if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be pairs of integer vertices")
         u, v = pairs[:, 0], pairs[:, 1]
         if np.any(u == v):
             raise ValueError("loops are not allowed")
@@ -129,26 +125,14 @@ def _ranges(starts, counts) -> np.ndarray:
     return out
 
 
-def _blocks(cum, per_item: int = 1):
-    """Consecutive ranges lo:hi covering the items whose cumulative weights
-    are ``cum`` (cum[0] == 0); each weighs at most CHUNK // per_item, or is a
-    single item: ``per_item`` is the pass's 8-byte temporaries per unit."""
-    step = max(1, CHUNK // max(1, per_item))
-    lo, last = 0, len(cum) - 1
-    while lo < last:
-        hi = max(lo + 1, int(np.searchsorted(cum, int(cum[lo]) + step, side="right")) - 1)
-        yield lo, hi
-        lo = hi
-
-
 def _forward_arcs(graph: Graph, per_arc: int = 4):
     """The arcs u -> v with u < v, in slot order (the order of the rows of
-    ``edge_array()``), as (slots, tails, heads) per block of tails holding
-    at most CHUNK // per_arc arcs; ``per_arc`` counts the caller's 8-byte
+    ``edge_array()``), as (slots, tails, heads) per block of tails
+    (``groups._blocks`` over the arcs); ``per_arc`` counts the caller's 8-byte
     temporaries per arc of the block and these four (the tails, the forward
     positions, the slots, and the caller's hold on the last block)."""
     ptr = graph.indptr
-    for lo, hi in _blocks(ptr, per_arc):
+    for lo, hi in groups._blocks(ptr, per_arc):
         tails = np.repeat(np.arange(lo, hi, dtype=graph.indices.dtype), np.diff(ptr[lo:hi + 1]))
         heads = graph.indices[ptr[lo]:ptr[hi]]
         fwd = np.flatnonzero(tails < heads)
@@ -158,12 +142,12 @@ def _forward_arcs(graph: Graph, per_arc: int = 4):
 def _find_arcs(graph: Graph, tails, heads) -> np.ndarray:
     """Slot of each arc tails[i] -> heads[i], or -1 where there is none, in
     the type of ``indptr``: one binary search in every tail's sorted row at
-    once, a block of CHUNK // 8 queries (about four temporaries each) at a time."""
+    once, a block of queries at a time at a weight of eight (about four
+    temporaries each)."""
     ptr, nb = graph.indptr, graph.indices
     out = np.full(np.shape(tails), -1, dtype=ptr.dtype)
-    step = max(1, CHUNK // 8)
-    for a in range(0, len(tails) if len(nb) else 0, step):
-        t, h = tails[a:a + step], heads[a:a + step]
+    for a, b in groups._blocks(len(tails) if len(nb) else 0, 8):
+        t, h = tails[a:b], heads[a:b]
         lo, hi = ptr[t], ptr[1:][t]  # not t + 1, which may wrap
         size = hi - lo  # the first entry >= h lies in lo .. lo + size
         for _ in range(int(size.max(initial=0)).bit_length()):
@@ -173,7 +157,7 @@ def _find_arcs(graph: Graph, tails, heads) -> np.ndarray:
             size -= half
         lo += (size > 0) & (nb.take(lo, mode="clip") < h)
         hit = (lo < hi) & (nb.take(lo, mode="clip") == h)
-        out[a:a + step][hit] = lo[hit]
+        out[a:b][hit] = lo[hit]
     return out
 
 
@@ -221,10 +205,9 @@ def cayley_graph(G, S) -> Graph:
     indices = np.empty(G.order * k, dtype=_index_dtype(G.order))
     rows = indices.reshape(G.order, k)
     # one block of rows against every s at a time
-    step = max(1, CHUNK // max(1, k))
-    for lo in range(0, G.order, step):
-        block = rows[lo:lo + step]
-        block[:] = G.mul_vec(S[:, None], np.arange(lo, lo + len(block))).T
+    for lo, hi in groups._blocks(G.order, k):
+        block = rows[lo:hi]
+        block[:] = G.mul_vec(S[:, None], np.arange(lo, hi)).T
         block.sort(axis=1)
     ptr = _index_dtype(len(indices) + 1, (np.int32,))
     return Graph._from_rows(np.arange(G.order + 1, dtype=ptr) * k, indices)
@@ -258,23 +241,23 @@ def right_cosets(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
     ascending and ordered by their least member, plus every code's row,
     both in ``_index_dtype(G.order)``.
     The codes least in their cosets are found, and then the cosets
-    through them listed, a block of at most CHUNK products at a time.
+    through them listed, a block of codes at a time, weighed by their
+    products with the subgroup.
     Raises ValueError if ``subgroup`` is not multiplication-closed."""
     sub = groups.sorted_codes(subgroup)
     if not np.any(sub == G.identity):
         raise ValueError("subgroup must contain the identity")
     if not np.isin(_codes(G.mul_vec(sub[:, None], sub[None, :])), sub).all():
         raise ValueError("subgroup is not closed under multiplication")
-    dtype, step = _index_dtype(G.order), max(1, CHUNK // len(sub))
-    blocks = (np.arange(lo, min(lo + step, G.order), dtype=np.uint64)
-              for lo in range(0, G.order, step))
+    dtype = _index_dtype(G.order)
+    blocks = (np.arange(lo, hi, dtype=np.uint64) for lo, hi in groups._blocks(G.order, len(sub)))
     roots = np.concatenate([h[G.mul_vec(sub[:, None], h).min(axis=0) == h] for h in blocks])
     rows, index = np.empty((len(roots), len(sub)), dtype=dtype), np.empty(G.order, dtype=dtype)
-    for lo in range(0, len(roots), step):
-        block = rows[lo:lo + step]
-        block[:] = G.mul_vec(sub[:, None], roots[lo:lo + step]).T
+    for lo, hi in groups._blocks(len(roots), len(sub)):
+        block = rows[lo:hi]
+        block[:] = G.mul_vec(sub[:, None], roots[lo:hi]).T
         block.sort(axis=1)
-        index[block] = np.arange(lo, lo + len(block), dtype=dtype)[:, None]
+        index[block] = np.arange(lo, hi, dtype=dtype)[:, None]
     return rows, index
 
 
@@ -299,10 +282,9 @@ def sigma_graph(G) -> tuple[Graph, SigmaInfo]:
     for cosets, index, offset, out in ((x_cosets, y_index, n_x, indices[:x_cosets.size]),
                                        (y_cosets, x_index, 0, indices[x_cosets.size:])):
         rows = out.reshape(cosets.shape)
-        step = max(1, CHUNK // cosets.shape[1])
-        for lo in range(0, len(cosets), step):
-            block = rows[lo:lo + step]
-            np.add(index[cosets[lo:lo + step]], offset, out=block)
+        for lo, hi in groups._blocks(len(cosets), cosets.shape[1]):
+            block = rows[lo:hi]
+            np.add(index[cosets[lo:hi]], offset, out=block)
             block.sort(axis=1)
             if np.any(block[:, 1:] == block[:, :-1]):
                 raise ValueError("two members of a coset share a coset of the other side")
@@ -336,10 +318,9 @@ def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
         raise ValueError("clique vertex out of range")
     covered = np.zeros(len(graph.indices) // 8 + 1, dtype=np.uint8)  # a bit per forward arc
     twice = triangle = False
-    pstep, step = max(1, CHUNK // (3 * size ** 2)), max(1, CHUNK // (4 * size * max(width, size)))
     i, j = np.triu_indices(size, 1)
-    for lo in range(0, len(members), pstep):
-        block = members[lo:lo + pstep]
+    for lo, hi in groups._blocks(len(members), 3 * size ** 2):
+        block = members[lo:hi]
         a, b = block[:, i].ravel(), block[:, j].ravel()
         slots = np.sort(_find_arcs(graph, np.minimum(a, b), np.maximum(a, b)))
         if len(slots) and slots[0] < 0:
@@ -354,8 +335,8 @@ def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
     # iff the sorted keys hold a run of ``size``.  Each member meets the
     # size - 1 others, which repeats its key size - 2 times; a vertex
     # outside that meets two members repeats a key once more.
-    for lo in range(0, len(members), step):
-        flat = members[lo:lo + step].ravel()
+    for lo, hi in groups._blocks(len(members), 4 * size * max(width, size)):
+        flat = members[lo:hi].ravel()
         keys = (np.arange(len(flat)) // size * n).astype(_index_dtype(len(flat) // size * n))
         seen = np.repeat(keys, degs[flat])
         seen += graph.indices[_ranges(graph.indptr[flat], degs[flat])]
@@ -393,22 +374,20 @@ def clique_graph(graph: Graph, cliques: np.ndarray) -> Graph:
     ptr[2:] = np.diff(graph.indptr[:-1]) // (size - 1) if size > 1 else 1
     np.cumsum(ptr, out=ptr)
     owner = np.empty(len(vertex), dtype=_index_dtype(q))
-    step = max(1, CHUNK // 6)
-    for lo in range(0, len(vertex), step):
-        order = np.argsort(vertex[lo:lo + step], kind="stable")
-        v = vertex[lo:lo + step][order]
+    for lo, hi in groups._blocks(len(vertex), 6):
+        order = np.argsort(vertex[lo:hi], kind="stable")
+        v = vertex[lo:hi][order]
         at = ptr[1:][v] + np.arange(len(v)) - np.searchsorted(v, v)
         owner[at] = (order + lo) // size
         last = np.append(v[1:] != v[:-1], True)
         ptr[1:][v[last]] = at[last] + 1
     # ptr[v + 1] now ends v's cliques; a block's keys (clique, neighbour) keep six temporaries
-    step = max(1, CHUNK // (6 * size * int(np.diff(ptr).max(initial=1))))
     counts, rows = np.zeros(q + 1, dtype=np.int64), [np.empty(0, dtype=owner.dtype)]
-    for lo in range(0, q, step):
-        block = cliques[lo:lo + step]
+    for lo, hi in groups._blocks(q, 6 * size * int(np.diff(ptr).max(initial=1))):
+        block = cliques[lo:hi]
         c = ptr[1:][block] - ptr[block]
-        counts[lo + 1:lo + 1 + len(block)] = c.sum(axis=1) - size
-        key = np.repeat(np.arange(lo, lo + len(block)).repeat(size) * q, c.ravel())
+        counts[lo + 1:hi + 1] = c.sum(axis=1) - size
+        key = np.repeat(np.arange(lo, hi).repeat(size) * q, c.ravel())
         key += owner[_ranges(ptr[block.ravel()], c.ravel())]
         key = np.sort(key[key % (q + 1) != 0])  # clique i meets itself at key i * (q + 1)
         rows.append((key % q).astype(owner.dtype))
@@ -490,9 +469,9 @@ def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
 def bfs_layers(graph: Graph, v: int, depth: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Exact BFS distances from v (-1 for unreachable, or beyond ``depth``
     if given), as an int64 array over the vertices, and the layer sizes.
-    The frontier's rows are read a block of at most CHUNK // 4 arcs at a
-    time, as a block's arc indices keep several 8-byte temporaries, and the
-    next layer is marked in a mask over the vertices."""
+    The frontier's rows are read a block of arcs at a time, weighed at four
+    8-byte temporaries each for a block's arc indices, and the next layer is
+    marked in a mask over the vertices."""
     ptr = graph.indptr
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[v] = 0
@@ -501,7 +480,7 @@ def bfs_layers(graph: Graph, v: int, depth: int | None = None) -> tuple[np.ndarr
     marked = np.zeros(graph.n, dtype=bool)
     while len(layers) - 1 != depth:
         degs = ptr[1:][frontier] - ptr[frontier]
-        for lo, hi in _blocks(np.concatenate([[0], np.cumsum(degs)]), 4):
+        for lo, hi in groups._blocks(np.concatenate([[0], np.cumsum(degs)]), 4):
             marked[graph.indices[_ranges(ptr[frontier[lo:hi]], degs[lo:hi])]] = True
         marked[dist >= 0] = False
         frontier = np.flatnonzero(marked)
@@ -546,7 +525,7 @@ def triangles_monochromatic(graph: Graph, colors) -> bool:
     for uv, u, v in _forward_arcs(graph, 16):
         later = ptr[1:][u] - uv - 1
         # the pairs (u -> v, u -> w) a block at a time, eight temporaries each
-        for lo, hi in _blocks(np.concatenate([[0], np.cumsum(later)]), 8):
+        for lo, hi in groups._blocks(np.concatenate([[0], np.cumsum(later)]), 8):
             uw = _ranges(uv[lo:hi] + 1, later[lo:hi])
             arc = np.repeat(np.arange(lo, hi), later[lo:hi])  # the arc u -> v of each pair
             vw = _find_arcs(graph, v[arc], graph.indices[uw])
@@ -588,5 +567,8 @@ def to_graph6(graph: Graph) -> bytearray:
 
 
 def to_edgelist(graph: Graph) -> str:
-    edges = graph.edge_array()
-    return "%d %d\n" * len(edges) % tuple(edges.ravel().tolist())
+    """The edges as "u v" lines in ``edge_array()`` order, formatted a block
+    of arcs at a time: the forward arcs' ints, their list and tuple slots
+    and their lines weigh about seven 8-byte temporaries per arc."""
+    return "".join("%d %d\n" * len(u) % tuple(np.stack([u, v], axis=1).ravel().tolist())
+                   for _, u, v in _forward_arcs(graph, 4 + 7))

@@ -26,11 +26,28 @@ from . import f2
 DEFAULT_BUDGET = 1 << 24
 
 #: The block budget of every array pass over codes, arcs, cliques or pairs:
-#: a block holds at most about CHUNK 8-byte temporaries in all, so a pass
-#: takes CHUNK // w items per block when each keeps w of them (a pass that
-#: runs inside another's block, as the arc search does, takes its own).
+#: a block holds at most about CHUNK 8-byte temporaries in all.  ``_blocks``
+#: is the one place where blocks are sized from it; a pass that runs inside
+#: another's block, as the arc search does, takes blocks of its own.
 #: Arrays as long as the graph are stored in ``graphs._index_dtype`` widths.
 CHUNK = 1 << 15
+
+
+def _blocks(items, per_item: int = 1):
+    """Consecutive ranges (lo, hi) covering the items, each holding at most
+    CHUNK // per_item of them or a single item, where ``per_item`` counts a
+    pass's 8-byte temporaries per item.  ``items`` is a count, every item
+    weighing one, or the cumulative weights of the items (cum[0] == 0), as
+    a run of CSR rows weighs its arcs."""
+    step = max(1, CHUNK // max(1, per_item))
+    if np.ndim(items) == 0:
+        yield from ((lo, min(lo + step, items)) for lo in range(0, items, step))
+        return
+    lo, last = 0, len(items) - 1
+    while lo < last:
+        hi = max(lo + 1, int(np.searchsorted(items, int(items[lo]) + step, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 class BudgetExceeded(Exception):
@@ -99,8 +116,8 @@ class TensorGroup:
         sending x_i to x_imgs[i] and y_j to y_imgs[j]: the code (x, y, A) is
         the x-word times the y-word times [x_i, y_j] over the set bits (i, j)
         of A.  When the images satisfy the relations this is, by von Dyck,
-        the endomorphism they define.  The codes are taken a block of
-        CHUNK at a time."""
+        the endomorphism they define.  The codes are taken a block at a
+        time (``_blocks``)."""
         codes = None if codes is None else np.asarray(codes, dtype=np.uint64)
         tables = []
         for imgs in (x_imgs, y_imgs):
@@ -119,10 +136,9 @@ class TensorGroup:
         shifts = np.arange(2 * self.n, 2 * self.n + len(comms), dtype=np.uint64)
         size = self.order if codes is None else len(codes)
         out = np.empty(size, dtype=np.uint64)
-        for lo in range(0, size, CHUNK):
-            block = (np.arange(lo, min(lo + CHUNK, size), dtype=np.uint64) if codes is None
-                     else codes[lo:lo + CHUNK])
-            part = out[lo:lo + CHUNK]
+        for lo, hi in _blocks(size):
+            block = np.arange(lo, hi, dtype=np.uint64) if codes is None else codes[lo:hi]
+            part = out[lo:hi]
             # an int64 view and "clip" mode: no copy of the indices, no buffered output
             np.take(words, (block & np.uint64((1 << (2 * self.n)) - 1)).view(np.int64),
                     out=part, mode="clip")
@@ -197,7 +213,7 @@ def _closure_mask(G, gens) -> np.ndarray:
     """Subgroup generated by ``gens``, as a boolean mask over every code
     (a byte each, to count subgroups as large as G): the identity's orbit
     under right multiplication, grown a breadth-first layer at a time and
-    each layer a block of CHUNK codes at a time."""
+    each layer a block of codes at a time."""
     check_budget(G.order)
     seen = np.zeros(G.order, dtype=bool)
     seen[G.identity] = True
@@ -206,9 +222,9 @@ def _closure_mask(G, gens) -> np.ndarray:
     new = np.zeros_like(seen)
     while frontier.size:
         new[:] = False
-        for lo in range(0, len(frontier), CHUNK):
+        for lo, hi in _blocks(len(frontier)):
             for g in gens:
-                new[G.mul_vec(frontier[lo:lo + CHUNK], g)] = True
+                new[G.mul_vec(frontier[lo:hi], g)] = True
         new &= ~seen
         seen |= new
         frontier = np.flatnonzero(new)
@@ -265,13 +281,15 @@ def center(G) -> np.ndarray:
     centraliser of the generators, which is the center when they generate G
     (for the tensor group the ``order`` claim shows that they do)."""
     check_budget(G.order)
-    gens = np.asarray(G.gens, dtype=np.int64)[:, None]
-    # all generators in one broadcast product per block of codes; a block
-    # holds about CHUNK products, so its arrays stay bounded at any order
-    central = np.concatenate([
-        (G.mul_vec(block, gens) == G.mul_vec(gens, block)).all(axis=0)
-        for block in np.array_split(np.arange(G.order), max(1, G.order * len(G.gens) // CHUNK))])
-    return np.flatnonzero(central).astype(np.int64, copy=False)
+    central = []
+    # a block's codes are made with it and kept while they commute with each
+    # generator in turn: five 8-byte temporaries a code (it, and two products)
+    for lo, hi in _blocks(G.order, 5):
+        block = np.arange(lo, hi, dtype=np.int64)
+        for g in G.gens:
+            block = block[G.mul_vec(block, g) == G.mul_vec(g, block)]
+        central.append(block)
+    return np.concatenate(central)
 
 
 def relations_hold(G, xs, ys) -> bool:

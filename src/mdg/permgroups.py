@@ -189,9 +189,9 @@ def are_automorphisms(graph: graphs.Graph, perms) -> bool:
         return False
     k = graph.is_regular()
     if k is not None and k > 0:
-        nbr, step = graph.neighbor_array(), max(1, graphs.CHUNK // k)
-        return all(np.array_equal(np.sort(p[nbr[lo:lo + step]], axis=1), nbr[p[lo:lo + step]])
-                   for p in perms for lo in range(0, graph.n, step))
+        nbr = graph.neighbor_array()
+        return all(np.array_equal(np.sort(p[nbr[lo:hi]], axis=1), nbr[p[lo:hi]])
+                   for p in perms for lo, hi in groups._blocks(graph.n, k))
     # p maps the edge set one-to-one, so it is an automorphism iff every
     # edge's image is an edge
     u, w = graph.edge_array().T
@@ -336,10 +336,9 @@ def distance_diagram(graph: graphs.Graph, stab_gens) -> DistanceDiagram:
         return np.bincount(keys, minlength=len(vs) * len(roots)).reshape(len(vs), len(roots))
 
     counts = rows(roots)
-    # a block's count rows and arcs each hold at most about CHUNK entries
-    step = max(1, graphs.CHUNK // max(len(roots), int(degs.max(initial=0))))
-    for lo in range(0, graph.n, step):
-        vs = np.arange(lo, min(lo + step, graph.n))
+    # a block's count rows and arcs are weighed by the longer of the two
+    for lo, hi in groups._blocks(graph.n, max(len(roots), int(degs.max(initial=0)))):
+        vs = np.arange(lo, hi)
         if not np.array_equal(rows(vs), counts[number[labels[vs]]]):
             raise ValueError("inter-cell neighbor count is not constant")
     return DistanceDiagram(0, roots.tolist(), np.bincount(labels)[roots].tolist(),
@@ -435,13 +434,12 @@ def cayley_transitivity(G, S, gamma, stabilizer_certified=False) -> Transitivity
         if not np.array_equal(np.sort(np.append(img, gamma.n)[at], axis=1), rows[img[inner]]):
             raise ValueError("lift is not an automorphism of the Cayley graph near vertex 0")
     # as g^2 = 1, row h sent onto row hg gives row hg onto row h: check h <= hg, cover both
-    step = max(1, graphs.CHUNK // (3 * rows.shape[1]))
     for g in G.gens:
         if G.mul_vec(g, g) != G.identity:
             raise ValueError("generator is not an involution")
         ok = np.zeros(gamma.n, dtype=bool)
-        for lo in range(0, gamma.n, step):
-            h = np.arange(lo, min(lo + step, gamma.n), dtype=np.uint64)
+        for lo, hi in groups._blocks(gamma.n, 3 * rows.shape[1]):
+            h = np.arange(lo, hi, dtype=np.uint64)
             img = G.mul_vec(h, g)
             h, img = h[h <= img], img[h <= img]
             ok[h] = ok[img] = np.array_equal(np.sort(G.mul_vec(rows[h], g), axis=1), rows[img])

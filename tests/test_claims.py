@@ -98,6 +98,7 @@ PASSES = {
     "edge_coloring": lambda o: graphs.edge_coloring(o["gamma"], o["G"], o["X"], o["Y"]),
     "triangles_monochromatic": lambda o: graphs.triangles_monochromatic(o["gamma"], o["colors"]),
     "cayley-transitivity": _cayley_row,
+    "center": lambda o: groups.center(o["G"]),
 }
 
 
@@ -107,7 +108,8 @@ def test_each_graph_pass_holds_two_blocks_at_n3(n3, name):
     beyond its inputs and its output: a block of its own and one of the arc
     search inside it, with the arrays as long as the graph in narrow types
     (about 210 to 500 kB on Linux, CPython 3.11, numpy 2.4; 0.9 to 2.5 MB
-    before the blocks were weighted by their temporaries)."""
+    before the blocks were weighted by their temporaries, and 1.1 MB for the
+    center when it listed every code first)."""
     tracemalloc.start()
     try:
         out = PASSES[name](n3)
@@ -116,4 +118,18 @@ def test_each_graph_pass_holds_two_blocks_at_n3(n3, name):
         tracemalloc.stop()
     if name == "cayley-transitivity":
         assert [c.status for c in out] == ["pass"]
-    assert peak - held <= 2 * graphs.CHUNK * 8, f"{peak - held} bytes beyond the output"
+    assert peak - held <= 2 * groups.CHUNK * 8, f"{peak - held} bytes beyond the output"
+
+
+def test_edgelist_holds_at_most_half_again_its_length_at_n3(n3):
+    """to_edgelist(Γ(3)) formats a block of arcs at a time, so beyond the
+    2.6 MB text it returns it holds at most 1.5 times that length: the
+    pieces it joins and one block (about 2.6 MB on Linux, CPython 3.11,
+    numpy 2.4; 21.6 MB when every endpoint went into one tuple)."""
+    tracemalloc.start()
+    try:
+        text = graphs.to_edgelist(n3["gamma"])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 1.5 * len(text), f"{peak - held} bytes beyond {len(text)}"

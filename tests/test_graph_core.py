@@ -74,7 +74,7 @@ def test_graph_edge_cases():
     assert graphs.Graph(0).is_regular() is None
     assert graphs.Graph(1).is_regular() == 0
     assert graphs.Graph(3, [(2, 0), (0, 2), (2, 0)]).edge_array().tolist() == [[0, 2]]
-    for bad in ([(1, 1)], [(0, 3)], [(-1, 0)], [(0, 1, 2)]):
+    for bad in ([(1, 1)], [(0, 3)], [(-1, 0)], [(0, 1, 2)], [(0.9, 2)], [(0, 1.5)], [("0", "1")]):
         with pytest.raises(ValueError):
             graphs.Graph(3, bad)
     g = graphs.Graph(3, [(0, 1)])
@@ -391,7 +391,7 @@ def test_clique_graph_numbers_the_cliques_by_their_rows():
 # whatever the block size: one element per step, an odd size that splits
 # rows, segments and cliques, and the default.
 
-CHUNKS = (1, 7, graphs.CHUNK)
+CHUNKS = (1, 7, groups.CHUNK)
 
 
 def _canon(x):
@@ -410,7 +410,7 @@ def over_chunks(fn, chunks=CHUNKS):
     out = []
     for chunk in chunks:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "CHUNK", chunk)
+            mp.setattr(groups, "CHUNK", chunk)
             try:
                 out.append(_canon(fn()))
             except ValueError as e:
@@ -487,7 +487,7 @@ def test_row_builders_match_the_pair_list_oracle(G):
     """Γ and Σ written row by row equal the graphs built from their pairs,
     at every block size; at order 32,768 a prime block size stands in for
     the single-element one, which takes seconds there."""
-    chunks = CHUNKS if G.order < 1 << 12 else (509, graphs.CHUNK)
+    chunks = CHUNKS if G.order < 1 << 12 else (509, groups.CHUNK)
     S = graphs.xy_connection_set(G)
     assert over_chunks(lambda: graphs.cayley_graph(G, S), chunks) == \
         _canon(cayley_graph_from_pairs(G, S))
@@ -593,6 +593,18 @@ def test_automorphism_check_is_the_same_for_every_block_size():
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     swap[[GAMMA2.neighbors(0)[0], far]] = swap[[far, GAMMA2.neighbors(0)[0]]]
     assert not over_chunks(lambda: permgroups.are_automorphisms(GAMMA2, lifts + [swap]))
+
+
+def test_lifts_and_transitivity_are_the_same_for_every_block_size():
+    """The word images, closures and row checks inside the lifts and the
+    Cayley transitivity report give the same answer at every block size."""
+    ball = permgroups.ball_of(GAMMA2)[0]
+    for fn in (lambda: tuple(permgroups.action_gens(G2)),
+               lambda: tuple(permgroups.action_gens(G2, INFO2)),
+               lambda: tuple(permgroups.checked_lifts(
+                   G2, S2, ball, permgroups.stabilizer_lift_images(G2, ball))),
+               lambda: permgroups.cayley_transitivity(G2, S2, GAMMA2).flags()):
+        assert over_chunks(fn) == _canon(fn())
 
 
 def _diagram_or_error(fn):

@@ -1,5 +1,7 @@
 import itertools
+import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +289,14 @@ def test_subgroup_order_is_the_same_for_every_block_size(G, monkeypatch):
     for chunk in (1, 7, groups.CHUNK):
         monkeypatch.setattr(groups, "CHUNK", chunk)
         assert [groups.subgroup_order(G, gens) for gens in subsets] == want
+
+
+def test_only_groups_names_the_block_budget():
+    """Blocks are sized in one place, ``groups._blocks``: no other module
+    names CHUNK, so patching ``groups.CHUNK`` varies every blocked pass."""
+    modules = sorted(pathlib.Path(groups.__file__).parent.glob("*.py"))
+    assert [p.name for p in modules if p.name != "groups.py"
+            and re.search(r"\bCHUNK\b", p.read_text())] == []
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -256,7 +256,7 @@ def test_permgroup_holds_two_blocks_beyond_its_levels_at_n6():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - held <= 2 * graphs.CHUNK * 8, f"{peak - held} bytes beyond the levels"
+    assert peak - held <= 2 * groups.CHUNK * 8, f"{peak - held} bytes beyond the levels"
 
 
 def test_expected_symmetry_order():
