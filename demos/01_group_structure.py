@@ -19,7 +19,8 @@ print("x-side generators:", [G.decode(g) for g in G.x_gens])
 print("y-side generators:", [G.decode(g) for g in G.y_gens])
 
 # the defining relations hold, and counting pins the presentation
-print("presentation verified:", groups.verify_presentation(G))
+order = groups.subgroup_order(G, G.gens)
+print("presentation verified:", groups.verify_presentation(G, order))
 
 derived = groups.derived_subgroup(G)
 print("derived subgroup order:", len(derived))
@@ -31,5 +32,5 @@ x1, y1 = G.x_gens[0], G.y_gens[0]
 print("[e1, f1] decodes to", G.decode(groups.commutator(G, x1, y1)))
 
 # the mixed-dihedral predicate that characterizes this construction
-report = groups.is_mixed_dihedral(G)
+report = groups.is_mixed_dihedral(G, order, derived, groups.abelianization_structure(G, derived))
 print("mixed-dihedral:", report.is_mixed_dihedral)

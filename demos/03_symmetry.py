@@ -7,7 +7,7 @@ A seeded backtracking search certifies that this is the full
 automorphism group of both graphs.
 """
 
-from mdg import autsearch, cli, permgroups as pg
+from mdg import autsearch, cli, groups, permgroups as pg
 
 G, S, gamma, sigma, info = cli.build_instance(2)
 
@@ -32,8 +32,10 @@ diag = pg.distance_diagram(gamma, lifts)
 print("orbit sizes by distance:", diag.cell_sizes_by_distance())
 print(cli.render_diagram_table(diag))
 
-# transitivity profile, from the lifts on the ball of radius 3 about vertex 0
-rep = pg.cayley_transitivity(G, S, gamma, stabilizer_certified=True)
+# transitivity profile, from the lifts on the ball of radius 3 about vertex 0,
+# vertex-transitive as G's generators generate all of it
+rep = pg.cayley_transitivity(G, S, gamma, groups.subgroup_order(G, G.gens),
+                            stabilizer_certified=True)
 print("Cayley graph transitivity:", rep.flags())
 # on the coset graph: the same generators, induced on the cosets from one
 # representative each

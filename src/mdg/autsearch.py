@@ -11,7 +11,7 @@ Partitions are int arrays (``Partition``), and each node of the search
 refines once, from its parent's refined partition.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -169,12 +169,7 @@ class _Matcher:
         return None
 
 
-@dataclass
-class AutResult:
-    gens: list
-    order: int | None
-    complete: bool
-    nodes: int
+AutResult = namedtuple("AutResult", "gens order complete nodes")
 
 
 def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 << 20) -> AutResult:

@@ -145,6 +145,8 @@ def checked_diagram(G, gamma) -> permgroups.DistanceDiagram:
 OBJECTS = {
     # the group; the rows that need it enumerate it, a byte per element
     "G": ("G", lambda G: G.order, lambda c: c.group, ""),
+    # |<G.gens>|, counted on a mask over G; named G in a skip reason
+    "generated": ("G", lambda G: G.order, lambda c: groups.subgroup_order(c.G, c.G.gens), "G"),
     "derived": ("G'", lambda G: G.order, lambda c: groups.derived_subgroup(c.G), "G"),
     "S": ("S", lambda G: 2 * (2 ** G.n - 1), lambda c: graphs.xy_connection_set(c.group), ""),
     "gamma": ("Gamma", lambda G: G.order * 2 * (2 ** G.n - 1),
@@ -207,21 +209,23 @@ GAMMA_EXPECTED_FLAGS = {
 }
 
 
-def _order(c) -> int:
-    return groups.subgroup_order(c.G, c.G.gens)
-
-
 def _symmetry(G) -> int:
     return permgroups.expected_symmetry_order(G.n)
 
 
+def _mixed(c) -> bool:
+    ab = groups.abelianization_structure(c.G, c.derived)
+    return groups.is_mixed_dihedral(c.G, c.generated, c.derived, ab).is_mixed_dihedral
+
+
 _ABELIANIZATION = ("abelianization", lambda G: [2] * (2 * G.n),
                    lambda c: groups.abelianization_structure(c.G, c.derived), "derived")
-_MIXED = ("mixed-dihedral", True, lambda c: groups.is_mixed_dihedral(c.G).is_mixed_dihedral, "G")
+_MIXED = ("mixed-dihedral", True, _mixed, "generated derived")
 
 GROUP = (
-    ("order", lambda G: 2 ** (G.n * G.n + 2 * G.n), _order, "G"),
-    ("relations-and-count", True, lambda c: groups.verify_presentation(c.G), "G"),
+    ("order", lambda G: 2 ** (G.n * G.n + 2 * G.n), lambda c: c.generated, "generated"),
+    ("relations-and-count", True,
+     lambda c: groups.verify_presentation(c.G, c.generated), "generated"),
     ("derived-order", lambda G: 2 ** (G.n * G.n), lambda c: len(c.derived), "derived"),
     ("derived-equals-center", True,
      lambda c: np.array_equal(c.derived, groups.center(c.G)), "derived"),
@@ -231,7 +235,8 @@ GROUP = (
     _MIXED,
 )
 
-DIHEDRAL = (("order", lambda G: G.order, _order, "G"), _MIXED, _ABELIANIZATION)
+DIHEDRAL = (("order", lambda G: G.order, lambda c: c.generated, "generated"),
+            _MIXED, _ABELIANIZATION)
 
 GRAPHS = (
     ("cayley-vertices", lambda G: G.order, lambda c: c.gamma.n, "gamma"),
@@ -253,7 +258,8 @@ GRAPHS = (
     ("edge-affine-witness", True, lambda c: _edge_affine_ok(
         c.group, c.labels, c.quotient[0], c.sigma_gens), "labels quotient sigma_gens"),
     ("cayley-transitivity", GAMMA_EXPECTED_FLAGS, lambda c: permgroups.cayley_transitivity(
-        c.group, c.S, c.gamma, stabilizer_certified=(c.group.n == 2)).flags(), "gamma S"),
+        c.group, c.S, c.gamma, c.generated, stabilizer_certified=(c.group.n == 2)).flags(),
+     "gamma S generated"),
     ("coset-graph-2-arc-transitive", True, lambda c: permgroups.transitivity_report(
         c.sigma, c.sigma_gens).two_arc, "sigma sigma_gens"),
     ("distance-layers", lambda G: [1, 6, 18, 54, 117, 54, 6] if G.n == 2 else None,

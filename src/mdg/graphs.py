@@ -4,7 +4,7 @@ coset graph on [G:X] u [G:Y], clique graphs, line graphs and normal
 quotients.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -220,16 +220,12 @@ def xy_connection_set(G) -> list[int]:
     return S[S != G.identity].tolist()
 
 
-@dataclass
-class SigmaInfo:
+class SigmaInfo(namedtuple("SigmaInfo", "x_cosets y_cosets x_index y_index")):
     """Bookkeeping for the coset graph: vertex i < n_x is X-coset i,
     vertex n_x + j is Y-coset j.  The cosets are the rows of member
     arrays; the index arrays map a group code to its coset's row.  All
     four hold ``_index_dtype(G.order)`` integers."""
-    x_cosets: np.ndarray
-    y_cosets: np.ndarray
-    x_index: np.ndarray
-    y_index: np.ndarray
+    __slots__ = ()
 
     @property
     def n_x(self) -> int:

@@ -16,7 +16,7 @@ computations all run over codes so one engine serves every backend.  A
 subgroup is a sorted int64 array of codes.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -283,12 +283,15 @@ def center(G) -> np.ndarray:
     check_budget(G.order)
     central = []
     # a block's codes are made with it and kept while they commute with each
-    # generator in turn: five 8-byte temporaries a code (it, and two products)
-    for lo, hi in _blocks(G.order, 5):
+    # generator in turn: the codes, one product and the other's temporaries,
+    # 8 bytes each a code: three in the tensor product, and in a dihedral
+    # product a pair of digit arrays per factor and seven more
+    for lo, hi in _blocks(G.order, 2 + (2 * len(G.ms) + 7 if hasattr(G, "ms") else 3)):
         block = np.arange(lo, hi, dtype=np.int64)
         for g in G.gens:
             block = block[G.mul_vec(block, g) == G.mul_vec(g, block)]
-        central.append(block)
+        if len(block):  # the identity's block is never empty
+            central.append(block)
     return np.concatenate(central)
 
 
@@ -304,22 +307,17 @@ def relations_hold(G, xs, ys) -> bool:
         G.mul_vec(c, c), commutator(G, c[:, None], gens)))
 
 
-def verify_presentation(G: TensorGroup) -> bool:
-    """True iff the generators satisfy ``relations_hold`` and produce the
-    full 2^(n^2+2n) elements (the counting bound that pins the abstract
-    presentation down to this group)."""
+def verify_presentation(G: TensorGroup, generated: int) -> bool:
+    """True iff the generators satisfy ``relations_hold`` and generate, as
+    ``generated`` = |<G.gens>| counts, the full 2^(n^2+2n) elements (the
+    counting bound that pins the abstract presentation down to this group)."""
     n = G.n
-    return (relations_hold(G, G.x_gens, G.y_gens)
-            and subgroup_order(G, G.gens) == G.order == 1 << (n * n + 2 * n))
+    return relations_hold(G, G.x_gens, G.y_gens) and generated == G.order == 1 << (n * n + 2 * n)
 
 
-@dataclass
-class MixedDihedralReport:
-    is_mixed_dihedral: bool
-    order: int
-    derived_subgroup_order: int
-    abelianization_structure: list[int]
-    failure_reason: str | None = None
+MixedDihedralReport = namedtuple(
+    "MixedDihedralReport", "is_mixed_dihedral order derived_subgroup_order "
+    "abelianization_structure failure_reason", defaults=(None,))
 
 
 def _elementary_abelian_rank(G, gens) -> int | None:
@@ -349,16 +347,14 @@ def abelianization_structure(G, derived: np.ndarray) -> list[int]:
     return [index]
 
 
-def is_mixed_dihedral(G) -> MixedDihedralReport:
-    """Decide whether G is mixed dihedral relative to its X and Y.
+def is_mixed_dihedral(G, generated: int, derived: np.ndarray, ab: list[int]) -> MixedDihedralReport:
+    """Decide whether G is mixed dihedral relative to its X and Y, given
+    |<G.gens>| (``generated``), the derived subgroup and the structure of
+    G/G' (``abelianization_structure``).
 
     Requires X and Y elementary abelian of equal order 2^n, X and Y
     together generating G, and G/G' elementary abelian of order 2^(2n).
     """
-    check_budget(G.order)
-    derived = derived_subgroup(G)
-    ab = abelianization_structure(G, derived)
-
     def fail(reason):
         return MixedDihedralReport(False, G.order, len(derived), ab, reason)
 
@@ -367,7 +363,7 @@ def is_mixed_dihedral(G) -> MixedDihedralReport:
     if rx is None or ry is None or rx != ry:
         return fail("X and Y are not elementary abelian of equal order 2^n")
     n = rx
-    if subgroup_order(G, G.x_gens + G.y_gens) != G.order:
+    if generated != G.order:
         return fail("X and Y do not generate the whole group")
     if ab != [2] * (2 * n):
         return fail(f"abelianization is {ab}, expected C_2^{2 * n}")

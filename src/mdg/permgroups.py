@@ -13,7 +13,7 @@ for ``generated_order``, the 2^(n+1) vertices of the edge-affine quotient).
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -286,16 +286,11 @@ def quotient_perm(labels, p: np.ndarray) -> np.ndarray:
 
 # -- distance diagrams -----------------------------------------------------
 
-@dataclass
-class DistanceDiagram:
+class DistanceDiagram(namedtuple("DistanceDiagram", "base mins sizes distances counts")):
     """Equitable partition of the vertices into stabilizer orbits labelled
     by distance from the base vertex, with constant inter-cell neighbor
     counts; a cell is its least member and its size."""
-    base: int
-    mins: list[int]
-    sizes: list[int]
-    distances: list[int]
-    counts: list[list[int]] = field(repr=False)
+    __slots__ = ()
 
     def cell_sizes_by_distance(self) -> list[list[int]]:
         out: dict[int, list[int]] = {}
@@ -347,15 +342,9 @@ def distance_diagram(graph: graphs.Graph, stab_gens) -> DistanceDiagram:
 
 # -- transitivity checks ---------------------------------------------------
 
-@dataclass
-class TransitivityReport:
-    vertex: bool
-    edge: bool
-    arc: bool
-    two_arc: bool
-    two_geodesic: bool
-    distance: dict[int, bool]
-    stabilizer_certified: bool
+class TransitivityReport(namedtuple("TransitivityReport", "vertex edge arc two_arc two_geodesic "
+                                    "distance stabilizer_certified")):
+    __slots__ = ()
 
     def flags(self) -> dict:
         return {"vertex": self.vertex, "edge": self.edge, "arc": self.arc,
@@ -412,19 +401,19 @@ def transitivity_report(graph, gens, stabilizer_certified=False) -> Transitivity
     rep = ball_report(graph, ball, dist, [g[ball] for g in gens if int(g[0]) == 0],
                       _orbit_count(gens, graph.n) == 1, stabilizer_certified)
     if not rep.arc and graph.edge_count():
-        rep.edge = _orbit_count(_edge_action(graph, gens), graph.edge_count()) == 1
+        rep = rep._replace(edge=_orbit_count(_edge_action(graph, gens), graph.edge_count()) == 1)
     return rep
 
 
-def cayley_transitivity(G, S, gamma, stabilizer_certified=False) -> TransitivityReport:
+def cayley_transitivity(G, S, gamma, generated, stabilizer_certified=False) -> TransitivityReport:
     """``ball_report`` of A = <R(G), lifts> on the Cayley graph ``gamma`` of
-    G on S = (X u Y) \\ {1}, with no permutation of all codes.  Each R(g), g
+    G on S = (X u Y) \\ {1}, vertex-transitive iff ``generated`` = |<G.gens>|
+    counts every vertex, with no permutation of all codes.  Each R(g), g
     in G.gens (involutions), is an automorphism of ``gamma`` (checked by blocks
     of rows), so it is the Cayley graph on the row of 0; each lift agrees on the
     ball with an automorphism of G permuting S (``checked_lifts``) and maps
     each row within distance 2 onto its image's row, so it is an automorphism
     of ``gamma`` normalising R(G) and fixing 0: <lifts> = A_0 (Praeger, 1993)."""
-    vertex = groups.subgroup_order(G, G.gens) == gamma.n  # first, while little is held
     ball, dist = ball_of(gamma)
     lifts = list(checked_lifts(G, S, ball, stabilizer_lift_images(G, ball)))
     # rows within distance 2 by place in the ball; padding n stays past it
@@ -445,7 +434,7 @@ def cayley_transitivity(G, S, gamma, stabilizer_certified=False) -> Transitivity
             ok[h] = ok[img] = np.array_equal(np.sort(G.mul_vec(rows[h], g), axis=1), rows[img])
         if not ok.all():
             raise ValueError("right multiplication is not an automorphism of the Cayley graph")
-    return ball_report(gamma, ball, dist, lifts, vertex, stabilizer_certified)
+    return ball_report(gamma, ball, dist, lifts, generated == gamma.n, stabilizer_certified)
 
 
 # -- induced actions and witnesses ----------------------------------------
@@ -503,11 +492,8 @@ def is_complete_bipartite(graph: graphs.Graph) -> tuple[int, int] | None:
     return None
 
 
-@dataclass
-class EdgeAffineWitness:
-    ok: bool
-    subgroup_order: int
-    failing_check: str | None = None
+EdgeAffineWitness = namedtuple("EdgeAffineWitness", "ok subgroup_order failing_check",
+                               defaults=(None,))
 
 
 def edge_affine_witness(quotient: graphs.Graph, group_gens, candidate_gens) -> EdgeAffineWitness:

@@ -73,9 +73,9 @@ def test_criterion_02_presentation():
         def mul_vec(self, g1, g2):
             return np.asarray(g1, dtype=np.uint64) ^ np.asarray(g2, dtype=np.uint64)
 
-    ok = (groups.verify_presentation(groups.TensorGroup(2))
-          and groups.verify_presentation(groups.TensorGroup(3))
-          and not groups.verify_presentation(Broken(2)))
+    presentation = lambda G: groups.verify_presentation(G, groups.subgroup_order(G, G.gens))
+    ok = (presentation(groups.TensorGroup(2)) and presentation(groups.TensorGroup(3))
+          and not presentation(Broken(2)))
     _report(2, "defining relations hold and the order count pins the presentation", ok)
 
 

@@ -2,7 +2,6 @@
 it.  The oracles share no code with mdg.graphs: networkx where it is
 installed, otherwise scalar loops kept in this file."""
 
-import dataclasses
 import itertools
 import random
 from collections import deque
@@ -519,7 +518,7 @@ def test_phi_map_rejects_two_swapped_images():
     far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
     x, y = INFO2.x_index.copy(), INFO2.y_index.copy()
     x[[0, far]], y[[0, far]] = x[[far, 0]], y[[far, 0]]
-    swapped = dataclasses.replace(INFO2, x_index=x, y_index=y)
+    swapped = INFO2._replace(x_index=x, y_index=y)
     kind, text = over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, swapped))
     assert kind == "ValueError" and "does not preserve an edge" in text
 
@@ -603,7 +602,8 @@ def test_lifts_and_transitivity_are_the_same_for_every_block_size():
                lambda: tuple(permgroups.action_gens(G2, INFO2)),
                lambda: tuple(permgroups.checked_lifts(
                    G2, S2, ball, permgroups.stabilizer_lift_images(G2, ball))),
-               lambda: permgroups.cayley_transitivity(G2, S2, GAMMA2).flags()):
+               lambda: permgroups.cayley_transitivity(
+                   G2, S2, GAMMA2, groups.subgroup_order(G2, G2.gens)).flags()):
         assert over_chunks(fn) == _canon(fn())
 
 

@@ -230,7 +230,7 @@ def test_full_degree_lift_with_a_wrong_matrix_part_is_rejected(monkeypatch):
     monkeypatch.setattr(pg, "stabilizer_lift_images", keep_a)
     assert not pg.are_automorphisms(GAMMA2, pg.action_gens(G2))
     with pytest.raises(ValueError, match="differs"):
-        pg.cayley_transitivity(G2, S2, GAMMA2)
+        pg.cayley_transitivity(G2, S2, GAMMA2, G2.order)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -335,7 +335,7 @@ def test_cayley_transitivity_matches_the_report_on_all_codes(n):
     G = groups.TensorGroup(n)
     S = graphs.xy_connection_set(G)
     gamma = graphs.cayley_graph(G, S)
-    local = pg.cayley_transitivity(G, S, gamma).flags()
+    local = pg.cayley_transitivity(G, S, gamma, groups.subgroup_order(G, G.gens)).flags()
     assert local == pg.transitivity_report(gamma, pg.action_gens(G)).flags()
     assert local == claims.GAMMA_EXPECTED_FLAGS
     if n == 2:
@@ -347,16 +347,21 @@ def test_cayley_transitivity_reads_vertex_from_the_group_its_gens_generate():
     with its order doubled, so that the codes 256..511 are a second coset
     that ``mul_vec`` keeps apart (bit 8 goes through the XOR untouched).  Its
     Cayley graph on S is two copies of Γ(2), every check of the row passes,
-    and R(<gens>) fixes each copy, so no flag holds."""
+    and R(<gens>) fixes each copy, so no flag holds: the row reads |<gens>|
+    from the context's ``generated``, not the backend's order."""
     G = groups.TensorGroup(2)
     G.order *= 2
     S = graphs.xy_connection_set(G)
     assert S == S2 and groups.subgroup_order(G, G.gens) == 256
     gamma = graphs.cayley_graph(G, S)
     assert gamma.n == 512 and graphs.bfs_layers(gamma, 0)[1] == [1, 6, 18, 54, 117, 54, 6]
-    rep = pg.cayley_transitivity(G, S, gamma)
+    rep = pg.cayley_transitivity(G, S, gamma, 256)
     assert not rep.vertex and not any(rep.flags().values())
-    assert pg.cayley_transitivity(G2, S2, GAMMA2).vertex
+    assert pg.cayley_transitivity(G2, S2, GAMMA2, 256).vertex
+    ctx = claims.Context(G)
+    ctx.update(S=S, gamma=gamma)
+    (claim,) = claims.run([next(r for r in claims.GRAPHS if r[0] == "cayley-transitivity")], ctx)
+    assert claim.status == "fail" and not any(claim.computed.values())
 
 
 def test_cayley_transitivity_refuses_a_generator_that_is_no_involution(monkeypatch):
@@ -368,7 +373,7 @@ def test_cayley_transitivity_refuses_a_generator_that_is_no_involution(monkeypat
     monkeypatch.setattr(pg, "checked_lifts", lambda G, S, codes, lifts: lifts)
     assert G.mul_vec(G.gens[-1], G.gens[-1]) != G.identity
     with pytest.raises(ValueError, match="generator is not an involution"):
-        pg.cayley_transitivity(G, S2, GAMMA2)
+        pg.cayley_transitivity(G, S2, GAMMA2, G.order)
 
 
 def _plant_in_the_first_lift(edit):
