@@ -283,9 +283,9 @@ def center(G) -> np.ndarray:
     check_budget(G.order)
     central = []
     # a block's codes are made with it and kept while they commute with each
-    # generator in turn: the codes, one product and the other's temporaries,
-    # 8 bytes each a code: three in the tensor product, and in a dihedral
-    # product a pair of digit arrays per factor and seven more
+    # generator in turn; a code weighs its own 8 bytes, one product's and the
+    # other product's 8-byte temporaries: three in the tensor product, and in
+    # a dihedral product a pair of digit arrays per factor and seven more
     for lo, hi in _blocks(G.order, 2 + (2 * len(G.ms) + 7 if hasattr(G, "ms") else 3)):
         block = np.arange(lo, hi, dtype=np.int64)
         for g in G.gens:

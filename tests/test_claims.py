@@ -152,12 +152,15 @@ def test_each_graph_pass_holds_two_blocks_at_n3(n3, name):
 
 
 @pytest.mark.parametrize("ms", [(200, 201), (4,) * 7], ids=["d400-d402", "d8^7"])
-def test_center_holds_two_blocks_on_dihedral_products(ms):
+def test_center_holds_two_blocks_on_dihedral_products(ms, monkeypatch):
     """A dihedral product keeps a pair of digit arrays per factor in each
     product, so the centre weighs its blocks by the factors: within
-    2 * CHUNK 8-byte temporaries beyond its output (about 270 kB on Linux,
-    CPython 3.11, numpy 2.4; 695 kB and 1.26 MB at five temporaries a code
-    for every backend)."""
+    2 * CHUNK 8-byte temporaries beyond its output (about half that on
+    Linux, CPython 3.11, numpy 2.4; 1.3 and 2.4 times it at five
+    temporaries a code for every backend).  CHUNK is raised to 2^18, so
+    that the 2^21 codes of D_8^7 take 184 traced blocks, not 1,473 (3.7 s
+    against 23 s)."""
+    monkeypatch.setattr(groups, "CHUNK", 1 << 18)
     G = groups.DihedralProduct(*ms)
     tracemalloc.start()
     try:
