@@ -108,24 +108,15 @@ def diagram_matches_reference(diag: permgroups.DistanceDiagram, ref: dict) -> tu
     return True, "ok"
 
 
-def _search(graph, known, budget: int) -> int:
-    """The order of Aut(graph), certified by the search seeded with the
-    automorphisms ``known``, which it checks before it starts."""
-    res = autsearch.automorphism_group(graph, known, node_budget=budget)
-    if not res.complete:
-        raise groups.BudgetExceeded(f"search budget after {res.nodes} nodes")
-    return res.order
-
-
-def _line_graph_search(c) -> int:
-    """The order of Aut(Γ) as Σ's certified search order.  By Whitney's
+def _line_graph_order(c) -> int:
+    """The order of Aut(Γ) as Σ's certified order.  By Whitney's
     theorem every automorphism of L(Σ) is induced by exactly one of Σ when
     Σ is connected on more than four vertices; so Γ must be L(Σ)
     (``phi_map``), and Σ connected and that large."""
     graphs.phi_map(c.gamma, c.sigma, c.info)
     if c.sigma.n <= 4 or np.any(graphs.bfs_layers(c.sigma, 0)[0] < 0):
         raise ValueError("Sigma is not connected on more than 4 vertices")
-    return _search(c.sigma, c.sigma_gens, c.node_budget)
+    return autsearch.certified_order(c.sigma, c.sigma_gens)
 
 
 def checked_diagram(G, gamma) -> permgroups.DistanceDiagram:
@@ -148,6 +139,9 @@ OBJECTS = {
     # |<G.gens>|, counted on a mask over G; named G in a skip reason
     "generated": ("G", lambda G: G.order, lambda c: groups.subgroup_order(c.G, c.G.gens), "G"),
     "derived": ("G'", lambda G: G.order, lambda c: groups.derived_subgroup(c.G), "G"),
+    # the cyclic factor orders of G/G'
+    "abelianization": ("G'", lambda G: G.order,
+                       lambda c: groups.abelianization_structure(c.G, c.derived), "derived"),
     "S": ("S", lambda G: 2 * (2 ** G.n - 1), lambda c: graphs.xy_connection_set(c.group), ""),
     "gamma": ("Gamma", lambda G: G.order * 2 * (2 ** G.n - 1),
               lambda c: graphs.cayley_graph(c.group, c.S), "S"),
@@ -183,9 +177,9 @@ class Context(dict):
     attribute builds it on first use; a build that raised raises the same
     error at every later use."""
 
-    def __init__(self, group, node_budget: int = 1 << 20):
+    def __init__(self, group):
         super().__init__()
-        self.group, self.node_budget = group, node_budget
+        self.group = group
 
     def __getattr__(self, name):
         if name not in OBJECTS:
@@ -213,14 +207,10 @@ def _symmetry(G) -> int:
     return permgroups.expected_symmetry_order(G.n)
 
 
-def _mixed(c) -> bool:
-    ab = groups.abelianization_structure(c.G, c.derived)
-    return groups.is_mixed_dihedral(c.G, c.generated, c.derived, ab).is_mixed_dihedral
-
-
-_ABELIANIZATION = ("abelianization", lambda G: [2] * (2 * G.n),
-                   lambda c: groups.abelianization_structure(c.G, c.derived), "derived")
-_MIXED = ("mixed-dihedral", True, _mixed, "generated derived")
+_ABELIANIZATION = ("abelianization", lambda G: [2] * (2 * G.n), lambda c: c.abelianization,
+                   "abelianization")
+_MIXED = ("mixed-dihedral", True, lambda c: groups.is_mixed_dihedral(
+    c.G, c.generated, c.derived, c.abelianization).is_mixed_dihedral, "generated abelianization")
 
 GROUP = (
     ("order", lambda G: 2 ** (G.n * G.n + 2 * G.n), lambda c: c.generated, "generated"),
@@ -275,13 +265,13 @@ GRAPHS = (
 
 GENERATED_ORDER = ("generated-order", _symmetry, lambda c: permgroups.generated_order(
     c.group, c.S, permgroups.stabilizer_lift_images(c.group, c.S)), "S")
-# the full search, on Σ for both targets; its seeds are induced from the
+# the certified order, on Σ for both targets; its seeds are induced from the
 # coset representatives, with no permutation of all codes
 SEARCH = {
-    "gamma": ("full-automorphism-order-gamma", _symmetry, _line_graph_search,
+    "gamma": ("full-automorphism-order-gamma", _symmetry, _line_graph_order,
               "gamma sigma info sigma_gens"),
     "sigma": ("full-automorphism-order-sigma", _symmetry,
-              lambda c: _search(c.sigma, c.sigma_gens, c.node_budget), "sigma sigma_gens"),
+              lambda c: autsearch.certified_order(c.sigma, c.sigma_gens), "sigma sigma_gens"),
 }
 
 

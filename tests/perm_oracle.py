@@ -18,11 +18,18 @@ the orbit partition as lists of cells, one breadth-first search per orbit
 ``induced_sigma_perm`` pushes a permutation of all codes down to the coset
 vertices, reading every member of every coset: the reference that
 ``permgroups.coset_action`` is tested against.  ``right_mult_perm`` and
-``partition_from_cells`` build the inputs these tests compare on."""
+``partition_from_cells`` build the inputs these tests compare on.
+``automorphism_group`` is the backtracking search that certified
+|Aut(graph)| before ``autsearch.certified_order``: it also finds the
+automorphisms its seeds miss, or refutes them, so it is the reference that
+``certified_order`` is tested against, unseeded or seeded."""
+
+from collections import namedtuple
 
 import numpy as np
 
-from mdg import autsearch, graphs
+from mdg import graphs, groups, permgroups
+from mdg.autsearch import Partition, refine
 from mdg.permgroups import are_automorphisms, as_perm, compose, identity_perm, inverse, is_identity
 
 
@@ -57,14 +64,14 @@ def induced_sigma_perm(info: graphs.SigmaInfo, p: np.ndarray) -> np.ndarray:
     return as_perm(np.concatenate(out))
 
 
-def partition_from_cells(n: int, cells) -> autsearch.Partition:
+def partition_from_cells(n: int, cells) -> Partition:
     """The ``autsearch.Partition`` of the given nonempty cells in order;
     they must partition 0..n-1."""
     members = [np.sort(np.asarray(c, dtype=np.int32)) for c in cells if len(c)]
     order = np.concatenate(members) if members else np.zeros(0, dtype=np.int32)
     if len(order) != n or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("cells must partition the vertices")
-    return autsearch.Partition(order, np.cumsum([0] + [len(c) for c in members]))
+    return Partition(order, np.cumsum([0] + [len(c) for c in members]))
 
 
 def orbit_mask(gens, seed: int, degree: int) -> np.ndarray:
@@ -428,3 +435,90 @@ def line_graph_as_cayley(G, info: graphs.SigmaInfo, sigma: graphs.Graph,
     S = np.flatnonzero((x == bx) != (y == by)).tolist()
     cay = graphs.cayley_graph(G, S)
     return S, cay == gamma
+
+
+# -- the backtracking search, the oracle for autsearch.certified_order ---------
+
+class _Matcher:
+    """Searches for an automorphism sending one individualization sequence
+    to another, sharing a node budget across calls.  A node refines its
+    source-side child once, for every target vertex tried against it."""
+
+    def __init__(self, graph: graphs.Graph, budget: int):
+        self.graph, self.budget, self.nodes = graph, budget, 0
+
+    def find(self, cs: Partition, parent_t: Partition, seq_s: list[int],
+             seq_t: list[int]) -> np.ndarray | None:
+        """``cs`` is the refined partition of ``seq_s``, and ``parent_t``
+        that of ``seq_t`` without its last vertex."""
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise groups.BudgetExceeded(f"matcher exceeded {self.budget} nodes")
+        g = self.graph
+        ct = refine(g, parent_t.individualize(seq_t[-1]))
+        if not np.array_equal(cs.starts, ct.starts):
+            return None
+        # individualized vertices must sit in matching positions
+        if not np.array_equal(cs.cell[seq_s], ct.cell[seq_t]):
+            return None
+        split = cs.first_split()
+        if split is None:
+            p = np.empty(g.n, dtype=np.int32)
+            p[cs.order] = ct.order
+            return p if permgroups.are_automorphisms(g, [p]) else None
+        v = int(cs.members(split)[0])
+        child_s = refine(g, cs.individualize(v))
+        for u in ct.members(split).tolist():
+            found = self.find(child_s, ct, seq_s + [v], seq_t + [u])
+            if found is not None:
+                return found
+        return None
+
+
+AutResult = namedtuple("AutResult", "gens order complete nodes")
+
+
+def automorphism_group(graph: graphs.Graph, known_gens=(), node_budget: int = 1 << 20) -> AutResult:
+    """Full automorphism group as (generators, order) from a backtrack
+    search seeded with ``known_gens``.
+
+    The order is exact: at every level each vertex of the branching cell
+    is either reached by a found automorphism or exhaustively refuted,
+    so the orbit products equal the true stabilizer-chain indices.
+    On budget exhaustion returns complete=False with order None.
+    """
+    gens = [permgroups.as_perm(g) for g in known_gens]
+    if not permgroups.are_automorphisms(graph, gens):
+        raise ValueError("known generator is not an automorphism")
+    n = graph.n
+    matcher = _Matcher(graph, node_budget)
+    order = 1
+    seq: list[int] = []
+    cells = refine(graph, Partition.unit(n))
+    try:
+        while True:
+            split = cells.first_split()
+            if split is None:
+                break
+            members = cells.members(split)
+            v = int(members[0])
+            stab = [g for g in gens if np.array_equal(g[seq], seq)]
+            lab = permgroups.orbits(stab, n)  # each point's orbit under stab
+            refuted = np.zeros(n, dtype=bool)
+            child = refine(graph, cells.individualize(v))
+            for u in members.tolist():
+                if lab[u] == lab[v] or refuted[u]:
+                    continue
+                p = matcher.find(child, cells, seq + [v], seq + [u])
+                if p is None:
+                    refuted |= lab == lab[u]
+                else:
+                    gens.append(p)
+                    stab.append(p)
+                    lab = permgroups.orbits(stab, n)
+            order *= int(np.count_nonzero(lab == lab[v]))
+            seq.append(v)
+            cells = child
+    except groups.BudgetExceeded:
+        return AutResult(gens, None, False, matcher.nodes)
+    return AutResult(gens, order, True, matcher.nodes)

@@ -54,41 +54,43 @@ def test_refine_deterministic():
 
 
 def test_aut_small_graphs():
-    assert autsearch.automorphism_group(graphs.Graph(1, [])).order == 1
+    assert perm_oracle.automorphism_group(graphs.Graph(1, [])).order == 1
     c5 = graphs.Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert autsearch.automorphism_group(c5).order == 10
-    assert autsearch.automorphism_group(graphs.complete_bipartite(4, 4)).order == 1152
-    assert autsearch.automorphism_group(petersen()).order == 120
+    assert perm_oracle.automorphism_group(c5).order == 10
+    assert perm_oracle.automorphism_group(graphs.complete_bipartite(4, 4)).order == 1152
+    assert perm_oracle.automorphism_group(petersen()).order == 120
 
 
 def test_aut_generators_verified():
-    res = autsearch.automorphism_group(petersen())
+    res = perm_oracle.automorphism_group(petersen())
     g = petersen()
     assert pg.are_automorphisms(g, res.gens)
 
 
 def test_aut_known_subgroup_must_be_automorphisms():
+    swap = pg.as_perm([1, 0] + list(range(2, 10)))
     with pytest.raises(ValueError):
-        autsearch.automorphism_group(petersen(), [pg.as_perm([1, 0] + list(range(2, 10)))])
+        perm_oracle.automorphism_group(petersen(), [swap])
+    with pytest.raises(ValueError, match="not an automorphism"):
+        autsearch.certified_order(petersen(), [swap])
 
 
 def test_aut_budget_exhaustion():
     G, S, gamma, sigma, info = cli.build_instance(2)
-    res = autsearch.automorphism_group(gamma, node_budget=2)
+    res = perm_oracle.automorphism_group(gamma, node_budget=2)
     assert not res.complete and res.order is None
 
 
 def test_aut_gamma2_certification():
     G, S, gamma, sigma, info = cli.build_instance(2)
-    res = autsearch.automorphism_group(gamma, pg.action_gens(G))
-    assert res.complete and res.order == 18432
+    assert autsearch.certified_order(gamma, pg.action_gens(G)) == 18432
     # the same order falls out of an unseeded search
-    assert autsearch.automorphism_group(gamma).order == 18432
+    assert perm_oracle.automorphism_group(gamma).order == 18432
 
 
 def test_aut_deterministic():
-    a = autsearch.automorphism_group(petersen())
-    b = autsearch.automorphism_group(petersen())
+    a = perm_oracle.automorphism_group(petersen())
+    b = perm_oracle.automorphism_group(petersen())
     assert a.order == b.order and a.nodes == b.nodes
     assert len(a.gens) == len(b.gens)
     assert all(np.array_equal(p, q) for p, q in zip(a.gens, b.gens))
@@ -100,7 +102,7 @@ def test_aut_order_of_sigma_relabeling():
     perm = list(range(sigma.n))
     rng.shuffle(perm)
     relab = graphs.Graph(sigma.n, [(perm[u], perm[v]) for u, v in sigma.edge_array().tolist()])
-    a, b = autsearch.automorphism_group(sigma), autsearch.automorphism_group(relab)
+    a, b = perm_oracle.automorphism_group(sigma), perm_oracle.automorphism_group(relab)
     assert a.complete and b.complete and a.order == b.order == 18432
 
 
@@ -113,7 +115,7 @@ def test_aut_order_relabeling_invariance(n, rnd):
     perm = list(range(n))
     rnd.shuffle(perm)
     relabeled = graphs.Graph(n, [(perm[u], perm[v]) for u, v in chosen])
-    a, b = autsearch.automorphism_group(g), autsearch.automorphism_group(relabeled)
+    a, b = perm_oracle.automorphism_group(g), perm_oracle.automorphism_group(relabeled)
     assert a.complete and b.complete and a.order == b.order
 
 
@@ -129,7 +131,7 @@ small_graphs = st.integers(min_value=1, max_value=6).flatmap(
 @given(small_graphs)
 @settings(max_examples=200, deadline=None)
 def test_aut_order_matches_networkx(graph):
-    res = autsearch.automorphism_group(graph)
+    res = perm_oracle.automorphism_group(graph)
     ref = nx.Graph()
     ref.add_nodes_from(range(graph.n))
     ref.add_edges_from(graph.edge_array().tolist())
@@ -161,7 +163,7 @@ SEARCH_PINS = {
 def test_search_matches_the_pinned_searches(name):
     build, order, nodes, count, digest = SEARCH_PINS[name]
     graph = build()
-    res = autsearch.automorphism_group(graph)
+    res = perm_oracle.automorphism_group(graph)
     h = hashlib.sha256()
     for p in res.gens:
         assert p.dtype == np.int32
@@ -171,12 +173,41 @@ def test_search_matches_the_pinned_searches(name):
     assert pg.are_automorphisms(graph, res.gens)
 
 
+@given(small_graphs, st.data())
+@settings(max_examples=200, deadline=None)
+def test_certified_order_is_the_search_order_or_a_refusal(graph, data):
+    """Seeded with the search's generators, or with a subset of them,
+    ``certified_order`` returns the order the search certifies (which
+    ``test_aut_order_matches_networkx`` checks) or refuses; never another
+    number."""
+    res = perm_oracle.automorphism_group(graph)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(res.gens), max_size=len(res.gens)))
+    for seeds in (res.gens, [g for g, k in zip(res.gens, keep) if k]):
+        try:
+            order = autsearch.certified_order(graph, seeds)
+        except ValueError as e:
+            assert "is not one orbit" in str(e)
+        else:
+            assert order == res.order
+
+
+def test_certified_order_refuses_a_regular_graph_that_is_not_vertex_transitive():
+    """C3 ∪ C4 is 2-regular, so refinement leaves its 7 vertices in one
+    cell, which no automorphism makes one orbit: all 48 are refused."""
+    graph = graphs.Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    res = perm_oracle.automorphism_group(graph)
+    every = perm_oracle.perm_closure(res.gens, graph.n)
+    assert res.order == len(every) == 48
+    with pytest.raises(ValueError, match="cell 0 \\(7 vertices\\) is not one orbit"):
+        autsearch.certified_order(graph, every)
+
+
 def test_the_gamma_search_certifies_the_order_the_line_graph_row_reports():
-    """The search on Γ(3) itself, seeded with the actions on all codes,
-    certifies the order that ``full-automorphism-order-gamma`` reads from
-    Σ's search by Whitney's theorem (both searches at n = 2: criterion 10)."""
+    """``certified_order`` on Γ(3) itself, seeded with the actions on all
+    codes, certifies the order that ``full-automorphism-order-gamma`` reads
+    from Σ's certified order by Whitney's theorem (both graphs at n = 2:
+    criterion 10)."""
     G = groups.TensorGroup(3)
     row = claims.run([claims.SEARCH["gamma"]], claims.Context(G))[0]
-    res = autsearch.automorphism_group(claims.Context(G).gamma, pg.action_gens(G))
     assert row.status == claims.PASS
-    assert (res.complete, res.order) == (True, row.computed)
+    assert autsearch.certified_order(claims.Context(G).gamma, pg.action_gens(G)) == row.computed

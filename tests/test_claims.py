@@ -42,10 +42,11 @@ def test_an_object_is_built_once_and_released_after_its_last_reader(monkeypatch)
     ("GRAPHS", lambda: groups.TensorGroup(2)),
 ], ids=["group-n3", "dihedral-4-4", "graphs-n2"])
 def test_each_group_quantity_is_computed_at_most_once(monkeypatch, rows, group):
-    """|<G.gens>| and G' are objects of the context, computed once however
-    many rows read them; the group tables read |<G.gens>| in four rows."""
+    """|<G.gens>|, G' and the structure of G/G' are objects of the context,
+    computed once however many rows read them; the group tables read
+    |<G.gens>| in four rows and G/G' in two."""
     calls = collections.Counter()
-    for name in ("subgroup_order", "derived_subgroup"):
+    for name in ("subgroup_order", "derived_subgroup", "abelianization_structure"):
         f = getattr(groups, name)
         monkeypatch.setattr(groups, name, lambda *a, _f=f, _name=name: calls.update([_name]) or _f(*a))
     rep = claims.run(getattr(claims, rows), claims.Context(group()))

@@ -496,11 +496,11 @@ def test_the_benchmark_tracer_runs_the_cli(args, tmp_path):
     ["aut", "--target", "bogus"], ["verify", "group", "-n"], ["verify", "graphs", "extra"],
     ["aut", "--budget", "x"], ["export", "--format", "bogus"], ["aut", "--full"],
     ["verify", "graphs", "--json=1"], ["export", "-n", "2", "-o", "-h"],
-    ["export", "-n", "2", "--output", "--json"]],
+    ["export", "-n", "2", "--output", "--json"], ["aut", "-n", "2", "--budget", "5"]],
     ids=["n-not-an-integer", "unknown-option", "missing-suite", "missing-command",
-         "unknown-target", "missing-value", "stray-word", "budget-not-an-integer",
+         "unknown-target", "missing-value", "stray-word", "unknown-option-with-a-value",
          "unknown-format", "abbreviation", "flag-with-a-value", "help-as-a-value",
-         "option-as-a-value"])
+         "option-as-a-value", "removed-budget-option"])
 def test_usage_errors_exit_2_on_stderr(args):
     r = run(*args)
     assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
@@ -511,8 +511,7 @@ def test_usage_errors_exit_2_on_stderr(args):
 HELP_DEFAULTS = {
     ("verify", "group"): {"-n": "2", "--dihedral": "None", "--json": "False"},
     ("verify", "graphs"): {"-n": "2", "--json": "False"},
-    ("aut",): {"-n": "2", "--target": "gamma", "--full-search": "False", "--budget": "1048576",
-               "--json": "False"},
+    ("aut",): {"-n": "2", "--target": "gamma", "--full-search": "False", "--json": "False"},
     ("export",): {"-n": "2", "--target": "gamma", "--format": "edgelist", "--output": "-"},
     ("diagram",): {"-n": "2", "--format": "json"},
 }
@@ -675,6 +674,19 @@ def test_aut_n2_sigma_full_search():
     assert r.exit_code == 0, r.output
     assert "full-automorphism-order-sigma" in r.output
     assert "18432" in r.output
+
+
+def test_aut_full_search_fails_when_the_known_automorphisms_miss_the_swap(monkeypatch):
+    """Without the swap of Σ(2)'s two sides the known automorphisms are not
+    transitive on its one refined cell: the row fails with the refusal, and
+    reports no order."""
+    action_gens = permgroups.action_gens
+    monkeypatch.setattr(permgroups, "action_gens", lambda *a: action_gens(*a)[:-1])
+    r = run("aut", "-n", "2", "--target", "sigma", "--full-search", "--json")
+    assert r.exit_code == 1, r.output
+    full = json.loads(r.stdout)["claims"][1]
+    assert (full["id"], full["status"]) == ("full-automorphism-order-sigma", "fail")
+    assert full["computed"].startswith("error: ValueError: cell 0 (128 vertices) is not one orbit")
 
 
 @pytest.mark.parametrize("target", ["sigma", "gamma"])

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from group_oracle import mat_transpose
-from perm_oracle import induced_sigma_perm, partition_from_cells, right_mult_perm
+from perm_oracle import (automorphism_group, induced_sigma_perm, partition_from_cells,
+                         right_mult_perm)
 from test_graph_core import over_chunks
 from mdg import autsearch, claims, cli, f2, graphs, groups, permgroups as pg
 from mdg.autsearch import Partition
@@ -452,11 +453,12 @@ def test_refine_and_search_on_tiny_and_edgeless_graphs():
         g = graphs.Graph(n, [])
         unit = [list(range(n))]
         assert refine(g, unit) == reference_refine(g, unit)
-        res = autsearch.automorphism_group(g)
+        res = automorphism_group(g)
         assert res.complete and res.order == [1, 1, 120][(0, 1, 5).index(n)]
+        assert autsearch.certified_order(g, res.gens) == res.order
     g = graphs.Graph(5, [])
     assert refine(g, [[3], [0, 1, 2, 4]]) == [[3], [0, 1, 2, 4]]
-    assert autsearch.automorphism_group(graphs.Graph(6, [(0, 1)])).order == 48
+    assert automorphism_group(graphs.Graph(6, [(0, 1)])).order == 48
 
 
 def test_refine_rejects_a_non_partition():
