@@ -108,12 +108,21 @@ def diagram_matches_reference(diag: permgroups.DistanceDiagram, ref: dict) -> tu
     return True, "ok"
 
 
+def _lemma_holds(nbhd: graphs.Neighbourhood) -> bool:
+    """Whether the neighbourhood of 1 is the cliques X \\ {1} and Y \\ {1},
+    apart, with X n Y = {1}: then the maximal cliques of Γ are the right
+    cosets of X and Y, their intersection graph is Σ, Γ is L(Σ) under
+    z -> {Xz, Yz}, and every triangle lies in one coset (README)."""
+    return nbhd.trivial_meet and nbhd.two_cliques and nbhd.apart
+
+
 def _line_graph_order(c) -> int:
     """The order of Aut(Γ) as Σ's certified order.  By Whitney's
     theorem every automorphism of L(Σ) is induced by exactly one of Σ when
-    Σ is connected on more than four vertices; so Γ must be L(Σ)
-    (``phi_map``), and Σ connected and that large."""
-    graphs.phi_map(c.gamma, c.sigma, c.info)
+    Σ is connected on more than four vertices; so Γ must be L(Σ), by its
+    neighbourhood of 1, and Σ connected and that large."""
+    if not _lemma_holds(c.neighbourhood):
+        raise ValueError("Gamma is not the line graph of Sigma")
     if c.sigma.n <= 4 or np.any(graphs.bfs_layers(c.sigma, 0)[0] < 0):
         raise ValueError("Sigma is not connected on more than 4 vertices")
     return autsearch.certified_order(c.sigma, c.sigma_gens)
@@ -143,6 +152,9 @@ OBJECTS = {
     "abelianization": ("G'", lambda G: G.order,
                        lambda c: groups.abelianization_structure(c.G, c.derived), "derived"),
     "S": ("S", lambda G: 2 * (2 ** G.n - 1), lambda c: graphs.xy_connection_set(c.group), ""),
+    # the product table of S with itself
+    "neighbourhood": ("the neighbourhood of 1", lambda G: (2 * (2 ** G.n - 1)) ** 2,
+                      lambda c: graphs.identity_neighbourhood(c.group, c.S), "S"),
     "gamma": ("Gamma", lambda G: G.order * 2 * (2 ** G.n - 1),
               lambda c: graphs.cayley_graph(c.group, c.S), "S"),
     # two arcs, a coset member and a coset index per element
@@ -159,10 +171,6 @@ OBJECTS = {
                 lambda c: checked_diagram(c.group, c.gamma), "gamma"),
     "sigma_gens": ("the actions on Sigma", lambda G: (2 * G.n ** 2 + 1) * (G.order >> (G.n - 1)),
                    lambda c: permgroups.action_gens(c.group, c.info), "info"),
-    "colors": ("the edge colours of Gamma", lambda G: G.order * (2 ** G.n - 1),
-               lambda c: graphs.edge_coloring(c.gamma, c.group, *(
-                   groups.closure_array(c.group, g) for g in (c.group.x_gens, c.group.y_gens))),
-               "gamma"),
 }
 
 
@@ -228,17 +236,17 @@ GROUP = (
 DIHEDRAL = (("order", lambda G: G.order, lambda c: c.generated, "generated"),
             _MIXED, _ABELIANIZATION)
 
+# the rows that follow from the neighbourhood of 1 alone (README)
+_LEMMA = (lambda c: _lemma_holds(c.neighbourhood), "neighbourhood")
+
 GRAPHS = (
     ("cayley-vertices", lambda G: G.order, lambda c: c.gamma.n, "gamma"),
     ("cayley-valency", lambda G: 2 * (2 ** G.n - 1), lambda c: c.gamma.is_regular(), "gamma"),
     ("coset-graph-vertices", lambda G: 2 ** (G.n * G.n + G.n + 1), lambda c: c.sigma.n, "sigma"),
     ("coset-graph-valency", lambda G: 2 ** G.n, lambda c: c.sigma.is_regular(), "sigma"),
     ("coset-graph-edges", lambda G: G.order, lambda c: c.sigma.edge_count(), "sigma"),
-    # clique i is row i, the coset that is vertex i of the coset graph
-    ("clique-graph-is-coset-graph", True, lambda c: graphs.clique_graph(
-        c.gamma, graphs.coset_cliques(c.info)) == c.sigma, "gamma sigma info"),
-    ("line-graph-is-cayley-graph", True, lambda c: len(
-        graphs.phi_map(c.gamma, c.sigma, c.info)) == c.group.order, "gamma sigma info"),
+    ("clique-graph-is-coset-graph", True, *_LEMMA),
+    ("line-graph-is-cayley-graph", True, *_LEMMA),
     ("quotient-complete-bipartite", lambda G: (2 ** G.n, 2 ** G.n),
      lambda c: permgroups.is_complete_bipartite(c.quotient[0]), "quotient"),
     ("quotient-preserves-valency", True, lambda c: c.quotient[1], "quotient"),
@@ -256,11 +264,12 @@ GRAPHS = (
      lambda c: graphs.bfs_layers(c.gamma, 0)[1], "gamma"),
     ("distance-diagram-reference", lambda G: (True, "ok") if G.n == 2 else None,
      lambda c: diagram_matches_reference(c.diagram, load_reference_diagram()), "diagram"),
+    # under the lemma each vertex has as many X- and Y-edges as 1
     ("edge-color-counts", lambda G: (G.order * (2 ** G.n - 1) // 2,) * 2,
-     lambda c: (int(np.count_nonzero(c.colors)), int(np.count_nonzero(~c.colors))),
-     "colors"),
-    ("triangles-monochromatic", True,
-     lambda c: graphs.triangles_monochromatic(c.gamma, c.colors), "gamma colors"),
+     lambda c: _lemma_holds(c.neighbourhood) and (c.generated * c.neighbourhood.x_degree // 2,
+                                                  c.generated * c.neighbourhood.y_degree // 2),
+     "neighbourhood generated"),
+    ("triangles-monochromatic", True, *_LEMMA),
 )
 
 GENERATED_ORDER = ("generated-order", _symmetry, lambda c: permgroups.generated_order(
@@ -269,7 +278,7 @@ GENERATED_ORDER = ("generated-order", _symmetry, lambda c: permgroups.generated_
 # coset representatives, with no permutation of all codes
 SEARCH = {
     "gamma": ("full-automorphism-order-gamma", _symmetry, _line_graph_order,
-              "gamma sigma info sigma_gens"),
+              "neighbourhood sigma sigma_gens"),
     "sigma": ("full-automorphism-order-sigma", _symmetry,
               lambda c: autsearch.certified_order(c.sigma, c.sigma_gens), "sigma sigma_gens"),
 }

@@ -1,7 +1,8 @@
 """Undirected simple graphs on indexed vertices, and the constructions
 linking a group generated by X and Y to its Cayley graph, the bipartite
-coset graph on [G:X] u [G:Y], clique graphs, line graphs and normal
-quotients.
+coset graph on [G:X] u [G:Y] and normal quotients; the neighbourhood of 1
+in the Cayley graph, which decides its cliques, line-graph structure and
+edge colours; BFS layers, and graph6 and edge-list export.
 """
 
 from collections import namedtuple
@@ -162,24 +163,15 @@ def _find_arcs(graph: Graph, tails, heads) -> np.ndarray:
 
 
 def _slot_edges(graph: Graph) -> np.ndarray:
-    """Row in edge_array() of the edge behind every CSR slot: each forward
-    arc numbers its edge, and its reverse arc takes the same number."""
+    """Row in edge_array() of the edge behind every CSR slot: the forward
+    arcs number their edges in slot order, and each reverse arc takes the
+    number of its forward arc."""
     out = np.empty(len(graph.indices), dtype=_index_dtype(graph.edge_count()))
-    off = _edge_offsets(graph)
-    for slots, tails, heads in _forward_arcs(graph, 6):
-        out[slots] = out[_find_arcs(graph, heads, tails)] = slots + off[tails]
-    return out
-
-
-def _edge_offsets(graph: Graph) -> np.ndarray:
-    """off[u] such that forward slot s of row u is edge s + off[u]: edges are
-    numbered in slot order, and a row's forward slots are consecutive."""
-    off = np.zeros(graph.n, dtype=_index_dtype(len(graph.indices)))
     done = 0
-    for slots, tails, _ in _forward_arcs(graph, 7):
-        off[tails] = np.arange(done, done + len(slots)) - slots
+    for slots, tails, heads in _forward_arcs(graph, 6):
+        out[slots] = out[_find_arcs(graph, heads, tails)] = np.arange(done, done + len(slots))
         done += len(slots)
-    return off
+    return out
 
 
 def _codes(a) -> np.ndarray:
@@ -218,6 +210,30 @@ def xy_connection_set(G) -> list[int]:
     S = groups.sorted_codes(np.concatenate([groups.closure_array(G, G.x_gens),
                                             groups.closure_array(G, G.y_gens)]))
     return S[S != G.identity].tolist()
+
+
+Neighbourhood = namedtuple("Neighbourhood", "x_degree y_degree trivial_meet two_cliques apart")
+
+
+def identity_neighbourhood(G, S) -> Neighbourhood:
+    """The neighbourhood S of 1 in Cay(G, S), in which s ~ t iff s t^-1 lies
+    in S, read from one |S| x |S| product table against X = <G.x_gens> and
+    Y = <G.y_gens>: how many members of S lie in X and in Y; whether
+    X n Y = {1}; whether S is X \\ {1} and Y \\ {1}, each a clique; and
+    whether no edge joins the two.  R(G) acts on the Cayley graph by
+    automorphisms, transitively, so every vertex's neighbourhood is a copy."""
+    X, Y = (groups.closure_array(G, gens) for gens in (G.x_gens, G.y_gens))
+    S = _codes(S)
+    adjacent = np.isin(_codes(G.mul_vec(S[:, None], G.inv_vec(S)[None, :])), S)
+    in_x, in_y = np.isin(S, X), np.isin(S, Y)
+    same_side = in_x[:, None] & in_x | in_y[:, None] & in_y
+    np.fill_diagonal(same_side, False)
+    sides = np.concatenate([X[X != G.identity], Y[Y != G.identity]])
+    return Neighbourhood(
+        int(np.count_nonzero(in_x)), int(np.count_nonzero(in_y)),
+        np.intersect1d(X, Y, assume_unique=True).tolist() == [G.identity],
+        np.array_equal(np.sort(S), np.sort(sides)) and bool(np.all(adjacent[same_side])),
+        not np.any(adjacent & ~same_side))
 
 
 class SigmaInfo(namedtuple("SigmaInfo", "x_cosets y_cosets x_index y_index")):
@@ -293,140 +309,6 @@ def complete_bipartite(m: int, n: int) -> Graph:
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
-def verify_clique_cover(graph: Graph, cliques: np.ndarray) -> None:
-    """Check that the rows of ``cliques``, a 2-D array of nonempty cliques
-    of one size, are exactly the maximal cliques of the graph, each edge
-    lying in one of them; raises ValueError otherwise.  Used to check the
-    coset cliques against the graph itself.  The rows are checked a block
-    at a time: six 8-byte temporaries per pair, four per member's arc.
-
-    With each edge in exactly one clique, the cliques are all the maximal
-    ones iff no vertex outside a clique is adjacent to two of its members
-    (the three would make a triangle that lies in no clique) and each
-    isolated vertex is one of the cliques.
-    """
-    members = np.asarray(cliques)
-    if members.ndim != 2 or members.shape[1] == 0:
-        raise ValueError("cliques must be the nonempty rows of a 2-D array")
-    n, degs = graph.n, np.diff(graph.indptr)
-    size, width = members.shape[1], int(degs.max(initial=0))
-    if members.size and (members.min() < 0 or members.max() >= n):
-        raise ValueError("clique vertex out of range")
-    covered = np.zeros(len(graph.indices) // 8 + 1, dtype=np.uint8)  # a bit per forward arc
-    twice = triangle = False
-    i, j = np.triu_indices(size, 1)
-    for lo, hi in groups._blocks(len(members), 3 * size ** 2):
-        block = members[lo:hi]
-        a, b = block[:, i].ravel(), block[:, j].ravel()
-        slots = np.sort(_find_arcs(graph, np.minimum(a, b), np.maximum(a, b)))
-        if len(slots) and slots[0] < 0:
-            raise ValueError("clique contains a non-edge")
-        byte, bit = slots >> 3, (1 << (slots & 7)).astype(np.uint8)
-        twice = twice or bool(np.any(covered[byte] & bit)) or bool(np.any(slots[1:] == slots[:-1]))
-        first = np.flatnonzero(np.diff(byte, prepend=-1))  # the runs of one byte
-        covered[byte[first]] |= np.bitwise_or.reduceat(bit, first)
-    # no vertex is its own neighbor, so a vertex adjacent to all ``size``
-    # members lies outside the clique and would extend it; no key (clique,
-    # neighbour) occurs more than ``size`` times, so one occurs that often
-    # iff the sorted keys hold a run of ``size``.  Each member meets the
-    # size - 1 others, which repeats its key size - 2 times; a vertex
-    # outside that meets two members repeats a key once more.
-    for lo, hi in groups._blocks(len(members), 4 * size * max(width, size)):
-        flat = members[lo:hi].ravel()
-        keys = (np.arange(len(flat)) // size * n).astype(_index_dtype(len(flat) // size * n))
-        seen = np.repeat(keys, degs[flat])
-        seen += graph.indices[_ranges(graph.indptr[flat], degs[flat])]
-        seen.sort()
-        runs = len(seen) - size + 1
-        if runs > 0 and np.any(seen[size - 1:] == seen[:runs]):
-            raise ValueError("clique is not maximal")
-        repeats = np.count_nonzero(seen[1:] == seen[:-1])
-        triangle = triangle or repeats != len(flat) * max(size - 2, 0)
-    if twice:
-        raise ValueError("edge lies in two of the cliques")
-    if len(members) * (size * (size - 1) // 2) != graph.edge_count():  # distinct edges by now
-        raise ValueError("cliques do not cover every edge")
-    if triangle:
-        raise ValueError("a triangle lies in no clique")
-    if not degs.all() and np.any(np.bincount(members.ravel(), minlength=n)[degs == 0] != 1):
-        raise ValueError("an isolated vertex is not exactly one of the cliques")
-
-
-def clique_graph(graph: Graph, cliques: np.ndarray) -> Graph:
-    """Graph on the maximal cliques, adjacent iff their intersection is
-    nonempty, vertex i being row i of ``cliques``.  The cliques, of one
-    size (e.g. the cosets of a tagged Cayley instance), are the rows of a
-    2-D array, verified to be exactly the maximal cliques.  Row i, written a
-    block of cliques at a time, holds the other cliques through i's members,
-    each once: two cliques sharing two vertices would share an edge.
-    """
-    cliques = np.asarray(cliques)
-    verify_clique_cover(graph, cliques)
-    (q, size), vertex = cliques.shape, cliques.ravel()
-    # each vertex's cliques, by a stable counting sort of the positions p of
-    # ``vertex`` (p lies in clique p // size): v lies in deg(v) / (size - 1)
-    # cliques, as each holds size - 1 of its edges; ptr[v + 1] is v's next place
-    ptr = np.zeros(graph.n + 1, dtype=_index_dtype(len(vertex) + 1, (np.int32,)))
-    ptr[2:] = np.diff(graph.indptr[:-1]) // (size - 1) if size > 1 else 1
-    np.cumsum(ptr, out=ptr)
-    owner = np.empty(len(vertex), dtype=_index_dtype(q))
-    for lo, hi in groups._blocks(len(vertex), 6):
-        order = np.argsort(vertex[lo:hi], kind="stable")
-        v = vertex[lo:hi][order]
-        at = ptr[1:][v] + np.arange(len(v)) - np.searchsorted(v, v)
-        owner[at] = (order + lo) // size
-        last = np.append(v[1:] != v[:-1], True)
-        ptr[1:][v[last]] = at[last] + 1
-    # ptr[v + 1] now ends v's cliques; a block's keys (clique, neighbour) keep six temporaries
-    counts, rows = np.zeros(q + 1, dtype=np.int64), [np.empty(0, dtype=owner.dtype)]
-    for lo, hi in groups._blocks(q, 6 * size * int(np.diff(ptr).max(initial=1))):
-        block = cliques[lo:hi]
-        c = ptr[1:][block] - ptr[block]
-        counts[lo + 1:hi + 1] = c.sum(axis=1) - size
-        key = np.repeat(np.arange(lo, hi).repeat(size) * q, c.ravel())
-        key += owner[_ranges(ptr[block.ravel()], c.ravel())]
-        key = np.sort(key[key % (q + 1) != 0])  # clique i meets itself at key i * (q + 1)
-        rows.append((key % q).astype(owner.dtype))
-    del ptr, owner
-    indices = np.concatenate(rows)
-    return Graph._from_rows(np.cumsum(counts).astype(
-        _index_dtype(len(indices) + 1, (np.int32,))), indices)
-
-
-def coset_cliques(info: SigmaInfo) -> np.ndarray:
-    """The X- and Y-cosets as vertex sets of the Cayley graph: the rows of
-    one array."""
-    return np.concatenate([info.x_cosets, info.y_cosets])
-
-
-def phi_map(gamma: Graph, sigma: Graph, info: SigmaInfo) -> np.ndarray:
-    """The bijection z -> {Xz, Yz} from group elements to coset-graph
-    edges, returned as an integer array mapping Cayley vertex -> line-graph
-    vertex (row of ``sigma.edge_array()``).  Verifies that it realises an
-    isomorphism from the Cayley graph to the line graph of the coset graph
-    without building the line graph: the images of every Cayley edge share
-    an endpoint, which for phi(g) = {Xg, Yg} and phi(h) = {Xh, Yh} means
-    Xg = Xh or Yg = Yh, and the vertex and edge counts agree, the line graph
-    having C(deg v, 2) edges at each vertex v.  Raises ValueError on any
-    failure (which would signal an implementation bug).
-    """
-    # Xz < Yz as vertices, so Xz -> Yz is the forward arc of an edge, if any
-    phi = _find_arcs(sigma, info.x_index, np.add(
-        info.y_index, info.n_x, dtype=_index_dtype(info.n_x + len(info.y_cosets))))
-    if np.any(phi < 0):
-        raise ValueError("phi image is not an edge of the coset graph")
-    phi = (phi + _edge_offsets(sigma)[info.x_index]).astype(_index_dtype(sigma.edge_count()))
-    if not np.array_equal(np.sort(phi), np.arange(sigma.edge_count(), dtype=phi.dtype)):
-        raise ValueError("phi is not a bijection onto the edges")
-    for _, g, h in _forward_arcs(gamma, 7):
-        if not np.all((info.x_index[g] == info.x_index[h]) | (info.y_index[g] == info.y_index[h])):
-            raise ValueError("phi does not preserve an edge")
-    degs = np.diff(sigma.indptr).astype(np.int64)
-    if gamma.n != len(phi) or gamma.edge_count() != int(np.sum(degs * (degs - 1) // 2)):
-        raise ValueError("vertex or edge counts of the Cayley and line graphs differ")
-    return phi
-
-
 def cell_roots(labels, n: int) -> np.ndarray:
     """The least members, ascending, of the cells of a partition of
     range(n) given as each point's least cell member (``labels``, such as
@@ -486,52 +368,6 @@ def bfs_layers(graph: Graph, v: int, depth: int | None = None) -> tuple[np.ndarr
         dist[frontier] = len(layers)
         layers.append(len(frontier))
     return dist, layers
-
-
-def edge_coloring(graph: Graph, G, X, Y) -> np.ndarray:
-    """Tag each Cayley edge {g, h}, g < h, as an X-edge (h g^-1 in X) or a
-    Y-edge: one bool per row of ``graph.edge_array()``, True for an X-edge."""
-    X, Y = np.sort(_codes(X)), np.sort(_codes(Y))
-    out = np.empty(graph.edge_count(), dtype=bool)
-    done = 0
-    # the products and lookups keep about four 8-byte temporaries per arc
-    for _, g, h in _forward_arcs(graph, 8):
-        diff = _codes(G.mul_vec(h, G.inv_vec(g)))
-        in_x, in_y = (Z[np.searchsorted(Z, diff) % len(Z)] == diff for Z in (X, Y))
-        if not np.all(in_x | in_y):
-            raise ValueError("edge difference lies outside X u Y")
-        out[done:done + len(g)] = in_x
-        done += len(g)
-    return out
-
-
-def triangles_monochromatic(graph: Graph, colors) -> bool:
-    """Whether every triangle has its three edges in one colour, with
-    ``colors`` aligned to ``graph.edge_array()``.
-
-    Triangle u < v < w is met once: from the slot u -> v, the later slots
-    u -> w of row u are paired with v, and the arc v -> w is looked up in
-    row v.  All three arcs are forward, so colours are needed only at the
-    forward slots.  Arcs u -> v are taken a block at a time, so the
-    temporaries stay bounded."""
-    colors = np.asarray(colors)
-    if len(colors) != graph.edge_count():
-        raise ValueError("need one colour per edge")
-    ptr, off = graph.indptr, _edge_offsets(graph)
-    for uv, u, v in _forward_arcs(graph, 16):
-        later = ptr[1:][u] - uv - 1
-        # the pairs (u -> v, u -> w) a block at a time, eight temporaries each
-        for lo, hi in groups._blocks(np.concatenate([[0], np.cumsum(later)]), 8):
-            uw = _ranges(uv[lo:hi] + 1, later[lo:hi])
-            arc = np.repeat(np.arange(lo, hi), later[lo:hi])  # the arc u -> v of each pair
-            vw = _find_arcs(graph, v[arc], graph.indices[uw])
-            tri = np.flatnonzero(vw >= 0)
-            arc, uw, vw = arc[tri], uw[tri], vw[tri]
-            c = colors[(uv + off[u])[arc]]
-            if np.any(colors[uw + off[u][arc]] != c) or np.any(colors[vw + off[v][arc]] != c):
-                return False
-            del uw, arc, vw, tri, c  # released before the next block is built
-    return True
 
 
 # graph6 format (header <= 62 vertices is one byte, larger graphs use the

@@ -9,10 +9,8 @@ F_2 transpose behind the per-element lift formulas.  ``dihedral_mul`` and
 ``cayley_graph_from_pairs`` and ``sigma_graph_from_pairs`` build Γ and Σ
 from their edge lists through the general ``graphs.Graph``, the oracles
 for the builders that write the CSR rows directly.  ``line_graph`` builds
-the line graph that ``graphs.phi_map`` checks against without forming.
-``maximal_cliques`` enumerates the maximal cliques with Bron-Kerbosch,
-the oracle for the complete clique-cover check
-``graphs.verify_clique_cover``."""
+a line graph from the edge numbers of ``graphs._slot_edges``.
+``maximal_cliques`` enumerates the maximal cliques with Bron-Kerbosch."""
 
 import itertools
 

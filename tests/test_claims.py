@@ -5,8 +5,10 @@ import pathlib
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from group_oracle import maximal_cliques
 from mdg import claims, graphs, groups, permgroups
 
 
@@ -65,17 +67,22 @@ def test_only_the_claim_table_computes_the_group_quantities():
     assert [p.name for p in modules if p.name != "claims.py" and call.search(p.read_text())] == []
 
 
+LOCAL_ROWS = ("clique-graph-is-coset-graph", "line-graph-is-cayley-graph", "triangles-monochromatic")
+
+
 def test_over_budget_objects_are_never_built():
     """At n = 5, Γ(5) and Σ(5) would hold about 2·10^12 and 2·10^11
-    entries: the graph suite skips every claim before it builds anything,
-    under a 2 MB traced peak (about 50 kB on Linux, CPython 3.11, numpy 2)."""
+    entries: the graph suite skips every claim that needs them, or G, before
+    it builds anything, and computes the rows that read the neighbourhood
+    of 1 alone, under a 2 MB traced peak (about 50 kB on Linux, CPython
+    3.11, numpy 2)."""
     tracemalloc.start()
     try:
         rep = claims.run(claims.GRAPHS, claims.Context(groups.TensorGroup(5)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [c.status for c in rep] == ["skipped"] * 15
+    assert [c.status for c in rep] == ["pass" if c.id in LOCAL_ROWS else "skipped" for c in rep]
     assert peak < 2 << 20, f"traced peak {peak} bytes"
 
 
@@ -105,14 +112,34 @@ def test_the_table_ids_are_unique_and_every_need_is_an_object():
             assert set(claims.needs_of(r[3])) <= set(claims.OBJECTS)
 
 
+def test_a_planted_edge_between_the_cliques_fails_the_rows_of_the_neighbourhood():
+    """S with x_0 y_0 and its inverse added joins X \\ {1} to Y \\ {1}: Γ
+    built on it has maximal cliques that are no cosets, the four rows that
+    read the neighbourhood of 1 fail, and Γ's certified order is not
+    reported."""
+    G = groups.TensorGroup(2)
+    z = int(G.mul_vec(G.x_gens[0], G.y_gens[0]))
+    planted = sorted({*graphs.xy_connection_set(G), z, int(G.inv_vec(z))})
+    assert len(planted) == 8
+    info = graphs.sigma_graph(G)[1]
+    cosets = np.concatenate([info.x_cosets, info.y_cosets]).tolist()
+    assert maximal_cliques(graphs.cayley_graph(G, planted)) != sorted(cosets)
+    ctx = claims.Context(G)  # a stand-in S, as the runner would build it
+    ctx.update(S=planted)
+    rows = [r for r in claims.GRAPHS if "neighbourhood" in r[3]] + [claims.SEARCH["gamma"]]
+    assert [c.status for c in claims.run(rows, ctx)] == ["fail"] * 5
+
+
+def test_the_certified_order_of_gamma_builds_no_gamma():
+    """Whitney's premise Γ = L(Σ) is read from the neighbourhood of 1."""
+    assert "gamma" not in claims.needs_of(claims.SEARCH["gamma"][3])
+
+
 @pytest.fixture(scope="module")
 def n3():
     """The inputs of the graph passes at n = 3, built once."""
     ctx = claims.Context(groups.TensorGroup(3))
-    G = ctx.group
-    objects = {name: getattr(ctx, name) for name in ("S", "gamma", "sigma", "info", "labels", "colors")}
-    return dict(objects, G=G, cliques=graphs.coset_cliques(ctx.info),
-                X=groups.closure_array(G, G.x_gens), Y=groups.closure_array(G, G.y_gens))
+    return dict({name: getattr(ctx, name) for name in ("S", "gamma", "sigma", "labels")}, G=ctx.group)
 
 
 def _cayley_row(o):
@@ -123,11 +150,7 @@ def _cayley_row(o):
 
 
 PASSES = {
-    "clique_graph": lambda o: graphs.clique_graph(o["gamma"], o["cliques"]),
-    "phi_map": lambda o: graphs.phi_map(o["gamma"], o["sigma"], o["info"]),
     "normal_quotient": lambda o: graphs.normal_quotient(o["sigma"], o["labels"]),
-    "edge_coloring": lambda o: graphs.edge_coloring(o["gamma"], o["G"], o["X"], o["Y"]),
-    "triangles_monochromatic": lambda o: graphs.triangles_monochromatic(o["gamma"], o["colors"]),
     "cayley-transitivity": _cayley_row,
     "center": lambda o: groups.center(o["G"]),
 }

@@ -280,16 +280,15 @@ def test_a_bad_cayley_lift_is_a_failed_claim(monkeypatch, args, cids):
         assert claims[cid]["status"] == "fail" and "automorphism" in str(claims[cid]["computed"])
 
 
-def _drop_an_edge_of_gamma(monkeypatch):
-    build = graphs.cayley_graph
-    monkeypatch.setattr(graphs, "cayley_graph", lambda G, S: graphs.Graph(
-        (g := build(G, S)).n, g.edge_array()[1:]))
+def _join_the_cliques_at_1(monkeypatch):
+    """The neighbourhood of 1 read from S with x_0 y_0 and its inverse added."""
+    local = graphs.identity_neighbourhood
 
+    def planted(G, S):
+        z = int(G.mul_vec(G.x_gens[0], G.y_gens[0]))
+        return local(G, [*S, z, int(G.inv_vec(z))])
 
-def _add_two_isolated_vertices_to_gamma(monkeypatch):
-    build = graphs.cayley_graph
-    monkeypatch.setattr(graphs, "cayley_graph", lambda G, S: graphs.Graph(
-        (g := build(G, S)).n + 2, g.edge_array()))
+    monkeypatch.setattr(graphs, "identity_neighbourhood", planted)
 
 
 def _cut_sigma_in_bfs(monkeypatch):
@@ -304,17 +303,15 @@ def _cut_sigma_in_bfs(monkeypatch):
 
 
 @pytest.mark.parametrize("plant, why", [
-    (_drop_an_edge_of_gamma, "vertex or edge counts of the Cayley and line graphs differ"),
-    (_add_two_isolated_vertices_to_gamma,
-     "vertex or edge counts of the Cayley and line graphs differ"),
+    (_join_the_cliques_at_1, "Gamma is not the line graph of Sigma"),
     (_cut_sigma_in_bfs, "Sigma is not connected on more than 4 vertices"),
-], ids=["gamma-not-a-line-graph", "gamma-with-isolated-vertices", "sigma-not-connected"])
+], ids=["gamma-not-a-line-graph", "sigma-not-connected"])
 def test_the_gamma_order_needs_whitneys_premises(monkeypatch, plant, why):
     """|Aut(Γ)| is Σ's certified search order only when Γ is L(Σ) and Σ is
-    connected: a Cayley graph with one edge dropped or two isolated vertices
-    added (so Aut(Γ) doubles), or a Σ whose search from vertex 0 misses a
-    vertex, fails ``full-automorphism-order-gamma`` with exit 1 and no
-    traceback, while ``generated-order`` (on S) passes."""
+    connected: a neighbourhood of 1 in which an edge joins X \\ {1} to
+    Y \\ {1}, or a Σ whose search from vertex 0 misses a vertex, fails
+    ``full-automorphism-order-gamma`` with exit 1 and no traceback, while
+    ``generated-order`` (on S) passes."""
     plant(monkeypatch)
     r = run("aut", "-n", "2", "--target", "gamma", "--full-search", "--json")
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
@@ -596,17 +593,24 @@ def test_aut_above_the_enumeration_budget_skips(n):
 @pytest.mark.parametrize("n", ["4", "5", "7"])
 def test_verify_graphs_above_n3_skips_every_claim(n):
     """Above n = 3, Γ and Σ hold more than 2^24 entries: every claim of
-    n = 3 is reported, in the same order, as skipped with the object it
-    needs and that object's size; the run exits 0."""
+    n = 3 is reported, in the same order.  The three rows that read only
+    the neighbourhood of 1 pass, and so does ``edge-color-counts``, which
+    also reads |G|, at n = 4; every other claim is skipped with the object
+    it needs and that object's size.  The run exits 0."""
     r = run_fresh("verify", "graphs", "-n", n, "--json")
     assert r.returncode == 0, r.stderr
     reported = json.loads(r.stdout)["claims"]
     golden = json.loads((GOLDEN / "verify-graphs-n3.json").read_text())
     assert [c["id"] for c in reported] == [c["id"] for c in golden["claims"]]
-    for c in reported:
+    passing = {"clique-graph-is-coset-graph", "line-graph-is-cayley-graph",
+               "triangles-monochromatic", *(["edge-color-counts"] if n == "4" else [])}
+    assert {c["id"] for c in reported if c["status"] == "pass"} == passing
+    for c in (c for c in reported if c["id"] not in passing):
         assert c["status"] == "skipped", c
         assert re.fullmatch(r"budget exceeded: needs .+\(%s\): [\d,]+ entries > 16,777,216" % n,
                             c["computed"]), c
+        if c["id"] == "edge-color-counts":  # |G| is counted on a mask over G
+            assert c["computed"].startswith(f"budget exceeded: needs G({n}): ")
     # the text report is ASCII, so a stream of any encoding can print it
     text = subprocess.run([sys.executable, "-m", "mdg.cli", "verify", "graphs", "-n", n],
                           capture_output=True, text=True, timeout=30,

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import perm_oracle
-from group_oracle import (TableGroup, cayley_graph_from_pairs, line_graph, maximal_cliques,
-                          sigma_graph_from_pairs)
+from group_oracle import TableGroup, cayley_graph_from_pairs, line_graph, sigma_graph_from_pairs
 from mdg import autsearch, claims, cli, graphs, groups, permgroups
 
 try:
@@ -119,39 +118,6 @@ def test_line_graph_matches_networkx_random(graph):
     _check_line_graph(graph)
 
 
-@needs_networkx
-def test_phi_map_is_an_isomorphism_onto_the_networkx_line_graph():
-    phi = graphs.phi_map(GAMMA2, SIGMA2, INFO2)
-    sigma = to_nx(SIGMA2)
-    index = {e: i for i, e in enumerate(sorted_edges(sigma))}
-    lref = nx.relabel_nodes(nx.line_graph(sigma), lambda e: index[tuple(sorted(e))])
-    # phi(z) is the edge {Xz, Yz}
-    for z in range(G2.order):
-        assert phi[z] == index[(int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z]))]
-    gamma = to_nx(GAMMA2)
-    nx.set_node_attributes(gamma, {z: phi[z] for z in gamma}, "label")
-    nx.set_node_attributes(lref, {i: i for i in lref}, "label")
-    # VF2, forced to follow phi by the labels, confirms it is an isomorphism
-    matcher = nx.algorithms.isomorphism.GraphMatcher(
-        gamma, lref, node_match=lambda a, b: a["label"] == b["label"])
-    assert matcher.is_isomorphic()
-    assert matcher.mapping == {z: phi[z] for z in gamma}
-
-
-def test_phi_map_rejects_a_wrong_cayley_graph():
-    edges = GAMMA2.edge_array()
-    with pytest.raises(ValueError, match="edge counts"):
-        graphs.phi_map(graphs.Graph(GAMMA2.n, edges[1:]), SIGMA2, INFO2)
-    with pytest.raises(ValueError, match="vertex or edge counts"):  # isolated extra vertices
-        graphs.phi_map(graphs.Graph(GAMMA2.n + 2, edges), SIGMA2, INFO2)
-    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
-    moved = graphs.Graph(GAMMA2.n, np.vstack([edges[1:], [[0, far]]]))
-    with pytest.raises(ValueError, match="does not preserve an edge"):
-        graphs.phi_map(moved, SIGMA2, INFO2)
-    with pytest.raises(ValueError, match="not an edge of the coset graph"):
-        graphs.phi_map(GAMMA2, graphs.Graph(SIGMA2.n, SIGMA2.edge_array()[1:]), INFO2)
-
-
 def brute_force_monochromatic(graph, colors):
     """Every triangle from a triple loop over vertices."""
     colour = {tuple(e): c for e, c in zip(graph.edge_array().tolist(), colors)}
@@ -164,49 +130,69 @@ def brute_force_monochromatic(graph, colors):
     return True
 
 
-def test_triangles_match_brute_force_on_gamma2_with_random_flips():
-    X = groups.closure_array(G2, G2.x_gens)
-    Y = groups.closure_array(G2, G2.y_gens)
-    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
-    assert graphs.triangles_monochromatic(GAMMA2, colors) and brute_force_monochromatic(GAMMA2, colors)
-    rng = random.Random(5)
-    for flips in (1, 1, 1, 2, 3, 20, 300):
-        c = colors.copy()
-        for i in rng.sample(range(len(c)), flips):
-            c[i] = not c[i]
-        assert graphs.triangles_monochromatic(GAMMA2, c) == brute_force_monochromatic(GAMMA2, c)
+# -- the rows read from the neighbourhood of 1, against Γ and Σ as built ------
+
+@pytest.fixture(scope="module", params=[2, 3])
+def built(request):
+    """G, Γ, Σ and its coset bookkeeping at n, and the values of the rows
+    that read the neighbourhood of 1 there."""
+    G, _, gamma, sigma, info = cli.build_instance(request.param)
+    rows = [r for r in claims.GRAPHS if "neighbourhood" in r[3]]
+    return G, gamma, sigma, info, {c.id: c.computed for c in claims.run(rows, claims.Context(G))}
 
 
-def test_every_flipped_edge_of_gamma2_is_caught():
-    X = groups.closure_array(G2, G2.x_gens)
-    Y = groups.closure_array(G2, G2.y_gens)
-    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
-    for i in range(len(colors)):
-        c = colors.copy()
-        c[i] = not c[i]
-        assert not graphs.triangles_monochromatic(GAMMA2, c)
+def _edge_sides(G, graph):
+    """Whether each edge {g, h} of ``edge_array()`` has h g^-1 in X, and
+    whether in Y."""
+    g, h = graph.edge_array().astype(np.int64).T
+    diff = np.asarray(G.mul_vec(h, G.inv_vec(g)), dtype=np.int64)
+    return tuple(np.isin(diff, groups.closure_array(G, gens)) for gens in (G.x_gens, G.y_gens))
 
 
-@given(random_graphs, st.randoms(use_true_random=False))
-@settings(max_examples=150, deadline=None)
-def test_triangles_match_brute_force_random(graph, rnd):
-    colors = np.array([rnd.random() >= 0.1 for _ in range(graph.edge_count())], dtype=bool)
-    assert graphs.triangles_monochromatic(graph, colors) == brute_force_monochromatic(graph, colors)
+@needs_networkx
+def test_the_maximal_cliques_of_gamma_are_the_cosets(built):
+    """networkx's maximal cliques of Γ are the right cosets of X and Y, each
+    code lies in two of them, and the graph of the cosets that meet, coset i
+    being vertex i, is Σ (1.3 s at n = 3)."""
+    G, gamma, sigma, info, computed = built
+    cosets = np.concatenate([info.x_cosets, info.y_cosets]).astype(np.int64)
+    cliques = sorted(map(sorted, nx.find_cliques(to_nx(gamma)))) == sorted(cosets.tolist())
+    twice = np.bincount(cosets.ravel(), minlength=G.order).tolist() == [2] * G.order
+    # each code's two positions, in its X-coset's row and its Y-coset's
+    meets = np.argsort(cosets.ravel(), kind="stable").reshape(-1, 2) // cosets.shape[1]
+    assert cliques and twice and graphs.Graph(len(cosets), meets) == sigma
+    assert computed["clique-graph-is-coset-graph"] is True
 
 
-def test_triangles_need_one_colour_per_edge():
-    with pytest.raises(ValueError):
-        graphs.triangles_monochromatic(GAMMA2, np.ones(3, dtype=bool))
+@needs_networkx
+def test_gamma_is_the_line_graph_of_sigma_under_z_to_xz_yz(built):
+    """nx.line_graph(Σ) is Γ under the map z -> {Xz, Yz}, read from the
+    coset bookkeeping, with no isomorphism search (1.3 s at n = 3)."""
+    G, gamma, sigma, info, computed = built
+    phi = list(zip(info.x_index.tolist(), (info.n_x + info.y_index.astype(np.int64)).tolist()))
+    line = nx.line_graph(to_nx(sigma))
+    pair = lambda e: tuple(sorted(e))
+    assert sorted(phi) == sorted(map(pair, line))  # a bijection onto Σ's edges
+    assert sorted(pair((phi[g], phi[h])) for g, h in gamma.edge_array().tolist()) == \
+        sorted(pair(map(pair, e)) for e in line.edges())
+    assert computed["line-graph-is-cayley-graph"] is True
 
 
-def test_edge_coloring_matches_the_scalar_rule():
-    X = groups.closure_array(G2, G2.x_gens)
-    Y = groups.closure_array(G2, G2.y_gens)
-    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
-    expect = [int(G2.mul_vec(h, G2.inv_vec(g))) in X for g, h in GAMMA2.edge_array().tolist()]
-    assert colors.dtype == bool and colors.tolist() == expect
-    with pytest.raises(ValueError):
-        graphs.edge_coloring(GAMMA2, G2, X, [0])
+def test_every_triangle_of_gamma_is_monochromatic(built):
+    """The triple loop finds no triangle of Γ with two colours, an edge
+    {g, h} being an X-edge when h g^-1 lies in X (0.4 s at n = 3)."""
+    G, gamma, sigma, info, computed = built
+    assert brute_force_monochromatic(gamma, _edge_sides(G, gamma)[0])
+    assert computed["triangles-monochromatic"] is True
+
+
+def test_edge_colour_counts_match_the_edge_differences(built):
+    """Each edge's difference h g^-1 lies in exactly one of X and Y, and the
+    row counts the edges on each side."""
+    G, gamma, sigma, info, computed = built
+    in_x, in_y = _edge_sides(G, gamma)
+    assert np.all(in_x ^ in_y)
+    assert computed["edge-color-counts"] == (np.count_nonzero(in_x), np.count_nonzero(in_y))
 
 
 def scalar_cayley_edges(G, S):
@@ -279,116 +265,10 @@ def scalar_clique_graph_edges(cliques):
                    if set(cliques[i]) & set(cliques[j])})
 
 
-def by_size(cliques):
-    """The cliques of each size, ascending, as the rows of one array."""
-    sizes = [len(c) for c in cliques]
-    return [np.array([c for c in cliques if len(c) == size], dtype=np.int64)
-            .reshape(sizes.count(size), size) for size in sorted(set(sizes))]
-
-
-@given(random_graphs)
-@settings(max_examples=100, deadline=None)
-def test_clique_graph_and_cover_check_match_scalar_rules(graph):
-    cliques = maximal_cliques(graph)
-    # maximal cliques always cover the edges; the check passes iff they are
-    # nonempty and of one size, so that one array holds them, and each edge
-    # lies in only one of them; an array of only some of them never passes
-    pairs = [p for c in cliques for p in itertools.combinations(c, 2)]
-    one_size = len(by_size(cliques)) == 1 and len(cliques[0]) > 0
-    for same in by_size(cliques):
-        if not one_size:
-            with pytest.raises(ValueError):
-                graphs.verify_clique_cover(graph, same)
-        elif len(pairs) == len(set(pairs)):
-            cg = graphs.clique_graph(graph, same)
-            assert [tuple(e) for e in cg.edge_array().tolist()] == scalar_clique_graph_edges(cliques)
-        else:
-            with pytest.raises(ValueError, match="two of the cliques"):
-                graphs.verify_clique_cover(graph, same)
-
-
-def _far(graph, row):
-    """A vertex outside ``row`` and not adjacent to its first member, if any."""
-    return next((v for v in range(graph.n) if v not in row and v != row[0]
-                 and not graph.has_edge(row[0], v)), None)
-
-
-def test_verify_clique_cover_catches_each_fault():
-    cliques = np.array(sorted(sorted(c) for c in graphs.coset_cliques(INFO2)))
-    graphs.verify_clique_cover(GAMMA2, cliques)
-    far = _far(GAMMA2, cliques[0].tolist())
-    bad = {
-        "cover every edge": cliques[1:],
-        "two of the cliques": np.vstack([cliques, cliques[:1]]),
-        "non-edge": np.vstack([cliques, [[0, *cliques[0, 1:-1], far]]]),
-        "not maximal": cliques[:, :-1],
-        "out of range": np.vstack([cliques, [[0, 1, 2, GAMMA2.n]]]),
-        "nonempty rows of a 2-D array": np.empty((3, 0), dtype=np.int64),
-    }
-    for why, cover in bad.items():
-        with pytest.raises(ValueError, match=why):
-            graphs.verify_clique_cover(GAMMA2, cover)
-    for cover in (cliques.ravel(), cliques.tolist() + [[0]]):
-        with pytest.raises(ValueError):
-            graphs.verify_clique_cover(GAMMA2, cover)
-    graphs.verify_clique_cover(graphs.Graph(2), np.array([[0], [1]]))
-    graphs.verify_clique_cover(graphs.Graph(0), np.empty((0, 1), dtype=np.int64))
-
-
-# three K4s that pairwise share one vertex: the shared vertices 0, 1, 2 make
-# a triangle whose edges lie in three different K4s, a fourth maximal clique
-THREE_K4S = np.array([[0, 2, 3, 4], [0, 1, 5, 6], [1, 2, 7, 8]])
-
-
-def union_of_cliques(n, rows):
-    return graphs.Graph(n, [p for r in rows for p in itertools.combinations(r, 2)])
-
-
-def test_a_cover_missing_a_triangle_is_rejected():
-    graph = union_of_cliques(9, THREE_K4S.tolist())
-    assert maximal_cliques(graph) == sorted(THREE_K4S.tolist() + [[0, 1, 2]])
-    with pytest.raises(ValueError, match="a triangle lies in no clique"):
-        graphs.clique_graph(graph, THREE_K4S)
-    assert scalar_cover_error(graph, THREE_K4S) == \
-        over_chunks(lambda: graphs.verify_clique_cover(graph, THREE_K4S)) == \
-        ("ValueError", "a triangle lies in no clique")
-    # two K4s sharing one vertex leave no such triangle
-    two = THREE_K4S[:2]
-    cg = graphs.clique_graph(union_of_cliques(7, two.tolist()), two)
-    assert cg.n == 2 and cg.edge_count() == 1
-
-
-def test_a_cover_leaving_out_an_isolated_vertex_is_rejected():
-    k4 = np.array([[0, 1, 2, 3]])
-    graphs.verify_clique_cover(union_of_cliques(4, k4), k4)
-    with pytest.raises(ValueError, match="isolated vertex"):
-        graphs.verify_clique_cover(union_of_cliques(5, k4), k4)
-    edgeless = graphs.Graph(3)
-    graphs.verify_clique_cover(edgeless, np.array([[2], [0], [1]]))
-    for cover in ([[0], [1]], [[0], [1], [2], [2]]):
-        with pytest.raises(ValueError, match="isolated vertex"):
-            graphs.verify_clique_cover(edgeless, np.array(cover))
-    # vertex i is row i: the three singletons share nothing
-    assert graphs.clique_graph(edgeless, np.array([[2], [0], [1]])) == graphs.Graph(3)
-
-
-def test_clique_graph_rejects_zero_width_cliques():
-    with pytest.raises(ValueError, match="nonempty rows"):
-        graphs.clique_graph(graphs.Graph(3), np.empty((3, 0)))
-
-
-def test_clique_graph_numbers_the_cliques_by_their_rows():
-    # a path 0 - 1 - 2 - 3: its edges are its maximal cliques, and two
-    # edges meet iff their rows are adjacent in this order
-    path = graphs.Graph(4, [(0, 1), (1, 2), (2, 3)])
-    rows = np.array([[3, 2], [1, 0], [2, 1]])
-    assert graphs.clique_graph(path, rows).edge_array().tolist() == [[0, 2], [1, 2]]
-
-
 # -- block boundaries ----------------------------------------------------------
 # Every blocked pass must give the same answer, and raise the same error,
 # whatever the block size: one element per step, an odd size that splits
-# rows, segments and cliques, and the default.
+# rows and segments, and the default.
 
 CHUNKS = (1, 7, groups.CHUNK)
 
@@ -416,55 +296,6 @@ def over_chunks(fn, chunks=CHUNKS):
                 out.append(("ValueError", str(e)))
     assert out.count(out[0]) == len(out), out
     return out[0]
-
-
-def scalar_cover_error(graph, cliques):
-    """The fault verify_clique_cover reports first, from set arithmetic: a
-    non-edge; a clique some vertex extends; an edge in two cliques; an
-    uncovered edge; a vertex outside a clique adjacent to two of its
-    members; an isolated vertex that is not exactly one of the cliques."""
-    cliques = np.asarray(cliques).tolist()
-    adj = [set(graph.neighbors(v).tolist()) for v in range(graph.n)]
-    if any(b not in adj[a] for c in cliques for a, b in itertools.combinations(c, 2)):
-        return ("ValueError", "clique contains a non-edge")
-    if any(set(range(graph.n)).intersection(*(adj[v] for v in c)) for c in cliques):
-        return ("ValueError", "clique is not maximal")
-    pairs = [tuple(sorted(p)) for c in cliques for p in itertools.combinations(c, 2)]
-    if len(pairs) != len(set(pairs)):
-        return ("ValueError", "edge lies in two of the cliques")
-    if len(pairs) != graph.edge_count():
-        return ("ValueError", "cliques do not cover every edge")
-    if any(len(adj[u] & set(c)) >= 2 for c in cliques for u in set(range(graph.n)) - set(c)):
-        return ("ValueError", "a triangle lies in no clique")
-    if any(cliques.count([v]) != 1 for v in range(graph.n) if not adj[v]):
-        return ("ValueError", "an isolated vertex is not exactly one of the cliques")
-    return None
-
-
-# Graphs made of random cliques of one size: the cover of those cliques is
-# accepted exactly when it is the set of all maximal cliques and no two of
-# them share an edge.
-clique_unions = st.integers(min_value=1, max_value=5).flatmap(
-    lambda size: st.integers(min_value=size, max_value=3 * size + 2).flatmap(
-        lambda n: st.tuples(st.just(n), st.just(size), st.lists(
-            st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True),
-            max_size=7))))
-
-
-@given(clique_unions)
-@example((9, 4, THREE_K4S.tolist()))
-@example((7, 4, THREE_K4S[:2].tolist()))
-@example((3, 1, [[2], [0], [1]]))
-@settings(max_examples=150, deadline=None)
-def test_cover_check_accepts_exactly_the_maximal_cliques(case):
-    n, size, rows = case
-    graph = union_of_cliques(n, rows)
-    cover = np.array(rows, dtype=np.int64).reshape(len(rows), size)
-    got = over_chunks(lambda: graphs.verify_clique_cover(graph, cover))
-    pairs = [tuple(sorted(p)) for r in rows for p in itertools.combinations(r, 2)]
-    exact = sorted(sorted(r) for r in rows) == maximal_cliques(graph)
-    assert (got is None) == (exact and len(pairs) == len(set(pairs)))
-    assert got == scalar_cover_error(graph, cover)
 
 
 def _edges(graph):
@@ -512,17 +343,6 @@ def test_sigma_graph_rejects_a_coset_meeting_another_twice():
         ("ValueError", "two members of a coset share a coset of the other side")
 
 
-def test_phi_map_rejects_two_swapped_images():
-    """Swapping the cosets of z and of a vertex far from z keeps phi a
-    bijection onto the edges, but moves the image of an edge at z."""
-    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
-    x, y = INFO2.x_index.copy(), INFO2.y_index.copy()
-    x[[0, far]], y[[0, far]] = x[[far, 0]], y[[far, 0]]
-    swapped = INFO2._replace(x_index=x, y_index=y)
-    kind, text = over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, swapped))
-    assert kind == "ValueError" and "does not preserve an edge" in text
-
-
 def scalar_bfs(graph, v):
     dist = [-1] * graph.n
     dist[v] = 0
@@ -541,48 +361,6 @@ def test_identifications_are_the_same_for_every_block_size():
         lg = over_chunks(lambda: line_graph(graph))
         assert lg == ("graph", graph.edge_count(),
                       [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
-    cliques = graphs.coset_cliques(INFO2).tolist()
-    cg = over_chunks(lambda: graphs.clique_graph(GAMMA2, graphs.coset_cliques(INFO2)))
-    assert cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
-    assert over_chunks(lambda: graphs.clique_graph(GAMMA2, graphs.coset_cliques(INFO2)) == SIGMA2)
-    assert over_chunks(lambda: graphs.phi_map(GAMMA2, SIGMA2, INFO2)) == \
-        [_edges(SIGMA2).index((int(INFO2.x_index[z]), INFO2.n_x + int(INFO2.y_index[z])))
-         for z in range(G2.order)]
-    edges = GAMMA2.edge_array()
-    far = next(v for v in range(1, GAMMA2.n) if not GAMMA2.has_edge(0, v))
-    for gamma, sigma, why in (
-            (graphs.Graph(GAMMA2.n, edges[1:]), SIGMA2, "edge counts"),
-            (graphs.Graph(GAMMA2.n, np.vstack([edges[1:], [[0, far]]])), SIGMA2, "does not preserve"),
-            (GAMMA2, graphs.Graph(SIGMA2.n, SIGMA2.edge_array()[1:]), "not an edge of the coset")):
-        kind, text = over_chunks(lambda: graphs.phi_map(gamma, sigma, INFO2))
-        assert kind == "ValueError" and why in text
-
-
-def test_cover_faults_are_the_same_for_every_block_size():
-    cliques = np.array(sorted(sorted(c) for c in graphs.coset_cliques(INFO2)))
-    far = _far(GAMMA2, cliques[0].tolist())
-    covers = [cliques, cliques[1:], np.vstack([cliques, cliques[:1]]),
-              np.vstack([cliques, [[0, *cliques[0, 1:-1], far]]]), cliques[:, :-1],
-              cliques[:, :2]]
-    for cover in covers:
-        got = over_chunks(lambda: graphs.verify_clique_cover(GAMMA2, cover))
-        assert got == scalar_cover_error(GAMMA2, cover)
-
-
-def test_colour_kernels_are_the_same_for_every_block_size():
-    X = groups.closure_array(G2, G2.x_gens)
-    Y = groups.closure_array(G2, G2.y_gens)
-    colors = over_chunks(lambda: graphs.edge_coloring(GAMMA2, G2, X, Y))
-    assert colors == [int(G2.mul_vec(h, G2.inv_vec(g))) in X for g, h in _edges(GAMMA2)]
-    assert over_chunks(lambda: graphs.edge_coloring(GAMMA2, G2, X, [0])) == \
-        ("ValueError", "edge difference lies outside X u Y")
-    rng = random.Random(11)
-    for flips in (0, 1, 2, 40):
-        c = np.array(colors)
-        for i in rng.sample(range(len(c)), flips):
-            c[i] = not c[i]
-        assert over_chunks(lambda: graphs.triangles_monochromatic(GAMMA2, c)) == \
-            brute_force_monochromatic(GAMMA2, c)
 
 
 def test_automorphism_check_is_the_same_for_every_block_size():
@@ -635,25 +413,6 @@ def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
     """Irregular graphs, a star and an edgeless graph, at every block size."""
     assert over_chunks(lambda: line_graph(graph)) == \
         ("graph", graph.edge_count(), [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
-    cliques = maximal_cliques(graph)
-    for same in by_size(cliques):
-        if not same.size:  # the empty graph's one maximal clique is empty
-            continue
-        covers = [same, same[1:], np.vstack([same, same[:1]])]
-        if same.shape[1] > 1:
-            covers.append(same[:, :-1])
-            far = _far(graph, same[0].tolist())
-            if far is not None:
-                covers.append(np.vstack([same, [[*same[0, :-1], far]]]))
-        for cover in covers:
-            got = over_chunks(lambda: graphs.verify_clique_cover(graph, cover))
-            assert got == scalar_cover_error(graph, cover)
-        if len(same) == len(cliques) and scalar_cover_error(graph, same) is None:
-            cg = over_chunks(lambda: graphs.clique_graph(graph, same))
-            assert cg[2] == [list(e) for e in scalar_clique_graph_edges(cliques)]
-    colors = np.array([rnd.random() >= 0.1 for _ in range(graph.edge_count())], dtype=bool)
-    assert over_chunks(lambda: graphs.triangles_monochromatic(graph, colors)) == \
-        brute_force_monochromatic(graph, colors)
     if graph.n:
         v = rnd.randrange(graph.n)
         assert over_chunks(lambda: graphs.bfs_layers(graph, v)) == scalar_bfs(graph, v)
@@ -735,13 +494,6 @@ def test_a_graph_on_2_15_vertices_matches_its_int32_build(boundary_graphs):
         slots = graphs._find_arcs(g, tails, heads)
         assert slots.min() >= 0 and np.array_equal(slots, graphs._find_arcs(h, tails, heads))
     assert np.array_equal(graphs._slot_edges(g), graphs._slot_edges(h))
-    # a block of one clique: its keys (clique, neighbour) stay below 1 * 2^15
-    errors = []
-    for graph in (g, h):
-        with pytest.raises(ValueError) as e:
-            graphs.verify_clique_cover(graph, np.array([[0, N16 - 1]]))
-        errors.append(str(e.value))
-    assert errors[0] == errors[1]
     # the extra vertex of h is isolated: kept in a cell of its own, it
     # splits nothing, so both refinements order the first 2^15 alike
     gp = autsearch.refine(g, autsearch.Partition.unit(N16))

@@ -59,35 +59,8 @@ def test_complete_bipartite():
 def test_maximal_cliques_small():
     k3 = graphs.Graph(3, [(0, 1), (0, 2), (1, 2)])
     assert maximal_cliques(k3) == [[0, 1, 2]]
-    cg = graphs.clique_graph(k3, np.array([[2, 0, 1]]))
-    assert cg.n == 1 and cg.edge_count() == 0
     k44 = graphs.complete_bipartite(4, 4)
     assert maximal_cliques(k44) == k44.edge_array().tolist()  # the edges
-    cg = graphs.clique_graph(k44, k44.edge_array())
-    assert cg == line_graph(k44)
-
-
-def test_clique_fast_path_matches_generic():
-    generic = maximal_cliques(GAMMA2)
-    fast = sorted(sorted(c) for c in graphs.coset_cliques(INFO2))
-    assert generic == fast
-    graphs.verify_clique_cover(GAMMA2, np.array(fast))
-
-
-def test_coset_cliques_of_gamma3_are_its_maximal_cliques():
-    """networkx enumerates the maximal cliques of Γ(3): 8,192 cosets of 8."""
-    G = groups.TensorGroup(3)
-    gamma = graphs.cayley_graph(G, graphs.xy_connection_set(G))
-    nx, g = _nx_graph(gamma)
-    cliques = np.sort(graphs.coset_cliques(graphs.sigma_graph(G)[1]), axis=1)
-    assert sorted(map(sorted, nx.find_cliques(g))) == sorted(cliques.tolist())
-    graphs.verify_clique_cover(gamma, cliques)
-
-
-def test_verify_clique_cover_rejects_bad_input():
-    with pytest.raises(ValueError):
-        # an edge is not a maximal clique here (cosets have size 4)
-        graphs.verify_clique_cover(GAMMA2, GAMMA2.edge_array())
 
 
 def test_line_graph_small():
@@ -103,13 +76,6 @@ def test_line_graph_of_sigma():
     lg = line_graph(SIGMA2)
     assert lg.n == 256
     assert lg.is_regular() == 6
-
-
-def test_phi_map():
-    phi = graphs.phi_map(GAMMA2, SIGMA2, INFO2)
-    x0, y0 = int(INFO2.x_index[0]), INFO2.n_x + int(INFO2.y_index[0])
-    assert SIGMA2.edge_array()[phi[0]].tolist() == [x0, y0]
-    assert sorted(phi) == list(range(256))
 
 
 def test_normal_quotient_trivial():
@@ -137,24 +103,6 @@ def test_bfs_layers_stop_at_the_depth():
         assert layers == sizes[:depth + 1]
         assert dist.tolist() == np.where(full <= depth, full, -1).tolist()
     assert graphs.bfs_layers(GAMMA2, 0, 3)[1] == [1, 6, 18, 54]
-
-
-def test_edge_coloring():
-    X = groups.closure_array(G2, G2.x_gens)
-    Y = groups.closure_array(G2, G2.y_gens)
-    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
-    assert len(colors) == 768
-    assert colors.dtype == bool  # True for an X-edge
-    assert (np.count_nonzero(colors), np.count_nonzero(~colors)) == (384, 384)
-    assert graphs.triangles_monochromatic(GAMMA2, colors)
-
-
-def test_triangles_monochromatic_detects_a_flipped_edge():
-    X = groups.closure_array(G2, G2.x_gens)
-    Y = groups.closure_array(G2, G2.y_gens)
-    colors = graphs.edge_coloring(GAMMA2, G2, X, Y)
-    colors[0] = not colors[0]
-    assert not graphs.triangles_monochromatic(GAMMA2, colors)
 
 
 def _layer_sets(n):
