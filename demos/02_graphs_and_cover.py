@@ -8,9 +8,7 @@ of the Cayley graph is the coset graph, and the line graph of the coset
 graph is the Cayley graph back again.
 """
 
-import numpy as np
-
-from mdg import claims, cli, graphs, permgroups as pg
+from mdg import claims, cli
 
 G, S, gamma, sigma, info = cli.build_instance(2)
 print(f"Cayley graph: {gamma.n} vertices, valency {gamma.is_regular()}, "
@@ -33,14 +31,15 @@ print(f"{G.order // (nbhd.x_degree + 1) + G.order // (nbhd.y_degree + 1)} verifi
 print("clique graph == coset graph:", local["clique-graph-is-coset-graph"])
 print("line-graph bijection covers all vertices:", local["line-graph-is-cayley-graph"])
 
-# quotient by the derived-subgroup orbits, each vertex labelled by the least
-# vertex of its orbit: a complete bipartite graph, covered semiregularly with
-# fibres of size 2^(n^2)
-labels = claims.derived_orbit_partition(G, sigma, info)
-quotient, preserved = graphs.normal_quotient(sigma, labels)
-print("quotient is complete bipartite:", pg.is_complete_bipartite(quotient))
-print("valency preserved by the cover:", preserved)
-print("fibre sizes:", sorted(set(np.bincount(labels)[labels].tolist())))
+# quotient by the derived-subgroup orbits, read from G/G' by the cover lemma:
+# G' is central and meets X and Y in 1 alone, so every orbit, a fibre of the
+# cover, has |G'| = 2^(n^2) vertices, and the quotient is the coset graph of
+# G/G' = C_2^(2n), complete bipartite
+cover = {c.id: c.computed for c in claims.run(
+    [row for row in claims.GRAPHS if row[3] in ("cover", "derived")], ctx)}
+print("quotient is complete bipartite:", cover["quotient-complete-bipartite"])
+print("valency preserved by the cover:", cover["quotient-preserves-valency"])
+print("fibre sizes:", [len(ctx.derived)] if cover["derived-action-semiregular"] else "unequal")
 
 # an edge {g, h} takes the colour of the side h g^-1 lies in; every triangle
 # lies in one coset, so it is monochromatic

@@ -17,10 +17,10 @@ class Partition:
     ``order`` lists the vertices cell by cell, each cell ascending; cell i
     is ``order[starts[i]:starts[i + 1]]``, the last start being n; and
     ``cell[v]`` is the index of the cell holding v.  Its length is its
-    number of cells."""
+    number of cells, and ``singleton`` the vertex ``individualize`` took out."""
 
-    def __init__(self, order: np.ndarray, starts: np.ndarray):
-        self.order, self.starts = order, starts
+    def __init__(self, order: np.ndarray, starts: np.ndarray, singleton: int | None = None):
+        self.order, self.starts, self.singleton = order, starts, singleton
         sizes = np.diff(starts)
         self.cell = np.empty(len(order), dtype=np.int32)
         self.cell[order] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
@@ -49,7 +49,7 @@ class Partition:
             return self
         order = self.order.copy()
         order[lo:hi] = np.append(v, order[lo:hi][order[lo:hi] != v])
-        return Partition(order, np.insert(self.starts, c + 1, lo + 1))
+        return Partition(order, np.insert(self.starts, c + 1, lo + 1), v)
 
 
 def _row_words(nbr: np.ndarray, cell: np.ndarray, verts: np.ndarray, k: int) -> np.ndarray:
@@ -89,14 +89,17 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
     when count tuples sort ascending.  After a pass the vertices of a cell
     have equal counts into each cell that split, so the next pass reads
     only the cells next to the parts other than the largest (the first
-    pass: every cell).  Rows are read a block of vertices at a time
-    (McKay & Piperno, J. Symb. Comput. 60, 2014).
+    pass: every cell, or, after ``individualize`` of an equitable
+    partition, the cells next to its singleton).  Rows are read a block of
+    vertices at a time (McKay & Piperno, J. Symb. Comput. 60, 2014).
     """
     n = graph.n
     if len(part.order) != n:
         raise ValueError("cells must partition the vertices")
     nbr = graph.neighbor_array()
     todo = np.flatnonzero(np.diff(part.starts) > 1)
+    if part.singleton is not None:  # a table lookup: np.isin's sort imports numpy.ma
+        todo = todo[np.isin(todo, part.cell[graph.neighbors(part.singleton)], kind="table")]
     while len(todo):
         k = len(part)
         pos = graphs._ranges(part.starts[todo], np.diff(part.starts)[todo])
@@ -132,10 +135,10 @@ def certified_order(graph: graphs.Graph, known_gens) -> int:
     ``known_gens`` alone, which it checks first.
 
     From the unit partition it refines, then at each level individualises
-    the first vertex v of the first cell with more than one vertex.  The
-    seeds that fix the earlier base points must make that cell one orbit;
-    the order is the product of the cells' sizes.  Else it raises
-    ValueError naming the cell: it never returns a wrong order.
+    the first vertex v of the first cell with more than one vertex: v's
+    orbit under the seeds that fix the earlier base points, grown a layer
+    of images at a time, must cover that cell.  The order is the product of
+    the cells' sizes; else a ValueError names the cell, never a wrong order.
 
     Sound because refinement is invariant under A_seq, the automorphisms
     fixing the base points: each cell is a union of A_seq-orbits, and the
@@ -153,8 +156,15 @@ def certified_order(graph: graphs.Graph, known_gens) -> int:
     while (split := cells.first_split()) is not None:
         members = cells.members(split)
         v = int(members[0])
-        lab = permgroups.orbits([g for g in gens if np.array_equal(g[seq], seq)], graph.n)
-        if np.any(lab[members] != lab[v]):
+        seeds = [g for g in gens if np.array_equal(g[seq], seq)]
+        orbit, frontier = np.arange(graph.n) == v, np.array([v])
+        while len(frontier) and not orbit[members].all():
+            layer = np.zeros(graph.n, dtype=bool)
+            for g in seeds:
+                layer[g[frontier]] = True
+            frontier = np.flatnonzero(layer & ~orbit)
+            orbit[frontier] = True
+        if not orbit[members].all():
             raise ValueError(f"cell {split} ({len(members)} vertices) is not one orbit of "
                              f"the known automorphisms fixing {seq}")
         order *= len(members)

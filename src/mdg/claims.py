@@ -56,31 +56,19 @@ def _jsonable(v):
 
 # -- helpers of the rows (also used by the test suite) ---------------------
 
-def derived_basis(G) -> list[int]:
-    """Generators of the derived subgroup: the commutators of the x/y
-    generator pairs (pure one-bit matrices)."""
-    comms = groups.commutator(G, np.asarray(G.x_gens)[:, None], np.asarray(G.y_gens))
-    return comms.ravel().tolist()
+def _semiregular(G, N) -> bool:
+    """Whether N is central and meets X and Y in 1 alone: semiregular (README)."""
+    return all(np.array_equal(G.mul_vec(N, g), G.mul_vec(g, N)) for g in G.gens) and all(
+        np.count_nonzero(groups.in_sorted(groups.closure_array(G, gens), N)) == 1
+        for gens in (G.x_gens, G.y_gens))
 
 
-def derived_orbit_partition(G, sigma, info) -> np.ndarray:
-    """Orbits of the derived subgroup's right action on the coset-graph
-    vertices, as each vertex's orbit label (``permgroups.orbits``).  The
-    action is read from the coset representatives, and checked once to be
-    by automorphisms of the coset graph."""
-    probes = permgroups.coset_probes(info)
-    perms = [permgroups.coset_action(info, G.mul_vec(probes, d)) for d in derived_basis(G)]
-    if not permgroups.are_automorphisms(sigma, perms):
-        raise ValueError("derived right multiplication is not a coset-graph automorphism")
-    return permgroups.orbits(perms, sigma.n)
-
-
-def _edge_affine_ok(G, labels, quotient, sigma_gens) -> bool:
-    """The right multiplications by the generators of G, the first of
-    ``sigma_gens``, pushed down to the quotient, witness an edge-affine
-    action normalised by all of ``sigma_gens``."""
-    down = [permgroups.quotient_perm(labels, p) for p in sigma_gens]
-    w = permgroups.edge_affine_witness(quotient, down, down[:len(G.gens)])
+def _edge_affine(G, cover: permgroups.Cover) -> bool:
+    """R(G.gens) and the lifts, read on Σ/G' from their images of the probes,
+    witness an edge-affine action of order 2^(2n) normalised by all of them."""
+    down = ([cover.action(G.mul_vec(cover.probes, g)) for g in G.gens]
+            + list(map(cover.action, permgroups.stabilizer_lift_images(G, cover.probes))))
+    w = permgroups.edge_affine_witness(cover.quotient, down, down[:len(G.gens)])
     return w.ok and w.subgroup_order == 1 << (2 * G.n)
 
 
@@ -162,11 +150,9 @@ OBJECTS = {
     # Σ and its coset bookkeeping apart, holding no entries of their own
     "sigma": ("Sigma", lambda G: 0, lambda c: c.coset_graph[0], "coset_graph"),
     "info": ("Sigma", lambda G: 0, lambda c: c.coset_graph[1], "coset_graph"),
-    "labels": ("the G'-orbits on Sigma", lambda G: G.n ** 2 * (G.order >> (G.n - 1)),
-               lambda c: derived_orbit_partition(c.group, c.sigma, c.info), "sigma info"),
-    # the quotient graph, and whether it keeps the valency
-    "quotient": ("the quotient of Sigma", lambda G: 2 << (2 * G.n),
-                 lambda c: graphs.normal_quotient(c.sigma, c.labels), "sigma labels"),
+    # Σ/G' from G/G': a product of each word's inverse with every word
+    "cover": ("G/G'", lambda G: 1 << (4 * G.n),
+              lambda c: permgroups.central_quotient(c.group, c.derived), "derived"),
     "diagram": ("the lifts on G", lambda G: (2 * G.n * (G.n - 1) + 1) * G.order,
                 lambda c: checked_diagram(c.group, c.gamma), "gamma"),
     "sigma_gens": ("the actions on Sigma", lambda G: (2 * G.n ** 2 + 1) * (G.order >> (G.n - 1)),
@@ -248,13 +234,11 @@ GRAPHS = (
     ("clique-graph-is-coset-graph", True, *_LEMMA),
     ("line-graph-is-cayley-graph", True, *_LEMMA),
     ("quotient-complete-bipartite", lambda G: (2 ** G.n, 2 ** G.n),
-     lambda c: permgroups.is_complete_bipartite(c.quotient[0]), "quotient"),
-    ("quotient-preserves-valency", True, lambda c: c.quotient[1], "quotient"),
-    ("derived-action-semiregular", True, lambda c: bool(np.all(
-        np.bincount(c.labels)[c.labels] == 1 << (c.group.n ** 2))), "labels"),
+     lambda c: permgroups.is_complete_bipartite(c.cover.quotient), "cover"),
+    ("quotient-preserves-valency", True, lambda c: c.cover.preserved, "cover"),
+    ("derived-action-semiregular", True, lambda c: _semiregular(c.group, c.derived), "derived"),
     # each row that reads the actions checks that they are automorphisms
-    ("edge-affine-witness", True, lambda c: _edge_affine_ok(
-        c.group, c.labels, c.quotient[0], c.sigma_gens), "labels quotient sigma_gens"),
+    ("edge-affine-witness", True, lambda c: _edge_affine(c.group, c.cover), "cover"),
     ("cayley-transitivity", GAMMA_EXPECTED_FLAGS, lambda c: permgroups.cayley_transitivity(
         c.group, c.S, c.gamma, c.generated, stabilizer_certified=(c.group.n == 2)).flags(),
      "gamma S generated"),

@@ -96,7 +96,7 @@ def export(a) -> int:
     """Write a graph as a graph6 string or an edge list (deterministic
     bytes for a given target)."""
     _check_n(a.n, None if a.target == "kbip" else f"{a.target} export")
-    graph = (graphs.complete_bipartite(1 << a.n, 1 << a.n) if a.target == "kbip"
+    graph = (graphs.sigma_graph(groups.Elementary(a.n))[0] if a.target == "kbip"
              else getattr(claims.Context(groups.TensorGroup(a.n)), a.target))
     # graph6 is written as its one buffer, then the newline
     chunks = ((graphs.to_graph6(graph), b"\n") if a.format == "graph6"

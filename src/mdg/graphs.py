@@ -1,8 +1,8 @@
 """Undirected simple graphs on indexed vertices, and the constructions
-linking a group generated by X and Y to its Cayley graph, the bipartite
-coset graph on [G:X] u [G:Y] and normal quotients; the neighbourhood of 1
-in the Cayley graph, which decides its cliques, line-graph structure and
-edge colours; BFS layers, and graph6 and edge-list export.
+linking a group generated by X and Y to its Cayley graph and the bipartite
+coset graph on [G:X] u [G:Y]; the neighbourhood of 1 in the Cayley graph,
+which decides its cliques, line-graph structure and edge colours; BFS
+layers, and graph6 and edge-list export.
 """
 
 from collections import namedtuple
@@ -191,7 +191,7 @@ def cayley_graph(G, S) -> Graph:
     S = _codes(sorted(set(S)))
     if np.any(S == G.identity):
         raise ValueError("identity must not lie in the connection set")
-    if not np.isin(_codes(G.inv_vec(S)), S).all():
+    if not np.isin(_codes(G.inv_vec(S)), S, assume_unique=True).all():
         raise ValueError("connection set is not inverse-closed")
     k = len(S)
     indices = np.empty(G.order * k, dtype=_index_dtype(G.order))
@@ -224,8 +224,8 @@ def identity_neighbourhood(G, S) -> Neighbourhood:
     automorphisms, transitively, so every vertex's neighbourhood is a copy."""
     X, Y = (groups.closure_array(G, gens) for gens in (G.x_gens, G.y_gens))
     S = _codes(S)
-    adjacent = np.isin(_codes(G.mul_vec(S[:, None], G.inv_vec(S)[None, :])), S)
-    in_x, in_y = np.isin(S, X), np.isin(S, Y)
+    adjacent = groups.in_sorted(G.mul_vec(S[:, None], G.inv_vec(S)[None, :]), np.sort(S))
+    in_x, in_y = np.isin(S, X, assume_unique=True), np.isin(S, Y, assume_unique=True)
     same_side = in_x[:, None] & in_x | in_y[:, None] & in_y
     np.fill_diagonal(same_side, False)
     sides = np.concatenate([X[X != G.identity], Y[Y != G.identity]])
@@ -259,7 +259,7 @@ def right_cosets(G, subgroup) -> tuple[np.ndarray, np.ndarray]:
     sub = groups.sorted_codes(subgroup)
     if not np.any(sub == G.identity):
         raise ValueError("subgroup must contain the identity")
-    if not np.isin(_codes(G.mul_vec(sub[:, None], sub[None, :])), sub).all():
+    if not groups.in_sorted(G.mul_vec(sub[:, None], sub[None, :]), sub).all():
         raise ValueError("subgroup is not closed under multiplication")
     dtype = _index_dtype(G.order)
     blocks = (np.arange(lo, hi, dtype=np.uint64) for lo, hi in groups._blocks(G.order, len(sub)))
@@ -301,47 +301,6 @@ def sigma_graph(G) -> tuple[Graph, SigmaInfo]:
             if np.any(block[:, 1:] == block[:, :-1]):
                 raise ValueError("two members of a coset share a coset of the other side")
     return Graph._from_rows(indptr, indices), info
-
-
-def complete_bipartite(m: int, n: int) -> Graph:
-    if m < 1 or n < 1:
-        raise ValueError("parts must be nonempty")
-    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-
-
-def cell_roots(labels, n: int) -> np.ndarray:
-    """The least members, ascending, of the cells of a partition of
-    range(n) given as each point's least cell member (``labels``, such as
-    ``permgroups.orbits`` returns); ValueError for any other array."""
-    labels, points = np.asarray(labels), np.arange(n)
-    if labels.shape != (n,) or (n and labels.dtype.kind not in "iu"):
-        raise ValueError("need one integer label per point")
-    if np.any(labels < 0) or np.any(labels > points):
-        raise ValueError("a label is out of range or above its point")
-    if np.any(labels[labels] != labels):
-        raise ValueError("a label is not the least member of its cell")
-    return np.flatnonzero(labels == points)
-
-
-def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
-    """Quotient by a vertex partition given as each vertex's least cell
-    member, plus whether valency is preserved (the cover condition).
-    Cells are numbered by least member.  Every vertex is mapped to its
-    cell's number once; the edges are read a block at a time, and only
-    each block's distinct cell pairs a < b, named a * q + b, are kept."""
-    roots = cell_roots(labels, graph.n)
-    q = len(roots)
-    number = np.empty(graph.n, dtype=_index_dtype(q))
-    number[roots] = np.arange(q)
-    cell, pairs = number[labels], np.empty(0, dtype=_index_dtype(q * q))
-    for _, u, v in _forward_arcs(graph, 8):
-        a, b = np.sort([cell[u], cell[v]], axis=0)
-        pairs = np.sort(np.concatenate([pairs, (a.astype(pairs.dtype) * q + b)[a != b]]))
-        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    quotient = Graph(q, np.stack(np.divmod(pairs, q), axis=1))
-    k = graph.is_regular()
-    preserved = k is not None and quotient.is_regular() == k
-    return quotient, preserved
 
 
 def bfs_layers(graph: Graph, v: int, depth: int | None = None) -> tuple[np.ndarray, list[int]]:

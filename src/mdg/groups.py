@@ -1,6 +1,6 @@
 """Finite 2-groups generated by two elementary abelian subgroups X and Y.
 
-Two concrete backends are provided:
+Three concrete backends are provided:
 
 * ``TensorGroup(n)`` -- the group on F_2^n + F_2^n + F_2^{n x n} whose
   product twists the matrix part by an outer product of the vector parts.
@@ -8,6 +8,8 @@ Two concrete backends are provided:
   into a single int, which doubles as the canonical vertex code downstream.
 * ``DihedralProduct(m_1, ..., m_n)`` -- a direct product of dihedral groups
   of orders 2*m_i, with X the flips and Y the flipped rotations.
+* ``Elementary(n)`` -- F_2^n + F_2^n under addition, the tensor group
+  modulo its derived subgroup, with X and Y the two summands.
 
 Every backend exposes elements as canonical integer codes in
 ``range(order)`` and its product and inverse as the elementwise array
@@ -151,6 +153,21 @@ class TensorGroup:
         return out.view(np.int64)
 
 
+class Elementary:
+    """F_2^(2n) under XOR, with x_i bit i and y_i bit n + i of the code."""
+
+    def __init__(self, n: int):
+        self.n, self.order, self.identity = n, 1 << (2 * n), 0
+        self.x_gens, self.y_gens = [1 << i for i in range(n)], [1 << (n + i) for i in range(n)]
+        self.gens = self.x_gens + self.y_gens
+
+    def mul_vec(self, g1, g2):
+        return np.asarray(g1, dtype=np.uint64) ^ np.asarray(g2, dtype=np.uint64)
+
+    def inv_vec(self, g):
+        return np.asarray(g, dtype=np.uint64)
+
+
 class DihedralProduct:
     """Direct product of dihedral groups D_{2m_i}.
 
@@ -252,6 +269,13 @@ def sorted_codes(codes) -> np.ndarray:
     return codes[np.diff(codes, prepend=-1) != 0]
 
 
+def in_sorted(codes, members) -> np.ndarray:
+    """Whether each code lies in the nonempty sorted int64 ``members``, by
+    binary search (np.isin of codes with repeats imports numpy.ma)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return members[np.searchsorted(members, codes).clip(max=len(members) - 1)] == codes
+
+
 def subgroup_order(G, gens) -> int:
     """|<gens>|, counted on the closure's mask without listing it."""
     return int(np.count_nonzero(_closure_mask(G, gens)))
@@ -279,9 +303,10 @@ def derived_subgroup(G) -> np.ndarray:
 def center(G) -> np.ndarray:
     """The elements commuting with every generator in ``G.gens``: the
     centraliser of the generators, which is the center when they generate G
-    (for the tensor group the ``order`` claim shows that they do)."""
+    (for the tensor group the ``order`` claim shows that they do), marked in
+    a mask of a bit per code, the first the highest, and listed once."""
     check_budget(G.order)
-    central = []
+    central = np.zeros(-(-G.order // 8), dtype=np.uint8)
     # a block's codes are made with it and kept while they commute with each
     # generator in turn; a code weighs its own 8 bytes, one product's and the
     # other product's 8-byte temporaries: three in the tensor product, and in
@@ -290,9 +315,8 @@ def center(G) -> np.ndarray:
         block = np.arange(lo, hi, dtype=np.int64)
         for g in G.gens:
             block = block[G.mul_vec(block, g) == G.mul_vec(g, block)]
-        if len(block):  # the identity's block is never empty
-            central.append(block)
-    return np.concatenate(central)
+        np.bitwise_or.at(central, block >> 3, (128 >> (block & 7)).astype(np.uint8))
+    return np.flatnonzero(np.unpackbits(central, count=G.order))
 
 
 def relations_hold(G, xs, ys) -> bool:

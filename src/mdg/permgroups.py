@@ -272,18 +272,6 @@ def expected_symmetry_order(n: int) -> int:
     return (1 << (n * n + 2 * n)) * f2.gl_order(n) ** 2 * 2
 
 
-def quotient_perm(labels, p: np.ndarray) -> np.ndarray:
-    """Push a permutation down to the cells, numbered by least member, of
-    an invariant partition given as each point's least cell member; raises
-    ValueError if some cell image straddles two cells."""
-    p = as_perm(p)
-    roots = graphs.cell_roots(labels, len(p))
-    images = np.asarray(labels)[p]
-    if not np.array_equal(images, images[labels]):
-        raise ValueError("permutation does not preserve the partition")
-    return as_perm(np.searchsorted(roots, images[roots]))
-
-
 # -- distance diagrams -----------------------------------------------------
 
 class DistanceDiagram(namedtuple("DistanceDiagram", "base mins sizes distances counts")):
@@ -477,6 +465,40 @@ def coset_action(info: graphs.SigmaInfo, images) -> np.ndarray:
         index, _, offset = side
         np.add(index[images[lo:hi]], offset, out=out[lo:hi], dtype=np.int32)
     return as_perm(out)
+
+
+Cover = namedtuple("Cover", "quotient preserved probes action")
+
+
+def central_quotient(G, N) -> Cover:
+    """Σ(G)/N as Σ(G/N, XN/N, YN/N) for N as sorted codes (README, the
+    cover): the coset of word v, the product of G.gens over the bits of v,
+    is code v of ``groups.Elementary(n)``, whose Σ is ``quotient``;
+    ``preserved`` is whether it keeps Σ's valency, and ``action`` reads a
+    map's permutation of it from its images of ``probes``, X and Y."""
+    gens = np.asarray(G.gens, dtype=np.int64)
+    if not all(groups.in_sorted(w, N).all() for w in (
+            G.mul_vec(gens, gens), groups.commutator(G, gens[:, None], gens))):
+        raise ValueError("the generators are not commuting involutions in G/N")
+    words = np.array([G.identity], dtype=np.int64)
+    for g in G.gens:
+        words = np.concatenate([words, graphs._codes(G.mul_vec(words, g))])
+    inv = G.inv_vec(words)
+
+    def names(codes):  # the word sharing each code's coset of N, by blocks of codes
+        hit = np.concatenate([groups.in_sorted(G.mul_vec(inv, codes[lo:hi, None]), N)
+                              for lo, hi in groups._blocks(len(codes), 3 * len(words))])
+        if not hit.any(axis=1).all():
+            raise ValueError("a code shares a coset of N with no word of the generators")
+        return hit.argmax(axis=1)
+
+    if not np.array_equal(names(words), np.arange(len(words))):
+        raise ValueError(f"the generators have rank < {len(gens)} in G/N")
+    quotient, info = graphs.sigma_graph(groups.Elementary(len(G.x_gens)))
+    X, Y = (groups.closure_array(G, g) for g in (G.x_gens, G.y_gens))
+    meet = len(np.intersect1d(X, Y, assume_unique=True))
+    return Cover(quotient, quotient.is_regular() == len(X) // meet == len(Y) // meet,
+                 words[coset_probes(info)], lambda images: coset_action(info, names(images)))
 
 
 def is_complete_bipartite(graph: graphs.Graph) -> tuple[int, int] | None:

@@ -8,7 +8,9 @@ F_2 transpose behind the per-element lift formulas.  ``dihedral_mul`` and
 ``groups.DihedralProduct``, whose product and inverse are array forms.
 ``cayley_graph_from_pairs`` and ``sigma_graph_from_pairs`` build Γ and Σ
 from their edge lists through the general ``graphs.Graph``, the oracles
-for the builders that write the CSR rows directly.  ``line_graph`` builds
+for the builders that write the CSR rows directly.  ``complete_bipartite``
+lists the edges of K(m, n), which ``export --target kbip`` now builds as
+the coset graph of C_2^(2n).  ``line_graph`` builds
 a line graph from the edge numbers of ``graphs._slot_edges``.
 ``maximal_cliques`` enumerates the maximal cliques with Bron-Kerbosch."""
 
@@ -117,6 +119,12 @@ def sigma_graph_from_pairs(info: graphs.SigmaInfo) -> graphs.Graph:
     repeated pairs are merged."""
     pairs = np.stack([info.x_index, info.n_x + info.y_index], axis=1).astype(np.int64)
     return graphs.Graph(info.n_x + len(info.y_cosets), pairs)
+
+
+def complete_bipartite(m: int, n: int) -> graphs.Graph:
+    if m < 1 or n < 1:
+        raise ValueError("parts must be nonempty")
+    return graphs.Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
 def line_graph(graph: graphs.Graph) -> graphs.Graph:

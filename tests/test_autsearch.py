@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perm_oracle
+from group_oracle import complete_bipartite
 from mdg import autsearch, claims, cli, graphs, groups, permgroups as pg
 
 try:
@@ -29,7 +30,7 @@ def refine(graph, cells) -> list[list[int]]:
 
 
 def test_refine_regular_fixed_point():
-    k44 = graphs.complete_bipartite(4, 4)
+    k44 = complete_bipartite(4, 4)
     assert refine(k44, [list(range(8))]) == [list(range(8))]
 
 
@@ -57,7 +58,7 @@ def test_aut_small_graphs():
     assert perm_oracle.automorphism_group(graphs.Graph(1, [])).order == 1
     c5 = graphs.Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     assert perm_oracle.automorphism_group(c5).order == 10
-    assert perm_oracle.automorphism_group(graphs.complete_bipartite(4, 4)).order == 1152
+    assert perm_oracle.automorphism_group(complete_bipartite(4, 4)).order == 1152
     assert perm_oracle.automorphism_group(petersen()).order == 120
 
 

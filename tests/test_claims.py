@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cover_oracle
 from group_oracle import maximal_cliques
 from mdg import claims, graphs, groups, permgroups
 
@@ -16,8 +17,8 @@ def test_an_object_is_built_once_and_released_after_its_last_reader(monkeypatch)
     calls = collections.Counter()
     for name in ("cayley_graph", "sigma_graph"):
         build = getattr(graphs, name)
-        monkeypatch.setattr(graphs, name,
-                            lambda *a, _build=build, _name=name: calls.update([_name]) or _build(*a))
+        monkeypatch.setattr(graphs, name, lambda G, *a, _build=build, _name=name: calls.update(
+            [(_name, type(G).__name__)]) or _build(G, *a))
     held = []  # the objects the context holds as each row starts
 
     def row(cid, expected, compute, needs):
@@ -27,14 +28,17 @@ def test_an_object_is_built_once_and_released_after_its_last_reader(monkeypatch)
     rep = claims.run([row("gamma-once", 256, lambda c: c.gamma.n, "gamma"),
                       row("gamma-again", 6, lambda c: c.gamma.is_regular(), "gamma"),
                       row("quotient", (4, 4),
-                          lambda c: permgroups.is_complete_bipartite(c.quotient[0]), "quotient"),
+                          lambda c: permgroups.is_complete_bipartite(c.cover.quotient), "cover"),
+                      row("x-cosets", 64, lambda c: c.info.n_x, "info"),
                       row("sigma", 128, lambda c: c.sigma.n, "sigma")], ctx)
-    assert [c.status for c in rep] == ["pass"] * 4
-    assert calls == {"cayley_graph": 1, "sigma_graph": 1}
-    # Γ and S go after their last reader; the labels and the coset
-    # bookkeeping go after the quotient, the last object that reads them,
-    # while Σ stays for its row
-    assert held == [[], ["S", "gamma"], [], ["coset_graph", "sigma"]]
+    assert [c.status for c in rep] == ["pass"] * 5
+    # Γ, Σ, and the coset graph of G/G' that the cover builds, once each
+    assert calls == {("cayley_graph", "TensorGroup"): 1, ("sigma_graph", "TensorGroup"): 1,
+                     ("sigma_graph", "Elementary"): 1}
+    # Γ and S go after their last reader, and G, G' and the cover after the
+    # quotient; the coset bookkeeping goes after its row, while the coset
+    # graph stays for Σ's
+    assert held == [[], ["S", "gamma"], [], [], ["coset_graph"]]
     assert ctx == {}
 
 
@@ -139,7 +143,9 @@ def test_the_certified_order_of_gamma_builds_no_gamma():
 def n3():
     """The inputs of the graph passes at n = 3, built once."""
     ctx = claims.Context(groups.TensorGroup(3))
-    return dict({name: getattr(ctx, name) for name in ("S", "gamma", "sigma", "labels")}, G=ctx.group)
+    objects = {name: getattr(ctx, name) for name in ("S", "gamma", "sigma", "info", "derived")}
+    objects["labels"] = cover_oracle.derived_orbit_partition(ctx.group, ctx.sigma, ctx.info)
+    return dict(objects, G=ctx.group)
 
 
 def _cayley_row(o):
@@ -150,7 +156,8 @@ def _cayley_row(o):
 
 
 PASSES = {
-    "normal_quotient": lambda o: graphs.normal_quotient(o["sigma"], o["labels"]),
+    "normal_quotient": lambda o: cover_oracle.normal_quotient(o["sigma"], o["labels"]),
+    "central_quotient": lambda o: permgroups.central_quotient(o["G"], o["derived"]),
     "cayley-transitivity": _cayley_row,
     "center": lambda o: groups.center(o["G"]),
 }
@@ -208,3 +215,83 @@ def test_edgelist_holds_at_most_half_again_its_length_at_n3(n3):
     finally:
         tracemalloc.stop()
     assert peak - held <= 1.5 * len(text), f"{peak - held} bytes beyond {len(text)}"
+
+
+def test_center_holds_one_mask_beyond_its_output():
+    """The centre marks each block's central codes in one mask over G and
+    lists them once: on C_2^20, all 2^20 codes central, it holds at most
+    G.order bytes and two blocks beyond its 8 MB output (8.5 MB beyond it
+    on ten factors D_4, the same group, when it joined a list of blocks).
+    ``Elementary(10)`` multiplies by one XOR: 0.1 s traced, where the
+    dihedral product's ten factors take 30 s."""
+    G = groups.Elementary(10)
+    tracemalloc.start()
+    try:
+        out = groups.center(G)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == G.order
+    assert peak - held <= G.order + 2 * groups.CHUNK * 8, f"{peak - held} bytes beyond the output"
+
+
+COVER_ROWS = ("quotient-complete-bipartite", "quotient-preserves-valency",
+              "derived-action-semiregular", "edge-affine-witness")
+
+
+def _cover_rows(G, derived=None):
+    """The four rows read from G/G', with G' planted when given."""
+    ctx = claims.Context(G)
+    if derived is not None:
+        ctx.update(derived=groups.sorted_codes(derived))
+    return {c.id: c for c in claims.run([r for r in claims.GRAPHS if r[0] in COVER_ROWS], ctx)}
+
+
+def test_the_cover_rows_build_no_sigma():
+    """The quotient, its valency, the semiregularity of G' and the
+    edge-affine witness are read from G/G': none of the four rows needs
+    Σ or the actions on it."""
+    for row in (r for r in claims.GRAPHS if r[0] in COVER_ROWS):
+        assert not {"coset_graph", "sigma", "info", "sigma_gens"} & set(claims.needs_of(row[3]))
+
+
+def test_a_lift_that_mixes_the_sides_fails_the_witness(monkeypatch):
+    """A first lift that sends x_0 to y_0 but keeps x_1 maps X onto no coset
+    of X G'/G' or Y G'/G': the witness row fails, the other three pass."""
+    lifts = permgroups.stabilizer_lift_images
+
+    def mixing(G, codes=None):
+        yield G.word_images([G.y_gens[0], *G.x_gens[1:]], [G.x_gens[0], *G.y_gens[1:]], codes)
+        yield from lifts(G, codes)
+
+    monkeypatch.setattr(permgroups, "stabilizer_lift_images", mixing)
+    rows = _cover_rows(groups.TensorGroup(2))
+    assert [i for i, c in rows.items() if c.status != claims.PASS] == ["edge-affine-witness"]
+    assert rows["edge-affine-witness"].computed == \
+        "error: ValueError: image of X or Y lies within no single coset"
+
+
+def test_a_subgroup_that_meets_x_fails_the_semiregular_row():
+    """N = <x_0> in D_4 x D_4 is central but meets X: it is not semiregular
+    on the X-cosets, and x_0 falls into N, so the generators' images have
+    rank 3 in G/N and the rows that read the quotient fail too."""
+    G = groups.DihedralProduct(2, 2)
+    rows = _cover_rows(G, [G.identity, G.x_gens[0]])
+    assert rows["derived-action-semiregular"].computed is False
+    assert rows["quotient-complete-bipartite"].computed == \
+        "error: ValueError: the generators have rank < 4 in G/N"
+    assert all(c.status == claims.FAIL for c in rows.values())
+
+
+def test_generators_of_rank_below_2n_fail_the_quotient_rows():
+    """N = <x_0 y_0> in D_4 x D_4 is central and meets X and Y in 1 alone,
+    so the semiregular row passes; but x_0 and y_0 share a coset of N, so
+    the rows that read G/N fail.  The tensor group's own G' passes all
+    four."""
+    G = groups.DihedralProduct(2, 2)
+    rows = _cover_rows(G, [G.identity, int(G.mul_vec(G.x_gens[0], G.y_gens[0]))])
+    assert rows["derived-action-semiregular"].status == claims.PASS
+    for cid in COVER_ROWS[:2]:
+        assert rows[cid].computed == "error: ValueError: the generators have rank < 4 in G/N"
+    assert rows["edge-affine-witness"].status == claims.FAIL
+    assert {c.status for c in _cover_rows(groups.TensorGroup(2)).values()} == {claims.PASS}

@@ -16,7 +16,8 @@ import pytest
 
 import mdg
 from graph_io import from_graph6
-from mdg import claims, cli, graphs, permgroups
+from group_oracle import complete_bipartite
+from mdg import claims, cli, graphs, groups, permgroups
 
 
 REPORT_SCHEMA = {
@@ -322,37 +323,34 @@ def test_the_gamma_order_needs_whitneys_premises(monkeypatch, plant, why):
 
 
 def test_a_failing_builder_is_a_failed_claim(monkeypatch):
-    """A coset action that swaps two vertices makes the derived-orbit
-    labels' builder raise: the rows that read them, and the one that reads
-    the coset-graph actions, fail with the error as their computed value;
-    every other claim still runs and passes, with exit 1 and no traceback.
-    The failed build is not retried: the probes are listed once for the
-    labels and once for the actions."""
-    act, probes, calls = permgroups.coset_action, permgroups.coset_probes, []
+    """A derived subgroup that also holds x_0 makes the builder of G/G'
+    raise, as x_0 falls into it: the three rows that read the quotient fail
+    with the error as their computed value, and the semiregular row, which
+    reads G' itself, fails as x_0 is not central; every other claim still
+    runs and passes, with exit 1 and no traceback.  The failed build is not
+    retried."""
+    derived, build, calls = groups.derived_subgroup, permgroups.central_quotient, []
 
-    def with_a_swap(info, images):
-        p = act(info, images).copy()
-        p[[0, 1]] = p[[1, 0]]
-        return p
+    def with_x0(G):
+        return groups.closure_array(G, [*derived(G).tolist(), G.x_gens[0]])
 
-    monkeypatch.setattr(permgroups, "coset_action", with_a_swap)
-    monkeypatch.setattr(permgroups, "coset_probes", lambda info: calls.append(1) or probes(info))
+    monkeypatch.setattr(groups, "derived_subgroup", with_x0)
+    monkeypatch.setattr(permgroups, "central_quotient", lambda *a: calls.append(1) or build(*a))
     r = run("verify", "graphs", "-n", "2", "--json")
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
     assert "Traceback" not in r.output
     by_id = {c["id"]: c for c in json.loads(r.output)["claims"]}
     golden = json.loads((GOLDEN / "verify-graphs-n2.json").read_text())
     assert list(by_id) == [c["id"] for c in golden["claims"]]
-    orbit_rows = ["quotient-complete-bipartite", "quotient-preserves-valency",
-                  "derived-action-semiregular", "edge-affine-witness"]
+    cover_rows = ["quotient-complete-bipartite", "quotient-preserves-valency",
+                  "edge-affine-witness"]
     assert [i for i, c in by_id.items() if c["status"] != "pass"] == \
-        orbit_rows + ["coset-graph-2-arc-transitive"]
-    for cid in orbit_rows:
+        cover_rows[:2] + ["derived-action-semiregular", "edge-affine-witness"]
+    for cid in cover_rows:
         assert by_id[cid]["status"] == "fail"
-        assert by_id[cid]["computed"] == ("error: ValueError: derived right multiplication "
-                                          "is not a coset-graph automorphism")
-    assert by_id["coset-graph-2-arc-transitive"]["computed"].startswith("error: ValueError: ")
+        assert by_id[cid]["computed"] == "error: ValueError: the generators have rank < 4 in G/N"
+    assert by_id["derived-action-semiregular"]["computed"] is False
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -410,6 +408,33 @@ def test_commands_leave_numpy_ma_unimported(args):
     if at_import == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert after == "False"
+
+
+EVERY_COMMAND = (
+    [["verify", suite, "-n", str(n)] for suite in ("group", "graphs") for n in range(2, 8)]
+    + [["aut", "-n", str(n)] for n in range(2, 8)]
+    + [["aut", "-n", str(n), "--target", "sigma", "--full-search"] for n in (2, 3)]
+    + [["diagram", "-n", str(n)] for n in (2, 3)]
+    + [["export", "-n", str(n), "--target", t, "--format", f] for n in (2, 3)
+       for t in ("gamma", "sigma", "kbip") for f in ("graph6", "edgelist")])
+
+
+def test_no_command_imports_numpy_ma():
+    """Every command at every n, one after another in one fresh interpreter,
+    leaves numpy.ma unimported: the set and subgroup tests search sorted
+    arrays or pass assume_unique, at n >= 5 too, where np.isin sorts
+    instead of tabling (about 4 s)."""
+    check = "import json, sys; from mdg.cli import main\n" \
+            "if 'numpy.ma' in sys.modules: sys.exit(77)\n" \
+            "for args in json.loads(sys.argv[1]):\n" \
+            "    main(args, standalone_mode=False)\n" \
+            "    if 'numpy.ma' in sys.modules: sys.exit(f'numpy.ma after {args}')\n"
+    r = subprocess.run([sys.executable, "-c", check, json.dumps(EVERY_COMMAND)],
+                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                       timeout=120, env=fresh_env())
+    if r.returncode == 77:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert r.returncode == 0, r.stderr
 
 
 # argparse is 2,600 lines to compile when no byte code is cached, and its
@@ -470,8 +495,11 @@ def test_a_write_error_is_one_line_on_stderr(args, to_stdout):
 
 
 @pytest.mark.parametrize("args", [["verify", "group", "-n", "2", "--json"],
-                                  ["export", "-n", "2", "--target", "sigma", "--format", "graph6"]],
-                         ids=["verify-group", "export-sigma-graph6"])
+                                  ["export", "-n", "2", "--target", "sigma", "--format", "graph6"],
+                                  ["verify", "graphs", "-n", "2", "--json"],
+                                  ["aut", "-n", "2", "--target", "sigma", "--full-search", "--json"]],
+                         ids=["verify-group", "export-sigma-graph6", "verify-graphs",
+                              "aut-sigma-full-search"])
 def test_the_benchmark_tracer_runs_the_cli(args, tmp_path):
     """perfbench's traced child wraps mdg's public functions and counts the
     f2 helpers it names, then runs ``cli.main(args, standalone_mode=False)``;
@@ -590,26 +618,32 @@ def test_aut_above_the_enumeration_budget_skips(n):
     assert by_id["generated-order"]["computed"] == 2 ** (k * k + 2 * k) * gl ** 2 * 2
 
 
+# the rows that read |G| or G', and pass at n = 4 where G fits the budget
+N4_ROWS = ("edge-color-counts", "quotient-complete-bipartite", "quotient-preserves-valency",
+           "derived-action-semiregular", "edge-affine-witness")
+
+
 @pytest.mark.parametrize("n", ["4", "5", "7"])
 def test_verify_graphs_above_n3_skips_every_claim(n):
     """Above n = 3, Γ and Σ hold more than 2^24 entries: every claim of
     n = 3 is reported, in the same order.  The three rows that read only
-    the neighbourhood of 1 pass, and so does ``edge-color-counts``, which
-    also reads |G|, at n = 4; every other claim is skipped with the object
-    it needs and that object's size.  The run exits 0."""
+    the neighbourhood of 1 pass, and so do ``edge-color-counts``, which
+    also reads |G|, and the four rows read from G/G', at n = 4; every other
+    claim is skipped with the object it needs and that object's size.  The
+    run exits 0."""
     r = run_fresh("verify", "graphs", "-n", n, "--json")
     assert r.returncode == 0, r.stderr
     reported = json.loads(r.stdout)["claims"]
     golden = json.loads((GOLDEN / "verify-graphs-n3.json").read_text())
     assert [c["id"] for c in reported] == [c["id"] for c in golden["claims"]]
     passing = {"clique-graph-is-coset-graph", "line-graph-is-cayley-graph",
-               "triangles-monochromatic", *(["edge-color-counts"] if n == "4" else [])}
+               "triangles-monochromatic", *(N4_ROWS if n == "4" else [])}
     assert {c["id"] for c in reported if c["status"] == "pass"} == passing
     for c in (c for c in reported if c["id"] not in passing):
         assert c["status"] == "skipped", c
         assert re.fullmatch(r"budget exceeded: needs .+\(%s\): [\d,]+ entries > 16,777,216" % n,
                             c["computed"]), c
-        if c["id"] == "edge-color-counts":  # |G| is counted on a mask over G
+        if c["id"] in N4_ROWS:  # |G| is counted on a mask over G, and G' listed
             assert c["computed"].startswith(f"budget exceeded: needs G({n}): ")
     # the text report is ASCII, so a stream of any encoding can print it
     text = subprocess.run([sys.executable, "-m", "mdg.cli", "verify", "graphs", "-n", n],
@@ -731,7 +765,7 @@ def test_export_graph6_sigma_roundtrip():
 def test_export_graph6_kbip():
     r = run("export", "-n", "2", "--target", "kbip", "--format", "graph6")
     assert r.exit_code == 0
-    assert from_graph6(r.output.strip()) == graphs.complete_bipartite(4, 4)
+    assert from_graph6(r.output.strip()) == complete_bipartite(4, 4)
 
 
 def test_export_to_file(tmp_path, monkeypatch):

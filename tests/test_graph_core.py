@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cover_oracle
 import perm_oracle
-from group_oracle import TableGroup, cayley_graph_from_pairs, line_graph, sigma_graph_from_pairs
+from group_oracle import (TableGroup, cayley_graph_from_pairs, complete_bipartite, line_graph,
+                          sigma_graph_from_pairs)
 from mdg import autsearch, claims, cli, graphs, groups, permgroups
 
 try:
@@ -105,7 +107,7 @@ def _check_line_graph(graph):
 
 
 @needs_networkx
-@pytest.mark.parametrize("graph", [GAMMA2, SIGMA2, graphs.complete_bipartite(3, 5)],
+@pytest.mark.parametrize("graph", [GAMMA2, SIGMA2, complete_bipartite(3, 5)],
                          ids=["gamma2", "sigma2", "k35"])
 def test_line_graph_matches_networkx(graph):
     _check_line_graph(graph)
@@ -195,6 +197,58 @@ def test_edge_colour_counts_match_the_edge_differences(built):
     assert computed["edge-color-counts"] == (np.count_nonzero(in_x), np.count_nonzero(in_y))
 
 
+# -- the rows read from G/G', against Σ as built ------------------------------
+
+COVER_ROWS = ("quotient-complete-bipartite", "quotient-preserves-valency",
+              "derived-action-semiregular", "edge-affine-witness")
+
+
+def _numbering(pushed, local) -> np.ndarray:
+    """The numbering of the vertices that carries the action of each of
+    ``pushed`` to that of the same member of ``local``, grown from vertex 0
+    along the generators; it is checked by the caller."""
+    number = np.full(len(pushed[0]), -1)
+    number[0], todo = 0, [0]
+    while todo:
+        v = todo.pop()
+        for a, b in zip(pushed, local):
+            if number[a[v]] < 0:
+                number[a[v]] = b[number[v]]
+                todo.append(int(a[v]))
+    return number
+
+
+def test_the_cover_rows_match_sigma_as_built(built):
+    """Each row read from G/G' has the value its whole-Σ kernel gives
+    (``cover_oracle``): the quotient of Σ by the G'-orbits, its valency, the
+    orbit sizes and the witness on the actions pushed down from Σ.  The
+    actions read from the probes are those pushed down, under one numbering
+    of K(2^n, 2^n) that also carries the one quotient's edges to the
+    other's (0.2 s at n = 3)."""
+    G, gamma, sigma, info, _ = built
+    ctx = claims.Context(G)
+    computed = {c.id: c.computed for c in claims.run(
+        [r for r in claims.GRAPHS if r[0] in COVER_ROWS], ctx)}
+    labels, quotient, preserved = cover_oracle.sigma_quotient(G, sigma, info)
+    sigma_gens = permgroups.action_gens(G, info)
+    sizes = np.bincount(labels)[labels]
+    assert computed == {
+        "quotient-complete-bipartite": permgroups.is_complete_bipartite(quotient),
+        "quotient-preserves-valency": preserved,
+        "derived-action-semiregular": bool(np.all(sizes == 1 << (G.n ** 2))),
+        "edge-affine-witness": cover_oracle.edge_affine_ok(G, labels, quotient, sigma_gens)}
+    assert set(computed.values()) == {(1 << G.n, 1 << G.n), True}
+    cover = permgroups.central_quotient(G, groups.derived_subgroup(G))
+    local = ([cover.action(G.mul_vec(cover.probes, g)) for g in G.gens]
+             + list(map(cover.action, permgroups.stabilizer_lift_images(G, cover.probes))))
+    pushed = [cover_oracle.quotient_perm(labels, p) for p in sigma_gens]
+    number = _numbering(pushed, local)
+    assert sorted(number.tolist()) == list(range(quotient.n))
+    for a, b in zip(pushed, local):
+        assert np.array_equal(number[a], b[number])
+    assert graphs.Graph(quotient.n, number[quotient.edge_array()]) == cover.quotient
+
+
 def scalar_cayley_edges(G, S):
     return sorted({tuple(sorted((g, int(G.mul_vec(s, g))))) for g in range(G.order) for s in S})
 
@@ -229,11 +283,11 @@ def test_bfs_layers_match_networkx():
 
 
 def test_normal_quotient_matches_a_scalar_quotient():
-    labels = claims.derived_orbit_partition(G2, SIGMA2, INFO2)
-    quotient, preserved = graphs.normal_quotient(SIGMA2, labels)
+    labels = cover_oracle.derived_orbit_partition(G2, SIGMA2, INFO2)
+    quotient, preserved = cover_oracle.normal_quotient(SIGMA2, labels)
     part = perm_oracle.orbits(
         [perm_oracle.induced_sigma_perm(INFO2, perm_oracle.right_mult_perm(G2, d))
-         for d in claims.derived_basis(G2)], SIGMA2.n)
+         for d in cover_oracle.derived_basis(G2)], SIGMA2.n)
     assert labels.tolist() == [next(c[0] for c in part if v in c) for v in range(SIGMA2.n)]
     cell = {v: i for i, c in enumerate(part) for v in c}
     expect = sorted({(min(cell[u], cell[v]), max(cell[u], cell[v]))
@@ -255,9 +309,9 @@ BAD_LABELS = {
 
 @pytest.mark.parametrize("bad", sorted(BAD_LABELS))
 def test_normal_quotient_rejects_malformed_labels(bad):
-    labels = BAD_LABELS[bad](claims.derived_orbit_partition(G2, SIGMA2, INFO2))
+    labels = BAD_LABELS[bad](cover_oracle.derived_orbit_partition(G2, SIGMA2, INFO2))
     with pytest.raises(ValueError):
-        graphs.normal_quotient(SIGMA2, labels)
+        cover_oracle.normal_quotient(SIGMA2, labels)
 
 
 def scalar_clique_graph_edges(cliques):
@@ -437,7 +491,7 @@ def test_normal_quotient_matches_a_scalar_quotient_for_every_block_size(graph, r
     number = {r: i for i, r in enumerate(sorted(least.values()))}
     expect = sorted({tuple(sorted((number[labels[u]], number[labels[v]])))
                      for u, v in graph.edge_array().tolist() if labels[u] != labels[v]})
-    quotient, preserved = over_chunks(lambda: graphs.normal_quotient(graph, labels))
+    quotient, preserved = over_chunks(lambda: cover_oracle.normal_quotient(graph, labels))
     assert quotient == ("graph", len(number), [list(e) for e in expect])
     k = graph.is_regular()
     assert preserved == (k is not None and graphs.Graph(len(number), expect).is_regular() == k)

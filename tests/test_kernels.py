@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cover_oracle
 from group_oracle import mat_transpose
 from perm_oracle import (automorphism_group, induced_sigma_perm, partition_from_cells,
                          right_mult_perm)
@@ -287,7 +288,7 @@ def test_coset_action_matches_the_induced_permutation(n):
     sigma, info = graphs.sigma_graph(G)
     probes = pg.coset_probes(info)
     assert probes.dtype == np.int64 and len(probes) == sigma.n + 2 * (1 << n)
-    for g in G.gens + claims.derived_basis(G):
+    for g in G.gens + cover_oracle.derived_basis(G):
         got = pg.coset_action(info, G.mul_vec(probes, g))
         assert got.dtype == np.int32
         assert np.array_equal(got, induced_sigma_perm(info, right_mult_perm(G, g)))
@@ -367,6 +368,10 @@ def test_refine_matches_reference_on_random_graphs(case):
             deeper = autsearch.refine(graph, start)
             check_arrays(deeper, graph.n)
             assert cells_of(deeper) == reference_refine(graph, cells_of(start))
+            # the recorded singleton only narrows the first pass
+            assert start.singleton == u
+            assert cells_of(autsearch.refine(graph, Partition(start.order, start.starts))) == \
+                cells_of(deeper)
 
 
 @given(st.integers(min_value=20, max_value=50), st.randoms(use_true_random=False))
@@ -409,6 +414,20 @@ def test_refine_matches_reference_along_individualisation(target):
         part = autsearch.refine(graph, part.individualize(members[0]))
         steps += 1
     assert steps > 0
+
+
+@pytest.mark.parametrize("target", ["sigma", "gamma"])
+def test_the_recorded_singleton_gives_the_same_refinement_at_n3(target):
+    """Along the certification's own sequence on Σ(3) and Γ(3), refining
+    from the cells next to the new singleton orders every cell as refining
+    from every cell does."""
+    graph = getattr(claims.Context(groups.TensorGroup(3)), target)
+    part = autsearch.refine(graph, Partition.unit(graph.n))
+    while (split := part.first_split()) is not None:
+        start = part.individualize(int(part.members(split)[0]))
+        part = autsearch.refine(graph, start)
+        full = autsearch.refine(graph, Partition(start.order, start.starts))
+        assert np.array_equal(part.order, full.order) and np.array_equal(part.starts, full.starts)
 
 
 STAR = graphs.Graph(9, [(0, v) for v in range(1, 9)])

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cover_oracle
 import perm_oracle
+from group_oracle import complete_bipartite
 from mdg import claims, cli, f2, graphs, groups, permgroups as pg
 
 try:
@@ -276,7 +278,7 @@ def test_distance_diagram_gamma2():
 
 
 def test_distance_diagram_k44():
-    k44 = graphs.complete_bipartite(4, 4)
+    k44 = complete_bipartite(4, 4)
     stab = [pg.as_perm([0, 2, 3, 1, 4, 5, 6, 7]), pg.as_perm([0, 2, 1, 3, 4, 5, 6, 7]),
             pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([0, 1, 2, 3, 5, 4, 6, 7])]
     diag = pg.distance_diagram(k44, stab)
@@ -297,7 +299,7 @@ def test_transitivity_gamma2():
 
 
 def test_transitivity_k44():
-    k44 = graphs.complete_bipartite(4, 4)
+    k44 = complete_bipartite(4, 4)
     gens = [pg.as_perm([1, 2, 3, 0, 4, 5, 6, 7]), pg.as_perm([1, 0, 2, 3, 4, 5, 6, 7]),
             pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([4, 5, 6, 7, 0, 1, 2, 3])]
     stab = [pg.as_perm([0, 2, 3, 1, 4, 5, 6, 7]), pg.as_perm([0, 2, 1, 3, 4, 5, 6, 7]),
@@ -447,7 +449,7 @@ def test_induced_sigma_perm_rejects_non_coset_map():
 
 
 def test_bipartition_helpers():
-    assert pg.is_complete_bipartite(graphs.complete_bipartite(4, 4)) == (4, 4)
+    assert pg.is_complete_bipartite(complete_bipartite(4, 4)) == (4, 4)
     c6 = graphs.Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     assert pg.is_complete_bipartite(c6) is None
     c5 = graphs.Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -455,9 +457,8 @@ def test_bipartition_helpers():
 
 
 def test_edge_affine_witness_positive():
-    labels = claims.derived_orbit_partition(G2, SIGMA2, INFO2)
-    quotient, _ = graphs.normal_quotient(SIGMA2, labels)
-    assert claims._edge_affine_ok(G2, labels, quotient, SIGMA_GENS2)
+    labels, quotient, _ = cover_oracle.sigma_quotient(G2, SIGMA2, INFO2)
+    assert cover_oracle.edge_affine_ok(G2, labels, quotient, SIGMA_GENS2)
 
 
 def test_sigma_right_multiplications_fixing_the_base_join_the_stabilizer():
@@ -471,7 +472,7 @@ def test_sigma_right_multiplications_fixing_the_base_join_the_stabilizer():
 
 
 def test_edge_affine_witness_refutations():
-    k44 = graphs.complete_bipartite(4, 4)
+    k44 = complete_bipartite(4, 4)
     wreath = [pg.as_perm([1, 2, 3, 0, 4, 5, 6, 7]), pg.as_perm([1, 0, 2, 3, 4, 5, 6, 7]),
               pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([0, 1, 2, 3, 5, 4, 6, 7]),
               pg.as_perm([4, 5, 6, 7, 0, 1, 2, 3])]
@@ -487,9 +488,9 @@ def test_edge_affine_witness_refutations():
 
 def test_quotient_perm_rejects_non_invariant():
     labels = np.array([0, 0, 2, 2])
-    assert pg.quotient_perm(labels, pg.as_perm([3, 2, 1, 0])).tolist() == [1, 0]
+    assert cover_oracle.quotient_perm(labels, pg.as_perm([3, 2, 1, 0])).tolist() == [1, 0]
     with pytest.raises(ValueError):
-        pg.quotient_perm(labels, pg.as_perm([0, 2, 1, 3]))
+        cover_oracle.quotient_perm(labels, pg.as_perm([0, 2, 1, 3]))
 
 
 @pytest.mark.parametrize("labels", [[0, 0, 2], [0, 0, 2, 2, 4], [0, 0, 2, 4], [0, 0, 2, -1],
@@ -498,7 +499,7 @@ def test_quotient_perm_rejects_non_invariant():
                               "not-a-root", "above-its-point", "not-integers"])
 def test_quotient_perm_rejects_malformed_labels(labels):
     with pytest.raises(ValueError):
-        pg.quotient_perm(np.array(labels), pg.as_perm([1, 0, 3, 2]))
+        cover_oracle.quotient_perm(np.array(labels), pg.as_perm([1, 0, 3, 2]))
 
 
 def test_line_graph_as_cayley_roundtrip():
@@ -678,7 +679,7 @@ def _kmm_translations(m):
 @given(st.sampled_from([2, 4]), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_edge_affine_witness_matches_the_closure_oracle(m, rnd):
-    kmm = graphs.complete_bipartite(m, m)
+    kmm = complete_bipartite(m, m)
     h = _kmm_automorphisms(m, rnd, 1)[0]
     conj = lambda p: pg.compose(pg.compose(pg.inverse(h), p), h)
     kind = rnd.choice(["random", "pairs", "witness", "drop", "replace"])
@@ -697,7 +698,7 @@ def test_edge_affine_witness_matches_the_closure_oracle(m, rnd):
     assert (w.ok, w.subgroup_order) == perm_oracle.edge_affine_witness(kmm, candidate + extra, candidate)
 
 
-K22, K44 = graphs.complete_bipartite(2, 2), graphs.complete_bipartite(4, 4)
+K22, K44 = complete_bipartite(2, 2), complete_bipartite(4, 4)
 WREATH44 = [cycles(8, [0, 1, 2, 3]), cycles(8, [0, 1]), cycles(8, [4, 5, 6, 7]), cycles(8, [4, 5]),
             cycles(8, [0, 4], [1, 5], [2, 6], [3, 7])]
 PAIRS44 = [cycles(8, [0, 1]), cycles(8, [2, 3]), cycles(8, [4, 5]), cycles(8, [6, 7])]
@@ -717,7 +718,7 @@ D16 = [ring_reflection(0), ring_reflection(1)]
 
 
 WITNESS_FAILURES = [
-    (graphs.complete_bipartite(2, 3), [], [], "not a balanced complete bipartite"),
+    (complete_bipartite(2, 3), [], [], "not a balanced complete bipartite"),
     (graphs.Graph(4, [(0, 1), (1, 2), (2, 3)]), [], [], "not a balanced complete bipartite"),
     (K22, [cycles(4, [1, 2]), cycles(4, [0, 3])], [cycles(4, [1, 2]), cycles(4, [0, 3])],
      "not an automorphism"),
@@ -750,4 +751,4 @@ def test_edge_affine_witness_rejects_non_automorphisms():
 def test_quotient_perm_rejects_a_permutation_of_the_first_members_only():
     # the first members 0 and 2 stay in distinct cells, but 1 joins 2's cell
     with pytest.raises(ValueError, match="partition"):
-        pg.quotient_perm(np.array([0, 0, 2, 2]), pg.as_perm([1, 2, 3, 0]))
+        cover_oracle.quotient_perm(np.array([0, 0, 2, 2]), pg.as_perm([1, 2, 3, 0]))
