@@ -242,8 +242,7 @@ GRAPHS = (
     ("cayley-transitivity", GAMMA_EXPECTED_FLAGS, lambda c: permgroups.cayley_transitivity(
         c.group, c.S, c.gamma, c.generated, stabilizer_certified=(c.group.n == 2)).flags(),
      "gamma S generated"),
-    ("coset-graph-2-arc-transitive", True, lambda c: permgroups.transitivity_report(
-        c.sigma, c.sigma_gens).two_arc, "sigma sigma_gens"),
+    ("coset-graph-2-arc-transitive", True, lambda c: permgroups.local_two_arc(c.group, c.S), "S"),
     ("distance-layers", lambda G: [1, 6, 18, 54, 117, 54, 6] if G.n == 2 else None,
      lambda c: graphs.bfs_layers(c.gamma, 0)[1], "gamma"),
     ("distance-diagram-reference", lambda G: (True, "ok") if G.n == 2 else None,

@@ -114,7 +114,7 @@ class Graph:
 
 def _index_dtype(limit: int, types=(np.int16, np.int32)):
     """The narrowest of ``types``, else int64, that holds range(limit):
-    the type of every stored array of vertex ids, cosets or slots."""
+    the type of every stored array of vertex ids or cosets."""
     return next((t for t in types if limit <= np.iinfo(t).max + 1), np.int64)
 
 
@@ -138,40 +138,6 @@ def _forward_arcs(graph: Graph, per_arc: int = 4):
         heads = graph.indices[ptr[lo]:ptr[hi]]
         fwd = np.flatnonzero(tails < heads)
         yield ptr[lo] + fwd, tails[fwd], heads[fwd]
-
-
-def _find_arcs(graph: Graph, tails, heads) -> np.ndarray:
-    """Slot of each arc tails[i] -> heads[i], or -1 where there is none, in
-    the type of ``indptr``: one binary search in every tail's sorted row at
-    once, a block of queries at a time at a weight of eight (about four
-    temporaries each)."""
-    ptr, nb = graph.indptr, graph.indices
-    out = np.full(np.shape(tails), -1, dtype=ptr.dtype)
-    for a, b in groups._blocks(len(tails) if len(nb) else 0, 8):
-        t, h = tails[a:b], heads[a:b]
-        lo, hi = ptr[t], ptr[1:][t]  # not t + 1, which may wrap
-        size = hi - lo  # the first entry >= h lies in lo .. lo + size
-        for _ in range(int(size.max(initial=0)).bit_length()):
-            half = size >> 1
-            mid = lo + half
-            np.copyto(lo, mid, where=nb.take(mid, mode="clip") < h)
-            size -= half
-        lo += (size > 0) & (nb.take(lo, mode="clip") < h)
-        hit = (lo < hi) & (nb.take(lo, mode="clip") == h)
-        out[a:b][hit] = lo[hit]
-    return out
-
-
-def _slot_edges(graph: Graph) -> np.ndarray:
-    """Row in edge_array() of the edge behind every CSR slot: the forward
-    arcs number their edges in slot order, and each reverse arc takes the
-    number of its forward arc."""
-    out = np.empty(len(graph.indices), dtype=_index_dtype(graph.edge_count()))
-    done = 0
-    for slots, tails, heads in _forward_arcs(graph, 6):
-        out[slots] = out[_find_arcs(graph, heads, tails)] = np.arange(done, done + len(slots))
-        done += len(slots)
-    return out
 
 
 def _codes(a) -> np.ndarray:

@@ -2,14 +2,14 @@
 
 Permutations are numpy int32 arrays mapping vertex -> image, even where a
 graph stores its vertex ids in int16 (``graphs._index_dtype``), each checked
-once by ``as_perm`` where it is made or enters; an edge is found by
-``graphs._find_arcs`` and numbered by ``graphs._slot_edges``, as the row of
-``edge_array()``.  PermGroup keeps a base and strong generating set computed
-by a deterministic, randomisation-free Schreier-Sims: each base point is the
-least point its level's generators move, and each level stores a transversal
-element and its inverse for every orbit point, as rows of int32 arrays, since
-its callers' degrees are small (the 2(2^n - 1) points of the connection set
-for ``generated_order``, the 2^(n+1) vertices of the edge-affine quotient).
+once by ``as_perm`` where it is made or enters; an edge u < w is its int64
+key u * n + w among the sorted keys of ``edge_array()``.  PermGroup keeps a
+base and strong generating set computed by a deterministic,
+randomisation-free Schreier-Sims: each base point is the least point its
+level's generators move, and each level stores a transversal element and its
+inverse for every orbit point, as rows of int32 arrays, since its callers'
+degrees are small (the 2(2^n - 1) points of the connection set for
+``generated_order``, the 2^(n+1) vertices of the edge-affine quotient).
 """
 
 import math
@@ -193,9 +193,12 @@ def are_automorphisms(graph: graphs.Graph, perms) -> bool:
         return all(np.array_equal(np.sort(p[nbr[lo:hi]], axis=1), nbr[p[lo:hi]])
                    for p in perms for lo, hi in groups._blocks(graph.n, k))
     # p maps the edge set one-to-one, so it is an automorphism iff every
-    # edge's image is an edge
-    u, w = graph.edge_array().T
-    return all(np.all(graphs._find_arcs(graph, p[u], p[w]) >= 0) for p in perms)
+    # edge's image is an edge: its key, widened before the product, is a key
+    u, w = graph.edge_array().T.astype(np.int64)
+    keys = u * graph.n + w  # ascending, as the rows of edge_array() are
+    return not len(keys) or all(groups.in_sorted(
+        np.minimum(p[u], p[w]).astype(np.int64) * graph.n + np.maximum(p[u], p[w]), keys).all()
+        for p in perms)
 
 
 # -- actions attached to the group backends --------------------------------
@@ -340,12 +343,14 @@ class TransitivityReport(namedtuple("TransitivityReport", "vertex edge arc two_a
                 **{f"{i}-distance": v for i, v in self.distance.items()}}
 
 
-def _edge_action(graph: graphs.Graph, perms) -> list[np.ndarray]:
-    """Each automorphism's action on the edges, as permutations of the rows
-    of ``edge_array()``."""
-    u, w = graph.edge_array().T
-    edges = graphs._slot_edges(graph)
-    return [edges[graphs._find_arcs(graph, p[u], p[w])] for p in perms]
+def _distinct_pair_orbits(local, k: int) -> list[tuple[int, int]]:
+    """One ordered pair (i, j), i != j, of points of range(k) in each orbit of
+    the permutations ``local`` on such pairs; pair (i, j) is named i * k + j,
+    in int32, and the diagonal i == j is a union of pair orbits."""
+    local = [q.astype(np.int32) for q in local if not is_identity(q)]
+    pairs = orbits([(q[:, None] * k + q).ravel() for q in local], k * k)
+    roots = np.flatnonzero(pairs == np.arange(k * k)).tolist()
+    return [(i, j) for i, j in (divmod(r, k) for r in roots) if i != j]
 
 
 def ball_of(graph: graphs.Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -362,35 +367,15 @@ def ball_report(graph, ball, dist, stab, vertex, stabilizer_certified=False) -> 
     hold for A, false ones if ``stab`` generates A_0 (``stabilizer_certified``).
     An empty set has no orbit; ``edge`` is ``arc``, exact if A reverses edges."""
     places = [np.searchsorted(ball, img) for img in stab]
-    # the stabilizer on the k neighbours of the base, and on the ordered
-    # neighbour pairs (i, j), named i * k + j
+    # the stabilizer on the neighbours of the base, and on their ordered pairs
     n1 = np.flatnonzero(dist == 1)
-    k = len(n1)
-    local = [np.searchsorted(n1, q[n1]) for q in places]
-    # the diagonal i == j is a union of pair orbits; one (i, j) per other orbit
-    pairs = orbits([(q[:, None] * k + q).ravel() for q in local], k * k)
-    roots = np.flatnonzero(pairs == np.arange(k * k)).tolist()
-    off = [(i, j) for i, j in (divmod(r, k) for r in roots) if i != j]
+    off = _distinct_pair_orbits([np.searchsorted(n1, q[n1]) for q in places], len(n1))
     geo = [(i, j) for i, j in off if not graph.has_edge(int(ball[n1[i]]), int(ball[n1[j]]))]
     # the distance of each stabilizer orbit's least member on the ball
     cells = dist[orbits(places, len(ball)) == np.arange(len(ball))]
     distance = {i: vertex and int(np.count_nonzero(cells == i)) == 1 for i in (1, 2, 3)}
     return TransitivityReport(vertex, distance[1], distance[1], vertex and len(off) == 1,
                               vertex and len(geo) == 1, distance, stabilizer_certified)
-
-
-def transitivity_report(graph, gens, stabilizer_certified=False) -> TransitivityReport:
-    """``ball_report`` of <gens>, permutations of all vertices checked once;
-    ``edge`` counts the edge orbits where <gens> is not arc-transitive."""
-    gens = [as_perm(g) for g in gens]
-    if not are_automorphisms(graph, gens):
-        raise ValueError("generator is not a graph automorphism")
-    ball, dist = ball_of(graph)
-    rep = ball_report(graph, ball, dist, [g[ball] for g in gens if int(g[0]) == 0],
-                      _orbit_count(gens, graph.n) == 1, stabilizer_certified)
-    if not rep.arc and graph.edge_count():
-        rep = rep._replace(edge=_orbit_count(_edge_action(graph, gens), graph.edge_count()) == 1)
-    return rep
 
 
 def cayley_transitivity(G, S, gamma, generated, stabilizer_certified=False) -> TransitivityReport:
@@ -423,6 +408,31 @@ def cayley_transitivity(G, S, gamma, generated, stabilizer_certified=False) -> T
         if not ok.all():
             raise ValueError("right multiplication is not an automorphism of the Cayley graph")
     return ball_report(gamma, ball, dist, lifts, generated == gamma.n, stabilizer_certified)
+
+
+def local_two_arc(G, S) -> bool:
+    """Whether A = <R(G), lifts> is 2-arc-transitive on Σ, read at the vertex
+    X = X·1 from G alone (README, the local action): each lift, checked by
+    ``checked_lifts`` on X u Y, must map X onto X and Y onto Y, or swap them,
+    and one must swap them, so A is vertex-transitive; then A_X acts on the
+    neighbours Y·x of X as on x in X, and its subgroup generated by R(X) and
+    the lifts that keep X must be transitive on the ordered pairs of distinct
+    points.  That subgroup may be smaller than A_X: only True is conclusive."""
+    X, Y = (groups.closure_array(G, gens) for gens in (G.x_gens, G.y_gens))
+    codes = groups.sorted_codes(np.concatenate([X, Y]))
+    if len(codes) != len(X) + len(Y) - 1:
+        raise ValueError("X and Y meet in more than 1")
+    on_x, on_y = np.searchsorted(codes, X), np.searchsorted(codes, Y)
+    local, swaps = [np.searchsorted(X, G.mul_vec(X, x)) for x in G.x_gens], False
+    for img in checked_lifts(G, S, codes, stabilizer_lift_images(G, codes)):
+        to_x, to_y = np.sort(img[on_x]), np.sort(img[on_y])
+        if np.array_equal(to_x, X) and np.array_equal(to_y, Y):
+            local.append(np.searchsorted(X, img[on_x]))
+        elif np.array_equal(to_x, Y) and np.array_equal(to_y, X):
+            swaps = True
+        else:
+            raise ValueError("lift maps X onto neither X nor Y")
+    return swaps and len(_distinct_pair_orbits(local, len(X))) == 1
 
 
 # -- induced actions and witnesses ----------------------------------------
@@ -548,6 +558,20 @@ def edge_affine_witness(quotient: graphs.Graph, group_gens, candidate_gens) -> E
     if _orbit_count(candidate_gens, quotient.n) < 2:
         return fail("subgroup is vertex-transitive")
     # of order m^2, so transitive on the m^2 edges iff regular on them
-    if _orbit_count(_edge_action(quotient, candidate_gens), m * m) != 1:
+    if _orbit_count(_biclique_edge_action(quotient, m, candidate_gens), m * m) != 1:
         return fail("subgroup is not regular on the edges")
     return EdgeAffineWitness(True, order)
+
+
+def _biclique_edge_action(graph: graphs.Graph, m: int, perms) -> list[np.ndarray]:
+    """Each automorphism's action on the edges of K(m, m), with B = N(0):
+    the edge {a, b}, a not in B and b in B, is numbered rank(a) * m + rank(b)
+    by the ranks on each side, and an image that swaps the sides is read in
+    the same order."""
+    in_b = np.zeros(graph.n, dtype=bool)
+    in_b[graph.neighbors(0)] = True
+    rank = np.empty(graph.n, dtype=np.int64)
+    rank[~in_b] = rank[in_b] = np.arange(m)
+    a, b = np.repeat(np.flatnonzero(~in_b), m), np.tile(np.flatnonzero(in_b), m)
+    return [np.where(in_b[p[a]], rank[p[b]] * m + rank[p[a]], rank[p[a]] * m + rank[p[b]])
+            for p in perms]

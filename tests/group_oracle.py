@@ -11,7 +11,7 @@ from their edge lists through the general ``graphs.Graph``, the oracles
 for the builders that write the CSR rows directly.  ``complete_bipartite``
 lists the edges of K(m, n), which ``export --target kbip`` now builds as
 the coset graph of C_2^(2n).  ``line_graph`` builds
-a line graph from the edge numbers of ``graphs._slot_edges``.
+a line graph on the rows of ``edge_array()``.
 ``maximal_cliques`` enumerates the maximal cliques with Bron-Kerbosch."""
 
 import itertools
@@ -130,11 +130,13 @@ def complete_bipartite(m: int, n: int) -> graphs.Graph:
 def line_graph(graph: graphs.Graph) -> graphs.Graph:
     """Graph on the edges of ``graph`` (vertex i is row i of
     ``edge_array()``), adjacent iff they share an endpoint.  The adjacent
-    pairs are those of the edges met at each vertex: the edge indices of
-    one CSR row."""
-    edges, ptr = graphs._slot_edges(graph).tolist(), graph.indptr.tolist()
+    pairs are those of the edges met at each vertex."""
+    met = [[] for _ in range(graph.n)]
+    for i, (u, w) in enumerate(graph.edge_array().tolist()):
+        met[u].append(i)
+        met[w].append(i)
     return graphs.Graph(graph.edge_count(), [
-        pair for v in range(graph.n) for pair in itertools.combinations(edges[ptr[v]:ptr[v + 1]], 2)])
+        pair for edges in met for pair in itertools.combinations(edges, 2)])
 
 
 def maximal_cliques(graph: graphs.Graph) -> list[list[int]]:

@@ -15,6 +15,10 @@ elements directly instead of counting orbits of induced actions.
 action of G on the coset-graph edges; no claim uses it yet.  ``orbits`` is
 the orbit partition as lists of cells, one breadth-first search per orbit
 (``orbit_mask``), the oracle for the orbit labels of ``permgroups.orbits``.
+``transitivity_report`` reads the flags of a group given by permutations
+of all of a graph's vertices, with ``edge_action`` on the rows of
+``edge_array()``: the oracle for ``permgroups.local_two_arc`` and
+``cayley_transitivity``.
 ``induced_sigma_perm`` pushes a permutation of all codes down to the coset
 vertices, reading every member of every coset: the reference that
 ``permgroups.coset_action`` is tested against.  ``right_mult_perm`` and
@@ -245,6 +249,35 @@ def order_with_regular_normal_subgroup(G, stab_gens) -> int:
             if not np.array_equal(conj, right_mult_perm(G, t)):
                 raise ValueError("stabilizer generator does not normalise the regular action")
     return G.order * TreePermGroup(list(stab_gens), G.order).order()
+
+
+# -- the whole-graph transitivity report, the oracle for the local forms -----
+
+def edge_action(graph, perms) -> list[np.ndarray]:
+    """Each automorphism's action on the edges, as permutations of the rows
+    of ``edge_array()``, numbered through a dict of the rows."""
+    edges = graph.edge_array().tolist()
+    row = {tuple(e): i for i, e in enumerate(edges)}
+    return [np.array([row[tuple(sorted((int(p[u]), int(p[w]))))] for u, w in edges],
+                     dtype=np.int64) for p in perms]
+
+
+def transitivity_report(graph, gens, stabilizer_certified=False) -> permgroups.TransitivityReport:
+    """``permgroups.ball_report`` of <gens>, permutations of all vertices
+    checked once; ``edge`` counts the edge orbits where <gens> is not
+    arc-transitive.  It was the 2-arc row of the coset graph before
+    ``permgroups.local_two_arc`` read that row at one vertex."""
+    gens = [permgroups.as_perm(g) for g in gens]
+    if not are_automorphisms(graph, gens):
+        raise ValueError("generator is not a graph automorphism")
+    ball, dist = permgroups.ball_of(graph)
+    rep = permgroups.ball_report(graph, ball, dist, [g[ball] for g in gens if int(g[0]) == 0],
+                                 permgroups._orbit_count(gens, graph.n) == 1,
+                                 stabilizer_certified)
+    if not rep.arc and graph.edge_count():
+        rep = rep._replace(edge=permgroups._orbit_count(edge_action(graph, gens),
+                                                        graph.edge_count()) == 1)
+    return rep
 
 
 # -- the set-based searches that permgroups replaced by orbit counting -----

@@ -154,10 +154,11 @@ def test_criterion_09_transitivity():
     ok = True
     for n in (2, 3):
         d = inst(n)
-        rep = pg.transitivity_report(d["gamma"], gamma_gens(n), stabilizer_certified=(n == 2))
+        rep = perm_oracle.transitivity_report(d["gamma"], gamma_gens(n),
+                                              stabilizer_certified=(n == 2))
         ok &= rep.flags() == claims.GAMMA_EXPECTED_FLAGS
-        srep = pg.transitivity_report(d["sigma"], sigma_gens(n))
-        ok &= srep.vertex and srep.two_arc
+        srep = perm_oracle.transitivity_report(d["sigma"], sigma_gens(n))
+        ok &= srep.vertex and srep.two_arc and pg.local_two_arc(d["G"], d["S"])
     _report(9, "Cayley graph 2-geodesic- but not 2-arc-/3-distance-transitive; "
                "coset graph 2-arc-transitive", ok)
 

@@ -71,15 +71,16 @@ def test_only_the_claim_table_computes_the_group_quantities():
     assert [p.name for p in modules if p.name != "claims.py" and call.search(p.read_text())] == []
 
 
-LOCAL_ROWS = ("clique-graph-is-coset-graph", "line-graph-is-cayley-graph", "triangles-monochromatic")
+LOCAL_ROWS = ("clique-graph-is-coset-graph", "line-graph-is-cayley-graph", "triangles-monochromatic",
+              "coset-graph-2-arc-transitive")
 
 
 def test_over_budget_objects_are_never_built():
     """At n = 5, Γ(5) and Σ(5) would hold about 2·10^12 and 2·10^11
     entries: the graph suite skips every claim that needs them, or G, before
     it builds anything, and computes the rows that read the neighbourhood
-    of 1 alone, under a 2 MB traced peak (about 50 kB on Linux, CPython
-    3.11, numpy 2)."""
+    of 1 or the local action at X alone, under a 2 MB traced peak (about
+    50 kB on Linux, CPython 3.11, numpy 2)."""
     tracemalloc.start()
     try:
         rep = claims.run(claims.GRAPHS, claims.Context(groups.TensorGroup(5)))
@@ -253,6 +254,18 @@ def test_the_cover_rows_build_no_sigma():
     Σ or the actions on it."""
     for row in (r for r in claims.GRAPHS if r[0] in COVER_ROWS):
         assert not {"coset_graph", "sigma", "info", "sigma_gens"} & set(claims.needs_of(row[3]))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_two_arc_row_reads_s_alone_and_passes_at_every_n(n):
+    """Σ's 2-arc row needs S and no Σ, nor the actions on it, so it
+    computes at every n = 2..7, each within a second (5-90 ms on Linux,
+    CPython 3.11, numpy 2)."""
+    row = next(r for r in claims.GRAPHS if r[0] == "coset-graph-2-arc-transitive")
+    assert claims.needs_of(row[3]) == ["S"]
+    (claim,) = claims.run([row], claims.Context(groups.TensorGroup(n)))
+    assert claim.status == claims.PASS and claim.computed is True
+    assert claim.ms < 1000, claim
 
 
 def test_a_lift_that_mixes_the_sides_fails_the_witness(monkeypatch):

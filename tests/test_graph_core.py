@@ -249,6 +249,24 @@ def test_the_cover_rows_match_sigma_as_built(built):
     assert graphs.Graph(quotient.n, number[quotient.edge_array()]) == cover.quotient
 
 
+def test_the_witness_numbers_the_edges_of_k_m_m_as_the_oracle_does(built):
+    """On Σ/G' = K(2^n, 2^n), the witness's edge action, the edge {a, b}
+    numbered rank(a) 2^n + rank(b), is the action on the rows of
+    ``edge_array()``, under one numbering of the edges, for R(G.gens) and
+    every lift, the side swap included."""
+    G = built[0]
+    cover = permgroups.central_quotient(G, groups.derived_subgroup(G))
+    gens = ([cover.action(G.mul_vec(cover.probes, g)) for g in G.gens]
+            + list(map(cover.action, permgroups.stabilizer_lift_images(G, cover.probes))))
+    assert any(p[0] >= 1 << G.n for p in gens)  # one swaps the sides
+    rows = perm_oracle.edge_action(cover.quotient, gens)
+    ranked = permgroups._biclique_edge_action(cover.quotient, 1 << G.n, gens)
+    number = _numbering(rows, ranked)
+    assert sorted(number.tolist()) == list(range(1 << (2 * G.n)))
+    for a, b in zip(rows, ranked):
+        assert np.array_equal(number[a], b[number])
+
+
 def scalar_cayley_edges(G, S):
     return sorted({tuple(sorted((g, int(G.mul_vec(s, g))))) for g in range(G.order) for s in S})
 
@@ -542,12 +560,14 @@ def test_a_graph_on_2_15_vertices_matches_its_int32_build(boundary_graphs):
     a, b = g.neighbor_array(), h.neighbor_array()
     assert np.array_equal(np.where(a == g.n, -1, a), np.where(b[:N16] == h.n, -1, b[:N16]))
     assert np.count_nonzero(a == g.n) == np.count_nonzero(b[:N16] == h.n) > 0
-    # arc lookups from the top row, whose end pointer sits one past 2^15 - 1
-    u, v = g.edge_array().T
-    for tails, heads in ((u, v), (v, u)):
-        slots = graphs._find_arcs(g, tails, heads)
-        assert slots.min() >= 0 and np.array_equal(slots, graphs._find_arcs(h, tails, heads))
-    assert np.array_equal(graphs._slot_edges(g), graphs._slot_edges(h))
+    # automorphism checks on edge keys u * n + w past 2^15, with 2^15 - 1 moved
+    edge_set = {tuple(sorted(e)) for e in edges}
+    for swap in ([], [0, N16 - 1], [0, 1], [N16 - 2, N16 - 1]):
+        p = np.arange(N16 + 1, dtype=np.int32)
+        p[swap] = p[swap[::-1]]
+        auto = {tuple(sorted((int(p[u]), int(p[v])))) for u, v in edge_set} == edge_set
+        assert permgroups.are_automorphisms(g, [p[:N16]]) == auto
+        assert permgroups.are_automorphisms(h, [p]) == auto
     # the extra vertex of h is isolated: kept in a cell of its own, it
     # splits nothing, so both refinements order the first 2^15 alike
     gp = autsearch.refine(g, autsearch.Partition.unit(N16))
@@ -586,8 +606,9 @@ def test_graph6_of_an_int16_graph_past_the_offset_wrap_matches_networkx():
 def test_edge_keys_widen_past_int16():
     """Two copies of an irregular graph on 150 vertices, where u * 300 + v
     passes 2^15 and swapping the copies moves every edge across it; then a
-    path with an isolated vertex and a graph with no edges.  The checks and
-    the edge action agree with the edge sets."""
+    path with an isolated vertex, a graph with no edges, and a path on the
+    top three of 70,000 vertices, whose keys u * n + w pass 2^31 while the
+    permutations stay int32.  The checks agree with the edge sets."""
     rnd = random.Random(256)
     half = 150
     base = [(0, half - 1)] + [tuple(rnd.sample(range(half), 2)) for _ in range(260)]
@@ -602,6 +623,10 @@ def test_edge_keys_widen_past_int16():
              (graphs.Graph(5, [(0, 1), (1, 2), (2, 3)]),
               as_perms([3, 2, 1, 0, 4], [4, 2, 1, 0, 3], [0, 1, 2, 3, 4]), [True, False, True]),
              (graphs.Graph(4, []), as_perms([1, 0, 3, 2]), [True])]
+    top = graphs.Graph(70000, [(69997, 69999), (69998, 69999)])
+    flip, out = np.arange(70000, dtype=np.int32), np.arange(70000, dtype=np.int32)
+    flip[[69997, 69998]], out[[0, 69998]] = [69998, 69997], [69998, 0]
+    cases.append((top, [permgroups.identity_perm(70000), flip, out], [True, True, False]))
     for graph, perms, autos in cases:
         edges = graph.edge_array().tolist()
         rows = {tuple(e): i for i, e in enumerate(edges)}
@@ -609,5 +634,3 @@ def test_edge_keys_widen_past_int16():
             images = [tuple(sorted((int(p[u]), int(p[v])))) for u, v in edges]
             assert (set(images) == set(rows)) == auto
             assert permgroups.are_automorphisms(graph, [p]) == auto
-            if auto:
-                assert permgroups._edge_action(graph, [p])[0].tolist() == [rows[e] for e in images]

@@ -291,7 +291,7 @@ def test_distance_diagram_rejects_moving_base():
 
 
 def test_transitivity_gamma2():
-    rep = pg.transitivity_report(GAMMA2, GENS2, stabilizer_certified=True)
+    rep = perm_oracle.transitivity_report(GAMMA2, GENS2, stabilizer_certified=True)
     assert rep.flags() == {"vertex": True, "edge": True, "arc": True,
                            "2-arc": False, "2-geodesic": True,
                            "1-distance": True, "2-distance": True, "3-distance": False}
@@ -304,31 +304,31 @@ def test_transitivity_k44():
             pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([4, 5, 6, 7, 0, 1, 2, 3])]
     stab = [pg.as_perm([0, 2, 3, 1, 4, 5, 6, 7]), pg.as_perm([0, 2, 1, 3, 4, 5, 6, 7]),
             pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([0, 1, 2, 3, 5, 4, 6, 7])]
-    rep = pg.transitivity_report(k44, gens + stab, stabilizer_certified=True)
+    rep = perm_oracle.transitivity_report(k44, gens + stab, stabilizer_certified=True)
     assert rep.vertex and rep.edge and rep.arc and rep.two_arc and rep.two_geodesic
     assert rep.distance == {1: True, 2: True, 3: False}
 
 
 def test_transitivity_edgeless_graph():
-    rep = pg.transitivity_report(graphs.Graph(4, []),
+    rep = perm_oracle.transitivity_report(graphs.Graph(4, []),
                                  [pg.as_perm([1, 2, 3, 0]), pg.identity_perm(4)])
     assert rep.vertex
     assert not (rep.edge or rep.arc or rep.two_arc or rep.two_geodesic)
     assert rep.distance == {1: False, 2: False, 3: False}
-    single = pg.transitivity_report(graphs.Graph(1, []), [])
+    single = perm_oracle.transitivity_report(graphs.Graph(1, []), [])
     assert single.vertex and not single.edge
 
 
 def test_transitivity_rejects_non_automorphism():
     with pytest.raises(ValueError):
-        pg.transitivity_report(GAMMA2, [pg.as_perm(list(range(1, 256)) + [0])])
+        perm_oracle.transitivity_report(GAMMA2, [pg.as_perm(list(range(1, 256)) + [0])])
 
 
 def test_transitivity_report_checks_each_generator_once(monkeypatch):
     calls = []
     check = pg.as_perm
     monkeypatch.setattr(pg, "as_perm", lambda p: calls.append(1) or check(p))
-    assert pg.transitivity_report(SIGMA2, SIGMA_GENS2).two_arc
+    assert perm_oracle.transitivity_report(SIGMA2, SIGMA_GENS2).two_arc
     assert len(calls) == len(SIGMA_GENS2)
 
 
@@ -338,7 +338,7 @@ def test_cayley_transitivity_matches_the_report_on_all_codes(n):
     S = graphs.xy_connection_set(G)
     gamma = graphs.cayley_graph(G, S)
     local = pg.cayley_transitivity(G, S, gamma, groups.subgroup_order(G, G.gens)).flags()
-    assert local == pg.transitivity_report(gamma, pg.action_gens(G)).flags()
+    assert local == perm_oracle.transitivity_report(gamma, pg.action_gens(G)).flags()
     assert local == claims.GAMMA_EXPECTED_FLAGS
     if n == 2:
         assert local == perm_oracle.transitivity_flags(GAMMA2, GENS2, LIFTS2)
@@ -433,12 +433,58 @@ def test_cayley_transitivity_names_what_a_planted_input_breaks(monkeypatch, plan
     assert (claim.status, claim.computed) == ("fail", f"error: ValueError: {why}")
 
 
+# -- Σ's 2-arc row, read at the vertex X ----------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_local_two_arc_matches_the_whole_sigma_report(n):
+    """The row read from G alone is the 2-arc flag of <R(G), lifts> as
+    permutations of all of Σ as built."""
+    G = groups.TensorGroup(n)
+    sigma, info = graphs.sigma_graph(G)
+    local = pg.local_two_arc(G, graphs.xy_connection_set(G))
+    assert local is True
+    assert local == perm_oracle.transitivity_report(sigma, pg.action_gens(G, info)).two_arc
+
+
+def _keep_lifts(keep):
+    """A planter of the lifts that ``keep`` picks from the list of them."""
+    real = pg.stabilizer_lift_images
+    planted = lambda G, codes=None: iter(keep(list(real(G, codes))))
+    return lambda monkeypatch, ctx: monkeypatch.setattr(pg, "stabilizer_lift_images", planted)
+
+
+def _mix_the_sides_unchecked(monkeypatch, ctx):
+    """The first lift sends x_0 to y_0 and y_0 into X, and ``checked_lifts``,
+    which would refuse it, is passed through: X goes onto neither side."""
+    monkeypatch.setattr(pg, "checked_lifts", lambda G, S, codes, lifts: lifts)
+    _plant_in_the_first_lift(_swap_x0_and_y0)(monkeypatch, ctx)
+
+
+@pytest.mark.parametrize("plant, computed", [
+    (_plant_in_the_first_lift(_swap_x0_and_y0),
+     "error: ValueError: lift's generator images break a defining relation"),
+    (_mix_the_sides_unchecked, "error: ValueError: lift maps X onto neither X nor Y"),
+    (_keep_lifts(lambda lifts: lifts[:-1]), False),
+    (_keep_lifts(lambda lifts: lifts[-1:]), False),
+], ids=["broken-relation", "mixes-the-sides", "no-swap", "translations-only"])
+def test_the_two_arc_row_fails_on_planted_lifts(monkeypatch, plant, computed):
+    """A lift that breaks a relation, or maps X onto neither X nor Y, fails
+    the row with the check named.  With the swap dropped, A is not
+    vertex-transitive as far as the lifts show; with the swap alone, the
+    local group is R(X), regular on the neighbours of X, so transitive but
+    not 2-transitive: both read False."""
+    ctx = claims.Context(G2)
+    plant(monkeypatch, ctx)
+    (claim,) = claims.run([r for r in claims.GRAPHS if r[0] == "coset-graph-2-arc-transitive"], ctx)
+    assert (claim.status, claim.computed) == ("fail", computed)
+
+
 def test_induced_sigma_perm():
     assert pg.is_identity(perm_oracle.induced_sigma_perm(INFO2, pg.identity_perm(256)))
     # the H-image acts with two vertex orbits and regularly on the edges
     induced = [perm_oracle.induced_sigma_perm(INFO2, p) for p in R2]
     assert pg.orbits(induced, SIGMA2.n).tolist() == [0] * 64 + [64] * 64
-    assert pg.transitivity_report(SIGMA2, induced).edge
+    assert perm_oracle.transitivity_report(SIGMA2, induced).edge
 
 
 def test_induced_sigma_perm_rejects_non_coset_map():
@@ -467,7 +513,7 @@ def test_sigma_right_multiplications_fixing_the_base_join_the_stabilizer():
     # regularly on the Y-cosets through its members, the base's neighbours
     r_and_swap = SIGMA_GENS2[:len(G2.gens)] + SIGMA_GENS2[-1:]
     assert [int(p[0]) == 0 for p in r_and_swap] == [True] * G2.n + [False] * (G2.n + 1)
-    rep = pg.transitivity_report(SIGMA2, r_and_swap)
+    rep = perm_oracle.transitivity_report(SIGMA2, r_and_swap)
     assert rep.vertex and rep.arc and not rep.two_arc
 
 
@@ -581,7 +627,7 @@ def cycles(degree, *cycs):
     (SIGMA2, SIGMA_GENS2[G2.n:len(G2.gens)]),  # intransitive: the edge flag is from the edge action
 ], ids=["gamma2", "sigma2", "sigma2-regular-action", "sigma2-y-side"])
 def test_transitivity_flags_are_python_bools(graph, gens):
-    flags = pg.transitivity_report(graph, gens).flags()
+    flags = perm_oracle.transitivity_report(graph, gens).flags()
     assert all(type(v) is bool for v in flags.values()), flags
 
 
@@ -606,7 +652,7 @@ def test_transitivity_report_matches_the_pair_search(graph, mode, data):
             st.booleans(), min_size=len(found), max_size=len(found)))) if keep]
     gens = [] if mode == "none" else found
     stab = [g for g in gens if g[0] == 0]
-    flags = pg.transitivity_report(graph, gens).flags()
+    flags = perm_oracle.transitivity_report(graph, gens).flags()
     assert flags == perm_oracle.transitivity_flags(graph, gens, stab)
     assert all(type(v) is bool for v in flags.values())
 
