@@ -25,15 +25,16 @@ print("generated symmetry order:", order,
 
 print("certified automorphism order of the Cayley graph:", autsearch.certified_order(gamma, gens))
 
-# local action: the distance diagram of the stabilizer orbits
-diag = pg.distance_diagram(gamma, lifts)
+# local action: the distance diagram, from a breadth-first search over the
+# cells of the lifts about vertex 0, each cell named by its least member
+order = groups.subgroup_order(G, G.gens)
+diag = pg.least_members(G, pg.cell_diagram(G, S, order))
 print("orbit sizes by distance:", diag.cell_sizes_by_distance())
 print(cli.render_diagram_table(diag))
 
-# transitivity profile, from the lifts on the ball of radius 3 about vertex 0,
-# vertex-transitive as G's generators generate all of it
-rep = pg.cayley_transitivity(G, S, gamma, groups.subgroup_order(G, G.gens),
-                            stabilizer_certified=True)
+# transitivity profile, from the lifts on the ball of radius 2 about vertex 0
+# and the cells at distance 3, vertex-transitive as G's generators generate all of it
+rep = pg.cayley_transitivity(G, S, order, diag, stabilizer_certified=True)
 print("Cayley graph transitivity:", rep.flags())
 # on the coset graph, read at the vertex X alone: the lifts that keep X, with
 # R(X), are 2-transitive on its neighbours Yx, and a lift swaps X and Y

@@ -10,7 +10,6 @@ another object, holds more entries than ``groups.DEFAULT_BUDGET``.
 import json
 import time
 from collections import namedtuple
-from importlib import resources
 
 import numpy as np
 
@@ -73,6 +72,7 @@ def _edge_affine(G, cover: permgroups.Cover) -> bool:
 
 
 def load_reference_diagram() -> dict:
+    from importlib import resources  # only n = 2 reads the file
     return json.loads(resources.files("mdg").joinpath("data/distance_diagram_n2.json").read_text())
 
 
@@ -116,15 +116,6 @@ def _line_graph_order(c) -> int:
     return autsearch.certified_order(c.sigma, c.sigma_gens)
 
 
-def checked_diagram(G, gamma) -> permgroups.DistanceDiagram:
-    """The distance diagram of Γ under the stabilizer lifts, each a
-    permutation of all codes checked to be an automorphism of Γ."""
-    lifts = list(map(permgroups.as_perm, permgroups.stabilizer_lift_images(G)))
-    if not permgroups.are_automorphisms(gamma, lifts):
-        raise ValueError("lift is not an automorphism")
-    return permgroups.distance_diagram(gamma, lifts)
-
-
 # -- the shared objects: name -> (label, entries from G, build, needs) ------
 # A label is ASCII: a text report may go to a stream of any encoding.
 # Σ(n) has 2|G|/2^n vertices; ``action_gens`` lists 2n right
@@ -153,8 +144,9 @@ OBJECTS = {
     # Σ/G' from G/G': a product of each word's inverse with every word
     "cover": ("G/G'", lambda G: 1 << (4 * G.n),
               lambda c: permgroups.central_quotient(c.group, c.derived), "derived"),
-    "diagram": ("the lifts on G", lambda G: (2 * G.n * (G.n - 1) + 1) * G.order,
-                lambda c: checked_diagram(c.group, c.gamma), "gamma"),
+    # the cells of the lifts, one cell's |S| neighbours' neighbours at a time
+    "diagram": ("the cells of the lifts", lambda G: (2 * (2 ** G.n - 1)) ** 2,
+                lambda c: permgroups.cell_diagram(c.group, c.S, c.generated), "S generated"),
     "sigma_gens": ("the actions on Sigma", lambda G: (2 * G.n ** 2 + 1) * (G.order >> (G.n - 1)),
                    lambda c: permgroups.action_gens(c.group, c.info), "info"),
 }
@@ -240,11 +232,11 @@ GRAPHS = (
     # each row that reads the actions checks that they are automorphisms
     ("edge-affine-witness", True, lambda c: _edge_affine(c.group, c.cover), "cover"),
     ("cayley-transitivity", GAMMA_EXPECTED_FLAGS, lambda c: permgroups.cayley_transitivity(
-        c.group, c.S, c.gamma, c.generated, stabilizer_certified=(c.group.n == 2)).flags(),
-     "gamma S generated"),
+        c.group, c.S, c.generated, c.diagram, stabilizer_certified=(c.group.n == 2)).flags(),
+     "S generated diagram"),
     ("coset-graph-2-arc-transitive", True, lambda c: permgroups.local_two_arc(c.group, c.S), "S"),
     ("distance-layers", lambda G: [1, 6, 18, 54, 117, 54, 6] if G.n == 2 else None,
-     lambda c: graphs.bfs_layers(c.gamma, 0)[1], "gamma"),
+     lambda c: [sum(sizes) for sizes in c.diagram.cell_sizes_by_distance()], "diagram"),
     ("distance-diagram-reference", lambda G: (True, "ok") if G.n == 2 else None,
      lambda c: diagram_matches_reference(c.diagram, load_reference_diagram()), "diagram"),
     # under the lemma each vertex has as many X- and Y-edges as 1
@@ -267,12 +259,21 @@ SEARCH = {
 }
 
 
+def over_budget(needs: str, G) -> str | None:
+    """Why an object that ``needs`` names, directly or through another
+    object, is over the size rule on G, or None."""
+    param = ",".join(map(str, getattr(G, "ms", [G.n])))  # how a skip reason names G
+    for label, size, _, _ in (OBJECTS[name] for name in needs_of(needs)):
+        if size(G) > groups.DEFAULT_BUDGET:
+            return f"needs {label}({param}): {size(G):,} entries > {groups.DEFAULT_BUDGET:,}"
+    return None
+
+
 def run(rows, ctx: Context) -> VerificationReport:
     """Report, in order, every row whose expected value is known; a crash
     is a failed claim, not a crashed run.  Each object is released after
     the last row that needs it."""
     G = ctx.group
-    param = ",".join(map(str, getattr(G, "ms", [G.n])))  # how a skip reason names G
     rows = [(row, row[1](G) if callable(row[1]) else row[1]) for row in rows]
     rows = [(row, expected) for row, expected in rows if expected is not None]
     last = {name: i for i, (row, _) in enumerate(rows) for name in needs_of(row[3])}
@@ -283,10 +284,9 @@ def run(rows, ctx: Context) -> VerificationReport:
             if compute is None:
                 computed, status = None, ASSERTED
             else:
-                for label, size, _, _ in (OBJECTS[name] for name in needs_of(needs)):
-                    if size(G) > groups.DEFAULT_BUDGET:
-                        raise groups.BudgetExceeded(f"needs {label}({param}): {size(G):,} "
-                                                    f"entries > {groups.DEFAULT_BUDGET:,}")
+                why = over_budget(needs, G)
+                if why:
+                    raise groups.BudgetExceeded(why)
                 computed = compute(ctx)
                 status = PASS if computed == expected else FAIL
         except groups.BudgetExceeded as e:

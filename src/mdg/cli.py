@@ -26,7 +26,7 @@ def build_instance(n: int):
 def render_diagram_table(diag: permgroups.DistanceDiagram) -> str:
     head = f"{'cell':>4} {'dist':>4} {'size':>6} {'min':>8}  counts"
     lines = [head]
-    for i, (m, size, d) in enumerate(zip(diag.mins, diag.sizes, diag.distances)):
+    for i, (m, size, d) in enumerate(zip(diag.reps, diag.sizes, diag.distances)):
         counts = " ".join(f"{c:>3}" for c in diag.counts[i])
         lines.append(f"{i:>4} {d:>4} {size:>6} {m:>8}  {counts}")
     return "\n".join(lines)
@@ -111,13 +111,18 @@ def export(a) -> int:
 
 
 def diagram(a) -> int:
-    """Emit the distance diagram of the Cayley graph (stabilizer orbits by
-    distance with inter-cell counts); at n=2 it is also diffed against the
-    packaged reference data."""
-    _check_n(a.n, "diagram")
+    """Emit the distance diagram of the Cayley graph about vertex 0: the
+    stabilizer's orbits by distance, each named by its least member, with
+    inter-cell counts, for n <= 4, where G fits the size rule; at n=2 it is
+    also diffed against the packaged reference data."""
+    _check_n(a.n)
+    ctx = claims.Context(groups.TensorGroup(a.n))
+    why = claims.over_budget("diagram", ctx.group)
+    if why:
+        raise UsageError(f"Invalid value for '-n': diagram {why}")
     try:
-        diag = claims.Context(groups.TensorGroup(a.n)).diagram
-    except ValueError as e:  # such as a lift that is no automorphism
+        diag = permgroups.least_members(ctx.group, ctx.diagram)
+    except ValueError as e:  # such as a cell key that merges two orbits
         print(e, file=sys.stderr)
         return 1
     print(render_diagram_table(diag) if a.format == "table"

@@ -95,6 +95,12 @@ class TensorGroup:
         n, code = self.n, int(code)
         return code & self._vmask, (code >> n) & self._vmask, code >> (2 * n)
 
+    def decode_vec(self, codes) -> list[np.ndarray]:
+        """x, y and the n rows of A of each code, as uint64 bit-mask arrays:
+        the code's n + 2 fields of n bits."""
+        codes, mask = np.asarray(codes, dtype=np.uint64), np.uint64(self._vmask)
+        return [(codes >> np.uint64(self.n * i)) & mask for i in range(self.n + 2)]
+
     def mul_vec(self, g1, g2):
         """Elementwise (broadcast) product of two uint64 code arrays: the
         XOR of the codes and one gather from the twist table."""

@@ -275,12 +275,14 @@ def expected_symmetry_order(n: int) -> int:
     return (1 << (n * n + 2 * n)) * f2.gl_order(n) ** 2 * 2
 
 
-# -- distance diagrams -----------------------------------------------------
+# -- distance diagrams, from the cells of the lifts -------------------------
 
-class DistanceDiagram(namedtuple("DistanceDiagram", "base mins sizes distances counts")):
+class DistanceDiagram(namedtuple("DistanceDiagram", "base reps sizes distances counts")):
     """Equitable partition of the vertices into stabilizer orbits labelled
     by distance from the base vertex, with constant inter-cell neighbor
-    counts; a cell is its least member and its size."""
+    counts; a cell is a member, its representative, and its size.  In the
+    diagrams that ``least_members`` orders, and in the output, the
+    representative is the cell's least member."""
     __slots__ = ()
 
     def cell_sizes_by_distance(self) -> list[list[int]]:
@@ -293,42 +295,131 @@ class DistanceDiagram(namedtuple("DistanceDiagram", "base mins sizes distances c
         return {
             "base": self.base,
             "cells": [{"distance": d, "size": size, "members_min": m}
-                      for m, size, d in zip(self.mins, self.sizes, self.distances)],
+                      for m, size, d in zip(self.reps, self.sizes, self.distances)],
             "counts": self.counts,
         }
 
 
-def distance_diagram(graph: graphs.Graph, stab_gens) -> DistanceDiagram:
-    """The distance diagram of ``stab_gens``, which fix the base vertex 0."""
-    stab_gens = [as_perm(g) for g in stab_gens]
-    for g in stab_gens:
-        if int(g[0]) != 0:
-            raise ValueError("stabilizer generators must fix the base vertex")
-    dist = graphs.bfs_layers(graph, 0)[0]
-    labels = orbits(stab_gens, graph.n)
-    if not np.array_equal(dist[labels], dist):
-        raise ValueError("orbit does not refine the distance layers")
-    # cells by distance, then by least member; each least member's number
-    roots = np.flatnonzero(labels == np.arange(graph.n))
-    roots = roots[np.argsort(dist[roots], kind="stable")]
-    number = np.zeros(graph.n, dtype=np.int64)
-    number[roots] = np.arange(len(roots))
-    degs = np.diff(graph.indptr)
+def _invariants(G, codes) -> np.ndarray:
+    """The GL(n, 2) x GL(n, 2) invariants of each code (x, y, A) of the
+    tensor group, packed into an int64 of 22 bits: the ranks of A,
+    [A | x^T], [A ; y] and [[A, x^T], [y, c]] for c = 0 and c = 1, four
+    bits each, then whether x = 0 and whether y = 0 (README, the cells).
+    All five ranks come from one echelon form of [A | x^T] over F_2."""
+    x, y, *rows = G.decode_vec(codes)
+    one, top, zero = np.uint64(1), np.uint64(1 << G.n), np.uint64(0)
+    # row i of [A | x^T] has x_i as bit n; each row in turn clears its
+    # lowest set bit, its pivot, from the rows after it
+    rows, pivots = [r | (x >> np.uint64(i) & one) * top for i, r in enumerate(rows)], []
+    for i, row in enumerate(rows):
+        pivots.append(row & (~row + one))
+        rows[i + 1:] = [r ^ np.where(r & pivots[i] != 0, row, zero) for r in rows[i + 1:]]
 
-    def rows(vs):
-        """Each vertex's neighbour count in every cell."""
-        heads = graph.indices[graphs._ranges(graph.indptr[vs], degs[vs])]
-        keys = np.repeat(np.arange(len(vs)) * len(roots), degs[vs]) + number[labels[heads]]
-        return np.bincount(keys, minlength=len(vs) * len(roots)).reshape(len(vs), len(roots))
+    def grows(v, mask):
+        """Whether the row v adds to the rank of the rows, each cut to ``mask``."""
+        for row, pivot in zip(rows, pivots):
+            v = v ^ np.where(v & pivot != 0, row & mask, zero)
+        return v != 0
 
-    counts = rows(roots)
-    # a block's count rows and arcs are weighed by the longer of the two
-    for lo, hi in groups._blocks(graph.n, max(len(roots), int(degs.max(initial=0)))):
-        vs = np.arange(lo, hi)
-        if not np.array_equal(rows(vs), counts[number[labels[vs]]]):
-            raise ValueError("inter-cell neighbor count is not constant")
-    return DistanceDiagram(0, roots.tolist(), np.bincount(labels)[roots].tolist(),
-                           dist[roots].tolist(), counts.tolist())
+    rank_a = sum((row & ~top) != 0 for row in rows)
+    rank_ax = sum(row != 0 for row in rows)
+    out = np.zeros(len(x), dtype=np.int64)
+    for rank in (rank_a, rank_ax, rank_a + grows(y, ~top), rank_ax + grows(y, ~zero),
+                 rank_ax + grows(y | top, ~zero)):
+        out = out << 4 | rank
+    return out << 2 | (x == 0) << 1 | (y == 0)
+
+
+def cell_keys(G, codes) -> np.ndarray:
+    """Each code's cell key, one int64: the sorted pair of its
+    ``_invariants`` and those of its image under the swap lift.  Two codes
+    share a key iff the lifts map one to the other (README, the cells).  A
+    code weighs about 4n + 12 8-byte temporaries."""
+    codes = np.asarray(codes, dtype=np.int64)
+    own = _invariants(G, codes)
+    swapped = _invariants(G, G.word_images(G.y_gens, G.x_gens, codes))
+    return np.minimum(own, swapped) << 22 | np.maximum(own, swapped)
+
+
+def _cells_of(keys, found, what: str) -> np.ndarray:
+    """The cell of each of the keys ``found``, the index of its entry in
+    ``keys``; ValueError naming ``what`` if one is no cell's key."""
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys[order], found).clip(max=len(keys) - 1)]
+    if not np.array_equal(keys[at], found):
+        raise ValueError(f"{what} has the key of no cell")
+    return at
+
+
+def cell_diagram(G, S, generated: int) -> DistanceDiagram:
+    """The distance diagram about 1 of Γ = Cay(G, S), S = (X u Y) \\ {1},
+    under the lifts, by a breadth-first search over its cells, not its
+    vertices: the cells are the classes of ``cell_keys``.  The
+    representative r of each cell gives its count row from the keys of its
+    neighbours s r, s in S, and a key not seen before opens a new cell, one
+    step further from 1, with that neighbour as its representative.  The
+    sizes follow |C_j| = |C_i| c_ij / c_ji along the search tree from
+    |C_0| = 1 (an equitable partition's quotient matrix: Brouwer, Cohen &
+    Neumaier, *Distance-Regular Graphs*, 1989).  ValueError unless the
+    sizes sum to ``generated`` = |<G.gens>|, |C_i| c_ij = |C_j| c_ji on
+    every pair of cells, and every neighbour of a representative has its
+    own cell's count row."""
+    S = np.asarray(S, dtype=np.int64)
+    reps, dists, parents, rows = [G.identity], [0], [0], []
+    cell_of = {int(cell_keys(G, reps)[0]): 0}
+    for i, rep in enumerate(reps):  # reps grows as cells open
+        nbrs = G.mul_vec(S, rep).astype(np.int64)
+        keys = cell_keys(G, nbrs).tolist()
+        for code, key in zip(nbrs.tolist(), keys):
+            if key not in cell_of:
+                cell_of[key] = len(reps)
+                reps.append(code)
+                dists.append(dists[i] + 1)
+                parents.append(i)
+        rows.append([cell_of[key] for key in keys])
+    k = len(reps)
+    counts = np.array([np.bincount(row, minlength=k) for row in rows])
+    sizes = [1]
+    for j in range(1, k):
+        size, back = sizes[parents[j]] * int(counts[parents[j], j]), int(counts[j, parents[j]])
+        if not back or size % back:
+            raise ValueError(f"cell {j} has no whole size from the cell that opened it")
+        sizes.append(size // back)
+    if sum(sizes) != generated:
+        raise ValueError(f"the cells hold {sum(sizes)} codes, not |<G.gens>| = {generated}")
+    if any(sizes[i] * int(counts[i, j]) != sizes[j] * int(counts[j, i])
+           for i in range(k) for j in range(i)):
+        raise ValueError("the cells' counts are not those of an equitable partition")
+    # every neighbour of a representative against its cell's count row, by blocks of them
+    keys = np.array(list(cell_of), dtype=np.int64)
+    met = G.mul_vec(S[None, :], np.array(reps, dtype=np.int64)[:, None]).ravel().astype(np.int64)
+    met_cells = np.array(rows).ravel()
+    for lo, hi in groups._blocks(len(met), len(S) * (4 * G.n + 12)):
+        cells = _cells_of(keys, cell_keys(G, G.mul_vec(S[None, :], met[lo:hi, None]).ravel()),
+                          "a neighbour's neighbour")
+        cells = cells.reshape(hi - lo, len(S)) + k * np.arange(hi - lo)[:, None]
+        if not np.array_equal(np.bincount(cells.ravel(), minlength=k * (hi - lo)).reshape(-1, k),
+                              counts[met_cells[lo:hi]]):
+            raise ValueError("two members of a cell have different count rows")
+    return DistanceDiagram(0, reps, sizes, dists, counts.tolist())
+
+
+def least_members(G, diag: DistanceDiagram) -> DistanceDiagram:
+    """``diag`` with each cell represented by its least member, and the
+    cells in order of distance, then least member: the codes are keyed in
+    ascending order, a block at a time, until every cell is hit.
+    ValueError if a code's key names no cell."""
+    keys = cell_keys(G, diag.reps)
+    least = np.full(len(keys), G.order, dtype=np.int64)
+    for lo, hi in groups._blocks(G.order, 4 * G.n + 12):
+        cells = _cells_of(keys, cell_keys(G, np.arange(lo, hi)), f"a code in [{lo}, {hi})")
+        np.minimum.at(least, cells, np.arange(lo, hi))
+        if least.max() < G.order:
+            break
+    cells = sorted(range(len(keys)), key=lambda i: (diag.distances[i], least[i]))
+    return DistanceDiagram(diag.base, least[cells].tolist(), [diag.sizes[i] for i in cells],
+                           [diag.distances[i] for i in cells],
+                           [[diag.counts[i][j] for j in cells] for i in cells])
 
 
 # -- transitivity checks ---------------------------------------------------
@@ -353,61 +444,53 @@ def _distinct_pair_orbits(local, k: int) -> list[tuple[int, int]]:
     return [(i, j) for i, j in (divmod(r, k) for r in roots) if i != j]
 
 
-def ball_of(graph: graphs.Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices at distance <= 3 from vertex 0, and their distances."""
-    dist = graphs.bfs_layers(graph, 0, 3)[0]
-    ball = np.flatnonzero(dist >= 0)
-    return ball, dist[ball]
-
-
-def ball_report(graph, ball, dist, stab, vertex, stabilizer_certified=False) -> TransitivityReport:
-    """Flags of a group A of automorphisms, vertex-transitive iff ``vertex``,
-    from the orbits on the ball (``ball_of``, at distances ``dist``) of
-    ``stab``, members of A_0 given by their images of the ball: true flags
-    hold for A, false ones if ``stab`` generates A_0 (``stabilizer_certified``).
-    An empty set has no orbit; ``edge`` is ``arc``, exact if A reverses edges."""
+def ball_report(G, S, ball, dist, stab, vertex, far,
+                stabilizer_certified=False) -> TransitivityReport:
+    """Flags of a group A of automorphisms of Γ = Cay(G, S), where u ~ w iff
+    u w^-1 lies in the sorted S, vertex-transitive iff ``vertex``, from the
+    orbits on the ball of radius 2 about 1 (the sorted ``ball``, at
+    distances ``dist``) of ``stab``, members of A_1 given by their images
+    of the ball; ``far`` is whether A_1 is transitive on sphere 3.  True
+    flags hold for A, false ones if ``stab`` generates A_1
+    (``stabilizer_certified``).  An empty set has no orbit; ``edge`` is
+    ``arc``, exact if A reverses edges."""
     places = [np.searchsorted(ball, img) for img in stab]
     # the stabilizer on the neighbours of the base, and on their ordered pairs
     n1 = np.flatnonzero(dist == 1)
-    off = _distinct_pair_orbits([np.searchsorted(n1, q[n1]) for q in places], len(n1))
-    geo = [(i, j) for i, j in off if not graph.has_edge(int(ball[n1[i]]), int(ball[n1[j]]))]
+    off = np.array(_distinct_pair_orbits([np.searchsorted(n1, q[n1]) for q in places], len(n1)),
+                   dtype=np.int64).reshape(-1, 2)
+    u, w = ball[n1[off[:, 0]]], ball[n1[off[:, 1]]]
+    geo = np.count_nonzero(~groups.in_sorted(G.mul_vec(u, G.inv_vec(w)), S))
     # the distance of each stabilizer orbit's least member on the ball
     cells = dist[orbits(places, len(ball)) == np.arange(len(ball))]
-    distance = {i: vertex and int(np.count_nonzero(cells == i)) == 1 for i in (1, 2, 3)}
+    distance = {i: vertex and int(np.count_nonzero(cells == i)) == 1 for i in (1, 2)}
     return TransitivityReport(vertex, distance[1], distance[1], vertex and len(off) == 1,
-                              vertex and len(geo) == 1, distance, stabilizer_certified)
+                              vertex and int(geo) == 1, {**distance, 3: vertex and far},
+                              stabilizer_certified)
 
 
-def cayley_transitivity(G, S, gamma, generated, stabilizer_certified=False) -> TransitivityReport:
-    """``ball_report`` of A = <R(G), lifts> on the Cayley graph ``gamma`` of
-    G on S = (X u Y) \\ {1}, vertex-transitive iff ``generated`` = |<G.gens>|
-    counts every vertex, with no permutation of all codes.  Each R(g), g
-    in G.gens (involutions), is an automorphism of ``gamma`` (checked by blocks
-    of rows), so it is the Cayley graph on the row of 0; each lift agrees on the
-    ball with an automorphism of G permuting S (``checked_lifts``) and maps
-    each row within distance 2 onto its image's row, so it is an automorphism
-    of ``gamma`` normalising R(G) and fixing 0: <lifts> = A_0 (Praeger, 1993)."""
-    ball, dist = ball_of(gamma)
+def cayley_transitivity(G, S, generated, diagram, stabilizer_certified=False) -> TransitivityReport:
+    """``ball_report`` of A = <R(G), lifts> on Γ = Cay(G, S), S = (X u Y) \\ {1},
+    read about 1 from G alone: vertex-transitive iff ``generated`` =
+    |<G.gens>| counts every code, and transitive on sphere 3 iff it is one
+    cell of ``diagram`` (``cell_diagram``).  The ball of radius 2 is 1, S
+    and S S.  Each lift agrees on it with an automorphism of G permuting S
+    (``checked_lifts``), so it is an automorphism of Γ normalising R(G) and
+    fixing 1: <lifts> = A_1 (Praeger, 1993).  Each must also map the row
+    S h of every h within distance 1 onto the row of its image."""
+    S = np.asarray(S, dtype=np.int64)
+    ball = groups.sorted_codes(np.concatenate([
+        [G.identity], S, G.mul_vec(S[:, None], S).ravel().astype(np.int64)]))
+    dist = np.where(ball == G.identity, 0, np.where(groups.in_sorted(ball, S), 1, 2))
     lifts = list(checked_lifts(G, S, ball, stabilizer_lift_images(G, ball)))
-    # rows within distance 2 by place in the ball; padding n stays past it
-    rows, inner = gamma.neighbor_array(), np.flatnonzero(dist <= 2)
-    at = np.searchsorted(ball, rows[ball[inner]])
+    inner = np.flatnonzero(dist <= 1)
+    at = np.searchsorted(ball, G.mul_vec(S[:, None], ball[inner]).astype(np.int64))
     for img in lifts:
-        if not np.array_equal(np.sort(np.append(img, gamma.n)[at], axis=1), rows[img[inner]]):
+        if not np.array_equal(np.sort(img[at], axis=0), np.sort(
+                G.mul_vec(S[:, None], img[inner]).astype(np.int64), axis=0)):
             raise ValueError("lift is not an automorphism of the Cayley graph near vertex 0")
-    # as g^2 = 1, row h sent onto row hg gives row hg onto row h: check h <= hg, cover both
-    for g in G.gens:
-        if G.mul_vec(g, g) != G.identity:
-            raise ValueError("generator is not an involution")
-        ok = np.zeros(gamma.n, dtype=bool)
-        for lo, hi in groups._blocks(gamma.n, 3 * rows.shape[1]):
-            h = np.arange(lo, hi, dtype=np.uint64)
-            img = G.mul_vec(h, g)
-            h, img = h[h <= img], img[h <= img]
-            ok[h] = ok[img] = np.array_equal(np.sort(G.mul_vec(rows[h], g), axis=1), rows[img])
-        if not ok.all():
-            raise ValueError("right multiplication is not an automorphism of the Cayley graph")
-    return ball_report(gamma, ball, dist, lifts, generated == gamma.n, stabilizer_certified)
+    return ball_report(G, S, ball, dist, lifts, generated == G.order,
+                       diagram.distances.count(3) == 1, stabilizer_certified)
 
 
 def local_two_arc(G, S) -> bool:

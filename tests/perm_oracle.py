@@ -16,7 +16,8 @@ action of G on the coset-graph edges; no claim uses it yet.  ``orbits`` is
 the orbit partition as lists of cells, one breadth-first search per orbit
 (``orbit_mask``), the oracle for the orbit labels of ``permgroups.orbits``.
 ``transitivity_report`` reads the flags of a group given by permutations
-of all of a graph's vertices, with ``edge_action`` on the rows of
+of all of a graph's vertices, on the ball of radius 3
+(``gamma_oracle.ball_report``) and with ``edge_action`` on the rows of
 ``edge_array()``: the oracle for ``permgroups.local_two_arc`` and
 ``cayley_transitivity``.
 ``induced_sigma_perm`` pushes a permutation of all codes down to the coset
@@ -32,6 +33,7 @@ from collections import namedtuple
 
 import numpy as np
 
+import gamma_oracle
 from mdg import graphs, groups, permgroups
 from mdg.autsearch import Partition, refine
 from mdg.permgroups import are_automorphisms, as_perm, compose, identity_perm, inverse, is_identity
@@ -263,15 +265,15 @@ def edge_action(graph, perms) -> list[np.ndarray]:
 
 
 def transitivity_report(graph, gens, stabilizer_certified=False) -> permgroups.TransitivityReport:
-    """``permgroups.ball_report`` of <gens>, permutations of all vertices
+    """``gamma_oracle.ball_report`` of <gens>, permutations of all vertices
     checked once; ``edge`` counts the edge orbits where <gens> is not
     arc-transitive.  It was the 2-arc row of the coset graph before
     ``permgroups.local_two_arc`` read that row at one vertex."""
     gens = [permgroups.as_perm(g) for g in gens]
     if not are_automorphisms(graph, gens):
         raise ValueError("generator is not a graph automorphism")
-    ball, dist = permgroups.ball_of(graph)
-    rep = permgroups.ball_report(graph, ball, dist, [g[ball] for g in gens if int(g[0]) == 0],
+    ball, dist = gamma_oracle.ball_of(graph)
+    rep = gamma_oracle.ball_report(graph, ball, dist, [g[ball] for g in gens if int(g[0]) == 0],
                                  permgroups._orbit_count(gens, graph.n) == 1,
                                  stabilizer_certified)
     if not rep.arc and graph.edge_count():
@@ -344,7 +346,7 @@ def transitivity_flags(graph, gens, stab_gens, base: int = 0) -> dict:
 
 
 def distance_diagram(graph, stab_gens, v: int) -> dict:
-    """``permgroups.distance_diagram(...).to_dict()`` from the orbits as
+    """``gamma_oracle.distance_diagram(...).to_dict()`` from the orbits as
     lists of cells, with one neighbour-count row per vertex."""
     dist, _ = graphs.bfs_layers(graph, v)
     cells = orbits(stab_gens, graph.n)

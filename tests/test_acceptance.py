@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 import cover_oracle
+import gamma_oracle
 import perm_oracle
 from mdg import autsearch, claims, cli, groups, permgroups as pg
 
@@ -141,9 +142,11 @@ def test_criterion_07_edge_affine_witness():
 
 
 def test_criterion_08_distance_diagram():
+    """From the cells of the lifts, and as the lifts' orbits on Γ as built."""
     d = inst(2)
-    diag = pg.distance_diagram(d["gamma"], lifts(2))
+    diag = pg.least_members(d["G"], pg.cell_diagram(d["G"], d["S"], d["G"].order))
     ok, why = claims.diagram_matches_reference(diag, claims.load_reference_diagram())
+    ok &= diag == gamma_oracle.distance_diagram(d["gamma"], lifts(2))
     idx = {(dd, size): i for i, (size, dd) in enumerate(zip(diag.sizes, diag.distances))}
     row = diag.counts[idx[(1, 6)]]
     ok &= (row[idx[(0, 1)]], row[idx[(1, 6)]], row[idx[(2, 18)]]) == (1, 2, 3)
@@ -157,6 +160,9 @@ def test_criterion_09_transitivity():
         rep = perm_oracle.transitivity_report(d["gamma"], gamma_gens(n),
                                               stabilizer_certified=(n == 2))
         ok &= rep.flags() == claims.GAMMA_EXPECTED_FLAGS
+        G, S = d["G"], d["S"]
+        ok &= pg.cayley_transitivity(G, S, G.order, pg.cell_diagram(G, S, G.order)).flags() == \
+            claims.GAMMA_EXPECTED_FLAGS
         srep = perm_oracle.transitivity_report(d["sigma"], sigma_gens(n))
         ok &= srep.vertex and srep.two_arc and pg.local_two_arc(d["G"], d["S"])
     _report(9, "Cayley graph 2-geodesic- but not 2-arc-/3-distance-transitive; "

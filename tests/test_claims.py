@@ -92,12 +92,14 @@ def test_over_budget_objects_are_never_built():
 
 
 def test_the_cayley_transitivity_row_holds_no_permutation_of_all_codes_at_once():
-    """With G, S and Γ(3) built first, the row reads the lifts on the ball
-    of radius 3 and holds one right multiplication at a time: a traced peak
-    within 1.5 MB (about 1.0 MB on Linux, CPython 3.11, numpy 2), where the
-    19 permutations of all 32,768 codes would take 2.4 MB alone."""
+    """With G, S, |<G.gens>| and the cells built first, the row reads the
+    lifts on the ball of radius 2 built from S, with no Γ: a traced peak
+    within 2 * CHUNK 8-byte temporaries, 512 kB (about 70 kB on Linux,
+    CPython 3.11, numpy 2.4; 1.0 MB on the ball of radius 3 in Γ(3)),
+    where the 19 actions as permutations of all 32,768 codes would take
+    2.4 MB alone."""
     ctx = claims.Context(groups.TensorGroup(3))
-    assert ctx.S and ctx.gamma.n == 1 << 15
+    assert ctx.S and ctx.generated == 1 << 15 and ctx.diagram
     row = next(r for r in claims.GRAPHS if r[0] == "cayley-transitivity")
     tracemalloc.start()
     try:
@@ -106,7 +108,15 @@ def test_the_cayley_transitivity_row_holds_no_permutation_of_all_codes_at_once()
     finally:
         tracemalloc.stop()
     assert claim.status == "pass", claim
-    assert peak <= 1.5 * (1 << 20), f"traced peak {peak} bytes"
+    assert "gamma" not in ctx
+    assert peak <= 2 * groups.CHUNK * 8, f"traced peak {peak} bytes"
+
+
+def test_only_the_two_count_rows_of_gamma_read_gamma():
+    """Γ is built for ``cayley-vertices`` and ``cayley-valency`` alone, so
+    the runner releases it after the second row."""
+    assert [r[0] for r in claims.GRAPHS if "gamma" in claims.needs_of(r[3])] == \
+        ["cayley-vertices", "cayley-valency"]
 
 
 def test_the_table_ids_are_unique_and_every_need_is_an_object():
@@ -144,15 +154,16 @@ def test_the_certified_order_of_gamma_builds_no_gamma():
 def n3():
     """The inputs of the graph passes at n = 3, built once."""
     ctx = claims.Context(groups.TensorGroup(3))
-    objects = {name: getattr(ctx, name) for name in ("S", "gamma", "sigma", "info", "derived")}
+    objects = {name: getattr(ctx, name)
+               for name in ("S", "gamma", "sigma", "info", "derived", "generated", "diagram")}
     objects["labels"] = cover_oracle.derived_orbit_partition(ctx.group, ctx.sigma, ctx.info)
     return dict(objects, G=ctx.group)
 
 
 def _cayley_row(o):
-    # a context of its own, as the runner releases Γ and S after the row
+    # a context of its own, as the runner releases its objects after the row
     ctx = claims.Context(o["G"])
-    ctx.update(S=o["S"], gamma=o["gamma"])
+    ctx.update(S=o["S"], generated=o["generated"], diagram=o["diagram"])
     return claims.run([next(r for r in claims.GRAPHS if r[0] == "cayley-transitivity")], ctx)
 
 
@@ -160,6 +171,8 @@ PASSES = {
     "normal_quotient": lambda o: cover_oracle.normal_quotient(o["sigma"], o["labels"]),
     "central_quotient": lambda o: permgroups.central_quotient(o["G"], o["derived"]),
     "cayley-transitivity": _cayley_row,
+    "cell_diagram": lambda o: permgroups.cell_diagram(o["G"], o["S"], o["generated"]),
+    "least_members": lambda o: permgroups.least_members(o["G"], o["diagram"]),
     "center": lambda o: groups.center(o["G"]),
 }
 

@@ -180,7 +180,9 @@ finally:
 #   with a CLI on the standard library's argparse instead of click, 35.4 MB
 #   with the Cayley graph's flags read near vertex 0, 33.2 MB with every
 #   pass's blocks sized by its own temporaries, 32.9 MB with the command
-#   line parsed from one table instead of argparse;
+#   line parsed from one table instead of argparse, 31.7 MB with Γ(3)
+#   released after the two count rows, the distance and transitivity rows
+#   reading the cells of the lifts about 1;
 # - the coset-graph certification: 41 MB with whole coset products and
 #   full-degree lifts alive during the search, 36 MB without, 34.1 MB with
 #   every permutation induced from the coset representatives and the
@@ -195,21 +197,23 @@ finally:
 #   argparse, 117.2 MB on the table;
 # - the distance diagram: 52 MB with the whole vertices-by-cells count
 #   matrix alive, 40-42 MB counting it a block of rows at a time (36.5 MB
-#   in the last run with click), 35.8 MB on argparse, 35.5 MB on the table;
+#   in the last run with click), 35.8 MB on argparse, 35.5 MB on the table,
+#   31.2 MB from the cells of the lifts, with no Γ(3) and no lift on all
+#   codes;
 # - verify group: 37.9 MB with the centre's products in blocks of 2^20,
 #   33.6 MB in blocks of CHUNK, 32.7 MB with one product buffer in
 #   ``TensorGroup.mul_vec``, 31.7 MB on argparse, 31.6 MB on the table.
 GAMMA3_GRAPH6_SHA256 = "7ae3178cea18714d5509713aa56a7204bbda6c76526af2b033bcdb15760f5be1"
 PEAK_BOUNDS_MB = {
     "verify-group-n3": (["verify", "group", "-n", "3", "--json"], 36),
-    "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 40),
+    "verify-graphs-n3": (["verify", "graphs", "-n", "3", "--json"], 36),
     "aut-sigma-full-search-n3": (["aut", "-n", "3", "--target", "sigma", "--full-search",
                                   "--json"], 38),
     "aut-gamma-full-search-n3": (["aut", "-n", "3", "--target", "gamma", "--full-search",
                                   "--json"], 38),
     "export-gamma-graph6-n3": (["export", "-n", "3", "--target", "gamma", "--format", "graph6",
                                 "-o", "{out}"], 220),
-    "diagram-n3": (["diagram", "-n", "3"], 47),
+    "diagram-n3": (["diagram", "-n", "3"], 36),
 }
 
 
@@ -243,8 +247,9 @@ def test_sigma_paths_build_no_permutation_of_all_codes(monkeypatch):
     and the Cayley graph's transitivity from the lifts near vertex 0: with
     the builder's branch for all codes refused, the search on Σ for either
     target and ``verify graphs -n 3`` pass; with every lift spoiled where
-    the Cayley graph's claims ask for it, ``verify graphs`` fails only those
-    claims."""
+    the Cayley graph's claims ask for it, ``verify graphs`` fails only the
+    transitivity row, the one that reads the lifts (the distance rows read
+    the cells' keys)."""
     build = permgroups.action_gens
     monkeypatch.setattr(permgroups, "action_gens",
                         lambda G, info=None: build(G, info) if info is not None else _refuse())
@@ -261,11 +266,11 @@ def test_sigma_paths_build_no_permutation_of_all_codes(monkeypatch):
     r = run("verify", "graphs", "-n", "2", "--json")
     assert r.exit_code == 1 and "Traceback" not in r.output
     assert [c["id"] for c in json.loads(r.output)["claims"] if c["status"] != "pass"] == \
-        ["cayley-transitivity", "distance-diagram-reference"]
+        ["cayley-transitivity"]
 
 
 @pytest.mark.parametrize("args, cids", [
-    (["verify", "graphs", "-n", "2", "--json"], ["cayley-transitivity", "distance-diagram-reference"]),
+    (["verify", "graphs", "-n", "2", "--json"], ["cayley-transitivity"]),
 ], ids=["verify-graphs"])
 def test_a_bad_cayley_lift_is_a_failed_claim(monkeypatch, args, cids):
     """The lifts of the Cayley graph are checked inside the claims that read
@@ -354,14 +359,20 @@ def test_a_failing_builder_is_a_failed_claim(monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
-def test_diagram_with_a_bad_lift_exits_1(monkeypatch, fmt):
-    """``diagram`` checks the lifts before it builds the diagram: a lift
-    that is no automorphism is a one-line error with exit 1."""
-    _plant_a_bad_lift(monkeypatch)
+def test_diagram_with_keys_that_merge_cells_exits_1(monkeypatch, fmt):
+    """``diagram`` checks the cells before it prints them: cell keys that
+    cannot tell x = 0 or y = 0 merge orbits, whose sizes then miss |G|, a
+    one-line error with exit 1; ``verify graphs`` fails the rows that read
+    the cells."""
+    invariants = permgroups._invariants
+    monkeypatch.setattr(permgroups, "_invariants", lambda G, codes: invariants(G, codes) & ~3)
     r = run("diagram", "-n", "2", "--format", fmt)
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
     assert "Traceback" not in r.output and r.stdout == ""
-    assert r.stderr == "lift is not an automorphism\n"
+    assert r.stderr == "the cells hold 133 codes, not |<G.gens>| = 256\n"
+    r = run("verify", "graphs", "-n", "2", "--json")
+    assert [c["id"] for c in json.loads(r.output)["claims"] if c["status"] != "pass"] == \
+        ["cayley-transitivity", "distance-layers", "distance-diagram-reference"]
 
 
 def _plant_a_bad_lift(monkeypatch, every=False):
@@ -391,9 +402,9 @@ def _plant_a_bad_lift(monkeypatch, every=False):
 @pytest.mark.parametrize("args", [["verify", "group", "-n", "2"], ["verify", "graphs", "-n", "2"],
                                   ["aut", "-n", "2", "--target", "sigma", "--full-search"],
                                   ["aut", "-n", "5"], ["export", "-n", "2", "--format", "graph6"],
-                                  ["diagram", "-n", "2"]],
+                                  ["diagram", "-n", "2"], ["diagram", "-n", "4"]],
                          ids=["verify-group", "verify-graphs", "aut-sigma-full-search", "aut-n5",
-                              "export-graph6", "diagram"])
+                              "export-graph6", "diagram", "diagram-n4"])
 def test_commands_leave_numpy_ma_unimported(args):
     check = "import sys; before = set(sys.modules); from mdg.cli import main; " \
             "at_import = 'numpy.ma' in sys.modules; main(sys.argv[1:], standalone_mode=False); " \
@@ -413,8 +424,9 @@ def test_commands_leave_numpy_ma_unimported(args):
 EVERY_COMMAND = (
     [["verify", suite, "-n", str(n)] for suite in ("group", "graphs") for n in range(2, 8)]
     + [["aut", "-n", str(n)] for n in range(2, 8)]
-    + [["aut", "-n", str(n), "--target", "sigma", "--full-search"] for n in (2, 3)]
-    + [["diagram", "-n", str(n)] for n in (2, 3)]
+    + [["aut", "-n", str(n), "--target", t, "--full-search"] for n in (2, 3)
+       for t in ("gamma", "sigma")]
+    + [["diagram", "-n", str(n)] for n in (2, 3, 4)]
     + [["export", "-n", str(n), "--target", t, "--format", f] for n in (2, 3)
        for t in ("gamma", "sigma", "kbip") for f in ("graph6", "edgelist")])
 
@@ -462,6 +474,17 @@ def test_importing_the_cli_leaves_dataclasses_and_copy_unimported():
                        timeout=60, env=fresh_env())
     assert r.returncode == 0 and "loaded:" in r.stderr, r.stderr
     assert r.stderr.split("loaded:")[-1].split() == []
+
+
+# Only n = 2 reads the packaged reference diagram, so importlib.resources is
+# imported where it is read: 13-18 ms of start-up where no site hook loads it.
+def test_importing_the_cli_leaves_importlib_resources_unimported():
+    check = "import importlib, sys; sys.modules.pop('importlib.resources', None); " \
+            "importlib.__dict__.pop('resources', None); import mdg.cli; " \
+            "print('loaded:', 'importlib.resources' in sys.modules, file=sys.stderr)"
+    r = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                       timeout=60, env=fresh_env())
+    assert r.returncode == 0 and r.stderr.split("loaded:")[-1].split() == ["False"], r.stderr
 
 
 @pytest.mark.parametrize("args", [["verify", "graphs", "-n", "2"],
@@ -602,10 +625,10 @@ def test_verify_group_n4_matches_golden():
 
 
 def test_verify_graphs_n4_matches_golden():
-    """At n = 4 the rows that read the neighbourhood of 1, |G|, G/G' or the
-    local action at X compute, and the rows that need Γ(4) or Σ(4) are
-    skipped; the report, less the timings, is pinned (about 1.3 s in a
-    fresh interpreter)."""
+    """At n = 4 the rows that read the neighbourhood of 1, |G|, G/G', the
+    local action at X or the cells about 1 compute, and the rows that need
+    Γ(4) or Σ(4) are skipped; the report, less the timings, is pinned
+    (about 1.5 s in a fresh interpreter)."""
     _fresh_report_matches_golden("graphs")
 
 
@@ -632,7 +655,7 @@ def test_aut_above_the_enumeration_budget_skips(n):
 
 # the rows that read |G| or G', and pass at n = 4 where G fits the budget
 N4_ROWS = ("edge-color-counts", "quotient-complete-bipartite", "quotient-preserves-valency",
-           "derived-action-semiregular", "edge-affine-witness")
+           "derived-action-semiregular", "edge-affine-witness", "cayley-transitivity")
 
 
 @pytest.mark.parametrize("n", ["4", "5", "7"])
@@ -663,6 +686,24 @@ def test_verify_graphs_above_n3_skips_every_claim(n):
                           capture_output=True, text=True, timeout=30,
                           env={**fresh_env(), "PYTHONIOENCODING": "ascii"})
     assert text.returncode == 0 and text.stderr == "", text.stderr
+
+
+def test_diagram_n4_matches_golden():
+    """At n = 4 the 23 cells come from the search about 1, with no Γ(4), and
+    their least members from a scan of the codes in order that stops at
+    the last cell's, 1,198,080 (about 2 s in a fresh interpreter)."""
+    r = run_fresh("diagram", "-n", "4", timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "diagram-json-n4.json").read_text()
+
+
+@pytest.mark.parametrize("n", ["5", "7"])
+def test_diagram_above_n4_is_a_usage_error_naming_g(n):
+    """The cells' sizes must sum to |<G.gens>|, counted on a mask over G."""
+    r = run_fresh("diagram", "-n", n)
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    assert re.search(r"Invalid value for '-n': diagram needs G\(%s\): [\d,]+ entries > "
+                     r"16,777,216" % n, r.stderr), r.stderr
 
 
 @pytest.mark.parametrize("args", [["aut", "--full-search"], ["export", "--target", "sigma"],

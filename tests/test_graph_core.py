@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cover_oracle
+import gamma_oracle
 import perm_oracle
 from group_oracle import (TableGroup, cayley_graph_from_pairs, complete_bipartite, line_graph,
                           sigma_graph_from_pairs)
@@ -332,11 +333,6 @@ def test_normal_quotient_rejects_malformed_labels(bad):
         cover_oracle.normal_quotient(SIGMA2, labels)
 
 
-def scalar_clique_graph_edges(cliques):
-    return sorted({(i, j) for i, j in itertools.combinations(range(len(cliques)), 2)
-                   if set(cliques[i]) & set(cliques[j])})
-
-
 # -- block boundaries ----------------------------------------------------------
 # Every blocked pass must give the same answer, and raise the same error,
 # whatever the block size: one element per step, an odd size that splits
@@ -368,10 +364,6 @@ def over_chunks(fn, chunks=CHUNKS):
                 out.append(("ValueError", str(e)))
     assert out.count(out[0]) == len(out), out
     return out[0]
-
-
-def _edges(graph):
-    return [tuple(e) for e in graph.edge_array().tolist()]
 
 
 @pytest.mark.parametrize("G", [G2, groups.DihedralProduct(3, 4), _s3()],
@@ -428,11 +420,33 @@ def scalar_bfs(graph, v):
     return dist, [dist.count(k) for k in range(max(dist) + 1)]
 
 
+def scalar_exports(graph):
+    """The rows of ``edge_array()``, the edge list and the graph6 bytes, from
+    the neighbour lists by scalar loops: graph6 sets bit j(j - 1)/2 + i of
+    the body for each edge i < j, six bits a byte, the first the highest."""
+    edges = [[u, w] for u in range(graph.n) for w in graph.neighbors(u).tolist() if u < w]
+    bits = [0] * (graph.n * (graph.n - 1) // 2)
+    for u, w in edges:
+        bits[w * (w - 1) // 2 + u] = 1
+    bits += [0] * (-len(bits) % 6)
+    body = bytes(63 + int("".join(map(str, bits[k:k + 6])), 2) for k in range(0, len(bits), 6))
+    n = graph.n
+    header = bytes([n + 63]) if n <= 62 else bytes([126, 63 + (n >> 12), 63 + (n >> 6 & 63),
+                                                    63 + (n & 63)])
+    return edges, "".join(f"{u} {w}\n" for u, w in edges), header + body
+
+
+def _exports(graph):
+    return graph.edge_array(), graphs.to_edgelist(graph), bytes(graphs.to_graph6(graph))
+
+
 def test_identifications_are_the_same_for_every_block_size():
+    """The edge numbering that identifies Γ with L(Σ), the rows of
+    ``edge_array()``, and the edge-list and graph6 writers, all three read
+    through ``graphs._forward_arcs``' blocks, are the scalar ones at every
+    block size."""
     for graph in (GAMMA2, SIGMA2):
-        lg = over_chunks(lambda: line_graph(graph))
-        assert lg == ("graph", graph.edge_count(),
-                      [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
+        assert over_chunks(lambda: _exports(graph)) == scalar_exports(graph)
 
 
 def test_automorphism_check_is_the_same_for_every_block_size():
@@ -447,34 +461,37 @@ def test_automorphism_check_is_the_same_for_every_block_size():
 def test_lifts_and_transitivity_are_the_same_for_every_block_size():
     """The word images, closures and row checks inside the lifts and the
     Cayley transitivity report give the same answer at every block size."""
-    ball = permgroups.ball_of(GAMMA2)[0]
+    ball = gamma_oracle.ball_of(GAMMA2)[0]
     for fn in (lambda: tuple(permgroups.action_gens(G2)),
                lambda: tuple(permgroups.action_gens(G2, INFO2)),
                lambda: tuple(permgroups.checked_lifts(
                    G2, S2, ball, permgroups.stabilizer_lift_images(G2, ball))),
                lambda: permgroups.cayley_transitivity(
-                   G2, S2, GAMMA2, groups.subgroup_order(G2, G2.gens)).flags()):
+                   G2, S2, 256, permgroups.cell_diagram(G2, S2, 256)).flags()):
         assert over_chunks(fn) == _canon(fn())
 
 
-def _diagram_or_error(fn):
-    try:
-        return fn()
-    except ValueError as e:
-        return ("ValueError", str(e))
+def _without_the_zero_flags(monkeypatch):
+    """Cell keys that cannot tell x = 0 or y = 0 from x, y != 0."""
+    invariants = permgroups._invariants
+    monkeypatch.setattr(permgroups, "_invariants", lambda G, codes: invariants(G, codes) & ~3)
 
 
-def test_distance_diagram_is_the_same_for_every_block_size():
-    # the lifts' diagram; a path 1 - 0 - 2 - 3 whose "stabilizer" swaps 1 and
-    # 2 (equal distances, unequal counts); one that swaps 0's neighbour 1
-    # with 3, at distance 2
-    lifts = permgroups.action_gens(G2)[len(G2.gens):]
-    path = graphs.Graph(4, [(0, 1), (0, 2), (2, 3)])
-    for graph, stab in ((GAMMA2, lifts), (path, [permgroups.as_perm([0, 2, 1, 3])]),
-                        (path, [permgroups.as_perm([0, 3, 2, 1])])):
-        got = over_chunks(lambda: _diagram_or_error(
-            lambda: permgroups.distance_diagram(graph, stab).to_dict()))
-        assert got == _diagram_or_error(lambda: perm_oracle.distance_diagram(graph, stab, 0))
+def test_distance_diagram_is_the_same_for_every_block_size(monkeypatch):
+    """The cell search, which checks the neighbours of the representatives a
+    block at a time, and the scan for the least members, keyed a block of
+    codes at a time, give the diagram of the lifts' orbits on Γ as built
+    (the whole-Γ oracle) at n = 2 and 3, at every block size; with keys
+    that merge cells they refuse the same way at every block size."""
+    cases = [(G2, S2, GAMMA2, CHUNKS), (*cli.build_instance(3)[:3], (509, groups.CHUNK))]
+    for G, S, gamma, chunks in cases:
+        diagram = lambda: permgroups.least_members(G, permgroups.cell_diagram(G, S, G.order))
+        assert over_chunks(lambda: diagram().to_dict(), chunks) == \
+            gamma_oracle.checked_diagram(G, gamma).to_dict()
+    _without_the_zero_flags(monkeypatch)
+    for G, S, _, chunks in cases:
+        assert over_chunks(lambda: permgroups.cell_diagram(G, S, G.order), chunks)[0] == \
+            "ValueError"
 
 
 @given(random_graphs, st.randoms(use_true_random=False))
@@ -483,8 +500,7 @@ def test_distance_diagram_is_the_same_for_every_block_size():
 @settings(max_examples=100, deadline=None)
 def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
     """Irregular graphs, a star and an edgeless graph, at every block size."""
-    assert over_chunks(lambda: line_graph(graph)) == \
-        ("graph", graph.edge_count(), [list(e) for e in scalar_clique_graph_edges(_edges(graph))])
+    assert over_chunks(lambda: _exports(graph)) == scalar_exports(graph)
     if graph.n:
         v = rnd.randrange(graph.n)
         assert over_chunks(lambda: graphs.bfs_layers(graph, v)) == scalar_bfs(graph, v)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cover_oracle
+import gamma_oracle
 import perm_oracle
 from group_oracle import complete_bipartite
 from mdg import claims, cli, f2, graphs, groups, permgroups as pg
@@ -25,6 +27,7 @@ SIGMA2, INFO2 = graphs.sigma_graph(G2)
 GENS2 = pg.action_gens(G2)
 R2, LIFTS2 = GENS2[:len(G2.gens)], GENS2[len(G2.gens):]
 SIGMA_GENS2 = pg.action_gens(G2, INFO2)
+DIAG2 = pg.cell_diagram(G2, S2, G2.order)
 
 
 def test_perm_basics():
@@ -232,7 +235,7 @@ def test_full_degree_lift_with_a_wrong_matrix_part_is_rejected(monkeypatch):
     monkeypatch.setattr(pg, "stabilizer_lift_images", keep_a)
     assert not pg.are_automorphisms(GAMMA2, pg.action_gens(G2))
     with pytest.raises(ValueError, match="differs"):
-        pg.cayley_transitivity(G2, S2, GAMMA2, G2.order)
+        pg.cayley_transitivity(G2, S2, G2.order, DIAG2)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -267,12 +270,12 @@ def test_expected_symmetry_order():
 
 
 def test_distance_diagram_gamma2():
-    diag = pg.distance_diagram(GAMMA2, LIFTS2)
+    diag = gamma_oracle.distance_diagram(GAMMA2, LIFTS2)
     assert diag.cell_sizes_by_distance() == [[1], [6], [18], [18, 36], [9, 36, 72], [18, 36], [6]]
     for row in diag.counts:
         assert sum(row) == 6  # row sums are the valency
     cells = perm_oracle.orbits(LIFTS2, 256)
-    assert sorted(zip(diag.mins, diag.sizes)) == [(c[0], len(c)) for c in cells]
+    assert sorted(zip(diag.reps, diag.sizes)) == [(c[0], len(c)) for c in cells]
     d = diag.to_dict()
     assert d["cells"][0] == {"distance": 0, "size": 1, "members_min": 0}
 
@@ -281,13 +284,25 @@ def test_distance_diagram_k44():
     k44 = complete_bipartite(4, 4)
     stab = [pg.as_perm([0, 2, 3, 1, 4, 5, 6, 7]), pg.as_perm([0, 2, 1, 3, 4, 5, 6, 7]),
             pg.as_perm([0, 1, 2, 3, 5, 6, 7, 4]), pg.as_perm([0, 1, 2, 3, 5, 4, 6, 7])]
-    diag = pg.distance_diagram(k44, stab)
+    diag = gamma_oracle.distance_diagram(k44, stab)
     assert diag.cell_sizes_by_distance() == [[1], [4], [3]]
 
 
 def test_distance_diagram_rejects_moving_base():
     with pytest.raises(ValueError):
-        pg.distance_diagram(GAMMA2, R2)
+        gamma_oracle.distance_diagram(GAMMA2, R2)
+
+
+@pytest.mark.parametrize("stab, why", [
+    ([0, 2, 1, 3], "inter-cell neighbor count is not constant"),
+    ([0, 3, 2, 1], "orbit does not refine the distance layers"),
+], ids=["unequal-counts", "across-distances"])
+def test_distance_diagram_refuses_a_partition_that_is_no_diagram(stab, why):
+    """On the path 1 - 0 - 2 - 3, swapping 1 and 2 joins vertices with
+    unequal counts, and swapping 0's neighbour 1 with 3 joins distances."""
+    path = graphs.Graph(4, [(0, 1), (0, 2), (2, 3)])
+    with pytest.raises(ValueError, match=why):
+        gamma_oracle.distance_diagram(path, [pg.as_perm(stab)])
 
 
 def test_transitivity_gamma2():
@@ -334,10 +349,14 @@ def test_transitivity_report_checks_each_generator_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cayley_transitivity_matches_the_report_on_all_codes(n):
+    """The row read from S, |<G.gens>| and the cells equals the whole-Γ row
+    and the report on the permutations of all codes."""
     G = groups.TensorGroup(n)
     S = graphs.xy_connection_set(G)
     gamma = graphs.cayley_graph(G, S)
-    local = pg.cayley_transitivity(G, S, gamma, groups.subgroup_order(G, G.gens)).flags()
+    order = groups.subgroup_order(G, G.gens)
+    local = pg.cayley_transitivity(G, S, order, pg.cell_diagram(G, S, order)).flags()
+    assert local == gamma_oracle.cayley_transitivity(G, S, gamma, order).flags()
     assert local == perm_oracle.transitivity_report(gamma, pg.action_gens(G)).flags()
     assert local == claims.GAMMA_EXPECTED_FLAGS
     if n == 2:
@@ -350,32 +369,37 @@ def test_cayley_transitivity_reads_vertex_from_the_group_its_gens_generate():
     that ``mul_vec`` keeps apart (bit 8 goes through the XOR untouched).  Its
     Cayley graph on S is two copies of Γ(2), every check of the row passes,
     and R(<gens>) fixes each copy, so no flag holds: the row reads |<gens>|
-    from the context's ``generated``, not the backend's order."""
+    from the context's ``generated``, not the backend's order; the cells
+    about 1 hold the 256 codes of the copy of 1."""
     G = groups.TensorGroup(2)
     G.order *= 2
     S = graphs.xy_connection_set(G)
     assert S == S2 and groups.subgroup_order(G, G.gens) == 256
     gamma = graphs.cayley_graph(G, S)
     assert gamma.n == 512 and graphs.bfs_layers(gamma, 0)[1] == [1, 6, 18, 54, 117, 54, 6]
-    rep = pg.cayley_transitivity(G, S, gamma, 256)
+    diag = pg.cell_diagram(G, S, 256)
+    assert diag == DIAG2
+    rep = pg.cayley_transitivity(G, S, 256, diag)
     assert not rep.vertex and not any(rep.flags().values())
-    assert pg.cayley_transitivity(G2, S2, GAMMA2, 256).vertex
+    assert not any(gamma_oracle.cayley_transitivity(G, S, gamma, 256).flags().values())
+    assert pg.cayley_transitivity(G2, S2, 256, DIAG2).vertex
     ctx = claims.Context(G)
-    ctx.update(S=S, gamma=gamma)
+    ctx.update(S=S)
     (claim,) = claims.run([next(r for r in claims.GRAPHS if r[0] == "cayley-transitivity")], ctx)
     assert claim.status == "fail" and not any(claim.computed.values())
 
 
 def test_cayley_transitivity_refuses_a_generator_that_is_no_involution(monkeypatch):
-    """Only the rows h <= hg are checked for R(g), which covers every row
-    when g^2 = 1; a generator of order 4 (x_0 y_0) is refused, not passed.
-    ``checked_lifts`` already refuses it as no member of S, so it is skipped."""
+    """The whole-Γ row checks only the rows h <= hg for R(g), which covers
+    every row when g^2 = 1; a generator of order 4 (x_0 y_0) is refused, not
+    passed.  ``checked_lifts`` already refuses it as no member of S, so it
+    is skipped."""
     G = groups.TensorGroup(2)
     G.gens = G.gens + [int(G.mul_vec(G.x_gens[0], G.y_gens[0]))]
     monkeypatch.setattr(pg, "checked_lifts", lambda G, S, codes, lifts: lifts)
     assert G.mul_vec(G.gens[-1], G.gens[-1]) != G.identity
     with pytest.raises(ValueError, match="generator is not an involution"):
-        pg.cayley_transitivity(G, S2, GAMMA2, G.order)
+        gamma_oracle.cayley_transitivity(G, S2, GAMMA2, G.order)
 
 
 def _plant_in_the_first_lift(edit):
@@ -419,18 +443,98 @@ def _move_an_edge(within):
     return plant
 
 
-@pytest.mark.parametrize("plant, why", [
-    (_plant_in_the_first_lift(_swap_x0_and_y0), "lift's generator images break a defining relation"),
-    (_plant_in_the_first_lift(_send_x0_out_of_s), "lift does not permute the connection set"),
-    (_move_an_edge((1, 2)), "lift is not an automorphism of the Cayley graph near vertex 0"),
-    (_move_an_edge((4, 5, 6)), "right multiplication is not an automorphism of the Cayley graph"),
+@pytest.mark.parametrize("plant, why, row_reads_it", [
+    (_plant_in_the_first_lift(_swap_x0_and_y0), "lift's generator images break a defining relation",
+     True),
+    (_plant_in_the_first_lift(_send_x0_out_of_s), "lift does not permute the connection set", True),
+    (_move_an_edge((1, 2)), "lift is not an automorphism of the Cayley graph near vertex 0", False),
+    (_move_an_edge((4, 5, 6)), "right multiplication is not an automorphism of the Cayley graph",
+     False),
 ], ids=["broken-relation", "leaves-s", "moved-near-edge", "moved-far-edge"])
-def test_cayley_transitivity_names_what_a_planted_input_breaks(monkeypatch, plant, why):
+def test_cayley_transitivity_names_what_a_planted_input_breaks(monkeypatch, plant, why,
+                                                               row_reads_it):
+    """A planted lift fails the row and the whole-Γ row with the check
+    named.  A planted Γ fails the whole-Γ row, and not the row, which
+    reads no Γ."""
     ctx = claims.Context(G2)
     plant(monkeypatch, ctx)
+    with pytest.raises(ValueError, match=why):
+        gamma_oracle.cayley_transitivity(G2, S2, ctx.get("gamma", GAMMA2), 256)
     row = next(r for r in claims.GRAPHS if r[0] == "cayley-transitivity")
     (claim,) = claims.run([row], ctx)
-    assert (claim.status, claim.computed) == ("fail", f"error: ValueError: {why}")
+    assert (claim.status, claim.computed) == (
+        ("fail", f"error: ValueError: {why}") if row_reads_it
+        else ("pass", claims.GAMMA_EXPECTED_FLAGS))
+
+
+# -- the cells of the lifts about 1 ----------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_cell_keys_are_the_orbits_of_the_lifts(n):
+    """Two codes share a key iff they share an orbit of the lifts, checked
+    on every code: the keys and the orbit labels make one partition, of
+    11 and 17 cells."""
+    G = groups.TensorGroup(n)
+    labels = pg.orbits([pg.as_perm(p) for p in pg.stabilizer_lift_images(G)], G.order)
+    keys = pg.cell_keys(G, np.arange(G.order))
+    pairs = set(zip(labels.tolist(), keys.tolist()))
+    assert len(pairs) == len(set(labels.tolist())) == len(set(keys.tolist())) == 6 * n - 1
+
+
+def test_the_cell_search_meets_the_closed_forms_at_n4():
+    """23 = 6n - 1 cells, the diameter 2n + 2 and the first spheres, S and
+    S S less 1 and S, at n = 4, where Γ(4) is never built."""
+    G = groups.TensorGroup(4)
+    S = graphs.xy_connection_set(G)
+    diag = pg.cell_diagram(G, S, G.order)
+    two = groups.sorted_codes(G.mul_vec(np.array(S)[:, None], S))
+    assert len(diag.reps) == 23 and max(diag.distances) == 10
+    layers = [sum(sizes) for sizes in diag.cell_sizes_by_distance()]
+    assert sum(layers) == G.order and layers[:3] == [1, len(S), len(two) - 1 - len(S)]
+
+
+def _without_the_zero_flags(monkeypatch):
+    invariants = pg._invariants
+    monkeypatch.setattr(pg, "_invariants", lambda G, codes: invariants(G, codes) & ~3)
+
+
+def _misname_5(monkeypatch):
+    """Keys that name code 5, which no representative at n = 2 meets as a
+    neighbour, by the key of 1."""
+    keys, one = pg.cell_keys, pg.cell_keys(G2, [G2.identity])[0]
+    monkeypatch.setattr(pg, "cell_keys", lambda G, codes: np.where(
+        np.asarray(codes) == 5, one, keys(G, codes)))
+
+
+@pytest.mark.parametrize("plant, generated, why", [
+    (_without_the_zero_flags, 256, "the cells hold 133 codes, not |<G.gens>| = 256"),
+    (_without_the_zero_flags, 133, "the cells' counts are not those of an equitable partition"),
+    (_misname_5, 256, "two members of a cell have different count rows"),
+    (lambda monkeypatch: None, 255, "the cells hold 256 codes, not |<G.gens>| = 255"),
+], ids=["merging-key", "merging-key-at-its-own-count", "one-code-misnamed", "wrong-order"])
+def test_each_check_of_the_cells_can_fail(monkeypatch, plant, generated, why):
+    """Keys without the two zero flags merge orbits: their sizes miss |G|,
+    and, given their own sum as |<G.gens>|, they break the pair condition.
+    One code misnamed, two steps from the representatives, has a count row
+    unlike its cell's."""
+    plant(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(why)):
+        pg.cell_diagram(G2, S2, generated)
+
+
+def test_a_connection_set_that_is_not_inverse_closed_is_refused():
+    """Without x_0 y_0's inverse, x_0 y_0 leads to a cell with no way back."""
+    z = int(G2.mul_vec(G2.x_gens[0], G2.y_gens[0]))
+    with pytest.raises(ValueError, match="no whole size"):
+        pg.cell_diagram(G2, sorted(S2 + [z]), G2.order)
+
+
+def test_least_members_refuses_a_code_in_no_cell(monkeypatch):
+    diag, keys = pg.cell_diagram(G2, S2, G2.order), pg.cell_keys
+    monkeypatch.setattr(pg, "cell_keys", lambda G, codes: np.where(
+        np.asarray(codes) == 3, -1, keys(G, codes)))
+    with pytest.raises(ValueError, match="key of no cell"):
+        pg.least_members(G2, diag)
 
 
 # -- Σ's 2-arc row, read at the vertex X ----------------------------------------
