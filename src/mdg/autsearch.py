@@ -52,6 +52,14 @@ class Partition:
         return Partition(order, np.insert(self.starts, c + 1, lo + 1), v)
 
 
+def _ranges(starts, counts) -> np.ndarray:
+    """Concatenation of the ranges starts[i], ..., starts[i] + counts[i] - 1."""
+    ends = np.cumsum(counts)
+    out = np.repeat(starts - ends + counts, counts)
+    out += np.arange(len(out))
+    return out
+
+
 def _row_words(nbr: np.ndarray, cell: np.ndarray, verts: np.ndarray, k: int) -> np.ndarray:
     """The sorted row of neighbour cells of each vertex in ``verts``
     (``cell`` maps the padding to k, above every cell index), as k - entry
@@ -102,7 +110,7 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
         todo = todo[np.isin(todo, part.cell[graph.neighbors(part.singleton)], kind="table")]
     while len(todo):
         k = len(part)
-        pos = graphs._ranges(part.starts[todo], np.diff(part.starts)[todo])
+        pos = _ranges(part.starts[todo], np.diff(part.starts)[todo])
         verts = part.order[pos]
         cur = part.cell[verts]
         words = _row_words(nbr, np.append(part.cell, np.int32(k)), verts, k)  # k pads

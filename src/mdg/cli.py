@@ -45,13 +45,20 @@ def _report(rows, ctx: claims.Context, as_json: bool) -> int:
     return 0 if rep.ok() else 1
 
 
-def _check_n(n: int, full_degree: str | None = None):
-    """Raise a usage error unless n is in [2, MAX_DIM] and, when the command
-    builds ``full_degree`` on all 2^(n^2+2n) codes of G, n <= 3."""
+def _check_n(n: int):
+    """Raise a usage error unless n is in [2, MAX_DIM]."""
     if not 2 <= n <= f2.MAX_DIM:
         raise UsageError(f"Invalid value for '-n': n must be in [2, {f2.MAX_DIM}]")
-    if full_degree and n > 3:
-        raise UsageError(f"Invalid value for '-n': {full_degree} is supported for n <= 3")
+
+
+def _context(n: int, what: str = "", needs: str = "") -> claims.Context:
+    """The objects of a run on TensorGroup(n); a usage error if n is out of
+    range or ``what`` needs an object over the size rule (``claims.over_budget``)."""
+    _check_n(n)
+    ctx = claims.Context(groups.TensorGroup(n))
+    if why := claims.over_budget(needs, ctx.group):
+        raise UsageError(f"Invalid value for '-n': {what} {why}")
+    return ctx
 
 
 def _dihedral_orders(text: str) -> tuple:
@@ -78,26 +85,25 @@ def verify_graphs(a) -> int:
     """Build the Cayley and coset graphs and check counts, the clique- and
     line-graph identifications, the quotient cover, the edge-affine
     witness and the transitivity flags."""
-    _check_n(a.n)
-    return _report(claims.GRAPHS, claims.Context(groups.TensorGroup(a.n)), a.json)
+    return _report(claims.GRAPHS, _context(a.n), a.json)
 
 
 def aut(a) -> int:
     """Compare the generated symmetry-group order against the closed-form
     value, optionally certifying it as the full automorphism group."""
-    _check_n(a.n, "the full automorphism search" if a.full_search else None)
     cid, expected, compute, needs = claims.SEARCH[a.target]
     # without the search the full order is asserted: no compute, nothing needed
     search = (cid, expected, compute, needs) if a.full_search else (cid, expected, None, "")
-    return _report((claims.GENERATED_ORDER, search), claims.Context(groups.TensorGroup(a.n)), a.json)
+    ctx = _context(a.n, "the full automorphism search", needs if a.full_search else "")
+    return _report((claims.GENERATED_ORDER, search), ctx, a.json)
 
 
 def export(a) -> int:
     """Write a graph as a graph6 string or an edge list (deterministic
     bytes for a given target)."""
-    _check_n(a.n, None if a.target == "kbip" else f"{a.target} export")
+    _check_n(a.n)
     graph = (graphs.sigma_graph(groups.Elementary(a.n))[0] if a.target == "kbip"
-             else getattr(claims.Context(groups.TensorGroup(a.n)), a.target))
+             else getattr(_context(a.n, f"{a.target} export", a.target), a.target))
     # graph6 is written as its one buffer, then the newline
     chunks = ((graphs.to_graph6(graph), b"\n") if a.format == "graph6"
               else (graphs.to_edgelist(graph).encode("ascii"),))
@@ -115,11 +121,7 @@ def diagram(a) -> int:
     stabilizer's orbits by distance, each named by its least member, with
     inter-cell counts, for n <= 4, where G fits the size rule; at n=2 it is
     also diffed against the packaged reference data."""
-    _check_n(a.n)
-    ctx = claims.Context(groups.TensorGroup(a.n))
-    why = claims.over_budget("diagram", ctx.group)
-    if why:
-        raise UsageError(f"Invalid value for '-n': diagram {why}")
+    ctx = _context(a.n, "diagram", "diagram")
     try:
         diag = permgroups.least_members(ctx.group, ctx.diagram)
     except ValueError as e:  # such as a cell key that merges two orbits

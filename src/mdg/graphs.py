@@ -1,8 +1,9 @@
-"""Undirected simple graphs on indexed vertices, and the constructions
-linking a group generated by X and Y to its Cayley graph and the bipartite
-coset graph on [G:X] u [G:Y]; the neighbourhood of 1 in the Cayley graph,
-which decides its cliques, line-graph structure and edge colours; BFS
-layers, and graph6 and edge-list export.
+"""Undirected simple graphs on indexed vertices, each stored as its padded
+neighbour array, and the constructions linking a group generated by X and
+Y to its Cayley graph and the bipartite coset graph on [G:X] u [G:Y]; the
+neighbourhood of 1 in the Cayley graph, which decides its cliques,
+line-graph structure and edge colours; BFS layers, and graph6 and
+edge-list export.
 """
 
 from collections import namedtuple
@@ -13,20 +14,20 @@ from . import groups
 
 
 class Graph:
-    """Simple undirected graph stored once, as a CSR adjacency: the
-    neighbours of v are ``indices[indptr[v]:indptr[v + 1]]`` in ascending
-    order.  Both arrays are read-only; every other view derives from them.
-    ``indices`` holds vertex ids in ``_index_dtype(n)`` (int16 up to 2^15
-    vertices) and ``indptr`` is int32 while the arc count fits; arithmetic
-    that can leave those ranges widens where it is done.  Permutations of
-    the vertices stay int32 (``permgroups``).
+    """Simple undirected graph stored once, as a read-only neighbour array:
+    row v holds the neighbours of v in ascending order, then the padding n
+    up to the maximum degree.  A regular graph has no padding.  The array
+    takes ``_index_dtype`` of the largest value it stores (int16 up to 2^15
+    vertices with no padding); arithmetic that can leave that range widens
+    where it is done.  Permutations of the vertices stay int32
+    (``permgroups``).
 
     ``edges`` is an (m, 2) integer array or any iterable of integer pairs;
     repeats are merged, loops and out-of-range or non-integer vertices rejected.
     """
 
     def __init__(self, n: int, edges=()):
-        self.n = n = int(n)
+        n = int(n)
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if pairs.size == 0:
             pairs = pairs.astype(np.int64).reshape(0, 2)
@@ -47,97 +48,78 @@ class Graph:
         repeated = keys[1:] == keys[:-1]
         if repeated.any():
             keys = keys[np.concatenate([[True], ~repeated])]
-        self.indptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * n).astype(
-            _index_dtype(len(keys) + 1, (np.int32,)), copy=False)
-        np.remainder(keys, max(n, 1), out=keys)
-        self.indices = keys.astype(_index_dtype(n), copy=False)
-        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        # the heads, by tail and then head, fill each row's first slots in turn
+        degs = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=dtype) * n))
+        width = int(degs.max(initial=0))
+        padded = bool(np.any(degs != width))
+        rows = np.full((n, width), n if padded else 0, dtype=_index_dtype(n + padded))
+        rows[np.arange(width) < degs[:, None]] = keys % max(n, 1)
+        self.n, self._rows = n, rows
+        rows.flags.writeable = False
 
     @classmethod
-    def _from_rows(cls, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
-        """The graph whose CSR rows are already built: each row ascending,
-        with no loop or repeat, and u in row v iff v in row u.  Nothing is
-        checked; both arrays are made read-only."""
+    def _from_rows(cls, rows: np.ndarray) -> "Graph":
+        """The graph whose neighbour array is already built: each row
+        ascending, with no loop or repeat, then padded with n, and u in row
+        v iff v in row u.  Nothing is checked; the array is made read-only."""
         graph = cls.__new__(cls)
-        graph.n, graph.indptr, graph.indices = len(indptr) - 1, indptr, indices
-        indptr.flags.writeable = indices.flags.writeable = False
+        graph.n, graph._rows = len(rows), rows
+        rows.flags.writeable = False
         return graph
 
+    def neighbor_array(self) -> np.ndarray:
+        """The stored (n, max degree) neighbour array, read-only."""
+        return self._rows
+
     def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        row = self._rows[v]
+        return row[:np.searchsorted(row, self.n)]
 
     def edge_count(self) -> int:
-        return len(self.indices) // 2
+        return int(np.count_nonzero(self._rows < self.n)) // 2
 
     def edge_array(self) -> np.ndarray:
-        """The edges as an (m, 2) array of pairs u < v, of the type of
-        ``indices``, in ascending order, filled a block of arcs at a time."""
-        out = np.empty((self.edge_count(), 2), dtype=self.indices.dtype)
+        """The edges as an (m, 2) array of pairs u < v, in
+        ``_index_dtype(n)``, ascending, filled a block of rows at a time."""
+        out = np.empty((self.edge_count(), 2), dtype=_index_dtype(self.n))
         done = 0
-        for _, tails, heads in _forward_arcs(self):
+        for tails, heads in _forward_arcs(self):
             out[done:done + len(tails), 0] = tails
             out[done:done + len(tails), 1] = heads
             done += len(tails)
         return out
 
     def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = int(np.searchsorted(nb, v))
-        return i < len(nb) and int(nb[i]) == v
+        return bool(np.any(self.neighbors(u) == v))
 
-    def is_regular(self) -> int | None:
-        degs = np.diff(self.indptr)
-        return int(degs[0]) if self.n and np.all(degs == degs[0]) else None
-
-    def neighbor_array(self) -> np.ndarray:
-        """Neighbour lists as an (n, max degree) array of a type holding
-        every vertex and n; row v holds the sorted neighbours of v, then
-        the padding n up to the width.  For a regular graph this is a
-        read-only view of ``indices``."""
-        k = self.is_regular()
-        if k is not None:
-            return self.indices.reshape(self.n, k)
-        degs = np.diff(self.indptr)
-        out = np.full((self.n, int(degs.max()) if self.n else 0), self.n,
-                      dtype=_index_dtype(self.n + 1))
-        tails = np.repeat(np.arange(self.n), degs)
-        out[tails, np.arange(len(self.indices)) - self.indptr[tails]] = self.indices
-        return out
+    def is_regular(self) -> int | None:  # the degree if no row ends in padding
+        width = self._rows.shape[1]
+        return width if self.n and not np.any(self._rows[:, -1:] == self.n) else None
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
+                and np.array_equal(self._rows, other._rows))
 
 
-# -- array helpers on the CSR store ------------------------------------------
+# -- array helpers on the neighbour array ------------------------------------
 
-def _index_dtype(limit: int, types=(np.int16, np.int32)):
-    """The narrowest of ``types``, else int64, that holds range(limit):
-    the type of every stored array of vertex ids or cosets."""
-    return next((t for t in types if limit <= np.iinfo(t).max + 1), np.int64)
-
-
-def _ranges(starts, counts) -> np.ndarray:
-    """Concatenation of the ranges starts[i], ..., starts[i] + counts[i] - 1."""
-    ends = np.cumsum(counts)
-    out = np.repeat(starts - ends + counts, counts)
-    out += np.arange(len(out))
-    return out
+def _index_dtype(limit: int):
+    """The narrowest of int16, int32 and int64 that holds range(limit): the
+    type of every stored array of vertex ids or cosets."""
+    return next((t for t in (np.int16, np.int32) if limit <= np.iinfo(t).max + 1), np.int64)
 
 
 def _forward_arcs(graph: Graph, per_arc: int = 4):
-    """The arcs u -> v with u < v, in slot order (the order of the rows of
-    ``edge_array()``), as (slots, tails, heads) per block of tails
-    (``groups._blocks`` over the arcs); ``per_arc`` counts the caller's 8-byte
-    temporaries per arc of the block and these four (the tails, the forward
-    positions, the slots, and the caller's hold on the last block)."""
-    ptr = graph.indptr
-    for lo, hi in groups._blocks(ptr, per_arc):
-        tails = np.repeat(np.arange(lo, hi, dtype=graph.indices.dtype), np.diff(ptr[lo:hi + 1]))
-        heads = graph.indices[ptr[lo]:ptr[hi]]
-        fwd = np.flatnonzero(tails < heads)
-        yield ptr[lo] + fwd, tails[fwd], heads[fwd]
+    """The arcs u -> v with u < v in ascending order, the rows of
+    ``edge_array()``, as (tails, heads) per block of rows; ``per_arc``
+    counts the caller's 8-byte temporaries per slot and these four (the
+    tails, the mask, the heads and the caller's hold on the last block)."""
+    rows = graph.neighbor_array()
+    for lo, hi in groups._blocks(graph.n, per_arc * rows.shape[1]):
+        heads = rows[lo:hi]
+        tails = np.arange(lo, hi, dtype=rows.dtype)[:, None]
+        fwd = (tails < heads) & (heads < graph.n)
+        yield np.broadcast_to(tails, heads.shape)[fwd], heads[fwd]
 
 
 def _codes(a) -> np.ndarray:
@@ -159,16 +141,13 @@ def cayley_graph(G, S) -> Graph:
         raise ValueError("identity must not lie in the connection set")
     if not np.isin(_codes(G.inv_vec(S)), S, assume_unique=True).all():
         raise ValueError("connection set is not inverse-closed")
-    k = len(S)
-    indices = np.empty(G.order * k, dtype=_index_dtype(G.order))
-    rows = indices.reshape(G.order, k)
+    rows = np.empty((G.order, len(S)), dtype=_index_dtype(G.order))
     # one block of rows against every s at a time
-    for lo, hi in groups._blocks(G.order, k):
+    for lo, hi in groups._blocks(G.order, len(S)):
         block = rows[lo:hi]
         block[:] = G.mul_vec(S[:, None], np.arange(lo, hi)).T
         block.sort(axis=1)
-    ptr = _index_dtype(len(indices) + 1, (np.int32,))
-    return Graph._from_rows(np.arange(G.order + 1, dtype=ptr) * k, indices)
+    return Graph._from_rows(rows)
 
 
 def xy_connection_set(G) -> list[int]:
@@ -245,51 +224,50 @@ def sigma_graph(G) -> tuple[Graph, SigmaInfo]:
     and the row of a Y-coset the X-cosets of its members.  Each group
     element h then gives the edge {Xh, Yh} once; ValueError when a row
     repeats a coset, that is when two members of a coset share a coset of
-    the other side and |Xh n Yg| <= 1 fails.
+    the other side and |Xh n Yg| <= 1 fails.  When |X| != |Y| the rows of
+    the smaller side are padded.
     """
     groups.check_budget(G.order)
     x_cosets, x_index = right_cosets(G, groups.closure_array(G, G.x_gens))
     y_cosets, y_index = right_cosets(G, groups.closure_array(G, G.y_gens))
     info = SigmaInfo(x_cosets, y_cosets, x_index, y_index)
-    n_x, n_y = info.n_x, len(y_cosets)
-    indices = np.empty(x_cosets.size + y_cosets.size, dtype=_index_dtype(n_x + n_y))
-    ptr = _index_dtype(len(indices) + 1, (np.int32,))
-    wx, wy = x_cosets.shape[1], y_cosets.shape[1]
-    indptr = np.concatenate([np.arange(n_x, dtype=ptr) * wx,
-                             x_cosets.size + np.arange(n_y + 1, dtype=ptr) * wy])
-    for cosets, index, offset, out in ((x_cosets, y_index, n_x, indices[:x_cosets.size]),
-                                       (y_cosets, x_index, 0, indices[x_cosets.size:])):
-        rows = out.reshape(cosets.shape)
-        for lo, hi in groups._blocks(len(cosets), cosets.shape[1]):
-            block = rows[lo:hi]
+    n, n_x, (wx, wy) = info.n_x + len(y_cosets), info.n_x, (x_cosets.shape[1], y_cosets.shape[1])
+    rows = np.empty((n, max(wx, wy)), dtype=_index_dtype(n + (wx != wy)))
+    for cosets, index, offset, side in ((x_cosets, y_index, n_x, rows[:n_x]),
+                                        (y_cosets, x_index, 0, rows[n_x:])):
+        width = cosets.shape[1]
+        if width < rows.shape[1]:
+            side[:, width:] = n
+        for lo, hi in groups._blocks(len(cosets), width):
+            block = side[lo:hi, :width]
             np.add(index[cosets[lo:hi]], offset, out=block)
             block.sort(axis=1)
             if np.any(block[:, 1:] == block[:, :-1]):
                 raise ValueError("two members of a coset share a coset of the other side")
-    return Graph._from_rows(indptr, indices), info
+    return Graph._from_rows(rows), info
 
 
 def bfs_layers(graph: Graph, v: int, depth: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Exact BFS distances from v (-1 for unreachable, or beyond ``depth``
     if given), as an int64 array over the vertices, and the layer sizes.
-    The frontier's rows are read a block of arcs at a time, weighed at four
-    8-byte temporaries each for a block's arc indices, and the next layer is
-    marked in a mask over the vertices."""
-    ptr = graph.indptr
+    The frontier's rows are read a block of rows at a time, weighed at four
+    8-byte temporaries per slot, and the next layer is marked in a mask
+    over the vertices, with one more slot for the padding."""
+    rows = graph.neighbor_array()
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[v] = 0
     frontier = np.array([v], dtype=np.int64)
     layers = [1]
-    marked = np.zeros(graph.n, dtype=bool)
+    marked = np.zeros(graph.n + 1, dtype=bool)
+    seen = marked[:graph.n]  # the vertices' slots, without the padding's
     while len(layers) - 1 != depth:
-        degs = ptr[1:][frontier] - ptr[frontier]
-        for lo, hi in groups._blocks(np.concatenate([[0], np.cumsum(degs)]), 4):
-            marked[graph.indices[_ranges(ptr[frontier[lo:hi]], degs[lo:hi])]] = True
-        marked[dist >= 0] = False
-        frontier = np.flatnonzero(marked)
+        for lo, hi in groups._blocks(len(frontier), 4 * rows.shape[1]):
+            marked[rows[frontier[lo:hi]]] = True
+        seen[dist >= 0] = False
+        frontier = np.flatnonzero(seen)
         if not len(frontier):
             break
-        marked[frontier] = False
+        seen[frontier] = False
         dist[frontier] = len(layers)
         layers.append(len(frontier))
     return dist, layers
@@ -317,7 +295,7 @@ def to_graph6(graph: Graph) -> bytearray:
     out[:len(header)] = header
     body = np.frombuffer(out, dtype=np.uint8, offset=len(header))
     body[:] = 63  # "?": six zero bits
-    for _, i, j in _forward_arcs(graph):
+    for i, j in _forward_arcs(graph):
         k = j.astype(np.int64) * (j - 1) // 2 + i
         np.add.at(body, k // 6, (32 >> (k % 6)).astype(np.uint8))
     return out
@@ -325,7 +303,7 @@ def to_graph6(graph: Graph) -> bytearray:
 
 def to_edgelist(graph: Graph) -> str:
     """The edges as "u v" lines in ``edge_array()`` order, formatted a block
-    of arcs at a time: the forward arcs' ints, their list and tuple slots
-    and their lines weigh about seven 8-byte temporaries per arc."""
+    of rows at a time: the forward arcs' ints, their list and tuple slots
+    and their lines weigh about seven 8-byte temporaries per slot."""
     return "".join("%d %d\n" * len(u) % tuple(np.stack([u, v], axis=1).ravel().tolist())
-                   for _, u, v in _forward_arcs(graph, 4 + 7))
+                   for u, v in _forward_arcs(graph, 4 + 7))

@@ -27,29 +27,19 @@ from . import f2
 #: Largest group order the enumeration-based operations will touch.
 DEFAULT_BUDGET = 1 << 24
 
-#: The block budget of every array pass over codes, arcs, cliques or pairs:
-#: a block holds at most about CHUNK 8-byte temporaries in all.  ``_blocks``
-#: is the one place where blocks are sized from it; a pass that runs inside
-#: another's block, as the arc search does, takes blocks of its own.
+#: The block budget of every array pass over codes, graph rows or pairs: a
+#: block holds at most about CHUNK 8-byte temporaries in all, a graph row
+#: weighing its slots, padding included.  ``_blocks`` is the one place where
+#: blocks are sized from it; a pass inside another's block takes its own.
 #: Arrays as long as the graph are stored in ``graphs._index_dtype`` widths.
 CHUNK = 1 << 15
 
 
-def _blocks(items, per_item: int = 1):
-    """Consecutive ranges (lo, hi) covering the items, each holding at most
-    CHUNK // per_item of them or a single item, where ``per_item`` counts a
-    pass's 8-byte temporaries per item.  ``items`` is a count, every item
-    weighing one, or the cumulative weights of the items (cum[0] == 0), as
-    a run of CSR rows weighs its arcs."""
+def _blocks(count: int, per_item: int = 1):
+    """Consecutive ranges (lo, hi) covering range(count), each of CHUNK //
+    per_item items or one, ``per_item`` a pass's 8-byte temporaries per item."""
     step = max(1, CHUNK // max(1, per_item))
-    if np.ndim(items) == 0:
-        yield from ((lo, min(lo + step, items)) for lo in range(0, items, step))
-        return
-    lo, last = 0, len(items) - 1
-    while lo < last:
-        hi = max(lo + 1, int(np.searchsorted(items, int(items[lo]) + step, side="right")) - 1)
-        yield lo, hi
-        lo = hi
+    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 class BudgetExceeded(Exception):

@@ -2,8 +2,8 @@
 
 Permutations are numpy int32 arrays mapping vertex -> image, even where a
 graph stores its vertex ids in int16 (``graphs._index_dtype``), each checked
-once by ``as_perm`` where it is made or enters; an edge u < w is its int64
-key u * n + w among the sorted keys of ``edge_array()``.  PermGroup keeps a
+once by ``as_perm`` where it is made or enters, and fixing the padding n of
+a graph's neighbour array where it is checked on one.  PermGroup keeps a
 base and strong generating set computed by a deterministic,
 randomisation-free Schreier-Sims: each base point is the least point its
 level's generators move, and each level stores a transversal element and its
@@ -182,23 +182,15 @@ def _orbit_count(gens, degree: int) -> int:
 
 
 def are_automorphisms(graph: graphs.Graph, perms) -> bool:
-    """Whether every permutation in ``perms`` is an automorphism of the
-    graph; a regular graph's neighbour array is built once for all, and
-    compared a block of rows at a time."""
+    """Whether every permutation in ``perms`` is an automorphism of the graph:
+    p, fixing the padding n, maps each padded row onto its image's row, up
+    to order, compared a block of rows at a time."""
     if any(len(p) != graph.n for p in perms):
         return False
-    k = graph.is_regular()
-    if k is not None and k > 0:
-        nbr = graph.neighbor_array()
-        return all(np.array_equal(np.sort(p[nbr[lo:hi]], axis=1), nbr[p[lo:hi]])
-                   for p in perms for lo, hi in groups._blocks(graph.n, k))
-    # p maps the edge set one-to-one, so it is an automorphism iff every
-    # edge's image is an edge: its key, widened before the product, is a key
-    u, w = graph.edge_array().T.astype(np.int64)
-    keys = u * graph.n + w  # ascending, as the rows of edge_array() are
-    return not len(keys) or all(groups.in_sorted(
-        np.minimum(p[u], p[w]).astype(np.int64) * graph.n + np.maximum(p[u], p[w]), keys).all()
-        for p in perms)
+    nbr = graph.neighbor_array()
+    return all(np.array_equal(np.sort(q[nbr[lo:hi]], axis=1), nbr[q[lo:hi]])
+               for q in (np.append(p, np.int32(graph.n)) for p in perms)
+               for lo, hi in groups._blocks(graph.n, nbr.shape[1]))
 
 
 # -- actions attached to the group backends --------------------------------

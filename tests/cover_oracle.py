@@ -70,7 +70,7 @@ def normal_quotient(graph: Graph, labels) -> tuple[Graph, bool]:
     number = np.empty(graph.n, dtype=_index_dtype(q))
     number[roots] = np.arange(q)
     cell, pairs = number[labels], np.empty(0, dtype=_index_dtype(q * q))
-    for _, u, v in _forward_arcs(graph, 8):
+    for u, v in _forward_arcs(graph, 8):
         a, b = np.sort([cell[u], cell[v]], axis=0)
         pairs = np.sort(np.concatenate([pairs, (a.astype(pairs.dtype) * q + b)[a != b]]))
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]

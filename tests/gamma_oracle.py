@@ -41,17 +41,19 @@ def distance_diagram(graph: graphs.Graph, stab_gens) -> DistanceDiagram:
     roots = roots[np.argsort(dist[roots], kind="stable")]
     number = np.zeros(graph.n, dtype=np.int64)
     number[roots] = np.arange(len(roots))
-    degs = np.diff(graph.indptr)
+    nbr = graph.neighbor_array()
+    # the padding n is counted in an extra cell, past the last, and dropped
+    cell_of = np.append(number[labels], len(roots))
 
     def rows(vs):
         """Each vertex's neighbour count in every cell."""
-        heads = graph.indices[graphs._ranges(graph.indptr[vs], degs[vs])]
-        keys = np.repeat(np.arange(len(vs)) * len(roots), degs[vs]) + number[labels[heads]]
-        return np.bincount(keys, minlength=len(vs) * len(roots)).reshape(len(vs), len(roots))
+        keys = np.arange(len(vs))[:, None] * (len(roots) + 1) + cell_of[nbr[vs]]
+        counts = np.bincount(keys.ravel(), minlength=len(vs) * (len(roots) + 1))
+        return counts.reshape(len(vs), len(roots) + 1)[:, :-1]
 
     counts = rows(roots)
-    # a block's count rows and arcs are weighed by the longer of the two
-    for lo, hi in groups._blocks(graph.n, max(len(roots), int(degs.max(initial=0)))):
+    # a block's count rows and slots are weighed by the longer of the two
+    for lo, hi in groups._blocks(graph.n, max(len(roots) + 1, nbr.shape[1])):
         vs = np.arange(lo, hi)
         if not np.array_equal(rows(vs), counts[number[labels[vs]]]):
             raise ValueError("inter-cell neighbor count is not constant")

@@ -8,7 +8,7 @@ F_2 transpose behind the per-element lift formulas.  ``dihedral_mul`` and
 ``groups.DihedralProduct``, whose product and inverse are array forms.
 ``cayley_graph_from_pairs`` and ``sigma_graph_from_pairs`` build Γ and Σ
 from their edge lists through the general ``graphs.Graph``, the oracles
-for the builders that write the CSR rows directly.  ``complete_bipartite``
+for the builders that write the neighbour rows directly.  ``complete_bipartite``
 lists the edges of K(m, n), which ``export --target kbip`` now builds as
 the coset graph of C_2^(2n).  ``line_graph`` builds
 a line graph on the rows of ``edge_array()``.

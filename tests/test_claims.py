@@ -218,7 +218,7 @@ def test_center_holds_two_blocks_on_dihedral_products(ms, monkeypatch):
 
 
 def test_edgelist_holds_at_most_half_again_its_length_at_n3(n3):
-    """to_edgelist(Γ(3)) formats a block of arcs at a time, so beyond the
+    """to_edgelist(Γ(3)) formats a block of rows at a time, so beyond the
     2.6 MB text it returns it holds at most 1.5 times that length: the
     pieces it joins and one block (about 2.6 MB on Linux, CPython 3.11,
     numpy 2.4; 21.6 MB when every endpoint went into one tuple)."""

@@ -709,9 +709,13 @@ def test_diagram_above_n4_is_a_usage_error_naming_g(n):
 @pytest.mark.parametrize("args", [["aut", "--full-search"], ["export", "--target", "sigma"],
                                   ["export", "--target", "gamma"]])
 def test_full_degree_commands_above_n3_are_usage_errors(args):
+    """The size rule refuses the objects these commands build at n = 4:
+    Sigma(4) at 6 |G| entries, and Gamma(4) at |G| |S|."""
     r = run_fresh(*args, "-n", "4")
-    assert r.returncode == 2, r.stderr
-    assert "supported for n <= 3" in r.stderr
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    sizes = {"sigma": "Sigma(4): 100,663,296", "gamma": "Gamma(4): 503,316,480"}
+    name = "gamma" if args[-1] == "gamma" else "sigma"  # the search certifies on Sigma
+    assert f"needs {sizes[name]} entries > 16,777,216" in r.stderr, r.stderr
 
 
 def test_export_to_a_directory_is_a_usage_error(tmp_path):

@@ -1,5 +1,5 @@
-"""Differential tests of the CSR graph core and the array passes built on
-it.  The oracles share no code with mdg.graphs: networkx where it is
+"""Differential tests of the graph core, stored as padded neighbour arrays,
+and the array passes built on it.  The oracles share no code with mdg.graphs: networkx where it is
 installed, otherwise scalar loops kept in this file."""
 
 import itertools
@@ -71,7 +71,7 @@ def test_graph_edge_cases():
     for n in (0, 1):
         g = graphs.Graph(n)
         assert g.n == n and g.edge_count() == 0 and g.edge_array().shape == (0, 2)
-        assert g.indptr.tolist() == [0] * (n + 1)
+        assert g.neighbor_array().shape == (n, 0)
     assert graphs.Graph(0).is_regular() is None
     assert graphs.Graph(1).is_regular() == 0
     assert graphs.Graph(3, [(2, 0), (0, 2), (2, 0)]).edge_array().tolist() == [[0, 2]]
@@ -80,7 +80,7 @@ def test_graph_edge_cases():
             graphs.Graph(3, bad)
     g = graphs.Graph(3, [(0, 1)])
     with pytest.raises(ValueError):
-        g.indices[0] = 2  # the store is read-only
+        g.neighbor_array()[0, 0] = 2  # the store is read-only
     # a graph compares by value, so it is unhashable
     for use in (hash, lambda g: {g}):
         with pytest.raises(TypeError):
@@ -88,8 +88,11 @@ def test_graph_edge_cases():
 
 
 def test_regular_neighbor_array_is_a_view_of_the_store():
+    """The neighbour array is the store itself, read-only, with no copy made
+    and, for a regular graph, no padding."""
     nbr = GAMMA2.neighbor_array()
-    assert nbr.base is not None and np.shares_memory(nbr, GAMMA2.indices)
+    assert nbr is GAMMA2.neighbor_array() and not nbr.flags.writeable
+    assert nbr.shape == (GAMMA2.n, GAMMA2.is_regular()) and nbr.max() < GAMMA2.n
     assert nbr.tolist() == [GAMMA2.neighbors(v).tolist() for v in range(GAMMA2.n)]
 
 
@@ -539,8 +542,6 @@ def test_normal_quotient_matches_a_scalar_quotient_for_every_block_size(graph, r
 def test_index_dtype_is_the_narrowest_type_holding_the_range(limit, dtype):
     assert graphs._index_dtype(limit) is dtype
     assert limit - 1 <= np.iinfo(dtype).max
-    # row pointers: never narrower than int32
-    assert graphs._index_dtype(limit, (np.int32,)) is (np.int32 if dtype is np.int16 else dtype)
 
 
 N16 = 1 << 15  # the most vertices whose ids fit in int16
@@ -563,20 +564,19 @@ def boundary_graphs(request):
 
 def test_a_graph_on_2_15_vertices_matches_its_int32_build(boundary_graphs):
     edges, g, h = boundary_graphs
-    assert g.indices.dtype == np.int16 and h.indices.dtype == np.int32
-    assert g.indptr.dtype == h.indptr.dtype == np.int32
+    # the padding n = 2^15 passes int16, so both stores are int32; the edges are not
+    assert g.neighbor_array().dtype == h.neighbor_array().dtype == np.int32
     assert g.is_regular() is None
-    assert g.edge_array().dtype == np.int16
+    assert g.edge_array().dtype == np.int16 and h.edge_array().dtype == np.int32
     assert np.array_equal(g.edge_array(), h.edge_array())
     top = [0, 1, 7, N16 - 3, N16 - 2, N16 - 1]
     for u, v in itertools.product(top, repeat=2):
         assert g.has_edge(u, v) == h.has_edge(u, v)
     assert g.has_edge(0, N16 - 1) and g.has_edge(N16 - 1, 0)
-    # the padding sentinel n = 2^15 does not fit in int16, so it widens
     a, b = g.neighbor_array(), h.neighbor_array()
     assert np.array_equal(np.where(a == g.n, -1, a), np.where(b[:N16] == h.n, -1, b[:N16]))
     assert np.count_nonzero(a == g.n) == np.count_nonzero(b[:N16] == h.n) > 0
-    # automorphism checks on edge keys u * n + w past 2^15, with 2^15 - 1 moved
+    # automorphism checks with 2^15 - 1 moved and the padding 2^15 fixed
     edge_set = {tuple(sorted(e)) for e in edges}
     for swap in ([], [0, N16 - 1], [0, 1], [N16 - 2, N16 - 1]):
         p = np.arange(N16 + 1, dtype=np.int32)
@@ -615,21 +615,28 @@ def test_graph6_of_an_int16_graph_past_the_offset_wrap_matches_networkx():
     n = 600
     g = graphs.Graph(n, [(0, n - 1), (n - 2, n - 1)]
                      + [tuple(rnd.sample(range(n), 2)) for _ in range(900)])
-    assert g.indices.dtype == np.int16
+    assert g.neighbor_array().dtype == np.int16  # the padding 600 fits
     assert graphs.to_graph6(g) == nx.to_graph6_bytes(to_nx(g), header=False).rstrip(b"\n")
 
 
-def test_edge_keys_widen_past_int16():
-    """Two copies of an irregular graph on 150 vertices, where u * 300 + v
-    passes 2^15 and swapping the copies moves every edge across it; then a
-    path with an isolated vertex, a graph with no edges, and a path on the
-    top three of 70,000 vertices, whose keys u * n + w pass 2^31 while the
-    permutations stay int32.  The checks agree with the edge sets."""
+def _maps_the_edge_set(graph, p) -> bool:
+    """The edge-set oracle: p maps the edges of the graph onto its edges."""
+    edges = {tuple(e) for e in graph.edge_array().tolist()}
+    return {tuple(sorted((int(p[u]), int(p[w])))) for u, w in edges} == edges
+
+
+def test_automorphism_rows_agree_with_the_edge_sets_past_int16():
+    """Two copies of an irregular graph on 150 vertices, swapped whole or
+    with two vertices also swapped; a path with an isolated vertex, a graph
+    with no edges, and a path on the top three of 70,000 vertices, whose
+    padding 70,000 passes int16 while the permutations stay int32.  Some
+    permutations map a vertex onto one of another degree, where only the
+    padding tells the rows apart.  The row check agrees with the edge sets."""
     rnd = random.Random(256)
     half = 150
     base = [(0, half - 1)] + [tuple(rnd.sample(range(half), 2)) for _ in range(260)]
     g = graphs.Graph(2 * half, base + [(u + half, v + half) for u, v in base])
-    assert g.indices.dtype == np.int16 and g.is_regular() is None
+    assert g.neighbor_array().dtype == np.int16 and g.is_regular() is None
     swap = np.roll(np.arange(2 * half, dtype=np.int32), half)
     assert permgroups.are_automorphisms(g, [swap, permgroups.identity_perm(g.n)])
     moved = swap.copy()
@@ -640,13 +647,67 @@ def test_edge_keys_widen_past_int16():
               as_perms([3, 2, 1, 0, 4], [4, 2, 1, 0, 3], [0, 1, 2, 3, 4]), [True, False, True]),
              (graphs.Graph(4, []), as_perms([1, 0, 3, 2]), [True])]
     top = graphs.Graph(70000, [(69997, 69999), (69998, 69999)])
+    assert top.neighbor_array().dtype == np.int32 and np.any(top.neighbor_array() == 70000)
     flip, out = np.arange(70000, dtype=np.int32), np.arange(70000, dtype=np.int32)
     flip[[69997, 69998]], out[[0, 69998]] = [69998, 69997], [69998, 0]
     cases.append((top, [permgroups.identity_perm(70000), flip, out], [True, True, False]))
     for graph, perms, autos in cases:
-        edges = graph.edge_array().tolist()
-        rows = {tuple(e): i for i, e in enumerate(edges)}
         for p, auto in zip(perms, autos):
-            images = [tuple(sorted((int(p[u]), int(p[v])))) for u, v in edges]
-            assert (set(images) == set(rows)) == auto
+            assert _maps_the_edge_set(graph, p) == auto
             assert permgroups.are_automorphisms(graph, [p]) == auto
+    # vertex 0, isolated, onto 69,998, of degree 1; vertex 4 of the path likewise
+    assert len(top.neighbors(0)) != len(top.neighbors(int(out[0])))
+
+
+@given(random_graphs, st.randoms(use_true_random=False))
+@example(graphs.Graph(9, [(0, v) for v in range(1, 9)]), random.Random(0))
+@example(graphs.Graph(6, [(0, 1), (2, 3), (3, 4)]), random.Random(1))
+@settings(max_examples=100, deadline=None)
+def test_automorphism_check_matches_the_edge_sets_on_random_graphs(graph, rnd):
+    """Irregular graphs under the identity, a random permutation, a swap of
+    two vertices and a swap of two vertices of different degrees, each on
+    its own and all together, at every block size."""
+    degree = [len(graph.neighbors(v)) for v in range(graph.n)]
+    perms = [np.arange(graph.n, dtype=np.int32),
+             np.array(rnd.sample(range(graph.n), graph.n), dtype=np.int32)]
+    pairs = [(u, w) for u in range(graph.n) for w in range(u)]
+    uneven = [(u, w) for u, w in pairs if degree[u] != degree[w]]
+    for pick in ([rnd.choice(pairs)] if pairs else []) + ([rnd.choice(uneven)] if uneven else []):
+        p = np.arange(graph.n, dtype=np.int32)
+        p[list(pick)] = p[list(pick[::-1])]
+        perms.append(p)
+    for p in perms:
+        expect = _maps_the_edge_set(graph, p)
+        assert over_chunks(lambda: permgroups.are_automorphisms(graph, [p])) == expect
+    if uneven:
+        assert not permgroups.are_automorphisms(graph, perms[-1:])
+    assert permgroups.are_automorphisms(graph, perms) == all(
+        _maps_the_edge_set(graph, p) for p in perms)
+
+
+# -- the store of the graphs the commands build --------------------------------
+
+def _assert_stored_without_padding(graph):
+    """Regular, so every row is full, in the narrowest type of its largest id."""
+    nbr = graph.neighbor_array()
+    k = graph.is_regular()
+    assert k is not None and nbr.shape == (graph.n, k)
+    assert nbr.max() == graph.n - 1 and not np.any(nbr == graph.n)
+    assert nbr.dtype == graphs._index_dtype(int(nbr.max()) + 1)
+
+
+def test_gamma_and_sigma_are_stored_without_padding(built):
+    """Γ(3), on exactly 2^15 vertices, and Σ(3) keep int16 ids, as at n = 2."""
+    G, gamma, sigma, _, _ = built
+    for graph in (gamma, sigma):
+        _assert_stored_without_padding(graph)
+        assert graph.neighbor_array().dtype == np.int16
+    assert gamma.n == G.order and (G.n < 3 or gamma.n == 1 << 15)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_quotient_k_m_m_is_stored_without_padding(n):
+    """Σ of Elementary(n), the quotient of Σ(n) by G' and the kbip export."""
+    quotient = graphs.sigma_graph(groups.Elementary(n))[0]
+    _assert_stored_without_padding(quotient)
+    assert quotient.n == 2 << n and quotient.is_regular() == 1 << n
