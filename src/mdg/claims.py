@@ -57,9 +57,16 @@ def _jsonable(v):
 
 def _semiregular(G, N) -> bool:
     """Whether N is central and meets X and Y in 1 alone: semiregular (README)."""
-    return all(np.array_equal(G.mul_vec(N, g), G.mul_vec(g, N)) for g in G.gens) and all(
+    return groups.commutes_with_gens(G, N).all() and all(
         np.count_nonzero(groups.in_sorted(groups.closure_array(G, gens), N)) == 1
         for gens in (G.x_gens, G.y_gens))
+
+
+def _coset_valency(G) -> int | None:
+    """Σ's valency, as ``Graph.is_regular`` reads it: once X n Y = {1} is
+    checked, each X-coset has |X| neighbours and each Y-coset |Y| (README)."""
+    X, Y, _ = groups.sides(G)
+    return len(X) if len(X) == len(Y) else None
 
 
 def _edge_affine(G, cover: permgroups.Cover) -> bool:
@@ -108,10 +115,10 @@ def _line_graph_order(c) -> int:
     """The order of Aut(Γ) as Σ's certified order.  By Whitney's
     theorem every automorphism of L(Σ) is induced by exactly one of Σ when
     Σ is connected on more than four vertices; so Γ must be L(Σ), by its
-    neighbourhood of 1, and Σ connected and that large."""
+    neighbourhood of 1, and Σ that large and connected: <X u Y> = G (README)."""
     if not _lemma_holds(c.neighbourhood):
         raise ValueError("Gamma is not the line graph of Sigma")
-    if c.sigma.n <= 4 or np.any(graphs.bfs_layers(c.sigma, 0)[0] < 0):
+    if c.sigma.n <= 4 or c.generated != c.group.order:
         raise ValueError("Sigma is not connected on more than 4 vertices")
     return autsearch.certified_order(c.sigma, c.sigma_gens)
 
@@ -204,7 +211,7 @@ GROUP = (
      lambda c: groups.verify_presentation(c.G, c.generated), "generated"),
     ("derived-order", lambda G: 2 ** (G.n * G.n), lambda c: len(c.derived), "derived"),
     ("derived-equals-center", True,
-     lambda c: np.array_equal(c.derived, groups.center(c.G)), "derived"),
+     lambda c: groups.is_center(c.G, c.generated, c.derived), "generated derived"),
     ("derived-is-pure-tensors", True, lambda c: np.array_equal(
         c.derived, np.arange(1 << (c.G.n ** 2)) << (2 * c.G.n)), "derived"),
     _ABELIANIZATION,
@@ -218,11 +225,17 @@ DIHEDRAL = (("order", lambda G: G.order, lambda c: c.generated, "generated"),
 _LEMMA = (lambda c: _lemma_holds(c.neighbourhood), "neighbourhood")
 
 GRAPHS = (
-    ("cayley-vertices", lambda G: G.order, lambda c: c.gamma.n, "gamma"),
-    ("cayley-valency", lambda G: 2 * (2 ** G.n - 1), lambda c: c.gamma.is_regular(), "gamma"),
-    ("coset-graph-vertices", lambda G: 2 ** (G.n * G.n + G.n + 1), lambda c: c.sigma.n, "sigma"),
-    ("coset-graph-valency", lambda G: 2 ** G.n, lambda c: c.sigma.is_regular(), "sigma"),
-    ("coset-graph-edges", lambda G: G.order, lambda c: c.sigma.edge_count(), "sigma"),
+    # the counts of Γ = Cay(<S>, S) and Σ, read from G with neither built (README)
+    ("cayley-vertices", lambda G: G.order, lambda c: c.generated, "generated"),
+    ("cayley-valency", lambda G: 2 * (2 ** G.n - 1),
+     lambda c: len(graphs.connection_set(c.group, c.S)), "S"),
+    ("coset-graph-vertices", lambda G: 2 ** (G.n * G.n + G.n + 1), lambda c: sum(
+        c.generated // len(groups.closure_array(c.group, gens))
+        for gens in (c.group.x_gens, c.group.y_gens)), "generated"),
+    ("coset-graph-valency", lambda G: 2 ** G.n, lambda c: _coset_valency(c.group), ""),
+    # |<X u Y>| once X n Y = {1} is checked (``sides`` raises otherwise)
+    ("coset-graph-edges", lambda G: G.order, lambda c: groups.sides(c.group) and c.generated,
+     "generated"),
     ("clique-graph-is-coset-graph", True, *_LEMMA),
     ("line-graph-is-cayley-graph", True, *_LEMMA),
     ("quotient-complete-bipartite", lambda G: (2 ** G.n, 2 ** G.n),
@@ -253,7 +266,7 @@ GENERATED_ORDER = ("generated-order", _symmetry, lambda c: permgroups.generated_
 # coset representatives, with no permutation of all codes
 SEARCH = {
     "gamma": ("full-automorphism-order-gamma", _symmetry, _line_graph_order,
-              "neighbourhood sigma sigma_gens"),
+              "neighbourhood generated sigma sigma_gens"),
     "sigma": ("full-automorphism-order-sigma", _symmetry,
               lambda c: autsearch.certified_order(c.sigma, c.sigma_gens), "sigma sigma_gens"),
 }

@@ -2,8 +2,7 @@
 neighbour array, and the constructions linking a group generated by X and
 Y to its Cayley graph and the bipartite coset graph on [G:X] u [G:Y]; the
 neighbourhood of 1 in the Cayley graph, which decides its cliques,
-line-graph structure and edge colours; BFS layers, and graph6 and
-edge-list export.
+line-graph structure and edge colours; and graph6 and edge-list export.
 """
 
 from collections import namedtuple
@@ -128,19 +127,24 @@ def _codes(a) -> np.ndarray:
 
 # -- builders ------------------------------------------------------------------
 
-def cayley_graph(G, S) -> Graph:
-    """Cayley graph of G with connection set S: edges {g, sg}.
-
-    S must be inverse-closed and must not contain the identity; vertex i
-    is the element with canonical code i.  Row g is S g, sorted: S is a set
-    without 1, so the row has no loop or repeat, and h = s g iff
-    g = s^-1 h with s^-1 in S, so the rows are symmetric.
-    """
+def connection_set(G, S) -> np.ndarray:
+    """The distinct members of S, sorted, as int64, once S is checked
+    inverse-closed and without the identity: then Cay(G, S) is a simple
+    graph, regular of valency len(S)."""
     S = _codes(sorted(set(S)))
     if np.any(S == G.identity):
         raise ValueError("identity must not lie in the connection set")
     if not np.isin(_codes(G.inv_vec(S)), S, assume_unique=True).all():
         raise ValueError("connection set is not inverse-closed")
+    return S
+
+
+def cayley_graph(G, S) -> Graph:
+    """Cayley graph of G with connection set S (``connection_set``): edges
+    {g, sg}; vertex i is the element with canonical code i.  Row g is S g,
+    sorted: S is a set without 1, so the row has no loop or repeat, and
+    h = s g iff g = s^-1 h with s^-1 in S, so the rows are symmetric."""
+    S = connection_set(G, S)
     rows = np.empty((G.order, len(S)), dtype=_index_dtype(G.order))
     # one block of rows against every s at a time
     for lo, hi in groups._blocks(G.order, len(S)):
@@ -245,32 +249,6 @@ def sigma_graph(G) -> tuple[Graph, SigmaInfo]:
             if np.any(block[:, 1:] == block[:, :-1]):
                 raise ValueError("two members of a coset share a coset of the other side")
     return Graph._from_rows(rows), info
-
-
-def bfs_layers(graph: Graph, v: int, depth: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Exact BFS distances from v (-1 for unreachable, or beyond ``depth``
-    if given), as an int64 array over the vertices, and the layer sizes.
-    The frontier's rows are read a block of rows at a time, weighed at four
-    8-byte temporaries per slot, and the next layer is marked in a mask
-    over the vertices, with one more slot for the padding."""
-    rows = graph.neighbor_array()
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    dist[v] = 0
-    frontier = np.array([v], dtype=np.int64)
-    layers = [1]
-    marked = np.zeros(graph.n + 1, dtype=bool)
-    seen = marked[:graph.n]  # the vertices' slots, without the padding's
-    while len(layers) - 1 != depth:
-        for lo, hi in groups._blocks(len(frontier), 4 * rows.shape[1]):
-            marked[rows[frontier[lo:hi]]] = True
-        seen[dist >= 0] = False
-        frontier = np.flatnonzero(seen)
-        if not len(frontier):
-            break
-        seen[frontier] = False
-        dist[frontier] = len(layers)
-        layers.append(len(frontier))
-    return dist, layers
 
 
 # graph6 format (header <= 62 vertices is one byte, larger graphs use the

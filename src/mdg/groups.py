@@ -272,47 +272,70 @@ def in_sorted(codes, members) -> np.ndarray:
     return members[np.searchsorted(members, codes).clip(max=len(members) - 1)] == codes
 
 
+def sides(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X = <G.x_gens>, Y = <G.y_gens> and X u Y as sorted codes;
+    ValueError unless X n Y = {1}."""
+    X, Y = (closure_array(G, gens) for gens in (G.x_gens, G.y_gens))
+    codes = sorted_codes(np.concatenate([X, Y]))
+    if len(codes) != len(X) + len(Y) - 1:
+        raise ValueError("X and Y meet in more than 1")
+    return X, Y, codes
+
+
 def subgroup_order(G, gens) -> int:
     """|<gens>|, counted on the closure's mask without listing it."""
     return int(np.count_nonzero(_closure_mask(G, gens)))
 
 
 def derived_subgroup(G) -> np.ndarray:
-    """Normal closure of the commutators of generator pairs."""
+    """Normal closure of the commutators of generator pairs, grown until
+    every generator's conjugates of it lie in it (``in_sorted``)."""
     check_budget(G.order)
     gens = np.asarray(G.gens, dtype=np.int64)
-    comms = set(commutator(G, gens[:, None], gens).ravel().tolist())
-    comms.discard(G.identity)
+    comms = sorted_codes(commutator(G, gens[:, None], gens))
     while True:
-        sub = closure_array(G, sorted(comms))
-        member = np.zeros(G.order, dtype=bool)
-        member[sub] = True
-        conj = set()
-        for g in G.gens:
-            c = G.mul_vec(G.mul_vec(G.inv_vec(g), sub), g)
-            conj.update(c[~member[c]].tolist())
-        if not conj:
+        sub = closure_array(G, comms)
+        # each generator's conjugates of sub in turn, and those outside it
+        conj = np.concatenate([c[~in_sorted(c, sub)] for c in (
+            G.mul_vec(G.mul_vec(G.inv_vec(g), sub), g) for g in G.gens)]).astype(np.int64)
+        if not len(conj):
             return sub
-        comms |= conj
+        comms = sorted_codes(np.concatenate([comms, conj]))
 
 
-def center(G) -> np.ndarray:
-    """The elements commuting with every generator in ``G.gens``: the
-    centraliser of the generators, which is the center when they generate G
-    (for the tensor group the ``order`` claim shows that they do), marked in
-    a mask of a bit per code, the first the highest, and listed once."""
-    check_budget(G.order)
-    central = np.zeros(-(-G.order // 8), dtype=np.uint8)
-    # a block's codes are made with it and kept while they commute with each
-    # generator in turn; a code weighs its own 8 bytes, one product's and the
-    # other product's 8-byte temporaries: three in the tensor product, and in
-    # a dihedral product a pair of digit arrays per factor and seven more
-    for lo, hi in _blocks(G.order, 2 + (2 * len(G.ms) + 7 if hasattr(G, "ms") else 3)):
-        block = np.arange(lo, hi, dtype=np.int64)
-        for g in G.gens:
-            block = block[G.mul_vec(block, g) == G.mul_vec(g, block)]
-        np.bitwise_or.at(central, block >> 3, (128 >> (block & 7)).astype(np.uint8))
-    return np.flatnonzero(np.unpackbits(central, count=G.order))
+def commutes_with_gens(G, codes) -> np.ndarray:
+    """Whether each code (int64) commutes with every generator in ``G.gens``."""
+    return np.logical_and.reduce([G.mul_vec(codes, g) == G.mul_vec(g, codes) for g in G.gens])
+
+
+def coset_words(G, N):
+    """The words of ``G.gens``, word v their product over the bits of v, as
+    int64, and ``names``, which maps codes to the word in each one's coset
+    of N (sorted codes); ValueError unless the words lie in distinct cosets."""
+    words = np.array([G.identity], dtype=np.int64)
+    for g in G.gens:
+        words = np.concatenate([words, np.asarray(G.mul_vec(words, g), dtype=np.int64)])
+    inv = G.inv_vec(words)
+
+    def names(codes):
+        hit = np.concatenate([in_sorted(G.mul_vec(inv, codes[lo:hi, None]), N)
+                              for lo, hi in _blocks(len(codes), 3 * len(words))])
+        if not hit.any(axis=1).all():
+            raise ValueError("a code shares a coset of N with no word of the generators")
+        return hit.argmax(axis=1)
+
+    if not np.array_equal(names(words), np.arange(len(words))):
+        raise ValueError(f"the generators have rank < {len(G.gens)} in G/N")
+    return words, names
+
+
+def is_center(G, generated: int, N) -> bool:
+    """Whether N (sorted codes) is the centre of <G.gens>, of order
+    ``generated``, from the generators' words (README): N is central, the
+    words are a transversal of N, and no word but 1 is central."""
+    words, _ = coset_words(G, N)
+    return bool(commutes_with_gens(G, N).all() and len(words) * len(N) == generated
+                and np.flatnonzero(commutes_with_gens(G, words)).tolist() == [0])
 
 
 def relations_hold(G, xs, ys) -> bool:

@@ -493,10 +493,7 @@ def local_two_arc(G, S) -> bool:
     neighbours Y·x of X as on x in X, and its subgroup generated by R(X) and
     the lifts that keep X must be transitive on the ordered pairs of distinct
     points.  That subgroup may be smaller than A_X: only True is conclusive."""
-    X, Y = (groups.closure_array(G, gens) for gens in (G.x_gens, G.y_gens))
-    codes = groups.sorted_codes(np.concatenate([X, Y]))
-    if len(codes) != len(X) + len(Y) - 1:
-        raise ValueError("X and Y meet in more than 1")
+    X, Y, codes = groups.sides(G)
     on_x, on_y = np.searchsorted(codes, X), np.searchsorted(codes, Y)
     local, swaps = [np.searchsorted(X, G.mul_vec(X, x)) for x in G.x_gens], False
     for img in checked_lifts(G, S, codes, stabilizer_lift_images(G, codes)):
@@ -565,20 +562,7 @@ def central_quotient(G, N) -> Cover:
     if not all(groups.in_sorted(w, N).all() for w in (
             G.mul_vec(gens, gens), groups.commutator(G, gens[:, None], gens))):
         raise ValueError("the generators are not commuting involutions in G/N")
-    words = np.array([G.identity], dtype=np.int64)
-    for g in G.gens:
-        words = np.concatenate([words, graphs._codes(G.mul_vec(words, g))])
-    inv = G.inv_vec(words)
-
-    def names(codes):  # the word sharing each code's coset of N, by blocks of codes
-        hit = np.concatenate([groups.in_sorted(G.mul_vec(inv, codes[lo:hi, None]), N)
-                              for lo, hi in groups._blocks(len(codes), 3 * len(words))])
-        if not hit.any(axis=1).all():
-            raise ValueError("a code shares a coset of N with no word of the generators")
-        return hit.argmax(axis=1)
-
-    if not np.array_equal(names(words), np.arange(len(words))):
-        raise ValueError(f"the generators have rank < {len(gens)} in G/N")
+    words, names = groups.coset_words(G, N)
     quotient, info = graphs.sigma_graph(groups.Elementary(len(G.x_gens)))
     X, Y = (groups.closure_array(G, g) for g in (G.x_gens, G.y_gens))
     meet = len(np.intersect1d(X, Y, assume_unique=True))

