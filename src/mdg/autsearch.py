@@ -9,7 +9,7 @@ once, from the previous level's refined partition.
 
 import numpy as np
 
-from . import graphs, groups, permgroups
+from . import graphs, permgroups
 
 
 class Partition:
@@ -52,54 +52,23 @@ class Partition:
         return Partition(order, np.insert(self.starts, c + 1, lo + 1), v)
 
 
-def _ranges(starts, counts) -> np.ndarray:
-    """Concatenation of the ranges starts[i], ..., starts[i] + counts[i] - 1."""
-    ends = np.cumsum(counts)
-    out = np.repeat(starts - ends + counts, counts)
-    out += np.arange(len(out))
-    return out
-
-
-def _row_words(nbr: np.ndarray, cell: np.ndarray, verts: np.ndarray, k: int) -> np.ndarray:
-    """The sorted row of neighbour cells of each vertex in ``verts``
-    (``cell`` maps the padding to k, above every cell index), as k - entry
-    packed first-most-significant into uint64 words, one column per vertex:
-    words ascend as rows descend.  Rows are taken a block of vertices at a
-    time, weighed by the degree, and each block is packed with array shifts."""
-    d, width = nbr.shape[1], k.bit_length()
-    per = 64 // width
-    # column j is field j % per of word j // per; a shorter last word keeps
-    # its fields in its low bits
-    col = np.arange(d)
-    shifts = (np.minimum(per, d - col // per * per) - 1 - col % per).astype(np.uint64)
-    shifts *= np.uint64(width)
-    words = np.zeros((-(-d // per) or 1, len(verts)), dtype=np.uint64)
-    if not d:  # every row is empty
-        return words
-    for lo, hi in groups._blocks(len(verts), d):
-        rows = cell[nbr[verts[lo:hi]]]
-        rows.sort(axis=1)
-        fields = np.subtract(k, rows, out=rows).astype(np.uint64)
-        fields <<= shifts
-        words[:, lo:hi] = np.bitwise_or.reduceat(fields, np.arange(0, d, per), axis=1).T
-        del rows, fields  # before the next block's are made
-    return words
-
-
 def refine(graph: graphs.Graph, part: Partition) -> Partition:
     """Deterministic equitable refinement: split every cell by the tuple
     of neighbour counts into all current cells, until stable.
 
     The parts of a split cell replace it in ascending count-tuple order,
-    each ascending.  A pass sorts vertices by cell, then by their sorted
-    row of neighbour cells padded with a sentinel above every cell index,
-    packed into uint64 words (``_row_words``): rows sort descending exactly
-    when count tuples sort ascending.  After a pass the vertices of a cell
-    have equal counts into each cell that split, so the next pass reads
-    only the cells next to the parts other than the largest (the first
-    pass: every cell, or, after ``individualize`` of an equitable
-    partition, the cells next to its singleton).  Rows are read a block of
-    vertices at a time (McKay & Piperno, J. Symb. Comput. 60, 2014).
+    each ascending.  A pass takes the vertices of the cells it reads, each
+    with its sorted row of neighbour cells (the padding read as k, above
+    every cell index) rewritten in place as k - entry, and lexsorts them
+    by cell, then by that row: rewritten rows ascend exactly when count
+    tuples do.  A part starts wherever two vertices of one cell, next to
+    each other in that order, differ in some column, compared a column at
+    a time.  The rows are read whole, not in blocks: the CLI refines only
+    Sigma(2) and Sigma(3).  After a pass the vertices of a cell have equal
+    counts into each cell that split, so the next pass reads only the
+    cells next to the parts other than the largest (the first pass: every
+    cell, or, after ``individualize`` of an equitable partition, the cells
+    next to its singleton) (McKay & Piperno, J. Symb. Comput. 60, 2014).
     """
     n = graph.n
     if len(part.order) != n:
@@ -110,14 +79,21 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
         todo = todo[np.isin(todo, part.cell[graph.neighbors(part.singleton)], kind="table")]
     while len(todo):
         k = len(part)
-        pos = _ranges(part.starts[todo], np.diff(part.starts)[todo])
+        pos = np.flatnonzero(np.isin(part.cell[part.order], todo, kind="table"))
         verts = part.order[pos]
         cur = part.cell[verts]
-        words = _row_words(nbr, np.append(part.cell, np.int32(k)), verts, k)  # k pads
+        rows = np.append(part.cell, np.int32(k))[nbr[verts]]  # k pads
+        rows.sort(axis=1)
+        np.subtract(k, rows, out=rows)
         # lexsort is stable, so each part keeps its vertices ascending
-        srt = np.lexsort((*words[::-1], cur))
-        words, cur, verts = words[:, srt], cur[srt], verts[srt]
-        new = np.append(False, (cur[1:] == cur[:-1]) & np.any(words[:, 1:] != words[:, :-1], 0))
+        srt = np.lexsort((*rows.T[::-1], cur))
+        cur, verts = cur[srt], verts[srt]
+        new = np.zeros(len(pos), dtype=bool)
+        for col in rows.T:
+            col = col[srt]
+            new[1:] |= col[1:] != col[:-1]
+        del rows  # before the next pass gathers its own
+        new[1:] &= cur[1:] == cur[:-1]
         if not new.any():
             break
         order = part.order.copy()
@@ -129,11 +105,9 @@ def refine(graph: graphs.Graph, part: Partition) -> Partition:
         big = np.lexsort((-size, cur[first]))
         small = np.ones(len(first), dtype=bool)
         small[big[np.append(True, np.diff(cur[first][big]) != 0)]] = False
-        smalls = verts[np.repeat(small, size)]
+        near = nbr[verts[np.repeat(small, size)]].ravel()
         touched = np.zeros(len(part), dtype=bool)
-        for lo, hi in groups._blocks(len(smalls), nbr.shape[1]):
-            near = nbr[smalls[lo:hi]].ravel()
-            touched[part.cell[near[near < n]]] = True
+        touched[part.cell[near[near < n]]] = True
         todo = np.flatnonzero(touched & (np.diff(part.starts) > 1))
     return part
 

@@ -27,11 +27,13 @@ from . import f2
 #: Largest group order the enumeration-based operations will touch.
 DEFAULT_BUDGET = 1 << 24
 
-#: The block budget of every array pass over codes, graph rows or pairs: a
-#: block holds at most about CHUNK 8-byte temporaries in all, a graph row
-#: weighing its slots, padding included.  ``_blocks`` is the one place where
-#: blocks are sized from it; a pass inside another's block takes its own.
-#: Arrays as long as the graph are stored in ``graphs._index_dtype`` widths.
+#: The block budget of every array pass over codes, graph rows or pairs but
+#: ``autsearch.refine``'s, which read their rows whole (the CLI refines only
+#: Sigma(2) and Sigma(3), 8,192 rows of 8): a block holds at most about CHUNK
+#: 8-byte temporaries in all, a graph row weighing its slots, padding
+#: included.  ``_blocks`` is the one place where blocks are sized from it; a
+#: pass inside another's block takes its own.  Arrays as long as the graph
+#: are stored in ``graphs._index_dtype`` widths.
 CHUNK = 1 << 15
 
 

@@ -15,7 +15,6 @@ import cover_oracle
 from group_oracle import mat_transpose
 from perm_oracle import (automorphism_group, induced_sigma_perm, partition_from_cells,
                          right_mult_perm)
-from test_graph_core import over_chunks
 from mdg import autsearch, claims, cli, f2, graphs, groups, permgroups as pg
 from mdg.autsearch import Partition
 
@@ -349,7 +348,12 @@ def graphs_and_partitions(draw):
     return graphs.Graph(n, edges), [c for c in cells if c]
 
 
+STAR = graphs.Graph(9, [(0, v) for v in range(1, 9)])
+
+
 @given(graphs_and_partitions())
+@example((STAR, [list(range(9))]))
+@example((STAR, [[3], [0, 1, 2, 4, 5, 6, 7, 8]]))
 @settings(max_examples=300, deadline=None)
 def test_refine_matches_reference_on_random_graphs(case):
     graph, cells = case
@@ -377,8 +381,8 @@ def test_refine_matches_reference_on_random_graphs(case):
 @given(st.integers(min_value=20, max_value=50), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_refine_matches_reference_with_many_cells_and_high_degree(n, rnd):
-    """Rows of up to 49 neighbour cells among up to 25 cells: several packed
-    words per row, and several passes."""
+    """Rows of up to 49 neighbour cells among up to 25 cells, and several
+    passes."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < 0.5]
     labels = [rnd.randrange(n // 2) for _ in range(n)]
     cells = [c for c in ([v for v in range(n) if labels[v] == lab] for lab in range(n // 2)) if c]
@@ -430,24 +434,9 @@ def test_the_recorded_singleton_gives_the_same_refinement_at_n3(target):
         assert np.array_equal(part.order, full.order) and np.array_equal(part.starts, full.starts)
 
 
-STAR = graphs.Graph(9, [(0, v) for v in range(1, 9)])
-
-
-@given(graphs_and_partitions())
-@example((STAR, [list(range(9))]))
-@example((STAR, [[3], [0, 1, 2, 4, 5, 6, 7, 8]]))
-@settings(max_examples=150, deadline=None)
-def test_refine_is_the_same_for_every_block_size(case):
-    """Rows read in blocks of CHUNK // degree vertices give the reference's
-    partitions whether CHUNK is 1, 7 or the default."""
-    graph, cells = case
-    got = over_chunks(lambda: cells_of(autsearch.refine(graph, partition_from_cells(graph.n, cells))))
-    assert got == reference_refine(graph, cells)
-
-
-def test_refine_packs_wide_rows_with_array_shifts():
-    """K(1, 2000): rows of 2000 entries, in blocks of 16 rows.  Packing each
-    block a column at a time took about 2 s; array shifts take under 0.1 s."""
+def test_refine_sorts_the_wide_rows_of_a_star():
+    """K(1, 2000): 2001 rows of 2000 entries, lexsorted a column at a
+    time, in about 0.1 s."""
     star = graphs.Graph(2001, [(0, v) for v in range(1, 2001)])
     unit = partition_from_cells(star.n, [range(star.n)])
     times = []
